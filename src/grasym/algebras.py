@@ -10,6 +10,9 @@ Crossed products are built from a coefficient algebra D, an action map sigma
 and a twisting map alpha; the twisted-cocycle identities are not checked
 symbolically, the constructed product simply runs through the associativity
 scan and incompatible (sigma, alpha) data is reported with a failing triple.
+Every crossed product of a finite field by Frobenius powers with a unit twist
+(the cyclic algebras, the replication corpus, spec-file constructor blocks and
+hunt candidates) gets its data from the one builder frobenius_crossed_spec.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .errors import (
     FieldMismatch,
     GroupMismatch,
     IncompatibleCocycleData,
+    IndexOutOfRange,
     NonAbelianGroup,
     NonInvertibleAlpha,
     NotClosed,
@@ -57,10 +61,18 @@ class GradedAlgebra:
             raise ValueError("zero-dimensional algebras are not allowed")
         if self.dim > MAX_ALGEBRA_DIM:
             raise DimensionTooLarge(f"dimension {self.dim} exceeds {MAX_ALGEBRA_DIM}")
+        for g in self.degree:
+            group._check(g)
         clean = {}
         for (i, j), terms in (sc.items() if isinstance(sc, dict) else sc):
+            if not (0 <= i < self.dim and 0 <= j < self.dim):
+                raise IndexOutOfRange(
+                    f"structure constant at ({i},{j}) out of range 0..{self.dim - 1}")
             out = []
             for k, c in (terms.items() if isinstance(terms, dict) else terms):
+                if not 0 <= k < self.dim:
+                    raise IndexOutOfRange(
+                        f"structure constant ({i},{j},{k}) out of range 0..{self.dim - 1}")
                 if not isinstance(c, Scalar) or c.field != field:
                     raise FieldMismatch("structure constant from a foreign field")
                 if not c.is_zero:
@@ -73,6 +85,8 @@ class GradedAlgebra:
         if len(self.unit) != self.dim:
             raise ValueError("unit vector has wrong length")
         self.labels = tuple(labels) if labels is not None else None
+        if self.labels is not None and len(self.labels) != self.dim:
+            raise ValueError("label list has wrong length")
         self.meta = dict(meta) if meta else {}
 
     # -- elements ---------------------------------------------------------------
@@ -372,13 +386,16 @@ def field_as_algebra(ext: Field, base: Field, group: GroupTable | None = None) -
 
 
 def frobenius_matrix(ext: Field, power: int) -> Matrix:
-    """Matrix of y -> y^(p^power) on the basis 1, x, .., x^(n-1) of ext over F_p."""
+    """Matrix of y -> y^(p^power) on the basis 1, x, .., x^(n-1) of ext over F_p.
+
+    The power is taken mod n, the order of the Frobenius automorphism.
+    """
     base = ext.prime_subfield()
     n = ext.degree
     gen = ext.generator()
     cols = []
     for i in range(n):
-        img = (gen ** i) ** (ext.char ** power)
+        img = (gen ** i) ** (ext.char ** (power % n))
         cols.append([base.from_int(c) for c in img.val])
     return Matrix(base, [[cols[j][i] for j in range(n)] for i in range(n)])
 
@@ -445,10 +462,6 @@ class CrossedProductSpec:
         return Element(self.coeff, self.alpha[(g, h)])
 
 
-def _apply_matrix(m: Matrix, coords):
-    return m.mulvec(list(coords))
-
-
 def _check_sigma(spec: CrossedProductSpec):
     d = spec.coeff
     ident = Matrix.identity(d.field, d.dim)
@@ -458,19 +471,18 @@ def _check_sigma(spec: CrossedProductSpec):
             raise IncompatibleCocycleData(f"sigma missing at group element {g}")
         if g == spec.group.identity and s != ident:
             raise IncompatibleCocycleData("sigma at the identity must be the identity map")
-        if tuple(_apply_matrix(s, d.unit)) != d.unit:
+        if s.mulvec(d.unit) != d.unit:
             raise IncompatibleCocycleData(f"sigma({g}) does not fix the unit")
         if not s.is_invertible():
             raise IncompatibleCocycleData(f"sigma({g}) is not bijective")
         for i in range(d.dim):
-            ei = _apply_matrix(s, tuple(d.basis_element(i).coords))
+            ei = s.mulvec(d.basis_element(i).coords)
             for j in range(d.dim):
-                ej = _apply_matrix(s, tuple(d.basis_element(j).coords))
-                prod = d.mul_coords(list(d.basis_element(i).coords),
-                                    list(d.basis_element(j).coords))
-                lhs = _apply_matrix(s, tuple(prod))
-                rhs = d.mul_coords(list(ei), list(ej))
-                if tuple(lhs) != tuple(rhs):
+                ej = s.mulvec(d.basis_element(j).coords)
+                prod = d.mul_coords(d.basis_element(i).coords, d.basis_element(j).coords)
+                lhs = s.mulvec(prod)
+                rhs = d.mul_coords(ei, ej)
+                if lhs != tuple(rhs):
                     raise IncompatibleCocycleData(
                         f"sigma({g}) is not multiplicative at basis pair ({i},{j})")
 
@@ -503,7 +515,7 @@ def _normalized_alpha(spec: CrossedProductSpec) -> dict:
             # alpha'(g,h) = c_g sigma(g)(c_h) alpha(g,h) c_{gh}^-1
             val = alpha[(g, h)]
             if h == e:
-                val = Element(d, _apply_matrix(spec.sigma[g], c.coords)) * val
+                val = Element(d, spec.sigma[g].mulvec(c.coords)) * val
             if g == e:
                 val = c * val
             if G.mul(g, h) == e:
@@ -541,10 +553,10 @@ def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
             gh = G.mul(g, h)
             a_gh = alpha[(g, h)].coords
             for j in range(dd):
-                sig_ej = _apply_matrix(spec.sigma[g], tuple(d.basis_element(j).coords))
-                right = d.mul_coords(list(sig_ej), list(a_gh))
+                sig_ej = spec.sigma[g].mulvec(d.basis_element(j).coords)
+                right = d.mul_coords(sig_ej, a_gh)
                 for i in range(dd):
-                    prod = d.mul_coords(list(d.basis_element(i).coords), right)
+                    prod = d.mul_coords(d.basis_element(i).coords, right)
                     terms = tuple((gh * dd + k, c) for k, c in enumerate(prod) if not c.is_zero)
                     if terms:
                         sc[(g * dd + i, h * dd + j)] = terms
@@ -645,6 +657,37 @@ def constant_alpha(d: GradedAlgebra, group: GroupTable, value=None) -> dict:
     return {(g, h): v for g in range(group.order) for h in range(group.order)}
 
 
+def frobenius_crossed_spec(ext: Field, group: GroupTable, sigma_powers,
+                           alpha_unit=None) -> CrossedProductSpec:
+    """Crossed-product data of a finite field over its prime field F_p, acted on
+    by Frobenius powers, with a unit twist.
+
+    sigma_powers lists the Frobenius exponent of each non-identity group
+    element in index order (ignored when ext is F_p itself, where the action is
+    trivial).  alpha_unit, when given, holds the coefficients of a unit u on
+    the basis 1, x, .., x^(m-1); alpha(g, h) = u for g, h both non-identity and
+    alpha is 1 against the identity.  Compatibility of the data is left to
+    crossed_product's associativity scan.
+    """
+    base = ext.prime_subfield()
+    d = field_as_algebra(ext, base)
+    sigma_powers = list(sigma_powers)
+    if len(sigma_powers) != group.order - 1:
+        raise ValueError("need one Frobenius power per non-identity element")
+    ident = Matrix.identity(base, d.dim)
+    sigma = {0: ident}
+    for g, power in enumerate(sigma_powers, start=1):
+        sigma[g] = ident if ext == base else frobenius_matrix(ext, power)
+    one = tuple(d.unit)
+    u = one if alpha_unit is None else tuple(base.scalar(c) for c in alpha_unit)
+    if len(u) > d.dim:
+        raise ValueError(f"alpha_unit has more than {d.dim} coefficients")
+    u += (base.zero(),) * (d.dim - len(u))
+    alpha = {(g, h): u if g and h else one
+             for g in range(group.order) for h in range(group.order)}
+    return CrossedProductSpec(coeff=d, group=group, sigma=sigma, alpha=alpha)
+
+
 def cyclic_algebra_spec(p: int) -> CrossedProductSpec:
     """Crossed-product data of the degree-p skew group algebra over F_p.
 
@@ -653,14 +696,8 @@ def cyclic_algebra_spec(p: int) -> CrossedProductSpec:
     """
     if p not in (2, 3, 5, 7):
         raise UnsupportedPrime(f"supported primes are 2, 3, 5, 7; got {p}")
-    base = make_field(p)
-    modulus = [p - 1, p - 1] + [0] * (p - 2) + [1]
-    ext = make_field(p, modulus)
-    d = field_as_algebra(ext, base)
-    g = cyclic_group(p)
-    sigma = {i: frobenius_matrix(ext, i) for i in range(p)}
-    return CrossedProductSpec(coeff=d, group=g, sigma=sigma,
-                              alpha=constant_alpha(d, g))
+    ext = make_field(p, [p - 1, p - 1] + [0] * (p - 2) + [1])
+    return frobenius_crossed_spec(ext, cyclic_group(p), range(1, p))
 
 
 def cyclic_algebra(p: int) -> GradedAlgebra:

@@ -34,6 +34,7 @@ from .replicate import (
 from .specfile import (
     algebra_from_dict,
     algebra_hash,
+    algebra_to_dict,
     canonical_json,
     certificate_to_dict,
     functional_from_certificate,
@@ -158,14 +159,16 @@ def _cmd_emit(args) -> int:
         spec["group"] = json.loads(args.group)
     block = {"name": args.constructor}
     if args.params:
-        block.update(json.loads(args.params))
+        params = json.loads(args.params)
+        if not isinstance(params, dict):
+            raise ParseError("--params must be a JSON object")
+        block.update(params)
     spec["constructor"] = block
     a = algebra_from_dict(spec)
     if args.output:
         write_algebra_file(a, args.output)
         print(f"wrote {args.output}", file=sys.stderr)
     else:
-        from .specfile import algebra_to_dict
         _emit(algebra_to_dict(a), args.pretty)
     return EXIT_YES
 

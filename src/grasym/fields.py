@@ -23,6 +23,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     NonPrimeCharacteristic,
+    ParseError,
     RationalsNotSupported,
     ReducibleModulus,
 )
@@ -448,9 +449,13 @@ class Scalar:
 
 
 def scalar_from_json(field: Field, value) -> Scalar:
-    if field.char == 0:
-        return Scalar(field, Fraction(value))
-    return field.scalar(value)
+    """Decode the JSON form of a scalar; a malformed value raises ParseError."""
+    try:
+        if field.char == 0:
+            return Scalar(field, Fraction(value))
+        return field.scalar(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParseError(f"bad {field} scalar {value!r}: {exc}") from exc
 
 
 def frobenius(x: Scalar) -> Scalar:

@@ -7,7 +7,9 @@ cap), and the identity/inverse laws, reporting the first offending triple.
 
 from __future__ import annotations
 
-from .errors import IndexOutOfRange, InvalidTable
+from math import gcd
+
+from .errors import IndexOutOfRange, InvalidTable, ParseError
 
 MAX_GROUP_ORDER = 64
 
@@ -111,7 +113,6 @@ class GroupTable:
         e = 1
         for g in range(self.order):
             m = self.element_order(g)
-            from math import gcd
             e = e * m // gcd(e, m)
         return e
 
@@ -145,9 +146,16 @@ class GroupTable:
         return d
 
 
+def _check_order(n: int):
+    """Refuse an order above the cap before its table is built."""
+    if n > MAX_GROUP_ORDER:
+        raise InvalidTable(f"order {n} exceeds the cap {MAX_GROUP_ORDER}")
+
+
 def cyclic_group(n: int) -> GroupTable:
     if n < 1:
         raise InvalidTable("cyclic group order must be positive")
+    _check_order(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["e"] + [("g" if i == 1 else f"g{i}") for i in range(1, n)]
     return GroupTable(table, labels=labels, kind=("cyclic", n))
@@ -165,6 +173,7 @@ def cyclic_product_group(orders) -> GroupTable:
     total = 1
     for n in orders:
         total *= n
+    _check_order(total)
     def decode(k):
         parts = []
         for n in orders:
@@ -198,6 +207,7 @@ def dihedral_group(n: int) -> GroupTable:
     if n < 1:
         raise InvalidTable("dihedral parameter must be positive")
     size = 2 * n
+    _check_order(size)
     def mul(a, b):
         i1, j1 = a % n, a // n
         i2, j2 = b % n, b // n
@@ -219,16 +229,16 @@ def group_from_table(table, labels=None) -> GroupTable:
     return GroupTable(table, labels=labels)
 
 
-def make_group(kind: str, *params) -> GroupTable:
-    """Dispatch on a named constructor: cyclic, product, dihedral, sym3, table."""
-    if kind == "cyclic":
-        return cyclic_group(int(params[0]))
-    if kind == "product":
-        return cyclic_product_group(params[0])
-    if kind == "dihedral":
-        return dihedral_group(int(params[0]))
-    if kind == "sym3":
-        return symmetric_group_3()
-    if kind == "table":
-        return group_from_table(params[0], params[1] if len(params) > 1 else None)
-    raise InvalidTable(f"unknown group kind {kind!r}")
+def group_from_kind(kind) -> GroupTable:
+    """Build the group named by a GroupTable.kind tuple, e.g. ("cyclic", 4),
+    ("product", (2, 2)), ("dihedral", 3) or ("sym3",)."""
+    name, *params = kind
+    if name == "cyclic":
+        return cyclic_group(*params)
+    if name == "product":
+        return cyclic_product_group(*params)
+    if name == "dihedral":
+        return dihedral_group(*params)
+    if name == "sym3":
+        return symmetric_group_3(*params)
+    raise ParseError(f"unknown group kind {name!r}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .algebras import Element, GradedAlgebra, homogeneous_component, subspace_algebra
 from .errors import AmbientMismatch
@@ -54,26 +55,30 @@ def centralizer(a: GradedAlgebra, s: Subspace) -> Subspace:
     return Matrix(a.field, rows).kernel()
 
 
+def _commutator_span(a: GradedAlgebra, pairs) -> Subspace:
+    """Span of the commutators [e_i, e_j] over the given basis pairs."""
+    vectors = []
+    for i, j in pairs:
+        terms = dict(a.basis_product(i, j))
+        for k, c in a.basis_product(j, i):
+            cur = terms.get(k)
+            s = -c if cur is None else cur - c
+            if s.is_zero:
+                terms.pop(k, None)
+            else:
+                terms[k] = s
+        if terms:
+            row = [a.field.zero()] * a.dim
+            for k, c in terms.items():
+                row[k] = c
+            vectors.append(row)
+    return Subspace.from_vectors(a.field, a.dim, vectors)
+
+
 def commutator_subspace(a: GradedAlgebra) -> Subspace:
     """Span of all [e_i, e_j]; bilinearity makes basis pairs enough."""
-    vectors = []
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            left = dict(a.basis_product(i, j))
-            for k, c in a.basis_product(j, i):
-                cur = left.get(k)
-                s = -c if cur is None else cur - c
-                if s.is_zero:
-                    left.pop(k, None)
-                else:
-                    left[k] = s
-            if left:
-                z = a.field.zero()
-                row = [z] * a.dim
-                for k, c in left.items():
-                    row[k] = c
-                vectors.append(row)
-    return Subspace.from_vectors(a.field, a.dim, vectors)
+    return _commutator_span(a, ((i, j) for i in range(a.dim)
+                                for j in range(i + 1, a.dim)))
 
 
 def graded_commutator_space(a: GradedAlgebra) -> Subspace:
@@ -82,27 +87,9 @@ def graded_commutator_space(a: GradedAlgebra) -> Subspace:
     Lands inside the identity component; for graded division algebras its
     properness there decides graded symmetry.
     """
-    vectors = []
-    for i in range(a.dim):
-        gi_inv = a.group.inv(a.degree[i])
-        for j in range(a.dim):
-            if a.degree[j] != gi_inv:
-                continue
-            terms = dict(a.basis_product(i, j))
-            for k, c in a.basis_product(j, i):
-                cur = terms.get(k)
-                s = -c if cur is None else cur - c
-                if s.is_zero:
-                    terms.pop(k, None)
-                else:
-                    terms[k] = s
-            if terms:
-                z = a.field.zero()
-                row = [z] * a.dim
-                for k, c in terms.items():
-                    row[k] = c
-                vectors.append(row)
-    return Subspace.from_vectors(a.field, a.dim, vectors)
+    inverse_degree = [a.group.inv(g) for g in a.degree]
+    return _commutator_span(a, ((i, j) for i in range(a.dim) for j in range(a.dim)
+                                if a.degree[j] == inverse_degree[i]))
 
 
 def support(a: GradedAlgebra) -> tuple:
@@ -203,43 +190,6 @@ def _min_poly(e_alg: GradedAlgebra, el: Element):
     raise AssertionError("minimal polynomial must exist in a finite-dimensional algebra")
 
 
-def _has_rational_root(coeffs) -> bool:
-    """Rational root test for a monic polynomial with Fraction coefficients."""
-    fractions = [c.val for c in coeffs]
-    denom = 1
-    for f in fractions:
-        denom = denom * f.denominator // _gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fractions]
-    lead, const = ints[-1], ints[0]
-    if const == 0:
-        return True
-    def divisors(n):
-        n = abs(n)
-        out = []
-        f = 1
-        while f * f <= n:
-            if n % f == 0:
-                out.extend([f, n // f])
-            f += 1
-        return sorted(set(out))
-    for p in divisors(const):
-        for q in divisors(lead):
-            for sign in (1, -1):
-                r = Fraction(sign * p, q)
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * r + c
-                if acc == 0:
-                    return True
-    return False
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _rational_division_check(e_alg: GradedAlgebra):
     """Certificate-based division test over Q; Unknown when no criterion applies."""
     if e_alg.dim == 1:
@@ -266,16 +216,16 @@ def _rational_division_check(e_alg: GradedAlgebra):
             deg = len(coeffs) - 1
             if deg < 2:
                 continue
-            has_root = _has_rational_root(coeffs)
-            if deg == e_alg.dim and not has_root:
+            roots = _rational_roots(coeffs)
+            if deg == e_alg.dim and not roots:
                 return DivisionVerdict("yes", {
                     "kind": "irreducible-minimal-polynomial",
                     "element": [c.to_json() for c in el.coords],
                     "min_poly": [c.to_json() for c in coeffs]})
-            if has_root and deg >= 2:
+            if roots:
                 # a rational root r makes el - r a zero divisor
                 root_witness = None
-                for r_num in _rational_roots(coeffs):
+                for r_num in roots:
                     cand = el - r_num * e_alg.one()
                     if not cand.is_zero and cand.inverse() is None:
                         root_witness = cand
@@ -292,7 +242,7 @@ def _rational_roots(coeffs):
     fractions = [c.val for c in coeffs]
     denom = 1
     for f in fractions:
-        denom = denom * f.denominator // _gcd(denom, f.denominator)
+        denom = denom * f.denominator // gcd(denom, f.denominator)
     ints = [int(f * denom) for f in fractions]
     lead, const = ints[-1], ints[0]
     field = coeffs[0].field
@@ -330,7 +280,6 @@ def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
     """
     e = a.group.identity
     e_alg = _identity_component_algebra(a)
-    e_indices = a.component_indices(e)
     if a.field.is_finite:
         if a.field.size() ** e_alg.dim > SCAN_BOUND:
             id_verdict = DivisionVerdict("unknown", {
@@ -341,27 +290,20 @@ def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
                 id_verdict = DivisionVerdict("yes", {"kind": "exhaustive",
                                                      "scan_size": count})
             else:
-                witness_coords = [a.field.zero()] * a.dim
-                if e_alg is a:
-                    witness_coords = list(bad.coords)
-                else:
-                    for c, row in zip(bad.coords, homogeneous_component(a, e).basis):
-                        witness_coords = [w + c * r for w, r in zip(witness_coords, row)]
-                id_verdict = DivisionVerdict("no", {"kind": "zero-divisor"},
-                                             Element(a, witness_coords))
+                id_verdict = DivisionVerdict("no", {"kind": "zero-divisor"}, bad)
     else:
         id_verdict = _rational_division_check(e_alg)
-        if id_verdict.status == "no" and e_alg is not a:
-            bad = id_verdict.witness
-            witness_coords = [a.field.zero()] * a.dim
-            for c, row in zip(bad.coords, homogeneous_component(a, e).basis):
-                witness_coords = [w + c * r for w, r in zip(witness_coords, row)]
-            id_verdict = DivisionVerdict("no", id_verdict.certificate,
-                                         Element(a, witness_coords))
     if id_verdict.status != "yes":
+        witness = id_verdict.witness
+        if witness is not None and e_alg is not a:
+            # e_alg's basis is the identity component's basis inside a
+            coords = [a.field.zero()] * a.dim
+            for c, row in zip(witness.coords, homogeneous_component(a, e).basis):
+                coords = [w + c * r for w, r in zip(coords, row)]
+            witness = Element(a, coords)
         return DivisionVerdict(id_verdict.status,
                                {"identity_component": id_verdict.certificate},
-                               id_verdict.witness)
+                               witness)
     component_info = {}
     for g in support(a):
         if g == e:

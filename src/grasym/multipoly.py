@@ -16,7 +16,6 @@ to extension fields of degree 2 and 3 only to report where a point would live.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .errors import DimensionTooLarge, SearchSpaceTooLarge
@@ -284,7 +283,7 @@ def _search_grid(poly: MultiPoly, values):
 
 
 def nonvanishing_point(poly: MultiPoly, field: Field,
-                       max_extension: int = 3, seed: int | None = None) -> PointResult:
+                       max_extension: int = 3) -> PointResult:
     """Deterministically find a point where poly is nonzero over field.
 
     The polynomial may live over field or over a subfield; coefficients are
@@ -305,14 +304,6 @@ def nonvanishing_point(poly: MultiPoly, field: Field,
         return PointResult("found", point=point)
     size = field.size()
     if size is None or size > deg:
-        if seed is not None:
-            rng = random.Random(seed)
-            bound = deg + 1 if size is None else size
-            for _ in range(32):
-                point = tuple(field.from_int(rng.randrange(bound)) if size is None
-                              else field.element_at(rng.randrange(size)) for _ in range(m))
-                if not poly.evaluate(point).is_zero:
-                    return PointResult("found", point=point)
         point = _search_grid(poly, _grid_values(field, deg + 1))
         assert point is not None, "grid bound violated; polynomial arithmetic is broken"
         return PointResult("found", point=point)

@@ -16,15 +16,13 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 
-from . import algebras
 from .algebras import (
-    CrossedProductSpec,
     GradedAlgebra,
     crossed_product,
     cyclic_algebra,
     direct_product,
     field_as_algebra,
-    frobenius_matrix,
+    frobenius_crossed_spec,
     good_matrix_algebra,
     group_algebra,
     matrix_algebra,
@@ -37,9 +35,9 @@ from .algebras import (
     ungrade,
     validate_algebra,
 )
-from .errors import NotDivision, ParseError
+from .errors import IncompatibleCocycleData, NotDivision, ParseError
 from .fields import canonical_extension_field, make_field, rationals
-from .groups import GroupTable, cyclic_group, cyclic_product_group, klein_group
+from .groups import cyclic_group, group_from_kind, klein_group
 from .invariants import (
     center,
     commutator_subspace,
@@ -47,9 +45,10 @@ from .invariants import (
     is_graded_division,
 )
 from .linalg import Matrix, Subspace
-from .specfile import canonical_json, group_from_dict, group_to_dict
+from .specfile import algebra_from_dict, canonical_json, group_to_dict
 from .symmetry import (
     LinearFunctional,
+    _pullback,
     average_functional,
     decide_by_enumeration,
     decide_form_existence,
@@ -169,7 +168,8 @@ def random_small_algebra(field, rng: random.Random) -> GradedAlgebra:
                                group_algebra(field, cyclic_group(2))),
         lambda: tensor_product(group_algebra(field, cyclic_group(2)),
                                group_algebra(field, cyclic_group(2))),
-        lambda: _frobenius_square_crossed(field),
+        lambda: crossed_product(frobenius_crossed_spec(
+            canonical_extension_field(p, 2), cyclic_group(2), [1])),
     ]
     if p == 2:
         menu.append(lambda: cyclic_algebra(2))
@@ -180,17 +180,6 @@ def random_small_algebra(field, rng: random.Random) -> GradedAlgebra:
     if rng.random() < 0.5:
         a = random_graded_basis_change(a, rng)
     return a
-
-
-def _frobenius_square_crossed(field) -> GradedAlgebra:
-    ext = canonical_extension_field(field.char, 2)
-    d = field_as_algebra(ext, field)
-    g = cyclic_group(2)
-    spec = CrossedProductSpec(
-        coeff=d, group=g,
-        sigma={0: Matrix.identity(field, 2), 1: frobenius_matrix(ext, 1)},
-        alpha=algebras.constant_alpha(d, g))
-    return crossed_product(spec)
 
 
 def scalar_extension_corpus_check(count: int = 50, seed: int = 20250808) -> tuple:
@@ -233,12 +222,10 @@ def dim4_f2_corpus() -> list:
         ("product-C2-C2", direct_product(group_algebra(f2, cyclic_group(2)),
                                          group_algebra(f2, cyclic_group(2)))),
         ("ext-field-F4", field_as_algebra(f4, f2)),
-        ("crossed-F4-frob", _frobenius_square_crossed(f2)),
-        ("crossed-F4-trivial", crossed_product(CrossedProductSpec(
-            coeff=field_as_algebra(f4, f2), group=c2,
-            sigma={0: Matrix.identity(f2, 2), 1: Matrix.identity(f2, 2)},
-            alpha=algebras.constant_alpha(field_as_algebra(f4, f2), c2)))),
-        ("crossed-F4-twisted", _twisted_f4_c2()),
+        ("crossed-F4-frob", crossed_product(frobenius_crossed_spec(f4, c2, [1]))),
+        ("crossed-F4-trivial", crossed_product(frobenius_crossed_spec(f4, c2, [0]))),
+        # alpha(g, g) is the generator x of F_4
+        ("crossed-F4-twisted", crossed_product(frobenius_crossed_spec(f4, c2, [0], [0, 1]))),
         ("ungraded-cyclic-2", ungrade(cyclic_algebra(2))),
         ("te-ungraded-C2", trivial_extension(ungrade(group_algebra(f2, cyclic_group(2))))),
         ("matrix-2-klein", good_matrix_algebra(2, [0, 1],
@@ -248,28 +235,13 @@ def dim4_f2_corpus() -> list:
     return out
 
 
-def _twisted_f4_c2() -> GradedAlgebra:
-    f2 = make_field(2)
-    f4 = canonical_extension_field(2, 2)
-    d = field_as_algebra(f4, f2)
-    c2 = cyclic_group(2)
-    u = (f2.zero(), f2.one())  # the generator of F_4 as alpha(g,g)
-    alpha = {(0, 0): tuple(d.unit), (0, 1): tuple(d.unit),
-             (1, 0): tuple(d.unit), (1, 1): u}
-    spec = CrossedProductSpec(coeff=d, group=c2,
-                              sigma={0: Matrix.identity(f2, 2),
-                                     1: Matrix.identity(f2, 2)},
-                              alpha=alpha)
-    return crossed_product(spec)
-
-
 # -- the hunt ------------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HuntParams:
     characteristic: int
     extension_degrees: tuple
-    group_kinds: tuple  # tuples understood by group_from_dict-style kinds
+    group_kinds: tuple  # GroupTable.kind tuples, built by groups.group_from_kind
 
     def to_dict(self) -> dict:
         return {
@@ -310,67 +282,40 @@ def _cyclic_factorizations(max_order: int) -> list:
     return [f for f in out if len(f) >= 2]
 
 
-def _group_from_kind(kind) -> GroupTable:
-    name = kind[0]
-    if name == "cyclic":
-        return cyclic_group(kind[1])
-    if name == "product":
-        return cyclic_product_group(list(kind[1]))
-    if name == "dihedral":
-        from .groups import dihedral_group
-        return dihedral_group(kind[1])
-    raise ParseError(f"unknown hunt group kind {kind!r}")
-
-
 def hunt_candidates(params: HuntParams):
-    """Deterministic candidate stream: (index, description dict).
+    """Deterministic candidate stream: (index, spec dict).
 
     A candidate is a coefficient field F_{p^m}, a group, one Frobenius power
     per non-identity element, and a single unit u twisting alpha(g,h) = u for
-    g,h both non-identity.  Non-cocycle data is filtered downstream by the
-    associativity validator, not here.
+    g,h both non-identity.  Each comes as the frobenius_crossed_product
+    constructor spec that specfile.algebra_from_dict builds; the hunt tests
+    that algebra and reports a finding as this same spec.  Specs share their
+    inner lists and group block, so treat them as read-only.  Non-cocycle data
+    is filtered downstream by the associativity validator, not here.
     """
     p = params.characteristic
     index = 0
     for m in params.extension_degrees:
         ext = canonical_extension_field(p, m)
+        modulus = None if m == 1 else list(ext.modulus)
+        units = [list(ext.element_at(u).val) if m > 1 else [u] for u in range(1, p ** m)]
         for kind in params.group_kinds:
-            group = _group_from_kind(kind)
+            group = group_from_kind(kind)
+            group_block = group_to_dict(group)
             for powers in itertools.product(range(m), repeat=group.order - 1):
-                unit_range = range(1, p ** m)
-                for u_index in unit_range:
+                sigma_powers = list(powers)
+                for unit in units:
                     yield index, {
-                        "char": p,
-                        "ext_degree": m,
-                        "ext_modulus": None if m == 1 else list(ext.modulus),
-                        "group": group_to_dict(group),
-                        "sigma_powers": list(powers),
-                        "alpha_unit_index": u_index,
+                        "group": group_block,
+                        "constructor": {
+                            "name": "frobenius_crossed_product",
+                            "char": p,
+                            "ext_modulus": modulus,
+                            "sigma_powers": sigma_powers,
+                            "alpha_unit": unit,
+                        },
                     }
                     index += 1
-
-
-def _build_candidate(desc: dict) -> GradedAlgebra:
-    p = desc["char"]
-    base = make_field(p)
-    m = desc["ext_degree"]
-    ext = base if m == 1 else make_field(p, desc["ext_modulus"])
-    d = field_as_algebra(ext, base)
-    group = group_from_dict(desc["group"])
-    sigma = {0: Matrix.identity(base, d.dim)}
-    for g in range(1, group.order):
-        power = desc["sigma_powers"][g - 1]
-        sigma[g] = Matrix.identity(base, d.dim) if m == 1 \
-            else frobenius_matrix(ext, power)
-    u = ext.element_at(desc["alpha_unit_index"])
-    u_coords = (base.from_int(u.val),) if m == 1 \
-        else tuple(base.from_int(c) for c in u.val)
-    alpha = {}
-    for g in range(group.order):
-        for h in range(group.order):
-            alpha[(g, h)] = u_coords if (g != 0 and h != 0) else tuple(d.unit)
-    spec = CrossedProductSpec(coeff=d, group=group, sigma=sigma, alpha=alpha)
-    return crossed_product(spec)
 
 
 @dataclass
@@ -405,22 +350,10 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     treated as errors.  With checkpoint_path set, progress is written every
     checkpoint_every candidates; resume re-verifies the parameter hash.
     """
-    from .errors import IncompatibleCocycleData
-
     report = HuntReport(parameters=params.to_dict())
     start_index = 0
     if resume is not None:
-        with open(resume, "r", encoding="utf-8") as fh:
-            ck = json.load(fh)
-        if ck["params_sha256"] != params.digest():
-            raise ParseError("checkpoint was written for different hunt parameters")
-        start_index = ck["next_index"]
-        report.candidates_enumerated = ck["candidates_enumerated"]
-        report.incompatible_count = ck["incompatible_count"]
-        report.instances_tested = ck["instances_tested"]
-        report.division_count = ck["division_count"]
-        report.non_symmetric_instances = ck["non_symmetric_instances"]
-        report.no_base_field_point_instances = ck["no_base_field_point_instances"]
+        start_index = _load_checkpoint(resume, params, report)
 
     def save_checkpoint(next_index: int):
         if checkpoint_path is None:
@@ -431,12 +364,12 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
         with open(checkpoint_path, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(ck) + "\n")
 
-    for index, desc in hunt_candidates(params):
+    for index, spec in hunt_candidates(params):
         if index < start_index:
             continue
         report.candidates_enumerated += 1
         try:
-            a = _build_candidate(desc)
+            a = algebra_from_dict(spec)
         except IncompatibleCocycleData:
             report.incompatible_count += 1
             if (index + 1) % checkpoint_every == 0:
@@ -448,33 +381,34 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
             report.division_count += 1
             decision = decide_form_existence(a, "graded-symmetric", division=verdict)
             if decision.status == "no":
-                report.non_symmetric_instances.append(_finding(desc))
+                report.non_symmetric_instances.append(spec)
             elif decision.status == "no-over-base-field":
-                report.no_base_field_point_instances.append(_finding(desc))
+                report.no_base_field_point_instances.append(spec)
         if (index + 1) % checkpoint_every == 0:
             save_checkpoint(index + 1)
     save_checkpoint(report.candidates_enumerated)
     return report
 
 
-def _finding(desc: dict) -> dict:
-    """Serialize a hunt finding as a re-buildable constructor spec."""
-    p, m = desc["char"], desc["ext_degree"]
-    k = desc["alpha_unit_index"]
-    coeffs = []
-    for _ in range(m):
-        coeffs.append(k % p)
-        k //= p
-    return {
-        "group": desc["group"],
-        "constructor": {
-            "name": "frobenius_crossed_product",
-            "char": p,
-            "ext_modulus": desc["ext_modulus"],
-            "sigma_powers": desc["sigma_powers"],
-            "alpha_unit": coeffs,
-        },
-    }
+def _load_checkpoint(path: str, params: HuntParams, report: HuntReport) -> int:
+    """Restore the report counters from a checkpoint; return the next index."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            ck = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(ck, dict) or "params_sha256" not in ck:
+        raise ParseError(f"{path} is not a hunt checkpoint")
+    if ck["params_sha256"] != params.digest():
+        raise ParseError("checkpoint was written for different hunt parameters")
+    saved = report.to_dict()  # the layout save_checkpoint writes
+    del saved["parameters"]
+    for key, value in [("next_index", 0), *saved.items()]:
+        if type(ck.get(key)) is not type(value):
+            raise ParseError(f"checkpoint key {key!r} must hold a {type(value).__name__}")
+    for key in saved:
+        setattr(report, key, ck[key])
+    return ck["next_index"]
 
 
 # -- the full replication suite ---------------------------------------------------------------
@@ -654,18 +588,9 @@ def check_division_trivial_extension_center():
 
 
 def _frobenius_action_specs():
-    out = []
-    for p, modulus in ((3, [1, 0, 1]), (5, [2, 0, 1])):
-        base = make_field(p)
-        ext = make_field(p, modulus)
-        d = field_as_algebra(ext, base)
-        c2 = cyclic_group(2)
-        spec = CrossedProductSpec(
-            coeff=d, group=c2,
-            sigma={0: Matrix.identity(base, 2), 1: frobenius_matrix(ext, 1)},
-            alpha=algebras.constant_alpha(d, c2))
-        out.append((f"F_{p ** 2}^Frob[C2]/F_{p}", spec))
-    return out
+    return [(f"F_{p ** 2}^Frob[C2]/F_{p}",
+             frobenius_crossed_spec(make_field(p, modulus), cyclic_group(2), [1]))
+            for p, modulus in ((3, [1, 0, 1]), (5, [2, 0, 1]))]
 
 
 def check_crossed_center_symmetric():
@@ -687,13 +612,7 @@ def check_averaging_and_lifting():
         f = d.field
         mu = LinearFunctional(d, [f.one()] + [f.zero()] * (d.dim - 1))
         lam = average_functional(spec, mu)
-        invariant = True
-        for g in range(spec.group.order):
-            s = spec.sigma[g]
-            composed = tuple(
-                sum((lam.coords[i] * s.entries[i][j] for i in range(d.dim)),
-                    start=f.zero()) for j in range(d.dim))
-            invariant = invariant and composed == lam.coords
+        invariant = all(_pullback(lam, s) == lam.coords for s in spec.sigma.values())
         value_ok = lam(d.one()) == f.from_int(spec.group.order) * mu(d.one())
         lifted = lift_functional(spec, lam)
         cert_ok = verify_certificate(lifted.owner, lifted, "graded-symmetric").ok

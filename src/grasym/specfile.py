@@ -5,26 +5,21 @@ in canonical form, structure constants sorted by (i,j,k)), so equal algebras
 produce byte-identical files and a content hash identifies an algebra.  A spec
 file carries a field block, a group block, and either a raw structure-constant
 block or a named constructor block that re-runs the corresponding builder.
+Every malformed file raises a GrasymError (ParseError for a missing key or a
+value of the wrong type), never a bare Python exception.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 
 from . import algebras
 from .algebras import GradedAlgebra, validate_algebra
 from .errors import ParseError, ValidationError
 from .fields import Field, make_field, scalar_from_json
-from .groups import (
-    GroupTable,
-    cyclic_group,
-    cyclic_product_group,
-    dihedral_group,
-    group_from_table,
-    symmetric_group_3,
-)
-from .linalg import Matrix
+from .groups import GroupTable, group_from_kind, group_from_table
 from .symmetry import LinearFunctional, SymmetryVerdict
 
 
@@ -32,15 +27,25 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# -- decoding errors -------------------------------------------------------------------
+
+@contextmanager
+def _decoding(what: str):
+    """Turn a missing key or a value of the wrong type inside `what` into a
+    ParseError that names it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{what} is missing key {exc}") from exc
+    except (IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad {what}: {exc}") from exc
+
+
 # -- field and group blocks ---------------------------------------------------------
 
 def field_from_dict(d: dict) -> Field:
-    try:
-        char = int(d["char"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad field block: {exc}") from exc
-    modulus = d.get("modulus")
-    return make_field(char, modulus)
+    with _decoding("field block"):
+        return make_field(int(d["char"]), d.get("modulus"))
 
 
 def group_to_dict(g: GroupTable) -> dict:
@@ -58,21 +63,17 @@ def group_to_dict(g: GroupTable) -> dict:
 
 
 def group_from_dict(d: dict) -> GroupTable:
-    if "kind" in d:
-        kind = d["kind"]
-        if kind == "cyclic":
-            return cyclic_group(int(d["n"]))
-        if kind == "product":
-            return cyclic_product_group([int(x) for x in d["orders"]])
-        if kind == "dihedral":
-            return dihedral_group(int(d["n"]))
-        if kind == "sym3":
-            return symmetric_group_3()
-        raise ParseError(f"unknown group kind {kind!r}")
-    try:
-        return group_from_table(d["table"], d.get("labels"))
-    except KeyError as exc:
-        raise ParseError("group block needs a kind or a table") from exc
+    """The group of a group block: a named kind, built by groups.group_from_kind
+    from its GroupTable.kind tuple, or a Cayley table."""
+    with _decoding("group block"):
+        if "kind" not in d:
+            return group_from_table(d["table"], d.get("labels"))
+        name = d["kind"]
+        if name == "product":
+            return group_from_kind((name, tuple(int(x) for x in d["orders"])))
+        if name in ("cyclic", "dihedral"):
+            return group_from_kind((name, int(d["n"])))
+        return group_from_kind((name,))
 
 
 # -- algebra spec files -----------------------------------------------------------------
@@ -96,10 +97,11 @@ def algebra_to_dict(a: GradedAlgebra) -> dict:
 
 
 def _raw_algebra_from_dict(d: dict) -> GradedAlgebra:
-    field = field_from_dict(d["field"])
-    group = group_from_dict(d["group"])
-    block = d["algebra"]
-    try:
+    with _decoding("spec"):
+        field = field_from_dict(d["field"])
+        group = group_from_dict(d["group"])
+        block = d["algebra"]
+    with _decoding("algebra block"):
         dim = int(block["dim"])
         degrees = [int(g) for g in block["degrees"]]
         unit = [scalar_from_json(field, v) for v in block["unit"]]
@@ -108,11 +110,9 @@ def _raw_algebra_from_dict(d: dict) -> GradedAlgebra:
             i, j, k, c = row
             sc.setdefault((int(i), int(j)), []).append(
                 (int(k), scalar_from_json(field, c)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad algebra block: {exc}") from exc
-    if len(degrees) != dim:
-        raise ParseError("degree list length does not match dim")
-    a = GradedAlgebra(field, group, degrees, sc, unit, labels=block.get("labels"))
+        if len(degrees) != dim:
+            raise ParseError("degree list length does not match dim")
+        a = GradedAlgebra(field, group, degrees, sc, unit, labels=block.get("labels"))
     report = validate_algebra(a)
     if not report.ok:
         raise ValidationError(report)
@@ -121,6 +121,8 @@ def _raw_algebra_from_dict(d: dict) -> GradedAlgebra:
 
 def _build_constructor(d: dict) -> GradedAlgebra:
     block = d["constructor"]
+    if not isinstance(block, dict):
+        raise ParseError("constructor block must be a JSON object")
     name = block.get("name")
     if name == "group_algebra":
         return algebras.group_algebra(field_from_dict(d["field"]),
@@ -162,52 +164,27 @@ def _build_constructor(d: dict) -> GradedAlgebra:
             out = algebras.tensor_product(out, f)
         return out
     if name == "frobenius_crossed_product":
-        return frobenius_crossed_product(
-            int(block["char"]), block.get("ext_modulus"),
-            group_from_dict(d["group"]),
-            [int(x) for x in block["sigma_powers"]],
-            block.get("alpha_unit"))
+        base = make_field(int(block["char"]))
+        modulus = block.get("ext_modulus")
+        ext = make_field(base.char, modulus) if modulus else base
+        alpha_unit = block.get("alpha_unit")
+        if alpha_unit is not None:
+            alpha_unit = [scalar_from_json(base, c) for c in alpha_unit]
+        spec = algebras.frobenius_crossed_spec(
+            ext, group_from_dict(d["group"]),
+            [int(x) for x in block["sigma_powers"]], alpha_unit)
+        return algebras.crossed_product(spec)
     raise ParseError(f"unknown constructor {name!r}")
 
 
-def frobenius_crossed_product(char: int, ext_modulus, group: GroupTable,
-                              sigma_powers, alpha_unit=None) -> GradedAlgebra:
-    """Crossed product of a finite field by Frobenius powers with a unit twist.
-
-    sigma_powers lists the Frobenius exponent for each non-identity group
-    element; alpha_unit, when given, is the coefficient tuple of a unit u used
-    as alpha(g,h) = u for g,h both non-identity (alpha is 1 against e).
-    """
-    base = make_field(char)
-    ext = make_field(char, ext_modulus) if ext_modulus else base
-    d = algebras.field_as_algebra(ext, base)
-    if len(sigma_powers) != group.order - 1:
-        raise ParseError("need one Frobenius power per non-identity element")
-    sigma = {0: Matrix.identity(base, d.dim)}
-    for g in range(1, group.order):
-        if ext == base:
-            sigma[g] = Matrix.identity(base, d.dim)
-        else:
-            sigma[g] = algebras.frobenius_matrix(ext, sigma_powers[g - 1])
-    if alpha_unit is None:
-        u = tuple(d.unit)
-    else:
-        u = tuple(scalar_from_json(base, c) for c in alpha_unit)
-        u = u + (base.zero(),) * (d.dim - len(u))
-    alpha = {}
-    e = group.identity
-    for g in range(group.order):
-        for h in range(group.order):
-            alpha[(g, h)] = u if (g != e and h != e) else tuple(d.unit)
-    spec = algebras.CrossedProductSpec(coeff=d, group=group, sigma=sigma, alpha=alpha)
-    return algebras.crossed_product(spec)
-
-
 def algebra_from_dict(d: dict) -> GradedAlgebra:
+    """Build the algebra of a spec: a raw "algebra" block, or a "constructor"
+    block naming one of the builders dispatched in _build_constructor."""
     if not isinstance(d, dict):
         raise ParseError("algebra spec must be a JSON object")
     if "constructor" in d:
-        return _build_constructor(d)
+        with _decoding("constructor block"):
+            return _build_constructor(d)
     if "algebra" in d:
         return _raw_algebra_from_dict(d)
     raise ParseError("spec needs an 'algebra' or 'constructor' block")
@@ -255,11 +232,14 @@ def write_certificate_file(a: GradedAlgebra, verdict: SymmetryVerdict, path: str
 def load_certificate_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cert = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(cert, dict):
+        raise ParseError("certificate must be a JSON object")
+    return cert
 
 
 def functional_from_certificate(a: GradedAlgebra, cert: dict) -> LinearFunctional:
-    coords = [scalar_from_json(a.field, v) for v in cert["witness"]]
-    return LinearFunctional(a, coords)
+    with _decoding("certificate"):
+        return LinearFunctional(a, [scalar_from_json(a.field, v) for v in cert["witness"]])

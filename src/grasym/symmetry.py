@@ -70,13 +70,6 @@ class LinearFunctional:
                 acc = acc + c * v
         return acc
 
-    def value_on_coords(self, coords):
-        acc = self.owner.field.zero()
-        for c, v in zip(self.coords, coords):
-            if not c.is_zero and not v.is_zero:
-                acc = acc + c * v
-        return acc
-
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coords)
@@ -109,6 +102,25 @@ class SymmetryVerdict:
 def _check_mode(mode: str):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def _asymmetric_pairs(a: GradedAlgebra, coords):
+    """Basis pairs i < j, in order, where the functional with these
+    coordinates does not vanish on the commutator [e_i, e_j]."""
+    for i in range(a.dim):
+        for j in range(i + 1, a.dim):
+            v = a.field.zero()
+            for k, c in a.basis_product(i, j):
+                v = v + c * coords[k]
+            for k, c in a.basis_product(j, i):
+                v = v - c * coords[k]
+            if not v.is_zero:
+                yield i, j
+
+
+def _pullback(lam: LinearFunctional, s: Matrix) -> tuple:
+    """Coordinates of lam o s, for a matrix s acting on lam's algebra."""
+    return s.transpose().mulvec(lam.coords)
 
 
 def graded_trace_space(a: GradedAlgebra, mode: str = "graded-symmetric") -> Subspace:
@@ -201,16 +213,7 @@ def verify_certificate(a: GradedAlgebra, lam: LinearFunctional, mode: str):
         checks.append(("vanishing-off-identity-component", not bad,
                        f"nonzero at indices {bad[:5]}" if bad else ""))
     if mode in ("graded-symmetric", "symmetric"):
-        bad_pairs = []
-        for i in range(a.dim):
-            for j in range(i + 1, a.dim):
-                v = a.field.zero()
-                for k, c in a.basis_product(i, j):
-                    v = v + c * lam.coords[k]
-                for k, c in a.basis_product(j, i):
-                    v = v - c * lam.coords[k]
-                if not v.is_zero:
-                    bad_pairs.append((i, j))
+        bad_pairs = list(_asymmetric_pairs(a, lam.coords))
         checks.append(("symmetry-on-all-pairs", not bad_pairs,
                        f"asymmetric at pairs {bad_pairs[:5]}" if bad_pairs else ""))
     rank = gram_matrix(a, lam).rank()
@@ -342,39 +345,16 @@ def average_functional(spec: CrossedProductSpec, mu: LinearFunctional) -> Linear
             f"characteristic {d.field.char} divides |G| = {g_order}")
     if mu(d.one()).is_zero:
         raise AsymmetricMu("mu(1) must be nonzero")
-    for i in range(d.dim):
-        for j in range(i + 1, d.dim):
-            v = d.field.zero()
-            for k, c in d.basis_product(i, j):
-                v = v + c * mu.coords[k]
-            for k, c in d.basis_product(j, i):
-                v = v - c * mu.coords[k]
-            if not v.is_zero:
-                raise AsymmetricMu(f"mu is not symmetric at basis pair ({i},{j})")
-    z = d.field.zero()
-    coords = [z] * d.dim
+    bad = next(_asymmetric_pairs(d, mu.coords), None)
+    if bad is not None:
+        raise AsymmetricMu("mu is not symmetric at basis pair ({},{})".format(*bad))
+    coords = [d.field.zero()] * d.dim
     for g in range(g_order):
-        s = spec.sigma[g]
-        # (mu o sigma(g))(e_j) = sum_i mu_i sigma(g)[i][j]
-        for j in range(d.dim):
-            acc = z
-            for i in range(d.dim):
-                mi = mu.coords[i]
-                if not mi.is_zero:
-                    acc = acc + mi * s.entries[i][j]
-            coords[j] = coords[j] + acc
+        coords = [x + y for x, y in zip(coords, _pullback(mu, spec.sigma[g]))]
     lam = LinearFunctional(d, coords)
     for h in range(g_order):
-        s = spec.sigma[h]
-        composed = []
-        for j in range(d.dim):
-            acc = z
-            for i in range(d.dim):
-                li = lam.coords[i]
-                if not li.is_zero:
-                    acc = acc + li * s.entries[i][j]
-            composed.append(acc)
-        assert tuple(composed) == lam.coords, "averaged functional must be invariant"
+        assert _pullback(lam, spec.sigma[h]) == lam.coords, \
+            "averaged functional must be invariant"
     expected = d.field.from_int(g_order) * mu(d.one())
     assert lam(d.one()) == expected
     return lam
@@ -401,30 +381,13 @@ def lift_functional(spec: CrossedProductSpec, lam: LinearFunctional) -> LinearFu
             raise NotNormalized(f"alpha({g}, {g}^-1) differs from 1")
     if lam.is_zero:
         raise InvalidCertificate("the zero functional cannot be lifted")
-    for i in range(d.dim):
-        for j in range(i + 1, d.dim):
-            v = d.field.zero()
-            for k, c in d.basis_product(i, j):
-                v = v + c * lam.coords[k]
-            for k, c in d.basis_product(j, i):
-                v = v - c * lam.coords[k]
-            if not v.is_zero:
-                raise AsymmetricMu("functional is not symmetric on the coefficients")
-    z = d.field.zero()
+    if any(_asymmetric_pairs(d, lam.coords)):
+        raise AsymmetricMu("functional is not symmetric on the coefficients")
     for g in range(G.order):
-        s = spec.sigma[g]
-        composed = []
-        for j in range(d.dim):
-            acc = z
-            for i in range(d.dim):
-                li = lam.coords[i]
-                if not li.is_zero:
-                    acc = acc + li * s.entries[i][j]
-            composed.append(acc)
-        if tuple(composed) != lam.coords:
+        if _pullback(lam, spec.sigma[g]) != lam.coords:
             raise NotInvariant(f"functional is not fixed by sigma({g})")
     a = crossed_product(spec)
-    coords = [z] * a.dim
+    coords = [a.field.zero()] * a.dim
     for i in range(d.dim):
         coords[e * d.dim + i] = lam.coords[i]
     return LinearFunctional(a, coords)

@@ -37,6 +37,7 @@ from grasym.errors import (
     FieldMismatch,
     GroupMismatch,
     IncompatibleCocycleData,
+    IndexOutOfRange,
     NonAbelianGroup,
     NonInvertibleAlpha,
     NotClosed,
@@ -81,6 +82,20 @@ def test_cyclic_algebra_validates():
 def test_zero_dimensional_rejected(f2):
     with pytest.raises(ValueError):
         GradedAlgebra(f2, trivial_group(), [], {}, [])
+
+
+def test_out_of_range_indices_rejected(f2):
+    one = f2.one()
+    with pytest.raises(IndexOutOfRange):
+        GradedAlgebra(f2, cyclic_group(2), [0, 2], {(0, 0): {0: one}}, [one, f2.zero()])
+    for key, k in (((-1, 0), 0), ((0, 2), 0), ((0, 0), 2)):
+        with pytest.raises(IndexOutOfRange):
+            GradedAlgebra(f2, cyclic_group(2), [0, 1], {key: {k: one}}, [one, f2.zero()])
+
+
+def test_frobenius_power_taken_mod_degree(f4):
+    assert frobenius_matrix(f4, 5) == frobenius_matrix(f4, 1)
+    assert frobenius_matrix(f4, 10 ** 18) == frobenius_matrix(f4, 0)
 
 
 def test_dimension_cap(f2):

@@ -98,6 +98,14 @@ def test_order_cap():
         group_from_table([[0] * 65] * 65)
 
 
+@pytest.mark.parametrize("build", [lambda: cyclic_group(10 ** 9),
+                                   lambda: cyclic_product_group([10 ** 5, 10 ** 5]),
+                                   lambda: dihedral_group(10 ** 9)])
+def test_order_cap_checked_before_the_table_is_built(build):
+    with pytest.raises(InvalidTable, match="exceeds the cap"):
+        build()
+
+
 def test_trivial_group():
     t = trivial_group()
     assert t.order == 1 and t.exponent() == 1

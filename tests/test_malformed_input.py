@@ -1,0 +1,180 @@
+"""Every malformed spec, certificate or checkpoint exits 3, never with a traceback."""
+
+import copy
+import json
+
+import pytest
+
+from grasym import cyclic_group, decide_form_existence, group_algebra, make_field, rationals
+from grasym.cli import main
+from grasym.replicate import default_hunt_params, hunt_counterexample
+from grasym.specfile import algebra_to_dict, certificate_to_dict
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+HUNT_ARGS = ["hunt", "--char", "2", "--max-group", "2", "--max-ext", "1"]
+
+
+def _f2_c2():
+    return group_algebra(make_field(2), cyclic_group(2))
+
+
+def _spec() -> dict:
+    return algebra_to_dict(_f2_c2())
+
+
+def _certificate() -> dict:
+    a = _f2_c2()
+    return certificate_to_dict(a, decide_form_existence(a, "graded-symmetric"))
+
+
+def _checkpoint(path) -> dict:
+    hunt_counterexample(default_hunt_params(2, 2, 1), checkpoint_path=str(path))
+    return json.loads(path.read_text())
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _spec_without(*keys):
+    spec = _spec()
+    block = spec
+    for key in keys[:-1]:
+        block = block[key]
+    del block[keys[-1]]
+    return spec
+
+
+def _with_sc_row(row):
+    spec = _spec()
+    spec["algebra"]["sc"].append(row)
+    return spec
+
+
+def _rational_spec(unit):
+    spec = algebra_to_dict(group_algebra(rationals(), cyclic_group(2)))
+    spec["algebra"]["unit"] = unit
+    return spec
+
+
+# Each case writes its inputs under tmp_path and returns the argv for main.
+MALFORMED = {
+    "emit-without-params": lambda tmp: ["emit", "--constructor", "cyclic_algebra"],
+    "frobenius-block-without-sigma-powers": lambda tmp: [
+        "check", _write(tmp / "s.json", {
+            "group": {"kind": "cyclic", "n": 2},
+            "constructor": {"name": "frobenius_crossed_product", "char": 2,
+                            "ext_modulus": [1, 1, 1]}})],
+    "cyclic-group-without-n": lambda tmp: [
+        "check", _write(tmp / "s.json", _spec_without("group", "n"))],
+    "spec-without-field": lambda tmp: [
+        "check", _write(tmp / "s.json", _spec_without("field"))],
+    "sc-row-beyond-dim": lambda tmp: [
+        "check", _write(tmp / "s.json", _with_sc_row([0, 1, 2, 1]))],
+    "rational-one-over-zero": lambda tmp: [
+        "check", _write(tmp / "s.json", _rational_spec(["1/0", "0"]))],
+    "truncated-witness": lambda tmp: [
+        "verify", _write(tmp / "s.json", _spec()),
+        _write(tmp / "c.json", {**_certificate(), "witness": _certificate()["witness"][:1]})],
+    "certificate-without-witness": lambda tmp: [
+        "verify", _write(tmp / "s.json", _spec()),
+        _write(tmp / "c.json", {k: v for k, v in _certificate().items() if k != "witness"})],
+    "resume-from-a-spec-file": lambda tmp: HUNT_ARGS + [
+        "--resume", _write(tmp / "s.json", _spec())],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_3(case, tmp_path, capsys):
+    assert main(MALFORMED[case](tmp_path)) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unmutated_inputs_are_accepted(tmp_path, capsys):
+    # the property test below mutates these; unmutated they are all valid
+    spec = _write(tmp_path / "s.json", _spec())
+    assert main(["check", spec]) == 0
+    assert main(["verify", spec, _write(tmp_path / "c.json", _certificate())]) == 0
+    checkpoint = _write(tmp_path / "k.json", _checkpoint(tmp_path / "k0.json"))
+    assert main(HUNT_ARGS + ["--resume", checkpoint]) == 0
+
+
+# -- mutation property ------------------------------------------------------------
+
+# Integers and floats stay below 2^40: a prime characteristic near 2^64 would
+# spend minutes in make_field's trial division, which is slow but not an error.
+_LIMIT = 2 ** 40
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-_LIMIT, _LIMIT)
+    | st.floats(-_LIMIT, _LIMIT, allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+def _entries(node):
+    """(container, key) for every value below node, node's own entries first."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _entries(node[key])
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc after one to three mutations: drop a key, swap in a random JSON
+    value, or truncate a list."""
+    holder = [copy.deepcopy(doc)]
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(_entries(holder))))
+        value = container[key]
+        op = draw(st.sampled_from(["drop", "swap", "truncate"]))
+        if container is holder:
+            op = "swap"
+        if op == "drop":
+            del container[key]
+        elif op == "truncate" and isinstance(value, list) and value:
+            container[key] = value[:draw(st.integers(0, len(value) - 1))]
+        else:
+            container[key] = draw(JSON_VALUES)
+    return holder[0]
+
+
+PROPERTY = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@pytest.fixture(scope="module")
+def checkpoint(workdir):
+    return _checkpoint(workdir / "checkpoint.json")
+
+
+@PROPERTY
+@given(doc=mutated(_spec()))
+def test_mutated_spec_exit_code(workdir, doc):
+    assert main(["check", _write(workdir / "spec.json", doc)]) in (0, 1, 2, 3)
+
+
+@PROPERTY
+@given(doc=mutated(_certificate()))
+def test_mutated_certificate_exit_code(workdir, doc):
+    spec = _write(workdir / "valid.json", _spec())
+    assert main(["verify", spec, _write(workdir / "cert.json", doc)]) in (0, 1, 2, 3)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_mutated_checkpoint_exit_code(workdir, checkpoint, data):
+    doc = data.draw(mutated(checkpoint))
+    path = _write(workdir / "resume.json", doc)
+    assert main(HUNT_ARGS + ["--resume", path]) in (0, 1, 2, 3)

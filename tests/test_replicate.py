@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -147,9 +148,9 @@ def test_hunt_char2_counts():
 def test_hunt_includes_group_algebra_and_twisted_points():
     # the F_2 group-algebra candidates and the F_4 Frobenius candidates both
     # appear in the enumeration
-    descs = [d for _, d in hunt_candidates(hunt_char2_params())]
-    assert any(d["ext_degree"] == 1 for d in descs)
-    assert any(d["ext_degree"] == 2 and d["sigma_powers"] == [1] for d in descs)
+    blocks = [s["constructor"] for _, s in hunt_candidates(hunt_char2_params())]
+    assert any(c["ext_modulus"] is None for c in blocks)
+    assert any(c["ext_modulus"] == [1, 1, 1] and c["sigma_powers"] == [1] for c in blocks)
 
 
 def test_hunt_checkpoint_resume(tmp_path):
@@ -173,12 +174,12 @@ def test_hunt_checkpoint_rejects_other_params(tmp_path):
 
 
 def test_hunt_finding_reverifies():
-    from grasym.replicate import _finding
-    desc = {"char": 2, "ext_degree": 2, "ext_modulus": [1, 1, 1],
-            "group": {"kind": "cyclic", "n": 2}, "sigma_powers": [1],
-            "alpha_unit_index": 1}
-    spec_dict = _finding(desc)
-    a = algebra_from_dict(spec_dict)
+    # a finding is the candidate spec itself; it round-trips through JSON
+    spec_dict = next(spec for _, spec in hunt_candidates(HuntParams(2, (2,), (("cyclic", 2),)))
+                     if spec["constructor"]["sigma_powers"] == [1]
+                     and spec["constructor"]["alpha_unit"] == [1, 0])
+    assert spec_dict["constructor"]["ext_modulus"] == [1, 1, 1]
+    a = algebra_from_dict(json.loads(canonical_json(spec_dict)))
     assert a.dim == 4 and validate_algebra(a).ok
 
 
@@ -208,13 +209,12 @@ def test_suite_report_is_canonical():
 def test_hunt_division_instances_posterior_scan():
     # every candidate marked graded-division re-verifies by scanning all
     # nonzero homogeneous elements for invertibility
-    from grasym.replicate import _build_candidate
     from grasym.errors import IncompatibleCocycleData
     from grasym.invariants import is_graded_division
     import itertools
-    for _, desc in hunt_candidates(hunt_char2_params()):
+    for _, spec in hunt_candidates(hunt_char2_params()):
         try:
-            a = _build_candidate(desc)
+            a = algebra_from_dict(spec)
         except IncompatibleCocycleData:
             continue
         if not is_graded_division(a).is_yes:
@@ -232,7 +232,6 @@ def test_hunt_division_instances_posterior_scan():
 
 
 def test_hunt_resume_mid_stream(tmp_path):
-    from grasym.replicate import _build_candidate
     from grasym.errors import IncompatibleCocycleData
     from grasym.invariants import is_graded_division
 
@@ -242,12 +241,12 @@ def test_hunt_resume_mid_stream(tmp_path):
     # 20 candidates, freeze the counters, then resume from there
     counts = {"candidates_enumerated": 0, "incompatible_count": 0,
               "instances_tested": 0, "division_count": 0}
-    for index, desc in hunt_candidates(p):
+    for index, spec in hunt_candidates(p):
         if index >= 20:
             break
         counts["candidates_enumerated"] += 1
         try:
-            a = _build_candidate(desc)
+            a = algebra_from_dict(spec)
         except IncompatibleCocycleData:
             counts["incompatible_count"] += 1
             continue
@@ -286,7 +285,6 @@ def test_corpus_division_instances_confirm_graded_symmetry():
 def test_hunt_char3_includes_skew_group_algebra_point():
     # the C_3 hunt over F_3 and F_27 contains the group-algebra point and the
     # Frobenius skew group algebra point; counts pinned at first verified run
-    from grasym.replicate import _build_candidate
     from grasym.errors import IncompatibleCocycleData
     from grasym import decide_form_existence, is_graded_division
 
@@ -297,20 +295,23 @@ def test_hunt_char3_includes_skew_group_algebra_point():
     assert report.division_count == 4
     assert report.non_symmetric_instances == []
     assert report.no_base_field_point_instances == []
+    # (extension degree, Frobenius powers, coefficients of the twisting unit)
     survivors = []
-    for _, desc in hunt_candidates(p):
+    for _, spec in hunt_candidates(p):
         try:
-            _build_candidate(desc)
+            algebra_from_dict(spec)
         except IncompatibleCocycleData:
             continue
-        survivors.append((desc["ext_degree"], tuple(desc["sigma_powers"]),
-                          desc["alpha_unit_index"]))
-    assert (1, (0, 0), 1) in survivors        # the modular group algebra
-    assert (3, (1, 2), 1) in survivors        # the degree-3 skew group algebra
-    skew = next(d for _, d in hunt_candidates(p)
-                if d["ext_degree"] == 3 and d["sigma_powers"] == [1, 2]
-                and d["alpha_unit_index"] == 1)
-    a = _build_candidate(skew)
+        c = spec["constructor"]
+        survivors.append((len(c["alpha_unit"]), tuple(c["sigma_powers"]),
+                          tuple(c["alpha_unit"])))
+    assert (1, (0, 0), (1,)) in survivors           # the modular group algebra
+    assert (3, (1, 2), (1, 0, 0)) in survivors      # the degree-3 skew group algebra
+    skew = next(s for _, s in hunt_candidates(p)
+                if len(s["constructor"]["alpha_unit"]) == 3
+                and s["constructor"]["sigma_powers"] == [1, 2]
+                and s["constructor"]["alpha_unit"] == [1, 0, 0])
+    a = algebra_from_dict(skew)
     assert a.dim == 9
     verdict = is_graded_division(a)
     assert verdict.is_yes

@@ -154,3 +154,41 @@ def test_certificate_round_trip(tmp_path):
     assert cert["algebra_sha256"] == algebra_hash(a)
     lam = functional_from_certificate(a, cert)
     assert verify_certificate(a, lam, cert["mode"]).ok
+
+
+def _frobenius_crossed(name):
+    from grasym import crossed_product
+    from grasym.replicate import _frobenius_action_specs, dim4_f2_corpus
+    if name.startswith("cyclic_algebra"):
+        return cyclic_algebra(int(name[-2]))
+    if name.startswith("crossed-F4"):
+        return dict(dim4_f2_corpus())[name]
+    if name == "hunt-char3-degree3-skew":
+        from grasym.replicate import HuntParams, hunt_candidates
+        params = HuntParams(3, (3,), (("cyclic", 3),))
+        return algebra_from_dict(next(
+            s for _, s in hunt_candidates(params)
+            if s["constructor"]["sigma_powers"] == [1, 2]
+            and s["constructor"]["alpha_unit"] == [1, 0, 0]))
+    return crossed_product(dict(_frobenius_action_specs())[name])
+
+
+# Digests of the Frobenius crossed products as built before all of them went
+# through algebras.frobenius_crossed_spec; the builder must not move a byte.
+FROBENIUS_CROSSED_HASHES = {
+    "cyclic_algebra(2)": "8e61477204fc19da42266b01302188b95a14cdb3c638c58feea3b8abc21ee686",
+    "cyclic_algebra(3)": "e840453d8f4fdeb4128eeb37c75ec5414e45c0b63d8ba8aa1c3bf3607bc18c1d",
+    "cyclic_algebra(5)": "e4867cbf97c61337c51d781ee0b2be45b22df8d8f50164bab3aafe67fb7d1d08",
+    "crossed-F4-frob": "8e61477204fc19da42266b01302188b95a14cdb3c638c58feea3b8abc21ee686",
+    "crossed-F4-trivial": "e73908b5f473a26e7eaa855a2b8d73b6517befd8a2dd7b68d43ddca994a9f8a0",
+    "crossed-F4-twisted": "e4c8de72b7f9ce4f51dc9c272dec8b85f7f5f114d453beeb5ba2d3c27f64cb0e",
+    "F_9^Frob[C2]/F_3": "f16419805d3f21495c4908d15d8f4e05665ef459e3b9164f12182c9592174c74",
+    "F_25^Frob[C2]/F_5": "4108bcf3fc9084c6005bd1d2fa3f922e5340c2cda328620cca48621032df1f81",
+    "hunt-char3-degree3-skew":
+        "4977e60e929ca1bd9da868329be10826a75e1df4f2c64909c82a8a8cab17626a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROBENIUS_CROSSED_HASHES))
+def test_frobenius_crossed_product_hash_pinned(name):
+    assert algebra_hash(_frobenius_crossed(name)) == FROBENIUS_CROSSED_HASHES[name]
