@@ -7,9 +7,10 @@ unit laws, the grading law (c_{ij}^k nonzero forces deg k = deg i * deg j),
 homogeneity of the unit, and full associativity, listing every violation.
 
 Crossed products are built from a coefficient algebra D, an action map sigma
-and a twisting map alpha; the twisted-cocycle identities are not checked
-symbolically, the constructed product simply runs through the associativity
-scan and incompatible (sigma, alpha) data is reported with a failing triple.
+and a twisting map alpha.  Their compatibility, sigma's automorphism laws
+included, is exactly the unit law and associativity of the product, so the
+validation scan of the constructed product decides it and incompatible data is
+reported with a failing triple.
 Every crossed product of a finite field by Frobenius powers with a unit twist
 (the cyclic algebras, the replication corpus, spec-file constructor blocks and
 hunt candidates) gets its data from the one builder frobenius_crossed_spec.
@@ -17,6 +18,7 @@ hunt candidates) gets its data from the one builder frobenius_crossed_spec.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -68,19 +70,20 @@ class GradedAlgebra:
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise IndexOutOfRange(
                     f"structure constant at ({i},{j}) out of range 0..{self.dim - 1}")
-            out = []
+            if (i, j) in clean:
+                raise ValueError(f"structure constants at ({i},{j}) given twice")
+            out = {}
             for k, c in (terms.items() if isinstance(terms, dict) else terms):
                 if not 0 <= k < self.dim:
                     raise IndexOutOfRange(
                         f"structure constant ({i},{j},{k}) out of range 0..{self.dim - 1}")
+                if k in out:
+                    raise ValueError(f"structure constant ({i},{j},{k}) given twice")
                 if not isinstance(c, Scalar) or c.field != field:
                     raise FieldMismatch("structure constant from a foreign field")
-                if not c.is_zero:
-                    out.append((k, c))
-            if out:
-                out.sort(key=lambda kc: kc[0])
-                clean[(i, j)] = tuple(out)
-        self.sc = clean
+                out[k] = c
+            clean[(i, j)] = tuple((k, c) for k, c in sorted(out.items()) if not c.is_zero)
+        self.sc = {ij: terms for ij, terms in clean.items() if terms}
         self.unit = tuple(unit)
         if len(self.unit) != self.dim:
             raise ValueError("unit vector has wrong length")
@@ -463,28 +466,14 @@ class CrossedProductSpec:
 
 
 def _check_sigma(spec: CrossedProductSpec):
-    d = spec.coeff
-    ident = Matrix.identity(d.field, d.dim)
+    """Require a dim(D) x dim(D) matrix sigma(g) at every group element; the
+    rest is crossed_product's scan."""
+    dd = spec.coeff.dim
     for g in range(spec.group.order):
         s = spec.sigma.get(g)
-        if s is None:
-            raise IncompatibleCocycleData(f"sigma missing at group element {g}")
-        if g == spec.group.identity and s != ident:
-            raise IncompatibleCocycleData("sigma at the identity must be the identity map")
-        if s.mulvec(d.unit) != d.unit:
-            raise IncompatibleCocycleData(f"sigma({g}) does not fix the unit")
-        if not s.is_invertible():
-            raise IncompatibleCocycleData(f"sigma({g}) is not bijective")
-        for i in range(d.dim):
-            ei = s.mulvec(d.basis_element(i).coords)
-            for j in range(d.dim):
-                ej = s.mulvec(d.basis_element(j).coords)
-                prod = d.mul_coords(d.basis_element(i).coords, d.basis_element(j).coords)
-                lhs = s.mulvec(prod)
-                rhs = d.mul_coords(ei, ej)
-                if lhs != tuple(rhs):
-                    raise IncompatibleCocycleData(
-                        f"sigma({g}) is not multiplicative at basis pair ({i},{j})")
+        if s is None or (s.rows, s.cols) != (dd, dd):
+            raise IncompatibleCocycleData(
+                f"sigma missing at group element {g} (need a {dd}x{dd} matrix)")
 
 
 def _normalized_alpha(spec: CrossedProductSpec) -> dict:
@@ -533,8 +522,13 @@ def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
     """Free D-module on group symbols with (a g)(b h) = a sigma(g)(b) alpha(g,h) gh.
 
     Basis vectors are pairs (D-basis i, group element g), laid out in blocks of
-    dim(D) per group element; the degree of block g is g.  Associativity of
-    the result is the compatibility check for (sigma, alpha).
+    dim(D) per group element; the degree of block g is g.  The validation
+    scan of the result is the compatibility check for (sigma, alpha), and with
+    alpha normalized and invertible it covers sigma too: the unit law forces
+    sigma(e) = id and sigma(g)(1) = 1, the triples (u_g, b, c) force
+    sigma(g)(bc) = sigma(g)(b) sigma(g)(c), and the triples (u_{g^-1}, u_g, b)
+    force sigma(g^-1) sigma(g) = conjugation by alpha(g^-1, g), so sigma(g)
+    is injective.
     """
     d = spec.coeff
     G = spec.group
@@ -595,27 +589,19 @@ def normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
             coords[g * dd + i] = c
         return Element(a, coords)
 
-    section = {e: a.one()}
+    # section[g] = (u_g, u_g^-1); a pair {g, g^-1} shares one inversion
+    section = {e: (a.one(), a.one())}
     for g in range(G.order):
-        if g == e or g in section:
+        if g in section:
             continue
-        order = G.element_order(g)
-        inv = G.inv(g)
-        if order <= 2:
-            section[g] = standard_u(g)
-        else:
-            rep = min(g, inv)
-            u = standard_u(rep)
-            u_inv = u.inverse()
-            if u_inv is None:
-                raise NotGradedDivisionLike(
-                    f"section element at group index {rep} is not invertible")
-            section[rep] = u
-            section[G.inv(rep)] = u_inv
-    for g in range(G.order):
-        if section[g].inverse() is None:
+        rep = min(g, G.inv(g))
+        u = standard_u(rep)
+        u_inv = u.inverse()
+        if u_inv is None:
             raise NotGradedDivisionLike(
-                f"section element at group index {g} is not invertible")
+                f"section element at group index {rep} is not invertible")
+        section[G.inv(rep)] = (u_inv, u)
+        section[rep] = (u, u_inv)  # last, for rep of order 2
 
     def project_to_coeff(el: Element) -> tuple:
         for i, c in enumerate(el.coords):
@@ -625,7 +611,7 @@ def normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
 
     sigma = {}
     for g in range(G.order):
-        u, u_inv = section[g], section[g].inverse()
+        u, u_inv = section[g]
         cols = []
         for j in range(dd):
             emb = [a.field.zero()] * a.dim
@@ -637,8 +623,8 @@ def normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
     alpha = {}
     for g in range(G.order):
         for h in range(G.order):
-            u_gh_inv = section[G.mul(g, h)].inverse()
-            alpha[(g, h)] = project_to_coeff(section[g] * section[h] * u_gh_inv)
+            u_gh_inv = section[G.mul(g, h)][1]
+            alpha[(g, h)] = project_to_coeff(section[g][0] * section[h][0] * u_gh_inv)
     return CrossedProductSpec(coeff=d, group=G, sigma=sigma, alpha=alpha)
 
 
@@ -726,14 +712,16 @@ def good_matrix_algebra(n: int, sigmas, delta: GradedAlgebra) -> GradedAlgebra:
     The basis vector at matrix position (i,j) tensored with a delta basis
     vector of degree t has degree sigma_i^-1 t sigma_j.
     """
-    sigmas = tuple(sigmas)
-    if n < 1 or len(sigmas) != n:
+    if n < 1:
         raise ValueError("need one group element per matrix row")
     g = delta.group
     dd = delta.dim
     dim = n * n * dd
     if dim > MAX_ALGEBRA_DIM:
         raise DimensionTooLarge(f"dimension {dim} exceeds {MAX_ALGEBRA_DIM}")
+    sigmas = tuple(sigmas)
+    if len(sigmas) != n:
+        raise ValueError("need one group element per matrix row")
     field = delta.field
 
     def index(i, j, t):
@@ -769,7 +757,7 @@ def good_matrix_algebra(n: int, sigmas, delta: GradedAlgebra) -> GradedAlgebra:
 def matrix_algebra(field: Field, n: int) -> GradedAlgebra:
     """M_n(field) with the trivial grading."""
     delta = field_as_algebra(field, field)
-    return good_matrix_algebra(n, [0] * n, delta)
+    return good_matrix_algebra(n, itertools.repeat(0, n), delta)
 
 
 # -- derived constructions ----------------------------------------------------------------
@@ -894,17 +882,20 @@ def subspace_algebra(a: GradedAlgebra, s: Subspace) -> GradedAlgebra:
     """
     if s.ambient_dim != a.dim or s.field != a.field:
         raise AmbientMismatch("subspace does not live in the algebra's coordinate space")
-    if not s.contains_vector(list(a.unit)):
-        raise UnitMissing("subspace does not contain the unit")
+    try:
+        unit = s.reduce_vector(list(a.unit))
+    except AmbientMismatch:
+        raise UnitMissing("subspace does not contain the unit") from None
     rows = [list(r) for r in s.basis]
     r = len(rows)
     products = {}
     for i in range(r):
         for j in range(r):
-            prod = a.mul_coords(rows[i], rows[j])
-            if not s.contains_vector(prod):
-                raise NotClosed(f"product of subspace basis vectors {i} and {j} escapes")
-            products[(i, j)] = s.reduce_vector(prod)
+            try:
+                products[(i, j)] = s.reduce_vector(a.mul_coords(rows[i], rows[j]))
+            except AmbientMismatch:
+                raise NotClosed(
+                    f"product of subspace basis vectors {i} and {j} escapes") from None
     degrees = []
     homogeneous = True
     for row in rows:
@@ -924,7 +915,6 @@ def subspace_algebra(a: GradedAlgebra, s: Subspace) -> GradedAlgebra:
         terms = tuple((k, c) for k, c in enumerate(coords) if not c.is_zero)
         if terms:
             sc[(i, j)] = terms
-    unit = s.reduce_vector(list(a.unit))
     out = GradedAlgebra(a.field, group, degrees, sc, unit,
                         meta={"construction": "subspace_algebra"})
     return _require_valid(out)

@@ -14,7 +14,7 @@ coefficient first, with () for zero.  No floating point is used anywhere.
 
 from __future__ import annotations
 
-import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,18 +29,32 @@ from .errors import (
 )
 
 
+# Miller-Rabin with the prime bases 2..41 is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < _MILLER_RABIN_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -132,31 +146,23 @@ def _pinvmod(a, mod, p):
 
 
 def _check_irreducible(mod, p):
-    """Raise ReducibleModulus if mod (monic, degree >= 2) factors over F_p.
+    """Raise ReducibleModulus if mod (monic, degree n >= 2) factors over F_p.
 
-    Exhaustive divisor search while the candidate count stays small, the
-    gcd-with-(x^(p^i) - x) test otherwise; a factor of degree d <= n/2 divides
-    x^(p^d) - x, so testing i = 1..n//2 is complete.
+    A reducible mod has an irreducible factor of degree d <= n/2, and that
+    factor divides x^(p^d) - x, whose irreducible factors are exactly those of
+    degree dividing d; so gcd(x^(p^i) - x, mod) != 1 for some i <= n/2 iff mod
+    is reducible (Ben-Or's form of Rabin's 1980 test).  At i = 1 the gcd is
+    the product of the linear factors, so the message then names a root.
     """
-    n = len(mod) - 1
-    half = n // 2
-    if sum(p ** d for d in range(1, half + 1)) <= 100_000:
-        for d in range(1, half + 1):
-            for tail in itertools.product(range(p), repeat=d):
-                cand = tuple(tail) + (1,)
-                if not _pmod(mod, cand, p):
-                    if d == 1:
-                        root = (-cand[0]) % p
-                        raise ReducibleModulus(
-                            f"modulus has root {root} over F_{p}")
-                    raise ReducibleModulus(
-                        f"modulus has monic factor {list(cand)} over F_{p}")
-        return
     x = (0, 1)
-    for i in range(1, half + 1):
-        frob = _ppowmod(x, p ** i, mod, p)
-        g = _pgcd(_padd(frob, tuple((-c) % p for c in x), p), mod, p)
+    frob = x
+    for i in range(1, (len(mod) - 1) // 2 + 1):
+        frob = _ppowmod(frob, p, mod, p)
+        g = _pgcd(_psub(frob, x, p), mod, p)
         if len(g) > 1:
+            if i == 1:
+                raise ReducibleModulus(
+                    f"modulus has a root over F_{p}: it shares {list(g)} with x^{p} - x")
             raise ReducibleModulus(
                 f"modulus shares factor {list(g)} with x^(p^{i}) - x over F_{p}")
 
@@ -279,32 +285,30 @@ def make_field(characteristic: int, modulus=None) -> Field:
 
     characteristic 0 gives the rationals (modulus must be absent); a prime p
     with no modulus gives F_p; a prime with a monic modulus of degree n >= 2
-    gives F_{p^n} after an irreducibility check.
+    gives F_{p^n} after an irreducibility check.  A field built before is
+    returned from the cache without being checked again.
     """
-    if characteristic == 0:
-        if modulus is not None:
-            raise NonPrimeCharacteristic("the rationals take no modulus")
-        key = (0, 1, None)
-    else:
-        if not _is_prime(characteristic):
-            raise NonPrimeCharacteristic(f"{characteristic} is not 0 or prime")
-        if modulus is None:
-            key = (characteristic, 1, None)
-        else:
-            p = characteristic
-            coeffs = tuple(int(c) % p for c in modulus)
-            if len(coeffs) < 3:
-                raise ReducibleModulus(
-                    "modulus must have degree >= 2; use a plain prime field instead")
-            if coeffs[-1] != 1:
-                raise ReducibleModulus("modulus must be monic")
-            _check_irreducible(coeffs, p)
-            key = (p, len(coeffs) - 1, coeffs)
-    cached = _FIELD_CACHE.get(key)
-    if cached is None:
-        cached = Field(*key)
-        _FIELD_CACHE[key] = cached
-    return cached
+    p = characteristic
+    if p == 0 and modulus is not None:
+        raise NonPrimeCharacteristic("the rationals take no modulus")
+    coeffs = None if modulus is None else tuple(int(c) % p for c in modulus)
+    key = (p, 1 if coeffs is None else len(coeffs) - 1, coeffs)
+    if key in _FIELD_CACHE:
+        return _FIELD_CACHE[key]
+    if p >= _MILLER_RABIN_BOUND:
+        raise NonPrimeCharacteristic(
+            f"characteristic {p} is beyond the primality bound {_MILLER_RABIN_BOUND}")
+    if p != 0 and not _is_prime(p):
+        raise NonPrimeCharacteristic(f"{p} is not 0 or prime")
+    if coeffs is not None:
+        if len(coeffs) < 3:
+            raise ReducibleModulus(
+                "modulus must have degree >= 2; use a plain prime field instead")
+        if coeffs[-1] != 1:
+            raise ReducibleModulus("modulus must be monic")
+        _check_irreducible(coeffs, p)
+    _FIELD_CACHE[key] = Field(*key)
+    return _FIELD_CACHE[key]
 
 
 def rationals() -> Field:
@@ -449,10 +453,17 @@ class Scalar:
 
 
 def scalar_from_json(field: Field, value) -> Scalar:
-    """Decode the JSON form of a scalar; a malformed value raises ParseError."""
+    """Decode the JSON form of a scalar; a malformed value raises ParseError.
+
+    A rational must be a JSON integer or an "n" or "n/d" string, the form
+    to_json writes, so a short input never decodes to a huge numerator.
+    """
     try:
         if field.char == 0:
-            return Scalar(field, Fraction(value))
+            text = str(value) if type(value) is int else value
+            if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text)):
+                raise ValueError("not an integer or an 'n/d' string")
+            return Scalar(field, Fraction(text))
         return field.scalar(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad {field} scalar {value!r}: {exc}") from exc
@@ -473,17 +484,10 @@ def canonical_extension_field(p: int, n: int) -> Field:
     if n == 1:
         return make_field(p)
     for k in range(p ** n):
-        digits = []
-        kk = k
-        for _ in range(n):
-            digits.append(kk % p)
-            kk //= p
-        cand = tuple(digits) + (1,)
         try:
-            _check_irreducible(cand, p)
+            return make_field(p, [k // p ** i % p for i in range(n)] + [1])
         except ReducibleModulus:
             continue
-        return make_field(p, cand)
     raise ReducibleModulus(f"no irreducible polynomial of degree {n} over F_{p}")
 
 

@@ -224,7 +224,9 @@ def structured_det(pencil: GramPencil) -> MultiPoly:
 
     Equal to pencil_det but tolerates large dimensions whenever the nonzero
     pattern decomposes into blocks of size <= the cofactor cap, as Gram
-    matrices of degree-homogeneous functionals always do.
+    matrices of degree-homogeneous functionals always do.  Blocks are expanded
+    in order and the first vanishing one ends the work with zero, before any
+    later block can exceed the cap.
     """
     d = pencil.dim
     field, m = pencil.field, pencil.num_vars
@@ -236,20 +238,18 @@ def structured_det(pencil: GramPencil) -> MultiPoly:
     # base permutation: i-th smallest row of a component pairs with its i-th
     # smallest column; the block determinants then multiply with this sign
     col_of_row = [0] * d
-    factors = []
+    det = MultiPoly.constant(field, m, field.one())
     for rows, cols in components:
         for r, c in zip(rows, cols):
             col_of_row[r] = c
         sub = GramPencil(field, len(rows), m,
                          tuple(tuple(pencil.entries[i][j] for j in cols) for i in rows))
-        factors.append(pencil_det(sub))
-    inversions = sum(1 for a in range(d) for b in range(a + 1, d)
-                     if col_of_row[a] > col_of_row[b])
-    det = MultiPoly.constant(field, m, field.one())
-    for f in factors:
+        f = pencil_det(sub)
         if f.is_zero:
             return zero
         det = det * f
+    inversions = sum(1 for a in range(d) for b in range(a + 1, d)
+                     if col_of_row[a] > col_of_row[b])
     if inversions % 2:
         det = -det
     return det

@@ -93,6 +93,17 @@ def test_out_of_range_indices_rejected(f2):
             GradedAlgebra(f2, cyclic_group(2), [0, 1], {key: {k: one}}, [one, f2.zero()])
 
 
+def test_repeated_structure_constants_rejected(f3):
+    one = f3.one()
+    with pytest.raises(ValueError, match="twice"):
+        GradedAlgebra(f3, cyclic_group(2), [0, 1],
+                      {(0, 0): [(0, one)], (1, 1): [(0, one), (0, one)]},
+                      [one, f3.zero()])
+    with pytest.raises(ValueError, match="twice"):
+        GradedAlgebra(f3, cyclic_group(2), [0, 1],
+                      [((0, 0), [(0, one)]), ((0, 0), [(0, one)])], [one, f3.zero()])
+
+
 def test_frobenius_power_taken_mod_degree(f4):
     assert frobenius_matrix(f4, 5) == frobenius_matrix(f4, 1)
     assert frobenius_matrix(f4, 10 ** 18) == frobenius_matrix(f4, 0)
@@ -224,6 +235,42 @@ def test_crossed_product_rejects_incompatible_data(f3, f9):
                               alpha)
     with pytest.raises(IncompatibleCocycleData):
         crossed_product(spec)
+
+
+def _bad_sigma_spec(field_kind, flaw):
+    """A C_2 crossed-product spec whose sigma breaks one automorphism law."""
+    if field_kind == "F9/F3":
+        base = make_field(3)
+        d = field_as_algebra(make_field(3, [1, 0, 1]), base)  # basis 1, t; t^2 = -1
+        automorphism = [[1, 0], [0, -1]]  # Frobenius, t -> -t
+        non_multiplicative = [[1, 1], [0, 1]]  # t -> 1 + t, but (1 + t)^2 != -1
+    else:
+        base = make_field(0)
+        d = ungrade(quaternion_algebra(base, -1, -1))  # basis 1, i, j, k
+        automorphism = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+        non_multiplicative = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+    ident = [[int(i == j) for j in range(d.dim)] for i in range(d.dim)]
+    sigma = {
+        "identity-moved": [automorphism, ident],
+        "unit-moved": [ident, [[2 * x for x in row] for row in ident]],
+        "singular": [ident, ident[:-1] + [[0] * d.dim]],
+        "non-multiplicative": [ident, non_multiplicative],  # for H: k -> -k
+    }[flaw]
+    c2 = cyclic_group(2)
+    return CrossedProductSpec(
+        d, c2, {g: Matrix(base, [[base.scalar(x) for x in row] for row in rows])
+                for g, rows in enumerate(sigma)},
+        constant_alpha(d, c2))
+
+
+@pytest.mark.parametrize("flaw", ["identity-moved", "unit-moved", "singular",
+                                  "non-multiplicative"])
+@pytest.mark.parametrize("field_kind", ["F9/F3", "H_Q"])
+def test_crossed_product_scan_rejects_bad_sigma(field_kind, flaw):
+    # crossed_product checks only that sigma is present; the alpha normalization
+    # (unit moved) and the unit-law and associativity scan reject the rest
+    with pytest.raises(IncompatibleCocycleData):
+        crossed_product(_bad_sigma_spec(field_kind, flaw))
 
 
 def test_crossed_product_rejects_noninvertible_alpha(f2):

@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from grasym.errors import (
     NonPrimeCharacteristic,
     ReducibleModulus,
 )
+from grasym.fields import _is_prime
 
 
 def test_prime_field_construction(f2):
@@ -43,6 +46,73 @@ def test_reducible_modulus_names_factor():
     # t^4 + t^2 + 1 = (t^2 + t + 1)^2 over F_2: no roots, but a quadratic factor
     with pytest.raises(ReducibleModulus, match="factor"):
         make_field(2, [1, 0, 1, 0, 1])
+
+
+def test_cached_field_is_not_retested(monkeypatch, f3, f9):
+    import grasym.fields
+
+    def fail(*args):
+        raise AssertionError("a cached field was tested again")
+
+    monkeypatch.setattr(grasym.fields, "_is_prime", fail)
+    monkeypatch.setattr(grasym.fields, "_check_irreducible", fail)
+    assert make_field(3) is f3 and make_field(3, [1, 0, 1]) is f9
+
+
+def _has_root(modulus, p):
+    return any(sum(c * r ** i for i, c in enumerate(modulus)) % p == 0 for r in range(p))
+
+
+def test_irreducibility_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for p, degrees in ((2, range(2, 9)), (3, range(2, 6)), (5, range(2, 4)), (7, range(2, 4))):
+        for n in degrees:
+            for tail in itertools.product(range(p), repeat=n):
+                modulus = list(tail) + [1]
+                irreducible = sympy.Poly(modulus[::-1], x, modulus=p).is_irreducible
+                try:
+                    make_field(p, modulus)
+                except ReducibleModulus as exc:
+                    assert not irreducible, (p, modulus)
+                    assert ("root" in str(exc)) == _has_root(modulus, p), (p, modulus)
+                else:
+                    assert irreducible, (p, modulus)
+
+
+def test_primality_agrees_with_trial_division():
+    primes = []  # trial division by the primes found so far
+    for n in range(2, 10 ** 5):
+        for f in primes:
+            if f * f > n:
+                primes.append(n)
+                break
+            if n % f == 0:
+                break
+        else:
+            primes.append(n)
+        assert _is_prime(n) == (primes[-1] == n), n
+    assert not _is_prime(0) and not _is_prime(1)
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 2 ** 64 - 59])
+def test_large_prime_characteristic_is_fast(p):
+    start = time.perf_counter()
+    assert make_field(p).char == p
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 2 ** 61 + 1])
+def test_pseudoprimes_rejected(n):
+    # a Carmichael number, the least strong pseudoprime to bases 2, 3, 5, 7,
+    # and 3 * 768614336404564651
+    with pytest.raises(NonPrimeCharacteristic):
+        make_field(n)
+
+
+def test_characteristic_beyond_the_primality_bound_refused():
+    with pytest.raises(NonPrimeCharacteristic, match="3317044064679887385961981"):
+        make_field(2 ** 89 - 1)
 
 
 def test_scalar_arithmetic_f4(f4):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from grasym import (
@@ -17,8 +19,11 @@ from grasym import (
     is_graded_division,
     is_invertible,
     klein_group,
+    make_field,
     matrix_algebra,
     quaternion_algebra,
+    rationals,
+    scalar_extension,
     support,
     sweedler_algebra,
     trivial_extension,
@@ -194,6 +199,43 @@ def test_division_refuted_by_nilpotent_component(f5):
     assert v.witness is not None
     assert v.witness.homogeneous_degree() == 1
     assert v.witness.inverse() is None
+
+
+def _oracle_corpus():
+    from grasym.errors import IncompatibleCocycleData
+    from grasym.replicate import hunt_candidates, hunt_char2_params, random_graded_basis_change
+    from grasym.specfile import algebra_from_dict
+
+    cyc3_f9 = scalar_extension(cyclic_algebra(3), 2)
+    yield cyclic_algebra(2)
+    yield cyclic_algebra(3)
+    yield cyc3_f9
+    yield random_graded_basis_change(cyc3_f9, random.Random(7))
+    yield quaternion_algebra(rationals(), -1, -1)
+    yield group_algebra(make_field(5), cyclic_group(4))
+    yield _graded_dual_numbers(make_field(5))
+    for _, spec in hunt_candidates(hunt_char2_params()):
+        try:
+            yield algebra_from_dict(spec)
+        except IncompatibleCocycleData:
+            continue
+
+
+def test_division_component_witnesses_match_the_pencil_search():
+    # is_graded_division inverts one basis vector per component; the symbolic
+    # determinant and point search of component_has_invertible is the oracle
+    compared = 0
+    for a in _oracle_corpus():
+        v = is_graded_division(a)
+        if v.is_yes:
+            for g, coords in v.certificate["component_witnesses"].items():
+                ok, witness, _ = component_has_invertible(a, g)
+                assert ok and [c.to_json() for c in witness.coords] == coords
+                compared += 1
+        elif "component_without_invertible" in v.certificate:
+            assert not component_has_invertible(a, v.certificate["component_without_invertible"])[0]
+            compared += 1
+    assert compared == 43
 
 
 def test_dual_elements_not_invertible(f5):

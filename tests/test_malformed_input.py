@@ -55,6 +55,17 @@ def _with_sc_row(row):
     return spec
 
 
+def _f3_c2_spec_with_sc_row(row):
+    spec = algebra_to_dict(group_algebra(make_field(3), cyclic_group(2)))
+    spec["algebra"]["sc"].append(row)
+    return spec
+
+
+def _quaternion_spec(a):
+    return {"field": {"char": 0},
+            "constructor": {"name": "quaternion_algebra", "a": a, "b": -1}}
+
+
 def _rational_spec(unit):
     spec = algebra_to_dict(group_algebra(rationals(), cyclic_group(2)))
     spec["algebra"]["unit"] = unit
@@ -77,6 +88,11 @@ MALFORMED = {
         "check", _write(tmp / "s.json", _with_sc_row([0, 1, 2, 1]))],
     "rational-one-over-zero": lambda tmp: [
         "check", _write(tmp / "s.json", _rational_spec(["1/0", "0"]))],
+    "sc-row-repeated": lambda tmp: [
+        "check", _write(tmp / "s.json", _f3_c2_spec_with_sc_row([1, 1, 0, 1]))],
+    "matrix-algebra-huge-n": lambda tmp: [
+        "emit", "--constructor", "matrix_algebra", "--field", '{"char":2}',
+        "--params", '{"n": 4611686018427387904}'],
     "truncated-witness": lambda tmp: [
         "verify", _write(tmp / "s.json", _spec()),
         _write(tmp / "c.json", {**_certificate(), "witness": _certificate()["witness"][:1]})],
@@ -94,6 +110,20 @@ def test_malformed_input_exits_3(case, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("a", ["1e1000000", "0.5", " 3/4", "3/4 ", "+3", "3/-4",
+                               0.1, True, None, [1]])
+def test_noncanonical_rational_exits_3(a, tmp_path, capsys):
+    # a rational is a JSON int or an "n" / "n/d" string; "1e1000000" used to
+    # decode to a 3.3-million-bit numerator, True to 1, 0.1 to a 55-bit fraction
+    assert main(["check", _write(tmp_path / "s.json", _quaternion_spec(a))]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("a", ["-5/6", -1, "12", 10 ** 30])
+def test_canonical_rational_is_decoded(a, tmp_path):
+    assert main(["check", _write(tmp_path / "s.json", _quaternion_spec(a))]) == 0
+
+
 def test_unmutated_inputs_are_accepted(tmp_path, capsys):
     # the property test below mutates these; unmutated they are all valid
     spec = _write(tmp_path / "s.json", _spec())
@@ -105,12 +135,9 @@ def test_unmutated_inputs_are_accepted(tmp_path, capsys):
 
 # -- mutation property ------------------------------------------------------------
 
-# Integers and floats stay below 2^40: a prime characteristic near 2^64 would
-# spend minutes in make_field's trial division, which is slow but not an error.
-_LIMIT = 2 ** 40
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-_LIMIT, _LIMIT)
-    | st.floats(-_LIMIT, _LIMIT, allow_nan=False) | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=6)

@@ -122,6 +122,23 @@ def test_structured_det_handles_large_block_diagonal(f5):
     assert not det.is_zero and det.total_degree() == dim
 
 
+def test_structured_det_stops_at_a_vanishing_block(f5):
+    # rows/cols 0-1 hold [[t, t], [t, t]], whose determinant is zero; the
+    # rest is a connected 13x13 bidiagonal block, above the cofactor cap
+    t = var(f5, 1, 0)
+    z = MultiPoly.zero(f5, 1)
+    dim = 15
+    grid = [[z] * dim for _ in range(dim)]
+    for i in range(2):
+        for j in range(2):
+            grid[i][j] = t
+    for i in range(2, dim):
+        grid[i][i] = t
+        if i + 1 < dim:
+            grid[i][i + 1] = t
+    assert structured_det(pencil(f5, 1, grid)).is_zero
+
+
 def test_nonvanishing_point_simple(f2):
     t1, t2 = var(f2, 2, 0), var(f2, 2, 1)
     res = nonvanishing_point(t1 * t2, f2)
