@@ -8,7 +8,6 @@ graded symmetry / Frobeniusness with verifiable certificates.
 from .algebras import (
     CrossedProductSpec,
     Element,
-    GoodGradingSpec,
     GradedAlgebra,
     crossed_product,
     cyclic_algebra,
@@ -58,10 +57,9 @@ from .invariants import (
     component_has_invertible,
     graded_commutator_space,
     is_graded_division,
-    is_invertible,
     support,
 )
-from .linalg import Matrix, Subspace, rref_rank_kernel
+from .linalg import Matrix, Subspace
 from .multipoly import GramPencil, MultiPoly, nonvanishing_point, pencil_det, structured_det
 from .replicate import (
     HuntParams,

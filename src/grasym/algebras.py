@@ -33,7 +33,6 @@ from .errors import (
     NonAbelianGroup,
     NonInvertibleAlpha,
     NotClosed,
-    NotGradedDivisionLike,
     OwnerMismatch,
     RationalsNotSupported,
     UnitMissing,
@@ -378,7 +377,7 @@ def field_as_algebra(ext: Field, base: Field, group: GroupTable | None = None) -
     sc = {}
     for i in range(n):
         for j in range(n):
-            coeffs = powers[i + j].val
+            coeffs = powers[i + j].coefficients()
             sc[(i, j)] = tuple((k, base.from_int(c)) for k, c in enumerate(coeffs) if c)
     unit = [base.one()] + [base.zero()] * (n - 1)
     labels = ["1"] + [f"x{i if i > 1 else ''}" for i in range(1, n)]
@@ -399,7 +398,7 @@ def frobenius_matrix(ext: Field, power: int) -> Matrix:
     cols = []
     for i in range(n):
         img = (gen ** i) ** (ext.char ** (power % n))
-        cols.append([base.from_int(c) for c in img.val])
+        cols.append([base.from_int(c) for c in img.coefficients()])
     return Matrix(base, [[cols[j][i] for j in range(n)] for i in range(n)])
 
 
@@ -423,7 +422,7 @@ def quaternion_algebra(field: Field, a, b) -> GradedAlgebra:
     unit = [one, field.zero(), field.zero(), field.zero()]
     alg = GradedAlgebra(field, g, [0, 1, 2, 3], sc, unit, labels=["1", "i", "j", "k"],
                         meta={"construction": "quaternion_algebra",
-                              "a": a.val, "b": b.val})
+                              "a": a, "b": b})
     return _require_valid(alg)
 
 
@@ -570,62 +569,42 @@ def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
 def normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
     """Rescale the section so alpha(g, g^-1) = 1 whenever ord(g) > 2.
 
-    Elements of order > 2 pair off as {g, g^-1}; the smaller index keeps its
-    standard section element and the partner becomes its inverse inside the
-    constructed algebra, after which sigma and alpha are read back off the new
-    section.  Specs over groups of exponent <= 2 come back unchanged.
+    Elements of order > 2 pair off as {g, g^-1}: the smaller index keeps its
+    section element and its partner h takes u'_h = u_{h^-1}^-1.  Any rescaling
+    u'_g = c_g u_g by units c_g of D changes the data by a coboundary computed
+    in D alone:
+
+        sigma'(g) = c_g sigma(g)(-) c_g^-1,
+        alpha'(g, h) = c_g sigma(g)(c_h) alpha(g, h) c_{gh}^-1,
+
+    with c_g = 1 on the smaller index (and on e and elements of order 2) and
+    c_h = sigma(h)(alpha(h^-1, h)^-1) on its partner, since
+    u_{h^-1} u_h = alpha(h^-1, h).  alpha is taken normalized at the identity.
+    Specs over groups of exponent <= 2 come back unchanged; incompatible data
+    is rejected by building the crossed product once.
     """
     G = spec.group
     if all(G.element_order(g) <= 2 for g in range(G.order)):
         return spec
-    a = crossed_product(spec)
+    crossed_product(spec)
     d = spec.coeff
-    dd = d.dim
-    e = G.identity
+    alpha = _normalized_alpha(spec)
+    sigma = spec.sigma
 
-    def standard_u(g: int) -> Element:
-        coords = [a.field.zero()] * a.dim
-        for i, c in enumerate(d.unit):
-            coords[g * dd + i] = c
-        return Element(a, coords)
+    def act(g: int, x: Element) -> Element:
+        return Element(d, sigma[g].mulvec(x.coords))
 
-    # section[g] = (u_g, u_g^-1); a pair {g, g^-1} shares one inversion
-    section = {e: (a.one(), a.one())}
+    c = {g: d.one() if g <= G.inv(g) else act(g, alpha[(G.inv(g), g)].inverse())
+         for g in range(G.order)}
+    c_inv = {g: x.inverse() for g, x in c.items()}
+    new_sigma = {}
     for g in range(G.order):
-        if g in section:
-            continue
-        rep = min(g, G.inv(g))
-        u = standard_u(rep)
-        u_inv = u.inverse()
-        if u_inv is None:
-            raise NotGradedDivisionLike(
-                f"section element at group index {rep} is not invertible")
-        section[G.inv(rep)] = (u_inv, u)
-        section[rep] = (u, u_inv)  # last, for rep of order 2
-
-    def project_to_coeff(el: Element) -> tuple:
-        for i, c in enumerate(el.coords):
-            if not c.is_zero and a.degree[i] != e:
-                raise IncompatibleCocycleData("section computation left the identity block")
-        return tuple(el.coords[e * dd + i] for i in range(dd))
-
-    sigma = {}
-    for g in range(G.order):
-        u, u_inv = section[g]
-        cols = []
-        for j in range(dd):
-            emb = [a.field.zero()] * a.dim
-            for i, c in enumerate(d.basis_element(j).coords):
-                emb[e * dd + i] = c
-            img = u * Element(a, emb) * u_inv
-            cols.append(project_to_coeff(img))
-        sigma[g] = Matrix(a.field, [[cols[j][i] for j in range(dd)] for i in range(dd)])
-    alpha = {}
-    for g in range(G.order):
-        for h in range(G.order):
-            u_gh_inv = section[G.mul(g, h)][1]
-            alpha[(g, h)] = project_to_coeff(section[g][0] * section[h][0] * u_gh_inv)
-    return CrossedProductSpec(coeff=d, group=G, sigma=sigma, alpha=alpha)
+        cols = [(c[g] * act(g, d.basis_element(j)) * c_inv[g]).coords
+                for j in range(d.dim)]
+        new_sigma[g] = Matrix(d.field, cols).transpose()
+    new_alpha = {(g, h): (c[g] * act(g, c[h]) * alpha[(g, h)] * c_inv[G.mul(g, h)]).coords
+                 for g in range(G.order) for h in range(G.order)}
+    return CrossedProductSpec(coeff=d, group=G, sigma=new_sigma, alpha=new_alpha)
 
 
 def trivial_sigma(d: GradedAlgebra, group: GroupTable) -> dict:
@@ -695,16 +674,6 @@ def cyclic_algebra(p: int) -> GradedAlgebra:
 
 # -- good gradings on matrix algebras ---------------------------------------------------
 
-@dataclass(frozen=True)
-class GoodGradingSpec:
-    n: int
-    sigmas: tuple
-    delta: GradedAlgebra
-
-    def build(self) -> "GradedAlgebra":
-        return good_matrix_algebra(self.n, self.sigmas, self.delta)
-
-
 def good_matrix_algebra(n: int, sigmas, delta: GradedAlgebra) -> GradedAlgebra:
     """n x n matrices over delta, graded so block (i,j) of degree g is
     delta's component at sigma_i g sigma_j^-1.
@@ -765,32 +734,19 @@ def matrix_algebra(field: Field, n: int) -> GradedAlgebra:
 def trivial_extension(a: GradedAlgebra) -> GradedAlgebra:
     """A + A* with (a,m)(a',m') = (aa', am' + ma'); the dual half squares to zero.
 
-    The dual of a degree-g basis vector gets degree g^-1, matching the grading
-    of the dual space.
+    With e_l e_m = sum_j c_lm^j e_j and f_j the dual basis, the bimodule
+    actions are (x f)(y) = f(yx) and (f x)(y) = f(xy), so e_m f_j has
+    coefficient c_lm^j at f_l and f_j e_l has coefficient c_lm^j at f_m; one
+    pass over the structure constants fills both.  The dual of a degree-g basis
+    vector gets degree g^-1, matching the grading of the dual space.
     """
     d = a.dim
     field = a.field
-    sc = {}
-    for (i, j), terms in a.sc.items():
-        sc[(i, j)] = terms
-    coeff = {}
-    for (l, i), terms in a.sc.items():
+    sc = dict(a.sc)
+    for (l, m), terms in a.sc.items():
         for j, c in terms:
-            coeff.setdefault((i, j), {})[l] = c
-    for i in range(d):
-        for j in range(d):
-            left = coeff.get((i, j), {})
-            if left:
-                sc[(i, d + j)] = tuple(sorted((d + l, c) for l, c in left.items()))
-    coeff_r = {}
-    for (i, l), terms in a.sc.items():
-        for j, c in terms:
-            coeff_r.setdefault((i, j), {})[l] = c
-    for i in range(d):
-        for j in range(d):
-            right = coeff_r.get((i, j), {})
-            if right:
-                sc[(d + j, i)] = tuple(sorted((d + l, c) for l, c in right.items()))
+            sc.setdefault((m, d + j), []).append((d + l, c))
+            sc.setdefault((d + j, l), []).append((d + m, c))
     degree = list(a.degree) + [a.group.inv(g) for g in a.degree]
     unit = list(a.unit) + [field.zero()] * d
     labels = None

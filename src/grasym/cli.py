@@ -39,6 +39,7 @@ from .specfile import (
     certificate_to_dict,
     functional_from_certificate,
     load_certificate_file,
+    load_json,
     parse_algebra_file,
     write_algebra_file,
     write_certificate_file,
@@ -154,12 +155,12 @@ def _cmd_hunt(args) -> int:
 def _cmd_emit(args) -> int:
     spec: dict = {}
     if args.field:
-        spec["field"] = json.loads(args.field)
+        spec["field"] = load_json("--field", args.field)
     if args.group:
-        spec["group"] = json.loads(args.group)
+        spec["group"] = load_json("--group", args.group)
     block = {"name": args.constructor}
     if args.params:
-        params = json.loads(args.params)
+        params = load_json("--params", args.params)
         if not isinstance(params, dict):
             raise ParseError("--params must be a JSON object")
         block.update(params)
@@ -233,7 +234,7 @@ def main(argv=None) -> int:
         return EXIT_YES if exc.code == 0 else EXIT_USAGE
     try:
         return args.fn(args)
-    except (ParseError, json.JSONDecodeError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GrasymError as exc:

@@ -14,6 +14,7 @@ coefficient first, with () for zero.  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -238,6 +239,15 @@ class Field:
         for k in range(self.size()):
             yield self.element_at(k)
 
+    def vectors(self, n: int):
+        """Every length-n vector over a finite field, coordinate 0 varying fastest.
+
+        Vector k has coordinate i equal to element_at(k // q**i % q), so the
+        zero vector comes first; searches that walk F_q^n use this one order.
+        """
+        for v in itertools.product(list(self.elements()), repeat=n):
+            yield v[::-1]
+
     def element_at(self, k: int) -> "Scalar":
         if self.char == 0:
             raise RationalsNotSupported("the rationals cannot be enumerated")
@@ -338,8 +348,6 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        if self.field.char == 0:
-            return self.val == 0
         if self.field.degree == 1:
             return self.val == 0
         return not any(self.val)
@@ -437,11 +445,21 @@ class Scalar:
         return hash((self.field, self.val))
 
     def __repr__(self):
-        if self.field.char == 0:
-            return str(self.val)
         if self.field.degree == 1:
             return str(self.val)
         return "(" + ",".join(str(c) for c in self.val) + ")"
+
+    def coefficients(self) -> tuple:
+        """Prime-field coordinates as ints on the basis 1, x, .., x^(n-1).
+
+        A 1-tuple over F_p.  Other modules read finite-field coordinates only
+        through this, so the representation stays private to this module.  The
+        rationals have no such coordinates.
+        """
+        f = self.field
+        if f.char == 0:
+            raise RationalsNotSupported("rational scalars have no prime-field coordinates")
+        return (self.val,) if f.degree == 1 else self.val
 
     def to_json(self):
         """Canonical JSON form: 'n/d' string for Q, int for F_p, int list else."""
@@ -500,18 +518,23 @@ def extend_field(field: Field, m: int) -> Field:
     return canonical_extension_field(field.char, field.degree * m)
 
 
+def _poly_value(coeffs, x: Scalar) -> Scalar:
+    """sum_i coeffs[i] x^i for int coefficients (constant first), in x's field."""
+    f = x.field
+    acc = f.zero()
+    power = f.one()
+    for c in coeffs:
+        if c:
+            acc = acc + power * f.from_int(c)
+        power = power * x
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _embedding_generator_image(src: Field, target: Field) -> Scalar:
     """First root of src's modulus inside target, in canonical element order."""
-    p = src.char
     for cand in target.elements():
-        acc = target.zero()
-        power = target.one()
-        for c in src.modulus:
-            if c:
-                acc = acc + power * target.from_int(c)
-            power = power * cand
-        if acc.is_zero:
+        if _poly_value(src.modulus, cand).is_zero:
             return cand
     raise FieldMismatch(f"{src} does not embed into {target}")
 
@@ -528,12 +551,5 @@ def embed_scalar(x: Scalar, target: Field) -> Scalar:
     if target.degree % src.degree != 0:
         raise FieldMismatch(f"{src} is not a subfield of {target}")
     if src.degree == 1:
-        return target.from_int(x.val)
-    root = _embedding_generator_image(src, target)
-    acc = target.zero()
-    power = target.one()
-    for c in x.val:
-        if c:
-            acc = acc + power * target.from_int(c)
-        power = power * root
-    return acc
+        return target.from_int(x.coefficients()[0])
+    return _poly_value(x.coefficients(), _embedding_generator_image(src, target))

@@ -18,6 +18,7 @@ reported Unknown rather than guessed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -99,12 +100,6 @@ def support(a: GradedAlgebra) -> tuple:
     return tuple(sorted({g for g in a.degree}))
 
 
-def is_invertible(x: Element):
-    """(True, inverse) when the left-multiplication matrix is nonsingular."""
-    inv = x.inverse()
-    return (inv is not None), inv
-
-
 def component_has_invertible(a: GradedAlgebra, g: int):
     """Decide whether the degree-g component contains an invertible element.
 
@@ -162,14 +157,8 @@ def _identity_component_algebra(a: GradedAlgebra) -> GradedAlgebra:
 
 def _scan_division(e_alg: GradedAlgebra):
     """Exhaustively test invertibility of every nonzero element of a finite algebra."""
-    size = e_alg.field.size() ** e_alg.dim
     count = 0
-    for idx in range(1, size):
-        coords = []
-        k = idx
-        for _ in range(e_alg.dim):
-            coords.append(e_alg.field.element_at(k % e_alg.field.size()))
-            k //= e_alg.field.size()
+    for coords in itertools.islice(e_alg.field.vectors(e_alg.dim), 1, None):
         el = Element(e_alg, coords)
         count += 1
         if el.inverse() is None:
@@ -184,7 +173,7 @@ def _min_poly(e_alg: GradedAlgebra, el: Element):
     for _ in range(e_alg.dim):
         power = power * el
         # None while the powers so far stay linearly independent
-        deps = Matrix.from_rows(e_alg.field, rows).transpose().solve(list(power.coords))
+        deps = Matrix(e_alg.field, rows).transpose().solve(list(power.coords))
         if deps is not None:
             return [-c for c in deps] + [e_alg.field.one()]
         rows.append(list(power.coords))
@@ -197,7 +186,7 @@ def _rational_division_check(e_alg: GradedAlgebra):
         return DivisionVerdict("yes", {"kind": "scalar-field"})
     meta = e_alg.meta
     if meta.get("construction") == "quaternion_algebra":
-        a_val, b_val = meta["a"], meta["b"]
+        a_val, b_val = meta["a"].val, meta["b"].val
         if a_val < 0 and b_val < 0:
             return DivisionVerdict("yes", {
                 "kind": "positive-definite-norm-form",
@@ -301,10 +290,8 @@ def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
         witness = id_verdict.witness
         if witness is not None and e_alg is not a:
             # e_alg's basis is the identity component's basis inside a
-            coords = [a.field.zero()] * a.dim
-            for c, row in zip(witness.coords, homogeneous_component(a, e).basis):
-                coords = [w + c * r for w, r in zip(coords, row)]
-            witness = Element(a, coords)
+            basis = Matrix(a.field, homogeneous_component(a, e).basis)
+            witness = Element(a, basis.transpose().mulvec(witness.coords))
         return DivisionVerdict(id_verdict.status,
                                {"identity_component": id_verdict.certificate},
                                witness)

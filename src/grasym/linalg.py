@@ -33,10 +33,6 @@ class Matrix:
         z, o = field.zero(), field.one()
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_rows(cls, field: Field, rows) -> "Matrix":
-        return cls(field, [list(r) for r in rows])
-
     def row(self, i: int):
         return self.entries[i]
 
@@ -155,12 +151,6 @@ class Matrix:
         return "[" + "; ".join(" ".join(repr(x) for x in row) for row in self.entries) + "]"
 
 
-def rref_rank_kernel(m: Matrix):
-    """Exact Gauss-Jordan: (rref, rank, right kernel)."""
-    red, rank, _ = m.rref()
-    return red, rank, m.kernel()
-
-
 class Subspace:
     """A coordinate subspace held as an RREF row basis; equality is structural."""
 
@@ -179,7 +169,7 @@ class Subspace:
                 raise AmbientMismatch(f"vector of length {len(v)} in ambient {ambient_dim}")
         if not vectors:
             return cls(field, ambient_dim, [])
-        red, rank, _ = Matrix.from_rows(field, vectors).rref()
+        red, rank, _ = Matrix(field, vectors).rref()
         return cls(field, ambient_dim, red.entries[:rank])
 
     @classmethod
@@ -202,12 +192,11 @@ class Subspace:
         v = list(v)
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length does not match ambient dimension")
-        for row in self.basis:
-            pivot = next(i for i, x in enumerate(row) if not x.is_zero)
-            if not v[pivot].is_zero:
-                f = v[pivot]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x.is_zero for x in v)
+        try:
+            self.reduce_vector(v)
+        except AmbientMismatch:
+            return False
+        return True
 
     def reduce_vector(self, v) -> tuple:
         """Coordinates of v in the RREF basis; raises if v is outside."""
@@ -241,7 +230,7 @@ class Subspace:
         rows += [list(w) + [z] * n for w in other.basis]
         if not rows:
             return Subspace.zero(self.field, n)
-        red, rank, _ = Matrix.from_rows(self.field, rows).rref()
+        red, rank, _ = Matrix(self.field, rows).rref()
         inter = []
         for row in red.entries[:rank]:
             if all(x.is_zero for x in row[:n]):

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import random
 import time
 from dataclasses import dataclass, field as dc_field
 
 from .algebras import (
     GradedAlgebra,
+    _require_valid,
     crossed_product,
     cyclic_algebra,
     direct_product,
@@ -33,7 +33,6 @@ from .algebras import (
     tensor_product,
     trivial_extension,
     ungrade,
-    validate_algebra,
 )
 from .errors import IncompatibleCocycleData, NotDivision, ParseError
 from .fields import canonical_extension_field, make_field, rationals
@@ -45,7 +44,7 @@ from .invariants import (
     is_graded_division,
 )
 from .linalg import Matrix, Subspace
-from .specfile import algebra_from_dict, canonical_json, group_to_dict
+from .specfile import algebra_from_dict, canonical_json, group_to_dict, load_json
 from .symmetry import (
     LinearFunctional,
     _pullback,
@@ -131,26 +130,19 @@ def random_graded_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAl
         for col, j in enumerate(idx):
             row[j] = m.entries[pos][col]
         basis_rows.append(row)
-    b = Matrix(a.field, basis_rows)
-    b_inv = b.inverse()
-
-    def express(vec):
-        return [sum((vec[k] * b_inv.entries[k][j] for k in range(a.dim)),
-                    start=z) for j in range(a.dim)]
-
+    # coordinates on the new basis: vec = sum_j x_j row_j, so x = B^-T vec
+    express = Matrix(a.field, basis_rows).inverse().transpose().mulvec
     sc = {}
     for i in range(a.dim):
         for j in range(a.dim):
-            prod = a.mul_coords(basis_rows[i], basis_rows[j])
-            coords = express(prod)
+            coords = express(a.mul_coords(basis_rows[i], basis_rows[j]))
             terms = tuple((k, c) for k, c in enumerate(coords) if not c.is_zero)
             if terms:
                 sc[(i, j)] = terms
-    unit = express(list(a.unit))
+    unit = express(a.unit)
     out = GradedAlgebra(a.field, a.group, a.degree, sc, unit,
                         meta={"construction": "basis_change"})
-    assert validate_algebra(out).ok
-    return out
+    return _require_valid(out)
 
 
 def random_small_algebra(field, rng: random.Random) -> GradedAlgebra:
@@ -257,20 +249,15 @@ class HuntParams:
 
 def default_hunt_params(characteristic: int, max_group: int = 8,
                         max_ext: int = 3) -> HuntParams:
-    kinds = []
-    for n in range(2, max_group + 1):
-        kinds.append(("cyclic", n))
-    seen = set()
-    for factors in _cyclic_factorizations(max_group):
-        if len(factors) >= 2 and tuple(factors) not in seen:
-            seen.add(tuple(factors))
-            kinds.append(("product", tuple(factors)))
-    for n in range(3, max_group // 2 + 1):
-        kinds.append(("dihedral", n))
+    kinds = [("cyclic", n) for n in range(2, max_group + 1)]
+    kinds += [("product", tuple(f)) for f in _cyclic_factorizations(max_group)]
+    kinds += [("dihedral", n) for n in range(3, max_group // 2 + 1)]
     return HuntParams(characteristic, tuple(range(1, max_ext + 1)), tuple(kinds))
 
 
 def _cyclic_factorizations(max_order: int) -> list:
+    """Every non-decreasing list of >= 2 factors >= 2 with product <= max_order,
+    once each."""
     out = []
     def rec(prefix, remaining_min, product):
         for n in range(remaining_min, max_order + 1):
@@ -298,7 +285,7 @@ def hunt_candidates(params: HuntParams):
     for m in params.extension_degrees:
         ext = canonical_extension_field(p, m)
         modulus = None if m == 1 else list(ext.modulus)
-        units = [list(ext.element_at(u).val) if m > 1 else [u] for u in range(1, p ** m)]
+        units = [list(ext.element_at(u).coefficients()) for u in range(1, p ** m)]
         for kind in params.group_kinds:
             group = group_from_kind(kind)
             group_block = group_to_dict(group)
@@ -372,18 +359,16 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
             a = algebra_from_dict(spec)
         except IncompatibleCocycleData:
             report.incompatible_count += 1
-            if (index + 1) % checkpoint_every == 0:
-                save_checkpoint(index + 1)
-            continue
-        report.instances_tested += 1
-        verdict = is_graded_division(a)
-        if verdict.is_yes:
-            report.division_count += 1
-            decision = decide_form_existence(a, "graded-symmetric", division=verdict)
-            if decision.status == "no":
-                report.non_symmetric_instances.append(spec)
-            elif decision.status == "no-over-base-field":
-                report.no_base_field_point_instances.append(spec)
+        else:
+            report.instances_tested += 1
+            verdict = is_graded_division(a)
+            if verdict.is_yes:
+                report.division_count += 1
+                decision = decide_form_existence(a, "graded-symmetric", division=verdict)
+                if decision.status == "no":
+                    report.non_symmetric_instances.append(spec)
+                elif decision.status == "no-over-base-field":
+                    report.no_base_field_point_instances.append(spec)
         if (index + 1) % checkpoint_every == 0:
             save_checkpoint(index + 1)
     save_checkpoint(report.candidates_enumerated)
@@ -392,11 +377,7 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
 
 def _load_checkpoint(path: str, params: HuntParams, report: HuntReport) -> int:
     """Restore the report counters from a checkpoint; return the next index."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            ck = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"cannot read checkpoint {path}: {exc}") from exc
+    ck = load_json(path)
     if not isinstance(ck, dict) or "params_sha256" not in ck:
         raise ParseError(f"{path} is not a hunt checkpoint")
     if ck["params_sha256"] != params.digest():

@@ -16,8 +16,8 @@ import json
 from contextlib import contextmanager
 
 from . import algebras
-from .algebras import GradedAlgebra, validate_algebra
-from .errors import ParseError, ValidationError
+from .algebras import GradedAlgebra
+from .errors import ParseError
 from .fields import Field, make_field, scalar_from_json
 from .groups import GroupTable, group_from_kind, group_from_table
 from .symmetry import LinearFunctional, SymmetryVerdict
@@ -25,6 +25,23 @@ from .symmetry import LinearFunctional, SymmetryVerdict
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def load_json(path: str, text: str | None = None):
+    """Parse the JSON file at path, or text when it is given (path then only
+    names the source in the error).
+
+    An unreadable file and malformed JSON raise ParseError.  That includes an
+    integer literal beyond CPython's int-string limit, which json reports as
+    a plain ValueError (the base class of JSONDecodeError).
+    """
+    try:
+        if text is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 # -- decoding errors -------------------------------------------------------------------
@@ -113,10 +130,7 @@ def _raw_algebra_from_dict(d: dict) -> GradedAlgebra:
         if len(degrees) != dim:
             raise ParseError("degree list length does not match dim")
         a = GradedAlgebra(field, group, degrees, sc, unit, labels=block.get("labels"))
-    report = validate_algebra(a)
-    if not report.ok:
-        raise ValidationError(report)
-    return a
+    return algebras._require_valid(a)
 
 
 def _build_constructor(d: dict) -> GradedAlgebra:
@@ -191,12 +205,7 @@ def algebra_from_dict(d: dict) -> GradedAlgebra:
 
 
 def parse_algebra_file(path: str) -> GradedAlgebra:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return algebra_from_dict(data)
+    return algebra_from_dict(load_json(path))
 
 
 def write_algebra_file(a: GradedAlgebra, path: str):
@@ -230,11 +239,7 @@ def write_certificate_file(a: GradedAlgebra, verdict: SymmetryVerdict, path: str
 
 
 def load_certificate_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cert = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    cert = load_json(path)
     if not isinstance(cert, dict):
         raise ParseError("certificate must be a JSON object")
     return cert

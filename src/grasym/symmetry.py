@@ -21,6 +21,7 @@ small homogeneous components stay tractable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebras import (
@@ -269,11 +270,8 @@ def decide_form_existence(a: GradedAlgebra, mode: str, division=None) -> Symmetr
     else:
         result = nonvanishing_point(det, a.field)
         if result.found:
-            coords = [a.field.zero()] * a.dim
-            for v, lam in zip(result.point, functionals):
-                if not v.is_zero:
-                    coords = [x + v * c for x, c in zip(coords, lam.coords)]
-            witness = LinearFunctional(a, coords)
+            basis = Matrix(a.field, space.basis)
+            witness = LinearFunctional(a, basis.transpose().mulvec(result.point))
             rank = gram_matrix(a, witness).rank()
             if rank != a.dim:
                 raise AssertionError("point search returned a degenerate witness")
@@ -311,17 +309,9 @@ def decide_by_enumeration(a: GradedAlgebra, mode: str):
     total = q ** space.dim
     if total > ENUMERATION_BOUND:
         raise DimensionTooLarge(f"{total} candidates exceed the enumeration bound")
-    for idx in range(1, total):
-        coeffs = []
-        k = idx
-        for _ in range(space.dim):
-            coeffs.append(a.field.element_at(k % q))
-            k //= q
-        coords = [a.field.zero()] * a.dim
-        for v, row in zip(coeffs, space.basis):
-            if not v.is_zero:
-                coords = [x + v * c for x, c in zip(coords, row)]
-        lam = LinearFunctional(a, coords)
+    combine = Matrix(a.field, space.basis).transpose()
+    for coeffs in itertools.islice(a.field.vectors(space.dim), 1, None):
+        lam = LinearFunctional(a, combine.mulvec(coeffs))
         if gram_matrix(a, lam).rank() == a.dim:
             return "yes", lam
     return "no", None

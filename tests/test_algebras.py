@@ -20,6 +20,7 @@ from grasym import (
     matrix_algebra,
     normalize_section,
     quaternion_algebra,
+    rationals,
     scalar_extension,
     subspace_algebra,
     sweedler_algebra,
@@ -31,6 +32,8 @@ from grasym import (
     validate_algebra,
 )
 from grasym.algebras import constant_alpha, trivial_sigma
+from grasym.replicate import dim4_f2_corpus
+from grasym.specfile import algebra_hash
 from grasym.errors import (
     CharacteristicTwo,
     DimensionTooLarge,
@@ -328,6 +331,42 @@ def test_normalized_cyclic_spec_lifts(f3):
                for g in range(3) for h in range(3))
 
 
+def _coboundary_twisted_quaternions():
+    """H_Q over C_3 with trivial data twisted by the section c_1 = 1 + i,
+    c_2 = 1 + j: sigma(g) = conjugation by c_g, alpha(g,h) = c_g c_h c_gh^-1."""
+    q = rationals()
+    d = ungrade(quaternion_algebra(q, -1, -1))
+    c3 = cyclic_group(3)
+    c = {0: d.one(), 1: d.element([1, 1, 0, 0]), 2: d.element([1, 0, 1, 0])}
+    c_inv = {g: x.inverse() for g, x in c.items()}
+    sigma = {g: Matrix(q, [(c[g] * d.basis_element(j) * c_inv[g]).coords
+                           for j in range(4)]).transpose() for g in range(3)}
+    alpha = {(g, h): (c[g] * c[h] * c_inv[c3.mul(g, h)]).coords
+             for g in range(3) for h in range(3)}
+    return CrossedProductSpec(d, c3, sigma, alpha)
+
+
+def test_normalize_section_coboundary_twisted_quaternions_pinned():
+    spec = _coboundary_twisted_quaternions()
+    assert [c.to_json() for c in spec.alpha[(1, 2)]] == ["1", "1", "1", "1"]
+    out = normalize_section(spec)
+    # values taken when the section was still rescaled inside the crossed product
+    sigma = {g: [[x.to_json() for x in row] for row in out.sigma[g].entries]
+             for g in range(3)}
+    assert sigma == {
+        0: [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+            ["0", "0", "0", "1"]],
+        1: [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "-1"],
+            ["0", "0", "1", "0"]],
+        2: [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "1"],
+            ["0", "0", "-1", "0"]],
+    }
+    alpha = {gh: [x.to_json() for x in v] for gh, v in out.alpha.items()}
+    one = ["1", "0", "0", "0"]
+    assert alpha == {(g, h): one for g in range(3) for h in range(3)} | {
+        (1, 1): ["-2", "2", "0", "0"], (2, 2): ["-1/4", "-1/4", "0", "0"]}
+
+
 # -- good gradings -----------------------------------------------------------------------
 
 def test_good_matrix_degrees(f2):
@@ -402,6 +441,70 @@ def test_trivial_extension_bimodule_action(q):
     # (c . f_x)(m) = f_x(m c): m c has an x-coefficient only for m = cx... and
     # cx * c = -x, so (c . f_x)(cx) = -1 and the product is -f_cx
     assert prod == -t.basis_element(7)
+
+
+# sha256 of algebra_hash(trivial_extension(a)) and of the extension taken twice,
+# taken before trivial_extension was rewritten as a single pass.
+TRIVIAL_EXTENSION_HASHES = {
+    "unit-field": ("a97552d91b55a4e0f74d0c9d527d800244bf1553b2f46a7c580d9b72c84e14d6",
+                  "d81724feb792bd5236a3d1b4c670ccb028ce6451c31f50bebef2aa6575018bbf"),
+    "group-C2": ("aa9ca80e696637c321ba9f741dbd6f72703098da26f83c60f00b3119eb0575b6",
+                "446b24c40f4a43a1db1c199456b6b306f971fe81f3e5483eb00e62a3f8608a8e"),
+    "group-C3": ("c1ee172a18974cb2632fac058205d1d787a104ad121b2e1c5ce0a64c62d07c1a",
+                "7002aafb94062a836cc6061f824c53fb5938215ee09a628c8c279ca8c77e68a6"),
+    "group-C4": ("0577569e105c92edbf9e9e5e959bbff10710f1b1de50ba203f345a19a1203c89",
+                "ec21a2049ea880895983b35c41574a1d3258fa7e27fc836ffd18963039219fde"),
+    "group-klein": ("ad904ccb6c9b47a2979370c79bc56caac1aea8e9692dc4f50e434d025bcdc15b",
+                   "a9f1ca0b8d53bc4fd93ddf21ea47ae8d68c2c71741010dd22294524ac6bb210d"),
+    "cyclic-skew-2": ("5da19af5a74d4e9f1383f2b498328021bed2d381439922fe0c98dd4439fb6084",
+                     "e88cb370171f11551c5bf046c4ba5f6a51905c5df6b8108d3fba5a014c0a2247"),
+    "matrix-2-trivial": ("48449c23c8118cc17a9ea5c33757d106443a6cb204f9390fe65655f0ce6a59e7",
+                        "46652008a390e802efa15f6b21bbae33276f43701a1ccb0bc14bc4bebb61b04e"),
+    "matrix-2-good": ("ea7e12f467f9d2b8165970e43b6cee85a436081aca3a6546073a2af4ecb65e8b",
+                     "bd0b33e7084ea031bd35e025b50d9c99d54f093152205c0250c3d2e7596b9466"),
+    "te-field": ("d81724feb792bd5236a3d1b4c670ccb028ce6451c31f50bebef2aa6575018bbf",
+                "e2e2972f46993d39da8903f5adad36bd3db75b3ddc74c561515eb1341c01fe7b"),
+    "te-group-C2": ("446b24c40f4a43a1db1c199456b6b306f971fe81f3e5483eb00e62a3f8608a8e",
+                   "1548fa43d5017ed6858027a48e67e11941ca41a6849daf4ed08fa1f233a23a36"),
+    "tensor-C2-C2": ("ed46b2a2d0a597a82ea42cba81edb8ff96bf6253e02e701d44a433b8cf67ccec",
+                    "5ae1f3210ff6c4b6c22bbd4c39399dee96e187f5e83de77be80cd3a11532652c"),
+    "product-C2-C2": ("462b053087f15fc7a6dc3872383403b7c6295d654f500555d4aeebdb0ed7b25d",
+                     "923e1c3d77c12800aef439d43ef07ccd3aafbb1888c30b9c6a050c426b0a6a8a"),
+    "ext-field-F4": ("07c8e02fc469a3eaf36b6946d1ab2e73a5a8eac97a4b2062fca553711e6b1d7a",
+                    "fcf5677df6c1e5b228ebdaab3fddd7668389b82f8b48f386e7f3afd9208de23b"),
+    "crossed-F4-frob": ("5da19af5a74d4e9f1383f2b498328021bed2d381439922fe0c98dd4439fb6084",
+                       "e88cb370171f11551c5bf046c4ba5f6a51905c5df6b8108d3fba5a014c0a2247"),
+    "crossed-F4-trivial": ("b78e5f69a7135d96e702bb094c3a7e0239139112dda321088f8c19d0b4234628",
+                          "cb4c618922db619b99e2d1bf3f0795d897643c4b1519444f3d826cf5b1da028d"),
+    "crossed-F4-twisted": ("9cf9fa063afcb872da03331a28cea4099ce0845b4f34838aca96de6aa2fc068e",
+                          "a5b151572ace87d724db6a9c8756a0db6fa13124c6820a3ad4938d716000602d"),
+    "ungraded-cyclic-2": ("8b111fa75728ea1a06e7cf2c074f2bb8c2758955f988ab02e1aa89f9b9141631",
+                         "fe4e66ac9e7b182fb0fb2a7aa891ca22b3cb030f5a7b1c33b35210541aa5179c"),
+    "te-ungraded-C2": ("fa1bba13945797706da6f979074e4374a25177ef3175a7d90dc436ec5caf19ef",
+                      "a4dfb8f40416ee7ad8e6bd252062317f8b86eafac4ffe15d5fbe0cb6a9555e22"),
+    "matrix-2-klein": ("96aa969ef2b8048238d308268a77617ddad5bd260b8cab386bc663b97c7c3223",
+                      "cf769cc029456eb45e8abf5cd71bea29039dd288347e620833a33aadbb4d3ff3"),
+    "te-ext-field": ("fcf5677df6c1e5b228ebdaab3fddd7668389b82f8b48f386e7f3afd9208de23b",
+                    "c103601c4c0b036f0dda709dabb6b9be6079aa21c05dc433b6d8c83dc13cdafd"),
+    "sweedler-F3": ("1b0cadcfb967dad715890b2b0cc7f4cf04568f0c9c0ff358e4a8dec5df3b28d4",
+                   "55e15f926aafe2fbd699b4b88a5f55ca9ca6d8285cd39ba3afb80baeab24f50a"),
+    "sweedler-Q": ("1bf469d32fbc15b6627414df81b93c4f4febabde9d686959969283ab893ed95b",
+                  "3582c8e7d367c1d6c1dce65a7515ee225f13e60816d4cce2746e614b616237d0"),
+}
+
+
+def _trivial_extension_inputs():
+    return dim4_f2_corpus() + [("sweedler-F3", sweedler_algebra(make_field(3))),
+                               ("sweedler-Q", sweedler_algebra(rationals()))]
+
+
+def test_trivial_extension_hashes_pinned():
+    inputs = _trivial_extension_inputs()
+    assert [name for name, _ in inputs] == list(TRIVIAL_EXTENSION_HASHES)
+    for name, a in inputs:
+        once = trivial_extension(a)
+        got = (algebra_hash(once), algebra_hash(trivial_extension(once)))
+        assert got == TRIVIAL_EXTENSION_HASHES[name], name
 
 
 # -- products and extensions -----------------------------------------------------------------
@@ -518,13 +621,6 @@ def test_component_of_group_algebra(f2):
     a = group_algebra(f2, cyclic_group(2))
     e = homogeneous_component(a, 0)
     assert e.dim == 1 and e.contains_vector(list(a.unit))
-
-
-def test_good_grading_spec_builds(f2):
-    from grasym import GoodGradingSpec
-    delta = field_as_algebra(f2, f2, cyclic_group(2))
-    spec = GoodGradingSpec(2, (0, 1), delta)
-    assert spec.build() == good_matrix_algebra(2, [0, 1], delta)
 
 
 def test_subspace_algebra_non_homogeneous_falls_back_to_trivial_grading(q):

@@ -10,6 +10,7 @@ from grasym.errors import (
     DivisionByZero,
     FieldMismatch,
     NonPrimeCharacteristic,
+    RationalsNotSupported,
     ReducibleModulus,
 )
 from grasym.fields import _is_prime
@@ -222,3 +223,24 @@ def test_serialization_form(q, f2, f9):
     assert f9.scalar([2, 1]).to_json() == [2, 1]
     assert q.to_dict() == {"char": 0}
     assert f9.to_dict() == {"char": 3, "degree": 2, "modulus": [1, 0, 1]}
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_vectors_vary_coordinate_zero_fastest(f3, f4, n):
+    for field in (f3, f4):
+        q = field.size()
+        got = list(field.vectors(n))
+        assert len(got) == q ** n
+        for k, v in enumerate(got):
+            assert v == tuple(field.element_at(k // q ** i % q) for i in range(n))
+
+
+def test_coefficients(f5, f9, f27, q):
+    assert f5.from_int(3).coefficients() == (3,)
+    assert f5.zero().coefficients() == (0,)
+    assert f9.generator().coefficients() == (0, 1)
+    assert f9.scalar([2, 1]).coefficients() == (2, 1)
+    assert (f27.generator() ** 2).coefficients() == (0, 0, 1)
+    assert (f27.generator() ** 3).coefficients() == (1, 1, 0)  # x^3 = x + 1
+    with pytest.raises(RationalsNotSupported):
+        q.one().coefficients()

@@ -17,7 +17,6 @@ from grasym import (
     group_algebra,
     homogeneous_component,
     is_graded_division,
-    is_invertible,
     klein_group,
     make_field,
     matrix_algebra,
@@ -145,20 +144,17 @@ def test_support_is_subgroup_for_division(f3):
 
 def test_unit_is_invertible(q):
     h = quaternion_algebra(q, -1, -1)
-    ok, inv = is_invertible(h.one())
-    assert ok and inv == h.one()
+    assert h.one().inverse() == h.one()
 
 
 def test_nilpotent_is_not_invertible(q):
     s = sweedler_algebra(q)
-    ok, inv = is_invertible(s.basis_element(2))
-    assert not ok and inv is None
+    assert s.basis_element(2).inverse() is None
 
 
 def test_quaternion_i_inverse(q):
     h = quaternion_algebra(q, -1, -1)
-    ok, inv = is_invertible(h.basis_element(1))
-    assert ok and inv == -h.basis_element(1)
+    assert h.basis_element(1).inverse() == -h.basis_element(1)
 
 
 def test_component_has_invertible_group_algebra(f3):
@@ -199,6 +195,17 @@ def test_division_refuted_by_nilpotent_component(f5):
     assert v.witness is not None
     assert v.witness.homogeneous_degree() == 1
     assert v.witness.inverse() is None
+
+
+def test_identity_component_witness_lifted_into_the_algebra(f2):
+    # the identity component of F_2[C_2] + its dual is span{e_0, f_0}, a proper
+    # subalgebra; its zero divisor f_0 comes back in the coordinates of the whole
+    t = trivial_extension(group_algebra(f2, cyclic_group(2)))
+    v = is_graded_division(t)
+    assert v.status == "no"
+    assert v.certificate == {"identity_component": {"kind": "zero-divisor"}}
+    assert [c.to_json() for c in v.witness.coords] == [0, 0, 1, 0]
+    assert v.witness.owner is t and v.witness.inverse() is None
 
 
 def _oracle_corpus():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from grasym import Matrix, Subspace, rref_rank_kernel
+from grasym import Matrix, Subspace
 from grasym.errors import AmbientMismatch
 
 
@@ -15,17 +15,23 @@ def vec(field, xs):
 
 
 def test_rref_identity(f2):
-    red, rank, kernel = rref_rank_kernel(Matrix.identity(f2, 3))
+    mat = Matrix.identity(f2, 3)
+    red, rank, _ = mat.rref()
+    kernel = mat.kernel()
     assert rank == 3 and kernel.dim == 0
 
 
 def test_rref_zero(q):
-    red, rank, kernel = rref_rank_kernel(Matrix.zero(q, 2, 3))
+    mat = Matrix.zero(q, 2, 3)
+    red, rank, _ = mat.rref()
+    kernel = mat.kernel()
     assert rank == 0 and kernel.dim == 3
 
 
 def test_rref_rank_one(f2):
-    red, rank, kernel = rref_rank_kernel(m(f2, [[1, 1], [1, 1]]))
+    mat = m(f2, [[1, 1], [1, 1]])
+    red, rank, _ = mat.rref()
+    kernel = mat.kernel()
     assert rank == 1
     assert kernel.dim == 1
     assert kernel.basis[0] == tuple(vec(f2, [1, 1]))
@@ -33,7 +39,8 @@ def test_rref_rank_one(f2):
 
 def test_kernel_vectors_verified(f5):
     mat = m(f5, [[1, 2, 3], [4, 0, 1], [0, 3, 2]])
-    _, rank, kernel = rref_rank_kernel(mat)
+    _, rank, _ = mat.rref()
+    kernel = mat.kernel()
     for row in kernel.basis:
         assert all(x.is_zero for x in mat.mulvec(list(row)))
     assert rank + kernel.dim == 3
@@ -63,6 +70,10 @@ def test_subspace_contains(q):
     u = Subspace.from_vectors(q, 2, [vec(q, [1, 0])])
     assert u.contains_vector(vec(q, [1, 0]))
     assert not u.contains_vector(vec(q, [0, 1]))
+    with pytest.raises(AmbientMismatch):
+        u.contains_vector(vec(q, [1, 0, 0]))
+    with pytest.raises(AmbientMismatch):
+        u.contains_vector(vec(q, [1]))
 
 
 def test_subspace_intersect_zero(q):
@@ -125,5 +136,5 @@ def test_change_field_preserves_rref(f2):
     big = extend_field(f2, 2)
     v = u.change_field(big)
     assert v.dim == u.dim and v.field == big
-    red, rank, _ = Matrix.from_rows(big, [list(r) for r in v.basis]).rref()
+    red, rank, _ = Matrix(big, v.basis).rref()
     assert tuple(red.entries[:rank]) == v.basis

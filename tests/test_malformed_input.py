@@ -40,6 +40,17 @@ def _write(path, doc):
     return str(path)
 
 
+# A JSON integer literal beyond CPython's 4,300-digit int-string limit: json
+# raises a plain ValueError for it, not JSONDecodeError.
+HUGE = "7" * 5000
+
+
+def _write_huge(path, doc):
+    """Write doc with every "HUGE" string replaced by the HUGE literal."""
+    path.write_text(json.dumps(doc).replace('"HUGE"', HUGE))
+    return str(path)
+
+
 def _spec_without(*keys):
     spec = _spec()
     block = spec
@@ -101,6 +112,20 @@ MALFORMED = {
         _write(tmp / "c.json", {k: v for k, v in _certificate().items() if k != "witness"})],
     "resume-from-a-spec-file": lambda tmp: HUNT_ARGS + [
         "--resume", _write(tmp / "s.json", _spec())],
+    "spec-with-huge-int": lambda tmp: [
+        "check", _write_huge(tmp / "s.json", _quaternion_spec("HUGE"))],
+    "certificate-with-huge-int": lambda tmp: [
+        "verify", _write(tmp / "s.json", _spec()),
+        _write_huge(tmp / "c.json", {**_certificate(), "gram_rank": "HUGE"})],
+    "checkpoint-with-huge-int": lambda tmp: HUNT_ARGS + [
+        "--resume", _write_huge(tmp / "k.json",
+                                {**_checkpoint(tmp / "k0.json"), "next_index": "HUGE"})],
+    "emit-params-with-huge-int": lambda tmp: [
+        "emit", "--constructor", "matrix_algebra", "--field", '{"char":2}',
+        "--params", '{"n": %s}' % HUGE],
+    "emit-field-with-huge-int": lambda tmp: [
+        "emit", "--constructor", "matrix_algebra", "--field", '{"char": %s}' % HUGE,
+        "--params", '{"n": 2}'],
 }
 
 

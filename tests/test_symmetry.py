@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from grasym import (
@@ -43,6 +45,7 @@ from grasym.errors import (
     NotInvariant,
     NotNormalized,
 )
+from grasym.replicate import dim4_f2_corpus, random_graded_basis_change
 
 
 # -- trace spaces -------------------------------------------------------------------
@@ -152,6 +155,24 @@ def test_non_division_graded_frobenius_refuted(f2):
     assert v.status == "no" and v.refutation == "gram-det-identically-zero"
     status, _ = decide_by_enumeration(a, "graded-frobenius")
     assert status == "no"
+
+
+# (corpus algebra, mode, seed of the basis change) -> the first witness in the
+# F_q^n order of the trace space, taken before the oracle used Field.vectors
+ENUMERATION_WITNESSES = {
+    ("matrix-2-trivial", "graded-symmetric", 2): [1, 0, 1, 1],
+    ("matrix-2-good", "frobenius", 0): [0, 1, 1, 0],
+    ("crossed-F4-frob", "symmetric", 1): [1, 1, 0, 0],
+}
+
+
+def test_enumeration_witnesses_after_basis_change_pinned():
+    corpus = dict(dim4_f2_corpus())
+    for (name, mode, seed), want in ENUMERATION_WITNESSES.items():
+        b = random_graded_basis_change(corpus[name], random.Random(seed))
+        status, witness = decide_by_enumeration(b, mode)
+        assert status == "yes" and [c.to_json() for c in witness.coords] == want, name
+        assert verify_certificate(b, witness, mode).ok
 
 
 def test_verdict_monotonicity(q, f3):
