@@ -8,9 +8,9 @@ homogeneity of the unit, and full associativity, listing every violation.
 
 Crossed products are built from a coefficient algebra D, an action map sigma
 and a twisting map alpha.  Their compatibility, sigma's automorphism laws
-included, is exactly the unit law and associativity of the product, so the
-validation scan of the constructed product decides it and incompatible data is
-reported with a failing triple.
+included, is decided in D by the crossed-product identities before any
+structure constant of the product is built, and incompatible data is reported
+with the law that fails and where.
 Every crossed product of a finite field by Frobenius powers with a unit twist
 (the cyclic algebras, the replication corpus, spec-file constructor blocks and
 hunt candidates) gets its data from the one builder frobenius_crossed_spec.
@@ -329,12 +329,10 @@ def validate_algebra(a: GradedAlgebra) -> ValidationReport:
     return report
 
 
-def _require_valid(a: GradedAlgebra, error=None) -> GradedAlgebra:
+def _require_valid(a: GradedAlgebra) -> GradedAlgebra:
     report = validate_algebra(a)
     if not report.ok:
-        if error is None:
-            raise ValidationError(report)
-        raise error(str(report))
+        raise ValidationError(report)
     return a
 
 
@@ -465,8 +463,8 @@ class CrossedProductSpec:
 
 
 def _check_sigma(spec: CrossedProductSpec):
-    """Require a dim(D) x dim(D) matrix sigma(g) at every group element; the
-    rest is crossed_product's scan."""
+    """Require a dim(D) x dim(D) matrix sigma(g) at every group element; its
+    laws are decided by _check_crossed_laws."""
     dd = spec.coeff.dim
     for g in range(spec.group.order):
         s = spec.sigma.get(g)
@@ -476,10 +474,15 @@ def _check_sigma(spec: CrossedProductSpec):
 
 
 def _normalized_alpha(spec: CrossedProductSpec) -> dict:
-    """Rescale the section at the identity so alpha(e,h) = alpha(g,e) = 1."""
+    """Rescale the section at the identity so that alpha(e,h) = alpha(g,e) = 1
+    for compatible data; _check_crossed_laws decides whether it came out so.
+
+    Each distinct alpha value is inverted once.
+    """
     d = spec.coeff
     G = spec.group
     e = G.identity
+    inverses = {}
     alpha = {}
     for g in range(G.order):
         for h in range(G.order):
@@ -487,15 +490,17 @@ def _normalized_alpha(spec: CrossedProductSpec) -> dict:
             if val is None:
                 raise IncompatibleCocycleData(f"alpha missing at pair ({g},{h})")
             el = Element(d, val)
-            if el.inverse() is None:
+            if el.coords not in inverses:
+                inverses[el.coords] = el.inverse()
+            if inverses[el.coords] is None:
                 raise NonInvertibleAlpha(f"alpha({g},{h}) is not invertible in D")
             alpha[(g, h)] = el
     aee = alpha[(e, e)]
     for i in range(d.dim):
         ei = d.basis_element(i)
-        if aee * ei != ei * aee:
+        if (aee * ei).coords != (ei * aee).coords:
             raise IncompatibleCocycleData("alpha(e,e) must be central in D")
-    c = aee.inverse()
+    c = inverses[aee.coords]
     out = {}
     for g in range(G.order):
         for h in range(G.order):
@@ -509,47 +514,146 @@ def _normalized_alpha(spec: CrossedProductSpec) -> dict:
             if G.mul(g, h) == e:
                 val = val * aee
             out[(g, h)] = val
-    one = d.one()
-    for g in range(G.order):
-        if out[(g, e)] != one or out[(e, g)] != one:
-            raise IncompatibleCocycleData(
-                f"alpha is not section-consistent at the identity (element {g})")
     return out
 
 
-def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
-    """Free D-module on group symbols with (a g)(b h) = a sigma(g)(b) alpha(g,h) gh.
+def _check_crossed_laws(spec: CrossedProductSpec, alpha: dict):
+    """Decide in D whether sigma and the normalized alpha give a crossed
+    product; raise IncompatibleCocycleData naming the first law that fails.
 
-    Basis vectors are pairs (D-basis i, group element g), laid out in blocks of
-    dim(D) per group element; the degree of block g is g.  The validation
-    scan of the result is the compatibility check for (sigma, alpha), and with
-    alpha normalized and invertible it covers sigma too: the unit law forces
-    sigma(e) = id and sigma(g)(1) = 1, the triples (u_g, b, c) force
-    sigma(g)(bc) = sigma(g)(b) sigma(g)(c), and the triples (u_{g^-1}, u_g, b)
-    force sigma(g^-1) sigma(g) = conjugation by alpha(g^-1, g), so sigma(g)
-    is injective.
+    Write s_g = sigma(g) and u_g for the basis symbol of g, so that the
+    product built by _crossed_product_table is
+    (a u_g)(b u_h) = a s_g(b) alpha(g,h) u_gh, with unit 1 u_e.  For D valid
+    (associative with unit 1), alpha comes out normalized and the product is
+    unital and associative exactly when these laws hold for all non-identity
+    g, h, k and D-basis vectors e_i, e_j:
+
+    (U) s_e = id, s_g(1) = 1, and alpha(g,e) = alpha(e,g) = 1;
+    (M) s_g(e_i e_j) = s_g(e_i) s_g(e_j);
+    (C) s_g(s_h(e_i)) alpha(g,h) = alpha(g,h) s_gh(e_i), which is
+        s_g s_h = Inn(alpha(g,h)) s_gh written without an inverse;
+    (Z) alpha(g,h) alpha(gh,k) = s_g(alpha(h,k)) alpha(g,hk).
+
+    Proof.  The last clause of (U) is the normalization; with s_e = id it
+    gives alpha(e,e) = 1 too, as _normalized_alpha makes alpha(e,e) into
+    c s_e(c) alpha(e,e)^2 for the central c = alpha(e,e)^-1.  Given it,
+    (1 u_e)(b u_h) = s_e(b) u_h and (a u_g)(1 u_e) = a s_g(1) u_g, so 1 u_e is
+    a two-sided unit exactly when s_e = id and s_g(1) = 1 (take a = 1).
+    Expanding both bracketings,
+
+        ((a u_g)(b u_h))(c u_k) = a s_g(b) alpha(g,h) s_gh(c) alpha(gh,k) u_ghk,
+        (a u_g)((b u_h)(c u_k)) = a s_g(b s_h(c) alpha(h,k)) alpha(g,hk) u_ghk,
+
+    and since D has a unit, associativity on basis vectors is
+
+    (A) s_g(b) alpha(g,h) s_gh(c) alpha(gh,k) = s_g(b s_h(c) alpha(h,k)) alpha(g,hk)
+
+    for all g, h, k in G and b, c in D.  Under (U), (A) at h = k = e is (M),
+    at b = c = 1 it is (Z), and at b = 1, k = e it is (C).  Conversely, (M) on
+    basis vectors makes s_g multiplicative, so the right side of (A) is
+    s_g(b) s_g(s_h(c)) s_g(alpha(h,k)) alpha(g,hk), which (Z) turns into
+    s_g(b) s_g(s_h(c)) alpha(g,h) alpha(gh,k) and (C) into the left side.
+    Where g, h or k is e, (M), (C) and (Z) hold by (U) alone, so checking
+    non-identity elements suffices.  With alpha invertible, (C) at
+    (g, g^-1) and at (g^-1, g) makes s_g s_{g^-1} and s_{g^-1} s_g bijective,
+    so every s_g is an automorphism of D.
+
+    The check takes O(|G| d^2 + |G|^2 d + |G|^3) products in D, d = dim D;
+    the unit-law and associativity scan of the product takes (|G| d)^3
+    triples.  sigma's images of the basis are taken once per g, and (M) is
+    checked once per distinct matrix.
     """
     d = spec.coeff
     G = spec.group
-    if any(deg != d.group.identity for deg in d.degree):
+    e = G.identity
+    sigma = spec.sigma
+    one = tuple(d.unit)
+    basis = [d.basis_element(i).coords for i in range(d.dim)]
+    rest = [g for g in range(G.order) if g != e]
+    images = {g: [sigma[g].mulvec(b) for b in basis] for g in range(G.order)}
+
+    def mul(x, y):
+        return tuple(d.mul_coords(x, y))
+
+    def fail(law, where):
+        raise IncompatibleCocycleData(f"{law} fails at {where}")
+
+    for i, b in enumerate(basis):
+        if images[e][i] != b:
+            fail("the unit law (sigma(e) = id)", f"D-basis vector {i}")
+    for g in rest:
+        if sigma[g].mulvec(one) != one:
+            fail("the unit law (sigma(g)(1) = 1)", f"g={g}")
+    for g in rest:
+        if alpha[(g, e)].coords != one or alpha[(e, g)].coords != one:
+            fail("the unit law (alpha(g,e) = alpha(e,g) = 1 once normalized)", f"g={g}")
+    basis_products = [[mul(bi, bj) for bj in basis] for bi in basis]
+    multiplicative = set()
+    for g in rest:
+        if sigma[g].entries in multiplicative:
+            continue
+        for i, row in enumerate(basis_products):
+            for j, bij in enumerate(row):
+                if sigma[g].mulvec(bij) != mul(images[g][i], images[g][j]):
+                    fail("multiplicativity of sigma "
+                         "(sigma(g)(e_i e_j) = sigma(g)(e_i) sigma(g)(e_j))",
+                         f"g={g}, i={i}, j={j}")
+        multiplicative.add(sigma[g].entries)
+    for g in rest:
+        for h in rest:
+            agh = alpha[(g, h)].coords
+            gh = G.mul(g, h)
+            for i, b in enumerate(images[h]):
+                if mul(sigma[g].mulvec(b), agh) != mul(agh, images[gh][i]):
+                    fail("sigma(g) sigma(h) = Inn(alpha(g,h)) sigma(gh)",
+                         f"g={g}, h={h}, D-basis vector {i}")
+    for g in rest:
+        for h in rest:
+            agh = alpha[(g, h)].coords
+            gh = G.mul(g, h)
+            for k in rest:
+                left = mul(agh, alpha[(gh, k)].coords)
+                right = mul(sigma[g].mulvec(alpha[(h, k)].coords),
+                            alpha[(g, G.mul(h, k))].coords)
+                if left != right:
+                    fail("the twisted 2-cocycle law "
+                         "(alpha(g,h) alpha(gh,k) = sigma(g)(alpha(h,k)) alpha(g,hk))",
+                         f"g={g}, h={h}, k={k}")
+
+
+def _compatible_alpha(spec: CrossedProductSpec) -> dict:
+    """The normalized alpha of spec, once its data is decided compatible.
+
+    D is taken valid, as every constructor here returns it; a D built by hand
+    from structure constants should pass validate_algebra first.
+    """
+    if any(deg != spec.coeff.group.identity for deg in spec.coeff.degree):
         raise IncompatibleCocycleData("coefficient algebra must be trivially graded")
-    dd = d.dim
-    dim = dd * G.order
-    if dim > MAX_ALGEBRA_DIM:
-        raise DimensionTooLarge(f"crossed product dimension {dim} exceeds {MAX_ALGEBRA_DIM}")
     _check_sigma(spec)
     alpha = _normalized_alpha(spec)
+    _check_crossed_laws(spec, alpha)
+    return alpha
+
+
+def _crossed_product_table(spec: CrossedProductSpec, alpha: dict) -> GradedAlgebra:
+    """The product with (e_i u_g)(e_j u_h) = e_i sigma(g)(e_j) alpha(g,h) u_gh,
+    built without validation."""
+    d = spec.coeff
+    G = spec.group
+    dd = d.dim
+    dim = dd * G.order
     field = d.field
+    basis = [d.basis_element(i).coords for i in range(dd)]
     sc = {}
     for g in range(G.order):
+        columns = [spec.sigma[g].mulvec(b) for b in basis]
         for h in range(G.order):
             gh = G.mul(g, h)
             a_gh = alpha[(g, h)].coords
             for j in range(dd):
-                sig_ej = spec.sigma[g].mulvec(d.basis_element(j).coords)
-                right = d.mul_coords(sig_ej, a_gh)
+                right = d.mul_coords(columns[j], a_gh)
                 for i in range(dd):
-                    prod = d.mul_coords(d.basis_element(i).coords, right)
+                    prod = d.mul_coords(basis[i], right)
                     terms = tuple((gh * dd + k, c) for k, c in enumerate(prod) if not c.is_zero)
                     if terms:
                         sc[(g * dd + i, h * dd + j)] = terms
@@ -561,9 +665,23 @@ def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
     if d.labels is not None:
         labels = [f"{d.label(i)}*{G.label(g)}" if g != G.identity else d.label(i)
                   for g in range(G.order) for i in range(dd)]
-    a = GradedAlgebra(field, G, degree, sc, unit, labels=labels,
-                      meta={"construction": "crossed_product"})
-    return _require_valid(a, error=IncompatibleCocycleData)
+    return GradedAlgebra(field, G, degree, sc, unit, labels=labels,
+                         meta={"construction": "crossed_product"})
+
+
+def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
+    """Free D-module on group symbols with (a g)(b h) = a sigma(g)(b) alpha(g,h) gh.
+
+    Basis vectors are pairs (D-basis i, group element g), laid out in blocks of
+    dim(D) per group element; the degree of block g is g.  Compatibility of
+    (sigma, alpha), sigma's automorphism laws included, is decided in D by
+    _check_crossed_laws before the table is built, so the product is unital,
+    graded and associative by construction and is not scanned again.
+    """
+    dim = spec.coeff.dim * spec.group.order
+    if dim > MAX_ALGEBRA_DIM:
+        raise DimensionTooLarge(f"crossed product dimension {dim} exceeds {MAX_ALGEBRA_DIM}")
+    return _crossed_product_table(spec, _compatible_alpha(spec))
 
 
 def normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
@@ -581,14 +699,13 @@ def normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
     c_h = sigma(h)(alpha(h^-1, h)^-1) on its partner, since
     u_{h^-1} u_h = alpha(h^-1, h).  alpha is taken normalized at the identity.
     Specs over groups of exponent <= 2 come back unchanged; incompatible data
-    is rejected by building the crossed product once.
+    is rejected by the crossed-product laws.
     """
     G = spec.group
     if all(G.element_order(g) <= 2 for g in range(G.order)):
         return spec
-    crossed_product(spec)
     d = spec.coeff
-    alpha = _normalized_alpha(spec)
+    alpha = _compatible_alpha(spec)
     sigma = spec.sigma
 
     def act(g: int, x: Element) -> Element:
@@ -631,8 +748,8 @@ def frobenius_crossed_spec(ext: Field, group: GroupTable, sigma_powers,
     element in index order (ignored when ext is F_p itself, where the action is
     trivial).  alpha_unit, when given, holds the coefficients of a unit u on
     the basis 1, x, .., x^(m-1); alpha(g, h) = u for g, h both non-identity and
-    alpha is 1 against the identity.  Compatibility of the data is left to
-    crossed_product's associativity scan.
+    alpha is 1 against the identity.  Compatibility of the data is decided by
+    crossed_product, from the crossed-product laws in D.
     """
     base = ext.prime_subfield()
     d = field_as_algebra(ext, base)
@@ -640,9 +757,11 @@ def frobenius_crossed_spec(ext: Field, group: GroupTable, sigma_powers,
     if len(sigma_powers) != group.order - 1:
         raise ValueError("need one Frobenius power per non-identity element")
     ident = Matrix.identity(base, d.dim)
+    frobenius = {p: ident if ext == base else frobenius_matrix(ext, p)
+                 for p in {power % d.dim for power in sigma_powers}}
     sigma = {0: ident}
     for g, power in enumerate(sigma_powers, start=1):
-        sigma[g] = ident if ext == base else frobenius_matrix(ext, power)
+        sigma[g] = frobenius[power % d.dim]
     one = tuple(d.unit)
     u = one if alpha_unit is None else tuple(base.scalar(c) for c in alpha_unit)
     if len(u) > d.dim:

@@ -199,8 +199,11 @@ class Subspace:
         return True
 
     def reduce_vector(self, v) -> tuple:
-        """Coordinates of v in the RREF basis; raises if v is outside."""
+        """Coordinates of v in the RREF basis; raises if v has the wrong length
+        or lies outside."""
         v = list(v)
+        if len(v) != self.ambient_dim:
+            raise AmbientMismatch("vector length does not match ambient dimension")
         coords = []
         for row in self.basis:
             pivot = next(i for i, x in enumerate(row) if not x.is_zero)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -278,7 +279,7 @@ def hunt_candidates(params: HuntParams):
     constructor spec that specfile.algebra_from_dict builds; the hunt tests
     that algebra and reports a finding as this same spec.  Specs share their
     inner lists and group block, so treat them as read-only.  Non-cocycle data
-    is filtered downstream by the associativity validator, not here.
+    is filtered downstream, by crossed_product's crossed-product laws, not here.
     """
     p = params.characteristic
     index = 0
@@ -333,9 +334,12 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     """Search small crossed products for a graded division algebra that is not
     graded symmetric; expected (and so far observed) to come back empty.
 
-    Candidates failing the associativity scan are counted separately, never
+    Candidates whose data fails the crossed-product laws (so that the product
+    would not be an associative unital algebra) are counted separately, never
     treated as errors.  With checkpoint_path set, progress is written every
-    checkpoint_every candidates; resume re-verifies the parameter hash.
+    checkpoint_every candidates to a sibling temp file that then replaces the
+    checkpoint, so a hunt killed mid-write leaves the previous checkpoint
+    whole; resume re-verifies the parameter hash.
     """
     report = HuntReport(parameters=params.to_dict())
     start_index = 0
@@ -348,8 +352,12 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
         ck = {"params_sha256": params.digest(), "next_index": next_index}
         ck.update(report.to_dict())
         del ck["parameters"]
-        with open(checkpoint_path, "w", encoding="utf-8") as fh:
+        tmp = checkpoint_path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(ck) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, checkpoint_path)
 
     for index, spec in hunt_candidates(params):
         if index < start_index:
@@ -624,7 +632,7 @@ def check_decision_matches_enumeration():
 
 
 # Regression values frozen from the first verified run of the char-2 hunt
-# (57 candidates enumerated, 44 fail the associativity scan).
+# (57 candidates enumerated, 44 fail the crossed-product laws).
 HUNT_CHAR2_INSTANCES_TESTED = 13
 HUNT_CHAR2_DIVISION_COUNT = 13
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from grasym import (
@@ -31,9 +33,16 @@ from grasym import (
     ungrade,
     validate_algebra,
 )
-from grasym.algebras import constant_alpha, trivial_sigma
-from grasym.replicate import dim4_f2_corpus
-from grasym.specfile import algebra_hash
+from grasym.algebras import (
+    _check_crossed_laws,
+    _crossed_product_table,
+    _normalized_alpha,
+    constant_alpha,
+    frobenius_crossed_spec,
+    trivial_sigma,
+)
+from grasym.replicate import HuntParams, dim4_f2_corpus, hunt_candidates, hunt_char2_params
+from grasym.specfile import algebra_hash, group_from_dict
 from grasym.errors import (
     CharacteristicTwo,
     DimensionTooLarge,
@@ -236,8 +245,13 @@ def test_crossed_product_rejects_incompatible_data(f3, f9):
     spec = CrossedProductSpec(d, c2,
                               {0: Matrix.identity(f3, 2), 1: frobenius_matrix(f9, 1)},
                               alpha)
-    with pytest.raises(IncompatibleCocycleData):
+    with pytest.raises(IncompatibleCocycleData) as exc:
         crossed_product(spec)
+    # sigma(g)(t) = t^3 = -t, so alpha(g,g) alpha(e,g) = t but
+    # sigma(g)(alpha(g,g)) alpha(g,e) = -t
+    assert str(exc.value) == (
+        "the twisted 2-cocycle law (alpha(g,h) alpha(gh,k) = sigma(g)(alpha(h,k)) "
+        "alpha(g,hk)) fails at g=1, h=1, k=1")
 
 
 def _bad_sigma_spec(field_kind, flaw):
@@ -266,14 +280,32 @@ def _bad_sigma_spec(field_kind, flaw):
         constant_alpha(d, c2))
 
 
+UNIT_LAW_SIGMA_E = "the unit law (sigma(e) = id) fails at D-basis vector "
+UNIT_LAW_SIGMA_ONE = "the unit law (sigma(g)(1) = 1) fails at g=1"
+MULTIPLICATIVITY = ("multiplicativity of sigma (sigma(g)(e_i e_j) = sigma(g)(e_i) "
+                    "sigma(g)(e_j)) fails at g=1, ")
+
+BAD_SIGMA_MESSAGES = {
+    ("F9/F3", "identity-moved"): UNIT_LAW_SIGMA_E + "1",
+    ("F9/F3", "unit-moved"): UNIT_LAW_SIGMA_ONE,
+    ("F9/F3", "singular"): MULTIPLICATIVITY + "i=1, j=1",  # t^2 = -1, but sigma(t) = 0
+    ("F9/F3", "non-multiplicative"): MULTIPLICATIVITY + "i=1, j=1",
+    ("H_Q", "identity-moved"): UNIT_LAW_SIGMA_E + "2",
+    ("H_Q", "unit-moved"): UNIT_LAW_SIGMA_ONE,
+    ("H_Q", "singular"): MULTIPLICATIVITY + "i=1, j=2",  # ij = k, but sigma(k) = 0
+    ("H_Q", "non-multiplicative"): MULTIPLICATIVITY + "i=1, j=2",
+}
+
+
 @pytest.mark.parametrize("flaw", ["identity-moved", "unit-moved", "singular",
                                   "non-multiplicative"])
 @pytest.mark.parametrize("field_kind", ["F9/F3", "H_Q"])
 def test_crossed_product_scan_rejects_bad_sigma(field_kind, flaw):
-    # crossed_product checks only that sigma is present; the alpha normalization
-    # (unit moved) and the unit-law and associativity scan reject the rest
-    with pytest.raises(IncompatibleCocycleData):
+    # crossed_product checks that sigma is present, then decides its laws in D:
+    # the unit law rejects a moved identity or unit, multiplicativity the rest
+    with pytest.raises(IncompatibleCocycleData) as exc:
         crossed_product(_bad_sigma_spec(field_kind, flaw))
+    assert str(exc.value) == BAD_SIGMA_MESSAGES[(field_kind, flaw)]
 
 
 def test_crossed_product_rejects_noninvertible_alpha(f2):
@@ -365,6 +397,56 @@ def test_normalize_section_coboundary_twisted_quaternions_pinned():
     one = ["1", "0", "0", "0"]
     assert alpha == {(g, h): one for g in range(3) for h in range(3)} | {
         (1, 1): ["-2", "2", "0", "0"], (2, 2): ["-1/4", "-1/4", "0", "0"]}
+
+
+def _crossed_law_corpus():
+    """Every candidate of the pinned char-2 hunt (57), the pinned char-3 C3
+    hunt (236) and F_8 over C3 (63), the eight bad-sigma specs and the
+    coboundary-twisted quaternions, in that order."""
+    specs = []
+    for params in (hunt_char2_params(), HuntParams(3, (1, 3), (("cyclic", 3),)),
+                   HuntParams(2, (3,), (("cyclic", 3),))):
+        for _, s in hunt_candidates(params):
+            block = s["constructor"]
+            base = make_field(block["char"])
+            ext = make_field(base.char, block["ext_modulus"]) if block["ext_modulus"] else base
+            specs.append(frobenius_crossed_spec(ext, group_from_dict(s["group"]),
+                                                block["sigma_powers"], block["alpha_unit"]))
+    specs += [_bad_sigma_spec(k, f) for k in ("F9/F3", "H_Q")
+              for f in ("identity-moved", "unit-moved", "singular", "non-multiplicative")]
+    specs.append(_coboundary_twisted_quaternions())
+    return specs
+
+
+# sha256 of the newline-joined algebra hashes of the specs of
+# _crossed_law_corpus that crossed_product accepted, taken while it still
+# validated every product with the full unit-law and associativity scan.
+CROSSED_LAW_CORPUS_ACCEPTED = (
+    21, "f8ac78bc5a7e465e014ac14a3432756ff64331a3a44d4f970edfe0619de3bc3e")
+
+
+def test_crossed_laws_agree_with_the_scan():
+    # the scan stays the oracle: the laws hold exactly when alpha comes out
+    # normalized at the identity and the table passes validate_algebra
+    corpus = _crossed_law_corpus()
+    assert len(corpus) == 365
+    accepted = []
+    for spec in corpus:
+        alpha = _normalized_alpha(spec)
+        table = _crossed_product_table(spec, alpha)
+        e, one = spec.group.identity, spec.coeff.unit
+        normalized = all(alpha[(g, e)].coords == one == alpha[(e, g)].coords
+                         for g in range(spec.group.order))
+        try:
+            _check_crossed_laws(spec, alpha)
+        except IncompatibleCocycleData:
+            passed = False
+        else:
+            passed = True
+            accepted.append(algebra_hash(table))
+        assert passed == (normalized and validate_algebra(table).ok)
+    digest = hashlib.sha256("\n".join(accepted).encode()).hexdigest()
+    assert (len(accepted), digest) == CROSSED_LAW_CORPUS_ACCEPTED
 
 
 # -- good gradings -----------------------------------------------------------------------

@@ -126,6 +126,21 @@ def test_parse_error_exit_three(tmp_path, capsys):
     assert main(["check", str(bad)]) == 3
 
 
+def test_check_incompatible_crossed_product_names_the_law(tmp_path, capsys):
+    # F_9 = F_3(t), t^2 = -1, over C2 by Frobenius, twisted by t: sigma(t) = -t
+    # breaks the cocycle law at g = h = k = the generator
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps({
+        "group": {"kind": "cyclic", "n": 2},
+        "constructor": {"name": "frobenius_crossed_product", "char": 3,
+                        "ext_modulus": [1, 0, 1], "sigma_powers": [1],
+                        "alpha_unit": [0, 1]}}))
+    assert main(["check", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: IncompatibleCocycleData: the twisted 2-cocycle law")
+    assert "fails at g=1, h=1, k=1" in err
+
+
 def test_usage_error_exit_three():
     assert main(["check"]) == 3
     assert main(["no-such-command"]) == 3

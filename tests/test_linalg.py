@@ -76,6 +76,15 @@ def test_subspace_contains(q):
         u.contains_vector(vec(q, [1]))
 
 
+def test_subspace_reduce_vector_rejects_wrong_length(q):
+    assert Subspace.full(q, 2).reduce_vector(vec(q, [1, 5])) == tuple(vec(q, [1, 5]))
+    # a longer vector is refused, not cut to the length of the basis rows
+    with pytest.raises(AmbientMismatch, match="length"):
+        Subspace.full(q, 2).reduce_vector(vec(q, [1, 0, 5]))
+    with pytest.raises(AmbientMismatch, match="length"):
+        Subspace.zero(q, 2).reduce_vector(vec(q, [0, 0, 0]))
+
+
 def test_subspace_intersect_zero(q):
     u = Subspace.from_vectors(q, 2, [vec(q, [1, 0])])
     w = Subspace.from_vectors(q, 2, [vec(q, [0, 1])])

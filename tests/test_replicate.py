@@ -158,10 +158,29 @@ def test_hunt_checkpoint_resume(tmp_path):
     full = hunt_counterexample(p)
     ck = tmp_path / "hunt.ckpt"
     partial = hunt_counterexample(p, checkpoint_path=str(ck), checkpoint_every=10)
-    assert ck.exists()
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["hunt.ckpt"]  # no temp file left
     resumed = hunt_counterexample(p, resume=str(ck))
     # the checkpoint was written at the end, so resuming adds nothing
     assert resumed.to_dict() == full.to_dict()
+
+
+def test_hunt_checkpoint_survives_a_killed_write(tmp_path, monkeypatch):
+    from grasym import replicate
+    p = hunt_char2_params()
+    ck = tmp_path / "hunt.ckpt"
+    hunt_counterexample(p, checkpoint_path=str(ck))
+    saved = ck.read_bytes()
+
+    def killed(fd):
+        raise KeyboardInterrupt
+
+    # killed before the new checkpoint replaces the old one
+    monkeypatch.setattr(replicate.os, "fsync", killed)
+    with pytest.raises(KeyboardInterrupt):
+        hunt_counterexample(HuntParams(2, (1,), (("cyclic", 2),)), checkpoint_path=str(ck))
+    monkeypatch.undo()
+    assert ck.read_bytes() == saved
+    assert hunt_counterexample(p, resume=str(ck)).to_dict() == hunt_counterexample(p).to_dict()
 
 
 def test_hunt_checkpoint_rejects_other_params(tmp_path):
