@@ -59,12 +59,20 @@ def _emit(data: dict, pretty: bool):
         print(canonical_json(data))
 
 
-def _cmd_check(args) -> int:
-    a = parse_algebra_file(args.spec)
+def _decide(a, mode):
+    """decide_form_existence, or None (after an `undecided:` line on stderr)
+    when the question exceeds the engine's dimension or search budget."""
     try:
-        verdict = decide_form_existence(a, args.mode)
+        return decide_form_existence(a, mode)
     except (DimensionTooLarge, SearchSpaceTooLarge) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_check(args) -> int:
+    a = parse_algebra_file(args.spec)
+    verdict = _decide(a, args.mode)
+    if verdict is None:
         return EXIT_UNKNOWN
     cert = certificate_to_dict(a, verdict)
     if args.cert:
@@ -89,7 +97,9 @@ def _cmd_verify(args) -> int:
                "checks": [{"name": n, "ok": ok, "detail": d}
                           for n, ok, d in report.checks]}, args.pretty)
         return EXIT_YES if report.ok else EXIT_NO
-    verdict = decide_form_existence(a, mode)
+    verdict = _decide(a, mode)
+    if verdict is None:
+        return EXIT_UNKNOWN
     match = (verdict.status == cert.get("status")
              and verdict.refutation == cert.get("refutation"))
     _emit({"verified": match, "recomputed_status": verdict.status,

@@ -131,7 +131,8 @@ def component_has_invertible(a: GradedAlgebra, g: int):
     for r, i in enumerate(indices):
         coords[i] = result.point[r]
     witness = Element(a, coords)
-    assert witness.inverse() is not None
+    if witness.inverse() is None:
+        raise AssertionError("point search returned a non-invertible witness")
     return True, witness, result
 
 
@@ -303,7 +304,9 @@ def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
         witness = a.basis_element(indices[-1])
         if witness.inverse() is None:
             bad = a.basis_element(indices[0])
-            assert bad.inverse() is None
+            if bad.inverse() is not None:
+                raise AssertionError(f"component {g} mixes invertible and "
+                                     "non-invertible basis elements over a division A_e")
             return DivisionVerdict("no", {
                 "identity_component": id_verdict.certificate,
                 "component_without_invertible": g}, bad)
@@ -312,5 +315,6 @@ def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
         "identity_component": id_verdict.certificate,
         "component_witnesses": component_info})
     sub = a.group.subgroup_generated(support(a))
-    assert sub == support(a), "support of a graded division algebra must be a subgroup"
+    if sub != support(a):
+        raise AssertionError("support of a graded division algebra must be a subgroup")
     return verdict

@@ -5,7 +5,10 @@ of degree-<=1 homogeneous polynomials in unknowns t_1..t_m; its determinant is
 expanded by memoized cofactors along rows, pruning zero entries.  Large pencils
 whose nonzero pattern splits into independent row/column blocks factor into a
 signed product of block determinants, which keeps each cofactor expansion
-within the size cap.
+within the size cap.  That product stays factored (FactoredPoly): the
+decision path only asks whether it is zero, its degree and its values at
+points, and each of those is read off the blocks.  The blocks are multiplied
+out only on demand, when a caller wants the terms or compares with a MultiPoly.
 
 Witness searches are deterministic: over a field larger than the total degree
 a grid with degree+1 values per variable must contain a nonzero point of a
@@ -119,8 +122,10 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
 
     def __eq__(self, other):
-        return (isinstance(other, MultiPoly) and self.field == other.field
-                and self.num_vars == other.num_vars and self.terms == other.terms)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return (self.field == other.field and self.num_vars == other.num_vars
+                and self.terms == other.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -136,6 +141,78 @@ class MultiPoly:
             else:
                 parts.append(f"{coeff!r}*{mono}")
         return " + ".join(parts)
+
+
+class FactoredPoly:
+    """The polynomial sign * f_1 * ... * f_k, kept as its factors.
+
+    F[t_1..t_m] is a domain, so the product is zero iff some factor is, and
+    its total degree is the sum of the factors' degrees; a value at a point
+    is the product of the factors' values.  None of these multiplies the
+    factors out.  expand() does, once, for the terms and for equality.
+    """
+
+    __slots__ = ("field", "num_vars", "sign", "factors", "_expanded")
+
+    def __init__(self, field: Field, num_vars: int, sign: int, factors):
+        self.field = field
+        self.num_vars = num_vars
+        self.sign = sign
+        self.factors = tuple(factors)
+        self._expanded = None
+
+    @property
+    def is_zero(self) -> bool:
+        return any(f.is_zero for f in self.factors)
+
+    def total_degree(self) -> int:
+        if self.is_zero:
+            return 0
+        return sum(f.total_degree() for f in self.factors)
+
+    def evaluate(self, point) -> Scalar:
+        if len(point) != self.num_vars:
+            raise ValueError("point has wrong arity")
+        acc = self.field.one()
+        for f in self.factors:
+            v = f.evaluate(point)
+            if v.is_zero:
+                return v
+            acc = acc * v
+        return -acc if self.sign < 0 else acc
+
+    def change_field(self, target: Field) -> "FactoredPoly":
+        return FactoredPoly(target, self.num_vars, self.sign,
+                            (f.change_field(target) for f in self.factors))
+
+    def expand(self) -> MultiPoly:
+        """The product as a MultiPoly, multiplied out on first use."""
+        if self._expanded is None:
+            if self.is_zero:
+                out = MultiPoly.zero(self.field, self.num_vars)
+            else:
+                out = MultiPoly.constant(self.field, self.num_vars, self.field.one())
+                for f in self.factors:
+                    out = out * f
+                if self.sign < 0:
+                    out = -out
+            self._expanded = out
+        return self._expanded
+
+    @property
+    def terms(self) -> dict:
+        return self.expand().terms
+
+    def __eq__(self, other):
+        if isinstance(other, FactoredPoly):
+            other = other.expand()
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self.expand() == other
+
+    def __repr__(self):
+        body = " * ".join(f"({f!r})" for f in self.factors) or "1"
+        return f"-{body}" if self.sign < 0 else body
 
 
 @dataclass(frozen=True)
@@ -219,18 +296,19 @@ def _support_components(entries, d: int):
     return [(tuple(rows), tuple(cols)) for rows, cols in groups.values()]
 
 
-def structured_det(pencil: GramPencil) -> MultiPoly:
+def structured_det(pencil: GramPencil) -> FactoredPoly:
     """Exact determinant factored over independent blocks of the support.
 
-    Equal to pencil_det but tolerates large dimensions whenever the nonzero
-    pattern decomposes into blocks of size <= the cofactor cap, as Gram
-    matrices of degree-homogeneous functionals always do.  Blocks are expanded
-    in order and the first vanishing one ends the work with zero, before any
-    later block can exceed the cap.
+    Equal to pencil_det (after expand()) but tolerates large dimensions
+    whenever the nonzero pattern decomposes into blocks of size <= the
+    cofactor cap, as Gram matrices of degree-homogeneous functionals always
+    do.  The result is the sign times the block determinants, not their
+    product.  Blocks are expanded in order and the first vanishing one ends
+    the work with a zero factor, before any later block can exceed the cap.
     """
     d = pencil.dim
     field, m = pencil.field, pencil.num_vars
-    zero = MultiPoly.zero(field, m)
+    zero = FactoredPoly(field, m, 1, (MultiPoly.zero(field, m),))
     components = _support_components(pencil.entries, d)
     for rows, cols in components:
         if len(rows) != len(cols):
@@ -238,7 +316,7 @@ def structured_det(pencil: GramPencil) -> MultiPoly:
     # base permutation: i-th smallest row of a component pairs with its i-th
     # smallest column; the block determinants then multiply with this sign
     col_of_row = [0] * d
-    det = MultiPoly.constant(field, m, field.one())
+    factors = []
     for rows, cols in components:
         for r, c in zip(rows, cols):
             col_of_row[r] = c
@@ -247,12 +325,10 @@ def structured_det(pencil: GramPencil) -> MultiPoly:
         f = pencil_det(sub)
         if f.is_zero:
             return zero
-        det = det * f
+        factors.append(f)
     inversions = sum(1 for a in range(d) for b in range(a + 1, d)
                      if col_of_row[a] > col_of_row[b])
-    if inversions % 2:
-        det = -det
-    return det
+    return FactoredPoly(field, m, -1 if inversions % 2 else 1, factors)
 
 
 @dataclass(frozen=True)
@@ -275,19 +351,20 @@ def _grid_values(field: Field, count: int):
     return [field.element_at(k) for k in range(min(count, field.size()))]
 
 
-def _search_grid(poly: MultiPoly, values):
+def _search_grid(poly: MultiPoly | FactoredPoly, values):
     for point in itertools.product(values, repeat=poly.num_vars):
         if not poly.evaluate(point).is_zero:
             return point
     return None
 
 
-def nonvanishing_point(poly: MultiPoly, field: Field,
+def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field,
                        max_extension: int = 3) -> PointResult:
     """Deterministically find a point where poly is nonzero over field.
 
     The polynomial may live over field or over a subfield; coefficients are
-    embedded first.  With |field| > total degree the grid bound guarantees the
+    embedded first.  A FactoredPoly is searched through its factors and never
+    multiplied out; it yields the same result as its expand().  With |field| > total degree the grid bound guarantees the
     walk succeeds; smaller fields are enumerated exhaustively and, failing
     that, degree-2 and degree-3 extensions are probed so the refutation can
     name the least extension holding a witness.
@@ -300,12 +377,15 @@ def nonvanishing_point(poly: MultiPoly, field: Field,
     deg = poly.total_degree()
     if deg == 0:
         point = tuple([field.zero()] * m)
-        assert not poly.evaluate(point).is_zero
+        if poly.evaluate(point).is_zero:
+            raise AssertionError("a nonzero constant evaluated to zero")
         return PointResult("found", point=point)
     size = field.size()
     if size is None or size > deg:
         point = _search_grid(poly, _grid_values(field, deg + 1))
-        assert point is not None, "grid bound violated; polynomial arithmetic is broken"
+        if point is None:
+            raise AssertionError("grid bound violated; polynomial arithmetic "
+                                 "or factor evaluation is broken")
         return PointResult("found", point=point)
     if size ** m > SEARCH_BUDGET:
         raise SearchSpaceTooLarge(f"{size}^{m} points exceed the exhaustive budget")

@@ -16,7 +16,10 @@ checker re-verifies from scratch.
 Graded trace functionals vanish off the identity component, which makes the
 Gram pencil block-structured (rows of degree g pair only with columns of
 degree g^-1); the determinant is computed blockwise so large algebras with
-small homogeneous components stay tractable.
+small homogeneous components stay tractable.  The block determinants stay
+factored on the decision path: a zero block refutes, and the point search
+evaluates the blocks one by one.  They are multiplied out only on demand
+(FactoredPoly.expand), never to reach a verdict.
 """
 
 from __future__ import annotations
@@ -238,7 +241,8 @@ def graded_division_criterion(a: GradedAlgebra) -> bool:
     span is a proper subspace of the identity component."""
     c = graded_commutator_space(a)
     ae = homogeneous_component(a, a.group.identity)
-    assert ae.contains(c), "graded commutators must land in the identity component"
+    if not ae.contains(c):
+        raise AssertionError("graded commutators must land in the identity component")
     return c.dim < ae.dim
 
 
@@ -246,10 +250,12 @@ def decide_form_existence(a: GradedAlgebra, mode: str, division=None) -> Symmetr
     """Decide existence of a nondegenerate trace functional for the mode.
 
     Pipeline: compute the trace space; empty space refutes outright; then the
-    blockwise symbolic Gram determinant; identical vanishing refutes; else a
-    deterministic point search over the base field either yields a witness
-    (re-verified by exact rank) or proves the base field too small, in which
-    case the least extension degree holding a witness is reported.  When a Yes
+    blockwise symbolic Gram determinant, kept as its factored block
+    determinants; a vanishing block refutes; else a deterministic point search
+    over the base field, evaluating the blocks and never their expanded
+    product, either yields a witness (re-verified by exact rank) or proves the
+    base field too small, in which case the least extension degree holding a
+    witness is reported.  When a Yes
     division verdict is supplied and the mode is graded-symmetric, the
     commutator-span criterion is cross-checked against the outcome.
     """
@@ -343,10 +349,10 @@ def average_functional(spec: CrossedProductSpec, mu: LinearFunctional) -> Linear
         coords = [x + y for x, y in zip(coords, _pullback(mu, spec.sigma[g]))]
     lam = LinearFunctional(d, coords)
     for h in range(g_order):
-        assert _pullback(lam, spec.sigma[h]) == lam.coords, \
-            "averaged functional must be invariant"
-    expected = d.field.from_int(g_order) * mu(d.one())
-    assert lam(d.one()) == expected
+        if _pullback(lam, spec.sigma[h]) != lam.coords:
+            raise AssertionError("averaged functional must be invariant")
+    if lam(d.one()) != d.field.from_int(g_order) * mu(d.one()):
+        raise AssertionError("averaged functional must have lam(1) = |G| mu(1)")
     return lam
 
 

@@ -158,3 +158,19 @@ def test_check_undecidable_exit_two(tmp_path, capsys):
     path = tmp_path / "m3.json"
     write_algebra_file(a, str(path))
     assert main(["check", str(path), "--mode", "frobenius"]) == 2
+
+
+def test_verify_undecidable_no_certificate_exit_two(cyc3_spec, tmp_path, capsys):
+    # re-deciding a No in frobenius mode on cyc3 meets the same 9-dimensional
+    # trace space that check reports as undecided
+    from grasym.specfile import algebra_hash, parse_algebra_file
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "mode": "frobenius", "status": "no", "refutation": "gram-det-identically-zero",
+        "algebra_sha256": algebra_hash(parse_algebra_file(cyc3_spec))}))
+    assert main(["verify", cyc3_spec, str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("undecided: ")
+    assert main(["check", cyc3_spec, "--mode", "frobenius"]) == 2
+    assert capsys.readouterr().err == captured.err

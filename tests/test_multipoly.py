@@ -1,9 +1,21 @@
+import itertools
 import random
 
 import pytest
 
-from grasym import GramPencil, MultiPoly, nonvanishing_point, pencil_det, structured_det
+from grasym import (
+    GramPencil,
+    MultiPoly,
+    component_has_invertible,
+    cyclic_algebra,
+    decide_form_existence,
+    nonvanishing_point,
+    pencil_det,
+    structured_det,
+    sweedler_algebra,
+)
 from grasym.errors import DimensionTooLarge
+from grasym.multipoly import FactoredPoly
 
 
 def var(field, m, i):
@@ -101,7 +113,15 @@ def test_structured_det_equals_plain_det(dim, m, seed, f3):
                 row.append(_random_linear(f3, m, rng))
         grid.append(row)
     p = pencil(f3, m, grid)
-    assert structured_det(p) == pencil_det(p)
+    det, plain = structured_det(p), pencil_det(p)
+    assert det.expand() == plain
+    assert det == plain and plain == det
+    # the factored reads agree with the multiplied-out product
+    assert det.is_zero == plain.is_zero
+    assert det.total_degree() == plain.total_degree()
+    for point in itertools.product(list(f3.elements()), repeat=m):
+        assert det.evaluate(point) == plain.evaluate(point)
+    assert nonvanishing_point(det, f3) == nonvanishing_point(plain, f3)
 
 
 def test_structured_det_block_permutation(q):
@@ -111,6 +131,7 @@ def test_structured_det_block_permutation(q):
     p = pencil(q, 2, [[z, t1], [t2, z]])
     assert structured_det(p) == -(t1 * t2)
     assert pencil_det(p) == -(t1 * t2)
+    assert structured_det(p) != t1 * t2
 
 
 def test_structured_det_handles_large_block_diagonal(f5):
@@ -196,3 +217,75 @@ def test_extension_search_from_extension_field(f4):
     assert res.status == "no_point_over_field"
     assert res.extension_degree == 2
     assert res.extension_point is not None
+
+
+# -- the factored determinant against its expanded product ------------------------
+
+def _same_search(det, field):
+    res = nonvanishing_point(det, field)
+    assert res == nonvanishing_point(det.expand(), field)
+    return res
+
+
+def _diagonal(field, m, diag):
+    z = MultiPoly.zero(field, m)
+    return pencil(field, m, [[diag[i] if i == j else z for j in range(len(diag))]
+                             for i in range(len(diag))])
+
+
+def test_factored_search_identically_zero_block(f5):
+    t1, t2 = var(f5, 2, 0), var(f5, 2, 1)
+    z = MultiPoly.zero(f5, 2)
+    # block {0} is t1, block {1, 2} is [[t2, t2], [t2, t2]], which vanishes
+    p = pencil(f5, 2, [[t1, z, z], [z, t2, t2], [z, t2, t2]])
+    det = structured_det(p)
+    assert det.is_zero
+    assert _same_search(det, f5).status == "identically_zero"
+
+
+def test_factored_search_exhaustive_small_field(f2):
+    # degree 3 over F_2: the grid bound does not apply, so F_2^2 is walked
+    t1, t2 = var(f2, 2, 0), var(f2, 2, 1)
+    det = structured_det(_diagonal(f2, 2, [t1, t2, t1 + t2]))
+    assert det.total_degree() == 3
+    res = _same_search(det, f2)
+    assert res.status == "no_point_over_field" and res.extension_degree == 2
+    det = structured_det(_diagonal(f2, 2, [t1, t2]))
+    assert _same_search(det, f2).point == (f2.one(), f2.one())
+
+
+def test_factored_search_grid_above_degree(f5):
+    # |F_5| > degree 3: the first 4 values per variable are enough
+    t1, t2 = var(f5, 2, 0), var(f5, 2, 1)
+    det = structured_det(_diagonal(f5, 2, [t1, t2, t1 - t2]))
+    res = _same_search(det, f5)
+    assert res.found and not det.evaluate(res.point).is_zero
+
+
+def test_factored_search_sign_of_the_block_permutation(q):
+    t1, t2 = var(q, 2, 0), var(q, 2, 1)
+    z = MultiPoly.zero(q, 2)
+    det = structured_det(pencil(q, 2, [[z, t1], [t2, z]]))
+    assert det.sign == -1
+    point = (q.from_int(2), q.from_int(3))
+    assert det.evaluate(point) == det.expand().evaluate(point) == q.from_int(-6)
+    assert _same_search(det, q).found
+
+
+def test_factored_search_no_point_over_field(f2):
+    # t (t + 1) vanishes on F_2; the least extension with a point is F_4
+    t = var(f2, 1, 0)
+    det = FactoredPoly(f2, 1, 1, (t, t + const(f2, 1, 1)))
+    res = _same_search(det, f2)
+    assert res.status == "no_point_over_field"
+    assert res.extension_degree == 2 and res.extension_point is not None
+
+
+def test_decisions_never_expand_the_factored_det(monkeypatch, f3):
+    def refuse(self):
+        raise AssertionError("the decision path multiplied the blocks out")
+
+    monkeypatch.setattr(FactoredPoly, "expand", refuse)
+    assert decide_form_existence(cyclic_algebra(3), "graded-frobenius").is_yes
+    assert decide_form_existence(sweedler_algebra(f3), "symmetric").status == "no"
+    assert component_has_invertible(cyclic_algebra(3), 1)[0]

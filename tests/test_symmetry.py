@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -46,6 +47,7 @@ from grasym.errors import (
     NotNormalized,
 )
 from grasym.replicate import dim4_f2_corpus, random_graded_basis_change
+from grasym.specfile import canonical_json, certificate_to_dict
 
 
 # -- trace spaces -------------------------------------------------------------------
@@ -199,6 +201,30 @@ def test_witness_selection_deterministic(f3):
     v1 = decide_form_existence(a, "graded-symmetric")
     v2 = decide_form_existence(a, "graded-symmetric")
     assert v1.witness == v2.witness
+
+
+# sha256 of the canonical certificate bytes, taken when the block determinants
+# were still multiplied into one polynomial: keeping them factored must find
+# the same first grid point
+FACTORED_DET_CERTIFICATES = {
+    "cyc5": "2075a1e94b982a29c8f8628bd5094b107450b42e34b98903dfc58e0630107a8c",
+    "M4(F3)-C2": "1284705d9a133bd156e1d70bd8db26970677be00897de145105d378ae614bd4b",
+}
+
+
+def test_block_factored_decisions_keep_their_certificates(f3):
+    algebras = {
+        "cyc5": cyclic_algebra(5),
+        "M4(F3)-C2": good_matrix_algebra(
+            4, (0, 0, 1, 1), field_as_algebra(f3, f3, cyclic_group(2))),
+    }
+    for name, a in algebras.items():
+        verdict = decide_form_existence(a, "graded-frobenius")
+        assert verdict.is_yes, name
+        assert verify_certificate(a, verdict.witness, "graded-frobenius").ok, name
+        digest = hashlib.sha256(
+            canonical_json(certificate_to_dict(a, verdict)).encode()).hexdigest()
+        assert digest == FACTORED_DET_CERTIFICATES[name], name
 
 
 def test_kernel_radical_is_graded_left_ideal(f3):
