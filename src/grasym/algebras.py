@@ -2,9 +2,11 @@
 
 A GradedAlgebra is a finite-dimensional associative unital algebra over an
 exact field, with a basis whose vectors carry degrees in a finite group and
-sparse structure constants e_i e_j = sum_k c_{ij}^k e_k.  Validation checks
-unit laws, the grading law (c_{ij}^k nonzero forces deg k = deg i * deg j),
-homogeneity of the unit, and full associativity, listing every violation.
+sparse structure constants e_i e_j = sum_k c_{ij}^k e_k.  Each constructor
+returns a valid algebra from valid inputs, for the reason its docstring gives,
+without scanning it.  validate_algebra checks unit laws, the grading law
+(c_{ij}^k nonzero forces deg k = deg i * deg j), homogeneity of the unit, and
+full associativity, listing every violation; it runs on raw spec-file blocks.
 
 Crossed products are built from a coefficient algebra D, an action map sigma
 and a twisting map alpha.  Their compatibility, sigma's automorphism laws
@@ -37,7 +39,6 @@ from .errors import (
     RationalsNotSupported,
     UnitMissing,
     UnsupportedPrime,
-    ValidationError,
     ZeroParameter,
 )
 from .fields import Field, Scalar, embed_scalar, extend_field, make_field
@@ -48,7 +49,12 @@ MAX_ALGEBRA_DIM = 64
 
 
 class GradedAlgebra:
-    """A finite-dimensional graded algebra held by structure constants."""
+    """A finite-dimensional graded algebra held by structure constants.
+
+    An instance is taken to be valid (associative, unital, graded), and
+    nothing downstream checks it again; __init__ checks shapes only.  One
+    built by hand from structure constants should pass validate_algebra.
+    """
 
     __slots__ = ("field", "group", "dim", "degree", "sc", "unit", "labels", "meta")
 
@@ -278,7 +284,11 @@ class ValidationReport:
 
 
 def validate_algebra(a: GradedAlgebra) -> ValidationReport:
-    """Check unit, grading, unit homogeneity, and full associativity."""
+    """Check unit, grading, unit homogeneity, and full associativity.
+
+    The program runs this O(dim^3) scan only where structure constants enter
+    from outside, in specfile._raw_algebra_from_dict.
+    """
     report = ValidationReport(ok=True)
     d = a.dim
     e = a.group.identity
@@ -329,42 +339,36 @@ def validate_algebra(a: GradedAlgebra) -> ValidationReport:
     return report
 
 
-def _require_valid(a: GradedAlgebra) -> GradedAlgebra:
-    report = validate_algebra(a)
-    if not report.ok:
-        raise ValidationError(report)
-    return a
-
-
 # -- basic constructors -----------------------------------------------------------
 
 def group_algebra(field: Field, group: GroupTable) -> GradedAlgebra:
-    """The group algebra with its natural grading: basis = group elements."""
+    """The group algebra with its natural grading: basis = group elements.
+
+    Associativity comes from the group table, which GroupTable validated.
+    """
     one = field.one()
     sc = {(i, j): ((group.table[i][j], one),)
           for i in range(group.order) for j in range(group.order)}
     unit = [field.zero()] * group.order
     unit[group.identity] = one
     labels = [group.label(g) for g in range(group.order)]
-    a = GradedAlgebra(field, group, range(group.order), sc, unit, labels=labels,
-                      meta={"construction": "group_algebra"})
-    return _require_valid(a)
+    return GradedAlgebra(field, group, range(group.order), sc, unit, labels=labels,
+                         meta={"construction": "group_algebra"})
 
 
 def field_as_algebra(ext: Field, base: Field, group: GroupTable | None = None) -> GradedAlgebra:
     """A field K as an algebra over its prime subfield (or over itself).
 
     The basis is 1, x, .., x^(n-1) for the residue x of the modulus variable;
-    grading is trivial over the given group.
+    grading is trivial over the given group.  A field is associative.
     """
     if group is None:
         group = trivial_group()
     if ext == base:
         one = base.one()
-        a = GradedAlgebra(base, group, [group.identity], {(0, 0): ((0, one),)}, [one],
-                          labels=["1"], meta={"construction": "field_algebra",
-                                              "extension_degree": 1})
-        return _require_valid(a)
+        return GradedAlgebra(base, group, [group.identity], {(0, 0): ((0, one),)}, [one],
+                             labels=["1"], meta={"construction": "field_algebra",
+                                                 "extension_degree": 1})
     if base != ext.prime_subfield():
         raise FieldMismatch("coefficient field must be the prime subfield")
     n = ext.degree
@@ -379,29 +383,33 @@ def field_as_algebra(ext: Field, base: Field, group: GroupTable | None = None) -
             sc[(i, j)] = tuple((k, base.from_int(c)) for k, c in enumerate(coeffs) if c)
     unit = [base.one()] + [base.zero()] * (n - 1)
     labels = ["1"] + [f"x{i if i > 1 else ''}" for i in range(1, n)]
-    a = GradedAlgebra(base, group, [group.identity] * n, sc, unit, labels=labels,
-                      meta={"construction": "field_algebra", "extension_degree": n,
-                            "modulus": list(ext.modulus)})
-    return _require_valid(a)
+    return GradedAlgebra(base, group, [group.identity] * n, sc, unit, labels=labels,
+                         meta={"construction": "field_algebra", "extension_degree": n,
+                               "modulus": list(ext.modulus)})
 
 
 def frobenius_matrix(ext: Field, power: int) -> Matrix:
     """Matrix of y -> y^(p^power) on the basis 1, x, .., x^(n-1) of ext over F_p.
 
-    The power is taken mod n, the order of the Frobenius automorphism.
+    The power is taken mod n, the order of the Frobenius automorphism, a
+    ring automorphism: x^i maps to y^i for y the image of x.
     """
     base = ext.prime_subfield()
     n = ext.degree
-    gen = ext.generator()
+    y = ext.generator() ** (ext.char ** (power % n))
+    img = ext.one()
     cols = []
-    for i in range(n):
-        img = (gen ** i) ** (ext.char ** (power % n))
+    for _ in range(n):
         cols.append([base.from_int(c) for c in img.coefficients()])
+        img = img * y
     return Matrix(base, [[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 def quaternion_algebra(field: Field, a, b) -> GradedAlgebra:
-    """Basis 1, i, j, k with i^2 = a, j^2 = b, ij = k = -ji; Klein-graded."""
+    """Basis 1, i, j, k with i^2 = a, j^2 = b, ij = k = -ji; Klein-graded.
+
+    The quaternion algebra (a, b) is associative.
+    """
     if field.char == 2:
         raise CharacteristicTwo("quaternion algebras need characteristic != 2")
     a = field.scalar(a)
@@ -418,14 +426,15 @@ def quaternion_algebra(field: Field, a, b) -> GradedAlgebra:
         (3, 1): {2: -a}, (3, 2): {1: b}, (3, 3): {0: -(a * b)},
     }
     unit = [one, field.zero(), field.zero(), field.zero()]
-    alg = GradedAlgebra(field, g, [0, 1, 2, 3], sc, unit, labels=["1", "i", "j", "k"],
-                        meta={"construction": "quaternion_algebra",
-                              "a": a, "b": b})
-    return _require_valid(alg)
+    return GradedAlgebra(field, g, [0, 1, 2, 3], sc, unit, labels=["1", "i", "j", "k"],
+                         meta={"construction": "quaternion_algebra", "a": a, "b": b})
 
 
 def sweedler_algebra(field: Field) -> GradedAlgebra:
-    """Basis 1, c, x, cx with c^2 = 1, x^2 = 0, xc = -cx; trivially graded."""
+    """Basis 1, c, x, cx with c^2 = 1, x^2 = 0, xc = -cx; trivially graded.
+
+    It is the skew group algebra of <c> acting on F[x]/(x^2) by x -> -x.
+    """
     if field.char == 2:
         raise CharacteristicTwo("needs characteristic != 2")
     one, zero = field.one(), field.zero()
@@ -437,9 +446,8 @@ def sweedler_algebra(field: Field) -> GradedAlgebra:
         (2, 1): {3: -one}, (3, 1): {2: -one},
     }
     unit = [one, zero, zero, zero]
-    alg = GradedAlgebra(field, g, [0, 0, 0, 0], sc, unit, labels=["1", "c", "x", "cx"],
-                        meta={"construction": "sweedler_algebra"})
-    return _require_valid(alg)
+    return GradedAlgebra(field, g, [0, 0, 0, 0], sc, unit, labels=["1", "c", "x", "cx"],
+                         meta={"construction": "sweedler_algebra"})
 
 
 # -- crossed products ----------------------------------------------------------------
@@ -624,8 +632,7 @@ def _check_crossed_laws(spec: CrossedProductSpec, alpha: dict):
 def _compatible_alpha(spec: CrossedProductSpec) -> dict:
     """The normalized alpha of spec, once its data is decided compatible.
 
-    D is taken valid, as every constructor here returns it; a D built by hand
-    from structure constants should pass validate_algebra first.
+    D is taken valid, as every GradedAlgebra is (see its docstring).
     """
     if any(deg != spec.coeff.group.identity for deg in spec.coeff.degree):
         raise IncompatibleCocycleData("coefficient algebra must be trivially graded")
@@ -798,7 +805,8 @@ def good_matrix_algebra(n: int, sigmas, delta: GradedAlgebra) -> GradedAlgebra:
     delta's component at sigma_i g sigma_j^-1.
 
     The basis vector at matrix position (i,j) tensored with a delta basis
-    vector of degree t has degree sigma_i^-1 t sigma_j.
+    vector of degree t has degree sigma_i^-1 t sigma_j.  This is M_n(delta),
+    and the degrees multiply as delta's do.
     """
     if n < 1:
         raise ValueError("need one group element per matrix row")
@@ -836,10 +844,9 @@ def good_matrix_algebra(n: int, sigmas, delta: GradedAlgebra) -> GradedAlgebra:
             unit[index(i, i, t)] = c
     labels = [f"E{i + 1}{j + 1}" + (f"*{delta.label(t)}" if dd > 1 else "")
               for i in range(n) for j in range(n) for t in range(dd)]
-    a = GradedAlgebra(field, g, degree, sc, unit, labels=labels,
-                      meta={"construction": "good_matrix_algebra", "n": n,
-                            "sigmas": sigmas, "delta_dim": dd})
-    return _require_valid(a)
+    return GradedAlgebra(field, g, degree, sc, unit, labels=labels,
+                         meta={"construction": "good_matrix_algebra", "n": n,
+                               "sigmas": sigmas, "delta_dim": dd})
 
 
 def matrix_algebra(field: Field, n: int) -> GradedAlgebra:
@@ -857,7 +864,8 @@ def trivial_extension(a: GradedAlgebra) -> GradedAlgebra:
     actions are (x f)(y) = f(yx) and (f x)(y) = f(xy), so e_m f_j has
     coefficient c_lm^j at f_l and f_j e_l has coefficient c_lm^j at f_m; one
     pass over the structure constants fills both.  The dual of a degree-g basis
-    vector gets degree g^-1, matching the grading of the dual space.
+    vector gets degree g^-1, matching the grading of the dual space.  A* is a
+    graded A-bimodule, so A + A* is valid when A is.
     """
     d = a.dim
     field = a.field
@@ -871,12 +879,12 @@ def trivial_extension(a: GradedAlgebra) -> GradedAlgebra:
     labels = None
     if a.labels is not None:
         labels = list(a.labels) + [f"f({lbl})" for lbl in a.labels]
-    out = GradedAlgebra(field, a.group, degree, sc, unit, labels=labels,
-                        meta={"construction": "trivial_extension"})
-    return _require_valid(out)
+    return GradedAlgebra(field, a.group, degree, sc, unit, labels=labels,
+                         meta={"construction": "trivial_extension"})
 
 
 def direct_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
+    """A x B, valid when A and B are: the blocks do not multiply each other."""
     if a.field != b.field:
         raise FieldMismatch("direct product needs a common base field")
     if a.group != b.group:
@@ -887,13 +895,13 @@ def direct_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
         sc[(da + i, da + j)] = tuple((da + k, c) for k, c in terms)
     degree = list(a.degree) + list(b.degree)
     unit = list(a.unit) + list(b.unit)
-    out = GradedAlgebra(a.field, a.group, degree, sc, unit,
-                        meta={"construction": "direct_product"})
-    return _require_valid(out)
+    return GradedAlgebra(a.field, a.group, degree, sc, unit,
+                         meta={"construction": "direct_product"})
 
 
 def tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
-    """Componentwise product on basis pairs; needs an abelian grading group."""
+    """Componentwise product on basis pairs; needs an abelian grading group,
+    over which the tensor product of valid algebras is valid."""
     if a.field != b.field:
         raise FieldMismatch("tensor product needs a common base field")
     if a.group != b.group:
@@ -917,13 +925,13 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
                 sc[(i1 * db + j1, i2 * db + j2)] = tuple(sorted(out.items()))
     degree = [a.group.mul(ga, gb) for ga in a.degree for gb in b.degree]
     unit = [ca * cb for ca in a.unit for cb in b.unit]
-    out = GradedAlgebra(a.field, a.group, degree, sc, unit,
-                        meta={"construction": "tensor_product"})
-    return _require_valid(out)
+    return GradedAlgebra(a.field, a.group, degree, sc, unit,
+                         meta={"construction": "tensor_product"})
 
 
 def scalar_extension(a: GradedAlgebra, m: int) -> GradedAlgebra:
-    """The same structure constants reinterpreted over the degree-m extension."""
+    """The same structure constants reinterpreted over the degree-m extension,
+    where the laws of A, polynomial identities in them, still hold."""
     if a.field.char == 0:
         raise RationalsNotSupported("scalar extension needs a finite base field")
     if m == 1:
@@ -934,26 +942,25 @@ def scalar_extension(a: GradedAlgebra, m: int) -> GradedAlgebra:
     sc = {ij: tuple((k, embed_scalar(c, target)) for k, c in terms)
           for ij, terms in a.sc.items()}
     unit = [embed_scalar(c, target) for c in a.unit]
-    out = GradedAlgebra(target, a.group, a.degree, sc, unit, labels=a.labels,
-                        meta=dict(a.meta))
-    return _require_valid(out)
+    return GradedAlgebra(target, a.group, a.degree, sc, unit, labels=a.labels,
+                         meta=dict(a.meta))
 
 
 def ungrade(a: GradedAlgebra) -> GradedAlgebra:
-    """Forget the grading: the same algebra over the trivial group."""
+    """Forget the grading: the same algebra over the trivial group, valid as A is."""
     if a.group.order == 1:
         return a
     g = trivial_group()
-    out = GradedAlgebra(a.field, g, [0] * a.dim, a.sc, a.unit, labels=a.labels,
-                        meta=dict(a.meta))
-    return _require_valid(out)
+    return GradedAlgebra(a.field, g, [0] * a.dim, a.sc, a.unit, labels=a.labels,
+                         meta=dict(a.meta))
 
 
 def subspace_algebra(a: GradedAlgebra, s: Subspace) -> GradedAlgebra:
     """The unital subalgebra on a multiplicatively closed subspace.
 
     Degrees are inherited when every basis row of s is homogeneous; otherwise
-    the result is trivially graded.
+    the result is trivially graded.  Rows of a closed subspace holding the
+    unit that are all homogeneous span a graded subalgebra.
     """
     if s.ambient_dim != a.dim or s.field != a.field:
         raise AmbientMismatch("subspace does not live in the algebra's coordinate space")
@@ -990,9 +997,8 @@ def subspace_algebra(a: GradedAlgebra, s: Subspace) -> GradedAlgebra:
         terms = tuple((k, c) for k, c in enumerate(coords) if not c.is_zero)
         if terms:
             sc[(i, j)] = terms
-    out = GradedAlgebra(a.field, group, degrees, sc, unit,
-                        meta={"construction": "subspace_algebra"})
-    return _require_valid(out)
+    return GradedAlgebra(a.field, group, degrees, sc, unit,
+                         meta={"construction": "subspace_algebra"})
 
 
 def homogeneous_component(a: GradedAlgebra, g: int) -> Subspace:

@@ -328,7 +328,11 @@ def rationals() -> Field:
 # -- Scalar ----------------------------------------------------------------------
 
 class Scalar:
-    """A field element in canonical form; immutable and hashable."""
+    """A field element in canonical form; immutable and hashable.
+
+    Arithmetic and equality combine a Scalar only with Scalars of its field;
+    ints enter through Field.scalar and Field.from_int.
+    """
 
     __slots__ = ("field", "val")
 
@@ -342,8 +346,6 @@ class Scalar:
             if other.field is f or other.field == f:
                 return other
             raise FieldMismatch(f"mixing scalars of {self.field} and {other.field}")
-        if isinstance(other, int):
-            return self.field.from_int(other)
         return None
 
     @property
@@ -363,19 +365,11 @@ class Scalar:
             return Scalar(f, (self.val + o.val) % f.char)
         return Scalar(f, tuple((a + b) % f.char for a, b in zip(self.val, o.val)))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         f = self.field
@@ -397,8 +391,6 @@ class Scalar:
         prod = _pmod(_pmul(self.val, o.val, f.char), f.modulus, f.char)
         return Scalar(f, prod + (0,) * (f.degree - len(prod)))
 
-    __rmul__ = __mul__
-
     def inverse(self) -> "Scalar":
         f = self.field
         if self.is_zero:
@@ -416,12 +408,6 @@ class Scalar:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
@@ -435,8 +421,6 @@ class Scalar:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
         return (isinstance(other, Scalar)
                 and self.field == other.field
                 and self.val == other.val)

@@ -364,10 +364,13 @@ def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field,
 
     The polynomial may live over field or over a subfield; coefficients are
     embedded first.  A FactoredPoly is searched through its factors and never
-    multiplied out; it yields the same result as its expand().  With |field| > total degree the grid bound guarantees the
-    walk succeeds; smaller fields are enumerated exhaustively and, failing
-    that, degree-2 and degree-3 extensions are probed so the refutation can
-    name the least extension holding a witness.
+    multiplied out; it yields the same result as its expand().  Each field is
+    walked on the grid of its first deg + 1 values per variable, all of it
+    when |field| <= deg.  With |field| > deg the grid bound guarantees the
+    walk succeeds; failing that, degree-2 and degree-3 extensions are probed
+    so the refutation can name the least extension holding a witness.  A whole
+    field of more than SEARCH_BUDGET points is not walked: over field that
+    raises SearchSpaceTooLarge, and such an extension is skipped.
     """
     if poly.field != field:
         poly = poly.change_field(field)
@@ -375,32 +378,20 @@ def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field,
         return PointResult("identically_zero")
     m = poly.num_vars
     deg = poly.total_degree()
-    if deg == 0:
-        point = tuple([field.zero()] * m)
-        if poly.evaluate(point).is_zero:
-            raise AssertionError("a nonzero constant evaluated to zero")
-        return PointResult("found", point=point)
     size = field.size()
-    if size is None or size > deg:
-        point = _search_grid(poly, _grid_values(field, deg + 1))
-        if point is None:
-            raise AssertionError("grid bound violated; polynomial arithmetic "
-                                 "or factor evaluation is broken")
-        return PointResult("found", point=point)
-    if size ** m > SEARCH_BUDGET:
+    if size is not None and size <= deg and size ** m > SEARCH_BUDGET:
         raise SearchSpaceTooLarge(f"{size}^{m} points exceed the exhaustive budget")
-    point = _search_grid(poly, list(field.elements()))
+    point = _search_grid(poly, _grid_values(field, deg + 1))
     if point is not None:
         return PointResult("found", point=point)
+    if size is None or size > deg:
+        raise AssertionError("grid bound violated; polynomial arithmetic "
+                             "or factor evaluation is broken")
     for r in range(2, max_extension + 1):
         big = extend_field(field, r)
-        big_poly = poly.change_field(big)
-        if big.size() > big_poly.total_degree():
-            ext_point = _search_grid(big_poly, _grid_values(big, deg + 1))
-        elif big.size() ** m <= SEARCH_BUDGET:
-            ext_point = _search_grid(big_poly, list(big.elements()))
-        else:
-            ext_point = None
+        if big.size() <= deg and big.size() ** m > SEARCH_BUDGET:
+            continue
+        ext_point = _search_grid(poly.change_field(big), _grid_values(big, deg + 1))
         if ext_point is not None:
             return PointResult("no_point_over_field", extension_degree=r,
                                extension_point=ext_point)

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 from . import algebras
 from .algebras import GradedAlgebra
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .fields import Field, make_field, scalar_from_json
 from .groups import GroupTable, group_from_kind, group_from_table
 from .symmetry import LinearFunctional, SymmetryVerdict
@@ -114,6 +114,8 @@ def algebra_to_dict(a: GradedAlgebra) -> dict:
 
 
 def _raw_algebra_from_dict(d: dict) -> GradedAlgebra:
+    """Decode and validate a raw block, where structure constants enter from
+    outside; constructor blocks build valid algebras and are not scanned."""
     with _decoding("spec"):
         field = field_from_dict(d["field"])
         group = group_from_dict(d["group"])
@@ -130,7 +132,10 @@ def _raw_algebra_from_dict(d: dict) -> GradedAlgebra:
         if len(degrees) != dim:
             raise ParseError("degree list length does not match dim")
         a = GradedAlgebra(field, group, degrees, sc, unit, labels=block.get("labels"))
-    return algebras._require_valid(a)
+    report = algebras.validate_algebra(a)
+    if not report.ok:
+        raise ValidationError(report)
+    return a
 
 
 def _build_constructor(d: dict) -> GradedAlgebra:

@@ -14,7 +14,7 @@ from grasym import (
     structured_det,
     sweedler_algebra,
 )
-from grasym.errors import DimensionTooLarge
+from grasym.errors import DimensionTooLarge, SearchSpaceTooLarge
 from grasym.multipoly import FactoredPoly
 
 
@@ -217,6 +217,37 @@ def test_extension_search_from_extension_field(f4):
     assert res.status == "no_point_over_field"
     assert res.extension_degree == 2
     assert res.extension_point is not None
+
+
+def test_nonvanishing_point_of_a_nonzero_constant(f2, q):
+    for field in (f2, q):
+        res = nonvanishing_point(const(field, 2, 1), field)
+        assert res.found and res.point == (field.zero(), field.zero())
+
+
+def test_extension_walk_covers_a_field_no_larger_than_the_degree(f2):
+    # t^4 + t^3 vanishes on F_2; F_4 has 4 = degree elements, all walked,
+    # and the generator x is the first witness
+    t = var(f2, 1, 0)
+    res = nonvanishing_point(t * t * t * t + t * t * t, f2)
+    assert res.status == "no_point_over_field" and res.extension_degree == 2
+    assert tuple(c.coefficients() for c in res.extension_point) == ((0, 1),)
+
+
+def test_exhaustive_walk_over_budget_raises(f2):
+    m = 24
+    with pytest.raises(SearchSpaceTooLarge, match=r"2\^24 points exceed the exhaustive budget"):
+        nonvanishing_point(var(f2, m, 0) * var(f2, m, 1), f2)
+
+
+def test_extension_over_budget_is_skipped(f2):
+    # t_12^4 + t_12^3 vanishes on F_2^12; F_4^12 has more points than the
+    # budget, so F_4 is skipped and the grid over F_8 gives the witness
+    t = var(f2, 12, 11)
+    res = nonvanishing_point(t * t * t * t + t * t * t, f2)
+    assert res.status == "no_point_over_field" and res.extension_degree == 3
+    assert tuple(c.coefficients() for c in res.extension_point) == (
+        ((0, 0, 0),) * 11 + ((0, 1, 0),))
 
 
 # -- the factored determinant against its expanded product ------------------------

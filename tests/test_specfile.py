@@ -1,10 +1,14 @@
 import json
+import random
 
 import pytest
 
 from grasym import (
+    center,
+    crossed_product,
     cyclic_algebra,
     cyclic_group,
+    direct_product,
     field_as_algebra,
     good_matrix_algebra,
     group_algebra,
@@ -13,11 +17,17 @@ from grasym import (
     matrix_algebra,
     quaternion_algebra,
     rationals,
+    scalar_extension,
+    subspace_algebra,
     sweedler_algebra,
     tensor_product,
     trivial_extension,
     ungrade,
+    validate_algebra,
 )
+from grasym.algebras import frobenius_crossed_spec
+from grasym.invariants import _identity_component_algebra
+from grasym.replicate import random_graded_basis_change
 from grasym.errors import ParseError, ValidationError
 from grasym.specfile import (
     algebra_from_dict,
@@ -32,7 +42,10 @@ from grasym.specfile import (
 def all_constructor_outputs():
     q = rationals()
     f2, f3 = make_field(2), make_field(3)
+    f4 = make_field(2, [1, 1, 1])
     c2 = cyclic_group(2)
+    te = trivial_extension(sweedler_algebra(f3))
+    graded_m2 = good_matrix_algebra(2, [0, 1], field_as_algebra(f3, f3, c2))
     return [
         group_algebra(f2, c2),
         group_algebra(q, klein_group()),
@@ -44,13 +57,21 @@ def all_constructor_outputs():
         trivial_extension(sweedler_algebra(q)),
         tensor_product(group_algebra(f3, c2), group_algebra(f3, c2)),
         ungrade(cyclic_algebra(2)),
-        field_as_algebra(make_field(2, [1, 1, 1]), f2),
+        field_as_algebra(f4, f2),
+        direct_product(group_algebra(f3, c2), graded_m2),
+        scalar_extension(group_algebra(f2, cyclic_group(3)), 2),
+        subspace_algebra(te, center(te)),
+        random_graded_basis_change(graded_m2, random.Random(7)),
+        crossed_product(frobenius_crossed_spec(f4, c2, [0], [0, 1])),
+        _identity_component_algebra(cyclic_algebra(3)),
     ]
 
 
-@pytest.mark.parametrize("idx", range(11))
+@pytest.mark.parametrize("idx", range(17))
 def test_round_trip_bit_exact(idx):
+    # constructors return valid algebras without a scan; the scan is the oracle
     a = all_constructor_outputs()[idx]
+    assert validate_algebra(a).ok
     d = algebra_to_dict(a)
     b = algebra_from_dict(json.loads(canonical_json(d)))
     assert b == a
@@ -96,6 +117,68 @@ def test_constructor_block_nested():
         },
     })
     assert a.dim == 8
+
+
+def _group_algebra_block(char, n):
+    return {"field": {"char": char}, "group": {"kind": "cyclic", "n": n},
+            "constructor": {"name": "group_algebra"}}
+
+
+def _constructor_block_cases():
+    """Each documented constructor name: its spec and the library call it means."""
+    q, f2, f3 = rationals(), make_field(2), make_field(3)
+    c2 = cyclic_group(2)
+    sweedler = {"field": {"char": 3}, "constructor": {"name": "sweedler_algebra"}}
+    graded_m2 = {"field": {"char": 3}, "group": {"kind": "cyclic", "n": 2},
+                 "constructor": {"name": "good_matrix_algebra", "n": 2, "sigmas": [0, 1]}}
+    m2 = good_matrix_algebra(2, [0, 1], field_as_algebra(f3, f3, c2))
+    raw_f3_c2 = algebra_to_dict(group_algebra(f3, c2))
+    return {
+        "group_algebra": (_group_algebra_block(3, 2), group_algebra(f3, c2)),
+        "cyclic_algebra": ({"constructor": {"name": "cyclic_algebra", "p": 3}},
+                           cyclic_algebra(3)),
+        "quaternion_algebra": (
+            {"field": {"char": 0},
+             "constructor": {"name": "quaternion_algebra", "a": "-1", "b": "-3/2"}},
+            quaternion_algebra(q, -1, q.scalar("-3/2"))),
+        "sweedler_algebra": (sweedler, sweedler_algebra(f3)),
+        "matrix_algebra": ({"field": {"char": 2},
+                            "constructor": {"name": "matrix_algebra", "n": 2}},
+                           matrix_algebra(f2, 2)),
+        "good_matrix_algebra": (graded_m2, m2),
+        "trivial_extension": ({"constructor": {"name": "trivial_extension", "base": sweedler}},
+                              trivial_extension(sweedler_algebra(f3))),
+        "ungrade": ({"constructor": {"name": "ungrade", "base": _group_algebra_block(2, 3)}},
+                    ungrade(group_algebra(f2, cyclic_group(3)))),
+        "scalar_extension": (
+            {"constructor": {"name": "scalar_extension", "m": 2,
+                             "base": _group_algebra_block(2, 3)}},
+            scalar_extension(group_algebra(f2, cyclic_group(3)), 2)),
+        "direct_product": (
+            {"constructor": {"name": "direct_product",
+                             "factors": [_group_algebra_block(3, 2), graded_m2, raw_f3_c2]}},
+            direct_product(direct_product(group_algebra(f3, c2), m2), group_algebra(f3, c2))),
+        "tensor_product": (
+            {"constructor": {"name": "tensor_product",
+                             "factors": [_group_algebra_block(3, 2), graded_m2, raw_f3_c2]}},
+            tensor_product(tensor_product(group_algebra(f3, c2), m2), group_algebra(f3, c2))),
+        "frobenius_crossed_product": (
+            {"group": {"kind": "cyclic", "n": 2},
+             "constructor": {"name": "frobenius_crossed_product", "char": 2,
+                             "ext_modulus": [1, 1, 1], "sigma_powers": [0],
+                             "alpha_unit": [0, 1]}},
+            crossed_product(frobenius_crossed_spec(make_field(2, [1, 1, 1]), c2,
+                                                   [0], [0, 1]))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_constructor_block_cases()))
+def test_constructor_block_builds_the_library_algebra(name):
+    spec, expected = _constructor_block_cases()[name]
+    assert spec["constructor"]["name"] == name
+    a = algebra_from_dict(json.loads(canonical_json(spec)))
+    assert a == expected
+    assert algebra_hash(a) == algebra_hash(expected)
 
 
 def test_raw_block_round_trip():
