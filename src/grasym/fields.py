@@ -10,11 +10,20 @@ equality is representation equality, so scalars key dicts and sets directly.
 
 Polynomials over F_p appear internally as trimmed int tuples, constant
 coefficient first, with () for zero.  No floating point is used anywhere.
+
+Exact elimination runs on these raw values rather than on Scalars: `raw_ops`
+gives the row operations of one field kind (unwrap, wrap, the zero test,
+inverse, scale a row, subtract a scaled row, and evaluate linear forms at a
+point, which forms a matrix pencil at that point), so a row reduction unwraps
+its matrix once and creates no Scalar per arithmetic step.  This module is
+the only one that reads a Scalar's raw value, apart from two rationals-only
+reads in `invariants`.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -325,6 +334,42 @@ def rationals() -> Field:
     return make_field(0)
 
 
+# -- F_{p^n} arithmetic on padded coefficient tuples ------------------------------
+
+def _ext_mul_acc(acc: list, a, b) -> None:
+    """acc += a * b, for coefficient sequences and an int list acc, all unreduced."""
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                acc[i + j] += ai * bj
+
+
+def _ext_reduce(acc: list, f: Field) -> tuple:
+    """The padded coefficient tuple of acc (2n - 1 int coefficients) in F_{p^n}.
+
+    The modulus is monic, so c x^k = c x^(k-n) x^n and x^n = -sum_t mod_t x^t
+    clear the coefficients from the top down.
+    """
+    p, n, mod = f.char, f.degree, f.modulus
+    for k in range(len(acc) - 1, n - 1, -1):
+        c = acc[k] % p
+        if c:
+            for t in range(n):
+                acc[k - n + t] -= c * mod[t]
+    return tuple(c % p for c in acc[:n])
+
+
+def _ext_mul(a, b, f: Field) -> tuple:
+    acc = [0] * (2 * f.degree - 1)
+    _ext_mul_acc(acc, a, b)
+    return _ext_reduce(acc, f)
+
+
+def _ext_inv(a, f: Field) -> tuple:
+    inv = _pinvmod(a, f.modulus, f.char)
+    return inv + (0,) * (f.degree - len(inv))
+
+
 # -- Scalar ----------------------------------------------------------------------
 
 class Scalar:
@@ -388,8 +433,7 @@ class Scalar:
             return Scalar(f, self.val * o.val)
         if f.degree == 1:
             return Scalar(f, (self.val * o.val) % f.char)
-        prod = _pmod(_pmul(self.val, o.val, f.char), f.modulus, f.char)
-        return Scalar(f, prod + (0,) * (f.degree - len(prod)))
+        return Scalar(f, _ext_mul(self.val, o.val, f))
 
     def inverse(self) -> "Scalar":
         f = self.field
@@ -399,8 +443,7 @@ class Scalar:
             return Scalar(f, 1 / self.val)
         if f.degree == 1:
             return Scalar(f, pow(self.val, f.char - 2, f.char))
-        inv = _pinvmod(self.val, f.modulus, f.char)
-        return Scalar(f, inv + (0,) * (f.degree - len(inv)))
+        return Scalar(f, _ext_inv(self.val, f))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -452,6 +495,125 @@ class Scalar:
         if self.field.degree == 1:
             return self.val
         return list(self.val)
+
+
+# -- raw row operations ------------------------------------------------------------
+
+class RawOps:
+    """Row operations on the raw values of one field, for exact elimination.
+
+    A raw value is what a Scalar of the field holds: an int in [0, p) over
+    F_p, a Fraction over Q, a padded coefficient tuple over F_{p^n}.  Raw
+    values are canonical, so v is zero iff v == self.zero.  A row is a list
+    of raw values.  Each field kind implements
+
+    - inverse(v): 1/v for nonzero v;
+    - scale(row, c): the new row c * row;
+    - sub_scaled(row, c, other): the new row row - c * other;
+    - forms_at(forms, x): [f . x for f in forms], the values at the point x
+      of a row of linear forms given by their coefficient vectors.
+    """
+
+    __slots__ = ("field", "zero")
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.zero = field.zero().val
+
+    def unwrap(self, scalars) -> list:
+        f = self.field
+        for x in scalars:
+            if x.field is not f and x.field != f:
+                raise FieldMismatch(f"scalar from {x.field} used in {f}")
+        return [x.val for x in scalars]
+
+    def wrap(self, row) -> tuple:
+        f = self.field
+        return tuple(Scalar(f, v) for v in row)
+
+
+class _PrimeOps(RawOps):
+    __slots__ = ("p",)
+
+    def __init__(self, field: Field):
+        super().__init__(field)
+        self.p = field.char
+
+    def inverse(self, v):
+        return pow(v, self.p - 2, self.p)
+
+    def scale(self, row, c) -> list:
+        p = self.p
+        return [x * c % p for x in row]
+
+    def sub_scaled(self, row, c, other) -> list:
+        p = self.p
+        return [(a - c * b) % p for a, b in zip(row, other)]
+
+    def forms_at(self, forms, x) -> list:
+        p, mul = self.p, operator.mul
+        return [sum(map(mul, f, x)) % p for f in forms]
+
+
+class _RationalOps(RawOps):
+    __slots__ = ()
+
+    def inverse(self, v):
+        return 1 / v
+
+    def scale(self, row, c) -> list:
+        return [x * c if x else x for x in row]
+
+    def sub_scaled(self, row, c, other) -> list:
+        return [a - c * b if b else a for a, b in zip(row, other)]
+
+    def forms_at(self, forms, x) -> list:
+        zero = self.zero
+        return [sum((a * b for a, b in zip(f, x) if a and b), zero) for f in forms]
+
+
+class _ExtensionOps(RawOps):
+    __slots__ = ()
+
+    def inverse(self, v):
+        return _ext_inv(v, self.field)
+
+    def scale(self, row, c) -> list:
+        f, zero = self.field, self.zero
+        return [x if x == zero else _ext_mul(x, c, f) for x in row]
+
+    def sub_scaled(self, row, c, other) -> list:
+        f, zero, pad = self.field, self.zero, [0] * (self.field.degree - 1)
+        minus_c = [-u for u in c]
+        out = []
+        for a, b in zip(row, other):
+            if b != zero:
+                acc = list(a) + pad
+                _ext_mul_acc(acc, minus_c, b)
+                a = _ext_reduce(acc, f)
+            out.append(a)
+        return out
+
+    def forms_at(self, forms, x) -> list:
+        """Each sum_i f_i x_i is summed unreduced and reduced once."""
+        fld, zero, size = self.field, self.zero, 2 * self.field.degree - 1
+        out = []
+        for f in forms:
+            acc = [0] * size
+            for a, b in zip(f, x):
+                if a != zero and b != zero:
+                    _ext_mul_acc(acc, a, b)
+            out.append(_ext_reduce(acc, fld))
+        return out
+
+
+def raw_ops(field: Field) -> RawOps:
+    """The raw row operations of field's kind."""
+    if field.char == 0:
+        return _RationalOps(field)
+    if field.degree == 1:
+        return _PrimeOps(field)
+    return _ExtensionOps(field)
 
 
 def scalar_from_json(field: Field, value) -> Scalar:

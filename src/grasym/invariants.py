@@ -8,12 +8,18 @@ invertible (a = (a u^-1) u with a u^-1 invertible in the identity component).
 So once the identity component is division, each other component is decided
 by inverting any one of its nonzero elements.
 
-Over finite fields the identity component is scanned exhaustively.  Over the
-rationals only two certificates are accepted: quaternion parameters making
-the norm form positive definite, and commutative identity components of
-dimension <= 3 with an element whose minimal polynomial has full degree and
-no rational root (degree <= 3, so that means irreducible).  Anything else is
-reported Unknown rather than guessed.
+Over finite fields the identity component is scanned exhaustively: every
+nonzero element is tested, in `Field.vectors` order, and the first singular
+one is the No witness.  The scan unwraps the pencil L_x = sum_i x_i L_{e_i}
+of left multiplications once and tests each element by eliminating its L_x
+on raw field values (`linalg.eliminate_raw`), so it builds no Element, Matrix
+or Scalar per element.
+
+Over the rationals only two certificates are accepted: quaternion parameters
+making the norm form positive definite, and commutative identity components
+of dimension <= 3 with an element whose minimal polynomial has full degree
+and no rational root (degree <= 3, so that means irreducible).  Anything else
+is reported Unknown rather than guessed.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from math import gcd
 
 from .algebras import Element, GradedAlgebra, homogeneous_component, subspace_algebra
 from .errors import AmbientMismatch
-from .fields import Scalar
-from .linalg import Matrix, Subspace
+from .fields import Scalar, raw_ops
+from .linalg import Matrix, Subspace, eliminate_raw
 from .multipoly import GramPencil, MultiPoly, nonvanishing_point, structured_det
 
 SCAN_BOUND = 10 ** 6
@@ -157,13 +163,28 @@ def _identity_component_algebra(a: GradedAlgebra) -> GradedAlgebra:
 
 
 def _scan_division(e_alg: GradedAlgebra):
-    """Exhaustively test invertibility of every nonzero element of a finite algebra."""
+    """Exhaustively test invertibility of every nonzero element of a finite algebra.
+
+    x is invertible iff L_x is nonsingular (see Element.inverse), and
+    L_x = sum_i x_i L_{e_i} is linear in x.  So the n matrices L_{e_i} are
+    unwrapped once, as an n x n grid of coefficient vectors, and each nonzero
+    x, in Field.vectors order, is tested by eliminating its raw L_x until the
+    first column with no pivot.  Returns (all invertible, first singular
+    element or None, number of elements tested).
+    """
+    field, n = e_alg.field, e_alg.dim
+    ops = raw_ops(field)
+    pencil = [e_alg.left_mult_matrix(e_alg.basis_element(i)).entries for i in range(n)]
+    # forms[r][c][i] is entry (r, c) of L_{e_i}, so entry (r, c) of L_x is forms[r][c] . x
+    forms = [[ops.unwrap([lm[r][c] for lm in pencil]) for c in range(n)] for r in range(n)]
+    forms_at = ops.forms_at
     count = 0
-    for coords in itertools.islice(e_alg.field.vectors(e_alg.dim), 1, None):
-        el = Element(e_alg, coords)
+    for coords in itertools.islice(field.vectors(n), 1, None):
         count += 1
-        if el.inverse() is None:
-            return False, el, count
+        x = ops.unwrap(coords)
+        lx = [forms_at(row, x) for row in forms]
+        if eliminate_raw(ops, lx, n, stop_at_gap=True) is None:
+            return False, Element(e_alg, coords), count
     return True, None, count
 
 

@@ -3,12 +3,51 @@
 Matrices are dense grids of Scalars.  Subspaces are always stored as a
 reduced-row-echelon basis with no zero rows, so subspace equality is plain
 representation equality.
+
+Row reduction runs on raw field values (`fields.raw_ops`): `Matrix.rref`
+unwraps its entries once, reduces the raw rows with `eliminate_raw`, and
+wraps the result once.  `kernel`, `solve`, `rank`, `inverse` and `Subspace`
+all reduce through `rref`.  The reduced row echelon form is unique, so it is
+the same matrix a reduction on Scalars gives.
 """
 
 from __future__ import annotations
 
 from .errors import AmbientMismatch
-from .fields import Field, embed_scalar
+from .fields import Field, embed_scalar, raw_ops
+
+
+def eliminate_raw(ops, m, ncols: int, stop_at_gap: bool = False):
+    """Gauss-Jordan elimination of the raw rows m, in place, to reduced row echelon form.
+
+    Returns the pivot columns.  The pivot of each column is its first nonzero
+    entry at or below the current row.  stop_at_gap makes it a nonsingularity
+    test: it returns None at the first column with no pivot, which for a
+    square m happens exactly when m is singular, and it clears only the rows
+    below each pivot, since no later pivot search looks above.
+    """
+    zero = ops.zero
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if m[i][c] != zero:
+                break
+        else:
+            if stop_at_gap:
+                return None
+            continue
+        m[r], m[i] = m[i], m[r]
+        prow = m[r] = ops.scale(m[r], ops.inverse(m[r][c]))
+        for i in range(r + 1 if stop_at_gap else 0, nrows):
+            if i != r and m[i][c] != zero:
+                m[i] = ops.sub_scaled(m[i], m[i][c], prow)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
 
 
 class Matrix:
@@ -73,29 +112,10 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form: (matrix, rank, pivot column tuple)."""
-        m = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if not m[i][c].is_zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not m[i][c].is_zero:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(self.field, m), r, tuple(pivots)
+        ops = raw_ops(self.field)
+        m = [ops.unwrap(row) for row in self.entries]
+        pivots = eliminate_raw(ops, m, self.cols)
+        return Matrix(self.field, [ops.wrap(row) for row in m]), len(pivots), tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[1]

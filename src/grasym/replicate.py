@@ -34,7 +34,7 @@ from .algebras import (
     trivial_extension,
     ungrade,
 )
-from .errors import IncompatibleCocycleData, NotDivision, ParseError
+from .errors import IncompatibleCocycleData, NotDivision, ParseError, RationalsNotSupported
 from .fields import canonical_extension_field, make_field, rationals
 from .groups import cyclic_group, group_from_kind, klein_group
 from .invariants import (
@@ -109,7 +109,12 @@ def replicate_center_symmetry(a: GradedAlgebra):
 
 def random_graded_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAlgebra:
     """Conjugate by a random block-diagonal invertible matrix (grading kept);
-    a basis change is an isomorphism, so the result is valid when a is."""
+    a basis change is an isomorphism, so the result is valid when a is.
+
+    Entries are drawn by element index, so the field must be finite.
+    """
+    if not a.field.is_finite:
+        raise RationalsNotSupported("random basis changes draw from a finite field")
     q = a.field.size()
     blocks = {}
     for g in set(a.degree):

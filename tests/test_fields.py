@@ -13,7 +13,7 @@ from grasym.errors import (
     RationalsNotSupported,
     ReducibleModulus,
 )
-from grasym.fields import _is_prime
+from grasym.fields import _is_prime, _pmod, _pmul
 
 
 def test_prime_field_construction(f2):
@@ -244,3 +244,15 @@ def test_coefficients(f5, f9, f27, q):
     assert (f27.generator() ** 3).coefficients() == (1, 1, 0)  # x^3 = x + 1
     with pytest.raises(RationalsNotSupported):
         q.one().coefficients()
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_extension_product_matches_polynomial_division(p, n):
+    # the top-down reduction of an F_{p^n} product against the remainder of
+    # the polynomial product by the modulus, on every pair of elements
+    f = canonical_extension_field(p, n)
+    elements = list(f.elements())
+    for x in elements:
+        for y in elements:
+            rem = _pmod(_pmul(x.coefficients(), y.coefficients(), p), f.modulus, p)
+            assert (x * y).coefficients() == rem + (0,) * (n - len(rem))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from grasym import (
     GradedAlgebra,
     Subspace,
+    canonical_extension_field,
     center,
     centralizer,
     commutator_subspace,
@@ -243,6 +245,56 @@ def test_division_component_witnesses_match_the_pencil_search():
             assert not component_has_invertible(a, v.certificate["component_without_invertible"])[0]
             compared += 1
     assert compared == 43
+
+
+def scalar_scan_division(e_alg):
+    """The scan that _scan_division replaced, one Element.inverse per element: the oracle."""
+    count = 0
+    for coords in itertools.islice(e_alg.field.vectors(e_alg.dim), 1, None):
+        el = e_alg.element(coords)
+        count += 1
+        if el.inverse() is None:
+            return False, el, count
+    return True, None, count
+
+
+def _te_field(p, n):
+    return trivial_extension(field_as_algebra(canonical_extension_field(p, n), make_field(p)))
+
+
+def _scan_oracle_corpus():
+    from grasym.errors import IncompatibleCocycleData
+    from grasym.replicate import (HuntParams, dim4_f2_corpus, hunt_candidates,
+                                  hunt_char2_params, random_graded_basis_change)
+    from grasym.specfile import algebra_from_dict
+
+    for name, a in dim4_f2_corpus():
+        yield name, a
+    for params in (hunt_char2_params(), HuntParams(3, (1, 3), (("cyclic", 3),))):
+        for index, spec in hunt_candidates(params):
+            try:
+                yield f"hunt-{params.characteristic}-{index}", algebra_from_dict(spec)
+            except IncompatibleCocycleData:
+                continue
+    yield "cyc3(x)F9", scalar_extension(cyclic_algebra(3), 2)
+    yield "TE(F2^4)", _te_field(2, 4)
+    yield "TE(F3^3)", _te_field(3, 3)
+    yield "cyc3-basis-change", random_graded_basis_change(cyclic_algebra(3), random.Random(7))
+    yield "TE(F2^3)-basis-change", random_graded_basis_change(_te_field(2, 3), random.Random(11))
+
+
+def test_division_scan_matches_the_element_inverse_scan():
+    from grasym.invariants import _identity_component_algebra, _scan_division
+    verdicts = {True: 0, False: 0}
+    for name, a in _scan_oracle_corpus():
+        e_alg = _identity_component_algebra(a)
+        ok, witness, count = _scan_division(e_alg)
+        want_ok, want_witness, want_count = scalar_scan_division(e_alg)
+        assert (ok, count) == (want_ok, want_count), name
+        assert witness == want_witness, name
+        verdicts[ok] += 1
+    # 20 corpus algebras, 13 + 4 accepted hunt candidates and 5 more inputs
+    assert verdicts == {True: 29, False: 13}
 
 
 def test_dual_elements_not_invertible(f5):

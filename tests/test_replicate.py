@@ -17,7 +17,7 @@ from grasym import (
     ungrade,
     validate_algebra,
 )
-from grasym.errors import NotDivision, ParseError
+from grasym.errors import NotDivision, ParseError, RationalsNotSupported
 from grasym.replicate import (
     HuntParams,
     dim4_f2_corpus,
@@ -117,6 +117,16 @@ def test_random_basis_change_preserves_structure(f3):
     assert validate_algebra(b).ok
     assert b.degree == a.degree
     assert commutator_subspace(b).dim == commutator_subspace(a).dim
+
+
+def test_random_basis_change_over_the_rationals_is_refused(q):
+    # entries are drawn by element index, which Q does not have; the refusal
+    # comes before the generator is touched
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(RationalsNotSupported):
+        random_graded_basis_change(group_algebra(q, cyclic_group(2)), rng)
+    assert rng.getstate() == state
 
 
 # -- hunt --------------------------------------------------------------------------------
