@@ -31,6 +31,10 @@ class RationalsNotSupported(GrasymError):
     pass
 
 
+class EmptySearch(GrasymError):
+    """A search was asked to enumerate nothing."""
+
+
 # -- groups ------------------------------------------------------------------
 
 class InvalidTable(GrasymError):

@@ -620,7 +620,9 @@ def scalar_from_json(field: Field, value) -> Scalar:
     """Decode the JSON form of a scalar; a malformed value raises ParseError.
 
     A rational must be a JSON integer or an "n" or "n/d" string, the form
-    to_json writes, so a short input never decodes to a huge numerator.
+    to_json writes, so a short input never decodes to a huge numerator.  A
+    finite-field scalar must be a JSON integer or a list of them; neither
+    kind takes a bool or a float.
     """
     try:
         if field.char == 0:
@@ -628,6 +630,8 @@ def scalar_from_json(field: Field, value) -> Scalar:
             if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text)):
                 raise ValueError("not an integer or an 'n/d' string")
             return Scalar(field, Fraction(text))
+        if not all(type(c) is int for c in (value if isinstance(value, list) else [value])):
+            raise ValueError("not an integer or a list of integers")
         return field.scalar(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad {field} scalar {value!r}: {exc}") from exc
@@ -645,6 +649,8 @@ def frobenius(x: Scalar) -> Scalar:
 @lru_cache(maxsize=None)
 def canonical_extension_field(p: int, n: int) -> Field:
     """F_{p^n} with the first monic irreducible modulus in enumeration order."""
+    if p == 0:
+        raise RationalsNotSupported("extension fields F_{p^n} need a prime p")
     if n == 1:
         return make_field(p)
     for k in range(p ** n):

@@ -127,10 +127,9 @@ def component_has_invertible(a: GradedAlgebra, g: int):
             for k, c in a.basis_product(i, j):
                 entries[k][j] = entries[k][j] + MultiPoly.variable(field, m, r, c)
     pencil = GramPencil(field, a.dim, m, tuple(tuple(row) for row in entries))
-    det = structured_det(pencil)
-    if det.is_zero:
+    result = nonvanishing_point(structured_det(pencil), field)
+    if result.status == "identically_zero":
         return False, None, None
-    result = nonvanishing_point(det, field)
     if not result.found:
         return False, None, result
     coords = [field.zero()] * a.dim

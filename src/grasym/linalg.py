@@ -17,14 +17,18 @@ from .errors import AmbientMismatch
 from .fields import Field, embed_scalar, raw_ops
 
 
-def eliminate_raw(ops, m, ncols: int, stop_at_gap: bool = False):
+def eliminate_raw(ops, m, ncols: int, stop_at_gap: bool = False, pivot_log=None):
     """Gauss-Jordan elimination of the raw rows m, in place, to reduced row echelon form.
 
     Returns the pivot columns.  The pivot of each column is its first nonzero
     entry at or below the current row.  stop_at_gap makes it a nonsingularity
     test: it returns None at the first column with no pivot, which for a
     square m happens exactly when m is singular, and it clears only the rows
-    below each pivot, since no later pivot search looks above.
+    below each pivot, since no later pivot search looks above.  A list given
+    as pivot_log receives one (swapped, value) pair per pivot: whether a row
+    swap brought it up, and its raw value before its row is scaled.  The
+    determinant of a nonsingular square m is the product of those values,
+    negated once per swap.
     """
     zero = ops.zero
     nrows = len(m)
@@ -38,6 +42,8 @@ def eliminate_raw(ops, m, ncols: int, stop_at_gap: bool = False):
             if stop_at_gap:
                 return None
             continue
+        if pivot_log is not None:
+            pivot_log.append((i != r, m[i][c]))
         m[r], m[i] = m[i], m[r]
         prow = m[r] = ops.scale(m[r], ops.inverse(m[r][c]))
         for i in range(r + 1 if stop_at_gap else 0, nrows):

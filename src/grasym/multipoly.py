@@ -4,16 +4,21 @@ Polynomials map exponent tuples to nonzero Scalars.  A pencil is a square grid
 of degree-<=1 homogeneous polynomials in unknowns t_1..t_m; its determinant is
 expanded by memoized cofactors along rows, pruning zero entries.  Large pencils
 whose nonzero pattern splits into independent row/column blocks factor into a
-signed product of block determinants, which keeps each cofactor expansion
-within the size cap.  That product stays factored (FactoredPoly): the
-decision path only asks whether it is zero, its degree and its values at
-points, and each of those is read off the blocks.  The blocks are multiplied
-out only on demand, when a caller wants the terms or compares with a MultiPoly.
+signed product of block determinants (FactoredPoly), and each block
+determinant stays unexpanded (BlockDet): its value at a point is an exact
+elimination of the evaluated block, and its cofactor expansion runs only when
+its zero test or its terms are asked for.  A nonzero d x d determinant of a
+linear homogeneous pencil is homogeneous of degree d, so the degree that sets
+the search grid is known without expanding anything.
 
-Witness searches are deterministic: over a field larger than the total degree
-a grid with degree+1 values per variable must contain a nonzero point of a
-nonzero polynomial, and small fields are enumerated exhaustively, falling back
-to extension fields of degree 2 and 3 only to report where a point would live.
+Witness searches are deterministic and walk before they prove: over a field
+larger than the total degree a grid with degree+1 values per variable must
+contain a nonzero point of a nonzero polynomial, so the first WITNESS_WALK
+grid points are tried by evaluation alone, and only when none of them is a
+witness does the zero test run (for a determinant, the cofactor expansion
+that proves a No) before the walk goes on.  Small fields are enumerated
+exhaustively, falling back to extension fields of degree 2 and 3 only to
+report where a point would live.
 """
 
 from __future__ import annotations
@@ -22,10 +27,15 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DimensionTooLarge, SearchSpaceTooLarge
-from .fields import Field, Scalar, embed_scalar, extend_field
+from .fields import Field, Scalar, embed_scalar, extend_field, raw_ops
+from .linalg import eliminate_raw
 
+# bounds the cofactor expansion, which a decision needs only to prove a No
+# (or a Yes whose first witness lies beyond WITNESS_WALK)
 PENCIL_DET_MAX_DIM = 12
 SEARCH_BUDGET = 10 ** 7
+# grid points a search evaluates before it runs the zero test
+WITNESS_WALK = 16
 
 
 class MultiPoly:
@@ -65,6 +75,10 @@ class MultiPoly:
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
+
+    def nonzero_degree(self) -> int:
+        """The total degree if the polynomial is nonzero; no zero test is implied."""
+        return self.total_degree()
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.terms)
@@ -149,7 +163,8 @@ class FactoredPoly:
     F[t_1..t_m] is a domain, so the product is zero iff some factor is, and
     its total degree is the sum of the factors' degrees; a value at a point
     is the product of the factors' values.  None of these multiplies the
-    factors out.  expand() does, once, for the terms and for equality.
+    factors out.  expand() does, once, for the terms and for equality.  The
+    factors are MultiPolys or BlockDets.
     """
 
     __slots__ = ("field", "num_vars", "sign", "factors", "_expanded")
@@ -169,6 +184,10 @@ class FactoredPoly:
         if self.is_zero:
             return 0
         return sum(f.total_degree() for f in self.factors)
+
+    def nonzero_degree(self) -> int:
+        """The total degree if the product is nonzero, read without the zero test."""
+        return sum(f.nonzero_degree() for f in self.factors)
 
     def evaluate(self, point) -> Scalar:
         if len(point) != self.num_vars:
@@ -269,6 +288,84 @@ def pencil_det(pencil: GramPencil) -> MultiPoly:
     return minor(frozenset(range(d)))
 
 
+class BlockDet:
+    """The determinant of one square block of a pencil, expanded only on demand.
+
+    evaluate(point) eliminates the evaluated block on raw field values; a
+    nonsingular block proves the determinant nonzero, and a block that was
+    nonsingular at any point is never expanded.  The zero test otherwise, and
+    the terms, run pencil_det once and keep its result.  A nonzero d x d
+    determinant of a linear homogeneous pencil is homogeneous of degree d.
+    """
+
+    __slots__ = ("pencil", "_ops", "_forms", "_nonzero", "_expanded")
+
+    def __init__(self, pencil: GramPencil):
+        self.pencil = pencil
+        self._ops = raw_ops(pencil.field)
+        zero, m = pencil.field.zero(), pencil.num_vars
+        units = [tuple(int(t == r) for t in range(m)) for r in range(m)]
+        # _forms[r][c][k] is the coefficient of t_k in entry (r, c)
+        self._forms = [[self._ops.unwrap([p.terms.get(u, zero) for u in units])
+                        for p in row] for row in pencil.entries]
+        self._nonzero = False
+        self._expanded = None
+
+    @property
+    def field(self) -> Field:
+        return self.pencil.field
+
+    @property
+    def num_vars(self) -> int:
+        return self.pencil.num_vars
+
+    def evaluate(self, point) -> Scalar:
+        """The product of the elimination pivots of the block at point,
+        negated once per row swap; zero at the first column with no pivot."""
+        if len(point) != self.num_vars:
+            raise ValueError("point has wrong arity")
+        ops = self._ops
+        x = ops.unwrap(point)
+        rows = [ops.forms_at(row, x) for row in self._forms]
+        log: list = []
+        if eliminate_raw(ops, rows, self.pencil.dim, stop_at_gap=True, pivot_log=log) is None:
+            return self.field.zero()
+        self._nonzero = True
+        value = self.field.one()
+        for pivot in ops.wrap(v for _, v in log):
+            value = value * pivot
+        return -value if sum(swapped for swapped, _ in log) % 2 else value
+
+    def expand(self) -> MultiPoly:
+        if self._expanded is None:
+            self._expanded = pencil_det(self.pencil)
+        return self._expanded
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._nonzero and self.expand().is_zero
+
+    @property
+    def terms(self) -> dict:
+        return self.expand().terms
+
+    def total_degree(self) -> int:
+        return 0 if self.is_zero else self.pencil.dim
+
+    def nonzero_degree(self) -> int:
+        return self.pencil.dim
+
+    def change_field(self, target: Field) -> "BlockDet":
+        p = self.pencil
+        out = BlockDet(GramPencil(target, p.dim, p.num_vars, tuple(
+            tuple(e.change_field(target) for e in row) for row in p.entries)))
+        out._nonzero = self._nonzero
+        return out
+
+    def __repr__(self):
+        return repr(self.expand())
+
+
 def _support_components(entries, d: int):
     """Connected components of the nonzero pattern (rows and cols as nodes)."""
     parent = list(range(2 * d))
@@ -300,11 +397,12 @@ def structured_det(pencil: GramPencil) -> FactoredPoly:
     """Exact determinant factored over independent blocks of the support.
 
     Equal to pencil_det (after expand()) but tolerates large dimensions
-    whenever the nonzero pattern decomposes into blocks of size <= the
-    cofactor cap, as Gram matrices of degree-homogeneous functionals always
-    do.  The result is the sign times the block determinants, not their
-    product.  Blocks are expanded in order and the first vanishing one ends
-    the work with a zero factor, before any later block can exceed the cap.
+    whenever the nonzero pattern decomposes into blocks, as Gram matrices of
+    degree-homogeneous functionals always do.  The result is the sign times
+    one BlockDet per block, none of them expanded here: a point search
+    evaluates them, and only a zero test that no evaluation settled runs
+    their cofactor expansions, in block order, stopping at the first
+    vanishing block.  A non-square block makes the determinant zero outright.
     """
     d = pencil.dim
     field, m = pencil.field, pencil.num_vars
@@ -320,12 +418,9 @@ def structured_det(pencil: GramPencil) -> FactoredPoly:
     for rows, cols in components:
         for r, c in zip(rows, cols):
             col_of_row[r] = c
-        sub = GramPencil(field, len(rows), m,
-                         tuple(tuple(pencil.entries[i][j] for j in cols) for i in rows))
-        f = pencil_det(sub)
-        if f.is_zero:
-            return zero
-        factors.append(f)
+        factors.append(BlockDet(GramPencil(
+            field, len(rows), m,
+            tuple(tuple(pencil.entries[i][j] for j in cols) for i in rows))))
     inversions = sum(1 for a in range(d) for b in range(a + 1, d)
                      if col_of_row[a] > col_of_row[b])
     return FactoredPoly(field, m, -1 if inversions % 2 else 1, factors)
@@ -351,8 +446,8 @@ def _grid_values(field: Field, count: int):
     return [field.element_at(k) for k in range(min(count, field.size()))]
 
 
-def _search_grid(poly: MultiPoly | FactoredPoly, values):
-    for point in itertools.product(values, repeat=poly.num_vars):
+def _first_nonzero(poly, points):
+    for point in points:
         if not poly.evaluate(point).is_zero:
             return point
     return None
@@ -366,22 +461,32 @@ def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field,
     embedded first.  A FactoredPoly is searched through its factors and never
     multiplied out; it yields the same result as its expand().  Each field is
     walked on the grid of its first deg + 1 values per variable, all of it
-    when |field| <= deg.  With |field| > deg the grid bound guarantees the
-    walk succeeds; failing that, degree-2 and degree-3 extensions are probed
-    so the refutation can name the least extension holding a witness.  A whole
-    field of more than SEARCH_BUDGET points is not walked: over field that
-    raises SearchSpaceTooLarge, and such an extension is skipped.
+    when |field| <= deg, where deg is the degree poly has if it is nonzero.
+    The first WITNESS_WALK grid points are tried before the zero test, which
+    for a determinant means a Yes within them never expands a block; a zero
+    poly then yields "identically_zero", and otherwise the walk goes on.
+    With |field| > deg the grid bound guarantees the walk succeeds; failing
+    that, degree-2 and degree-3 extensions are probed so the refutation can
+    name the least extension holding a witness.  A whole field of more than
+    SEARCH_BUDGET points is not walked: over field that raises
+    SearchSpaceTooLarge (after the zero test, so a zero poly still yields
+    "identically_zero"), and such an extension is skipped.
     """
     if poly.field != field:
         poly = poly.change_field(field)
-    if poly.is_zero:
-        return PointResult("identically_zero")
     m = poly.num_vars
-    deg = poly.total_degree()
+    deg = poly.nonzero_degree()
     size = field.size()
     if size is not None and size <= deg and size ** m > SEARCH_BUDGET:
+        if poly.is_zero:
+            return PointResult("identically_zero")
         raise SearchSpaceTooLarge(f"{size}^{m} points exceed the exhaustive budget")
-    point = _search_grid(poly, _grid_values(field, deg + 1))
+    points = itertools.product(_grid_values(field, deg + 1), repeat=m)
+    point = _first_nonzero(poly, itertools.islice(points, WITNESS_WALK))
+    if point is None:
+        if poly.is_zero:
+            return PointResult("identically_zero")
+        point = _first_nonzero(poly, points)
     if point is not None:
         return PointResult("found", point=point)
     if size is None or size > deg:
@@ -391,7 +496,8 @@ def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field,
         big = extend_field(field, r)
         if big.size() <= deg and big.size() ** m > SEARCH_BUDGET:
             continue
-        ext_point = _search_grid(poly.change_field(big), _grid_values(big, deg + 1))
+        ext_point = _first_nonzero(poly.change_field(big), itertools.product(
+            _grid_values(big, deg + 1), repeat=m))
         if ext_point is not None:
             return PointResult("no_point_over_field", extension_degree=r,
                                extension_point=ext_point)

@@ -34,7 +34,13 @@ from .algebras import (
     trivial_extension,
     ungrade,
 )
-from .errors import IncompatibleCocycleData, NotDivision, ParseError, RationalsNotSupported
+from .errors import (
+    EmptySearch,
+    IncompatibleCocycleData,
+    NotDivision,
+    ParseError,
+    RationalsNotSupported,
+)
 from .fields import canonical_extension_field, make_field, rationals
 from .groups import cyclic_group, group_from_kind, klein_group
 from .invariants import (
@@ -152,8 +158,10 @@ def random_graded_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAl
 
 
 def random_small_algebra(field, rng: random.Random) -> GradedAlgebra:
-    """A pseudo-random valid graded algebra of dimension <= 5 over F_2 or F_3."""
+    """A pseudo-random valid graded algebra of dimension <= 5 over a prime field."""
     p = field.char
+    if p == 0:
+        raise RationalsNotSupported("random_small_algebra needs a finite field")
     menu = [
         lambda: group_algebra(field, cyclic_group(rng.choice([2, 3, 4, 5]))),
         lambda: group_algebra(field, klein_group()),
@@ -240,6 +248,12 @@ class HuntParams:
     characteristic: int
     extension_degrees: tuple
     group_kinds: tuple  # GroupTable.kind tuples, built by groups.group_from_kind
+
+    def __post_init__(self):
+        if self.characteristic == 0:
+            raise RationalsNotSupported("a hunt enumerates finite fields F_{p^m}")
+        if not self.extension_degrees or not self.group_kinds:
+            raise EmptySearch("a hunt needs at least one extension degree and one group")
 
     def to_dict(self) -> dict:
         return {

@@ -58,11 +58,24 @@ def _decoding(what: str):
         raise ParseError(f"bad {what}: {exc}") from exc
 
 
+def _int(value) -> int:
+    """A JSON integer, as every integer field of a spec must be: a float, a
+    bool or a string raises TypeError (a ParseError inside _decoding)."""
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _ints(values) -> list:
+    return [_int(v) for v in values]
+
+
 # -- field and group blocks ---------------------------------------------------------
 
 def field_from_dict(d: dict) -> Field:
     with _decoding("field block"):
-        return make_field(int(d["char"]), d.get("modulus"))
+        char, modulus = _int(d["char"]), d.get("modulus")
+        return make_field(char, None if modulus is None else _ints(modulus))
 
 
 def group_to_dict(g: GroupTable) -> dict:
@@ -84,12 +97,12 @@ def group_from_dict(d: dict) -> GroupTable:
     from its GroupTable.kind tuple, or a Cayley table."""
     with _decoding("group block"):
         if "kind" not in d:
-            return group_from_table(d["table"], d.get("labels"))
+            return group_from_table([_ints(row) for row in d["table"]], d.get("labels"))
         name = d["kind"]
         if name == "product":
-            return group_from_kind((name, tuple(int(x) for x in d["orders"])))
+            return group_from_kind((name, tuple(_ints(d["orders"]))))
         if name in ("cyclic", "dihedral"):
-            return group_from_kind((name, int(d["n"])))
+            return group_from_kind((name, _int(d["n"])))
         return group_from_kind((name,))
 
 
@@ -121,14 +134,14 @@ def _raw_algebra_from_dict(d: dict) -> GradedAlgebra:
         group = group_from_dict(d["group"])
         block = d["algebra"]
     with _decoding("algebra block"):
-        dim = int(block["dim"])
-        degrees = [int(g) for g in block["degrees"]]
+        dim = _int(block["dim"])
+        degrees = _ints(block["degrees"])
         unit = [scalar_from_json(field, v) for v in block["unit"]]
         sc: dict = {}
         for row in block["sc"]:
             i, j, k, c = row
-            sc.setdefault((int(i), int(j)), []).append(
-                (int(k), scalar_from_json(field, c)))
+            sc.setdefault((_int(i), _int(j)), []).append(
+                (_int(k), scalar_from_json(field, c)))
         if len(degrees) != dim:
             raise ParseError("degree list length does not match dim")
         a = GradedAlgebra(field, group, degrees, sc, unit, labels=block.get("labels"))
@@ -147,7 +160,7 @@ def _build_constructor(d: dict) -> GradedAlgebra:
         return algebras.group_algebra(field_from_dict(d["field"]),
                                       group_from_dict(d["group"]))
     if name == "cyclic_algebra":
-        return algebras.cyclic_algebra(int(block["p"]))
+        return algebras.cyclic_algebra(_int(block["p"]))
     if name == "quaternion_algebra":
         field = field_from_dict(d["field"])
         return algebras.quaternion_algebra(field,
@@ -156,20 +169,19 @@ def _build_constructor(d: dict) -> GradedAlgebra:
     if name == "sweedler_algebra":
         return algebras.sweedler_algebra(field_from_dict(d["field"]))
     if name == "matrix_algebra":
-        return algebras.matrix_algebra(field_from_dict(d["field"]), int(block["n"]))
+        return algebras.matrix_algebra(field_from_dict(d["field"]), _int(block["n"]))
     if name == "good_matrix_algebra":
         field = field_from_dict(d["field"])
         group = group_from_dict(d["group"])
         delta = algebras.field_as_algebra(field, field, group)
-        return algebras.good_matrix_algebra(int(block["n"]),
-                                            [int(s) for s in block["sigmas"]], delta)
+        return algebras.good_matrix_algebra(_int(block["n"]), _ints(block["sigmas"]), delta)
     if name == "trivial_extension":
         return algebras.trivial_extension(algebra_from_dict(block["base"]))
     if name == "ungrade":
         return algebras.ungrade(algebra_from_dict(block["base"]))
     if name == "scalar_extension":
         return algebras.scalar_extension(algebra_from_dict(block["base"]),
-                                         int(block["m"]))
+                                         _int(block["m"]))
     if name == "direct_product":
         factors = [algebra_from_dict(f) for f in block["factors"]]
         out = factors[0]
@@ -183,15 +195,15 @@ def _build_constructor(d: dict) -> GradedAlgebra:
             out = algebras.tensor_product(out, f)
         return out
     if name == "frobenius_crossed_product":
-        base = make_field(int(block["char"]))
+        base = make_field(_int(block["char"]))
         modulus = block.get("ext_modulus")
-        ext = make_field(base.char, modulus) if modulus else base
+        ext = make_field(base.char, _ints(modulus)) if modulus else base
         alpha_unit = block.get("alpha_unit")
         if alpha_unit is not None:
             alpha_unit = [scalar_from_json(base, c) for c in alpha_unit]
         spec = algebras.frobenius_crossed_spec(
             ext, group_from_dict(d["group"]),
-            [int(x) for x in block["sigma_powers"]], alpha_unit)
+            _ints(block["sigma_powers"]), alpha_unit)
         return algebras.crossed_product(spec)
     raise ParseError(f"unknown constructor {name!r}")
 

@@ -15,11 +15,13 @@ checker re-verifies from scratch.
 
 Graded trace functionals vanish off the identity component, which makes the
 Gram pencil block-structured (rows of degree g pair only with columns of
-degree g^-1); the determinant is computed blockwise so large algebras with
-small homogeneous components stay tractable.  The block determinants stay
-factored on the decision path: a zero block refutes, and the point search
-evaluates the blocks one by one.  They are multiplied out only on demand
-(FactoredPoly.expand), never to reach a verdict.
+degree g^-1); the determinant is taken blockwise so large algebras with small
+homogeneous components stay tractable.  The decision walks before it proves:
+the point search evaluates each block at grid points by exact elimination,
+and a Yes needs only one point where every block is nonsingular.  A block's
+cofactor expansion runs only to prove a No (a vanishing block refutes), or
+when no witness turns up among the first grid points; the blocks are never
+multiplied together to reach a verdict.
 """
 
 from __future__ import annotations
@@ -250,14 +252,17 @@ def decide_form_existence(a: GradedAlgebra, mode: str, division=None) -> Symmetr
     """Decide existence of a nondegenerate trace functional for the mode.
 
     Pipeline: compute the trace space; empty space refutes outright; then the
-    blockwise symbolic Gram determinant, kept as its factored block
-    determinants; a vanishing block refutes; else a deterministic point search
-    over the base field, evaluating the blocks and never their expanded
-    product, either yields a witness (re-verified by exact rank) or proves the
-    base field too small, in which case the least extension degree holding a
-    witness is reported.  When a Yes
-    division verdict is supplied and the mode is graded-symmetric, the
-    commutator-span criterion is cross-checked against the outcome.
+    blockwise Gram determinant, one unexpanded determinant per block, goes to
+    the deterministic point search over the base field.  The search walks the
+    grid first, testing each point by exact elimination of the evaluated
+    blocks, so a Yes found there (re-verified by exact rank) expands nothing.
+    Only when the first WITNESS_WALK points hold no witness does the zero
+    test expand the blocks: a vanishing block refutes (the Gram determinant
+    is identically zero), and otherwise the walk goes on until it yields a
+    witness or proves the base field too small, in which case the least
+    extension degree holding a witness is reported.  When a Yes division
+    verdict is supplied and the mode is graded-symmetric, the commutator-span
+    criterion is cross-checked against the outcome.
     """
     _check_mode(mode)
     space = graded_trace_space(a, mode)
@@ -269,25 +274,23 @@ def decide_form_existence(a: GradedAlgebra, mode: str, division=None) -> Symmetr
             f"trace space dimension {space.dim} exceeds {MAX_TRACE_SPACE_DIM} unknowns")
     functionals = [LinearFunctional(a, row) for row in space.basis]
     pencil = gram_pencil(a, functionals)
-    det = structured_det(pencil)
-    if det.is_zero:
+    result = nonvanishing_point(structured_det(pencil), a.field)
+    if result.status == "identically_zero":
         verdict = SymmetryVerdict(mode, "no", refutation="gram-det-identically-zero",
                                   trace_space_dim=space.dim)
+    elif result.found:
+        basis = Matrix(a.field, space.basis)
+        witness = LinearFunctional(a, basis.transpose().mulvec(result.point))
+        rank = gram_matrix(a, witness).rank()
+        if rank != a.dim:
+            raise AssertionError("point search returned a degenerate witness")
+        verdict = SymmetryVerdict(mode, "yes", witness=witness, gram_rank=rank,
+                                  trace_space_dim=space.dim)
     else:
-        result = nonvanishing_point(det, a.field)
-        if result.found:
-            basis = Matrix(a.field, space.basis)
-            witness = LinearFunctional(a, basis.transpose().mulvec(result.point))
-            rank = gram_matrix(a, witness).rank()
-            if rank != a.dim:
-                raise AssertionError("point search returned a degenerate witness")
-            verdict = SymmetryVerdict(mode, "yes", witness=witness, gram_rank=rank,
-                                      trace_space_dim=space.dim)
-        else:
-            verdict = SymmetryVerdict(mode, "no-over-base-field",
-                                      refutation="no-point-over-field",
-                                      extension_degree=result.extension_degree,
-                                      trace_space_dim=space.dim)
+        verdict = SymmetryVerdict(mode, "no-over-base-field",
+                                  refutation="no-point-over-field",
+                                  extension_degree=result.extension_degree,
+                                  trace_space_dim=space.dim)
     if division is not None and mode == "graded-symmetric" and division.is_yes:
         criterion = graded_division_criterion(a)
         consistent = (criterion and verdict.status in ("yes", "no-over-base-field")) or \

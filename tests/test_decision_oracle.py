@@ -1,0 +1,236 @@
+"""The walk-first decision against the expand-first decision it replaced.
+
+The reference keeps the older path: structured_det multiplied out every
+block determinant with pencil_det, a vanishing block refuted, and only then
+was the grid walked on the factored product.  The decision now walks first
+and expands a block only to prove a No, so both must give the same
+certificate bytes (or raise the same exception type) on every input.
+"""
+
+import itertools
+import json
+import random
+
+import pytest
+
+from grasym import (
+    cyclic_algebra,
+    cyclic_group,
+    decide_form_existence,
+    field_as_algebra,
+    good_matrix_algebra,
+    group_algebra,
+    make_field,
+    matrix_algebra,
+    quaternion_algebra,
+    rationals,
+    sweedler_algebra,
+    trivial_extension,
+)
+from grasym.errors import (
+    DimensionTooLarge,
+    GrasymError,
+    IncompatibleCocycleData,
+    SearchSpaceTooLarge,
+)
+from grasym.fields import extend_field
+from grasym.groups import symmetric_group_3
+from grasym.linalg import Matrix
+from grasym.multipoly import (
+    SEARCH_BUDGET,
+    FactoredPoly,
+    GramPencil,
+    MultiPoly,
+    _support_components,
+    pencil_det,
+    structured_det,
+)
+from grasym.replicate import (
+    HuntParams,
+    dim4_f2_corpus,
+    hunt_candidates,
+    hunt_char2_params,
+    random_small_algebra,
+)
+from grasym.specfile import algebra_from_dict, canonical_json, certificate_to_dict
+from grasym.symmetry import (
+    MAX_TRACE_SPACE_DIM,
+    MODES,
+    LinearFunctional,
+    SymmetryVerdict,
+    gram_matrix,
+    gram_pencil,
+    graded_trace_space,
+)
+
+
+# -- the reference: expand every block, test zero, then walk ----------------------
+
+def eager_structured_det(pencil: GramPencil) -> FactoredPoly:
+    d, field, m = pencil.dim, pencil.field, pencil.num_vars
+    zero = FactoredPoly(field, m, 1, (MultiPoly.zero(field, m),))
+    components = _support_components(pencil.entries, d)
+    if any(len(rows) != len(cols) for rows, cols in components):
+        return zero
+    col_of_row = [0] * d
+    factors = []
+    for rows, cols in components:
+        for r, c in zip(rows, cols):
+            col_of_row[r] = c
+        f = pencil_det(GramPencil(field, len(rows), m, tuple(
+            tuple(pencil.entries[i][j] for j in cols) for i in rows)))
+        if f.is_zero:
+            return zero
+        factors.append(f)
+    inversions = sum(1 for a in range(d) for b in range(a + 1, d)
+                     if col_of_row[a] > col_of_row[b])
+    return FactoredPoly(field, m, -1 if inversions % 2 else 1, factors)
+
+
+def _grid(field, count):
+    if field.char == 0:
+        return [field.from_int(k) for k in range(count)]
+    return [field.element_at(k) for k in range(min(count, field.size()))]
+
+
+def _first_nonzero_on_grid(det, field, deg):
+    for point in itertools.product(_grid(field, deg + 1), repeat=det.num_vars):
+        if not det.evaluate(point).is_zero:
+            return point
+    return None
+
+
+def eager_point(det: FactoredPoly, field):
+    """(status, point, extension degree) of the search on a nonzero det."""
+    m, deg, size = det.num_vars, det.total_degree(), field.size()
+    if size is not None and size <= deg and size ** m > SEARCH_BUDGET:
+        raise SearchSpaceTooLarge(f"{size}^{m} points exceed the exhaustive budget")
+    point = _first_nonzero_on_grid(det, field, deg)
+    if point is not None:
+        return "found", point, None
+    for r in (2, 3):
+        big = extend_field(field, r)
+        if big.size() <= deg and big.size() ** m > SEARCH_BUDGET:
+            continue
+        if _first_nonzero_on_grid(det.change_field(big), big, deg) is not None:
+            return "no_point_over_field", None, r
+    return "no_point_over_field", None, None
+
+
+def eager_decide(a, mode) -> SymmetryVerdict:
+    space = graded_trace_space(a, mode)
+    if space.dim == 0:
+        return SymmetryVerdict(mode, "no", refutation="trace-space-zero")
+    if space.dim > MAX_TRACE_SPACE_DIM:
+        raise DimensionTooLarge("trace space too large")
+    det = eager_structured_det(gram_pencil(a, [LinearFunctional(a, r) for r in space.basis]))
+    if det.is_zero:
+        return SymmetryVerdict(mode, "no", refutation="gram-det-identically-zero",
+                               trace_space_dim=space.dim)
+    status, point, ext = eager_point(det, a.field)
+    if status != "found":
+        return SymmetryVerdict(mode, "no-over-base-field", refutation="no-point-over-field",
+                               extension_degree=ext, trace_space_dim=space.dim)
+    witness = LinearFunctional(a, Matrix(a.field, space.basis).transpose().mulvec(point))
+    return SymmetryVerdict(mode, "yes", witness=witness,
+                           gram_rank=gram_matrix(a, witness).rank(),
+                           trace_space_dim=space.dim)
+
+
+# -- the corpus --------------------------------------------------------------------
+
+def _rationals_corpus():
+    q = rationals()
+    quaternions = quaternion_algebra(q, -1, -1)
+    return [("Q-quaternions", quaternions),
+            ("Q-TE(quaternions)", trivial_extension(quaternions)),
+            ("Q[C2]", group_algebra(q, cyclic_group(2))),
+            ("Q[S3]", group_algebra(q, symmetric_group_3())),
+            ("M2(Q)", matrix_algebra(q, 2)),
+            ("Q-Sweedler", sweedler_algebra(q))]
+
+
+def _hunt_accepted():
+    out = []
+    for params in (hunt_char2_params(), HuntParams(3, (1, 3), (("cyclic", 3),))):
+        for index, spec in hunt_candidates(params):
+            try:
+                out.append((f"hunt-p{params.characteristic}-{index}", algebra_from_dict(spec)))
+            except IncompatibleCocycleData:
+                continue
+    return out
+
+
+def _corpus():
+    out = list(dim4_f2_corpus())
+    for p in (2, 3, 5):
+        rng = random.Random(9000 + p)
+        out += [(f"random-F{p}-{k}", random_small_algebra(make_field(p), rng))
+                for k in range(20)]
+    out += _rationals_corpus()
+    out.append(("cyc3", cyclic_algebra(3)))
+    out += _hunt_accepted()
+    return out
+
+
+CORPUS = _corpus()
+
+
+def _outcome(decide, a, mode) -> str:
+    try:
+        return canonical_json(certificate_to_dict(a, decide(a, mode)))
+    except GrasymError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_walk_first_decisions_match_the_expand_first_reference(mode):
+    statuses = set()
+    for name, a in CORPUS:
+        got = _outcome(decide_form_existence, a, mode)
+        assert got == _outcome(eager_decide, a, mode), (name, mode)
+        statuses.add(json.loads(got)["status"] if got.startswith("{") else got)
+    assert "yes" in statuses
+
+
+def _m4_f3_c2():
+    f3 = make_field(3)
+    return good_matrix_algebra(4, [0, 0, 1, 1], field_as_algebra(f3, f3, cyclic_group(2)))
+
+
+@pytest.mark.parametrize("build,mode,status", [
+    # the first witness lies beyond the walk, so the blocks are expanded first
+    (_m4_f3_c2, "graded-frobenius", "yes"),
+    # a square block whose determinant vanishes: the No is proved by expansion
+    (lambda: sweedler_algebra(make_field(3)), "symmetric", "no"),
+    (lambda: sweedler_algebra(rationals()), "symmetric", "no"),
+])
+def test_both_fallbacks_of_the_walk_match_the_reference(build, mode, status):
+    a = build()
+    got = _outcome(decide_form_existence, a, mode)
+    assert got == _outcome(eager_decide, a, mode)
+    assert f'"status":"{status}"' in got
+
+
+def test_lazy_block_values_match_the_expanded_blocks():
+    # evaluate() must give the determinant's value, not only its zero test,
+    # so the sign of every row swap counts
+    checked = 0
+    for name, a in CORPUS:
+        for mode in ("graded-frobenius", "symmetric"):
+            space = graded_trace_space(a, mode)
+            if not 0 < space.dim <= MAX_TRACE_SPACE_DIM or a.dim > 8:
+                continue
+            pencil = gram_pencil(a, [LinearFunctional(a, r) for r in space.basis])
+            lazy, eager = structured_det(pencil), eager_structured_det(pencil)
+            rng = random.Random(name)
+            for _ in range(3):
+                if a.field.char == 0:
+                    point = tuple(a.field.from_int(rng.randrange(-3, 4))
+                                  for _ in range(space.dim))
+                else:
+                    point = tuple(a.field.element_at(rng.randrange(a.field.size()))
+                                  for _ in range(space.dim))
+                assert lazy.evaluate(point) == eager.evaluate(point), (name, mode)
+                checked += 1
+    assert checked > 300

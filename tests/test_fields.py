@@ -10,10 +10,11 @@ from grasym.errors import (
     DivisionByZero,
     FieldMismatch,
     NonPrimeCharacteristic,
+    ParseError,
     RationalsNotSupported,
     ReducibleModulus,
 )
-from grasym.fields import _is_prime, _pmod, _pmul
+from grasym.fields import _is_prime, _pmod, _pmul, scalar_from_json
 
 
 def test_prime_field_construction(f2):
@@ -244,6 +245,21 @@ def test_coefficients(f5, f9, f27, q):
     assert (f27.generator() ** 3).coefficients() == (1, 1, 0)  # x^3 = x + 1
     with pytest.raises(RationalsNotSupported):
         q.one().coefficients()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_canonical_extension_of_the_rationals_is_refused(n):
+    with pytest.raises(RationalsNotSupported):
+        canonical_extension_field(0, n)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, [1, True], [2.5], "1"])
+def test_finite_field_scalar_must_be_json_integers(value, f5, f9):
+    for field in (f5, f9):
+        with pytest.raises(ParseError):
+            scalar_from_json(field, value)
+    assert scalar_from_json(f5, 7) == f5.from_int(2)
+    assert scalar_from_json(f9, [1, 2]) == f9.scalar([1, 2])
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])

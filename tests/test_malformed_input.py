@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from grasym import cyclic_group, decide_form_existence, group_algebra, make_field, rationals
+from grasym import (
+    cyclic_group,
+    decide_form_existence,
+    field_as_algebra,
+    group_algebra,
+    make_field,
+    rationals,
+)
 from grasym.cli import main
 from grasym.replicate import default_hunt_params, hunt_counterexample
 from grasym.specfile import algebra_to_dict, certificate_to_dict
@@ -83,8 +90,41 @@ def _rational_spec(unit):
     return spec
 
 
+def _f2_field_spec(**changes):
+    """The raw spec of F_2 as a one-dimensional algebra, with block entries
+    replaced; every integer entry must be a JSON integer."""
+    spec = algebra_to_dict(field_as_algebra(make_field(2), make_field(2)))
+    for key, value in changes.items():
+        block, entry = key.split("__")
+        spec[block][entry] = value
+    return spec
+
+
 # Each case writes its inputs under tmp_path and returns the argv for main.
 MALFORMED = {
+    "hunt-over-the-rationals": lambda tmp: [
+        "hunt", "--char", "0", "--max-group", "2", "--max-ext", "1"],
+    "hunt-over-no-groups": lambda tmp: [
+        "hunt", "--char", "2", "--max-group", "1", "--max-ext", "1"],
+    "hunt-over-no-extension-degrees": lambda tmp: [
+        "hunt", "--char", "2", "--max-group", "2", "--max-ext", "0"],
+    "float-dim": lambda tmp: [
+        "check", _write(tmp / "s.json", _f2_field_spec(algebra__dim=1.9))],
+    "float-degree": lambda tmp: [
+        "check", _write(tmp / "s.json", _f2_field_spec(algebra__degrees=[0.7]))],
+    "bool-unit-scalar": lambda tmp: [
+        "check", _write(tmp / "s.json", _f2_field_spec(algebra__unit=[True]))],
+    "float-sc-index": lambda tmp: [
+        "check", _write(tmp / "s.json", _f2_field_spec(algebra__sc=[[0.2, 0, 0, 1]]))],
+    "float-coefficient-in-scalar": lambda tmp: [
+        "check", _write(tmp / "s.json", _f2_field_spec(algebra__unit=[[1.5]]))],
+    "float-char": lambda tmp: [
+        "check", _write(tmp / "s.json", _f2_field_spec(field__char=2.0))],
+    "float-cyclic-order": lambda tmp: [
+        "check", _write(tmp / "s.json", {**_spec(), "group": {"kind": "cyclic", "n": 2.5}})],
+    "float-constructor-size": lambda tmp: [
+        "emit", "--constructor", "matrix_algebra", "--field", '{"char":2}',
+        "--params", '{"n": 2.0}'],
     "emit-without-params": lambda tmp: ["emit", "--constructor", "cyclic_algebra"],
     "frobenius-block-without-sigma-powers": lambda tmp: [
         "check", _write(tmp / "s.json", {

@@ -15,7 +15,8 @@ from grasym import (
     sweedler_algebra,
 )
 from grasym.errors import DimensionTooLarge, SearchSpaceTooLarge
-from grasym.multipoly import FactoredPoly
+from grasym import multipoly
+from grasym.multipoly import WITNESS_WALK, FactoredPoly
 
 
 def var(field, m, i):
@@ -320,3 +321,47 @@ def test_decisions_never_expand_the_factored_det(monkeypatch, f3):
     assert decide_form_existence(cyclic_algebra(3), "graded-frobenius").is_yes
     assert decide_form_existence(sweedler_algebra(f3), "symmetric").status == "no"
     assert component_has_invertible(cyclic_algebra(3), 1)[0]
+
+
+# -- the walk: evaluate first, prove only when the first points fail ---------------
+
+@pytest.mark.parametrize("k", [0, 1, WITNESS_WALK - 1, WITNESS_WALK, WITNESS_WALK + 1,
+                               2 * WITNESS_WALK])
+def test_walk_finds_the_first_witness_on_either_side_of_the_zero_test(k, q):
+    # prod_{j<k} (t - j) has degree k and first vanishes off the grid 0..k-1
+    t = var(q, 1, 0)
+    det = FactoredPoly(q, 1, 1, [t - const(q, 1, j) for j in range(k)])
+    res = nonvanishing_point(det, q)
+    assert res.found and res.point == (q.from_int(k),)
+
+
+def test_a_witness_within_the_walk_expands_no_block(monkeypatch, f5):
+    def refuse(pencil):
+        raise AssertionError("a block was expanded")
+
+    t1, t2 = var(f5, 2, 0), var(f5, 2, 1)
+    det = structured_det(pencil(f5, 2, [[t1, t2], [t2, t1]]))
+    monkeypatch.setattr(multipoly, "pencil_det", refuse)
+    res = nonvanishing_point(det, f5)
+    assert res.found and res.point == (f5.zero(), f5.one())
+    assert not det.is_zero  # known nonzero from the walk
+
+
+def test_block_value_carries_the_sign_of_each_row_swap(f5):
+    # one connected block; at t1 = 0 its first column has its pivot in row 2,
+    # so elimination swaps the rows once
+    t1, t2 = var(f5, 2, 0), var(f5, 2, 1)
+    z = MultiPoly.zero(f5, 2)
+    p = pencil(f5, 2, [[t1, t2], [t2, z]])
+    det = structured_det(p)
+    point = (f5.zero(), f5.from_int(3))
+    assert det.evaluate(point) == pencil_det(p).evaluate(point) == f5.from_int(-9)
+
+
+def test_search_over_budget_still_reports_a_zero_determinant(f2):
+    # 24 unknowns over F_2 exceed the exhaustive budget, but a vanishing
+    # block is refuted by the zero test before the budget check raises
+    m = 24
+    t = var(f2, m, 0)
+    det = structured_det(pencil(f2, m, [[t, t], [t, t]]))
+    assert nonvanishing_point(det, f2).status == "identically_zero"

@@ -129,6 +129,15 @@ def test_random_basis_change_over_the_rationals_is_refused(q):
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_random_small_algebra_over_the_rationals_is_refused(q, seed):
+    # some menu entries need F_{p^n}, so the refusal comes first, on every draw
+    rng = random.Random(seed)
+    with pytest.raises(RationalsNotSupported):
+        random_small_algebra(q, rng)
+    assert rng.getstate() == random.Random(seed).getstate()
+
+
 # -- hunt --------------------------------------------------------------------------------
 
 def test_hunt_candidate_stream_deterministic():

@@ -46,6 +46,7 @@ from grasym.errors import (
     NotInvariant,
     NotNormalized,
 )
+from grasym.groups import dihedral_group
 from grasym.replicate import dim4_f2_corpus, random_graded_basis_change
 from grasym.specfile import canonical_json, certificate_to_dict
 
@@ -493,3 +494,36 @@ def test_lift_beyond_characteristic_hypothesis(f3):
     lam = LinearFunctional(d, [f3.zero(), f3.zero(), f3.one()])
     lifted = lift_functional(spec, lam)
     assert verify_certificate(lifted.owner, lifted, "graded-symmetric").ok
+
+
+# -- decisions whose blocks exceed the cofactor cap ----------------------------------
+
+def _verified_yes(a, mode):
+    v = decide_form_existence(a, mode)
+    assert v.is_yes and verify_certificate(a, v.witness, mode).ok
+    return v
+
+
+@pytest.mark.parametrize("build", [
+    # dense 14x14 and 16x16 Gram blocks, beyond PENCIL_DET_MAX_DIM: the
+    # witness comes from the walk, which expands no block
+    lambda: ungrade(group_algebra(make_field(5), dihedral_group(7))),
+    lambda: matrix_algebra(make_field(3), 4),
+])
+def test_symmetric_yes_with_a_block_beyond_the_cofactor_cap(build):
+    a = random_graded_basis_change(build(), random.Random(1))
+    _verified_yes(a, "symmetric")
+
+
+def test_cyclic_algebra_7_is_graded_frobenius():
+    _verified_yes(cyclic_algebra(7), "graded-frobenius")
+
+
+def test_a_yes_within_the_walk_never_expands_a_block(monkeypatch):
+    from grasym import multipoly
+
+    def refuse(pencil):
+        raise AssertionError("pencil_det ran on the way to a Yes")
+
+    monkeypatch.setattr(multipoly, "pencil_det", refuse)
+    _verified_yes(cyclic_algebra(5), "graded-frobenius")
