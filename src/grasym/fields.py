@@ -179,6 +179,11 @@ def _check_irreducible(mod, p):
 
 # -- Field ----------------------------------------------------------------------
 
+def _is_int(v) -> bool:
+    """An int that is not a bool: the only integer the coercions take."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 _FIELD_CACHE: dict = {}
 
 
@@ -208,19 +213,25 @@ class Field:
         return Scalar(self, (n % self.char,) + (0,) * (self.degree - 1))
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, coefficient sequence, or Scalar."""
+        """Coerce a Scalar, an int, a Fraction or string over Q, or a coefficient
+        sequence of ints over F_q.
+
+        Bools and floats raise TypeError, so no value is silently rounded.
+        """
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch(f"scalar from {value.field} used in {self}")
             return value
-        if isinstance(value, int):
+        if _is_int(value):
             return self.from_int(value)
-        if self.char == 0:
+        if self.char == 0 and isinstance(value, (Fraction, str)):
             return Scalar(self, Fraction(value))
-        if isinstance(value, (list, tuple)):
+        if self.char != 0 and isinstance(value, (list, tuple)):
             if len(value) > self.degree:
                 raise ValueError(f"coefficient list longer than degree {self.degree}")
-            coeffs = tuple(int(c) % self.char for c in value)
+            if not all(_is_int(c) for c in value):
+                raise TypeError(f"{self} coefficients must be ints, not {value!r}")
+            coeffs = tuple(c % self.char for c in value)
             coeffs = coeffs + (0,) * (self.degree - len(coeffs))
             if self.degree == 1:
                 return Scalar(self, coeffs[0])
@@ -253,6 +264,9 @@ class Field:
 
         Vector k has coordinate i equal to element_at(k // q**i % q), so the
         zero vector comes first; searches that walk F_q^n use this one order.
+        Coordinate n - 1 is the most significant and element_at(1) is 1, so
+        the first member of each line F_q^* v is its multiple whose last
+        nonzero coordinate is 1; the division scan tests only those.
         """
         for v in itertools.product(list(self.elements()), repeat=n):
             yield v[::-1]
@@ -304,13 +318,21 @@ def make_field(characteristic: int, modulus=None) -> Field:
 
     characteristic 0 gives the rationals (modulus must be absent); a prime p
     with no modulus gives F_p; a prime with a monic modulus of degree n >= 2
-    gives F_{p^n} after an irreducibility check.  A field built before is
-    returned from the cache without being checked again.
+    gives F_{p^n} after an irreducibility check.  The characteristic and the
+    modulus coefficients must be ints; a bool or a float raises TypeError
+    before the cache is consulted.  A field built before is returned from the
+    cache without being checked again.
     """
     p = characteristic
+    if not _is_int(p):
+        raise TypeError(f"characteristic must be an int, not {p!r}")
     if p == 0 and modulus is not None:
         raise NonPrimeCharacteristic("the rationals take no modulus")
-    coeffs = None if modulus is None else tuple(int(c) % p for c in modulus)
+    if modulus is not None:
+        modulus = tuple(modulus)
+        if not all(_is_int(c) for c in modulus):
+            raise TypeError(f"modulus coefficients must be ints, not {list(modulus)!r}")
+    coeffs = None if modulus is None else tuple(c % p for c in modulus)
     key = (p, 1 if coeffs is None else len(coeffs) - 1, coeffs)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]

@@ -28,7 +28,8 @@ def eliminate_raw(ops, m, ncols: int, stop_at_gap: bool = False, pivot_log=None)
     as pivot_log receives one (swapped, value) pair per pivot: whether a row
     swap brought it up, and its raw value before its row is scaled.  The
     determinant of a nonsingular square m is the product of those values,
-    negated once per swap.
+    negated once per swap.  Rows are replaced, never written into, so a
+    shallow copy of m keeps the caller's rows intact.
     """
     zero = ops.zero
     nrows = len(m)

@@ -272,3 +272,36 @@ def test_extension_product_matches_polynomial_division(p, n):
         for y in elements:
             rem = _pmod(_pmul(x.coefficients(), y.coefficients(), p), f.modulus, p)
             assert (x * y).coefficients() == rem + (0,) * (n - len(rem))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_field(3, [1, 0.5, 1]),
+    lambda: make_field(5.0),
+    lambda: make_field(True),
+    lambda: make_field(3, [True, 0, 1]),
+], ids=["float-modulus", "float-characteristic", "bool-characteristic", "bool-modulus"])
+def test_make_field_refuses_bools_and_floats(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("char, modulus, value", [
+    (3, [1, 0, 1], [1.5, 2]),
+    (3, [1, 0, 1], [True, 2]),
+    (5, None, True),
+    (5, None, 2.0),
+    (0, None, 0.1),
+    (0, None, False),
+], ids=["float-coefficient", "bool-coefficient", "bool-over-F5", "float-over-F5",
+        "float-over-Q", "bool-over-Q"])
+def test_field_scalar_refuses_bools_and_floats(char, modulus, value):
+    with pytest.raises(TypeError):
+        make_field(char, modulus).scalar(value)
+
+
+def test_field_scalar_still_takes_ints_fractions_strings_and_scalars(q, f5, f9):
+    assert q.scalar("3/4") == q.scalar(Fraction(3, 4)) == q.from_int(3) / q.from_int(4)
+    assert f5.scalar(7) == f5.scalar([2]) == f5.from_int(2)
+    assert f9.scalar([1, 2]) == f9.scalar((1, 2)) == f9.from_int(1) + f9.from_int(2) * f9.generator()
+    assert f9.scalar(f9.one()) == f9.one()
+    assert make_field(3, (1, 0, 1)) is make_field(3, [1, 0, 1])

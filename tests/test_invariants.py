@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -295,6 +296,93 @@ def test_division_scan_matches_the_element_inverse_scan():
         verdicts[ok] += 1
     # 20 corpus algebras, 13 + 4 accepted hunt candidates and 5 more inputs
     assert verdicts == {True: 29, False: 13}
+
+
+def _large_q_scan_corpus():
+    """Inputs mostly over F_3, F_4, F_5, F_7 and F_9, where a line F_q^* x has
+    q - 1 >= 2 members, so the line scan skips elements."""
+    from grasym.replicate import random_graded_basis_change, random_small_algebra
+
+    f4 = canonical_extension_field(2, 2)
+    fixed = [
+        ("F5^3", field_as_algebra(canonical_extension_field(5, 3), make_field(5))),
+        ("F7^3", field_as_algebra(canonical_extension_field(7, 3), make_field(7))),
+        ("TE(F5^2)", _te_field(5, 2)),
+        ("TE(F7^2)", _te_field(7, 2)),
+        ("F8(x)F4", scalar_extension(field_as_algebra(canonical_extension_field(2, 3), make_field(2)), 2)),
+        ("F4(x)F4", scalar_extension(field_as_algebra(f4, make_field(2)), 2)),
+        ("F4[C3]", ungrade(group_algebra(f4, cyclic_group(3)))),
+        ("cyc3(x)F9", scalar_extension(cyclic_algebra(3), 2)),
+        ("F9(x)F9", scalar_extension(field_as_algebra(canonical_extension_field(3, 2), make_field(3)), 2)),
+    ]
+    for seed, (name, a) in enumerate(fixed):
+        yield name, a
+        yield f"{name}-basis-change", random_graded_basis_change(a, random.Random(seed))
+    for field in (make_field(3), f4, make_field(5)):
+        for seed in range(6):
+            yield f"random-{field}-{seed}", random_small_algebra(field, random.Random(seed))
+
+
+def test_line_scan_matches_the_element_inverse_scan_for_q_at_least_3():
+    from grasym.invariants import _identity_component_algebra, _scan_division
+    verdicts = {True: 0, False: 0}
+    for name, a in _large_q_scan_corpus():
+        e_alg = _identity_component_algebra(a)
+        result = _scan_division(e_alg)
+        assert result == scalar_scan_division(e_alg), name
+        verdicts[result[0]] += 1
+    # 9 inputs, each also after a basis change, and 18 random small algebras
+    assert verdicts == {True: 17, False: 19}
+
+
+def test_line_scan_eliminates_one_matrix_per_line(monkeypatch):
+    from grasym import invariants
+    from grasym.invariants import _identity_component_algebra
+
+    calls = []
+    eliminate = invariants.eliminate_raw
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "eliminate_raw", counting)
+    v = is_graded_division(field_as_algebra(canonical_extension_field(5, 3), make_field(5)))
+    assert v.certificate["identity_component"] == {"kind": "exhaustive", "scan_size": 124}
+    assert len(calls) == (5 ** 3 - 1) // 4 == 31
+    monkeypatch.undo()
+    # the line scan tests only vectors whose last nonzero coordinate is 1, so
+    # the first zero divisor of the full scan must always be one of them
+    seen = 0
+    for name, a in itertools.chain(_scan_oracle_corpus(), _large_q_scan_corpus()):
+        e_alg = _identity_component_algebra(a)
+        ok, witness, _ = scalar_scan_division(e_alg)
+        if not ok:
+            last = [c for c in witness.coords if not c.is_zero][-1]
+            assert last == e_alg.field.one(), name
+            seen += 1
+    assert seen == 13 + 19
+
+
+# sha256 of the canonical division verdict (status, certificate, witness
+# coordinates), taken when every nonzero element of A_e was eliminated
+@pytest.mark.parametrize("build, digest", [
+    (lambda: cyclic_algebra(5),
+     "3eff0de7a7cc3bbbde370033ed48c7a03eb70b5d0f691c1272c501652283a575"),
+    (lambda: scalar_extension(cyclic_algebra(3), 2),
+     "6435e71a951cff23f30a5b8e26fa1d2830b18882a4f6c093147d1d2476f21a06"),
+    (lambda: _te_field(5, 2),
+     "f7397223e75a928dbafe745a9488ad842f71340f67bc2d372571c0ffe7f618b1"),
+    (lambda: _te_field(3, 3),
+     "9b9d47d1fd7fe96cd075699d7b99c483a830cd66768b0a167e20b745e7ad4e1f"),
+], ids=["cyc5", "cyc3(x)F9", "TE(F5^2)", "TE(F3^3)"])
+def test_division_verdict_bytes_are_pinned(build, digest):
+    from grasym.specfile import canonical_json
+
+    v = is_graded_division(build())
+    witness = None if v.witness is None else [c.to_json() for c in v.witness.coords]
+    text = canonical_json({"status": v.status, "certificate": v.certificate, "witness": witness})
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_dual_elements_not_invertible(f5):
