@@ -77,10 +77,6 @@ class NonInvertibleAlpha(GrasymError):
     pass
 
 
-class NotGradedDivisionLike(GrasymError):
-    pass
-
-
 class UnsupportedPrime(GrasymError):
     pass
 

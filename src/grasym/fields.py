@@ -188,7 +188,8 @@ _FIELD_CACHE: dict = {}
 
 
 class Field:
-    """An exact field; construct through make_field so instances are shared."""
+    """An exact field; construct through make_field, whose instances are shared,
+    so equality is identity."""
 
     __slots__ = ("char", "degree", "modulus")
 
@@ -219,7 +220,7 @@ class Field:
         Bools and floats raise TypeError, so no value is silently rounded.
         """
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self:
                 raise FieldMismatch(f"scalar from {value.field} used in {self}")
             return value
         if _is_int(value):
@@ -248,8 +249,6 @@ class Field:
         return None if self.char == 0 else self.char ** self.degree
 
     def prime_subfield(self) -> "Field":
-        if self.char == 0:
-            return self
         return make_field(self.char)
 
     def elements(self):
@@ -287,15 +286,6 @@ class Field:
         if self.degree == 1:
             raise ValueError("prime fields and Q have no distinguished generator")
         return Scalar(self, (0, 1) + (0,) * (self.degree - 2))
-
-    def __eq__(self, other):
-        return (isinstance(other, Field)
-                and self.char == other.char
-                and self.degree == other.degree
-                and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.char, self.degree, self.modulus))
 
     def __repr__(self):
         if self.char == 0:
@@ -409,8 +399,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            f = self.field
-            if other.field is f or other.field == f:
+            if other.field is self.field:
                 return other
             raise FieldMismatch(f"mixing scalars of {self.field} and {other.field}")
         return None
@@ -545,7 +534,7 @@ class RawOps:
     def unwrap(self, scalars) -> list:
         f = self.field
         for x in scalars:
-            if x.field is not f and x.field != f:
+            if x.field is not f:
                 raise FieldMismatch(f"scalar from {x.field} used in {f}")
         return [x.val for x in scalars]
 
@@ -716,12 +705,10 @@ def _embedding_generator_image(src: Field, target: Field) -> Scalar:
 def embed_scalar(x: Scalar, target: Field) -> Scalar:
     """Embed x into an overfield of the same characteristic."""
     src = x.field
-    if src == target:
+    if src is target:
         return x
     if src.char != target.char:
         raise FieldMismatch(f"cannot embed {src} into {target}")
-    if src.char == 0:
-        return x
     if target.degree % src.degree != 0:
         raise FieldMismatch(f"{src} is not a subfield of {target}")
     if src.degree == 1:

@@ -3,10 +3,13 @@
 Elements are dense indices 0..N-1 with 0 the identity.  Validation checks the
 Latin-square property, full associativity (O(N^3), fine for the order <= 64
 cap), and the identity/inverse laws, reporting the first offending triple.
+The constructors cache one group per typed argument, so the scan runs once
+per distinct table in a process and groups compare by identity.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import IndexOutOfRange, InvalidTable, ParseError
@@ -15,7 +18,8 @@ MAX_GROUP_ORDER = 64
 
 
 class GroupTable:
-    """A finite group given by its multiplication table."""
+    """A finite group given by its multiplication table; construct through the
+    named constructors or group_from_table, which share one instance per group."""
 
     __slots__ = ("order", "table", "identity", "inverse", "labels", "kind")
 
@@ -125,15 +129,6 @@ class GroupTable:
         if not (0 <= g < self.order):
             raise IndexOutOfRange(f"element index {g} out of range 0..{self.order - 1}")
 
-    def __eq__(self, other):
-        return (isinstance(other, GroupTable)
-                and self.order == other.order
-                and self.table == other.table
-                and self.labels == other.labels)
-
-    def __hash__(self):
-        return hash((self.order, self.table))
-
     def __repr__(self):
         if self.kind is not None:
             return "Group(" + ",".join(str(k) for k in self.kind) + ")"
@@ -152,6 +147,7 @@ def _check_order(n: int):
         raise InvalidTable(f"order {n} exceeds the cap {MAX_GROUP_ORDER}")
 
 
+@lru_cache(maxsize=None, typed=True)
 def cyclic_group(n: int) -> GroupTable:
     if n < 1:
         raise InvalidTable("cyclic group order must be positive")
@@ -167,6 +163,11 @@ def trivial_group() -> GroupTable:
 
 def cyclic_product_group(orders) -> GroupTable:
     """Direct product of cyclic groups C_{n1} x ... x C_{nk}."""
+    return _cyclic_product_group(*orders)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _cyclic_product_group(*orders) -> GroupTable:
     orders = list(orders)
     if not orders or any(n < 1 for n in orders):
         raise InvalidTable("cyclic factors must be positive")
@@ -202,6 +203,7 @@ def klein_group() -> GroupTable:
     return cyclic_product_group([2, 2])
 
 
+@lru_cache(maxsize=None, typed=True)
 def dihedral_group(n: int) -> GroupTable:
     """Dihedral group of order 2n: rotations r^i and reflections r^i s."""
     if n < 1:
@@ -220,13 +222,24 @@ def dihedral_group(n: int) -> GroupTable:
     return GroupTable(table, labels=labels, kind=("dihedral", n))
 
 
+@lru_cache(maxsize=None)
 def symmetric_group_3() -> GroupTable:
     g = dihedral_group(3)
     return GroupTable(g.table, labels=g.labels, kind=("sym3",))
 
 
 def group_from_table(table, labels=None) -> GroupTable:
-    return GroupTable(table, labels=labels)
+    """The shared group of a table of ints and its hashable labels; a table with
+    another entry type is built unshared, raising as GroupTable does."""
+    tab = tuple(tuple(row) for row in table)
+    if any(type(v) is not int for row in tab for v in row):
+        return GroupTable(tab, labels=labels)
+    return _table_group(tab, labels is not None, *(labels or ()))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _table_group(table, labelled, *labels) -> GroupTable:
+    return GroupTable(table, labels=labels if labelled else None)
 
 
 def group_from_kind(kind) -> GroupTable:

@@ -79,9 +79,6 @@ class Matrix:
         z, o = field.zero(), field.one()
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
-    def row(self, i: int):
-        return self.entries[i]
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise AmbientMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")

@@ -34,6 +34,7 @@ from .linalg import eliminate_raw
 # (or a Yes whose first witness lies beyond WITNESS_WALK)
 PENCIL_DET_MAX_DIM = 12
 SEARCH_BUDGET = 10 ** 7
+MAX_EXTENSION = 3
 # grid points a search evaluates before it runs the zero test
 WITNESS_WALK = 16
 
@@ -453,8 +454,7 @@ def _first_nonzero(poly, points):
     return None
 
 
-def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field,
-                       max_extension: int = 3) -> PointResult:
+def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field) -> PointResult:
     """Deterministically find a point where poly is nonzero over field.
 
     The polynomial may live over field or over a subfield; coefficients are
@@ -466,11 +466,11 @@ def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field,
     for a determinant means a Yes within them never expands a block; a zero
     poly then yields "identically_zero", and otherwise the walk goes on.
     With |field| > deg the grid bound guarantees the walk succeeds; failing
-    that, degree-2 and degree-3 extensions are probed so the refutation can
-    name the least extension holding a witness.  A whole field of more than
-    SEARCH_BUDGET points is not walked: over field that raises
-    SearchSpaceTooLarge (after the zero test, so a zero poly still yields
-    "identically_zero"), and such an extension is skipped.
+    that, extensions of degree 2 to MAX_EXTENSION are probed so the
+    refutation can name the least extension holding a witness.  A whole
+    field of more than SEARCH_BUDGET points is not walked: over field that
+    raises SearchSpaceTooLarge (after the zero test, so a zero poly still
+    yields "identically_zero"), and such an extension is skipped.
     """
     if poly.field != field:
         poly = poly.change_field(field)
@@ -492,7 +492,7 @@ def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field,
     if size is None or size > deg:
         raise AssertionError("grid bound violated; polynomial arithmetic "
                              "or factor evaluation is broken")
-    for r in range(2, max_extension + 1):
+    for r in range(2, MAX_EXTENSION + 1):
         big = extend_field(field, r)
         if big.size() <= deg and big.size() ** m > SEARCH_BUDGET:
             continue

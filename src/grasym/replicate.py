@@ -162,6 +162,8 @@ def random_small_algebra(field, rng: random.Random) -> GradedAlgebra:
     p = field.char
     if p == 0:
         raise RationalsNotSupported("random_small_algebra needs a finite field")
+    if field.degree != 1:
+        raise ValueError(f"random_small_algebra needs a prime field, not {field}")
     menu = [
         lambda: group_algebra(field, cyclic_group(rng.choice([2, 3, 4, 5]))),
         lambda: group_algebra(field, klein_group()),
@@ -242,6 +244,9 @@ def dim4_f2_corpus() -> list:
 
 
 # -- the hunt ------------------------------------------------------------------------------
+
+CHECKPOINT_EVERY = 200  # candidates between two checkpoint writes of a hunt
+
 
 @dataclass(frozen=True)
 class HuntParams:
@@ -348,15 +353,14 @@ class HuntReport:
 
 
 def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
-                        resume: str | None = None,
-                        checkpoint_every: int = 200) -> HuntReport:
+                        resume: str | None = None) -> HuntReport:
     """Search small crossed products for a graded division algebra that is not
     graded symmetric; expected (and so far observed) to come back empty.
 
     Candidates whose data fails the crossed-product laws (so that the product
     would not be an associative unital algebra) are counted separately, never
     treated as errors.  With checkpoint_path set, progress is written every
-    checkpoint_every candidates to a sibling temp file that then replaces the
+    CHECKPOINT_EVERY candidates to a sibling temp file that then replaces the
     checkpoint, so a hunt killed mid-write leaves the previous checkpoint
     whole; resume re-verifies the parameter hash.
     """
@@ -396,7 +400,7 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
                     report.non_symmetric_instances.append(spec)
                 elif decision.status == "no-over-base-field":
                     report.no_base_field_point_instances.append(spec)
-        if (index + 1) % checkpoint_every == 0:
+        if (index + 1) % CHECKPOINT_EVERY == 0:
             save_checkpoint(index + 1)
     save_checkpoint(report.candidates_enumerated)
     return report

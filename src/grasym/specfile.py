@@ -73,23 +73,25 @@ def _ints(values) -> list:
 # -- field and group blocks ---------------------------------------------------------
 
 def field_from_dict(d: dict) -> Field:
+    """The field of a field block, whose optional "degree" must be its degree."""
     with _decoding("field block"):
         char, modulus = _int(d["char"]), d.get("modulus")
-        return make_field(char, None if modulus is None else _ints(modulus))
+        field = make_field(char, None if modulus is None else _ints(modulus))
+        if "degree" in d and _int(d["degree"]) != field.degree:
+            raise ParseError(f"{field} has degree {field.degree}, not {d['degree']}")
+        return field
 
 
 def group_to_dict(g: GroupTable) -> dict:
-    if g.kind is not None:
-        name = g.kind[0]
-        if name == "cyclic":
-            return {"kind": "cyclic", "n": g.kind[1]}
-        if name == "product":
-            return {"kind": "product", "orders": list(g.kind[1])}
-        if name == "dihedral":
-            return {"kind": "dihedral", "n": g.kind[1]}
-        if name == "sym3":
-            return {"kind": "sym3"}
-    return g.to_dict()
+    """The group block of a named kind, as group_from_dict reads it, or a table."""
+    if g.kind is None:
+        return g.to_dict()
+    name = g.kind[0]
+    if name == "product":
+        return {"kind": name, "orders": list(g.kind[1])}
+    if name in ("cyclic", "dihedral"):
+        return {"kind": name, "n": g.kind[1]}
+    return {"kind": name}
 
 
 def group_from_dict(d: dict) -> GroupTable:

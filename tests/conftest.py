@@ -36,3 +36,26 @@ def f9():
 @pytest.fixture(scope="session")
 def f27():
     return make_field(3, [-1, -1, 0, 1])
+
+
+@pytest.fixture
+def built_groups(monkeypatch):
+    """Every GroupTable construction during the test, which starts from empty
+    group caches; the shared groups of other tests come back afterwards."""
+    from functools import lru_cache
+
+    from grasym import groups
+
+    for name in ("cyclic_group", "_cyclic_product_group", "dihedral_group",
+                 "symmetric_group_3", "_table_group"):
+        fresh = lru_cache(maxsize=None, typed=True)(getattr(groups, name).__wrapped__)
+        monkeypatch.setattr(groups, name, fresh)
+    built = []
+    init = groups.GroupTable.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.GroupTable, "__init__", counting)
+    return built

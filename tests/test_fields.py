@@ -61,6 +61,13 @@ def test_cached_field_is_not_retested(monkeypatch, f3, f9):
     assert make_field(3) is f3 and make_field(3, [1, 0, 1]) is f9
 
 
+def test_each_field_is_one_shared_instance():
+    # equality is identity, so equal moduli must give the same object
+    assert make_field(3, [4, 0, 1]) is make_field(3, (1, 0, 1)) is canonical_extension_field(3, 2)
+    assert extend_field(make_field(2), 2) is make_field(2, [1, 1, 1])
+    assert make_field(3) != make_field(3, [1, 0, 1])
+
+
 def _has_root(modulus, p):
     return any(sum(c * r ** i for i, c in enumerate(modulus)) % p == 0 for r in range(p))
 

@@ -10,6 +10,7 @@ from grasym import (
     trivial_group,
 )
 from grasym.errors import IndexOutOfRange, InvalidTable
+from grasym.groups import group_from_kind
 
 
 def test_cyclic_generator_order():
@@ -116,3 +117,74 @@ def test_power():
     assert c6.power(1, 4) == 4
     assert c6.power(1, -1) == 5
     assert c6.power(5, 0) == 0
+
+
+# -- one shared instance per group ----------------------------------------------
+
+def test_each_named_group_is_one_shared_instance():
+    assert cyclic_group(4) is group_from_kind(("cyclic", 4))
+    assert klein_group() is cyclic_product_group([2, 2]) is cyclic_product_group((2, 2))
+    assert klein_group() is group_from_kind(("product", (2, 2)))
+    assert trivial_group() is cyclic_group(1)
+    assert dihedral_group(3) is group_from_kind(("dihedral", 3))
+    assert symmetric_group_3() is group_from_kind(("sym3",))
+
+
+def test_a_named_group_is_not_its_table():
+    # S_3 and D_3 share a table, and C_4 is not its loaded table: their spec
+    # group blocks differ, so the groups differ
+    assert symmetric_group_3().table == dihedral_group(3).table
+    assert symmetric_group_3() != dihedral_group(3)
+    c4 = cyclic_group(4)
+    assert group_from_table(c4.table, c4.labels) != c4
+
+
+def test_a_table_is_one_shared_instance():
+    t = cyclic_group(4).table
+    assert group_from_table(t) is group_from_table([list(r) for r in t])
+    labels = ("a", "b", "c", "d")
+    assert group_from_table(t, labels) is group_from_table(t, list(labels))
+    assert group_from_table(t, labels) is not group_from_table(t)
+    assert group_from_table(t, []) is not group_from_table(t)
+    # labels are keys of their own type: 1.0 is not the label 1
+    assert group_from_table(t, [0, 1, 2, 3]).labels == (0, 1, 2, 3)
+    assert type(group_from_table(t, [0.0, 1, 2, 3]).labels[0]) is float
+
+
+def test_each_group_is_built_once(built_groups):
+    from grasym import groups
+
+    for _ in range(3):
+        groups.cyclic_group(5)
+        groups.klein_group()
+        groups.symmetric_group_3()
+        groups.group_from_table([[0, 1], [1, 0]], ["e", "g"])
+    # D_3 is built once, for the table of S_3
+    assert [g.kind for g in built_groups] == [("cyclic", 5), ("product", (2, 2)),
+                                              ("dihedral", 3), ("sym3",), None]
+
+
+def test_an_invalid_table_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(InvalidTable, match="permutation"):
+            group_from_table([[0, 0], [1, 1]])
+        with pytest.raises(InvalidTable, match="associativity"):
+            group_from_table([[0, 1, 2, 3, 4],
+                              [1, 0, 3, 4, 2],
+                              [2, 4, 0, 1, 3],
+                              [3, 2, 4, 0, 1],
+                              [4, 3, 1, 2, 0]])
+
+
+@pytest.mark.parametrize("build", [lambda: cyclic_group(2.0),
+                                   lambda: dihedral_group(2.0),
+                                   lambda: cyclic_product_group([2.0, 2]),
+                                   lambda: group_from_table([[0, 1], [1, 0.0]])])
+def test_a_float_never_finds_the_shared_int_group(build):
+    # the int groups are built (and shared) first
+    cyclic_group(2)
+    dihedral_group(2)
+    cyclic_product_group([2, 2])
+    group_from_table([[0, 1], [1, 0]])
+    with pytest.raises(TypeError):
+        build()

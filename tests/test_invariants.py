@@ -318,9 +318,13 @@ def _large_q_scan_corpus():
     for seed, (name, a) in enumerate(fixed):
         yield name, a
         yield f"{name}-basis-change", random_graded_basis_change(a, random.Random(seed))
-    for field in (make_field(3), f4, make_field(5)):
+    for field in (make_field(3), make_field(5)):
         for seed in range(6):
             yield f"random-{field}-{seed}", random_small_algebra(field, random.Random(seed))
+    # random_small_algebra takes prime fields only; these are over F_4 itself
+    for seed in range(6):
+        yield f"random-F2-{seed}(x)F4", scalar_extension(
+            random_small_algebra(make_field(2), random.Random(seed)), 2)
 
 
 def test_line_scan_matches_the_element_inverse_scan_for_q_at_least_3():
@@ -331,8 +335,9 @@ def test_line_scan_matches_the_element_inverse_scan_for_q_at_least_3():
         result = _scan_division(e_alg)
         assert result == scalar_scan_division(e_alg), name
         verdicts[result[0]] += 1
-    # 9 inputs, each also after a basis change, and 18 random small algebras
-    assert verdicts == {True: 17, False: 19}
+    # 9 inputs, each also after a basis change, 12 random small algebras over
+    # F_3 and F_5, and 6 over F_2 extended to F_4
+    assert verdicts == {True: 15, False: 21}
 
 
 def test_line_scan_eliminates_one_matrix_per_line(monkeypatch):
@@ -361,7 +366,7 @@ def test_line_scan_eliminates_one_matrix_per_line(monkeypatch):
             last = [c for c in witness.coords if not c.is_zero][-1]
             assert last == e_alg.field.one(), name
             seen += 1
-    assert seen == 13 + 19
+    assert seen == 13 + 21
 
 
 # sha256 of the canonical division verdict (status, certificate, witness

@@ -90,6 +90,10 @@ def _rational_spec(unit):
     return spec
 
 
+def _spec_with_field(a, block):
+    return {**algebra_to_dict(a), "field": block}
+
+
 def _f2_field_spec(**changes):
     """The raw spec of F_2 as a one-dimensional algebra, with block entries
     replaced; every integer entry must be a JSON integer."""
@@ -120,6 +124,20 @@ MALFORMED = {
         "check", _write(tmp / "s.json", _f2_field_spec(algebra__unit=[[1.5]]))],
     "float-char": lambda tmp: [
         "check", _write(tmp / "s.json", _f2_field_spec(field__char=2.0))],
+    "field-degree-beyond-a-prime-field": lambda tmp: [
+        "check", _write(tmp / "s.json", _f2_field_spec(field__degree=2))],
+    "field-degree-with-no-modulus": lambda tmp: [
+        "invariants", _write(tmp / "s.json", _spec_with_field(
+            group_algebra(make_field(3), cyclic_group(2)), {"char": 3, "degree": 2}))],
+    "field-degree-not-the-modulus-degree": lambda tmp: [
+        "check", _write(tmp / "s.json", _spec_with_field(
+            field_as_algebra(make_field(2, [1, 1, 1]), make_field(2, [1, 1, 1])),
+            {"char": 2, "degree": 3, "modulus": [1, 1, 1]}))],
+    "float-field-degree": lambda tmp: [
+        "check", _write(tmp / "s.json", _f2_field_spec(field__degree=1.0))],
+    "group-labels-that-cannot-key-the-group": lambda tmp: [
+        "check", _write(tmp / "s.json", {**_spec(), "group": {
+            "table": [[0, 1], [1, 0]], "labels": [["e"], ["g"]]}})],
     "float-cyclic-order": lambda tmp: [
         "check", _write(tmp / "s.json", {**_spec(), "group": {"kind": "cyclic", "n": 2.5}})],
     "float-constructor-size": lambda tmp: [

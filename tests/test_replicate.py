@@ -4,6 +4,7 @@ import random
 import pytest
 
 from grasym import (
+    canonical_extension_field,
     cyclic_algebra,
     cyclic_group,
     group_algebra,
@@ -138,6 +139,16 @@ def test_random_small_algebra_over_the_rationals_is_refused(q, seed):
     assert rng.getstate() == random.Random(seed).getstate()
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_random_small_algebra_over_a_non_prime_field_is_refused(seed):
+    # over F_4 the menu used to build F_2 algebras (seeds 5 and 6) or raise
+    # FieldMismatch; the refusal now comes first, on every draw
+    rng = random.Random(seed)
+    with pytest.raises(ValueError, match="prime field"):
+        random_small_algebra(canonical_extension_field(2, 2), rng)
+    assert rng.getstate() == random.Random(seed).getstate()
+
+
 # -- hunt --------------------------------------------------------------------------------
 
 def test_hunt_candidate_stream_deterministic():
@@ -164,6 +175,13 @@ def test_hunt_char2_counts():
     assert report.no_base_field_point_instances == []
 
 
+def test_the_pinned_char2_hunt_builds_each_group_once(built_groups):
+    report = hunt_counterexample(hunt_char2_params())
+    assert report.candidates_enumerated == 57
+    # at most C_1, C_2, C_2 x C_2 and C_4, once each
+    assert len(built_groups) <= 4
+
+
 def test_hunt_includes_group_algebra_and_twisted_points():
     # the F_2 group-algebra candidates and the F_4 Frobenius candidates both
     # appear in the enumeration
@@ -172,11 +190,13 @@ def test_hunt_includes_group_algebra_and_twisted_points():
     assert any(c["ext_modulus"] == [1, 1, 1] and c["sigma_powers"] == [1] for c in blocks)
 
 
-def test_hunt_checkpoint_resume(tmp_path):
+def test_hunt_checkpoint_resume(tmp_path, monkeypatch):
+    from grasym import replicate
     p = hunt_char2_params()
     full = hunt_counterexample(p)
     ck = tmp_path / "hunt.ckpt"
-    partial = hunt_counterexample(p, checkpoint_path=str(ck), checkpoint_every=10)
+    monkeypatch.setattr(replicate, "CHECKPOINT_EVERY", 10)
+    partial = hunt_counterexample(p, checkpoint_path=str(ck))
     assert sorted(x.name for x in tmp_path.iterdir()) == ["hunt.ckpt"]  # no temp file left
     resumed = hunt_counterexample(p, resume=str(ck))
     # the checkpoint was written at the end, so resuming adds nothing

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -8,10 +9,12 @@ from grasym import (
     crossed_product,
     cyclic_algebra,
     cyclic_group,
+    dihedral_group,
     direct_product,
     field_as_algebra,
     good_matrix_algebra,
     group_algebra,
+    group_from_table,
     klein_group,
     make_field,
     matrix_algebra,
@@ -20,6 +23,7 @@ from grasym import (
     scalar_extension,
     subspace_algebra,
     sweedler_algebra,
+    symmetric_group_3,
     tensor_product,
     trivial_extension,
     ungrade,
@@ -27,13 +31,14 @@ from grasym import (
 )
 from grasym.algebras import frobenius_crossed_spec
 from grasym.invariants import _identity_component_algebra
-from grasym.replicate import random_graded_basis_change
-from grasym.errors import ParseError, ValidationError
+from grasym.replicate import dim4_f2_corpus, random_graded_basis_change
+from grasym.errors import GroupMismatch, ParseError, ValidationError
 from grasym.specfile import (
     algebra_from_dict,
     algebra_hash,
     algebra_to_dict,
     canonical_json,
+    field_from_dict,
     parse_algebra_file,
     write_algebra_file,
 )
@@ -84,6 +89,38 @@ def test_hash_is_stable_and_distinguishes():
     b = group_algebra(f2, cyclic_group(3))
     assert algebra_hash(a) == algebra_hash(a)
     assert algebra_hash(a) != algebra_hash(b)
+
+
+def test_algebra_equality_agrees_with_the_hash():
+    # fields and groups compare by identity, so two algebras are equal exactly
+    # when their canonical spec files are byte-identical; S_3 and D_3 (one
+    # table, two kinds) and C_4 and its loaded table used to compare equal
+    q, c4 = rationals(), cyclic_group(4)
+    groups = [symmetric_group_3(), dihedral_group(3), c4, group_from_table(c4.table, c4.labels)]
+    corpus = (all_constructor_outputs() + [a for _, a in dim4_f2_corpus()]
+              + [group_algebra(q, g) for g in groups])
+    hashed = [(a, algebra_hash(a)) for a in corpus]
+    for (a, ha), (b, hb) in itertools.product(hashed, repeat=2):
+        assert (a == b) == (ha == hb), (a, b)
+
+
+@pytest.mark.parametrize("combine", [direct_product, tensor_product])
+def test_products_need_the_same_group_not_the_same_table(combine):
+    q = rationals()
+    with pytest.raises(GroupMismatch):
+        combine(group_algebra(q, symmetric_group_3()), group_algebra(q, dihedral_group(3)))
+
+
+@pytest.mark.parametrize("field", [rationals(), make_field(2), make_field(2, [1, 1, 1]),
+                                   make_field(3, [1, 0, 1])], ids=repr)
+def test_field_block_degree_must_be_the_field_degree(field):
+    # the blocks Field.to_dict writes load, with or without a degree entry
+    block = field.to_dict()
+    assert field_from_dict(block) is field
+    assert field_from_dict({**block, "degree": field.degree}) is field
+    for bad in (field.degree + 1, float(field.degree), True, str(field.degree)):
+        with pytest.raises(ParseError):
+            field_from_dict({**block, "degree": bad})
 
 
 def test_file_round_trip(tmp_path):
