@@ -12,12 +12,12 @@ Polynomials over F_p appear internally as trimmed int tuples, constant
 coefficient first, with () for zero.  No floating point is used anywhere.
 
 Exact elimination runs on these raw values rather than on Scalars: `raw_ops`
-gives the row operations of one field kind (unwrap, wrap, the zero test,
-inverse, scale a row, subtract a scaled row, and evaluate linear forms at a
-point, which forms a matrix pencil at that point), so a row reduction unwraps
-its matrix once and creates no Scalar per arithmetic step.  This module is
-the only one that reads a Scalar's raw value, apart from two rationals-only
-reads in `invariants`.
+gives the operations of one field kind (unwrap, wrap, the zero test, product,
+sum, inverse, scale a row, subtract a scaled row, and evaluate linear forms
+at a point, which forms a matrix pencil at that point), so a row reduction
+or a computation on structure constants unwraps its input once and creates
+no Scalar per arithmetic step.  This module is the only one that reads a
+Scalar's raw value, apart from two rationals-only reads in `invariants`.
 """
 
 from __future__ import annotations
@@ -515,9 +515,10 @@ class RawOps:
 
     A raw value is what a Scalar of the field holds: an int in [0, p) over
     F_p, a Fraction over Q, a padded coefficient tuple over F_{p^n}.  Raw
-    values are canonical, so v is zero iff v == self.zero.  A row is a list
-    of raw values.  Each field kind implements
+    values are canonical, so v is zero iff v == self.zero; self.one is the
+    raw 1.  A row is a list of raw values.  Each field kind implements
 
+    - mul(u, v) and add(u, v): the product and the sum;
     - inverse(v): 1/v for nonzero v;
     - scale(row, c): the new row c * row;
     - sub_scaled(row, c, other): the new row row - c * other;
@@ -530,6 +531,10 @@ class RawOps:
     def __init__(self, field: Field):
         self.field = field
         self.zero = field.zero().val
+
+    @property
+    def one(self):
+        return self.field.one().val
 
     def unwrap(self, scalars) -> list:
         f = self.field
@@ -550,6 +555,12 @@ class _PrimeOps(RawOps):
         super().__init__(field)
         self.p = field.char
 
+    def mul(self, u, v):
+        return u * v % self.p
+
+    def add(self, u, v):
+        return (u + v) % self.p
+
     def inverse(self, v):
         return pow(v, self.p - 2, self.p)
 
@@ -569,6 +580,12 @@ class _PrimeOps(RawOps):
 class _RationalOps(RawOps):
     __slots__ = ()
 
+    def mul(self, u, v):
+        return u * v
+
+    def add(self, u, v):
+        return u + v
+
     def inverse(self, v):
         return 1 / v
 
@@ -585,6 +602,13 @@ class _RationalOps(RawOps):
 
 class _ExtensionOps(RawOps):
     __slots__ = ()
+
+    def mul(self, u, v):
+        return _ext_mul(u, v, self.field)
+
+    def add(self, u, v):
+        p = self.field.char
+        return tuple((a + b) % p for a, b in zip(u, v))
 
     def inverse(self, v):
         return _ext_inv(v, self.field)

@@ -27,7 +27,9 @@ from .algebras import (
     group_algebra,
     matrix_algebra,
     quaternion_algebra,
+    raw_structure,
     scalar_extension,
+    sparse_combination,
     subspace_algebra,
     sweedler_algebra,
     tensor_product,
@@ -41,7 +43,7 @@ from .errors import (
     ParseError,
     RationalsNotSupported,
 )
-from .fields import canonical_extension_field, make_field, rationals
+from .fields import canonical_extension_field, make_field, rationals, raw_ops
 from .groups import cyclic_group, group_from_kind, klein_group
 from .invariants import (
     center,
@@ -49,7 +51,7 @@ from .invariants import (
     graded_commutator_space,
     is_graded_division,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Subspace, eliminate_raw
 from .specfile import algebra_from_dict, canonical_json, group_to_dict, load_json
 from .symmetry import (
     LinearFunctional,
@@ -117,43 +119,51 @@ def random_graded_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAl
     """Conjugate by a random block-diagonal invertible matrix (grading kept);
     a basis change is an isomorphism, so the result is valid when a is.
 
-    Entries are drawn by element index, so the field must be finite.
+    Entries are drawn by element index, so the field must be finite.  The
+    new basis vector b_i is row i of the matrix B, and a vector v has the
+    coordinates B^-T v on the new basis.  B is block-diagonal over the graded
+    components, so B^-1 is too, and each coordinate of a product b_i b_j
+    comes from the inverse block of its own component.  Everything runs on
+    raw field values.
     """
     if not a.field.is_finite:
         raise RationalsNotSupported("random basis changes draw from a finite field")
-    q = a.field.size()
-    blocks = {}
+    field, d = a.field, a.dim
+    q, ops = field.size(), raw_ops(field)
+    zero, one = ops.zero, ops.one
+    change = [()] * d  # row i of B, as (index, raw value) pairs
+    inverse = [()] * d  # row i of B^-1
     for g in set(a.degree):
         idx = a.component_indices(g)
         n = len(idx)
         while True:
-            rows = [[a.field.element_at(rng.randrange(q)) for _ in range(n)]
-                    for _ in range(n)]
-            m = Matrix(a.field, rows)
-            if m.is_invertible():
-                blocks[g] = (idx, m)
+            block = [ops.unwrap([field.element_at(rng.randrange(q)) for _ in range(n)])
+                     for _ in range(n)]
+            # [block | I] reduces to [I | block^-1] when block is invertible
+            aug = [row + [one if c == r else zero for c in range(n)]
+                   for r, row in enumerate(block)]
+            if eliminate_raw(ops, aug, 2 * n)[:n] == list(range(n)):
                 break
-    z = a.field.zero()
-    basis_rows = []
-    for i in range(a.dim):
-        g = a.degree[i]
-        idx, m = blocks[g]
-        pos = idx.index(i)
-        row = [z] * a.dim
-        for col, j in enumerate(idx):
-            row[j] = m.entries[pos][col]
-        basis_rows.append(row)
-    # coordinates on the new basis: vec = sum_j x_j row_j, so x = B^-T vec
-    express = Matrix(a.field, basis_rows).inverse().transpose().mulvec
+        for pos, i in enumerate(idx):
+            change[i] = tuple((j, c) for j, c in zip(idx, block[pos]) if c != zero)
+            inverse[i] = tuple((j, c) for j, c in zip(idx, aug[pos][n:]) if c != zero)
+    rows = raw_structure(a, ops)
+    cols = [[rows[k][l] for k in range(d)] for l in range(d)]
+
+    def express(v: dict) -> dict:
+        return sparse_combination(ops, v.items(), inverse)
+
     sc = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            coords = express(a.mul_coords(basis_rows[i], basis_rows[j]))
-            terms = tuple((k, c) for k, c in enumerate(coords) if not c.is_zero)
-            if terms:
-                sc[(i, j)] = terms
-    unit = express(a.unit)
-    return GradedAlgebra(a.field, a.group, a.degree, sc, unit,
+    for i in range(d):
+        # b_i e_l for every l, then b_i b_j = sum_l B_jl b_i e_l
+        right = [sparse_combination(ops, change[i], col).items() for col in cols]
+        for j in range(d):
+            coords = express(sparse_combination(ops, change[j], right))
+            if coords:
+                sc[(i, j)] = dict(zip(coords, ops.wrap(coords.values())))
+    unit = express({k: c for k, c in enumerate(ops.unwrap(a.unit)) if c != zero})
+    return GradedAlgebra(field, a.group, a.degree, sc,
+                         ops.wrap(unit.get(k, zero) for k in range(d)),
                          meta={"construction": "basis_change"})
 
 

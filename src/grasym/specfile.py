@@ -146,7 +146,13 @@ def _raw_algebra_from_dict(d: dict) -> GradedAlgebra:
                 (_int(k), scalar_from_json(field, c)))
         if len(degrees) != dim:
             raise ParseError("degree list length does not match dim")
-        a = GradedAlgebra(field, group, degrees, sc, unit, labels=block.get("labels"))
+        labels = block.get("labels")
+        if "labels" in block and not isinstance(labels, list):
+            # a string or an object would load as its characters or keys, and
+            # null as no labels, and write back otherwise, so the file and
+            # its algebra_hash would differ
+            raise ParseError(f"labels must be a JSON list, not {labels!r}")
+        a = GradedAlgebra(field, group, degrees, sc, unit, labels=labels)
     report = algebras.validate_algebra(a)
     if not report.ok:
         raise ValidationError(report)

@@ -105,6 +105,18 @@ def test_out_of_range_indices_rejected(f2):
             GradedAlgebra(f2, cyclic_group(2), [0, 1], {key: {k: one}}, [one, f2.zero()])
 
 
+@pytest.mark.parametrize("unit", [lambda f3, f5: [f5.one(), f5.zero()],
+                                  lambda f3, f5: [1, 0],
+                                  lambda f3, f5: [f3.one(), 0]],
+                         ids=["foreign-field", "ints", "one-int"])
+def test_unit_vector_entries_must_be_scalars_of_the_field(f3, f5, unit):
+    # checked like the structure constants; these used to be accepted, and
+    # validate_algebra then died with a bare FieldMismatch or AttributeError
+    a = group_algebra(f3, cyclic_group(2))
+    with pytest.raises(FieldMismatch, match="unit vector"):
+        GradedAlgebra(f3, a.group, a.degree, a.sc, unit(f3, f5))
+
+
 def test_repeated_structure_constants_rejected(f3):
     one = f3.one()
     with pytest.raises(ValueError, match="twice"):

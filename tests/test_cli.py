@@ -2,9 +2,22 @@ import json
 
 import pytest
 
-from grasym import center, make_field, subspace_algebra, sweedler_algebra, trivial_extension
+from grasym import (
+    center,
+    cyclic_group,
+    group_algebra,
+    make_field,
+    subspace_algebra,
+    sweedler_algebra,
+    trivial_extension,
+)
 from grasym.cli import main
-from grasym.specfile import write_algebra_file
+from grasym.specfile import (
+    algebra_to_dict,
+    canonical_json,
+    parse_algebra_file,
+    write_algebra_file,
+)
 
 
 @pytest.fixture
@@ -174,3 +187,47 @@ def test_verify_undecidable_no_certificate_exit_two(cyc3_spec, tmp_path, capsys)
     assert captured.err.startswith("undecided: ")
     assert main(["check", cyc3_spec, "--mode", "frobenius"]) == 2
     assert capsys.readouterr().err == captured.err
+
+
+@pytest.mark.parametrize("labels", ["ab", {"x": 1, "y": 2}, None],
+                         ids=["string", "object", "null"])
+def test_labels_that_are_not_a_list_exit_three(labels, tmp_path, capsys):
+    # a string or an object used to load as its characters or keys and write
+    # back as a list, and null as no labels, written back with no labels
+    # key, so the loaded algebra's hash differed from the file's
+    spec = algebra_to_dict(group_algebra(make_field(2), cyclic_group(2)))
+    spec["algebra"]["labels"] = labels
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: labels must be a JSON list")
+
+
+@pytest.mark.parametrize("labels", [[1, 2], ["e", None], [[0], {"g": 1}]],
+                         ids=["ints", "null", "nested"])
+def test_labels_of_any_json_values_round_trip(labels, tmp_path):
+    spec = algebra_to_dict(group_algebra(make_field(2), cyclic_group(2)))
+    spec["algebra"]["labels"] = labels
+    path = tmp_path / "s.json"
+    path.write_text(canonical_json(spec) + "\n")
+    a = parse_algebra_file(str(path))
+    assert canonical_json(algebra_to_dict(a)) == canonical_json(spec)
+    assert main(["check", str(path)]) == 0
+
+
+def test_an_invalid_raw_spec_exits_three_with_the_full_report(tmp_path, capsys):
+    # i j = 2k in the rational quaternions: the message lists the first ten of
+    # the ten violating triples of the full scan
+    from grasym import quaternion_algebra, rationals
+
+    spec = algebra_to_dict(quaternion_algebra(rationals(), -1, -1))
+    rows = spec["algebra"]["sc"]
+    rows[rows.index([1, 2, 3, "1"])] = [1, 2, 3, "2"]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: ValidationError: associativity fails at (i,j,l) [(1, 1, 2), (1, 1, 3), "
+        "(1, 2, 1), (1, 2, 2), (1, 2, 3), (1, 3, 1), (2, 1, 2), (2, 3, 2), (3, 1, 2), "
+        "(3, 2, 2)]\n")
+

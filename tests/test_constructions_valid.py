@@ -1,5 +1,6 @@
 """Constructors return valid algebras without scanning them; validate_algebra,
-the scan they no longer run, checks random compositions of them."""
+which they no longer run, checks random compositions of them, and agrees
+with its oracle, the full scan."""
 
 import random
 
@@ -22,6 +23,7 @@ from grasym import (
     ungrade,
     validate_algebra,
 )
+from grasym.algebras import _scan_algebra
 from grasym.replicate import random_graded_basis_change
 
 pytest.importorskip("hypothesis")
@@ -83,4 +85,6 @@ def _composed_algebra(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(a=_composed_algebra())
 def test_composed_constructions_are_valid(a):
-    assert validate_algebra(a).ok
+    report = validate_algebra(a)
+    assert report.ok
+    assert report == _scan_algebra(a)

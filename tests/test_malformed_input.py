@@ -94,6 +94,12 @@ def _spec_with_field(a, block):
     return {**algebra_to_dict(a), "field": block}
 
 
+def _spec_with_labels(labels):
+    spec = _spec()
+    spec["algebra"]["labels"] = labels
+    return spec
+
+
 def _f2_field_spec(**changes):
     """The raw spec of F_2 as a one-dimensional algebra, with block entries
     replaced; every integer entry must be a JSON integer."""
@@ -138,6 +144,12 @@ MALFORMED = {
     "group-labels-that-cannot-key-the-group": lambda tmp: [
         "check", _write(tmp / "s.json", {**_spec(), "group": {
             "table": [[0, 1], [1, 0]], "labels": [["e"], ["g"]]}})],
+    "labels-as-a-string": lambda tmp: [
+        "check", _write(tmp / "s.json", _spec_with_labels("ab"))],
+    "labels-as-an-object": lambda tmp: [
+        "check", _write(tmp / "s.json", _spec_with_labels({"x": 1, "y": 2}))],
+    "labels-as-null": lambda tmp: [
+        "check", _write(tmp / "s.json", _spec_with_labels(None))],
     "float-cyclic-order": lambda tmp: [
         "check", _write(tmp / "s.json", {**_spec(), "group": {"kind": "cyclic", "n": 2.5}})],
     "float-constructor-size": lambda tmp: [
