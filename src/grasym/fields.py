@@ -700,6 +700,8 @@ def extend_field(field: Field, m: int) -> Field:
     """The canonical degree-m extension of a finite field."""
     if field.char == 0:
         raise RationalsNotSupported("scalar extension needs a finite base field")
+    if m < 1:
+        raise ValueError(f"extension degree must be at least 1, got {m}")
     if m == 1:
         return field
     return canonical_extension_field(field.char, field.degree * m)

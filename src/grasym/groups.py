@@ -61,6 +61,8 @@ class GroupTable:
         self.identity = 0
         self.inverse = tuple(inv)
         self.labels = tuple(labels) if labels is not None else None
+        if self.labels is not None and len(self.labels) != n:
+            raise ValueError("label list has wrong length")
         self.kind = kind
 
     def mul(self, g: int, h: int) -> int:

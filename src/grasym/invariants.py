@@ -38,7 +38,7 @@ from .algebras import Element, GradedAlgebra, homogeneous_component, subspace_al
 from .errors import AmbientMismatch
 from .fields import Scalar, raw_ops
 from .linalg import Matrix, Subspace, eliminate_raw
-from .multipoly import GramPencil, MultiPoly, nonvanishing_point, structured_det
+from .multipoly import linear_pencil, nonvanishing_point, structured_det
 
 SCAN_BOUND = 10 ** 6
 
@@ -123,15 +123,11 @@ def component_has_invertible(a: GradedAlgebra, g: int):
     indices = a.component_indices(g)
     if not indices:
         return False, None, None
-    m = len(indices)
     field = a.field
-    zero_poly = MultiPoly.zero(field, m)
-    entries = [[zero_poly for _ in range(a.dim)] for _ in range(a.dim)]
-    for r, i in enumerate(indices):
-        for j in range(a.dim):
-            for k, c in a.basis_product(i, j):
-                entries[k][j] = entries[k][j] + MultiPoly.variable(field, m, r, c)
-    pencil = GramPencil(field, a.dim, m, tuple(tuple(row) for row in entries))
+    # column j of L_x is x e_j, and x = sum_r t_r e_{indices[r]}
+    pencil = linear_pencil(field, a.dim, len(indices), (
+        (k, j, r, c) for r, i in enumerate(indices) for j in range(a.dim)
+        for k, c in a.basis_product(i, j)))
     result = nonvanishing_point(structured_det(pencil), field)
     if result.status == "identically_zero":
         return False, None, None

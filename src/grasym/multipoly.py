@@ -1,15 +1,15 @@
-"""Sparse multivariate polynomials and symbolic determinants of linear pencils.
+"""Linear pencils, their determinants, and deterministic point searches.
 
-Polynomials map exponent tuples to nonzero Scalars.  A pencil is a square grid
-of degree-<=1 homogeneous polynomials in unknowns t_1..t_m; its determinant is
-expanded by memoized cofactors along rows, pruning zero entries.  Large pencils
-whose nonzero pattern splits into independent row/column blocks factor into a
-signed product of block determinants (FactoredPoly), and each block
-determinant stays unexpanded (BlockDet): its value at a point is an exact
-elimination of the evaluated block, and its cofactor expansion runs only when
-its zero test or its terms are asked for.  A nonzero d x d determinant of a
-linear homogeneous pencil is homogeneous of degree d, so the degree that sets
-the search grid is known without expanding anything.
+A pencil is a square grid of linear forms in unknowns t_1..t_m, each entry
+the tuple of its m coefficients (all zero for a zero entry); linear_pencil
+builds one from sparse contributions.  Its determinant splits over the
+independent row/column blocks of the nonzero pattern into a signed product
+(FactoredPoly) of block determinants (BlockDet), none expanded up front: the
+value of a block at a point is an exact elimination of the evaluated block.
+A nonzero d x d determinant is homogeneous of degree d, so the degree that
+sets the search grid is known without expanding anything.  Polynomials
+(MultiPoly: exponent tuples to nonzero Scalars) appear only in pencil_det,
+the cofactor expansion that a zero test runs to prove a No.
 
 Witness searches are deterministic and walk before they prove: over a field
 larger than the total degree a grid with degree+1 values per variable must
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DimensionTooLarge, SearchSpaceTooLarge
 from .fields import Field, Scalar, embed_scalar, extend_field, raw_ops
@@ -61,12 +62,6 @@ class MultiPoly:
     @classmethod
     def constant(cls, field: Field, num_vars: int, c: Scalar) -> "MultiPoly":
         return cls(field, num_vars, {(0,) * num_vars: c})
-
-    @classmethod
-    def variable(cls, field: Field, num_vars: int, i: int, coeff=None) -> "MultiPoly":
-        e = [0] * num_vars
-        e[i] = 1
-        return cls(field, num_vars, {tuple(e): coeff if coeff is not None else field.one()})
 
     @property
     def is_zero(self) -> bool:
@@ -237,7 +232,7 @@ class FactoredPoly:
 
 @dataclass(frozen=True)
 class GramPencil:
-    """A square grid of linear homogeneous polynomials in t_1..t_m."""
+    """A dim x dim grid of linear forms, each the tuple of its num_vars coefficients."""
 
     field: Field
     dim: int
@@ -245,13 +240,36 @@ class GramPencil:
     entries: tuple
 
     def __post_init__(self):
-        for row in self.entries:
-            for p in row:
-                if p.total_degree() > 1 or any(sum(e) == 0 for e in p.terms):
-                    raise ValueError("pencil entries must be linear homogeneous")
+        field, m, zero = self.field, self.num_vars, _zero_form(self.field, self.num_vars)
+        if len(self.entries) != self.dim or any(len(row) != self.dim for row in self.entries):
+            raise ValueError(f"pencil grid must be {self.dim} x {self.dim}")
+        for form in itertools.chain.from_iterable(self.entries):
+            if form is not zero and not (isinstance(form, tuple) and len(form) == m and all(
+                    isinstance(c, Scalar) and c.field is field for c in form)):
+                raise ValueError(f"pencil entries must be {m} scalars of {field}")
 
     def evaluate(self, point) -> list:
-        return [[p.evaluate(point) for p in row] for row in self.entries]
+        return [[sum((c * v for c, v in zip(form, point)), self.field.zero()) for form in row]
+                for row in self.entries]
+
+
+@lru_cache(maxsize=None)
+def _zero_form(field: Field, num_vars: int) -> tuple:
+    """One zero form per field and arity, so zero entries compare by identity."""
+    return (field.zero(),) * num_vars
+
+
+def linear_pencil(field: Field, dim: int, num_vars: int, contributions) -> GramPencil:
+    """The pencil whose entry (i, j) sums c t_r over the contributions (i, j, r, c)."""
+    zero_form = _zero_form(field, num_vars)
+    grid = [[zero_form] * dim for _ in range(dim)]
+    for i, j, r, c in contributions:
+        form = grid[i][j]
+        if form is zero_form:
+            form = grid[i][j] = list(zero_form)
+        form[r] = form[r] + c
+    return GramPencil(field, dim, num_vars, tuple(
+        tuple(form if form is zero_form else tuple(form) for form in row) for row in grid))
 
 
 def pencil_det(pencil: GramPencil) -> MultiPoly:
@@ -263,7 +281,8 @@ def pencil_det(pencil: GramPencil) -> MultiPoly:
     one = MultiPoly.constant(field, m, field.one())
     if d == 0:
         return one
-    entries = pencil.entries
+    units = [tuple(int(t == r) for t in range(m)) for r in range(m)]
+    entries = [[MultiPoly(field, m, zip(units, form)) for form in row] for row in pencil.entries]
     memo: dict = {}
 
     def minor(cols: frozenset) -> MultiPoly:
@@ -304,11 +323,8 @@ class BlockDet:
     def __init__(self, pencil: GramPencil):
         self.pencil = pencil
         self._ops = raw_ops(pencil.field)
-        zero, m = pencil.field.zero(), pencil.num_vars
-        units = [tuple(int(t == r) for t in range(m)) for r in range(m)]
-        # _forms[r][c][k] is the coefficient of t_k in entry (r, c)
-        self._forms = [[self._ops.unwrap([p.terms.get(u, zero) for u in units])
-                        for p in row] for row in pencil.entries]
+        # _forms[r][c][k] is the raw coefficient of t_k in entry (r, c)
+        self._forms = [[self._ops.unwrap(form) for form in row] for row in pencil.entries]
         self._nonzero = False
         self._expanded = None
 
@@ -359,7 +375,8 @@ class BlockDet:
     def change_field(self, target: Field) -> "BlockDet":
         p = self.pencil
         out = BlockDet(GramPencil(target, p.dim, p.num_vars, tuple(
-            tuple(e.change_field(target) for e in row) for row in p.entries)))
+            tuple(tuple(embed_scalar(c, target) for c in form) for form in row)
+            for row in p.entries)))
         out._nonzero = self._nonzero
         return out
 
@@ -367,8 +384,9 @@ class BlockDet:
         return repr(self.expand())
 
 
-def _support_components(entries, d: int):
+def _support_components(pencil: GramPencil):
     """Connected components of the nonzero pattern (rows and cols as nodes)."""
+    d, zero = pencil.dim, _zero_form(pencil.field, pencil.num_vars)
     parent = list(range(2 * d))
 
     def find(x):
@@ -382,9 +400,9 @@ def _support_components(entries, d: int):
         if ra != rb:
             parent[ra] = rb
 
-    for i in range(d):
-        for j in range(d):
-            if not entries[i][j].is_zero:
+    for i, row in enumerate(pencil.entries):
+        for j, form in enumerate(row):
+            if form != zero:
                 union(i, d + j)
     groups: dict = {}
     for i in range(d):
@@ -408,7 +426,7 @@ def structured_det(pencil: GramPencil) -> FactoredPoly:
     d = pencil.dim
     field, m = pencil.field, pencil.num_vars
     zero = FactoredPoly(field, m, 1, (MultiPoly.zero(field, m),))
-    components = _support_components(pencil.entries, d)
+    components = _support_components(pencil)
     for rows, cols in components:
         if len(rows) != len(cols):
             return zero

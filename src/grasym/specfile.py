@@ -70,6 +70,16 @@ def _ints(values) -> list:
     return [_int(v) for v in values]
 
 
+def _labels(block: dict):
+    """A block's optional "labels", which must be a JSON list: a string or an
+    object would load as its characters or keys, and null as no labels, and
+    write back otherwise, so the file and its algebra_hash would differ."""
+    labels = block.get("labels")
+    if "labels" in block and not isinstance(labels, list):
+        raise ParseError(f"labels must be a JSON list, not {labels!r}")
+    return labels
+
+
 # -- field and group blocks ---------------------------------------------------------
 
 def field_from_dict(d: dict) -> Field:
@@ -99,7 +109,7 @@ def group_from_dict(d: dict) -> GroupTable:
     from its GroupTable.kind tuple, or a Cayley table."""
     with _decoding("group block"):
         if "kind" not in d:
-            return group_from_table([_ints(row) for row in d["table"]], d.get("labels"))
+            return group_from_table([_ints(row) for row in d["table"]], _labels(d))
         name = d["kind"]
         if name == "product":
             return group_from_kind((name, tuple(_ints(d["orders"]))))
@@ -146,13 +156,7 @@ def _raw_algebra_from_dict(d: dict) -> GradedAlgebra:
                 (_int(k), scalar_from_json(field, c)))
         if len(degrees) != dim:
             raise ParseError("degree list length does not match dim")
-        labels = block.get("labels")
-        if "labels" in block and not isinstance(labels, list):
-            # a string or an object would load as its characters or keys, and
-            # null as no labels, and write back otherwise, so the file and
-            # its algebra_hash would differ
-            raise ParseError(f"labels must be a JSON list, not {labels!r}")
-        a = GradedAlgebra(field, group, degrees, sc, unit, labels=labels)
+        a = GradedAlgebra(field, group, degrees, sc, unit, labels=_labels(block))
     report = algebras.validate_algebra(a)
     if not report.ok:
         raise ValidationError(report)

@@ -6,11 +6,11 @@ vanishing on commutators (symmetric modes).  For such a functional, the set
 {x : lam(Ax) = 0} is a (graded) left ideal contained in Ker lam, and it is
 zero exactly when the Gram matrix (lam(e_i e_j)) is nonsingular; so the
 kernel-contains-no-ideal clause of the definition is equivalent to Gram
-nonsingularity and the decision becomes: does the trace space contain a point
-where the symbolic Gram determinant is nonzero?  That determinant is a
-polynomial in the coordinates of the trace space, computed exactly from the
-Gram pencil, and point searches are deterministic, so verdicts are
-reproducible and every Yes comes with a functional that an independent
+nonsingularity and the decision becomes: is the Gram pencil sum_r t_r G_r,
+G_r[i][j] = lam_r(e_i e_j) over a basis lam_r of the trace space, nonsingular
+at some point?  It is stored as its grid of linear forms, built in one pass
+over the structure constants.  Point searches are deterministic, so verdicts
+are reproducible and every Yes comes with a functional that an independent
 checker re-verifies from scratch.
 
 Graded trace functionals vanish off the identity component, which makes the
@@ -18,10 +18,10 @@ Gram pencil block-structured (rows of degree g pair only with columns of
 degree g^-1); the determinant is taken blockwise so large algebras with small
 homogeneous components stay tractable.  The decision walks before it proves:
 the point search evaluates each block at grid points by exact elimination,
-and a Yes needs only one point where every block is nonsingular.  A block's
-cofactor expansion runs only to prove a No (a vanishing block refutes), or
-when no witness turns up among the first grid points; the blocks are never
-multiplied together to reach a verdict.
+and a Yes needs only one point where every block is nonsingular.  Polynomials
+appear only in a block's cofactor expansion, which runs to prove a No (a
+vanishing block refutes), or when no witness turns up among the first grid
+points; the blocks are never multiplied together to reach a verdict.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .invariants import commutator_subspace, graded_commutator_space
 from .linalg import Matrix, Subspace
-from .multipoly import GramPencil, MultiPoly, nonvanishing_point, structured_det
+from .multipoly import GramPencil, linear_pencil, nonvanishing_point, structured_det
 
 MODES = ("graded-symmetric", "graded-frobenius", "symmetric", "frobenius")
 MAX_TRACE_SPACE_DIM = 8
@@ -157,8 +157,14 @@ def graded_trace_space(a: GradedAlgebra, mode: str = "graded-symmetric") -> Subs
     return Matrix(a.field, constraints).kernel()
 
 
+def _check_owner(a: GradedAlgebra, lam: LinearFunctional):
+    if not (lam.owner is a or lam.owner == a):
+        raise OwnerMismatch("functional belongs to a different algebra")
+
+
 def gram_matrix(a: GradedAlgebra, lam: LinearFunctional) -> Matrix:
     """The bilinear form (i, j) -> lam(e_i e_j) as an exact matrix."""
+    _check_owner(a, lam)
     z = a.field.zero()
     entries = []
     for i in range(a.dim):
@@ -175,32 +181,18 @@ def gram_matrix(a: GradedAlgebra, lam: LinearFunctional) -> Matrix:
 
 
 def gram_pencil(a: GradedAlgebra, functionals) -> GramPencil:
-    """Symbolic Gram matrix with entries linear in the functional coordinates."""
+    """The Gram pencil: entry (i, j) is the linear form sum_r lam_r(e_i e_j) t_r."""
     functionals = list(functionals)
     if not functionals:
         raise EmptyTraceSpace("the trace space is zero")
-    m = len(functionals)
-    field = a.field
-    entries = []
-    for i in range(a.dim):
-        row = []
-        for j in range(a.dim):
-            terms = {}
-            for k, c in a.basis_product(i, j):
-                for r, lam in enumerate(functionals):
-                    lk = lam.coords[k]
-                    if lk.is_zero:
-                        continue
-                    exp = tuple(1 if t == r else 0 for t in range(m))
-                    cur = terms.get(exp)
-                    v = c * lk if cur is None else cur + c * lk
-                    if v.is_zero:
-                        terms.pop(exp, None)
-                    else:
-                        terms[exp] = v
-            row.append(MultiPoly(field, m, terms))
-        entries.append(tuple(row))
-    return GramPencil(field, a.dim, m, tuple(entries))
+    for lam in functionals:
+        _check_owner(a, lam)
+    # the nonzero values (r, lam_r(e_k)) of each basis vector e_k
+    values = [[(r, lam.coords[k]) for r, lam in enumerate(functionals)
+               if not lam.coords[k].is_zero] for k in range(a.dim)]
+    return linear_pencil(a.field, a.dim, len(functionals), (
+        (i, j, r, c * v) for (i, j), terms in a.sc.items()
+        for k, c in terms for r, v in values[k]))
 
 
 def verify_certificate(a: GradedAlgebra, lam: LinearFunctional, mode: str):
@@ -211,6 +203,7 @@ def verify_certificate(a: GradedAlgebra, lam: LinearFunctional, mode: str):
     exact full rank of the evaluated Gram matrix.
     """
     _check_mode(mode)
+    _check_owner(a, lam)
     checks = []
     e = a.group.identity
     if mode.startswith("graded-"):

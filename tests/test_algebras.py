@@ -12,6 +12,7 @@ from grasym import (
     cyclic_algebra_spec,
     cyclic_group,
     direct_product,
+    extend_field,
     field_as_algebra,
     frobenius_matrix,
     good_matrix_algebra,
@@ -648,6 +649,16 @@ def test_scalar_extension(f3):
     b = scalar_extension(a, 2)
     assert b.dim == a.dim and b.field.degree == 2
     assert validate_algebra(b).ok
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_scalar_extension_refuses_a_degree_below_one(m, f3):
+    # m = 0 used to report "no irreducible polynomial of degree 0", and
+    # m = -1 raised a bare TypeError
+    with pytest.raises(ValueError, match="at least 1"):
+        scalar_extension(group_algebra(f3, cyclic_group(2)), m)
+    with pytest.raises(ValueError, match="at least 1"):
+        extend_field(f3, m)
 
 
 def test_scalar_extension_rejects_rationals(q):

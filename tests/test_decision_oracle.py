@@ -5,6 +5,10 @@ block determinant with pencil_det, a vanishing block refuted, and only then
 was the grid walked on the factored product.  The decision now walks first
 and expands a block only to prove a No, so both must give the same
 certificate bytes (or raise the same exception type) on every input.
+
+The Gram pencil is a grid of linear forms; the symbolic pencil it replaced,
+a grid of MultiPoly entries built term by term, is kept here as the oracle
+for its entries and its determinant.
 """
 
 import itertools
@@ -14,6 +18,7 @@ import random
 import pytest
 
 from grasym import (
+    center,
     cyclic_algebra,
     cyclic_group,
     decide_form_existence,
@@ -24,6 +29,7 @@ from grasym import (
     matrix_algebra,
     quaternion_algebra,
     rationals,
+    subspace_algebra,
     sweedler_algebra,
     trivial_extension,
 )
@@ -62,6 +68,7 @@ from grasym.symmetry import (
     gram_pencil,
     graded_trace_space,
 )
+from test_multipoly import pencil as forms_pencil
 
 
 # -- the reference: expand every block, test zero, then walk ----------------------
@@ -69,7 +76,7 @@ from grasym.symmetry import (
 def eager_structured_det(pencil: GramPencil) -> FactoredPoly:
     d, field, m = pencil.dim, pencil.field, pencil.num_vars
     zero = FactoredPoly(field, m, 1, (MultiPoly.zero(field, m),))
-    components = _support_components(pencil.entries, d)
+    components = _support_components(pencil)
     if any(len(rows) != len(cols) for rows, cols in components):
         return zero
     col_of_row = [0] * d
@@ -234,3 +241,56 @@ def test_lazy_block_values_match_the_expanded_blocks():
                 assert lazy.evaluate(point) == eager.evaluate(point), (name, mode)
                 checked += 1
     assert checked > 300
+
+
+# -- the forms pencil against the symbolic pencil ---------------------------------
+
+def symbolic_gram_pencil(a, functionals) -> GramPencil:
+    """The Gram pencil built as MultiPoly entries, then read back as forms
+    (which checks that every entry is linear homogeneous)."""
+    m = len(functionals)
+    field = a.field
+    entries = []
+    for i in range(a.dim):
+        row = []
+        for j in range(a.dim):
+            terms = {}
+            for k, c in a.basis_product(i, j):
+                for r, lam in enumerate(functionals):
+                    lk = lam.coords[k]
+                    if lk.is_zero:
+                        continue
+                    exp = tuple(1 if t == r else 0 for t in range(m))
+                    cur = terms.get(exp)
+                    v = c * lk if cur is None else cur + c * lk
+                    if v.is_zero:
+                        terms.pop(exp, None)
+                    else:
+                        terms[exp] = v
+            row.append(MultiPoly(field, m, terms))
+        entries.append(row)
+    return forms_pencil(field, m, entries)
+
+
+def _pencil_corpus():
+    out = list(dim4_f2_corpus())
+    for f in (make_field(3), rationals()):
+        te = trivial_extension(sweedler_algebra(f))
+        out += [(f"Sweedler-{f}", sweedler_algebra(f)),
+                (f"Z(TE(Sweedler))-{f}", subspace_algebra(te, center(te)))]
+    return out
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_forms_pencil_matches_the_symbolic_pencil(mode):
+    checked = 0
+    for name, a in _pencil_corpus():
+        space = graded_trace_space(a, mode)
+        if not 0 < space.dim <= MAX_TRACE_SPACE_DIM:
+            continue
+        functionals = [LinearFunctional(a, r) for r in space.basis]
+        new, old = gram_pencil(a, functionals), symbolic_gram_pencil(a, functionals)
+        assert new == old, (name, mode)
+        assert structured_det(new).expand() == pencil_det(old), (name, mode)
+        checked += 1
+    assert checked == len(dim4_f2_corpus()) + 4

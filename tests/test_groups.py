@@ -10,7 +10,7 @@ from grasym import (
     trivial_group,
 )
 from grasym.errors import IndexOutOfRange, InvalidTable
-from grasym.groups import group_from_kind
+from grasym.groups import GroupTable, group_from_kind
 
 
 def test_cyclic_generator_order():
@@ -145,10 +145,18 @@ def test_a_table_is_one_shared_instance():
     labels = ("a", "b", "c", "d")
     assert group_from_table(t, labels) is group_from_table(t, list(labels))
     assert group_from_table(t, labels) is not group_from_table(t)
-    assert group_from_table(t, []) is not group_from_table(t)
     # labels are keys of their own type: 1.0 is not the label 1
     assert group_from_table(t, [0, 1, 2, 3]).labels == (0, 1, 2, 3)
     assert type(group_from_table(t, [0.0, 1, 2, 3]).labels[0]) is float
+
+
+@pytest.mark.parametrize("labels", [[], ["a", "b", "c"], ["a", "b", "c", "d", "e"]])
+def test_a_label_list_must_name_every_element(labels):
+    t = cyclic_group(4).table
+    with pytest.raises(ValueError, match="label list has wrong length"):
+        group_from_table(t, labels)
+    with pytest.raises(ValueError, match="label list has wrong length"):
+        GroupTable(t, labels=labels)
 
 
 def test_each_group_is_built_once(built_groups):

@@ -100,6 +100,14 @@ def _spec_with_labels(labels):
     return spec
 
 
+def _spec_with_group_labels(labels):
+    return {**_spec(), "group": {"table": [[0, 1], [1, 0]], "labels": labels}}
+
+
+def _scalar_extension_spec(m):
+    return {"constructor": {"name": "scalar_extension", "base": _spec(), "m": m}}
+
+
 def _f2_field_spec(**changes):
     """The raw spec of F_2 as a one-dimensional algebra, with block entries
     replaced; every integer entry must be a JSON integer."""
@@ -144,6 +152,18 @@ MALFORMED = {
     "group-labels-that-cannot-key-the-group": lambda tmp: [
         "check", _write(tmp / "s.json", {**_spec(), "group": {
             "table": [[0, 1], [1, 0]], "labels": [["e"], ["g"]]}})],
+    "group-labels-as-a-string": lambda tmp: [
+        "check", _write(tmp / "s.json", _spec_with_group_labels("eg"))],
+    "group-labels-as-an-object": lambda tmp: [
+        "check", _write(tmp / "s.json", _spec_with_group_labels({"e": 1, "g": 2}))],
+    "group-labels-as-null": lambda tmp: [
+        "check", _write(tmp / "s.json", _spec_with_group_labels(None))],
+    "group-labels-beyond-the-order": lambda tmp: [
+        "check", _write(tmp / "s.json", _spec_with_group_labels(["e", "g", "h"]))],
+    "scalar-extension-of-degree-zero": lambda tmp: [
+        "check", _write(tmp / "s.json", _scalar_extension_spec(0))],
+    "scalar-extension-of-negative-degree": lambda tmp: [
+        "check", _write(tmp / "s.json", _scalar_extension_spec(-1))],
     "labels-as-a-string": lambda tmp: [
         "check", _write(tmp / "s.json", _spec_with_labels("ab"))],
     "labels-as-an-object": lambda tmp: [

@@ -20,15 +20,25 @@ from grasym.multipoly import WITNESS_WALK, FactoredPoly
 
 
 def var(field, m, i):
-    return MultiPoly.variable(field, m, i)
+    return MultiPoly(field, m, {tuple(int(t == i) for t in range(m)): field.one()})
 
 
 def const(field, m, c):
     return MultiPoly.constant(field, m, field.scalar(c))
 
 
+def form(poly):
+    """The coefficients of t_1..t_m in a linear homogeneous MultiPoly."""
+    m, zero = poly.num_vars, poly.field.zero()
+    units = [tuple(int(t == r) for t in range(m)) for r in range(m)]
+    if not set(poly.terms) <= set(units):
+        raise ValueError("pencil entries must be linear homogeneous")
+    return tuple(poly.terms.get(u, zero) for u in units)
+
+
 def pencil(field, m, grid):
-    return GramPencil(field, len(grid), m, tuple(tuple(row) for row in grid))
+    """The pencil of a square grid of linear homogeneous MultiPolys."""
+    return GramPencil(field, len(grid), m, tuple(tuple(form(p) for p in row) for row in grid))
 
 
 def test_pencil_det_2x2(q):
@@ -365,3 +375,33 @@ def test_search_over_budget_still_reports_a_zero_determinant(f2):
     t = var(f2, m, 0)
     det = structured_det(pencil(f2, m, [[t, t], [t, t]]))
     assert nonvanishing_point(det, f2).status == "identically_zero"
+
+
+# -- the shape of a pencil ------------------------------------------------------------
+
+def test_pencil_refuses_a_ragged_grid(f3):
+    zero_form = (f3.zero(),)
+    with pytest.raises(ValueError, match="2 x 2"):
+        GramPencil(f3, 2, 1, ((zero_form,),))
+    with pytest.raises(ValueError, match="2 x 2"):
+        GramPencil(f3, 2, 1, ((zero_form, zero_form), (zero_form,)))
+
+
+def test_pencil_refuses_a_form_of_the_wrong_length_or_field(f3, f5):
+    with pytest.raises(ValueError, match="1 scalars"):
+        GramPencil(f3, 1, 1, (((f3.one(), f3.zero()),),))
+    with pytest.raises(ValueError, match="1 scalars"):
+        GramPencil(f3, 1, 1, (((f5.one(),),),))
+    with pytest.raises(ValueError, match="1 scalars"):
+        GramPencil(f3, 1, 1, ((var(f3, 1, 0),),))
+
+
+def test_linear_pencil_sums_the_contributions(f5):
+    t1, t2 = var(f5, 2, 0), var(f5, 2, 1)
+    two, three = f5.from_int(2), f5.from_int(3)
+    p = multipoly.linear_pencil(f5, 2, 2, [(0, 0, 0, two), (0, 0, 0, three), (0, 1, 1, two),
+                                           (1, 0, 0, three), (1, 0, 1, f5.one())])
+    # 2 t1 + 3 t1 cancels to the zero form
+    assert p == pencil(f5, 2, [[MultiPoly.zero(f5, 2), t2 * two],
+                               [t1 * three + t2, MultiPoly.zero(f5, 2)]])
+    assert pencil_det(p) == -(t2 * two) * (t1 * three + t2)

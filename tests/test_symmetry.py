@@ -45,6 +45,7 @@ from grasym.errors import (
     NotAGoodMatrixAlgebra,
     NotInvariant,
     NotNormalized,
+    OwnerMismatch,
 )
 from grasym.groups import dihedral_group
 from grasym.replicate import dim4_f2_corpus, random_graded_basis_change
@@ -83,11 +84,16 @@ def test_frobenius_mode_trace_space_is_bigger(f3):
 
 # -- gram pencils --------------------------------------------------------------------
 
+def _zero(entry):
+    """Whether a pencil entry, a linear form, is zero."""
+    return all(c.is_zero for c in entry)
+
+
 def test_gram_pencil_one_dimensional(q):
     a = field_as_algebra(q, q)
     p = gram_pencil(a, [LinearFunctional(a, [q.one()])])
     assert p.dim == 1 and p.num_vars == 1
-    assert not p.entries[0][0].is_zero
+    assert not _zero(p.entries[0][0])
 
 
 def test_gram_pencil_group_algebra(f3):
@@ -95,10 +101,10 @@ def test_gram_pencil_group_algebra(f3):
     s = graded_trace_space(a, "graded-symmetric")
     p = gram_pencil(a, [LinearFunctional(a, row) for row in s.basis])
     # products g.g = e give the diagonal [t1, 0; 0, t1]
-    assert not p.entries[0][0].is_zero
-    assert p.entries[0][1].is_zero
-    assert p.entries[1][0].is_zero
-    assert not p.entries[1][1].is_zero
+    assert not _zero(p.entries[0][0])
+    assert _zero(p.entries[0][1])
+    assert _zero(p.entries[1][0])
+    assert not _zero(p.entries[1][1])
 
 
 def test_gram_pencil_rejects_empty(f3):
@@ -468,7 +474,7 @@ def test_gram_pencil_of_sweedler_center(f3):
     space = graded_trace_space(e, "frobenius")
     assert space.dim == 3
     p = gram_pencil(e, [LinearFunctional(e, row) for row in space.basis])
-    z = [[p.entries[i][j].is_zero for j in range(3)] for i in range(3)]
+    z = [[_zero(p.entries[i][j]) for j in range(3)] for i in range(3)]
     assert z == [[False, False, False],
                  [False, True, True],
                  [False, True, True]]
@@ -483,6 +489,29 @@ def test_functional_rejects_foreign_element(f3, q):
     from grasym.errors import OwnerMismatch
     with pytest.raises(OwnerMismatch):
         lam(h.one())
+
+
+def _foreign_functional(f3):
+    a = group_algebra(f3, cyclic_group(2))
+    return a, LinearFunctional(group_algebra(f3, cyclic_group(3)), [1, 0, 0])
+
+
+def test_certificate_check_rejects_a_foreign_functional(f3):
+    a, lam = _foreign_functional(f3)
+    with pytest.raises(OwnerMismatch):
+        verify_certificate(a, lam, "symmetric")
+
+
+def test_gram_matrix_rejects_a_foreign_functional(f3):
+    a, lam = _foreign_functional(f3)
+    with pytest.raises(OwnerMismatch):
+        gram_matrix(a, lam)
+
+
+def test_gram_pencil_rejects_a_foreign_functional(f3):
+    a, lam = _foreign_functional(f3)
+    with pytest.raises(OwnerMismatch):
+        gram_pencil(a, [LinearFunctional(a, [1, 0]), lam])
 
 
 def test_lift_beyond_characteristic_hypothesis(f3):
