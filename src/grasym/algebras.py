@@ -18,16 +18,21 @@ Crossed products are built from a coefficient algebra D, an action map sigma
 and a twisting map alpha.  Their compatibility, sigma's automorphism laws
 included, is decided in D by the crossed-product identities before any
 structure constant of the product is built, and incompatible data is reported
-with the law that fails and where.
+with the law that fails and where.  The laws, the normalization of alpha and
+the product's table all run on raw field values, as validation does; the
+table wraps each distinct raw value into a Scalar once.
 Every crossed product of a finite field by Frobenius powers with a unit twist
 (the cyclic algebras, the replication corpus, spec-file constructor blocks and
-hunt candidates) gets its data from the one builder frobenius_crossed_spec.
+hunt candidates) gets its data from the one builder frobenius_crossed_spec,
+which builds the coefficient field as an algebra, and its Frobenius matrices,
+once per field.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .errors import (
     AmbientMismatch,
@@ -49,7 +54,7 @@ from .errors import (
 )
 from .fields import Field, Scalar, embed_scalar, extend_field, make_field, raw_ops
 from .groups import GroupTable, cyclic_group, klein_group, trivial_group
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, eliminate_raw
 
 MAX_ALGEBRA_DIM = 64
 
@@ -627,11 +632,69 @@ def _check_sigma(spec: CrossedProductSpec):
                 f"sigma missing at group element {g} (need a {dd}x{dd} matrix)")
 
 
-def _normalized_alpha(spec: CrossedProductSpec) -> dict:
+class _RawCoefficients:
+    """The coefficient algebra D and the action sigma of a crossed-product
+    spec on raw field values (fields.raw_ops).
+
+    An element of D is the tuple of its raw coordinates.  left(x) gives the
+    rows of L_x : y -> x y, built by sparse_combination from D's raw
+    structure constants once per distinct x, so mul(x, y) is ops.forms_at of
+    L_x at y.  act(g, x) applies sigma(g) through its unwrapped rows, and
+    images[g] lists its columns sigma(g)(e_i).
+    """
+
+    __slots__ = ("ops", "cols", "sigma", "images", "one", "basis", "_left")
+
+    def __init__(self, spec: CrossedProductSpec):
+        d = spec.coeff
+        self.ops = ops = raw_ops(d.field)
+        rows = raw_structure(d, ops)
+        self.cols = [[rows[i][j] for i in range(d.dim)] for j in range(d.dim)]
+        self.sigma = {g: [ops.unwrap(row) for row in spec.sigma[g].entries]
+                      for g in range(spec.group.order)}
+        self.images = {g: list(zip(*m)) for g, m in self.sigma.items()}
+        self.one = tuple(ops.unwrap(d.unit))
+        zero, one = ops.zero, ops.one
+        self.basis = [tuple(one if k == i else zero for k in range(d.dim))
+                      for i in range(d.dim)]
+        self._left = {}
+
+    def left(self, x) -> list:
+        lx = self._left.get(x)
+        if lx is None:
+            ops = self.ops
+            terms = [(k, c) for k, c in enumerate(x) if c != ops.zero]
+            columns = [sparse_combination(ops, terms, col) for col in self.cols]  # x e_j
+            lx = self._left[x] = [[c.get(k, ops.zero) for c in columns] for k in range(len(x))]
+        return lx
+
+    def mul(self, x, y) -> tuple:
+        return tuple(self.ops.forms_at(self.left(x), y))
+
+    def act(self, g: int, x) -> tuple:
+        return tuple(self.ops.forms_at(self.sigma[g], x))
+
+    def inverse(self, x):
+        """x^-1, or None when x is not invertible: the solution of L_x y = 1
+        that Element.inverse finds, by eliminate_raw on [L_x | 1]."""
+        ops, n = self.ops, len(x)
+        m = [row + [self.one[k]] for k, row in enumerate(self.left(x))]
+        pivots = eliminate_raw(ops, m, n + 1)
+        if n in pivots:
+            return None
+        y = [ops.zero] * n
+        for r, p in enumerate(pivots):
+            y[p] = m[r][n]
+        return tuple(y)
+
+
+def _normalized_alpha(spec: CrossedProductSpec, raw: _RawCoefficients) -> dict:
     """Rescale the section at the identity so that alpha(e,h) = alpha(g,e) = 1
     for compatible data; _check_crossed_laws decides whether it came out so.
 
-    Each distinct alpha value is inverted once.
+    Each alpha value must hold one scalar of D's field per D-basis vector.
+    Each distinct value is inverted once.  The result maps (g, h) to the raw
+    coordinates of the normalized alpha(g,h).
     """
     d = spec.coeff
     G = spec.group
@@ -643,18 +706,23 @@ def _normalized_alpha(spec: CrossedProductSpec) -> dict:
             val = spec.alpha.get((g, h))
             if val is None:
                 raise IncompatibleCocycleData(f"alpha missing at pair ({g},{h})")
-            el = Element(d, val)
-            if el.coords not in inverses:
-                inverses[el.coords] = el.inverse()
-            if inverses[el.coords] is None:
+            if len(val) != d.dim:
+                raise IncompatibleCocycleData(
+                    f"alpha({g},{h}) has length {len(val)} (need {d.dim})")
+            if not all(isinstance(c, Scalar) and c.field is d.field for c in val):
+                raise FieldMismatch(
+                    f"alpha({g},{h}) has an entry that is not a scalar of {d.field}")
+            x = tuple(raw.ops.unwrap(val))
+            if x not in inverses:
+                inverses[x] = raw.inverse(x)
+            if inverses[x] is None:
                 raise NonInvertibleAlpha(f"alpha({g},{h}) is not invertible in D")
-            alpha[(g, h)] = el
+            alpha[(g, h)] = x
     aee = alpha[(e, e)]
-    for i in range(d.dim):
-        ei = d.basis_element(i)
-        if (aee * ei).coords != (ei * aee).coords:
+    for b in raw.basis:
+        if raw.mul(aee, b) != raw.mul(b, aee):
             raise IncompatibleCocycleData("alpha(e,e) must be central in D")
-    c = inverses[aee.coords]
+    c = inverses[aee]
     out = {}
     for g in range(G.order):
         for h in range(G.order):
@@ -662,16 +730,16 @@ def _normalized_alpha(spec: CrossedProductSpec) -> dict:
             # alpha'(g,h) = c_g sigma(g)(c_h) alpha(g,h) c_{gh}^-1
             val = alpha[(g, h)]
             if h == e:
-                val = Element(d, spec.sigma[g].mulvec(c.coords)) * val
+                val = raw.mul(raw.act(g, c), val)
             if g == e:
-                val = c * val
+                val = raw.mul(c, val)
             if G.mul(g, h) == e:
-                val = val * aee
+                val = raw.mul(val, aee)
             out[(g, h)] = val
     return out
 
 
-def _check_crossed_laws(spec: CrossedProductSpec, alpha: dict):
+def _check_crossed_laws(spec: CrossedProductSpec, raw: _RawCoefficients, alpha: dict):
     """Decide in D whether sigma and the normalized alpha give a crossed
     product; raise IncompatibleCocycleData naming the first law that fails.
 
@@ -714,20 +782,13 @@ def _check_crossed_laws(spec: CrossedProductSpec, alpha: dict):
 
     The check takes O(|G| d^2 + |G|^2 d + |G|^3) products in D, d = dim D;
     the unit-law and associativity scan of the product takes (|G| d)^3
-    triples.  sigma's images of the basis are taken once per g, and (M) is
-    checked once per distinct matrix.
+    triples.  The laws run in this order on raw field values (see
+    _RawCoefficients), and (M) is checked once per distinct matrix.
     """
-    d = spec.coeff
     G = spec.group
     e = G.identity
-    sigma = spec.sigma
-    one = tuple(d.unit)
-    basis = [d.basis_element(i).coords for i in range(d.dim)]
+    one, basis, images, act, mul = raw.one, raw.basis, raw.images, raw.act, raw.mul
     rest = [g for g in range(G.order) if g != e]
-    images = {g: [sigma[g].mulvec(b) for b in basis] for g in range(G.order)}
-
-    def mul(x, y):
-        return tuple(d.mul_coords(x, y))
 
     def fail(law, where):
         raise IncompatibleCocycleData(f"{law} fails at {where}")
@@ -736,78 +797,85 @@ def _check_crossed_laws(spec: CrossedProductSpec, alpha: dict):
         if images[e][i] != b:
             fail("the unit law (sigma(e) = id)", f"D-basis vector {i}")
     for g in rest:
-        if sigma[g].mulvec(one) != one:
+        if act(g, one) != one:
             fail("the unit law (sigma(g)(1) = 1)", f"g={g}")
     for g in rest:
-        if alpha[(g, e)].coords != one or alpha[(e, g)].coords != one:
+        if alpha[(g, e)] != one or alpha[(e, g)] != one:
             fail("the unit law (alpha(g,e) = alpha(e,g) = 1 once normalized)", f"g={g}")
     basis_products = [[mul(bi, bj) for bj in basis] for bi in basis]
     multiplicative = set()
     for g in rest:
-        if sigma[g].entries in multiplicative:
+        if spec.sigma[g].entries in multiplicative:
             continue
         for i, row in enumerate(basis_products):
             for j, bij in enumerate(row):
-                if sigma[g].mulvec(bij) != mul(images[g][i], images[g][j]):
+                if act(g, bij) != mul(images[g][i], images[g][j]):
                     fail("multiplicativity of sigma "
                          "(sigma(g)(e_i e_j) = sigma(g)(e_i) sigma(g)(e_j))",
                          f"g={g}, i={i}, j={j}")
-        multiplicative.add(sigma[g].entries)
+        multiplicative.add(spec.sigma[g].entries)
     for g in rest:
         for h in rest:
-            agh = alpha[(g, h)].coords
+            agh = alpha[(g, h)]
             gh = G.mul(g, h)
             for i, b in enumerate(images[h]):
-                if mul(sigma[g].mulvec(b), agh) != mul(agh, images[gh][i]):
+                if mul(act(g, b), agh) != mul(agh, images[gh][i]):
                     fail("sigma(g) sigma(h) = Inn(alpha(g,h)) sigma(gh)",
                          f"g={g}, h={h}, D-basis vector {i}")
     for g in rest:
         for h in rest:
-            agh = alpha[(g, h)].coords
+            agh = alpha[(g, h)]
             gh = G.mul(g, h)
             for k in rest:
-                left = mul(agh, alpha[(gh, k)].coords)
-                right = mul(sigma[g].mulvec(alpha[(h, k)].coords),
-                            alpha[(g, G.mul(h, k))].coords)
+                left = mul(agh, alpha[(gh, k)])
+                right = mul(act(g, alpha[(h, k)]), alpha[(g, G.mul(h, k))])
                 if left != right:
                     fail("the twisted 2-cocycle law "
                          "(alpha(g,h) alpha(gh,k) = sigma(g)(alpha(h,k)) alpha(g,hk))",
                          f"g={g}, h={h}, k={k}")
 
 
-def _compatible_alpha(spec: CrossedProductSpec) -> dict:
-    """The normalized alpha of spec, once its data is decided compatible.
+def _compatible_alpha(spec: CrossedProductSpec) -> tuple:
+    """D and sigma of spec on raw values, and its normalized alpha, once its
+    data is decided compatible.
 
     D is taken valid, as every GradedAlgebra is (see its docstring).
     """
     if any(deg != spec.coeff.group.identity for deg in spec.coeff.degree):
         raise IncompatibleCocycleData("coefficient algebra must be trivially graded")
     _check_sigma(spec)
-    alpha = _normalized_alpha(spec)
-    _check_crossed_laws(spec, alpha)
-    return alpha
+    raw = _RawCoefficients(spec)
+    alpha = _normalized_alpha(spec, raw)
+    _check_crossed_laws(spec, raw, alpha)
+    return raw, alpha
 
 
-def _crossed_product_table(spec: CrossedProductSpec, alpha: dict) -> GradedAlgebra:
+def _crossed_product_table(spec: CrossedProductSpec, raw: _RawCoefficients,
+                           alpha: dict) -> GradedAlgebra:
     """The product with (e_i u_g)(e_j u_h) = e_i sigma(g)(e_j) alpha(g,h) u_gh,
-    built without validation."""
+    built without validation on raw values; each distinct raw value becomes
+    a Scalar once."""
     d = spec.coeff
     G = spec.group
     dd = d.dim
     dim = dd * G.order
     field = d.field
-    basis = [d.basis_element(i).coords for i in range(dd)]
+    zero = raw.ops.zero
+    scalars = {}
     sc = {}
     for g in range(G.order):
-        columns = [spec.sigma[g].mulvec(b) for b in basis]
         for h in range(G.order):
             gh = G.mul(g, h)
-            a_gh = alpha[(g, h)].coords
-            for j in range(dd):
-                right = d.mul_coords(columns[j], a_gh)
-                for i in range(dd):
-                    prod = d.mul_coords(basis[i], right)
-                    terms = tuple((gh * dd + k, c) for k, c in enumerate(prod) if not c.is_zero)
+            for j, column in enumerate(raw.images[g]):
+                right = raw.mul(column, alpha[(g, h)])
+                for i, e_i in enumerate(raw.basis):
+                    terms = []
+                    for k, v in enumerate(raw.mul(e_i, right)):
+                        if v != zero:
+                            s = scalars.get(v)
+                            if s is None:
+                                s = scalars[v] = Scalar(field, v)
+                            terms.append((gh * dd + k, s))
                     if terms:
                         sc[(g * dd + i, h * dd + j)] = terms
     degree = [g for g in range(G.order) for _ in range(dd)]
@@ -834,7 +902,7 @@ def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
     dim = spec.coeff.dim * spec.group.order
     if dim > MAX_ALGEBRA_DIM:
         raise DimensionTooLarge(f"crossed product dimension {dim} exceeds {MAX_ALGEBRA_DIM}")
-    return _crossed_product_table(spec, _compatible_alpha(spec))
+    return _crossed_product_table(spec, *_compatible_alpha(spec))
 
 
 def normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
@@ -858,7 +926,8 @@ def normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
     if all(G.element_order(g) <= 2 for g in range(G.order)):
         return spec
     d = spec.coeff
-    alpha = _compatible_alpha(spec)
+    raw, alpha = _compatible_alpha(spec)
+    alpha = {gh: Element(d, raw.ops.wrap(v)) for gh, v in alpha.items()}
     sigma = spec.sigma
 
     def act(g: int, x: Element) -> Element:
@@ -892,6 +961,23 @@ def constant_alpha(d: GradedAlgebra, group: GroupTable, value=None) -> dict:
     return {(g, h): v for g in range(group.order) for h in range(group.order)}
 
 
+@lru_cache(maxsize=None)
+def _frobenius_coefficients(ext: Field) -> tuple:
+    """ext as an algebra D over its prime field F_p, and the matrices of
+    y -> y^(p^k) on D for k = 0, .., dim D - 1 (the identity alone over F_p).
+
+    Built once per field: fields are shared instances, so the cache keys by
+    identity.  Every spec of frobenius_crossed_spec shares the result, which
+    no caller mutates; field_as_algebra stays uncached for callers that
+    change meta.
+    """
+    base = ext.prime_subfield()
+    d = field_as_algebra(ext, base)
+    if ext == base:
+        return d, (Matrix.identity(base, 1),)
+    return d, tuple(frobenius_matrix(ext, k) for k in range(d.dim))
+
+
 def frobenius_crossed_spec(ext: Field, group: GroupTable, sigma_powers,
                            alpha_unit=None) -> CrossedProductSpec:
     """Crossed-product data of a finite field over its prime field F_p, acted on
@@ -905,14 +991,11 @@ def frobenius_crossed_spec(ext: Field, group: GroupTable, sigma_powers,
     crossed_product, from the crossed-product laws in D.
     """
     base = ext.prime_subfield()
-    d = field_as_algebra(ext, base)
+    d, frobenius = _frobenius_coefficients(ext)
     sigma_powers = list(sigma_powers)
     if len(sigma_powers) != group.order - 1:
         raise ValueError("need one Frobenius power per non-identity element")
-    ident = Matrix.identity(base, d.dim)
-    frobenius = {p: ident if ext == base else frobenius_matrix(ext, p)
-                 for p in {power % d.dim for power in sigma_powers}}
-    sigma = {0: ident}
+    sigma = {0: frobenius[0]}
     for g, power in enumerate(sigma_powers, start=1):
         sigma[g] = frobenius[power % d.dim]
     one = tuple(d.unit)

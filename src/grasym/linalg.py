@@ -6,9 +6,12 @@ representation equality.
 
 Row reduction runs on raw field values (`fields.raw_ops`): `Matrix.rref`
 unwraps its entries once, reduces the raw rows with `eliminate_raw`, and
-wraps the result once.  `kernel`, `solve`, `rank`, `inverse` and `Subspace`
-all reduce through `rref`.  The reduced row echelon form is unique, so it is
-the same matrix a reduction on Scalars gives.
+wraps the result once.  `kernel`, `solve`, `rank`, `inverse` and the other
+`Subspace` operations reduce through `rref`; `Subspace.from_vectors` calls
+`eliminate_raw` itself and wraps only the rank rows, since a span of many
+vectors, such as the commutators of a basis, reduces mostly to zero rows.  The
+reduced row echelon form is unique, so it is the same matrix a reduction on
+Scalars gives.
 """
 
 from __future__ import annotations
@@ -191,10 +194,10 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise AmbientMismatch(f"vector of length {len(v)} in ambient {ambient_dim}")
-        if not vectors:
-            return cls(field, ambient_dim, [])
-        red, rank, _ = Matrix(field, vectors).rref()
-        return cls(field, ambient_dim, red.entries[:rank])
+        ops = raw_ops(field)
+        m = [ops.unwrap(v) for v in vectors]
+        rank = len(eliminate_raw(ops, m, ambient_dim))
+        return cls(field, ambient_dim, [ops.wrap(row) for row in m[:rank]])
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":

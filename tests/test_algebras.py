@@ -1,4 +1,5 @@
 import hashlib
+from functools import lru_cache
 
 import pytest
 
@@ -35,14 +36,18 @@ from grasym import (
     validate_algebra,
 )
 from grasym.algebras import (
-    _check_crossed_laws,
-    _crossed_product_table,
-    _normalized_alpha,
     constant_alpha,
     frobenius_crossed_spec,
     trivial_sigma,
 )
-from grasym.replicate import HuntParams, dim4_f2_corpus, hunt_candidates, hunt_char2_params
+from grasym.fields import canonical_extension_field
+from grasym.replicate import (
+    HuntParams,
+    dim4_f2_corpus,
+    hunt_candidates,
+    hunt_char2_params,
+    hunt_counterexample,
+)
 from grasym.specfile import algebra_hash, group_from_dict
 from grasym.errors import (
     CharacteristicTwo,
@@ -60,6 +65,8 @@ from grasym.errors import (
     UnsupportedPrime,
     ZeroParameter,
 )
+
+from test_crossed_oracle import _check_crossed_laws, _crossed_product_table, _normalized_alpha
 
 
 # -- validation ----------------------------------------------------------------
@@ -321,15 +328,69 @@ def test_crossed_product_scan_rejects_bad_sigma(field_kind, flaw):
     assert str(exc.value) == BAD_SIGMA_MESSAGES[(field_kind, flaw)]
 
 
-def test_crossed_product_rejects_noninvertible_alpha(f2):
-    f4 = make_field(2, [1, 1, 1])
-    d = field_as_algebra(f4, f2)
+def _f4_over_c2_twisted_by(f2, value):
+    """F_4 over C_2 with the trivial action and alpha(1,1) = value."""
+    d = field_as_algebra(make_field(2, [1, 1, 1]), f2)
     c2 = cyclic_group(2)
     alpha = constant_alpha(d, c2)
-    alpha[(1, 1)] = (f2.zero(), f2.zero())
-    spec = CrossedProductSpec(d, c2, trivial_sigma(d, c2), alpha)
+    alpha[(1, 1)] = value
+    return CrossedProductSpec(d, c2, trivial_sigma(d, c2), alpha)
+
+
+def test_crossed_product_rejects_noninvertible_alpha(f2):
     with pytest.raises(NonInvertibleAlpha):
-        crossed_product(spec)
+        crossed_product(_f4_over_c2_twisted_by(f2, (f2.zero(), f2.zero())))
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (lambda f2, f3: (f2.one(),), IncompatibleCocycleData, "alpha(1,1) has length 1 (need 2)"),
+    (lambda f2, f3: (f2.one(), f2.zero(), f2.one()), IncompatibleCocycleData,
+     "alpha(1,1) has length 3 (need 2)"),
+    (lambda f2, f3: (1, 0), FieldMismatch,
+     "alpha(1,1) has an entry that is not a scalar of F_2"),
+    (lambda f2, f3: (f3.one(), f3.zero()), FieldMismatch,
+     "alpha(1,1) has an entry that is not a scalar of F_2"),
+], ids=["short", "long", "ints", "foreign-field"])
+def test_crossed_product_refuses_a_malformed_alpha_value(f2, f3, value, error, message):
+    # the lengths used to give a valid-looking algebra from truncated data,
+    # and the ints a bare AttributeError
+    with pytest.raises(error) as exc:
+        crossed_product(_f4_over_c2_twisted_by(f2, value(f2, f3)))
+    assert str(exc.value) == message
+
+
+def test_a_hunt_builds_each_coefficient_field_once(monkeypatch):
+    from grasym import algebras
+
+    monkeypatch.setattr(algebras, "_frobenius_coefficients", lru_cache(maxsize=None)(
+        algebras._frobenius_coefficients.__wrapped__))
+    built = []
+    field_algebra, frobenius = algebras.field_as_algebra, algebras.frobenius_matrix
+
+    def counting_field_algebra(ext, base, group=None):
+        built.append(("D", ext))
+        return field_algebra(ext, base, group)
+
+    def counting_frobenius(ext, power):
+        built.append(("frobenius", ext, power))
+        return frobenius(ext, power)
+
+    monkeypatch.setattr(algebras, "field_as_algebra", counting_field_algebra)
+    monkeypatch.setattr(algebras, "frobenius_matrix", counting_frobenius)
+    report = hunt_counterexample(HuntParams(2, (2, 4), (("cyclic", 2), ("cyclic", 4))))
+    assert (report.candidates_enumerated, report.instances_tested) == (1050, 28)
+    f4, f16 = canonical_extension_field(2, 2), canonical_extension_field(2, 4)
+    assert built == ([("D", f4), ("frobenius", f4, 0), ("frobenius", f4, 1), ("D", f16)]
+                     + [("frobenius", f16, k) for k in range(4)])
+
+
+def test_field_as_algebra_builds_a_fresh_algebra_per_call(f2, f4):
+    a, b = field_as_algebra(f4, f2), field_as_algebra(f4, f2)
+    assert a is not b and a == b
+    a.meta["note"] = "changed by its caller"
+    assert "note" not in b.meta
+    c2 = cyclic_group(2)
+    assert frobenius_crossed_spec(f4, c2, [0]).coeff is frobenius_crossed_spec(f4, c2, [1]).coeff
 
 
 def test_normalize_section_exponent_two_unchanged(f2):

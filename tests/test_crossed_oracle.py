@@ -1,0 +1,215 @@
+"""The crossed-product pipeline on raw field values (algebras._compatible_alpha
+and algebras._crossed_product_table) against the Scalar version it replaced,
+kept here as its oracle: the same exception class and message, or the same
+normalized alpha and the same table."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from grasym import CrossedProductSpec, Element, GradedAlgebra, cyclic_algebra_spec, make_field
+from grasym import algebras
+from grasym.errors import IncompatibleCocycleData, NonInvertibleAlpha
+from grasym.replicate import hunt_candidates
+from grasym.specfile import group_from_dict
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+
+def _normalized_alpha(spec: CrossedProductSpec) -> dict:
+    """Rescale the section at the identity so that alpha(e,h) = alpha(g,e) = 1
+    for compatible data; _check_crossed_laws decides whether it came out so.
+
+    Each distinct alpha value is inverted once.
+    """
+    d = spec.coeff
+    G = spec.group
+    e = G.identity
+    inverses = {}
+    alpha = {}
+    for g in range(G.order):
+        for h in range(G.order):
+            val = spec.alpha.get((g, h))
+            if val is None:
+                raise IncompatibleCocycleData(f"alpha missing at pair ({g},{h})")
+            el = Element(d, val)
+            if el.coords not in inverses:
+                inverses[el.coords] = el.inverse()
+            if inverses[el.coords] is None:
+                raise NonInvertibleAlpha(f"alpha({g},{h}) is not invertible in D")
+            alpha[(g, h)] = el
+    aee = alpha[(e, e)]
+    for i in range(d.dim):
+        ei = d.basis_element(i)
+        if (aee * ei).coords != (ei * aee).coords:
+            raise IncompatibleCocycleData("alpha(e,e) must be central in D")
+    c = inverses[aee.coords]
+    out = {}
+    for g in range(G.order):
+        for h in range(G.order):
+            # cohomologous rescaling by c_g = alpha(e,e)^-1 at g = e, 1 elsewhere:
+            # alpha'(g,h) = c_g sigma(g)(c_h) alpha(g,h) c_{gh}^-1
+            val = alpha[(g, h)]
+            if h == e:
+                val = Element(d, spec.sigma[g].mulvec(c.coords)) * val
+            if g == e:
+                val = c * val
+            if G.mul(g, h) == e:
+                val = val * aee
+            out[(g, h)] = val
+    return out
+
+
+def _check_crossed_laws(spec: CrossedProductSpec, alpha: dict):
+    """The laws (U), (M), (C), (Z) of algebras._check_crossed_laws, in its
+    order, on Scalars through GradedAlgebra.mul_coords."""
+    d = spec.coeff
+    G = spec.group
+    e = G.identity
+    sigma = spec.sigma
+    one = tuple(d.unit)
+    basis = [d.basis_element(i).coords for i in range(d.dim)]
+    rest = [g for g in range(G.order) if g != e]
+    images = {g: [sigma[g].mulvec(b) for b in basis] for g in range(G.order)}
+
+    def mul(x, y):
+        return tuple(d.mul_coords(x, y))
+
+    def fail(law, where):
+        raise IncompatibleCocycleData(f"{law} fails at {where}")
+
+    for i, b in enumerate(basis):
+        if images[e][i] != b:
+            fail("the unit law (sigma(e) = id)", f"D-basis vector {i}")
+    for g in rest:
+        if sigma[g].mulvec(one) != one:
+            fail("the unit law (sigma(g)(1) = 1)", f"g={g}")
+    for g in rest:
+        if alpha[(g, e)].coords != one or alpha[(e, g)].coords != one:
+            fail("the unit law (alpha(g,e) = alpha(e,g) = 1 once normalized)", f"g={g}")
+    basis_products = [[mul(bi, bj) for bj in basis] for bi in basis]
+    multiplicative = set()
+    for g in rest:
+        if sigma[g].entries in multiplicative:
+            continue
+        for i, row in enumerate(basis_products):
+            for j, bij in enumerate(row):
+                if sigma[g].mulvec(bij) != mul(images[g][i], images[g][j]):
+                    fail("multiplicativity of sigma "
+                         "(sigma(g)(e_i e_j) = sigma(g)(e_i) sigma(g)(e_j))",
+                         f"g={g}, i={i}, j={j}")
+        multiplicative.add(sigma[g].entries)
+    for g in rest:
+        for h in rest:
+            agh = alpha[(g, h)].coords
+            gh = G.mul(g, h)
+            for i, b in enumerate(images[h]):
+                if mul(sigma[g].mulvec(b), agh) != mul(agh, images[gh][i]):
+                    fail("sigma(g) sigma(h) = Inn(alpha(g,h)) sigma(gh)",
+                         f"g={g}, h={h}, D-basis vector {i}")
+    for g in rest:
+        for h in rest:
+            agh = alpha[(g, h)].coords
+            gh = G.mul(g, h)
+            for k in rest:
+                left = mul(agh, alpha[(gh, k)].coords)
+                right = mul(sigma[g].mulvec(alpha[(h, k)].coords),
+                            alpha[(g, G.mul(h, k))].coords)
+                if left != right:
+                    fail("the twisted 2-cocycle law "
+                         "(alpha(g,h) alpha(gh,k) = sigma(g)(alpha(h,k)) alpha(g,hk))",
+                         f"g={g}, h={h}, k={k}")
+
+
+def _crossed_product_table(spec: CrossedProductSpec, alpha: dict) -> GradedAlgebra:
+    """The product with (e_i u_g)(e_j u_h) = e_i sigma(g)(e_j) alpha(g,h) u_gh,
+    built without validation."""
+    d = spec.coeff
+    G = spec.group
+    dd = d.dim
+    dim = dd * G.order
+    field = d.field
+    basis = [d.basis_element(i).coords for i in range(dd)]
+    sc = {}
+    for g in range(G.order):
+        columns = [spec.sigma[g].mulvec(b) for b in basis]
+        for h in range(G.order):
+            gh = G.mul(g, h)
+            a_gh = alpha[(g, h)].coords
+            for j in range(dd):
+                right = d.mul_coords(columns[j], a_gh)
+                for i in range(dd):
+                    prod = d.mul_coords(basis[i], right)
+                    terms = tuple((gh * dd + k, c) for k, c in enumerate(prod) if not c.is_zero)
+                    if terms:
+                        sc[(g * dd + i, h * dd + j)] = terms
+    degree = [g for g in range(G.order) for _ in range(dd)]
+    unit = [field.zero()] * dim
+    for i, c in enumerate(d.unit):
+        unit[G.identity * dd + i] = c
+    labels = None
+    if d.labels is not None:
+        labels = [f"{d.label(i)}*{G.label(g)}" if g != G.identity else d.label(i)
+                  for g in range(G.order) for i in range(dd)]
+    return GradedAlgebra(field, G, degree, sc, unit, labels=labels,
+                         meta={"construction": "crossed_product"})
+
+
+def _agree(spec) -> bool:
+    """Whether crossed_product accepts spec, after checking that the raw
+    pipeline agrees with the Scalar one at each step: the same error from
+    normalizing alpha, or the same normalized alpha and the same table, then
+    the same error from the laws, or the same product."""
+    try:
+        scalar_alpha = _normalized_alpha(spec)
+    except (IncompatibleCocycleData, NonInvertibleAlpha) as exc:
+        with pytest.raises(type(exc)) as raised:
+            algebras._compatible_alpha(spec)
+        assert str(raised.value) == str(exc)
+        return False
+    raw = algebras._RawCoefficients(spec)
+    alpha = algebras._normalized_alpha(spec, raw)
+    assert ({gh: raw.ops.wrap(v) for gh, v in alpha.items()}
+            == {gh: x.coords for gh, x in scalar_alpha.items()})
+    table = algebras._crossed_product_table(spec, raw, alpha)
+    assert table == _crossed_product_table(spec, scalar_alpha)
+    try:
+        _check_crossed_laws(spec, scalar_alpha)
+    except IncompatibleCocycleData as exc:
+        with pytest.raises(IncompatibleCocycleData) as raised:
+            algebras.crossed_product(spec)
+        assert str(raised.value) == str(exc)
+        return False
+    assert algebras.crossed_product(spec) == table
+    return True
+
+
+def _candidate_spec(spec: dict) -> CrossedProductSpec:
+    block = spec["constructor"]
+    base = make_field(block["char"])
+    ext = make_field(base.char, block["ext_modulus"]) if block["ext_modulus"] else base
+    return algebras.frobenius_crossed_spec(ext, group_from_dict(spec["group"]),
+                                           block["sigma_powers"], block["alpha_unit"])
+
+
+def test_raw_laws_agree_on_the_crossed_law_corpus():
+    # imported here: test_algebras imports this module's Scalar oracle
+    from test_algebras import CROSSED_LAW_CORPUS_ACCEPTED, _crossed_law_corpus
+
+    accepted = [_agree(spec) for spec in _crossed_law_corpus()]
+    assert (len(accepted), sum(accepted)) == (365, CROSSED_LAW_CORPUS_ACCEPTED[0])
+
+
+def test_raw_laws_agree_on_every_pool_cell_candidate():
+    cells = {cell.name: cell for draw in workloads.POOL for cell in draw}
+    assert len(cells) == 4
+    for cell in cells.values():
+        accepted = [_agree(_candidate_spec(s)) for _, s in hunt_candidates(cell.params())]
+        assert (len(accepted), sum(accepted)) == (cell.enumerated, cell.tested), cell.name
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_raw_laws_agree_on_the_cyclic_algebras(p):
+    assert _agree(cyclic_algebra_spec(p))
