@@ -518,7 +518,7 @@ class RawOps:
     values are canonical, so v is zero iff v == self.zero; self.one is the
     raw 1.  A row is a list of raw values.  Each field kind implements
 
-    - mul(u, v) and add(u, v): the product and the sum;
+    - mul(u, v), add(u, v) and sub(u, v): the product, the sum and u - v;
     - inverse(v): 1/v for nonzero v;
     - scale(row, c): the new row c * row;
     - sub_scaled(row, c, other): the new row row - c * other;
@@ -561,6 +561,9 @@ class _PrimeOps(RawOps):
     def add(self, u, v):
         return (u + v) % self.p
 
+    def sub(self, u, v):
+        return (u - v) % self.p
+
     def inverse(self, v):
         return pow(v, self.p - 2, self.p)
 
@@ -586,6 +589,9 @@ class _RationalOps(RawOps):
     def add(self, u, v):
         return u + v
 
+    def sub(self, u, v):
+        return u - v
+
     def inverse(self, v):
         return 1 / v
 
@@ -609,6 +615,10 @@ class _ExtensionOps(RawOps):
     def add(self, u, v):
         p = self.field.char
         return tuple((a + b) % p for a, b in zip(u, v))
+
+    def sub(self, u, v):
+        p = self.field.char
+        return tuple((a - b) % p for a, b in zip(u, v))
 
     def inverse(self, v):
         return _ext_inv(v, self.field)

@@ -11,15 +11,23 @@ by inverting any one of its nonzero elements.
 Over finite fields the identity component is decided exhaustively: every
 nonzero element is covered, in `Field.vectors` order, and the first singular
 one is the No witness.  Since L_{cx} = c L_x, one element decides its whole
-line F_q^* x, so the scan eliminates L_x only for the line representatives,
-the x whose last nonzero coordinate is 1; each is the first member of its
-line in that order.  It walks them with L_x updated incrementally from the
-unwrapped L_{e_i}, and tests each by eliminating a copy on raw field values
-(`linalg.eliminate_raw`), so it builds no Element, Matrix or Scalar per
-element.  A Yes still reports
-`scan_size` = q^n - 1, the nonzero elements the scan covers, and a No the
-witness's index in `Field.vectors` order: the certificate says what was
-proved, not how many matrices were eliminated.
+line F_q^* x, so the scan tests L_x only for the line representatives, the
+x whose last nonzero coordinate is 1; each is the first member of its line
+in that order.  A_e over F_q = F_{p^k} is taken over F_p by restriction of
+scalars: an n x n matrix over F_q becomes the N x N matrix over F_p, N = n k,
+whose k x k blocks multiply by its entries, and its determinant is the norm
+of the one over F_q, so one is nonsingular exactly when the other is.  Each
+row of that matrix is one Python int, one lane of w bits per column
+(`linalg.packed_nonsingular`).  The scan walks the representatives with L_x
+updated by integer multiples of precomputed packed matrices, so each lane
+is an exact, never reduced sum of at most N (p - 1)^2; the elimination
+reduces only its pivots and multipliers mod p.  w covers that bound times
+p^N, and p^N = q^n is at most SCAN_BOUND, so w is at most 60 bits.  No
+Element, Matrix or Scalar is built per element, and no F_q product or
+inverse is taken.  A Yes still reports `scan_size` = q^n - 1, the nonzero
+elements the scan covers, and a No the witness's index in `Field.vectors`
+order: the certificate says what was proved, not how many matrices were
+eliminated.
 
 Over the rationals only two certificates are accepted: quaternion parameters
 making the norm form positive definite, and commutative identity components
@@ -34,10 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebras import Element, GradedAlgebra, homogeneous_component, subspace_algebra
+from .algebras import Element, GradedAlgebra
 from .errors import AmbientMismatch
 from .fields import Scalar, raw_ops
-from .linalg import Matrix, Subspace, eliminate_raw
+from .linalg import Matrix, Subspace, lane_width, packed_nonsingular
 from .multipoly import linear_pencil, nonvanishing_point, structured_det
 
 SCAN_BOUND = 10 ** 6
@@ -70,23 +78,27 @@ def centralizer(a: GradedAlgebra, s: Subspace) -> Subspace:
 
 
 def _commutator_span(a: GradedAlgebra, pairs) -> Subspace:
-    """Span of the commutators [e_i, e_j] over the given basis pairs."""
+    """Span of the commutators [e_i, e_j] over the given basis pairs, built and
+    reduced on raw field values.
+
+    Products are stored sorted and without zero terms, so [e_i, e_j] = 0
+    exactly when e_i e_j and e_j e_i have the same terms.
+    """
+    ops = raw_ops(a.field)
+    unwrap, sub = ops.unwrap, ops.sub
+    zeros = [ops.zero] * a.dim
     vectors = []
     for i, j in pairs:
-        terms = dict(a.basis_product(i, j))
-        for k, c in a.basis_product(j, i):
-            cur = terms.get(k)
-            s = -c if cur is None else cur - c
-            if s.is_zero:
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        if terms:
-            row = [a.field.zero()] * a.dim
-            for k, c in terms.items():
-                row[k] = c
-            vectors.append(row)
-    return Subspace.from_vectors(a.field, a.dim, vectors)
+        ij, ji = a.basis_product(i, j), a.basis_product(j, i)
+        if ij == ji:
+            continue
+        row = list(zeros)
+        for k, c in zip([k for k, _ in ij], unwrap([c for _, c in ij])):
+            row[k] = c
+        for k, c in zip([k for k, _ in ji], unwrap([c for _, c in ji])):
+            row[k] = sub(row[k], c)
+        vectors.append(row)
+    return Subspace.from_raw_rows(ops, a.dim, vectors)
 
 
 def commutator_subspace(a: GradedAlgebra) -> Subspace:
@@ -156,10 +168,48 @@ class DivisionVerdict:
 
 
 def _identity_component_algebra(a: GradedAlgebra) -> GradedAlgebra:
+    """A_e on the basis vectors of degree e, in their order in a.
+
+    a is graded, so their products and the unit lie in A_e: this is
+    subspace_algebra of homogeneous_component(a, e), read off a.sc by index.
+    """
     e = a.group.identity
-    if len(a.component_indices(e)) == a.dim:
+    indices = a.component_indices(e)
+    if len(indices) == a.dim:
         return a
-    return subspace_algebra(a, homogeneous_component(a, e))
+    position = {i: r for r, i in enumerate(indices)}
+    sc = {(position[i], position[j]): tuple((position[k], c) for k, c in terms)
+          for (i, j), terms in a.sc.items() if i in position and j in position}
+    return GradedAlgebra(a.field, a.group, [e] * len(indices), sc,
+                         [a.unit[i] for i in indices],
+                         meta={"construction": "subspace_algebra"})
+
+
+def _restricted_left_mults(e_alg: GradedAlgebra, w: int) -> list:
+    """M[i*k + s]: the packed F_p-matrix of x^s L_{e_i}, for F_q = F_p(x) of degree k.
+
+    An F_q entry a of an n x n matrix becomes its k x k block over F_p, whose
+    column t holds the coefficients of a x^t, so row r*k + u of the N = n*k
+    rows has in lane j*k + t the coefficient u of L_{e_i}[r][j] x^(s + t).
+    """
+    field, n, k = e_alg.field, e_alg.dim, e_alg.field.degree
+    powers = [field.one()]
+    for _ in range(2 * k - 2):
+        powers.append(powers[-1] * field.generator())
+    multiples = {}
+    packed = [[0] * (n * k) for _ in range(n * k)]
+    # column j of L_{e_i} is e_i e_j, so a term (r, c) of it is entry (r, j)
+    for (i, j), terms in e_alg.sc.items():
+        for r, c in terms:
+            if c not in multiples:
+                multiples[c] = [(c * x).coefficients() for x in powers]
+            for s in range(k):
+                rows = packed[i * k + s]
+                for t in range(k):
+                    shift = (j * k + t) * w
+                    for u, coeff in enumerate(multiples[c][s + t]):
+                        rows[r * k + u] += coeff << shift
+    return packed
 
 
 def _scan_division(e_alg: GradedAlgebra):
@@ -168,14 +218,28 @@ def _scan_division(e_alg: GradedAlgebra):
     x is invertible iff L_x is nonsingular (see Element.inverse), and
     L_x = sum_i x_i L_{e_i} is linear in x, so L_{cx} = c L_x: one element
     decides its whole line F_q^* x.  Only the line representatives, the x
-    whose last nonzero coordinate is 1, are eliminated.  Each is the first
+    whose last nonzero coordinate is 1, are tested.  Each is the first
     member of its line in Field.vectors order, so the first singular one is
-    the first zero divisor of the full scan.  The representatives with last
-    nonzero coordinate j are walked in that order, an odometer over their
-    first j coordinates, and L_x is updated incrementally,
-    L_{x'} = L_x + sum_i (x'_i - x_i) L_{e_i} over the digits that changed:
-    O(n^2) raw operations per step instead of O(n^3) to form L_x afresh.  A
-    copy of each L_x is eliminated until the first column with no pivot.
+    the first zero divisor of the full scan.
+
+    Over F_q = F_p(x) of degree k, L_x is tested as the N x N matrix over
+    F_p that it is by restriction of scalars, N = n k: each entry becomes
+    its k x k multiplication block, and the determinant over F_p is the
+    norm of the one over F_q, so one is nonsingular exactly when the other
+    is.  With x_i = sum_s c_is x^s, the restriction of L_x is the integer
+    combination sum_is c_is M[i*k + s] of the restrictions of x^s L_{e_i},
+    held with each row packed into one int, one w-bit lane per column
+    (linalg.packed_nonsingular).  Since x_i = element_at(d_i) has the base-p
+    digits of d_i as its coefficients, the index of x in Field.vectors order
+    has the digits c_is, i*k + s from least significant up.  So the
+    representatives with last nonzero coordinate j are walked by an
+    odometer over the j k digits before x_j = 1, and a digit stepping from
+    c to c' adds (c' - c) M[i*k + s]: every lane stays the exact sum, at most
+    N (p - 1)^2, and nothing is reduced mod p.  Elimination multiplies that
+    bound by at most p per column, so w = lane_width(N, p) covers
+    N (p - 1)^2 p^N; since p^N = q^n is at most SCAN_BOUND, that is 60 bits
+    at most (N = 1 over the largest prime below 10^6), 41 for F_997 with
+    N = 2 and 24 for F_2 with N = 19.
 
     Returns (all invertible, first singular element or None, count).  The
     count is the number of elements covered: q^n - 1 on a Yes, and on a No
@@ -183,35 +247,28 @@ def _scan_division(e_alg: GradedAlgebra):
     element was eliminated in turn.
     """
     field, n = e_alg.field, e_alg.dim
-    ops = raw_ops(field)
-    q = field.size()
-    values = [field.element_at(k) for k in range(q)]
-    # basis[i][r] is row r of L_{e_i} as raw values
-    basis = [[ops.unwrap(row) for row in e_alg.left_mult_matrix(e_alg.basis_element(i)).entries]
-             for i in range(n)]
-    # a digit stepping to index d adds values[d] - values[d - 1] (d = 0 wraps
-    # from q - 1); sub_scaled subtracts c * row, so c is the negated difference
-    steps = ops.unwrap([values[d - 1] - values[d] for d in range(q)])
-    sub_scaled = ops.sub_scaled
+    p, k = field.char, field.degree
+    w = lane_width(n * k, p)
+    packed = _restricted_left_mults(e_alg, w)
     for j in range(n):
-        lx = basis[j]
-        digits = [0] * j
+        # x_j = 1 is the single digit c_j0 = 1
+        lx = packed[j * k]
+        digits = [0] * (j * k)
         while True:
-            # a shallow copy: eliminate_raw replaces rows, never writes into them
-            if eliminate_raw(ops, list(lx), n, stop_at_gap=True) is None:
-                coords = (tuple(values[d] for d in digits) + (field.one(),)
-                          + (field.zero(),) * (n - j - 1))
-                index = q ** j + sum(d * q ** i for i, d in enumerate(digits))
-                return False, Element(e_alg, coords), index
-            for i in range(j):
-                d = digits[i] = (digits[i] + 1) % q
-                c = steps[d]
-                lx = [sub_scaled(row, c, e_row) for row, e_row in zip(lx, basis[i])]
-                if d:
+            if not packed_nonsingular(lx, p, w):
+                coords = ([field.scalar(digits[i:i + k]) for i in range(0, j * k, k)]
+                          + [field.one()] + [field.zero()] * (n - j - 1))
+                index = p ** (j * k) + sum(c * p ** t for t, c in enumerate(digits))
+                return False, Element(e_alg, tuple(coords)), index
+            for t in range(j * k):
+                c = digits[t] = (digits[t] + 1) % p
+                delta = 1 if c else 1 - p
+                lx = [row + delta * m for row, m in zip(lx, packed[t])]
+                if c:
                     break
             else:
                 break
-    return True, None, q ** n - 1
+    return True, None, field.size() ** n - 1
 
 
 def _min_poly(e_alg: GradedAlgebra, el: Element):
@@ -337,9 +394,11 @@ def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
     if id_verdict.status != "yes":
         witness = id_verdict.witness
         if witness is not None and e_alg is not a:
-            # e_alg's basis is the identity component's basis inside a
-            basis = Matrix(a.field, homogeneous_component(a, e).basis)
-            witness = Element(a, basis.transpose().mulvec(witness.coords))
+            # coordinate r of e_alg is coordinate indices[r] of a
+            coords = [a.field.zero()] * a.dim
+            for i, c in zip(a.component_indices(e), witness.coords):
+                coords[i] = c
+            witness = Element(a, tuple(coords))
         return DivisionVerdict(id_verdict.status,
                                {"identity_component": id_verdict.certificate},
                                witness)

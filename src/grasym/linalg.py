@@ -7,11 +7,16 @@ representation equality.
 Row reduction runs on raw field values (`fields.raw_ops`): `Matrix.rref`
 unwraps its entries once, reduces the raw rows with `eliminate_raw`, and
 wraps the result once.  `kernel`, `solve`, `rank`, `inverse` and the other
-`Subspace` operations reduce through `rref`; `Subspace.from_vectors` calls
-`eliminate_raw` itself and wraps only the rank rows, since a span of many
-vectors, such as the commutators of a basis, reduces mostly to zero rows.  The
+`Subspace` operations reduce through `rref`; `Subspace.from_raw_rows`, which
+`Subspace.from_vectors` unwraps into, calls `eliminate_raw` itself and wraps
+only the rank rows, since a span of many vectors, such as the commutators of
+a basis, reduces mostly to zero rows.  The
 reduced row echelon form is unique, so it is the same matrix a reduction on
 Scalars gives.
+
+`packed_nonsingular` is the nonsingularity test of the division scan: a
+square matrix over F_p with each row packed into one int, one fixed-width
+lane per column, reduced mod p only where a pivot or multiplier is read.
 """
 
 from __future__ import annotations
@@ -58,6 +63,51 @@ def eliminate_raw(ops, m, ncols: int, stop_at_gap: bool = False, pivot_log=None)
         if r == nrows:
             break
     return pivots
+
+
+def lane_width(ncols: int, p: int) -> int:
+    """Bits per lane that packed_nonsingular needs on ncols x ncols matrices
+    over F_p whose lanes start at most ncols (p - 1)^2.
+
+    Clearing below a pivot adds at most (p - 1) times the pivot row to a row,
+    so each column at most multiplies the largest lane by p.
+    """
+    return (ncols * (p - 1) ** 2 * p ** ncols).bit_length()
+
+
+def packed_nonsingular(rows, p: int, w: int) -> bool:
+    """Whether the square matrix over F_p held in rows is nonsingular.
+
+    Each row is one int with lane c, bits c*w up to (c + 1)*w, holding a
+    nonnegative integer that stands for its residue mod p; lanes must start
+    small enough for lane_width(len(rows), p) to hold them.  Rows are never
+    reduced mod p: the pivot of column c is the first row at or below the
+    current one whose lane c is nonzero mod p, say v, and each lower row
+    whose lane c is u mod p gets (-u / v mod p) times the pivot row added.
+    That leaves its lane c divisible by p and every lane nonnegative.  Only
+    the lanes read as pivots and multipliers are reduced.  rows is not
+    changed.
+    """
+    m = list(rows)
+    n = len(m)
+    mask = (1 << w) - 1
+    for c in range(n):
+        shift = c * w
+        for r in range(c, n):
+            v = (m[r] >> shift & mask) % p
+            if v:
+                break
+        else:
+            return False
+        # rows c..r-1 are zero in lane c, so only the rows below r need clearing;
+        # row c moves to slot r and the pivot row is not read again
+        prow, m[r] = m[r], m[c]
+        minus_inv = p - pow(v, -1, p)
+        for i in range(r + 1, n):
+            u = (m[i] >> shift & mask) % p
+            if u:
+                m[i] += u * minus_inv % p * prow
+    return True
 
 
 class Matrix:
@@ -195,9 +245,16 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise AmbientMismatch(f"vector of length {len(v)} in ambient {ambient_dim}")
         ops = raw_ops(field)
-        m = [ops.unwrap(v) for v in vectors]
-        rank = len(eliminate_raw(ops, m, ambient_dim))
-        return cls(field, ambient_dim, [ops.wrap(row) for row in m[:rank]])
+        return cls.from_raw_rows(ops, ambient_dim, [ops.unwrap(v) for v in vectors])
+
+    @classmethod
+    def from_raw_rows(cls, ops, ambient_dim: int, rows) -> "Subspace":
+        """The span of rows, lists of ambient_dim raw values of ops.field.
+
+        The rows are reduced in place, and only the rank rows are wrapped.
+        """
+        rank = len(eliminate_raw(ops, rows, ambient_dim))
+        return cls(ops.field, ambient_dim, [ops.wrap(row) for row in rows[:rank]])
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":

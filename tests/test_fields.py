@@ -312,3 +312,17 @@ def test_field_scalar_still_takes_ints_fractions_strings_and_scalars(q, f5, f9):
     assert f9.scalar([1, 2]) == f9.scalar((1, 2)) == f9.from_int(1) + f9.from_int(2) * f9.generator()
     assert f9.scalar(f9.one()) == f9.one()
     assert make_field(3, (1, 0, 1)) is make_field(3, [1, 0, 1])
+
+
+@pytest.mark.parametrize("field", [make_field(7), make_field(3, [1, 0, 1]), make_field(0)],
+                         ids=["F7", "F9", "Q"])
+def test_raw_sub_is_scalar_subtraction(field):
+    from grasym.fields import raw_ops
+    ops = raw_ops(field)
+    if field.is_finite:
+        values = list(field.elements())
+    else:
+        values = [field.scalar(v) for v in ("0", "1", "-2", "3/4", "-5/3")]
+    for x, y in itertools.product(values, repeat=2):
+        (got,) = ops.wrap([ops.sub(*ops.unwrap([x, y]))])
+        assert got == x - y

@@ -125,6 +125,60 @@ def test_graded_commutator_space_of_cyclic_algebra(p):
     assert commutator_subspace(a).contains(c)
 
 
+def scalar_commutator_span(a, pairs):
+    """The commutator span on Scalars that _commutator_span replaced: the oracle."""
+    vectors = []
+    for i, j in pairs:
+        terms = dict(a.basis_product(i, j))
+        for k, c in a.basis_product(j, i):
+            terms[k] = terms.get(k, a.field.zero()) - c
+        row = [a.field.zero()] * a.dim
+        for k, c in terms.items():
+            row[k] = c
+        vectors.append(row)
+    return Subspace.from_vectors(a.field, a.dim, vectors)
+
+
+def _commutator_oracle_corpus():
+    from grasym import direct_product, matrix_algebra, subspace_algebra, tensor_product
+    from grasym.replicate import dim4_f2_corpus, random_graded_basis_change
+
+    yield from dim4_f2_corpus()
+    # the Sweedler inputs whose Gram determinants vanish identically
+    for field in (make_field(3), make_field(5), rationals()):
+        sw = sweedler_algebra(field)
+        yield f"{field}-Sweedler", sw
+        yield f"{field}-Sweedler(x)Sweedler", tensor_product(sw, sw)
+        yield f"{field}-Sweedler(x)M2", tensor_product(sw, matrix_algebra(field, 2))
+        yield f"{field}-Sweedler(x)M3", tensor_product(sw, matrix_algebra(field, 3))
+        yield f"{field}-Sweedler(x)C3", tensor_product(sw, ungrade(group_algebra(field, cyclic_group(3))))
+        te = trivial_extension(sw)
+        yield f"{field}-Z(TE(Sweedler))", subspace_algebra(te, center(te))
+        yield f"{field}-Sweedler+H", direct_product(ungrade(sw), ungrade(
+            quaternion_algebra(field, -1, -1)))
+    f3 = make_field(3)
+    sw3 = sweedler_algebra(f3)
+    yield "F3-Sweedler^3", tensor_product(sw3, tensor_product(sw3, sw3))
+    # over extension fields, where a raw value is a coefficient tuple
+    cyc3_f9 = scalar_extension(cyclic_algebra(3), 2)
+    yield "cyc3(x)F9", cyc3_f9
+    yield "cyc3(x)F9-basis-change", random_graded_basis_change(cyc3_f9, random.Random(3))
+
+
+def test_commutator_spans_match_the_scalar_span():
+    from grasym.invariants import _commutator_span
+    count = 0
+    for name, a in _commutator_oracle_corpus():
+        all_pairs = [(i, j) for i in range(a.dim) for j in range(i + 1, a.dim)]
+        assert commutator_subspace(a) == scalar_commutator_span(a, all_pairs), name
+        graded = [(i, j) for i in range(a.dim) for j in range(a.dim)
+                  if a.group.mul(a.degree[i], a.degree[j]) == a.group.identity]
+        assert graded_commutator_space(a) == scalar_commutator_span(a, graded), name
+        assert _commutator_span(a, []) == Subspace.zero(a.field, a.dim)
+        count += 1
+    assert count == 20 + 3 * 7 + 3
+
+
 # -- support ---------------------------------------------------------------------------
 
 def test_support_of_group_algebra(f2):
@@ -231,6 +285,21 @@ def _oracle_corpus():
             continue
 
 
+def test_identity_component_is_the_subspace_algebra_of_the_component():
+    # subspace_algebra on the unit rows of A_e is the oracle of the restriction by index
+    from grasym import subspace_algebra
+    from grasym.invariants import _identity_component_algebra
+    restricted = 0
+    for name, a in itertools.chain(_scan_oracle_corpus(), _large_q_scan_corpus()):
+        e_alg = _identity_component_algebra(a)
+        if e_alg is a:
+            continue
+        want = subspace_algebra(a, homogeneous_component(a, a.group.identity))
+        assert e_alg == want and e_alg.meta == want.meta, name
+        restricted += 1
+    assert restricted == 49
+
+
 def test_division_component_witnesses_match_the_pencil_search():
     # is_graded_division inverts one basis vector per component; the symbolic
     # determinant and point search of component_has_invertible is the oracle
@@ -257,6 +326,42 @@ def scalar_scan_division(e_alg):
         if el.inverse() is None:
             return False, el, count
     return True, None, count
+
+
+def raw_line_scan(e_alg):
+    """The line scan on raw F_q values that _scan_division replaced: the oracle.
+
+    It walks the same line representatives in the same order, with L_x kept
+    as rows of raw values, updated by sub_scaled and tested by eliminate_raw.
+    """
+    from grasym.fields import raw_ops
+    from grasym.linalg import eliminate_raw
+
+    field, n = e_alg.field, e_alg.dim
+    ops = raw_ops(field)
+    q = field.size()
+    values = [field.element_at(k) for k in range(q)]
+    basis = [[ops.unwrap(row) for row in e_alg.left_mult_matrix(e_alg.basis_element(i)).entries]
+             for i in range(n)]
+    # sub_scaled subtracts c * row, so a digit stepping to d adds values[d] - values[d - 1]
+    steps = ops.unwrap([values[d - 1] - values[d] for d in range(q)])
+    for j in range(n):
+        lx = basis[j]
+        digits = [0] * j
+        while True:
+            if eliminate_raw(ops, list(lx), n, stop_at_gap=True) is None:
+                coords = (tuple(values[d] for d in digits) + (field.one(),)
+                          + (field.zero(),) * (n - j - 1))
+                index = q ** j + sum(d * q ** i for i, d in enumerate(digits))
+                return False, e_alg.element(coords), index
+            for i in range(j):
+                d = digits[i] = (digits[i] + 1) % q
+                lx = [ops.sub_scaled(row, steps[d], e_row) for row, e_row in zip(lx, basis[i])]
+                if d:
+                    break
+            else:
+                break
+    return True, None, q ** n - 1
 
 
 def _te_field(p, n):
@@ -293,6 +398,7 @@ def test_division_scan_matches_the_element_inverse_scan():
         want_ok, want_witness, want_count = scalar_scan_division(e_alg)
         assert (ok, count) == (want_ok, want_count), name
         assert witness == want_witness, name
+        assert (ok, witness, count) == raw_line_scan(e_alg), name
         verdicts[ok] += 1
     # 20 corpus algebras, 13 + 4 accepted hunt candidates and 5 more inputs
     assert verdicts == {True: 29, False: 13}
@@ -334,6 +440,7 @@ def test_line_scan_matches_the_element_inverse_scan_for_q_at_least_3():
         e_alg = _identity_component_algebra(a)
         result = _scan_division(e_alg)
         assert result == scalar_scan_division(e_alg), name
+        assert result == raw_line_scan(e_alg), name
         verdicts[result[0]] += 1
     # 9 inputs, each also after a basis change, 12 random small algebras over
     # F_3 and F_5, and 6 over F_2 extended to F_4
@@ -345,13 +452,13 @@ def test_line_scan_eliminates_one_matrix_per_line(monkeypatch):
     from grasym.invariants import _identity_component_algebra
 
     calls = []
-    eliminate = invariants.eliminate_raw
+    nonsingular = invariants.packed_nonsingular
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return eliminate(*args, **kwargs)
+        return nonsingular(*args, **kwargs)
 
-    monkeypatch.setattr(invariants, "eliminate_raw", counting)
+    monkeypatch.setattr(invariants, "packed_nonsingular", counting)
     v = is_graded_division(field_as_algebra(canonical_extension_field(5, 3), make_field(5)))
     assert v.certificate["identity_component"] == {"kind": "exhaustive", "scan_size": 124}
     assert len(calls) == (5 ** 3 - 1) // 4 == 31
