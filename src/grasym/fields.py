@@ -524,6 +524,12 @@ class RawOps:
     - sub_scaled(row, c, other): the new row row - c * other;
     - forms_at(forms, x): [f . x for f in forms], the values at the point x
       of a row of linear forms given by their coefficient vectors.
+
+    A sparse row is a dict {column: raw value} that holds no zero value.
+    sparse_sub_scaled(row, c, other) makes row - c * other in place, for a
+    nonzero c, and drops the entries that cancel; sparse_scale(row, c) is
+    the new sparse row c * row.  Both work from mul and sub here, and the
+    F_p and Q kinds inline them.
     """
 
     __slots__ = ("field", "zero")
@@ -546,6 +552,20 @@ class RawOps:
     def wrap(self, row) -> tuple:
         f = self.field
         return tuple(Scalar(f, v) for v in row)
+
+    def sparse_scale(self, row, c) -> dict:
+        mul = self.mul
+        return {k: mul(v, c) for k, v in row.items()}
+
+    def sparse_sub_scaled(self, row, c, other):
+        mul, sub, zero = self.mul, self.sub, self.zero
+        for k, b in other.items():
+            v = sub(row.get(k, zero), mul(c, b))
+            if v == zero:
+                # c b is nonzero, so k was in row
+                del row[k]
+            else:
+                row[k] = v
 
 
 class _PrimeOps(RawOps):
@@ -575,6 +595,19 @@ class _PrimeOps(RawOps):
         p = self.p
         return [(a - c * b) % p for a, b in zip(row, other)]
 
+    def sparse_scale(self, row, c) -> dict:
+        p = self.p
+        return {k: v * c % p for k, v in row.items()}
+
+    def sparse_sub_scaled(self, row, c, other):
+        p = self.p
+        for k, b in other.items():
+            v = (row.get(k, 0) - c * b) % p
+            if v:
+                row[k] = v
+            else:
+                del row[k]
+
     def forms_at(self, forms, x) -> list:
         p, mul = self.p, operator.mul
         return [sum(map(mul, f, x)) % p for f in forms]
@@ -600,6 +633,17 @@ class _RationalOps(RawOps):
 
     def sub_scaled(self, row, c, other) -> list:
         return [a - c * b if b else a for a, b in zip(row, other)]
+
+    def sparse_scale(self, row, c) -> dict:
+        return {k: v * c for k, v in row.items()}
+
+    def sparse_sub_scaled(self, row, c, other):
+        for k, b in other.items():
+            v = row.get(k, 0) - c * b
+            if v:
+                row[k] = v
+            else:
+                del row[k]
 
     def forms_at(self, forms, x) -> list:
         zero = self.zero

@@ -42,10 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebras import Element, GradedAlgebra
+from .algebras import Element, GradedAlgebra, raw_structure
 from .errors import AmbientMismatch
 from .fields import Scalar, raw_ops
-from .linalg import Matrix, Subspace, lane_width, packed_nonsingular
+from .linalg import Matrix, Subspace, lane_width, packed_nonsingular, sparse_kernel, sparse_span
 from .multipoly import linear_pencil, nonvanishing_point, structured_det
 
 SCAN_BOUND = 10 ** 6
@@ -57,65 +57,79 @@ def center(a: GradedAlgebra) -> Subspace:
 
 
 def centralizer(a: GradedAlgebra, s: Subspace) -> Subspace:
-    """All x with xv = vx for every v in s."""
+    """All x with xv = vx for every v in s, as the kernel of the constraints
+    built and reduced on raw field values."""
     if s.ambient_dim != a.dim or s.field != a.field:
         raise AmbientMismatch("subspace does not match the algebra's coordinates")
+    ops = raw_ops(a.field)
+    zero, add, sub, mul = ops.zero, ops.add, ops.sub, ops.mul
+    products = raw_structure(a, ops)
     rows = []
     for v in s.basis:
-        # constraint rows: for each output coordinate k, sum_l x_l (c(l,v)k - c(v,l)k) = 0
-        columns = []
+        terms = [(i, c) for i, c in enumerate(ops.unwrap(v)) if c != zero]
+        # row k: sum_l x_l ((e_l v)_k - (v e_l)_k) = 0
+        constraint = [{} for _ in range(a.dim)]
         for l in range(a.dim):
-            e_l = [a.field.zero()] * a.dim
-            e_l[l] = a.field.one()
-            left = a.mul_coords(e_l, list(v))
-            right = a.mul_coords(list(v), e_l)
-            columns.append([x - y for x, y in zip(left, right)])
-        for k in range(a.dim):
-            rows.append([columns[l][k] for l in range(a.dim)])
-    if not rows:
-        return Subspace.full(a.field, a.dim)
-    return Matrix(a.field, rows).kernel()
+            for i, c in terms:
+                for k, b in products[l][i]:
+                    row = constraint[k]
+                    row[l] = add(row.get(l, zero), mul(c, b))
+                for k, b in products[i][l]:
+                    row = constraint[k]
+                    row[l] = sub(row.get(l, zero), mul(c, b))
+        for row in constraint:
+            row = {l: x for l, x in row.items() if x != zero}
+            if row:
+                rows.append(row)
+    return sparse_kernel(ops, a.dim, rows)
 
 
-def _commutator_span(a: GradedAlgebra, pairs) -> Subspace:
-    """Span of the commutators [e_i, e_j] over the given basis pairs, built and
-    reduced on raw field values.
+def commutator_pairs(a: GradedAlgebra, graded: bool = False):
+    """Basis pairs i < j, in order; graded keeps the pairs of mutually
+    inverse degrees, whose commutators land in the identity component."""
+    if not graded:
+        return ((i, j) for i in range(a.dim) for j in range(i + 1, a.dim))
+    inverse_degree = [a.group.inv(g) for g in a.degree]
+    return ((i, j) for i in range(a.dim) for j in range(i + 1, a.dim)
+            if a.degree[j] == inverse_degree[i])
+
+
+def commutator_rows(a: GradedAlgebra, ops, pairs):
+    """The nonzero commutators [e_i, e_j] over the basis pairs, as sparse
+    rows {k: raw value} of ops, which must be raw_ops(a.field).
 
     Products are stored sorted and without zero terms, so [e_i, e_j] = 0
     exactly when e_i e_j and e_j e_i have the same terms.
     """
-    ops = raw_ops(a.field)
-    unwrap, sub = ops.unwrap, ops.sub
-    zeros = [ops.zero] * a.dim
-    vectors = []
+    unwrap, one = ops.unwrap, ops.one
     for i, j in pairs:
         ij, ji = a.basis_product(i, j), a.basis_product(j, i)
         if ij == ji:
             continue
-        row = list(zeros)
-        for k, c in zip([k for k, _ in ij], unwrap([c for _, c in ij])):
-            row[k] = c
-        for k, c in zip([k for k, _ in ji], unwrap([c for _, c in ji])):
-            row[k] = sub(row[k], c)
-        vectors.append(row)
-    return Subspace.from_raw_rows(ops, a.dim, vectors)
+        row = dict(zip([k for k, _ in ij], unwrap([c for _, c in ij])))
+        ops.sparse_sub_scaled(row, one, dict(zip([k for k, _ in ji], unwrap([c for _, c in ji]))))
+        yield row
+
+
+def _commutator_span(a: GradedAlgebra, pairs) -> Subspace:
+    """Span of the commutators [e_i, e_j] over the given basis pairs."""
+    ops = raw_ops(a.field)
+    return sparse_span(ops, a.dim, commutator_rows(a, ops, pairs))
 
 
 def commutator_subspace(a: GradedAlgebra) -> Subspace:
-    """Span of all [e_i, e_j]; bilinearity makes basis pairs enough."""
-    return _commutator_span(a, ((i, j) for i in range(a.dim)
-                                for j in range(i + 1, a.dim)))
+    """Span of all [e_i, e_j]; bilinearity makes basis pairs i < j enough."""
+    return _commutator_span(a, commutator_pairs(a))
 
 
 def graded_commutator_space(a: GradedAlgebra) -> Subspace:
     """Span of [u, v] over homogeneous basis pairs of mutually inverse degrees.
 
     Lands inside the identity component; for graded division algebras its
-    properness there decides graded symmetry.
+    properness there decides graded symmetry.  [e_j, e_i] = -[e_i, e_j], so
+    the pairs i < j are enough.
     """
-    inverse_degree = [a.group.inv(g) for g in a.degree]
-    return _commutator_span(a, ((i, j) for i in range(a.dim) for j in range(a.dim)
-                                if a.degree[j] == inverse_degree[i]))
+    return _commutator_span(a, commutator_pairs(a, graded=True))
 
 
 def support(a: GradedAlgebra) -> tuple:

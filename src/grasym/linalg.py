@@ -7,12 +7,23 @@ representation equality.
 Row reduction runs on raw field values (`fields.raw_ops`): `Matrix.rref`
 unwraps its entries once, reduces the raw rows with `eliminate_raw`, and
 wraps the result once.  `kernel`, `solve`, `rank`, `inverse` and the other
-`Subspace` operations reduce through `rref`; `Subspace.from_raw_rows`, which
-`Subspace.from_vectors` unwraps into, calls `eliminate_raw` itself and wraps
-only the rank rows, since a span of many vectors, such as the commutators of
-a basis, reduces mostly to zero rows.  The
+`Subspace` operations reduce through `rref`, or through `eliminate_raw`
+itself in `Subspace.from_vectors`, which wraps only the rank rows.  The
 reduced row echelon form is unique, so it is the same matrix a reduction on
 Scalars gives.
+
+`sparse_span` and `sparse_kernel` reduce a stream of sparse rows, dicts
+{column: raw value} with no zero entry, one at a time against the pivot
+rows found so far (`SparseEchelon`), and keep those rows fully reduced.
+A row that reduces to nothing costs only its reduction, and the stream is
+read no further once the rank is full.  The span keeps the first nonzero
+column of each row as its pivot, so its rows are the RREF basis.  The
+kernel keeps the last one: each pivot row then holds its pivot and free
+columns before it, so the kernel vector of a free column f, 1 at f and
+minus each pivot row's entry at f, has f as its first nonzero column and is
+zero at the other free columns.  Those vectors are the RREF basis of the
+kernel as they stand.  This is what decides trace spaces, commutator spans
+and centralizers, whose constraint rows have a few nonzeros each.
 
 `packed_nonsingular` is the nonsingularity test of the division scan: a
 square matrix over F_p with each row packed into one int, one fixed-width
@@ -63,6 +74,94 @@ def eliminate_raw(ops, m, ncols: int, stop_at_gap: bool = False, pivot_log=None)
         if r == nrows:
             break
     return pivots
+
+
+class SparseEchelon:
+    """Sparse raw rows kept fully reduced as they arrive.
+
+    rows maps each pivot column to its row, whose pivot entry is one and
+    which is zero at every other pivot column.  pick chooses the pivot of a
+    new row among its columns: min for the RREF of the span, max for the
+    kernel (see the module docstring).
+    """
+
+    __slots__ = ("ops", "ncols", "pick", "rows")
+
+    def __init__(self, ops, ncols: int, pick=min):
+        self.ops = ops
+        self.ncols = ncols
+        self.pick = pick
+        self.rows = {}
+
+    @property
+    def full(self) -> bool:
+        return len(self.rows) == self.ncols
+
+    def add(self, row: dict) -> bool:
+        """Reduce the sparse row in place, and keep it if it is independent."""
+        ops, rows = self.ops, self.rows
+        # the pivot rows are zero at each other's pivots, so one pass clears them
+        for c in [c for c in row if c in rows]:
+            ops.sparse_sub_scaled(row, row[c], rows[c])
+        if not row:
+            return False
+        p = self.pick(row)
+        row = ops.sparse_scale(row, ops.inverse(row[p]))
+        for other in rows.values():
+            if p in other:
+                ops.sparse_sub_scaled(other, other[p], row)
+        rows[p] = row
+        return True
+
+    def add_all(self, rows):
+        """Add rows in turn until the rank is full; the rest are not read."""
+        if self.full:
+            return
+        for row in rows:
+            if self.add(row) and self.full:
+                return
+
+
+def sparse_span(ops, ncols: int, rows) -> "Subspace":
+    """The span of the sparse rows, as a Subspace of ops.field^ncols.
+
+    The rows are reduced in place.
+    """
+    echelon = SparseEchelon(ops, ncols, min)
+    echelon.add_all(rows)
+    zero = ops.zero
+    basis = []
+    for p in sorted(echelon.rows):
+        dense = [zero] * ncols
+        for c, v in echelon.rows[p].items():
+            dense[c] = v
+        basis.append(ops.wrap(dense))
+    return Subspace(ops.field, ncols, basis)
+
+
+def sparse_kernel(ops, ncols: int, rows, dead=()) -> "Subspace":
+    """The vectors of ops.field^ncols that every sparse row annihilates and
+    that are zero at the dead columns.
+
+    A dead column is the unit row at that column, given before the rows;
+    unit rows are reduced against each other, so they go in as pivot rows.
+    The rows are reduced in place.
+    """
+    one = ops.one
+    echelon = SparseEchelon(ops, ncols, max)
+    echelon.rows.update((c, {c: one}) for c in dead)
+    echelon.add_all(rows)
+    zero, sub = ops.zero, ops.sub
+    kernel = {f: [zero] * ncols for f in range(ncols) if f not in echelon.rows}
+    for p, row in echelon.rows.items():
+        for c, v in row.items():
+            if c != p:
+                kernel[c][p] = sub(zero, v)
+    basis = []
+    for f in sorted(kernel):
+        kernel[f][f] = one
+        basis.append(ops.wrap(kernel[f]))
+    return Subspace(ops.field, ncols, basis)
 
 
 def lane_width(ncols: int, p: int) -> int:
@@ -245,16 +344,9 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise AmbientMismatch(f"vector of length {len(v)} in ambient {ambient_dim}")
         ops = raw_ops(field)
-        return cls.from_raw_rows(ops, ambient_dim, [ops.unwrap(v) for v in vectors])
-
-    @classmethod
-    def from_raw_rows(cls, ops, ambient_dim: int, rows) -> "Subspace":
-        """The span of rows, lists of ambient_dim raw values of ops.field.
-
-        The rows are reduced in place, and only the rank rows are wrapped.
-        """
+        rows = [ops.unwrap(v) for v in vectors]
         rank = len(eliminate_raw(ops, rows, ambient_dim))
-        return cls(ops.field, ambient_dim, [ops.wrap(row) for row in rows[:rank]])
+        return cls(field, ambient_dim, [ops.wrap(row) for row in rows[:rank]])
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":

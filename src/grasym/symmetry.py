@@ -47,8 +47,9 @@ from .errors import (
     NotNormalized,
     OwnerMismatch,
 )
-from .invariants import commutator_subspace, graded_commutator_space
-from .linalg import Matrix, Subspace
+from .fields import raw_ops
+from .invariants import commutator_pairs, commutator_rows, graded_commutator_space
+from .linalg import Matrix, Subspace, sparse_kernel
 from .multipoly import GramPencil, linear_pencil, nonvanishing_point, structured_det
 
 MODES = ("graded-symmetric", "graded-frobenius", "symmetric", "frobenius")
@@ -137,24 +138,24 @@ def graded_trace_space(a: GradedAlgebra, mode: str = "graded-symmetric") -> Subs
     span.  For functionals already vanishing off the identity component,
     vanishing on commutators of mutually-inverse-degree pairs is equivalent to
     full trace symmetry, since other commutators live off the identity.
+
+    The constraints are reduced in one pass (`linalg.sparse_kernel`): the
+    off-identity columns go in as unit rows, then the commutators of the
+    pairs i < j, read until the rank is full.  With no nonzero commutator,
+    the space is read off without any reduction.
     """
     _check_mode(mode)
     e = a.group.identity
-    constraints = []
-    z, o = a.field.zero(), a.field.one()
-    if mode.startswith("graded-"):
-        for i in range(a.dim):
-            if a.degree[i] != e:
-                row = [z] * a.dim
-                row[i] = o
-                constraints.append(row)
-    if mode == "graded-symmetric":
-        constraints.extend(list(r) for r in graded_commutator_space(a).basis)
-    elif mode == "symmetric":
-        constraints.extend(list(r) for r in commutator_subspace(a).basis)
-    if not constraints:
-        return Subspace.full(a.field, a.dim)
-    return Matrix(a.field, constraints).kernel()
+    graded = mode.startswith("graded-")
+    ops = raw_ops(a.field)
+    rows = iter(())
+    if mode.endswith("symmetric"):
+        rows = commutator_rows(a, ops, commutator_pairs(a, graded))
+    first = next(rows, None)
+    if first is None:
+        return homogeneous_component(a, e) if graded else Subspace.full(a.field, a.dim)
+    dead = [i for i in range(a.dim) if a.degree[i] != e] if graded else ()
+    return sparse_kernel(ops, a.dim, itertools.chain([first], rows), dead)
 
 
 def _check_owner(a: GradedAlgebra, lam: LinearFunctional):
