@@ -23,9 +23,12 @@ the product's table all run on raw field values, as validation does; the
 table wraps each distinct raw value into a Scalar once.
 Every crossed product of a finite field by Frobenius powers with a unit twist
 (the cyclic algebras, the replication corpus, spec-file constructor blocks and
-hunt candidates) gets its data from the one builder frobenius_crossed_spec,
-which builds the coefficient field as an algebra, and its Frobenius matrices,
-once per field.
+hunt candidates) is built by the one builder frobenius_crossed_product.  It
+decides the laws as congruences on the Frobenius exponents and a few products
+in the field, and builds the table only for data that passes; the coefficient
+field as an algebra, and its Frobenius matrices, are built once per field.
+frobenius_crossed_spec gives the same data as a CrossedProductSpec, for the
+general path.
 """
 
 from __future__ import annotations
@@ -739,6 +742,13 @@ def _normalized_alpha(spec: CrossedProductSpec, raw: _RawCoefficients) -> dict:
     return out
 
 
+# the laws (C) and (Z) as their failures name them; frobenius_crossed_product
+# decides them on exponents and reports them in the same words
+_CONJUGATION_LAW = "sigma(g) sigma(h) = Inn(alpha(g,h)) sigma(gh)"
+_COCYCLE_LAW = ("the twisted 2-cocycle law "
+                "(alpha(g,h) alpha(gh,k) = sigma(g)(alpha(h,k)) alpha(g,hk))")
+
+
 def _check_crossed_laws(spec: CrossedProductSpec, raw: _RawCoefficients, alpha: dict):
     """Decide in D whether sigma and the normalized alpha give a crossed
     product; raise IncompatibleCocycleData naming the first law that fails.
@@ -820,8 +830,7 @@ def _check_crossed_laws(spec: CrossedProductSpec, raw: _RawCoefficients, alpha: 
             gh = G.mul(g, h)
             for i, b in enumerate(images[h]):
                 if mul(act(g, b), agh) != mul(agh, images[gh][i]):
-                    fail("sigma(g) sigma(h) = Inn(alpha(g,h)) sigma(gh)",
-                         f"g={g}, h={h}, D-basis vector {i}")
+                    fail(_CONJUGATION_LAW, f"g={g}, h={h}, D-basis vector {i}")
     for g in rest:
         for h in rest:
             agh = alpha[(g, h)]
@@ -830,9 +839,7 @@ def _check_crossed_laws(spec: CrossedProductSpec, raw: _RawCoefficients, alpha: 
                 left = mul(agh, alpha[(gh, k)])
                 right = mul(act(g, alpha[(h, k)]), alpha[(g, G.mul(h, k))])
                 if left != right:
-                    fail("the twisted 2-cocycle law "
-                         "(alpha(g,h) alpha(gh,k) = sigma(g)(alpha(h,k)) alpha(g,hk))",
-                         f"g={g}, h={h}, k={k}")
+                    fail(_COCYCLE_LAW, f"g={g}, h={h}, k={k}")
 
 
 def _compatible_alpha(spec: CrossedProductSpec) -> tuple:
@@ -899,10 +906,14 @@ def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
     _check_crossed_laws before the table is built, so the product is unital,
     graded and associative by construction and is not scanned again.
     """
-    dim = spec.coeff.dim * spec.group.order
+    _require_crossed_dim(spec.coeff, spec.group)
+    return _crossed_product_table(spec, *_compatible_alpha(spec))
+
+
+def _require_crossed_dim(d: GradedAlgebra, group: GroupTable):
+    dim = d.dim * group.order
     if dim > MAX_ALGEBRA_DIM:
         raise DimensionTooLarge(f"crossed product dimension {dim} exceeds {MAX_ALGEBRA_DIM}")
-    return _crossed_product_table(spec, *_compatible_alpha(spec))
 
 
 def normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
@@ -978,6 +989,32 @@ def _frobenius_coefficients(ext: Field) -> tuple:
     return d, tuple(frobenius_matrix(ext, k) for k in range(d.dim))
 
 
+def _frobenius_data(ext: Field, group: GroupTable, sigma_powers, alpha_unit) -> tuple:
+    """The checked arguments of a Frobenius crossed product: D, the exponent
+    k_g in [0, dim D) of each group element in index order (k_e = 0), the
+    matrix of sigma(g) = Frob^(k_g) on D for each, and the twist u as dim D
+    scalars of F_p."""
+    base = ext.prime_subfield()
+    d, frobenius = _frobenius_coefficients(ext)
+    sigma_powers = list(sigma_powers)
+    if len(sigma_powers) != group.order - 1:
+        raise ValueError("need one Frobenius power per non-identity element")
+    powers = [0] + [power % d.dim for power in sigma_powers]
+    sigma = [frobenius[k] for k in powers]
+    u = tuple(d.unit) if alpha_unit is None else tuple(base.scalar(c) for c in alpha_unit)
+    if len(u) > d.dim:
+        raise ValueError(f"alpha_unit has more than {d.dim} coefficients")
+    u += (base.zero(),) * (d.dim - len(u))
+    return d, powers, sigma, u
+
+
+def _frobenius_spec(group: GroupTable, d: GradedAlgebra, sigma, u) -> CrossedProductSpec:
+    one = tuple(d.unit)
+    alpha = {(g, h): u if g and h else one
+             for g in range(group.order) for h in range(group.order)}
+    return CrossedProductSpec(coeff=d, group=group, sigma=dict(enumerate(sigma)), alpha=alpha)
+
+
 def frobenius_crossed_spec(ext: Field, group: GroupTable, sigma_powers,
                            alpha_unit=None) -> CrossedProductSpec:
     """Crossed-product data of a finite field over its prime field F_p, acted on
@@ -988,24 +1025,91 @@ def frobenius_crossed_spec(ext: Field, group: GroupTable, sigma_powers,
     trivial).  alpha_unit, when given, holds the coefficients of a unit u on
     the basis 1, x, .., x^(m-1); alpha(g, h) = u for g, h both non-identity and
     alpha is 1 against the identity.  Compatibility of the data is decided by
-    crossed_product, from the crossed-product laws in D.
+    crossed_product, from the crossed-product laws in D; the builder
+    frobenius_crossed_product decides it on exponents instead.
     """
-    base = ext.prime_subfield()
-    d, frobenius = _frobenius_coefficients(ext)
-    sigma_powers = list(sigma_powers)
-    if len(sigma_powers) != group.order - 1:
-        raise ValueError("need one Frobenius power per non-identity element")
-    sigma = {0: frobenius[0]}
-    for g, power in enumerate(sigma_powers, start=1):
-        sigma[g] = frobenius[power % d.dim]
-    one = tuple(d.unit)
-    u = one if alpha_unit is None else tuple(base.scalar(c) for c in alpha_unit)
-    if len(u) > d.dim:
-        raise ValueError(f"alpha_unit has more than {d.dim} coefficients")
-    u += (base.zero(),) * (d.dim - len(u))
-    alpha = {(g, h): u if g and h else one
-             for g in range(group.order) for h in range(group.order)}
-    return CrossedProductSpec(coeff=d, group=group, sigma=sigma, alpha=alpha)
+    d, _, sigma, u = _frobenius_data(ext, group, sigma_powers, alpha_unit)
+    return _frobenius_spec(group, d, sigma, u)
+
+
+def frobenius_crossed_product(ext: Field, group: GroupTable, sigma_powers,
+                              alpha_unit=None) -> GradedAlgebra:
+    """crossed_product(frobenius_crossed_spec(ext, group, sigma_powers,
+    alpha_unit)), with the crossed-product laws decided as congruences on the
+    Frobenius exponents, so that incompatible data builds nothing in D.
+
+    The product, and the exception class and message of incompatible data,
+    are those of crossed_product.  Write q = p^m for the size of ext, x for
+    the generator of D = F_q over F_p (D-basis vector 1), k_g for the
+    exponent of g taken mod m, so that sigma(g)(y) = y^(p^(k_g)) and k_e = 0
+    (every k_g is 0 when m = 1), and u for the twist, so that alpha(g,h) = u
+    for g, h both non-identity and 1 against the identity.  The laws of
+    _check_crossed_laws then read:
+
+    (U) and (M) hold for all data: sigma(e) = Frob^0 = id, every power of
+        Frobenius is a field automorphism, so it fixes 1 and is
+        multiplicative, and alpha(g,e) = alpha(e,g) = 1 as given.  alpha(e,e)
+        = 1, so _normalized_alpha returns alpha unchanged.
+    Before any law, u must be invertible, which in the field D means u != 0;
+    alpha(1,1) is the first pair that holds u, so u = 0 over a nontrivial
+    group raises NonInvertibleAlpha there, and over the trivial group u is
+    never used.
+    (C) D is commutative and u invertible, so s_g s_h (e_i) u = u s_gh(e_i)
+        says s_g s_h = s_gh on e_i.  e_0 = 1 is fixed by both sides.  x
+        generates D, so Frob^a(x) = Frob^b(x) exactly when Frob^(a-b) fixes
+        D, that is when a = b (mod m).  So (C) holds at (g, h) exactly when
+        k_g + k_h = k_gh (mod m), and where it fails it fails first at
+        D-basis vector 1.  k_e = 0 is used where gh = e.
+    (Z) For g, h, k non-identity, alpha(g,h) = alpha(h,k) = u and
+        alpha(gh,k), alpha(g,hk) are u or 1 as gh, hk are non-identity or
+        not, so the law is u^(1 + [gh != e]) = u^(p^(k_g)) u^[hk != e].
+        Both sides take u, u^2, and u^(p^k) and u^(p^k) u for each distinct
+        exponent k: a few products in F_q, and no discrete logarithm.
+
+    Failures are reported at the first (g, h) or (g, h, k) in the order of
+    _check_crossed_laws, and the dimension bound is checked before any law.
+    """
+    d, powers, sigma, u = _frobenius_data(ext, group, sigma_powers, alpha_unit)
+    _require_crossed_dim(d, group)
+    _check_frobenius_laws(ext, group, powers, u)
+    spec = _frobenius_spec(group, d, sigma, u)
+    raw = _RawCoefficients(spec)
+    alpha = {gh: tuple(raw.ops.unwrap(v)) for gh, v in spec.alpha.items()}
+    return _crossed_product_table(spec, raw, alpha)
+
+
+def _check_frobenius_laws(ext: Field, group: GroupTable, powers, u):
+    """Raise the error of _check_crossed_laws, or of _normalized_alpha, for
+    Frobenius data; see frobenius_crossed_product for the derivation."""
+    e, m = group.identity, ext.degree
+    rest = range(1, group.order)
+    if rest and all(c.is_zero for c in u):
+        raise NonInvertibleAlpha("alpha(1,1) is not invertible in D")
+    for g in rest:
+        for h in rest:
+            if (powers[g] + powers[h] - powers[group.mul(g, h)]) % m:
+                raise IncompatibleCocycleData(
+                    f"{_CONJUGATION_LAW} fails at g={g}, h={h}, D-basis vector 1")
+    x = ext.scalar([c.coefficients()[0] for c in u])
+    left = (x, x * x)  # u^(1 + [gh != e]), by [gh != e]
+    rights = {}  # exponent k -> (u^(p^k), u^(p^k) u), by [hk != e]
+    for g in rest:
+        right = rights.get(powers[g])
+        if right is None:
+            y = x ** (ext.char ** powers[g])
+            right = rights[powers[g]] = (y, y * x)
+        for h in rest:
+            lhs = left[group.mul(g, h) != e]
+            for k in rest:
+                if lhs != right[group.mul(h, k) != e]:
+                    raise IncompatibleCocycleData(f"{_COCYCLE_LAW} fails at g={g}, h={h}, k={k}")
+
+
+def _cyclic_algebra_data(p: int) -> tuple:
+    if p not in (2, 3, 5, 7):
+        raise UnsupportedPrime(f"supported primes are 2, 3, 5, 7; got {p}")
+    ext = make_field(p, [p - 1, p - 1] + [0] * (p - 2) + [1])
+    return ext, cyclic_group(p), range(1, p)
 
 
 def cyclic_algebra_spec(p: int) -> CrossedProductSpec:
@@ -1014,15 +1118,13 @@ def cyclic_algebra_spec(p: int) -> CrossedProductSpec:
     The coefficient field is F_p(x) with x^p = x + 1, acted on by Frobenius
     powers, with trivial twisting: y^p = 1 and y a = a^p y.
     """
-    if p not in (2, 3, 5, 7):
-        raise UnsupportedPrime(f"supported primes are 2, 3, 5, 7; got {p}")
-    ext = make_field(p, [p - 1, p - 1] + [0] * (p - 2) + [1])
-    return frobenius_crossed_spec(ext, cyclic_group(p), range(1, p))
+    return frobenius_crossed_spec(*_cyclic_algebra_data(p))
 
 
 def cyclic_algebra(p: int) -> GradedAlgebra:
-    """The C_p-graded skew group algebra of F_{p^p} over F_p, dimension p^2."""
-    a = crossed_product(cyclic_algebra_spec(p))
+    """The C_p-graded skew group algebra of F_{p^p} over F_p, dimension p^2:
+    the product of cyclic_algebra_spec(p)."""
+    a = frobenius_crossed_product(*_cyclic_algebra_data(p))
     a.meta.update({"construction": "cyclic_algebra", "p": p})
     return a
 

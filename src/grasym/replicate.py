@@ -18,10 +18,10 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebras import (
     GradedAlgebra,
-    crossed_product,
     cyclic_algebra,
     direct_product,
     field_as_algebra,
+    frobenius_crossed_product,
     frobenius_crossed_spec,
     good_matrix_algebra,
     group_algebra,
@@ -186,8 +186,7 @@ def random_small_algebra(field, rng: random.Random) -> GradedAlgebra:
                                group_algebra(field, cyclic_group(2))),
         lambda: tensor_product(group_algebra(field, cyclic_group(2)),
                                group_algebra(field, cyclic_group(2))),
-        lambda: crossed_product(frobenius_crossed_spec(
-            canonical_extension_field(p, 2), cyclic_group(2), [1])),
+        lambda: frobenius_crossed_product(canonical_extension_field(p, 2), cyclic_group(2), [1]),
     ]
     if p == 2:
         menu.append(lambda: cyclic_algebra(2))
@@ -240,10 +239,10 @@ def dim4_f2_corpus() -> list:
         ("product-C2-C2", direct_product(group_algebra(f2, cyclic_group(2)),
                                          group_algebra(f2, cyclic_group(2)))),
         ("ext-field-F4", field_as_algebra(f4, f2)),
-        ("crossed-F4-frob", crossed_product(frobenius_crossed_spec(f4, c2, [1]))),
-        ("crossed-F4-trivial", crossed_product(frobenius_crossed_spec(f4, c2, [0]))),
+        ("crossed-F4-frob", frobenius_crossed_product(f4, c2, [1])),
+        ("crossed-F4-trivial", frobenius_crossed_product(f4, c2, [0])),
         # alpha(g, g) is the generator x of F_4
-        ("crossed-F4-twisted", crossed_product(frobenius_crossed_spec(f4, c2, [0], [0, 1]))),
+        ("crossed-F4-twisted", frobenius_crossed_product(f4, c2, [0], [0, 1])),
         ("ungraded-cyclic-2", ungrade(cyclic_algebra(2))),
         ("te-ungraded-C2", trivial_extension(ungrade(group_algebra(f2, cyclic_group(2))))),
         ("matrix-2-klein", good_matrix_algebra(2, [0, 1],
@@ -313,7 +312,9 @@ def hunt_candidates(params: HuntParams):
     constructor spec that specfile.algebra_from_dict builds; the hunt tests
     that algebra and reports a finding as this same spec.  Specs share their
     inner lists and group block, so treat them as read-only.  Non-cocycle data
-    is filtered downstream, by crossed_product's crossed-product laws, not here.
+    is not filtered here: algebra_from_dict raises IncompatibleCocycleData for
+    it, from algebras.frobenius_crossed_product's congruences, before any
+    table is built.
     """
     p = params.characteristic
     index = 0
@@ -609,17 +610,17 @@ def check_division_trivial_extension_center():
         f"center dim {z.dim} (want 2), symmetric={decision.status}"
 
 
-def _frobenius_action_specs():
-    return [(f"F_{p ** 2}^Frob[C2]/F_{p}",
-             frobenius_crossed_spec(make_field(p, modulus), cyclic_group(2), [1]))
+def _frobenius_actions():
+    """F_9 and F_25 acted on by Frobenius over C2: (name, builder arguments)."""
+    return [(f"F_{p ** 2}^Frob[C2]/F_{p}", (make_field(p, modulus), cyclic_group(2), [1]))
             for p, modulus in ((3, [1, 0, 1]), (5, [2, 0, 1]))]
 
 
 def check_crossed_center_symmetric():
     ok = True
     details = []
-    for name, spec in _frobenius_action_specs():
-        a = crossed_product(spec)
+    for name, args in _frobenius_actions():
+        a = frobenius_crossed_product(*args)
         res = replicate_center_symmetry(a)
         ok = ok and res is True
         details.append(f"{name}: center symmetric={res}")
@@ -629,7 +630,8 @@ def check_crossed_center_symmetric():
 def check_averaging_and_lifting():
     ok = True
     details = []
-    for name, spec in _frobenius_action_specs():
+    for name, args in _frobenius_actions():
+        spec = frobenius_crossed_spec(*args)
         d = spec.coeff
         f = d.field
         mu = LinearFunctional(d, [f.one()] + [f.zero()] * (d.dim - 1))

@@ -213,10 +213,9 @@ def _build_constructor(d: dict) -> GradedAlgebra:
         alpha_unit = block.get("alpha_unit")
         if alpha_unit is not None:
             alpha_unit = [scalar_from_json(base, c) for c in alpha_unit]
-        spec = algebras.frobenius_crossed_spec(
+        return algebras.frobenius_crossed_product(
             ext, group_from_dict(d["group"]),
             _ints(block["sigma_powers"]), alpha_unit)
-        return algebras.crossed_product(spec)
     raise ParseError(f"unknown constructor {name!r}")
 
 

@@ -37,6 +37,7 @@ from grasym import (
 )
 from grasym.algebras import (
     constant_alpha,
+    frobenius_crossed_product,
     frobenius_crossed_spec,
     trivial_sigma,
 )
@@ -66,7 +67,12 @@ from grasym.errors import (
     ZeroParameter,
 )
 
-from test_crossed_oracle import _check_crossed_laws, _crossed_product_table, _normalized_alpha
+from test_crossed_oracle import (
+    _check_crossed_laws,
+    _crossed_product_table,
+    _normalized_alpha,
+    builder_agrees,
+)
 
 
 # -- validation ----------------------------------------------------------------
@@ -382,6 +388,55 @@ def test_a_hunt_builds_each_coefficient_field_once(monkeypatch):
     f4, f16 = canonical_extension_field(2, 2), canonical_extension_field(2, 4)
     assert built == ([("D", f4), ("frobenius", f4, 0), ("frobenius", f4, 1), ("D", f16)]
                      + [("frobenius", f16, k) for k in range(4)])
+
+
+# -- frobenius_crossed_product edge cases (tests/test_crossed_oracle.py has the
+# corpora); each agrees with crossed_product(frobenius_crossed_spec(...))
+
+def test_frobenius_builder_over_the_trivial_group(f2, f4):
+    one = trivial_group()
+    assert builder_agrees(f4, one, [])
+    assert frobenius_crossed_product(f4, one, []) == field_as_algebra(f4, f2)
+    # alpha has no pair of non-identity elements, so a zero twist is never used
+    assert builder_agrees(f4, one, [], [0, 0])
+
+
+def test_frobenius_builder_ignores_sigma_powers_over_a_prime_field(f2, f3):
+    assert builder_agrees(f2, cyclic_group(2), [1])
+    assert frobenius_crossed_product(f2, cyclic_group(2), [1]) == \
+        frobenius_crossed_product(f2, cyclic_group(2), [0])
+    c3 = cyclic_group(3)
+    assert builder_agrees(f3, c3, [1, 2])
+    assert frobenius_crossed_product(f3, c3, [1, 2]) == frobenius_crossed_product(f3, c3, [5, 0])
+
+
+def test_frobenius_builder_refuses_a_zero_twist(f4):
+    with pytest.raises(NonInvertibleAlpha) as exc:
+        frobenius_crossed_product(f4, cyclic_group(2), [1], [0, 0])
+    assert str(exc.value) == "alpha(1,1) is not invertible in D"
+    assert not builder_agrees(f4, cyclic_group(2), [1], [0, 0])
+
+
+def test_frobenius_builder_checks_the_dimension_before_any_law():
+    # F_8 over C_22 is 66-dimensional; its data also fails (C) and has u = 0
+    f8 = canonical_extension_field(2, 3)
+    with pytest.raises(DimensionTooLarge) as exc:
+        frobenius_crossed_product(f8, cyclic_group(22), [1] * 21, [0, 0, 0])
+    assert str(exc.value) == "crossed product dimension 66 exceeds 64"
+
+
+def test_frobenius_builder_takes_the_identity_exponent_as_zero():
+    # over F_8, g^2 = e in C_2 needs 2 k_g = k_e = 0 (mod 3): k_g = 1 fails (C)
+    # at (g, g), where gh = e, and k_g = 0 passes
+    f8 = canonical_extension_field(2, 3)
+    c2 = cyclic_group(2)
+    with pytest.raises(IncompatibleCocycleData) as exc:
+        frobenius_crossed_product(f8, c2, [1])
+    assert str(exc.value) == ("sigma(g) sigma(h) = Inn(alpha(g,h)) sigma(gh) fails at "
+                              "g=1, h=1, D-basis vector 1")
+    assert not builder_agrees(f8, c2, [1])
+    assert builder_agrees(f8, c2, [0])
+    assert builder_agrees(f8, c2, [3])
 
 
 def test_field_as_algebra_builds_a_fresh_algebra_per_call(f2, f4):

@@ -231,3 +231,22 @@ def test_an_invalid_raw_spec_exits_three_with_the_full_report(tmp_path, capsys):
         "(1, 2, 1), (1, 2, 2), (1, 2, 3), (1, 3, 1), (2, 1, 2), (2, 3, 2), (3, 1, 2), "
         "(3, 2, 2)]\n")
 
+
+@pytest.mark.parametrize("constructor, stderr", [
+    ({"ext_modulus": [1, 1, 0, 1], "sigma_powers": [1]},
+     "error: IncompatibleCocycleData: sigma(g) sigma(h) = Inn(alpha(g,h)) sigma(gh) "
+     "fails at g=1, h=1, D-basis vector 1\n"),
+    ({"ext_modulus": [1, 1, 1], "sigma_powers": [1], "alpha_unit": [0, 1]},
+     "error: IncompatibleCocycleData: the twisted 2-cocycle law (alpha(g,h) alpha(gh,k) "
+     "= sigma(g)(alpha(h,k)) alpha(g,hk)) fails at g=1, h=1, k=1\n"),
+    ({"ext_modulus": [1, 1, 1], "sigma_powers": [0], "alpha_unit": [0, 0]},
+     "error: NonInvertibleAlpha: alpha(1,1) is not invertible in D\n"),
+], ids=["conjugation-law", "cocycle-law", "zero-twist"])
+def test_incompatible_frobenius_crossed_spec_exits_three(constructor, stderr, tmp_path, capsys):
+    # the bytes crossed_product wrote when it decided these laws in D
+    spec = {"group": {"kind": "cyclic", "n": 2},
+            "constructor": {"name": "frobenius_crossed_product", "char": 2, **constructor}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == stderr

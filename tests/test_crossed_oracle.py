@@ -1,7 +1,9 @@
 """The crossed-product pipeline on raw field values (algebras._compatible_alpha
 and algebras._crossed_product_table) against the Scalar version it replaced,
 kept here as its oracle: the same exception class and message, or the same
-normalized alpha and the same table."""
+normalized alpha and the same table.  Then algebras.frobenius_crossed_product,
+which decides the laws on Frobenius exponents, against
+crossed_product(frobenius_crossed_spec(...)), which decides them in D."""
 
 import sys
 from pathlib import Path
@@ -10,8 +12,8 @@ import pytest
 
 from grasym import CrossedProductSpec, Element, GradedAlgebra, cyclic_algebra_spec, make_field
 from grasym import algebras
-from grasym.errors import IncompatibleCocycleData, NonInvertibleAlpha
-from grasym.replicate import hunt_candidates
+from grasym.errors import GrasymError, IncompatibleCocycleData, NonInvertibleAlpha
+from grasym.replicate import HuntParams, default_hunt_params, hunt_candidates, hunt_char2_params
 from grasym.specfile import group_from_dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -186,12 +188,17 @@ def _agree(spec) -> bool:
     return True
 
 
-def _candidate_spec(spec: dict) -> CrossedProductSpec:
+def _candidate_args(spec: dict) -> tuple:
+    """The builder arguments (ext, group, sigma_powers, alpha_unit) of a hunt
+    candidate's constructor spec."""
     block = spec["constructor"]
     base = make_field(block["char"])
     ext = make_field(base.char, block["ext_modulus"]) if block["ext_modulus"] else base
-    return algebras.frobenius_crossed_spec(ext, group_from_dict(spec["group"]),
-                                           block["sigma_powers"], block["alpha_unit"])
+    return ext, group_from_dict(spec["group"]), block["sigma_powers"], block["alpha_unit"]
+
+
+def _candidate_spec(spec: dict) -> CrossedProductSpec:
+    return algebras.frobenius_crossed_spec(*_candidate_args(spec))
 
 
 def test_raw_laws_agree_on_the_crossed_law_corpus():
@@ -213,3 +220,59 @@ def test_raw_laws_agree_on_every_pool_cell_candidate():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_raw_laws_agree_on_the_cyclic_algebras(p):
     assert _agree(cyclic_algebra_spec(p))
+
+
+# -- frobenius_crossed_product against crossed_product ----------------------------------
+
+def builder_agrees(ext, group, sigma_powers, alpha_unit=None) -> bool:
+    """Whether frobenius_crossed_product accepts the data, after checking
+    that it gives the exception class and message of
+    crossed_product(frobenius_crossed_spec(...)), or the same algebra with
+    the same labels and meta."""
+    args = (ext, group, sigma_powers, alpha_unit)
+    try:
+        want = algebras.crossed_product(algebras.frobenius_crossed_spec(*args))
+    except GrasymError as exc:
+        with pytest.raises(GrasymError) as raised:
+            algebras.frobenius_crossed_product(*args)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return False
+    got = algebras.frobenius_crossed_product(*args)
+    assert got == want
+    assert (got.sc, got.unit, got.degree, got.labels, got.meta) == (
+        want.sc, want.unit, want.degree, want.labels, want.meta)
+    return True
+
+
+def _builder_counts(params: HuntParams) -> tuple:
+    accepted = [builder_agrees(*_candidate_args(s)) for _, s in hunt_candidates(params)]
+    return len(accepted), sum(accepted)
+
+
+def test_builder_agrees_on_the_pinned_hunts():
+    assert _builder_counts(hunt_char2_params()) == (57, 13)
+    assert _builder_counts(HuntParams(3, (1, 3), (("cyclic", 3),))) == (236, 4)
+
+
+def test_builder_agrees_on_every_pool_cell_candidate():
+    cells = {cell.name: cell for draw in workloads.POOL for cell in draw}
+    assert len(cells) == 4
+    for cell in cells.values():
+        assert _builder_counts(cell.params()) == (cell.enumerated, cell.tested), cell.name
+
+
+@pytest.mark.parametrize("params, counts", [
+    # the default char-2 hunt over groups of order <= 4, every extension degree
+    (default_hunt_params(2, max_group=4), (532, 27)),
+    # char 3 over groups of order <= 6, extension degrees 1 and 2
+    (default_hunt_params(3, max_group=6, max_ext=2), (1088, 33)),
+])
+def test_builder_agrees_on_a_default_hunt_slice(params, counts):
+    assert _builder_counts(params) == counts
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cyclic_algebra_is_the_product_of_its_spec(p):
+    a = algebras.cyclic_algebra(p)
+    b = algebras.crossed_product(cyclic_algebra_spec(p))
+    assert a == b and a.meta == {"construction": "cyclic_algebra", "p": p}

@@ -21,6 +21,7 @@ from grasym import (
 from grasym.errors import NotDivision, ParseError, RationalsNotSupported
 from grasym.replicate import (
     HuntParams,
+    default_hunt_params,
     dim4_f2_corpus,
     hunt_candidates,
     hunt_char2_params,
@@ -171,6 +172,15 @@ def test_hunt_char2_counts():
     assert report.candidates_enumerated == 57
     assert report.instances_tested == 13
     assert report.division_count == 13
+    assert report.non_symmetric_instances == []
+    assert report.no_base_field_point_instances == []
+
+
+def test_the_default_char2_hunt_counts():
+    # grasym hunt --char 2: groups of order <= 8, extension degrees <= 3
+    report = hunt_counterexample(default_hunt_params(2))
+    assert (report.candidates_enumerated, report.incompatible_count,
+            report.instances_tested, report.division_count) == (74614, 74539, 75, 75)
     assert report.non_symmetric_instances == []
     assert report.no_base_field_point_instances == []
 

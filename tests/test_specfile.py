@@ -29,7 +29,7 @@ from grasym import (
     ungrade,
     validate_algebra,
 )
-from grasym.algebras import frobenius_crossed_spec
+from grasym.algebras import frobenius_crossed_product, frobenius_crossed_spec
 from grasym.invariants import _identity_component_algebra
 from grasym.replicate import dim4_f2_corpus, random_graded_basis_change
 from grasym.errors import GroupMismatch, ParseError, ValidationError
@@ -277,8 +277,7 @@ def test_certificate_round_trip(tmp_path):
 
 
 def _frobenius_crossed(name):
-    from grasym import crossed_product
-    from grasym.replicate import _frobenius_action_specs, dim4_f2_corpus
+    from grasym.replicate import _frobenius_actions, dim4_f2_corpus
     if name.startswith("cyclic_algebra"):
         return cyclic_algebra(int(name[-2]))
     if name.startswith("crossed-F4"):
@@ -290,11 +289,12 @@ def _frobenius_crossed(name):
             s for _, s in hunt_candidates(params)
             if s["constructor"]["sigma_powers"] == [1, 2]
             and s["constructor"]["alpha_unit"] == [1, 0, 0]))
-    return crossed_product(dict(_frobenius_action_specs())[name])
+    return frobenius_crossed_product(*dict(_frobenius_actions())[name])
 
 
 # Digests of the Frobenius crossed products as built before all of them went
-# through algebras.frobenius_crossed_spec; the builder must not move a byte.
+# through algebras.frobenius_crossed_spec, and then through
+# algebras.frobenius_crossed_product; the builder must not move a byte.
 FROBENIUS_CROSSED_HASHES = {
     "cyclic_algebra(2)": "8e61477204fc19da42266b01302188b95a14cdb3c638c58feea3b8abc21ee686",
     "cyclic_algebra(3)": "e840453d8f4fdeb4128eeb37c75ec5414e45c0b63d8ba8aa1c3bf3607bc18c1d",
