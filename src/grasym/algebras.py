@@ -55,9 +55,9 @@ from .errors import (
     UnsupportedPrime,
     ZeroParameter,
 )
-from .fields import Field, Scalar, embed_scalar, extend_field, make_field, raw_ops
+from .fields import Field, Scalar, embed_scalar, extend_field, make_field
 from .groups import GroupTable, cyclic_group, klein_group, trivial_group
-from .linalg import Matrix, Subspace, eliminate_raw
+from .linalg import Matrix, SparseEchelon, Subspace, eliminate_raw
 
 MAX_ALGEBRA_DIM = 64
 
@@ -312,7 +312,7 @@ def validate_algebra(a: GradedAlgebra) -> ValidationReport:
     words s_1(s_2(..(s_k 1))) span A, then N = A and A is associative.
     _left_word_generators picks S greedily, and the check
     (e_i s) e_l = e_i (s e_l) for every s in S and all i, l puts S in N.
-    Every check runs on raw field values (fields.raw_ops).
+    Every check runs on raw field values (a.field.ops).
 
     A table that fails any check, unit, grading or nucleus, gets its report
     from the full scan _scan_algebra, so the report lists every violating
@@ -341,9 +341,10 @@ def sparse_combination(ops, coeffs, vectors) -> dict:
     return {m: v for m, v in out.items() if v != zero}
 
 
-def raw_structure(a: GradedAlgebra, ops) -> list:
+def raw_structure(a: GradedAlgebra) -> list:
     """The structure constants on raw values: rows[i][j] holds the
     (k, c_ij^k) pairs of e_i e_j."""
+    ops = a.field.ops
     rows = [[()] * a.dim for _ in range(a.dim)]
     for (i, j), terms in a.sc.items():
         rows[i][j] = tuple(zip([k for k, _ in terms], ops.unwrap([c for _, c in terms])))
@@ -357,50 +358,27 @@ def _left_word_generators(ops, rows, unit) -> list:
     The first basis vector outside the span of the left words so far joins
     S, and the span is closed under left multiplication by S before the next
     one is looked for.  No associativity is needed: the words lie in every
-    subalgebra that holds S and 1.  The span is kept as rows with pivot 1,
-    each cleared at the pivots of the rows before it, so reducing a vector by
-    them in order decides membership.
+    subalgebra that holds S and 1.  The span is a linalg.SparseEchelon, whose
+    rows stay fully reduced, so e_b lies in it exactly when its row at pivot
+    b is e_b itself.  Each word that enlarges the span is queued as it was
+    computed, a copy, since the echelon reduces its rows in place.
     """
-    d, zero = len(rows), ops.zero
-    span = []  # (pivot, row)
-
-    def reduced(v):
-        for p, row in span:
-            if v[p] != zero:
-                v = ops.sub_scaled(v, v[p], row)
-        return v
-
-    def extend(v):
-        """Add v to the span; return its row, or None when v was in the span."""
-        v = reduced(v)
-        for p, x in enumerate(v):
-            if x != zero:
-                row = ops.scale(v, ops.inverse(x))
-                span.append((p, row))
-                return row
-        return None
-
-    extend(list(unit))
+    span = SparseEchelon(ops, len(rows))
+    span.add({k: c for k, c in enumerate(unit) if c != ops.zero})
     gens, one = [], ops.one
-    for b in range(d):
-        if len(span) == d:
+    for b in range(len(rows)):
+        if span.full:
             break
-        e_b = [zero] * d
-        e_b[b] = one
-        if all(x == zero for x in reduced(e_b)):
+        if span.rows.get(b) == {b: one}:
             continue
         gens.append(b)
-        todo = [(b, row) for _, row in span]  # every (generator, row) pair is multiplied once
+        # every (generator, spanning word) pair is multiplied once
+        todo = [(b, dict(row)) for row in span.rows.values()]
         while todo:
             s, w = todo.pop()
-            product = sparse_combination(ops, [(k, c) for k, c in enumerate(w) if c != zero],
-                                         rows[s])
-            v = [zero] * d
-            for m, c in product.items():
-                v[m] = c
-            row = extend(v)
-            if row is not None:
-                todo.extend((t, row) for t in gens)
+            product = sparse_combination(ops, w.items(), rows[s])
+            if span.add(dict(product)):
+                todo.extend((t, product) for t in gens)
     return gens
 
 
@@ -408,13 +386,13 @@ def _passes_light_test(a: GradedAlgebra) -> bool:
     """Whether the unit is homogeneous of degree e and a two-sided unit, every
     structure constant respects the grading, and the generators of
     _left_word_generators lie in the middle nucleus."""
-    ops = raw_ops(a.field)
+    ops = a.field.ops
     d, zero, e = a.dim, ops.zero, a.group.identity
     unit = ops.unwrap(a.unit)
     unit_terms = [(k, c) for k, c in enumerate(unit) if c != zero]
     if any(a.degree[k] != e for k, _ in unit_terms):
         return False
-    rows = raw_structure(a, ops)
+    rows = raw_structure(a)
     cols = [[rows[k][l] for k in range(d)] for l in range(d)]
     one = ops.one
     for i in range(d):
@@ -637,7 +615,7 @@ def _check_sigma(spec: CrossedProductSpec):
 
 class _RawCoefficients:
     """The coefficient algebra D and the action sigma of a crossed-product
-    spec on raw field values (fields.raw_ops).
+    spec on raw field values (D.field.ops).
 
     An element of D is the tuple of its raw coordinates.  left(x) gives the
     rows of L_x : y -> x y, built by sparse_combination from D's raw
@@ -650,8 +628,8 @@ class _RawCoefficients:
 
     def __init__(self, spec: CrossedProductSpec):
         d = spec.coeff
-        self.ops = ops = raw_ops(d.field)
-        rows = raw_structure(d, ops)
+        self.ops = ops = d.field.ops
+        rows = raw_structure(d)
         self.cols = [[rows[i][j] for i in range(d.dim)] for j in range(d.dim)]
         self.sigma = {g: [ops.unwrap(row) for row in spec.sigma[g].entries]
                       for g in range(spec.group.order)}

@@ -11,13 +11,16 @@ equality is representation equality, so scalars key dicts and sets directly.
 Polynomials over F_p appear internally as trimmed int tuples, constant
 coefficient first, with () for zero.  No floating point is used anywhere.
 
-Exact elimination runs on these raw values rather than on Scalars: `raw_ops`
-gives the operations of one field kind (unwrap, wrap, the zero test, product,
-sum, inverse, scale a row, subtract a scaled row, and evaluate linear forms
-at a point, which forms a matrix pencil at that point), so a row reduction
-or a computation on structure constants unwraps its input once and creates
-no Scalar per arithmetic step.  This module is the only one that reads a
-Scalar's raw value, apart from two rationals-only reads in `invariants`.
+Each field carries one arithmetic kernel, `field.ops`, a `RawOps` of its
+kind, built once when make_field creates the field.  It holds the raw zero and
+one and computes on raw values: from_int, product, sum, difference, inverse,
+scale a row, subtract a scaled row, and evaluate linear forms at a point,
+which forms a matrix pencil at that point.  Scalar arithmetic and
+Field.zero, one and from_int delegate to it, and exact elimination calls it
+directly, so a row reduction or a computation on structure constants
+unwraps its input once and creates no Scalar per arithmetic step.  This
+module is the only one that reads a Scalar's raw value, apart from two
+rationals-only reads in `invariants`.
 """
 
 from __future__ import annotations
@@ -191,27 +194,25 @@ class Field:
     """An exact field; construct through make_field, whose instances are shared,
     so equality is identity."""
 
-    __slots__ = ("char", "degree", "modulus")
+    __slots__ = ("char", "degree", "modulus", "ops")
 
     def __init__(self, char: int, degree: int, modulus):
         self.char = char
         self.degree = degree
         self.modulus = modulus  # int tuple of length degree+1, monic; None otherwise
+        kind = _RationalOps if char == 0 else _PrimeOps if degree == 1 else _ExtensionOps
+        self.ops = kind(self)  # the field's one arithmetic kernel
 
     # construction of scalars
 
     def zero(self) -> "Scalar":
-        return self.from_int(0)
+        return Scalar(self, self.ops.zero)
 
     def one(self) -> "Scalar":
-        return self.from_int(1)
+        return Scalar(self, self.ops.one)
 
     def from_int(self, n: int) -> "Scalar":
-        if self.char == 0:
-            return Scalar(self, Fraction(n))
-        if self.degree == 1:
-            return Scalar(self, n % self.char)
-        return Scalar(self, (n % self.char,) + (0,) * (self.degree - 1))
+        return Scalar(self, self.ops.from_int(n))
 
     def scalar(self, value) -> "Scalar":
         """Coerce a Scalar, an int, a Fraction or string over Q, or a coefficient
@@ -377,18 +378,14 @@ def _ext_mul(a, b, f: Field) -> tuple:
     return _ext_reduce(acc, f)
 
 
-def _ext_inv(a, f: Field) -> tuple:
-    inv = _pinvmod(a, f.modulus, f.char)
-    return inv + (0,) * (f.degree - len(inv))
-
-
 # -- Scalar ----------------------------------------------------------------------
 
 class Scalar:
     """A field element in canonical form; immutable and hashable.
 
     Arithmetic and equality combine a Scalar only with Scalars of its field;
-    ints enter through Field.scalar and Field.from_int.
+    ints enter through Field.scalar and Field.from_int.  The arithmetic is
+    that of the field's kernel field.ops on the raw value val.
     """
 
     __slots__ = ("field", "val")
@@ -406,55 +403,38 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        if self.field.degree == 1:
-            return self.val == 0
-        return not any(self.val)
+        return self.val == self.field.ops.zero
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         f = self.field
-        if f.char == 0:
-            return Scalar(f, self.val + o.val)
-        if f.degree == 1:
-            return Scalar(f, (self.val + o.val) % f.char)
-        return Scalar(f, tuple((a + b) % f.char for a, b in zip(self.val, o.val)))
+        return Scalar(f, f.ops.add(self.val, o.val))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        f = self.field
+        return Scalar(f, f.ops.sub(self.val, o.val))
 
     def __neg__(self):
         f = self.field
-        if f.char == 0:
-            return Scalar(f, -self.val)
-        if f.degree == 1:
-            return Scalar(f, (-self.val) % f.char)
-        return Scalar(f, tuple((-a) % f.char for a in self.val))
+        return Scalar(f, f.ops.sub(f.ops.zero, self.val))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         f = self.field
-        if f.char == 0:
-            return Scalar(f, self.val * o.val)
-        if f.degree == 1:
-            return Scalar(f, (self.val * o.val) % f.char)
-        return Scalar(f, _ext_mul(self.val, o.val, f))
+        return Scalar(f, f.ops.mul(self.val, o.val))
 
     def inverse(self) -> "Scalar":
         f = self.field
         if self.is_zero:
             raise DivisionByZero(f"cannot invert zero in {f}")
-        if f.char == 0:
-            return Scalar(f, 1 / self.val)
-        if f.degree == 1:
-            return Scalar(f, pow(self.val, f.char - 2, f.char))
-        return Scalar(f, _ext_inv(self.val, f))
+        return Scalar(f, f.ops.inverse(self.val))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -511,13 +491,16 @@ class Scalar:
 # -- raw row operations ------------------------------------------------------------
 
 class RawOps:
-    """Row operations on the raw values of one field, for exact elimination.
+    """The arithmetic of one field on raw values: its Scalars and its exact
+    elimination both compute here.
 
-    A raw value is what a Scalar of the field holds: an int in [0, p) over
-    F_p, a Fraction over Q, a padded coefficient tuple over F_{p^n}.  Raw
-    values are canonical, so v is zero iff v == self.zero; self.one is the
-    raw 1.  A row is a list of raw values.  Each field kind implements
+    Each field holds exactly one, as field.ops, built with the field.  A raw
+    value is what a Scalar of the field holds: an int in [0, p) over F_p, a
+    Fraction over Q, a padded coefficient tuple over F_{p^n}.  Raw values
+    are canonical, so v is zero iff v == self.zero; self.one is the raw 1.
+    A row is a list of raw values.  Each field kind implements
 
+    - from_int(n): the raw image of the int n;
     - mul(u, v), add(u, v) and sub(u, v): the product, the sum and u - v;
     - inverse(v): 1/v for nonzero v;
     - scale(row, c): the new row c * row;
@@ -532,15 +515,12 @@ class RawOps:
     F_p and Q kinds inline them.
     """
 
-    __slots__ = ("field", "zero")
+    __slots__ = ("field", "zero", "one")
 
     def __init__(self, field: Field):
         self.field = field
-        self.zero = field.zero().val
-
-    @property
-    def one(self):
-        return self.field.one().val
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
 
     def unwrap(self, scalars) -> list:
         f = self.field
@@ -572,8 +552,11 @@ class _PrimeOps(RawOps):
     __slots__ = ("p",)
 
     def __init__(self, field: Field):
-        super().__init__(field)
         self.p = field.char
+        super().__init__(field)
+
+    def from_int(self, n):
+        return n % self.p
 
     def mul(self, u, v):
         return u * v % self.p
@@ -616,6 +599,9 @@ class _PrimeOps(RawOps):
 class _RationalOps(RawOps):
     __slots__ = ()
 
+    def from_int(self, n):
+        return Fraction(n)
+
     def mul(self, u, v):
         return u * v
 
@@ -653,6 +639,10 @@ class _RationalOps(RawOps):
 class _ExtensionOps(RawOps):
     __slots__ = ()
 
+    def from_int(self, n):
+        f = self.field
+        return (n % f.char,) + (0,) * (f.degree - 1)
+
     def mul(self, u, v):
         return _ext_mul(u, v, self.field)
 
@@ -665,7 +655,9 @@ class _ExtensionOps(RawOps):
         return tuple((a - b) % p for a, b in zip(u, v))
 
     def inverse(self, v):
-        return _ext_inv(v, self.field)
+        f = self.field
+        inv = _pinvmod(v, f.modulus, f.char)
+        return inv + (0,) * (f.degree - len(inv))
 
     def scale(self, row, c) -> list:
         f, zero = self.field, self.zero
@@ -694,15 +686,6 @@ class _ExtensionOps(RawOps):
                     _ext_mul_acc(acc, a, b)
             out.append(_ext_reduce(acc, fld))
         return out
-
-
-def raw_ops(field: Field) -> RawOps:
-    """The raw row operations of field's kind."""
-    if field.char == 0:
-        return _RationalOps(field)
-    if field.degree == 1:
-        return _PrimeOps(field)
-    return _ExtensionOps(field)
 
 
 def scalar_from_json(field: Field, value) -> Scalar:

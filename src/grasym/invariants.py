@@ -44,7 +44,7 @@ from math import gcd
 
 from .algebras import Element, GradedAlgebra, raw_structure
 from .errors import AmbientMismatch
-from .fields import Scalar, raw_ops
+from .fields import Scalar
 from .linalg import Matrix, Subspace, lane_width, packed_nonsingular, sparse_kernel, sparse_span
 from .multipoly import linear_pencil, nonvanishing_point, structured_det
 
@@ -61,9 +61,9 @@ def centralizer(a: GradedAlgebra, s: Subspace) -> Subspace:
     built and reduced on raw field values."""
     if s.ambient_dim != a.dim or s.field != a.field:
         raise AmbientMismatch("subspace does not match the algebra's coordinates")
-    ops = raw_ops(a.field)
+    ops = a.field.ops
     zero, add, sub, mul = ops.zero, ops.add, ops.sub, ops.mul
-    products = raw_structure(a, ops)
+    products = raw_structure(a)
     rows = []
     for v in s.basis:
         terms = [(i, c) for i, c in enumerate(ops.unwrap(v)) if c != zero]
@@ -94,13 +94,14 @@ def commutator_pairs(a: GradedAlgebra, graded: bool = False):
             if a.degree[j] == inverse_degree[i])
 
 
-def commutator_rows(a: GradedAlgebra, ops, pairs):
+def commutator_rows(a: GradedAlgebra, pairs):
     """The nonzero commutators [e_i, e_j] over the basis pairs, as sparse
-    rows {k: raw value} of ops, which must be raw_ops(a.field).
+    rows {k: raw value} of a.field.ops.
 
     Products are stored sorted and without zero terms, so [e_i, e_j] = 0
     exactly when e_i e_j and e_j e_i have the same terms.
     """
+    ops = a.field.ops
     unwrap, one = ops.unwrap, ops.one
     for i, j in pairs:
         ij, ji = a.basis_product(i, j), a.basis_product(j, i)
@@ -113,8 +114,7 @@ def commutator_rows(a: GradedAlgebra, ops, pairs):
 
 def _commutator_span(a: GradedAlgebra, pairs) -> Subspace:
     """Span of the commutators [e_i, e_j] over the given basis pairs."""
-    ops = raw_ops(a.field)
-    return sparse_span(ops, a.dim, commutator_rows(a, ops, pairs))
+    return sparse_span(a.field.ops, a.dim, commutator_rows(a, pairs))
 
 
 def commutator_subspace(a: GradedAlgebra) -> Subspace:

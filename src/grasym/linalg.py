@@ -4,13 +4,13 @@ Matrices are dense grids of Scalars.  Subspaces are always stored as a
 reduced-row-echelon basis with no zero rows, so subspace equality is plain
 representation equality.
 
-Row reduction runs on raw field values (`fields.raw_ops`): `Matrix.rref`
-unwraps its entries once, reduces the raw rows with `eliminate_raw`, and
-wraps the result once.  `kernel`, `solve`, `rank`, `inverse` and the other
-`Subspace` operations reduce through `rref`, or through `eliminate_raw`
-itself in `Subspace.from_vectors`, which wraps only the rank rows.  The
-reduced row echelon form is unique, so it is the same matrix a reduction on
-Scalars gives.
+Row reduction runs on raw field values, through the field's arithmetic
+kernel `field.ops`: `Matrix.rref` unwraps its entries once, reduces the raw
+rows with `eliminate_raw`, and wraps the result once.  `kernel`, `solve`,
+`rank`, `inverse` and the other `Subspace` operations reduce through `rref`,
+or through `eliminate_raw` itself in `Subspace.from_vectors`, which wraps
+only the rank rows.  The reduced row echelon form is unique, so it is the
+same matrix a reduction on Scalars gives.
 
 `sparse_span` and `sparse_kernel` reduce a stream of sparse rows, dicts
 {column: raw value} with no zero entry, one at a time against the pivot
@@ -33,7 +33,7 @@ lane per column, reduced mod p only where a pivot or multiplier is read.
 from __future__ import annotations
 
 from .errors import AmbientMismatch
-from .fields import Field, embed_scalar, raw_ops
+from .fields import Field, embed_scalar
 
 
 def eliminate_raw(ops, m, ncols: int, stop_at_gap: bool = False, pivot_log=None):
@@ -268,7 +268,7 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form: (matrix, rank, pivot column tuple)."""
-        ops = raw_ops(self.field)
+        ops = self.field.ops
         m = [ops.unwrap(row) for row in self.entries]
         pivots = eliminate_raw(ops, m, self.cols)
         return Matrix(self.field, [ops.wrap(row) for row in m]), len(pivots), tuple(pivots)
@@ -343,7 +343,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise AmbientMismatch(f"vector of length {len(v)} in ambient {ambient_dim}")
-        ops = raw_ops(field)
+        ops = field.ops
         rows = [ops.unwrap(v) for v in vectors]
         rank = len(eliminate_raw(ops, rows, ambient_dim))
         return cls(field, ambient_dim, [ops.wrap(row) for row in rows[:rank]])

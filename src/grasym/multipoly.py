@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DimensionTooLarge, SearchSpaceTooLarge
-from .fields import Field, Scalar, embed_scalar, extend_field, raw_ops
+from .fields import Field, Scalar, embed_scalar, extend_field
 from .linalg import eliminate_raw
 
 # bounds the cofactor expansion, which a decision needs only to prove a No
@@ -322,7 +322,7 @@ class BlockDet:
 
     def __init__(self, pencil: GramPencil):
         self.pencil = pencil
-        self._ops = raw_ops(pencil.field)
+        self._ops = pencil.field.ops
         # _forms[r][c][k] is the raw coefficient of t_k in entry (r, c)
         self._forms = [[self._ops.unwrap(form) for form in row] for row in pencil.entries]
         self._nonzero = False

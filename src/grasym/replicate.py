@@ -43,7 +43,7 @@ from .errors import (
     ParseError,
     RationalsNotSupported,
 )
-from .fields import canonical_extension_field, make_field, rationals, raw_ops
+from .fields import canonical_extension_field, make_field, rationals
 from .groups import cyclic_group, group_from_kind, klein_group
 from .invariants import (
     center,
@@ -129,7 +129,7 @@ def random_graded_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAl
     if not a.field.is_finite:
         raise RationalsNotSupported("random basis changes draw from a finite field")
     field, d = a.field, a.dim
-    q, ops = field.size(), raw_ops(field)
+    q, ops = field.size(), field.ops
     zero, one = ops.zero, ops.one
     change = [()] * d  # row i of B, as (index, raw value) pairs
     inverse = [()] * d  # row i of B^-1
@@ -147,7 +147,7 @@ def random_graded_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAl
         for pos, i in enumerate(idx):
             change[i] = tuple((j, c) for j, c in zip(idx, block[pos]) if c != zero)
             inverse[i] = tuple((j, c) for j, c in zip(idx, aug[pos][n:]) if c != zero)
-    rows = raw_structure(a, ops)
+    rows = raw_structure(a)
     cols = [[rows[k][l] for k in range(d)] for l in range(d)]
 
     def express(v: dict) -> dict:
@@ -373,7 +373,9 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     treated as errors.  With checkpoint_path set, progress is written every
     CHECKPOINT_EVERY candidates to a sibling temp file that then replaces the
     checkpoint, so a hunt killed mid-write leaves the previous checkpoint
-    whole; resume re-verifies the parameter hash.
+    whole.  resume re-verifies the parameter hash and the consistency of the
+    counters, and a checkpoint past the end of the candidate stream raises
+    ParseError.
     """
     report = HuntReport(parameters=params.to_dict())
     start_index = 0
@@ -393,7 +395,9 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
             os.fsync(fh.fileno())
         os.replace(tmp, checkpoint_path)
 
+    stream_length = 0
     for index, spec in hunt_candidates(params):
+        stream_length = index + 1
         if index < start_index:
             continue
         report.candidates_enumerated += 1
@@ -413,12 +417,20 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
                     report.no_base_field_point_instances.append(spec)
         if (index + 1) % CHECKPOINT_EVERY == 0:
             save_checkpoint(index + 1)
+    if stream_length < start_index:
+        raise ParseError(f"checkpoint resumes at candidate {start_index}, "
+                         f"but the hunt has only {stream_length}")
     save_checkpoint(report.candidates_enumerated)
     return report
 
 
 def _load_checkpoint(path: str, params: HuntParams, report: HuntReport) -> int:
-    """Restore the report counters from a checkpoint; return the next index."""
+    """Restore the report counters from a checkpoint; return the next index.
+
+    The counters must be those of a hunt stopped at next_index: every
+    candidate before it enumerated, each either incompatible or tested, at
+    most the tested ones graded division, and a finding only among those.
+    """
     ck = load_json(path)
     if not isinstance(ck, dict) or "params_sha256" not in ck:
         raise ParseError(f"{path} is not a hunt checkpoint")
@@ -429,6 +441,11 @@ def _load_checkpoint(path: str, params: HuntParams, report: HuntReport) -> int:
     for key, value in [("next_index", 0), *saved.items()]:
         if type(ck.get(key)) is not type(value):
             raise ParseError(f"checkpoint key {key!r} must hold a {type(value).__name__}")
+    bad, tested, division = ck["incompatible_count"], ck["instances_tested"], ck["division_count"]
+    findings = len(ck["non_symmetric_instances"]) + len(ck["no_base_field_point_instances"])
+    if not (ck["next_index"] == ck["candidates_enumerated"] == bad + tested
+            and min(bad, tested) >= 0 and findings <= division <= tested):
+        raise ParseError("checkpoint counters are inconsistent")
     for key in saved:
         setattr(report, key, ck[key])
     return ck["next_index"]

@@ -47,7 +47,6 @@ from .errors import (
     NotNormalized,
     OwnerMismatch,
 )
-from .fields import raw_ops
 from .invariants import commutator_pairs, commutator_rows, graded_commutator_space
 from .linalg import Matrix, Subspace, sparse_kernel
 from .multipoly import GramPencil, linear_pencil, nonvanishing_point, structured_det
@@ -147,10 +146,10 @@ def graded_trace_space(a: GradedAlgebra, mode: str = "graded-symmetric") -> Subs
     _check_mode(mode)
     e = a.group.identity
     graded = mode.startswith("graded-")
-    ops = raw_ops(a.field)
+    ops = a.field.ops
     rows = iter(())
     if mode.endswith("symmetric"):
-        rows = commutator_rows(a, ops, commutator_pairs(a, graded))
+        rows = commutator_rows(a, commutator_pairs(a, graded))
     first = next(rows, None)
     if first is None:
         return homogeneous_component(a, e) if graded else Subspace.full(a.field, a.dim)

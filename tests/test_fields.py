@@ -14,7 +14,17 @@ from grasym.errors import (
     RationalsNotSupported,
     ReducibleModulus,
 )
-from grasym.fields import _is_prime, _pmod, _pmul, scalar_from_json
+from grasym.fields import (
+    RawOps,
+    _is_prime,
+    _padd,
+    _pinvmod,
+    _pmod,
+    _pmul,
+    _psub,
+    _ptrim,
+    scalar_from_json,
+)
 
 
 def test_prime_field_construction(f2):
@@ -314,15 +324,110 @@ def test_field_scalar_still_takes_ints_fractions_strings_and_scalars(q, f5, f9):
     assert make_field(3, (1, 0, 1)) is make_field(3, [1, 0, 1])
 
 
-@pytest.mark.parametrize("field", [make_field(7), make_field(3, [1, 0, 1]), make_field(0)],
-                         ids=["F7", "F9", "Q"])
-def test_raw_sub_is_scalar_subtraction(field):
-    from grasym.fields import raw_ops
-    ops = raw_ops(field)
-    if field.is_finite:
-        values = list(field.elements())
-    else:
-        values = [field.scalar(v) for v in ("0", "1", "-2", "3/4", "-5/3")]
-    for x, y in itertools.product(values, repeat=2):
-        (got,) = ops.wrap([ops.sub(*ops.unwrap([x, y]))])
-        assert got == x - y
+# -- Scalar arithmetic against arithmetic that does not go through field.ops ------
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_arithmetic_is_int_arithmetic_mod_p(p):
+    f = make_field(p)
+    for x, y in itertools.product(range(p), repeat=2):
+        a, b = f.element_at(x), f.element_at(y)
+        assert (a + b).coefficients() == ((x + y) % p,)
+        assert (a - b).coefficients() == ((x - y) % p,)
+        assert (a * b).coefficients() == (x * y % p,)
+    for x in range(p):
+        assert (-f.element_at(x)).coefficients() == (-x % p,)
+        assert f.from_int(x - 2 * p) == f.element_at(x)
+    for x in range(1, p):
+        assert f.element_at(x).inverse().coefficients() == (pow(x, -1, p),)
+    with pytest.raises(DivisionByZero, match=f"^cannot invert zero in F_{p}$"):
+        f.element_at(0).inverse()
+
+
+def test_rational_arithmetic_is_fraction_arithmetic(q):
+    sample = [Fraction(n, d) for n in (-5, -2, 0, 1, 3, 7) for d in (1, 2, 9)]
+    for x, y in itertools.product(sample, repeat=2):
+        a, b = q.scalar(x), q.scalar(y)
+        assert (a + b).to_json() == str(x + y)
+        assert (a - b).to_json() == str(x - y)
+        assert (a * b).to_json() == str(x * y)
+    for x in sample:
+        assert (-q.scalar(x)).to_json() == str(-x)
+        assert q.from_int(x.numerator).to_json() == str(x.numerator)
+        if x:
+            assert q.scalar(x).inverse().to_json() == str(1 / x)
+    with pytest.raises(DivisionByZero, match="^cannot invert zero in Q$"):
+        q.zero().inverse()
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3)],
+                         ids=["F4", "F8", "F9", "F27"])
+def test_extension_arithmetic_is_polynomial_arithmetic(p, n):
+    f = canonical_extension_field(p, n)
+
+    def coeffs(poly):  # a trimmed F_p polynomial as padded coefficients
+        return poly + (0,) * (n - len(poly))
+
+    elements = [(x, _ptrim(x.coefficients())) for x in f.elements()]
+    for (a, u), (b, v) in itertools.product(elements, repeat=2):
+        assert (a + b).coefficients() == coeffs(_padd(u, v, p))
+        assert (a - b).coefficients() == coeffs(_psub(u, v, p))
+        assert (a * b).coefficients() == coeffs(_pmod(_pmul(u, v, p), f.modulus, p))
+    for a, u in elements:
+        assert (-a).coefficients() == coeffs(_psub((), u, p))
+    for k in range(-2 * p, 2 * p):
+        assert f.from_int(k).coefficients() == coeffs((k % p,) if k % p else ())
+        if u:
+            assert a.inverse().coefficients() == coeffs(_pinvmod(u, f.modulus, p))
+    with pytest.raises(DivisionByZero, match=f"^cannot invert zero in F_{p}\\^{n}$"):
+        f.zero().inverse()
+
+
+@pytest.mark.parametrize("char, modulus", [(0, None), (7, None), (3, [1, 0, 1])],
+                         ids=["Q", "F7", "F9"])
+def test_each_field_holds_one_kernel(char, modulus):
+    f = make_field(char, modulus)
+    assert isinstance(f.ops, RawOps) and f.ops.field is f
+    assert make_field(char, modulus).ops is f.ops
+    assert f.zero().val == f.ops.zero and f.one().val == f.ops.one
+
+
+def test_no_kernel_is_built_once_the_fields_exist(monkeypatch):
+    from grasym import (
+        HuntParams,
+        cyclic_algebra,
+        decide_form_existence,
+        hunt_counterexample,
+        is_graded_division,
+        quaternion_algebra,
+        rationals,
+        scalar_extension,
+        sweedler_algebra,
+        validate_algebra,
+    )
+    from grasym.specfile import certificate_to_dict
+
+    algebras = [cyclic_algebra(3), scalar_extension(cyclic_algebra(2), 2),
+                sweedler_algebra(make_field(5)), quaternion_algebra(rationals(), -1, -1)]
+
+    def run_pass():
+        hunt_counterexample(HuntParams(2, (1, 2), (("cyclic", 2), ("cyclic", 3))))
+        for a in algebras:
+            validate_algebra(a)
+            is_graded_division(a)
+            for mode in ("symmetric", "graded-symmetric"):
+                verdict = decide_form_existence(a, mode)
+                certificate_to_dict(a, verdict)
+
+    run_pass()
+    built = []
+    init = RawOps.__init__
+
+    def counted(self, field):
+        built.append(field)
+        init(self, field)
+
+    monkeypatch.setattr(RawOps, "__init__", counted)
+    run_pass()
+    assert built == []
+    new = make_field(99991)  # a new field builds its kernel through the patched init
+    assert built == [new]

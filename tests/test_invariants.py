@@ -334,11 +334,10 @@ def raw_line_scan(e_alg):
     It walks the same line representatives in the same order, with L_x kept
     as rows of raw values, updated by sub_scaled and tested by eliminate_raw.
     """
-    from grasym.fields import raw_ops
     from grasym.linalg import eliminate_raw
 
     field, n = e_alg.field, e_alg.dim
-    ops = raw_ops(field)
+    ops = field.ops
     q = field.size()
     values = [field.element_at(k) for k in range(q)]
     basis = [[ops.unwrap(row) for row in e_alg.left_mult_matrix(e_alg.basis_element(i)).entries]

@@ -210,6 +210,17 @@ MALFORMED = {
     "checkpoint-with-huge-int": lambda tmp: HUNT_ARGS + [
         "--resume", _write_huge(tmp / "k.json",
                                 {**_checkpoint(tmp / "k0.json"), "next_index": "HUGE"})],
+    "checkpoint-with-negative-next-index": lambda tmp: HUNT_ARGS + [
+        "--resume", _write(tmp / "k.json", {**_checkpoint(tmp / "k0.json"), "next_index": -3})],
+    "checkpoint-with-inflated-count": lambda tmp: HUNT_ARGS + [
+        "--resume", _write(tmp / "k.json",
+                           {**_checkpoint(tmp / "k0.json"), "candidates_enumerated": 99})],
+    "checkpoint-with-division-beyond-tested": lambda tmp: HUNT_ARGS + [
+        "--resume", _write(tmp / "k.json", {**_checkpoint(tmp / "k0.json"), "division_count": 2})],
+    "checkpoint-past-the-stream": lambda tmp: HUNT_ARGS + [
+        "--resume", _write(tmp / "k.json", {
+            **_checkpoint(tmp / "k0.json"), "next_index": 5, "candidates_enumerated": 5,
+            "incompatible_count": 4})],
     "emit-params-with-huge-int": lambda tmp: [
         "emit", "--constructor", "matrix_algebra", "--field", '{"char":2}',
         "--params", '{"n": %s}' % HUGE],

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from grasym import make_field
-from grasym.fields import raw_ops
 from grasym.invariants import SCAN_BOUND
 from grasym.linalg import eliminate_raw, lane_width, packed_nonsingular
 
@@ -26,7 +25,7 @@ def pack(lanes, w):
 def oracle_nonsingular(lanes, p):
     """eliminate_raw's nonsingularity test on the residues of the lanes."""
     m = [[v % p for v in row] for row in lanes]
-    return eliminate_raw(raw_ops(make_field(p)), m, len(m), stop_at_gap=True) is not None
+    return eliminate_raw(make_field(p).ops, m, len(m), stop_at_gap=True) is not None
 
 
 def lift(residue, p, top, rng):

@@ -241,6 +241,29 @@ def test_hunt_checkpoint_rejects_other_params(tmp_path):
         hunt_counterexample(other, resume=str(ck))
 
 
+@pytest.mark.parametrize("edit", [
+    {"next_index": -3},
+    {"candidates_enumerated": 99},
+    {"next_index": 0, "candidates_enumerated": 0, "instances_tested": 0},
+    {"incompatible_count": -1, "instances_tested": 2},
+    {"division_count": 2},
+    {"division_count": 0, "no_base_field_point_instances": [{}]},
+    {"non_symmetric_instances": [{}], "no_base_field_point_instances": [{}]},
+    {"next_index": 5, "candidates_enumerated": 5, "incompatible_count": 4},
+], ids=["negative-next-index", "inflated-enumeration", "tests-uncounted",
+        "negative-count", "division-beyond-tested", "finding-beyond-division",
+        "findings-beyond-division", "past-the-stream"])
+def test_hunt_refuses_an_inconsistent_checkpoint(tmp_path, edit):
+    p = HuntParams(2, (1,), (("cyclic", 2),))  # one candidate, a graded division algebra
+    ck = tmp_path / "hunt.ckpt"
+    hunt_counterexample(p, checkpoint_path=str(ck))
+    honest = json.loads(ck.read_text())
+    assert hunt_counterexample(p, resume=str(ck)).to_dict() == hunt_counterexample(p).to_dict()
+    ck.write_text(json.dumps({**honest, **edit}))
+    with pytest.raises(ParseError):
+        hunt_counterexample(p, resume=str(ck))
+
+
 def test_hunt_finding_reverifies():
     # a finding is the candidate spec itself; it round-trips through JSON
     spec_dict = next(spec for _, spec in hunt_candidates(HuntParams(2, (2,), (("cyclic", 2),)))

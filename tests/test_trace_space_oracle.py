@@ -29,7 +29,6 @@ from grasym import (
     ungrade,
 )
 from grasym import symmetry
-from grasym.fields import raw_ops
 from grasym.groups import cyclic_product_group
 from grasym.invariants import commutator_pairs, commutator_rows
 from grasym.linalg import SparseEchelon, sparse_kernel, sparse_span
@@ -183,8 +182,8 @@ def test_graded_commutators_come_from_the_pairs_i_below_j():
 
 def test_commutator_rows_hold_no_zero_entry():
     for name, a in _trace_space_corpus():
-        ops = raw_ops(a.field)
-        for row in commutator_rows(a, ops, commutator_pairs(a)):
+        ops = a.field.ops
+        for row in commutator_rows(a, commutator_pairs(a)):
             assert row and ops.zero not in row.values(), name
 
 
@@ -201,7 +200,7 @@ def test_a_row_that_cancels_leaves_no_zero_entry():
     # the second row minus the first is e_2: columns 0 and 1 cancel, and a
     # zero left at column 0 would be picked as the pivot and inverted
     for field in (F3, F5, F4, Q):
-        ops = raw_ops(field)
+        ops = field.ops
         c = field.from_int(2) if field.char != 2 else field.element_at(2)
         one, two = ops.one, c.val
         rows = [{0: one, 1: two}, {0: one, 1: two, 2: one}, {0: two, 1: ops.mul(two, two)}]
@@ -216,7 +215,7 @@ def test_a_row_that_cancels_leaves_no_zero_entry():
 
 def test_a_full_rank_kernel_is_empty_and_stops_reading():
     for field in (F3, Q):
-        ops = raw_ops(field)
+        ops = field.ops
 
         def rows():
             yield {1: ops.one, 2: ops.one}
@@ -230,7 +229,7 @@ def test_a_full_rank_kernel_is_empty_and_stops_reading():
 @st.composite
 def sparse_systems(draw):
     field = draw(st.sampled_from([F3, F5, F4, Q]))
-    ops = raw_ops(field)
+    ops = field.ops
     ncols = draw(st.integers(1, 6))
     if field.char == 0:
         value = st.builds(lambda n, d: field.scalar(n) / field.scalar(d),

@@ -22,8 +22,12 @@ from grasym.algebras import (
     _scan_algebra,
     raw_structure,
 )
-from grasym.fields import raw_ops
-from grasym.replicate import dim4_f2_corpus, random_graded_basis_change
+from grasym.linalg import Subspace
+from grasym.replicate import (
+    dim4_f2_corpus,
+    random_graded_basis_change,
+    random_small_algebra,
+)
 
 from test_specfile import all_constructor_outputs
 
@@ -33,8 +37,37 @@ def _corpus():
 
 
 def _generators(a):
-    ops = raw_ops(a.field)
-    return _left_word_generators(ops, raw_structure(a, ops), ops.unwrap(a.unit))
+    ops = a.field.ops
+    return _left_word_generators(ops, raw_structure(a), ops.unwrap(a.unit))
+
+
+def _generators_on_scalars(a):
+    """The greedy choice of _left_word_generators on Subspaces of Scalars: e_b
+    joins S when it lies outside the span of 1, which is then closed under
+    left multiplication by S."""
+    span = Subspace.from_vectors(a.field, a.dim, [a.unit])
+    gens = []
+    for b in range(a.dim):
+        if span.contains_vector(a.basis_element(b).coords):
+            continue
+        gens.append(b)
+        while True:
+            words = [a.mul_coords(a.basis_element(s).coords, v) for s in gens for v in span.basis]
+            closed = Subspace.from_vectors(a.field, a.dim, list(span.basis) + words)
+            if closed == span:
+                break
+            span = closed
+    return gens
+
+
+def test_the_generators_agree_with_the_scalar_oracle():
+    corpus = _corpus()
+    corpus += [random_graded_basis_change(a, random.Random(7)) for a in corpus
+               if a.field.is_finite]
+    corpus += [random_small_algebra(make_field(p), random.Random(s))
+               for p in (2, 3, 5) for s in range(40)]
+    for a in corpus:
+        assert _generators(a) == _generators_on_scalars(a), a
 
 
 def _agree(a) -> ValidationReport:
