@@ -10,9 +10,11 @@ associativity; it runs on raw spec-file blocks.  Associativity is decided by
 Light's test: the middle nucleus N = {a : (xa)y = x(ay) for all x, y} is a
 subalgebra, since for a, b in N, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
 x((ab)y), and it holds 1 once the unit law does, so A is associative as soon
-as a generating set S lies in N.  That takes dim^2 |S| basis triples, on raw
-field values, instead of dim^3.  A table that fails any check gets the report
-of the full scan, which lists every violation.
+as a generating set S lies in N.  That takes dim^2 |S| identities instead of
+dim^3, checked for each s in S and each basis index i at once over all l,
+as sums of table rows on plain Python ints (the field's integer_image).  A
+table that fails any check gets the report of the full scan, which lists
+every violation.
 
 Crossed products are built from a coefficient algebra D, an action map sigma
 and a twisting map alpha.  Their compatibility, sigma's automorphism laws
@@ -312,7 +314,13 @@ def validate_algebra(a: GradedAlgebra) -> ValidationReport:
     words s_1(s_2(..(s_k 1))) span A, then N = A and A is associative.
     _left_word_generators picks S greedily, and the check
     (e_i s) e_l = e_i (s e_l) for every s in S and all i, l puts S in N.
-    Every check runs on raw field values (a.field.ops).
+    For each s and i the check compares both sides for every l at once, as
+    two sums of table rows, so it builds 2 dim |S| maps, not 2 dim^2 |S|
+    products.  The unit laws are two such maps.  The sums are formed on the
+    plain Python ints of a.field.ops.integer_image: raw values over F_p,
+    reduced mod p only when an entry is tested; every constant times a
+    common denominator over Q; coefficient tuples packed into lanes of one
+    int over F_{p^n}.
 
     A table that fails any check, unit, grading or nucleus, gets its report
     from the full scan _scan_algebra, so the report lists every violating
@@ -332,13 +340,13 @@ def sparse_combination(ops, coeffs, vectors) -> dict:
     raw_structure it is the product e_s x, for x given by coeffs; with
     vectors its column l, it is x e_l.
     """
-    mul, add, zero = ops.mul, ops.add, ops.zero
+    mul, add, is_zero = ops.mul, ops.add, ops.is_zero
     out: dict = {}
     for k, c in coeffs:
         for m, v in vectors[k]:
             prev = out.get(m)
             out[m] = mul(c, v) if prev is None else add(prev, mul(c, v))
-    return {m: v for m, v in out.items() if v != zero}
+    return {m: v for m, v in out.items() if not is_zero(v)}
 
 
 def raw_structure(a: GradedAlgebra) -> list:
@@ -364,7 +372,7 @@ def _left_word_generators(ops, rows, unit) -> list:
     computed, a copy, since the echelon reduces its rows in place.
     """
     span = SparseEchelon(ops, len(rows))
-    span.add({k: c for k, c in enumerate(unit) if c != ops.zero})
+    span.add({k: c for k, c in enumerate(unit) if not ops.is_zero(c)})
     gens, one = [], ops.one
     for b in range(len(rows)):
         if span.full:
@@ -382,35 +390,64 @@ def _left_word_generators(ops, rows, unit) -> list:
     return gens
 
 
+def _accumulate(acc: dict, coeffs, vectors) -> None:
+    """acc[key + shift] += c v for each (k, c, shift) in coeffs and each
+    (key, v) in vectors[k], on ints; a missing key counts as 0."""
+    get = acc.get
+    for k, c, shift in coeffs:
+        for key, v in vectors[k]:
+            key += shift
+            acc[key] = get(key, 0) + c * v
+
+
 def _passes_light_test(a: GradedAlgebra) -> bool:
     """Whether the unit is homogeneous of degree e and a two-sided unit, every
     structure constant respects the grading, and the generators of
-    _left_word_generators lie in the middle nucleus."""
+    _left_word_generators lie in the middle nucleus.
+
+    The unit laws and the nucleus check run on the ints of
+    ops.integer_image, and each compares whole maps keyed by l d + m, the
+    coefficient of e_m in a product with e_l: the unit laws compare
+    sum_k u_k (row k of the table) and sum_k u_k (column k) with the
+    identity, and the check for a generator s and a basis index i compares
+    (e_i s) e_l = sum_k c_is^k (row k)_l with
+    e_i (s e_l) = sum_m' c_sl^m' e_i e_m' for every l at once.  Each map
+    holds the difference of the two sides, so it vanishes exactly when they
+    agree.
+    """
     ops = a.field.ops
-    d, zero, e = a.dim, ops.zero, a.group.identity
+    d, e = a.dim, a.group.identity
     unit = ops.unwrap(a.unit)
-    unit_terms = [(k, c) for k, c in enumerate(unit) if c != zero]
+    unit_terms = [(k, c) for k, c in enumerate(unit) if not ops.is_zero(c)]
     if any(a.degree[k] != e for k, _ in unit_terms):
         return False
     rows = raw_structure(a)
-    cols = [[rows[k][l] for k in range(d)] for l in range(d)]
-    one = ops.one
-    for i in range(d):
-        basis_vector = {i: one}
-        if (sparse_combination(ops, unit_terms, cols[i]) != basis_vector
-                or sparse_combination(ops, unit_terms, rows[i]) != basis_vector):
+    # every sum below has at most d products on each side
+    image, vanishes = ops.integer_image(
+        [ops.one, *unit, *(c for row in rows for terms in row for _, c in terms)], d)
+    table = [[tuple((k, image[c]) for k, c in terms) for terms in row] for row in rows]
+    by_row = [[(l * d + m, v) for l, terms in enumerate(row) for m, v in terms]
+              for row in table]
+    by_col = [[(i * d + m, v) for i in range(d) for m, v in table[i][k]] for k in range(d)]
+    unit_coeffs = [(k, image[c], 0) for k, c in unit_terms]
+    one = image[ops.one] ** 2
+    for vectors in (by_row, by_col):  # 1 e_i = e_i, then e_i 1 = e_i
+        acc = {i * (d + 1): -one for i in range(d)}
+        _accumulate(acc, unit_coeffs, vectors)
+        if not vanishes(acc.values()):
             return False
     for (i, j), terms in a.sc.items():
         want = a.group.mul(a.degree[i], a.degree[j])
         if any(a.degree[k] != want for k, _ in terms):
             return False
     for s in _left_word_generators(ops, rows, unit):
+        minus_s_row = [(m, -v, l * d) for l, terms in enumerate(table[s]) for m, v in terms]
         for i in range(d):
-            row_i, e_i_s = rows[i], rows[i][s]
-            for l in range(d):
-                if (sparse_combination(ops, e_i_s, cols[l])
-                        != sparse_combination(ops, rows[s][l], row_i)):
-                    return False
+            acc = {}
+            _accumulate(acc, [(k, v, 0) for k, v in table[i][s]], by_row)
+            _accumulate(acc, minus_s_row, table[i])
+            if not vanishes(acc.values()):
+                return False
     return True
 
 
@@ -644,7 +681,7 @@ class _RawCoefficients:
         lx = self._left.get(x)
         if lx is None:
             ops = self.ops
-            terms = [(k, c) for k, c in enumerate(x) if c != ops.zero]
+            terms = [(k, c) for k, c in enumerate(x) if not ops.is_zero(c)]
             columns = [sparse_combination(ops, terms, col) for col in self.cols]  # x e_j
             lx = self._left[x] = [[c.get(k, ops.zero) for c in columns] for k in range(len(x))]
         return lx

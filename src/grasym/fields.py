@@ -26,6 +26,7 @@ rationals-only reads in `invariants`.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from fractions import Fraction
@@ -403,7 +404,7 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        return self.val == self.field.ops.zero
+        return self.field.ops.is_zero(self.val)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -498,7 +499,10 @@ class RawOps:
     value is what a Scalar of the field holds: an int in [0, p) over F_p, a
     Fraction over Q, a padded coefficient tuple over F_{p^n}.  Raw values
     are canonical, so v is zero iff v == self.zero; self.one is the raw 1.
-    A row is a list of raw values.  Each field kind implements
+    is_zero(v) is each kind's fast form of that test: an int or a Fraction
+    is zero iff it is falsy, whereas v == Fraction(0) takes the slow
+    numbers.Rational branch of Fraction.__eq__.  A row is a list of raw
+    values.  Each field kind implements
 
     - from_int(n): the raw image of the int n;
     - mul(u, v), add(u, v) and sub(u, v): the product, the sum and u - v;
@@ -506,7 +510,13 @@ class RawOps:
     - scale(row, c): the new row c * row;
     - sub_scaled(row, c, other): the new row row - c * other;
     - forms_at(forms, x): [f . x for f in forms], the values at the point x
-      of a row of linear forms given by their coefficient vectors.
+      of a row of linear forms given by their coefficient vectors;
+    - integer_image(values, terms): the pair (image, vanishes) that lets
+      sums of products of the raw values be formed on plain Python ints.
+      image maps each raw value in values to an int, and vanishes(sums)
+      tells whether every int in sums, each the difference of two sums of
+      at most terms products image[u] * image[v], stands for zero, that is
+      whether the same signed sum of the products u v is zero in the field.
 
     A sparse row is a dict {column: raw value} that holds no zero value.
     sparse_sub_scaled(row, c, other) makes row - c * other in place, for a
@@ -521,6 +531,8 @@ class RawOps:
         self.field = field
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
+
+    is_zero = staticmethod(operator.not_)
 
     def unwrap(self, scalars) -> list:
         f = self.field
@@ -538,10 +550,10 @@ class RawOps:
         return {k: mul(v, c) for k, v in row.items()}
 
     def sparse_sub_scaled(self, row, c, other):
-        mul, sub, zero = self.mul, self.sub, self.zero
+        mul, sub, zero, is_zero = self.mul, self.sub, self.zero, self.is_zero
         for k, b in other.items():
             v = sub(row.get(k, zero), mul(c, b))
-            if v == zero:
+            if is_zero(v):
                 # c b is nonzero, so k was in row
                 del row[k]
             else:
@@ -595,6 +607,12 @@ class _PrimeOps(RawOps):
         p, mul = self.p, operator.mul
         return [sum(map(mul, f, x)) % p for f in forms]
 
+    def integer_image(self, values, terms):
+        """Raw values are ints already; a sum is reduced mod p only when it
+        is tested."""
+        p = self.p
+        return {v: v for v in values}, lambda sums: not any(map(p.__rmod__, sums))
+
 
 class _RationalOps(RawOps):
     __slots__ = ()
@@ -635,9 +653,22 @@ class _RationalOps(RawOps):
         zero = self.zero
         return [sum((a * b for a, b in zip(f, x) if a and b), zero) for f in forms]
 
+    def integer_image(self, values, terms):
+        """Each value times the common denominator D of values.  A product
+        of two images is D^2 times the product of the values, so a sum of
+        such products is zero exactly when the sum of the values' products
+        is."""
+        values = set(values)
+        den = math.lcm(*(v.denominator for v in values))
+        return ({v: v.numerator * (den // v.denominator) for v in values},
+                lambda sums: not any(sums))
+
 
 class _ExtensionOps(RawOps):
     __slots__ = ()
+
+    def is_zero(self, v):
+        return v == self.zero
 
     def from_int(self, n):
         f = self.field
@@ -686,6 +717,35 @@ class _ExtensionOps(RawOps):
                     _ext_mul_acc(acc, a, b)
             out.append(_ext_reduce(acc, fld))
         return out
+
+    def integer_image(self, values, terms):
+        """Coefficient tuples Kronecker-packed into w-bit lanes, one lane per
+        power of x.  A product of two images holds the 2n - 1 coefficients
+        of the unreduced product polynomial, each at most n (p - 1)^2, so
+        the lanes of a difference of two sums of terms products lie strictly
+        between -2^(w-1) and 2^(w-1) for w one bit wider than terms n
+        (p - 1)^2.  A sum is decoded lane by lane, with signed lanes, and
+        reduced mod p and the modulus only when it is tested.
+        """
+        f, zero = self.field, self.zero
+        n = f.degree
+        w = (terms * n * (f.char - 1) ** 2).bit_length() + 1
+        mask, half = (1 << w) - 1, 1 << (w - 1)
+
+        def vanishes(sums) -> bool:
+            for x in sums:
+                acc = []
+                for _ in range(2 * n - 1):
+                    lane = x & mask
+                    if lane >= half:
+                        lane -= 1 << w
+                    acc.append(lane)
+                    x = (x - lane) >> w
+                if _ext_reduce(acc, f) != zero:
+                    return False
+            return True
+
+        return {v: sum(c << (w * t) for t, c in enumerate(v)) for v in values}, vanishes
 
 
 def scalar_from_json(field: Field, value) -> Scalar:

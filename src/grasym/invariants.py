@@ -62,11 +62,11 @@ def centralizer(a: GradedAlgebra, s: Subspace) -> Subspace:
     if s.ambient_dim != a.dim or s.field != a.field:
         raise AmbientMismatch("subspace does not match the algebra's coordinates")
     ops = a.field.ops
-    zero, add, sub, mul = ops.zero, ops.add, ops.sub, ops.mul
+    zero, add, sub, mul, is_zero = ops.zero, ops.add, ops.sub, ops.mul, ops.is_zero
     products = raw_structure(a)
     rows = []
     for v in s.basis:
-        terms = [(i, c) for i, c in enumerate(ops.unwrap(v)) if c != zero]
+        terms = [(i, c) for i, c in enumerate(ops.unwrap(v)) if not is_zero(c)]
         # row k: sum_l x_l ((e_l v)_k - (v e_l)_k) = 0
         constraint = [{} for _ in range(a.dim)]
         for l in range(a.dim):
@@ -78,7 +78,7 @@ def centralizer(a: GradedAlgebra, s: Subspace) -> Subspace:
                     row = constraint[k]
                     row[l] = sub(row.get(l, zero), mul(c, b))
         for row in constraint:
-            row = {l: x for l, x in row.items() if x != zero}
+            row = {l: x for l, x in row.items() if not is_zero(x)}
             if row:
                 rows.append(row)
     return sparse_kernel(ops, a.dim, rows)

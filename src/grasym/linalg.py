@@ -50,13 +50,13 @@ def eliminate_raw(ops, m, ncols: int, stop_at_gap: bool = False, pivot_log=None)
     negated once per swap.  Rows are replaced, never written into, so a
     shallow copy of m keeps the caller's rows intact.
     """
-    zero = ops.zero
+    is_zero = ops.is_zero
     nrows = len(m)
     pivots = []
     r = 0
     for c in range(ncols):
         for i in range(r, nrows):
-            if m[i][c] != zero:
+            if not is_zero(m[i][c]):
                 break
         else:
             if stop_at_gap:
@@ -67,7 +67,7 @@ def eliminate_raw(ops, m, ncols: int, stop_at_gap: bool = False, pivot_log=None)
         m[r], m[i] = m[i], m[r]
         prow = m[r] = ops.scale(m[r], ops.inverse(m[r][c]))
         for i in range(r + 1 if stop_at_gap else 0, nrows):
-            if i != r and m[i][c] != zero:
+            if i != r and not is_zero(m[i][c]):
                 m[i] = ops.sub_scaled(m[i], m[i][c], prow)
         pivots.append(c)
         r += 1

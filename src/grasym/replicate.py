@@ -374,13 +374,20 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     CHECKPOINT_EVERY candidates to a sibling temp file that then replaces the
     checkpoint, so a hunt killed mid-write leaves the previous checkpoint
     whole.  resume re-verifies the parameter hash and the consistency of the
-    counters, and a checkpoint past the end of the candidate stream raises
-    ParseError.
+    counters; a checkpoint past the end of the candidate stream, or with a
+    finding that is not a distinct candidate spec of this hunt before its
+    next index, raises ParseError.  The findings are matched while the
+    stream is skipped to that index.
     """
     report = HuntReport(parameters=params.to_dict())
     start_index = 0
+    unmatched = set()  # the canonical JSON of each restored finding
     if resume is not None:
         start_index = _load_checkpoint(resume, params, report)
+        findings = report.non_symmetric_instances + report.no_base_field_point_instances
+        unmatched = {canonical_json(f) for f in findings}
+        if len(unmatched) < len(findings):
+            raise ParseError("checkpoint lists a finding twice")
 
     def save_checkpoint(next_index: int):
         if checkpoint_path is None:
@@ -395,11 +402,19 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
             os.fsync(fh.fileno())
         os.replace(tmp, checkpoint_path)
 
-    stream_length = 0
-    for index, spec in hunt_candidates(params):
-        stream_length = index + 1
-        if index < start_index:
-            continue
+    candidates = hunt_candidates(params)
+    skipped = 0
+    for _, spec in itertools.islice(candidates, start_index):
+        skipped += 1
+        if unmatched:
+            unmatched.discard(canonical_json(spec))
+    if skipped < start_index:
+        raise ParseError(f"checkpoint resumes at candidate {start_index}, "
+                         f"but the hunt has only {skipped}")
+    if unmatched:
+        raise ParseError(f"checkpoint lists a finding that is not a candidate "
+                         f"of this hunt before candidate {start_index}")
+    for index, spec in candidates:
         report.candidates_enumerated += 1
         try:
             a = algebra_from_dict(spec)
@@ -417,9 +432,6 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
                     report.no_base_field_point_instances.append(spec)
         if (index + 1) % CHECKPOINT_EVERY == 0:
             save_checkpoint(index + 1)
-    if stream_length < start_index:
-        raise ParseError(f"checkpoint resumes at candidate {start_index}, "
-                         f"but the hunt has only {stream_length}")
     save_checkpoint(report.candidates_enumerated)
     return report
 

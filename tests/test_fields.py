@@ -431,3 +431,106 @@ def test_no_kernel_is_built_once_the_fields_exist(monkeypatch):
     assert built == []
     new = make_field(99991)  # a new field builds its kernel through the patched init
     assert built == [new]
+
+
+FIELD_KINDS = [(0, 1), (2, 1), (7, 1), (999983, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+def _kind_field(char, degree):
+    return make_field(0) if char == 0 else canonical_extension_field(char, degree)
+
+
+def _kind_id(kind):
+    return repr(_kind_field(*kind))
+
+
+def _raw_sample(f, rng, count=40) -> list:
+    """Raw values of f: zero, one, -1 and random ones, and every element of a
+    small finite field."""
+    if f.char == 0:
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(count)]
+    elif f.size() <= 27:
+        values = [x.val for x in f.elements()]
+    else:
+        values = [rng.randrange(f.size()) for _ in range(count)]
+    return values + [f.ops.zero, f.ops.one, f.from_int(-1).val]
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS, ids=_kind_id)
+def test_each_kind_tests_zero_on_its_raw_values(kind):
+    import random
+
+    f = _kind_field(*kind)
+    ops = f.ops
+    for v in _raw_sample(f, random.Random(3)):
+        assert ops.is_zero(v) == (v == ops.zero)
+        assert f.scalar(v if f.degree == 1 else list(v)).is_zero == (v == ops.zero)
+    # the fast zero test keeps every raw value's type
+    assert type(ops.zero) is type(ops.one) is type(f.from_int(5).val)
+    if f.char == 0:
+        assert type(ops.zero) is Fraction
+
+
+def _field_sum(ops, plus, minus):
+    total = ops.zero
+    for u, v in plus:
+        total = ops.add(total, ops.mul(u, v))
+    for u, v in minus:
+        total = ops.sub(total, ops.mul(u, v))
+    return total
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS, ids=_kind_id)
+def test_the_integer_image_decides_signed_sums_of_products(kind):
+    # vanishes(plus - minus) must be the field's answer, for sums that cancel
+    # as integers, sums that cancel only in the field, and sums that do not
+    import random
+
+    f = _kind_field(*kind)
+    ops, rng, terms = f.ops, random.Random(11), 6
+    values = _raw_sample(f, rng)
+    cases = []
+    for trial in range(300):
+        plus = [(rng.choice(values), rng.choice(values)) for _ in range(rng.randint(0, terms))]
+        if trial % 3 == 0:
+            minus = [(v, u) for u, v in reversed(plus)]
+        elif trial % 3 == 1:
+            # one product that the field sum equals
+            minus = [(ops.one, _field_sum(ops, plus, []))]
+        else:
+            minus = [(rng.choice(values), rng.choice(values))
+                     for _ in range(rng.randint(0, terms))]
+        cases.append((plus, minus))
+    image, vanishes = ops.integer_image(
+        [x for plus, minus in cases for pair in plus + minus for x in pair], terms)
+    expected = [ops.is_zero(_field_sum(ops, plus, minus)) for plus, minus in cases]
+    assert 50 < sum(expected) < 300
+    for (plus, minus), want in zip(cases, expected):
+        x = (sum(image[u] * image[v] for u, v in plus)
+             - sum(image[u] * image[v] for u, v in minus))
+        assert vanishes([x]) == want, (plus, minus)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_the_integer_image_holds_full_lanes_at_the_width_boundary(p, n):
+    # top = (p - 1, .., p - 1) squares to the largest lane a product holds,
+    # n (p - 1)^2, so terms copies of it fill the middle lane to the bound
+    # the lane width is cut for; terms runs over the largest and smallest
+    # multiples of that bound around each power of two, where the width
+    # changes, with both signs
+    f = canonical_extension_field(p, n)
+    ops = f.ops
+    top, bound = (p - 1,) * n, n * (p - 1) ** 2
+    assert f.scalar(list(top)) ** 2 != f.zero()
+    sizes = set()
+    for k in range(1, 12):
+        sizes.add(max(1, (2 ** k - 1) // bound))
+        sizes.add(-(-2 ** k // bound))
+    for terms in sorted(sizes):
+        image, vanishes = ops.integer_image([top, ops.one], terms)
+        full = terms * image[top] ** 2
+        want = terms % p == 0
+        assert vanishes([full]) == vanishes([-full]) == want, terms
+        one = image[ops.one] ** 2
+        mixed = _field_sum(ops, [(top, top)] * terms, [(ops.one, ops.one)] * terms)
+        assert vanishes([full - terms * one]) == ops.is_zero(mixed), terms

@@ -217,6 +217,9 @@ MALFORMED = {
                            {**_checkpoint(tmp / "k0.json"), "candidates_enumerated": 99})],
     "checkpoint-with-division-beyond-tested": lambda tmp: HUNT_ARGS + [
         "--resume", _write(tmp / "k.json", {**_checkpoint(tmp / "k0.json"), "division_count": 2})],
+    "checkpoint-with-a-forged-finding": lambda tmp: HUNT_ARGS + [
+        "--resume", _write(tmp / "k.json", {
+            **_checkpoint(tmp / "k0.json"), "non_symmetric_instances": [{"bogus": 1}]})],
     "checkpoint-past-the-stream": lambda tmp: HUNT_ARGS + [
         "--resume", _write(tmp / "k.json", {
             **_checkpoint(tmp / "k0.json"), "next_index": 5, "candidates_enumerated": 5,

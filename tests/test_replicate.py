@@ -264,6 +264,33 @@ def test_hunt_refuses_an_inconsistent_checkpoint(tmp_path, edit):
         hunt_counterexample(p, resume=str(ck))
 
 
+def test_hunt_resume_takes_only_findings_of_candidates_before_next_index(tmp_path):
+    p = HuntParams(3, (1,), (("cyclic", 2),))  # two candidates, both graded division
+    first, second = [spec for _, spec in hunt_candidates(p)]
+    mid = {"params_sha256": p.digest(), "next_index": 1, "candidates_enumerated": 1,
+           "incompatible_count": 0, "instances_tested": 1, "division_count": 1,
+           "non_symmetric_instances": [], "no_base_field_point_instances": []}
+    ck = tmp_path / "hunt.ckpt"
+    ck.write_text(canonical_json(mid))
+    assert hunt_counterexample(p, resume=str(ck)).to_dict() == hunt_counterexample(p).to_dict()
+    # a finding that is a candidate before next_index is restored as it stands
+    ck.write_text(canonical_json({**mid, "non_symmetric_instances": [first]}))
+    assert hunt_counterexample(p, resume=str(ck)).non_symmetric_instances == [first]
+    both = {"next_index": 2, "candidates_enumerated": 2, "instances_tested": 2,
+            "division_count": 2}
+    for edit in [
+        {"non_symmetric_instances": [{"bogus": 1}]},
+        {"no_base_field_point_instances": [second]},  # the candidate at next_index
+        {"non_symmetric_instances": [{**first, "constructor": {**first["constructor"],
+                                                                "char": 3.0}}]},
+        {**both, "non_symmetric_instances": [first, first]},
+        {**both, "non_symmetric_instances": [first], "no_base_field_point_instances": [first]},
+    ]:
+        ck.write_text(json.dumps({**mid, **edit}))
+        with pytest.raises(ParseError):
+            hunt_counterexample(p, resume=str(ck))
+
+
 def test_hunt_finding_reverifies():
     # a finding is the candidate spec itself; it round-trips through JSON
     spec_dict = next(spec for _, spec in hunt_candidates(HuntParams(2, (2,), (("cyclic", 2),)))
