@@ -2,9 +2,13 @@
 
 A GradedAlgebra is a finite-dimensional associative unital algebra over an
 exact field, with a basis whose vectors carry degrees in a finite group and
-sparse structure constants e_i e_j = sum_k c_{ij}^k e_k.  Each constructor
-returns a valid algebra from valid inputs, for the reason its docstring gives,
-without scanning it.  validate_algebra checks unit laws, the grading law
+sparse structure constants e_i e_j = sum_k c_{ij}^k e_k.  It stores them once,
+as raw values of the field (field.ops), in the table a.table[i][j] of sorted
+(k, c_{ij}^k) pairs, and its unit as raw coordinates; every builder, kernel
+and check here reads and writes that table as it is, and Scalars are made
+only for elements, matrices, subspaces and the public constructor's input.
+Each constructor returns a valid algebra from valid inputs, for the reason
+its docstring gives, without scanning it.  validate_algebra checks unit laws, the grading law
 (c_{ij}^k nonzero forces deg k = deg i * deg j), homogeneity of the unit, and
 associativity; it runs on raw spec-file blocks.  Associativity is decided by
 Light's test: the middle nucleus N = {a : (xa)y = x(ay) for all x, y} is a
@@ -21,8 +25,7 @@ and a twisting map alpha.  Their compatibility, sigma's automorphism laws
 included, is decided in D by the crossed-product identities before any
 structure constant of the product is built, and incompatible data is reported
 with the law that fails and where.  The laws, the normalization of alpha and
-the product's table all run on raw field values, as validation does; the
-table wraps each distinct raw value into a Scalar once.
+the product's table all run on raw field values, as validation does.
 Every crossed product of a finite field by Frobenius powers with a unit twist
 (the cyclic algebras, the replication corpus, spec-file constructor blocks and
 hunt candidates) is built by the one builder frobenius_crossed_product.  It
@@ -57,7 +60,7 @@ from .errors import (
     UnsupportedPrime,
     ZeroParameter,
 )
-from .fields import Field, Scalar, embed_scalar, extend_field, make_field
+from .fields import Field, Scalar, extend_field, make_field, raw_embedding
 from .groups import GroupTable, cyclic_group, klein_group, trivial_group
 from .linalg import Matrix, SparseEchelon, Subspace, eliminate_raw
 
@@ -67,52 +70,73 @@ MAX_ALGEBRA_DIM = 64
 class GradedAlgebra:
     """A finite-dimensional graded algebra held by structure constants.
 
+    The structure constants are stored once, as raw values of the field:
+    table[i][j] is the tuple of the (k, c_ij^k) pairs of e_i e_j, sorted by
+    k and without zeros, and unit the tuple of the raw coordinates of 1.
+    The constructor takes Scalars and unwraps each once; the builders of
+    this package hand raw tables to _from_raw, which shares its checks.
+
     An instance is taken to be valid (associative, unital, graded), and
-    nothing downstream checks it again; __init__ checks shapes only.  One
-    built by hand from structure constants should pass validate_algebra.
+    nothing downstream checks it again; the constructor checks shapes only.
+    One built by hand from structure constants should pass validate_algebra.
     """
 
-    __slots__ = ("field", "group", "dim", "degree", "sc", "unit", "labels", "meta")
+    __slots__ = ("field", "group", "dim", "degree", "table", "unit", "labels", "meta")
 
     def __init__(self, field: Field, group: GroupTable, degree, sc, unit,
                  labels=None, meta=None):
+        """sc gives the terms (k, c_ij^k) of each e_i e_j by (i, j); each
+        constant and each unit entry must be a Scalar of field."""
+        self._store(field, group, degree, sc, unit, labels, meta, field.ops.unwrap)
+
+    @classmethod
+    def _from_raw(cls, field: Field, group: GroupTable, degree, sc, unit,
+                  labels=None, meta=None) -> "GradedAlgebra":
+        """The algebra of structure constants and unit coordinates given as
+        raw values, with sc shaped as __init__ takes it."""
+        a = cls.__new__(cls)
+        a._store(field, group, degree, sc, unit, labels, meta)
+        return a
+
+    def _store(self, field, group, degree, sc, unit, labels, meta, unwrap=None):
         self.field = field
         self.group = group
         self.degree = tuple(degree)
-        self.dim = len(self.degree)
-        if self.dim == 0:
+        d = self.dim = len(self.degree)
+        if d == 0:
             raise ValueError("zero-dimensional algebras are not allowed")
-        if self.dim > MAX_ALGEBRA_DIM:
-            raise DimensionTooLarge(f"dimension {self.dim} exceeds {MAX_ALGEBRA_DIM}")
+        if d > MAX_ALGEBRA_DIM:
+            raise DimensionTooLarge(f"dimension {d} exceeds {MAX_ALGEBRA_DIM}")
         for g in self.degree:
             group._check(g)
-        clean = {}
+        is_zero = field.ops.is_zero
+        table = [[None] * d for _ in range(d)]
         for (i, j), terms in (sc.items() if isinstance(sc, dict) else sc):
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise IndexOutOfRange(
-                    f"structure constant at ({i},{j}) out of range 0..{self.dim - 1}")
-            if (i, j) in clean:
+            if not (0 <= i < d and 0 <= j < d):
+                raise IndexOutOfRange(f"structure constant at ({i},{j}) out of range 0..{d - 1}")
+            if table[i][j] is not None:
                 raise ValueError(f"structure constants at ({i},{j}) given twice")
+            if not terms:
+                table[i][j] = ()
+                continue
             out = {}
             for k, c in (terms.items() if isinstance(terms, dict) else terms):
-                if not 0 <= k < self.dim:
+                if not 0 <= k < d:
                     raise IndexOutOfRange(
-                        f"structure constant ({i},{j},{k}) out of range 0..{self.dim - 1}")
+                        f"structure constant ({i},{j},{k}) out of range 0..{d - 1}")
                 if k in out:
                     raise ValueError(f"structure constant ({i},{j},{k}) given twice")
-                if not isinstance(c, Scalar) or c.field != field:
-                    raise FieldMismatch("structure constant from a foreign field")
                 out[k] = c
-            clean[(i, j)] = tuple((k, c) for k, c in sorted(out.items()) if not c.is_zero)
-        self.sc = {ij: terms for ij, terms in clean.items() if terms}
+            values = out.values() if unwrap is None else unwrap(out.values(), "structure constant")
+            table[i][j] = tuple([(k, c) for k, c in sorted(zip(out, values)) if not is_zero(c)])
+        self.table = tuple(tuple(terms or () for terms in row) for row in table)
         self.unit = tuple(unit)
-        if len(self.unit) != self.dim:
+        if len(self.unit) != d:
             raise ValueError("unit vector has wrong length")
-        for c in self.unit:
-            if not isinstance(c, Scalar) or c.field != field:
-                raise FieldMismatch("unit vector entry from a foreign field")
+        if unwrap is not None:
+            self.unit = tuple(unwrap(self.unit, "unit vector entry"))
         self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.dim:
+        if self.labels is not None and len(self.labels) != d:
             raise ValueError("label list has wrong length")
         self.meta = dict(meta) if meta else {}
 
@@ -134,38 +158,17 @@ class GradedAlgebra:
         return Element(self, (self.field.zero(),) * self.dim)
 
     def one(self) -> "Element":
-        return Element(self, self.unit)
-
-    def basis_product(self, i: int, j: int):
-        return self.sc.get((i, j), ())
+        return Element(self, self.field.ops.wrap(self.unit))
 
     def mul_coords(self, x, y) -> list:
-        z = self.field.zero()
-        out = [z] * self.dim
-        for i, xi in enumerate(x):
-            if xi.is_zero:
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero:
-                    continue
-                f = xi * yj
-                for k, c in self.sc.get((i, j), ()):
-                    out[k] = out[k] + f * c
-        return out
+        """The coordinates of x y, for coordinate vectors of Scalars, as L_x y."""
+        ops = self.field.ops
+        return list(ops.wrap(ops.forms_at(_left_rows(self, ops.unwrap(x)), ops.unwrap(y))))
 
     def left_mult_matrix(self, x: "Element") -> Matrix:
-        cols = []
-        for j in range(self.dim):
-            z = self.field.zero()
-            col = [z] * self.dim
-            for i, xi in enumerate(x.coords):
-                if xi.is_zero:
-                    continue
-                for k, c in self.sc.get((i, j), ()):
-                    col[k] = col[k] + xi * c
-            cols.append(col)
-        return Matrix(self.field, [[cols[j][i] for j in range(self.dim)]
-                                   for i in range(self.dim)])
+        ops = self.field.ops
+        rows = _left_rows(self, ops.unwrap(x.coords))
+        return Matrix(self.field, [ops.wrap(row) for row in rows])
 
     def component_indices(self, g: int) -> tuple:
         return tuple(i for i, d in enumerate(self.degree) if d == g)
@@ -178,13 +181,26 @@ class GradedAlgebra:
                 and self.field == other.field
                 and self.group == other.group
                 and self.degree == other.degree
-                and self.sc == other.sc
+                and self.table == other.table
                 and self.unit == other.unit
                 and self.labels == other.labels)
 
     def __repr__(self):
         name = self.meta.get("construction", "algebra")
         return f"GradedAlgebra({name}, dim={self.dim}, field={self.field})"
+
+
+def _left_rows(a: GradedAlgebra, x) -> list:
+    """The rows of L_x : y -> x y, whose column j is x e_j, on raw values,
+    for the raw coordinates x of an element of a."""
+    ops = a.field.ops
+    rows = [[ops.zero] * a.dim for _ in range(a.dim)]
+    for i, u in enumerate(x):
+        if not ops.is_zero(u):
+            for j, terms in enumerate(a.table[i]):
+                for k, c in terms:
+                    rows[k][j] = ops.add(rows[k][j], ops.mul(u, c))
+    return rows
 
 
 class Element:
@@ -248,7 +264,7 @@ class Element:
     def inverse(self) -> "Element | None":
         """Two-sided inverse, or None; x is invertible iff L_x is nonsingular."""
         lm = self.owner.left_mult_matrix(self)
-        sol = lm.solve(list(self.owner.unit))
+        sol = lm.solve(self.owner.one().coords)
         if sol is None:
             return None
         return Element(self.owner, sol)
@@ -336,9 +352,9 @@ def sparse_combination(ops, coeffs, vectors) -> dict:
     """sum_k c vectors[k] over the (k, c) pairs of coeffs, on raw values.
 
     Each vectors[k] is a sequence of (index, raw value) pairs, and the result
-    maps each index to its nonzero raw value.  With vectors the row s of
-    raw_structure it is the product e_s x, for x given by coeffs; with
-    vectors its column l, it is x e_l.
+    maps each index to its nonzero raw value.  With vectors the row s of a
+    table it is the product e_s x, for x given by coeffs; with vectors its
+    column l, it is x e_l.
     """
     mul, add, is_zero = ops.mul, ops.add, ops.is_zero
     out: dict = {}
@@ -347,16 +363,6 @@ def sparse_combination(ops, coeffs, vectors) -> dict:
             prev = out.get(m)
             out[m] = mul(c, v) if prev is None else add(prev, mul(c, v))
     return {m: v for m, v in out.items() if not is_zero(v)}
-
-
-def raw_structure(a: GradedAlgebra) -> list:
-    """The structure constants on raw values: rows[i][j] holds the
-    (k, c_ij^k) pairs of e_i e_j."""
-    ops = a.field.ops
-    rows = [[()] * a.dim for _ in range(a.dim)]
-    for (i, j), terms in a.sc.items():
-        rows[i][j] = tuple(zip([k for k, _ in terms], ops.unwrap([c for _, c in terms])))
-    return rows
 
 
 def _left_word_generators(ops, rows, unit) -> list:
@@ -416,31 +422,32 @@ def _passes_light_test(a: GradedAlgebra) -> bool:
     agree.
     """
     ops = a.field.ops
-    d, e = a.dim, a.group.identity
-    unit = ops.unwrap(a.unit)
-    unit_terms = [(k, c) for k, c in enumerate(unit) if not ops.is_zero(c)]
+    d, e, rows = a.dim, a.group.identity, a.table
+    unit_terms = [(k, c) for k, c in enumerate(a.unit) if not ops.is_zero(c)]
     if any(a.degree[k] != e for k, _ in unit_terms):
         return False
-    rows = raw_structure(a)
     # every sum below has at most d products on each side
     image, vanishes = ops.integer_image(
-        [ops.one, *unit, *(c for row in rows for terms in row for _, c in terms)], d)
+        [ops.one, *a.unit, *(c for row in rows for terms in row for _, c in terms)], d)
     table = [[tuple((k, image[c]) for k, c in terms) for terms in row] for row in rows]
     by_row = [[(l * d + m, v) for l, terms in enumerate(row) for m, v in terms]
               for row in table]
-    by_col = [[(i * d + m, v) for i in range(d) for m, v in table[i][k]] for k in range(d)]
-    unit_coeffs = [(k, image[c], 0) for k, c in unit_terms]
+    products = [terms for row in table for terms in row]  # e_i e_k at i d + k
+    unit_coeffs = [(k, image[c]) for k, c in unit_terms]
     one = image[ops.one] ** 2
-    for vectors in (by_row, by_col):  # 1 e_i = e_i, then e_i 1 = e_i
+    for coeffs, vectors in (([(k, u, 0) for k, u in unit_coeffs], by_row),  # 1 e_l = e_l
+                            ([(i * d + k, u, i * d) for i in range(d)  # e_i 1 = e_i
+                              for k, u in unit_coeffs], products)):
         acc = {i * (d + 1): -one for i in range(d)}
-        _accumulate(acc, unit_coeffs, vectors)
+        _accumulate(acc, coeffs, vectors)
         if not vanishes(acc.values()):
             return False
-    for (i, j), terms in a.sc.items():
-        want = a.group.mul(a.degree[i], a.degree[j])
-        if any(a.degree[k] != want for k, _ in terms):
-            return False
-    for s in _left_word_generators(ops, rows, unit):
+    for i, row in enumerate(rows):
+        for j, terms in enumerate(row):
+            if terms and any(a.degree[k] != a.group.mul(a.degree[i], a.degree[j])
+                             for k, _ in terms):
+                return False
+    for s in _left_word_generators(ops, rows, a.unit):
         minus_s_row = [(m, -v, l * d) for l, terms in enumerate(table[s]) for m, v in terms]
         for i in range(d):
             acc = {}
@@ -453,55 +460,34 @@ def _passes_light_test(a: GradedAlgebra) -> bool:
 
 def _scan_algebra(a: GradedAlgebra) -> ValidationReport:
     """Check unit, grading, unit homogeneity, and associativity at all dim^3
-    basis triples, on Scalars, listing every violation.
+    basis triples, on raw values, listing every violation.
 
     validate_algebra reports through this scan whenever a table fails one of
     its checks, and tests keep it as the oracle of validate_algebra.
     """
     report = ValidationReport(ok=True)
-    d = a.dim
-    e = a.group.identity
-    for i, c in enumerate(a.unit):
-        if not c.is_zero and a.degree[i] != e:
-            report.unit_errors.append(i)
+    ops = a.field.ops
+    d, e, rows = a.dim, a.group.identity, a.table
+    cols = [[row[l] for row in rows] for l in range(d)]
+    unit_terms = [(k, c) for k, c in enumerate(a.unit) if not ops.is_zero(c)]
+    report.unit_errors = [k for k, _ in unit_terms if a.degree[k] != e]
     for i in range(d):
-        b = a.basis_element(i)
-        left = a.mul_coords(a.unit, b.coords)
-        right = a.mul_coords(b.coords, a.unit)
-        if tuple(left) != b.coords or tuple(right) != b.coords:
+        # 1 e_i and e_i 1 against e_i
+        if not (sparse_combination(ops, unit_terms, cols[i]) == {i: ops.one}
+                == sparse_combination(ops, unit_terms, rows[i])):
             report.unit_errors.append(i)
-    for (i, j), terms in a.sc.items():
-        want = a.group.mul(a.degree[i], a.degree[j])
-        for k, c in terms:
-            if a.degree[k] != want:
-                report.grading_errors.append((i, j, k))
-    products = {}
+    for i, row in enumerate(rows):
+        for j, terms in enumerate(row):
+            want = a.group.mul(a.degree[i], a.degree[j])
+            for k, c in terms:
+                if a.degree[k] != want:
+                    report.grading_errors.append((i, j, k))
     for i in range(d):
         for j in range(d):
-            products[(i, j)] = dict(a.sc.get((i, j), ()))
-    for i in range(d):
-        for j in range(d):
-            p_ij = products[(i, j)]
             for l in range(d):
-                left: dict = {}
-                for k, c in p_ij.items():
-                    for m, c2 in products[(k, l)].items():
-                        v = left.get(m)
-                        s = c * c2 if v is None else v + c * c2
-                        if s.is_zero:
-                            left.pop(m, None)
-                        else:
-                            left[m] = s
-                right: dict = {}
-                for k, c in products[(j, l)].items():
-                    for m, c2 in products[(i, k)].items():
-                        v = right.get(m)
-                        s = c * c2 if v is None else v + c * c2
-                        if s.is_zero:
-                            right.pop(m, None)
-                        else:
-                            right[m] = s
-                if left != right:
+                # (e_i e_j) e_l against e_i (e_j e_l)
+                if (sparse_combination(ops, rows[i][j], cols[l])
+                        != sparse_combination(ops, rows[j][l], rows[i])):
                     report.associativity_errors.append((i, j, l))
     report.ok = not (report.unit_errors or report.grading_errors
                      or report.associativity_errors)
@@ -515,14 +501,14 @@ def group_algebra(field: Field, group: GroupTable) -> GradedAlgebra:
 
     Associativity comes from the group table, which GroupTable validated.
     """
-    one = field.one()
+    one = field.ops.one
     sc = {(i, j): ((group.table[i][j], one),)
           for i in range(group.order) for j in range(group.order)}
-    unit = [field.zero()] * group.order
+    unit = [field.ops.zero] * group.order
     unit[group.identity] = one
     labels = [group.label(g) for g in range(group.order)]
-    return GradedAlgebra(field, group, range(group.order), sc, unit, labels=labels,
-                         meta={"construction": "group_algebra"})
+    return GradedAlgebra._from_raw(field, group, range(group.order), sc, unit, labels=labels,
+                                   meta={"construction": "group_algebra"})
 
 
 def field_as_algebra(ext: Field, base: Field, group: GroupTable | None = None) -> GradedAlgebra:
@@ -533,28 +519,24 @@ def field_as_algebra(ext: Field, base: Field, group: GroupTable | None = None) -
     """
     if group is None:
         group = trivial_group()
+    ops = base.ops
     if ext == base:
-        one = base.one()
-        return GradedAlgebra(base, group, [group.identity], {(0, 0): ((0, one),)}, [one],
-                             labels=["1"], meta={"construction": "field_algebra",
-                                                 "extension_degree": 1})
+        return GradedAlgebra._from_raw(base, group, [group.identity], {(0, 0): ((0, ops.one),)},
+                                       [ops.one], labels=["1"],
+                                       meta={"construction": "field_algebra",
+                                             "extension_degree": 1})
     if base != ext.prime_subfield():
         raise FieldMismatch("coefficient field must be the prime subfield")
     n = ext.degree
-    gen = ext.generator()
-    powers = [ext.one()]
-    for _ in range(2 * n):
-        powers.append(powers[-1] * gen)
-    sc = {}
-    for i in range(n):
-        for j in range(n):
-            coeffs = powers[i + j].coefficients()
-            sc[(i, j)] = tuple((k, base.from_int(c)) for k, c in enumerate(coeffs) if c)
-    unit = [base.one()] + [base.zero()] * (n - 1)
+    powers = [ext.generator() ** t for t in range(2 * n - 1)]
+    sc = {(i, j): [(k, ops.from_int(c)) for k, c in enumerate(powers[i + j].coefficients())]
+          for i in range(n) for j in range(n)}
+    unit = [ops.one] + [ops.zero] * (n - 1)
     labels = ["1"] + [f"x{i if i > 1 else ''}" for i in range(1, n)]
-    return GradedAlgebra(base, group, [group.identity] * n, sc, unit, labels=labels,
-                         meta={"construction": "field_algebra", "extension_degree": n,
-                               "modulus": list(ext.modulus)})
+    return GradedAlgebra._from_raw(base, group, [group.identity] * n, sc, unit,
+                                   labels=labels,
+                                   meta={"construction": "field_algebra", "extension_degree": n,
+                                         "modulus": list(ext.modulus)})
 
 
 def frobenius_matrix(ext: Field, power: int) -> Matrix:
@@ -651,27 +633,24 @@ def _check_sigma(spec: CrossedProductSpec):
 
 
 class _RawCoefficients:
-    """The coefficient algebra D and the action sigma of a crossed-product
-    spec on raw field values (D.field.ops).
+    """The coefficient algebra D of a crossed product and the action sigma,
+    given as its matrix sigma[g] for each group element g, on raw field
+    values (D.field.ops).
 
     An element of D is the tuple of its raw coordinates.  left(x) gives the
-    rows of L_x : y -> x y, built by sparse_combination from D's raw
-    structure constants once per distinct x, so mul(x, y) is ops.forms_at of
-    L_x at y.  act(g, x) applies sigma(g) through its unwrapped rows, and
-    images[g] lists its columns sigma(g)(e_i).
+    rows of L_x : y -> x y, built from D's table once per distinct x, so
+    mul(x, y) is ops.forms_at of L_x at y.  act(g, x) applies sigma(g)
+    through its unwrapped rows, and images[g] lists its columns sigma(g)(e_i).
     """
 
-    __slots__ = ("ops", "cols", "sigma", "images", "one", "basis", "_left")
+    __slots__ = ("coeff", "ops", "sigma", "images", "one", "basis", "_left")
 
-    def __init__(self, spec: CrossedProductSpec):
-        d = spec.coeff
+    def __init__(self, d: GradedAlgebra, sigma):
+        self.coeff = d
         self.ops = ops = d.field.ops
-        rows = raw_structure(d)
-        self.cols = [[rows[i][j] for i in range(d.dim)] for j in range(d.dim)]
-        self.sigma = {g: [ops.unwrap(row) for row in spec.sigma[g].entries]
-                      for g in range(spec.group.order)}
-        self.images = {g: list(zip(*m)) for g, m in self.sigma.items()}
-        self.one = tuple(ops.unwrap(d.unit))
+        self.sigma = [[ops.unwrap(row) for row in m.entries] for m in sigma]
+        self.images = [list(zip(*m)) for m in self.sigma]
+        self.one = d.unit
         zero, one = ops.zero, ops.one
         self.basis = [tuple(one if k == i else zero for k in range(d.dim))
                       for i in range(d.dim)]
@@ -680,10 +659,7 @@ class _RawCoefficients:
     def left(self, x) -> list:
         lx = self._left.get(x)
         if lx is None:
-            ops = self.ops
-            terms = [(k, c) for k, c in enumerate(x) if not ops.is_zero(c)]
-            columns = [sparse_combination(ops, terms, col) for col in self.cols]  # x e_j
-            lx = self._left[x] = [[c.get(k, ops.zero) for c in columns] for k in range(len(x))]
+            lx = self._left[x] = _left_rows(self.coeff, x)
         return lx
 
     def mul(self, x, y) -> tuple:
@@ -866,24 +842,19 @@ def _compatible_alpha(spec: CrossedProductSpec) -> tuple:
     if any(deg != spec.coeff.group.identity for deg in spec.coeff.degree):
         raise IncompatibleCocycleData("coefficient algebra must be trivially graded")
     _check_sigma(spec)
-    raw = _RawCoefficients(spec)
+    raw = _RawCoefficients(spec.coeff, [spec.sigma[g] for g in range(spec.group.order)])
     alpha = _normalized_alpha(spec, raw)
     _check_crossed_laws(spec, raw, alpha)
     return raw, alpha
 
 
-def _crossed_product_table(spec: CrossedProductSpec, raw: _RawCoefficients,
-                           alpha: dict) -> GradedAlgebra:
+def _crossed_product_table(raw: _RawCoefficients, G: GroupTable, alpha: dict) -> GradedAlgebra:
     """The product with (e_i u_g)(e_j u_h) = e_i sigma(g)(e_j) alpha(g,h) u_gh,
-    built without validation on raw values; each distinct raw value becomes
-    a Scalar once."""
-    d = spec.coeff
-    G = spec.group
+    built without validation on raw values, for D and sigma in raw and the
+    raw alpha."""
+    d = raw.coeff
     dd = d.dim
     dim = dd * G.order
-    field = d.field
-    zero = raw.ops.zero
-    scalars = {}
     sc = {}
     for g in range(G.order):
         for h in range(G.order):
@@ -891,25 +862,17 @@ def _crossed_product_table(spec: CrossedProductSpec, raw: _RawCoefficients,
             for j, column in enumerate(raw.images[g]):
                 right = raw.mul(column, alpha[(g, h)])
                 for i, e_i in enumerate(raw.basis):
-                    terms = []
-                    for k, v in enumerate(raw.mul(e_i, right)):
-                        if v != zero:
-                            s = scalars.get(v)
-                            if s is None:
-                                s = scalars[v] = Scalar(field, v)
-                            terms.append((gh * dd + k, s))
-                    if terms:
-                        sc[(g * dd + i, h * dd + j)] = terms
+                    sc[(g * dd + i, h * dd + j)] = [
+                        (gh * dd + k, v) for k, v in enumerate(raw.mul(e_i, right))]
     degree = [g for g in range(G.order) for _ in range(dd)]
-    unit = [field.zero()] * dim
-    for i, c in enumerate(d.unit):
-        unit[G.identity * dd + i] = c
+    unit = [raw.ops.zero] * dim
+    unit[G.identity * dd:(G.identity + 1) * dd] = d.unit
     labels = None
     if d.labels is not None:
         labels = [f"{d.label(i)}*{G.label(g)}" if g != G.identity else d.label(i)
                   for g in range(G.order) for i in range(dd)]
-    return GradedAlgebra(field, G, degree, sc, unit, labels=labels,
-                         meta={"construction": "crossed_product"})
+    return GradedAlgebra._from_raw(d.field, G, degree, sc, unit, labels=labels,
+                                   meta={"construction": "crossed_product"})
 
 
 def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
@@ -922,7 +885,8 @@ def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
     graded and associative by construction and is not scanned again.
     """
     _require_crossed_dim(spec.coeff, spec.group)
-    return _crossed_product_table(spec, *_compatible_alpha(spec))
+    raw, alpha = _compatible_alpha(spec)
+    return _crossed_product_table(raw, spec.group, alpha)
 
 
 def _require_crossed_dim(d: GradedAlgebra, group: GroupTable):
@@ -979,7 +943,7 @@ def trivial_sigma(d: GradedAlgebra, group: GroupTable) -> dict:
 
 def constant_alpha(d: GradedAlgebra, group: GroupTable, value=None) -> dict:
     if value is None:
-        v = tuple(d.unit)
+        v = d.one().coords
     elif isinstance(value, Element):
         v = tuple(value.coords)
     else:
@@ -1007,8 +971,8 @@ def _frobenius_coefficients(ext: Field) -> tuple:
 def _frobenius_data(ext: Field, group: GroupTable, sigma_powers, alpha_unit) -> tuple:
     """The checked arguments of a Frobenius crossed product: D, the exponent
     k_g in [0, dim D) of each group element in index order (k_e = 0), the
-    matrix of sigma(g) = Frob^(k_g) on D for each, and the twist u as dim D
-    scalars of F_p."""
+    matrix of sigma(g) = Frob^(k_g) on D for each, and the twist u as the
+    dim D raw values of its coordinates over F_p."""
     base = ext.prime_subfield()
     d, frobenius = _frobenius_coefficients(ext)
     sigma_powers = list(sigma_powers)
@@ -1016,18 +980,18 @@ def _frobenius_data(ext: Field, group: GroupTable, sigma_powers, alpha_unit) -> 
         raise ValueError("need one Frobenius power per non-identity element")
     powers = [0] + [power % d.dim for power in sigma_powers]
     sigma = [frobenius[k] for k in powers]
-    u = tuple(d.unit) if alpha_unit is None else tuple(base.scalar(c) for c in alpha_unit)
+    if alpha_unit is None:
+        return d, powers, sigma, d.unit
+    u = tuple(base.ops.unwrap([base.scalar(c) for c in alpha_unit]))
     if len(u) > d.dim:
         raise ValueError(f"alpha_unit has more than {d.dim} coefficients")
-    u += (base.zero(),) * (d.dim - len(u))
-    return d, powers, sigma, u
+    return d, powers, sigma, u + (base.ops.zero,) * (d.dim - len(u))
 
 
-def _frobenius_spec(group: GroupTable, d: GradedAlgebra, sigma, u) -> CrossedProductSpec:
-    one = tuple(d.unit)
-    alpha = {(g, h): u if g and h else one
-             for g in range(group.order) for h in range(group.order)}
-    return CrossedProductSpec(coeff=d, group=group, sigma=dict(enumerate(sigma)), alpha=alpha)
+def _frobenius_alpha(group: GroupTable, one, u) -> dict:
+    """alpha(g, h) = u for g, h both non-identity, and one against the identity."""
+    return {(g, h): u if g and h else one
+            for g in range(group.order) for h in range(group.order)}
 
 
 def frobenius_crossed_spec(ext: Field, group: GroupTable, sigma_powers,
@@ -1044,7 +1008,9 @@ def frobenius_crossed_spec(ext: Field, group: GroupTable, sigma_powers,
     frobenius_crossed_product decides it on exponents instead.
     """
     d, _, sigma, u = _frobenius_data(ext, group, sigma_powers, alpha_unit)
-    return _frobenius_spec(group, d, sigma, u)
+    wrap = d.field.ops.wrap
+    return CrossedProductSpec(coeff=d, group=group, sigma=dict(enumerate(sigma)),
+                              alpha=_frobenius_alpha(group, wrap(d.unit), wrap(u)))
 
 
 def frobenius_crossed_product(ext: Field, group: GroupTable, sigma_powers,
@@ -1083,36 +1049,37 @@ def frobenius_crossed_product(ext: Field, group: GroupTable, sigma_powers,
 
     Failures are reported at the first (g, h) or (g, h, k) in the order of
     _check_crossed_laws, and the dimension bound is checked before any law.
+    Everything runs on raw values: with alpha_unit None or given as
+    Scalars, no Scalar is made.
     """
     d, powers, sigma, u = _frobenius_data(ext, group, sigma_powers, alpha_unit)
     _require_crossed_dim(d, group)
     _check_frobenius_laws(ext, group, powers, u)
-    spec = _frobenius_spec(group, d, sigma, u)
-    raw = _RawCoefficients(spec)
-    alpha = {gh: tuple(raw.ops.unwrap(v)) for gh, v in spec.alpha.items()}
-    return _crossed_product_table(spec, raw, alpha)
+    return _crossed_product_table(_RawCoefficients(d, sigma), group,
+                                  _frobenius_alpha(group, d.unit, u))
 
 
 def _check_frobenius_laws(ext: Field, group: GroupTable, powers, u):
     """Raise the error of _check_crossed_laws, or of _normalized_alpha, for
-    Frobenius data; see frobenius_crossed_product for the derivation."""
-    e, m = group.identity, ext.degree
+    Frobenius data with the raw coordinates u of the twist; see
+    frobenius_crossed_product for the derivation."""
+    e, m, ops = group.identity, ext.degree, ext.ops
     rest = range(1, group.order)
-    if rest and all(c.is_zero for c in u):
+    x = ops.from_coefficients(u)
+    if rest and ops.is_zero(x):
         raise NonInvertibleAlpha("alpha(1,1) is not invertible in D")
     for g in rest:
         for h in rest:
             if (powers[g] + powers[h] - powers[group.mul(g, h)]) % m:
                 raise IncompatibleCocycleData(
                     f"{_CONJUGATION_LAW} fails at g={g}, h={h}, D-basis vector 1")
-    x = ext.scalar([c.coefficients()[0] for c in u])
-    left = (x, x * x)  # u^(1 + [gh != e]), by [gh != e]
+    left = (x, ops.mul(x, x))  # u^(1 + [gh != e]), by [gh != e]
     rights = {}  # exponent k -> (u^(p^k), u^(p^k) u), by [hk != e]
     for g in rest:
         right = rights.get(powers[g])
         if right is None:
-            y = x ** (ext.char ** powers[g])
-            right = rights[powers[g]] = (y, y * x)
+            y = ops.power(x, ext.char ** powers[g])
+            right = rights[powers[g]] = (y, ops.mul(y, x))
         for h in rest:
             lhs = left[group.mul(g, h) != e]
             for k in rest:
@@ -1180,19 +1147,16 @@ def good_matrix_algebra(n: int, sigmas, delta: GradedAlgebra) -> GradedAlgebra:
             for t in range(dd):
                 for l in range(n):
                     for s in range(dd):
-                        terms = tuple((index(i, l, r), c)
-                                      for r, c in delta.basis_product(t, s))
-                        if terms:
-                            sc[(index(i, j, t), index(j, l, s))] = terms
-    unit = [field.zero()] * dim
+                        sc[(index(i, j, t), index(j, l, s))] = [
+                            (index(i, l, r), c) for r, c in delta.table[t][s]]
+    unit = [field.ops.zero] * dim
     for i in range(n):
-        for t, c in enumerate(delta.unit):
-            unit[index(i, i, t)] = c
+        unit[index(i, i, 0):index(i, i, dd)] = delta.unit
     labels = [f"E{i + 1}{j + 1}" + (f"*{delta.label(t)}" if dd > 1 else "")
               for i in range(n) for j in range(n) for t in range(dd)]
-    return GradedAlgebra(field, g, degree, sc, unit, labels=labels,
-                         meta={"construction": "good_matrix_algebra", "n": n,
-                               "sigmas": sigmas, "delta_dim": dd})
+    return GradedAlgebra._from_raw(field, g, degree, sc, unit, labels=labels,
+                                   meta={"construction": "good_matrix_algebra", "n": n,
+                                         "sigmas": sigmas, "delta_dim": dd})
 
 
 def matrix_algebra(field: Field, n: int) -> GradedAlgebra:
@@ -1214,19 +1178,20 @@ def trivial_extension(a: GradedAlgebra) -> GradedAlgebra:
     graded A-bimodule, so A + A* is valid when A is.
     """
     d = a.dim
-    field = a.field
-    sc = dict(a.sc)
-    for (l, m), terms in a.sc.items():
-        for j, c in terms:
-            sc.setdefault((m, d + j), []).append((d + l, c))
-            sc.setdefault((d + j, l), []).append((d + m, c))
+    sc = {}
+    for l, row in enumerate(a.table):
+        for m, terms in enumerate(row):
+            sc[(l, m)] = terms
+            for j, c in terms:
+                sc.setdefault((m, d + j), []).append((d + l, c))
+                sc.setdefault((d + j, l), []).append((d + m, c))
     degree = list(a.degree) + [a.group.inv(g) for g in a.degree]
-    unit = list(a.unit) + [field.zero()] * d
+    unit = list(a.unit) + [a.field.ops.zero] * d
     labels = None
     if a.labels is not None:
         labels = list(a.labels) + [f"f({lbl})" for lbl in a.labels]
-    return GradedAlgebra(field, a.group, degree, sc, unit, labels=labels,
-                         meta={"construction": "trivial_extension"})
+    return GradedAlgebra._from_raw(a.field, a.group, degree, sc, unit, labels=labels,
+                                   meta={"construction": "trivial_extension"})
 
 
 def direct_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
@@ -1236,13 +1201,14 @@ def direct_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
     if a.group != b.group:
         raise GroupMismatch("direct product needs a common grading group")
     da = a.dim
-    sc = dict(a.sc)
-    for (i, j), terms in b.sc.items():
-        sc[(da + i, da + j)] = tuple((da + k, c) for k, c in terms)
+    sc = {(i, j): terms for i, row in enumerate(a.table) for j, terms in enumerate(row)}
+    for i, row in enumerate(b.table):
+        for j, terms in enumerate(row):
+            sc[(da + i, da + j)] = [(da + k, c) for k, c in terms]
     degree = list(a.degree) + list(b.degree)
     unit = list(a.unit) + list(b.unit)
-    return GradedAlgebra(a.field, a.group, degree, sc, unit,
-                         meta={"construction": "direct_product"})
+    return GradedAlgebra._from_raw(a.field, a.group, degree, sc, unit,
+                                   meta={"construction": "direct_product"})
 
 
 def tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
@@ -1258,21 +1224,18 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
     dim = a.dim * db
     if dim > MAX_ALGEBRA_DIM:
         raise DimensionTooLarge(f"dimension {dim} exceeds {MAX_ALGEBRA_DIM}")
+    mul = a.field.ops.mul
     sc = {}
-    for (i1, i2), terms_a in a.sc.items():
-        for (j1, j2), terms_b in b.sc.items():
-            out = {}
-            for k, ca in terms_a:
-                for l, cb in terms_b:
-                    c = ca * cb
-                    if not c.is_zero:
-                        out[k * db + l] = c
-            if out:
-                sc[(i1 * db + j1, i2 * db + j2)] = tuple(sorted(out.items()))
+    for i1, row_a in enumerate(a.table):
+        for i2, terms_a in enumerate(row_a):
+            for j1, row_b in enumerate(b.table):
+                for j2, terms_b in enumerate(row_b):
+                    sc[(i1 * db + j1, i2 * db + j2)] = [
+                        (k * db + l, mul(ca, cb)) for k, ca in terms_a for l, cb in terms_b]
     degree = [a.group.mul(ga, gb) for ga in a.degree for gb in b.degree]
-    unit = [ca * cb for ca in a.unit for cb in b.unit]
-    return GradedAlgebra(a.field, a.group, degree, sc, unit,
-                         meta={"construction": "tensor_product"})
+    unit = [mul(ca, cb) for ca in a.unit for cb in b.unit]
+    return GradedAlgebra._from_raw(a.field, a.group, degree, sc, unit,
+                                   meta={"construction": "tensor_product"})
 
 
 def scalar_extension(a: GradedAlgebra, m: int) -> GradedAlgebra:
@@ -1285,11 +1248,11 @@ def scalar_extension(a: GradedAlgebra, m: int) -> GradedAlgebra:
     if a.field.degree * m > 6:
         raise DimensionTooLarge("extension degree beyond 6 is out of scope")
     target = extend_field(a.field, m)
-    sc = {ij: tuple((k, embed_scalar(c, target)) for k, c in terms)
-          for ij, terms in a.sc.items()}
-    unit = [embed_scalar(c, target) for c in a.unit]
-    return GradedAlgebra(target, a.group, a.degree, sc, unit, labels=a.labels,
-                         meta=dict(a.meta))
+    embed = raw_embedding(a.field, target)
+    sc = {(i, j): [(k, embed(c)) for k, c in terms]
+          for i, row in enumerate(a.table) for j, terms in enumerate(row)}
+    return GradedAlgebra._from_raw(target, a.group, a.degree, sc, map(embed, a.unit),
+                                   labels=a.labels, meta=dict(a.meta))
 
 
 def ungrade(a: GradedAlgebra) -> GradedAlgebra:
@@ -1297,8 +1260,9 @@ def ungrade(a: GradedAlgebra) -> GradedAlgebra:
     if a.group.order == 1:
         return a
     g = trivial_group()
-    return GradedAlgebra(a.field, g, [0] * a.dim, a.sc, a.unit, labels=a.labels,
-                         meta=dict(a.meta))
+    sc = {(i, j): terms for i, row in enumerate(a.table) for j, terms in enumerate(row)}
+    return GradedAlgebra._from_raw(a.field, g, [0] * a.dim, sc, a.unit, labels=a.labels,
+                                   meta=dict(a.meta))
 
 
 def subspace_algebra(a: GradedAlgebra, s: Subspace) -> GradedAlgebra:
@@ -1311,16 +1275,16 @@ def subspace_algebra(a: GradedAlgebra, s: Subspace) -> GradedAlgebra:
     if s.ambient_dim != a.dim or s.field != a.field:
         raise AmbientMismatch("subspace does not live in the algebra's coordinate space")
     try:
-        unit = s.reduce_vector(list(a.unit))
+        unit = s.reduce_vector(a.one().coords)
     except AmbientMismatch:
         raise UnitMissing("subspace does not contain the unit") from None
     rows = [list(r) for r in s.basis]
     r = len(rows)
-    products = {}
+    sc = {}
     for i in range(r):
         for j in range(r):
             try:
-                products[(i, j)] = s.reduce_vector(a.mul_coords(rows[i], rows[j]))
+                sc[(i, j)] = enumerate(s.reduce_vector(a.mul_coords(rows[i], rows[j])))
             except AmbientMismatch:
                 raise NotClosed(
                     f"product of subspace basis vectors {i} and {j} escapes") from None
@@ -1338,11 +1302,6 @@ def subspace_algebra(a: GradedAlgebra, s: Subspace) -> GradedAlgebra:
     else:
         group = trivial_group()
         degrees = [0] * r
-    sc = {}
-    for (i, j), coords in products.items():
-        terms = tuple((k, c) for k, c in enumerate(coords) if not c.is_zero)
-        if terms:
-            sc[(i, j)] = terms
     return GradedAlgebra(a.field, group, degrees, sc, unit,
                          meta={"construction": "subspace_algebra"})
 

@@ -17,10 +17,10 @@ one and computes on raw values: from_int, product, sum, difference, inverse,
 scale a row, subtract a scaled row, and evaluate linear forms at a point,
 which forms a matrix pencil at that point.  Scalar arithmetic and
 Field.zero, one and from_int delegate to it, and exact elimination calls it
-directly, so a row reduction or a computation on structure constants
-unwraps its input once and creates no Scalar per arithmetic step.  This
-module is the only one that reads a Scalar's raw value, apart from two
-rationals-only reads in `invariants`.
+directly, so a row reduction unwraps its input once and creates no Scalar
+per arithmetic step; algebras store their structure constants as raw values
+and compute on them through it.  This module is the only one that reads a
+Scalar's raw value, apart from two rationals-only reads in `invariants`.
 """
 
 from __future__ import annotations
@@ -234,11 +234,7 @@ class Field:
                 raise ValueError(f"coefficient list longer than degree {self.degree}")
             if not all(_is_int(c) for c in value):
                 raise TypeError(f"{self} coefficients must be ints, not {value!r}")
-            coeffs = tuple(c % self.char for c in value)
-            coeffs = coeffs + (0,) * (self.degree - len(coeffs))
-            if self.degree == 1:
-                return Scalar(self, coeffs[0])
-            return Scalar(self, coeffs)
+            return Scalar(self, self.ops.from_coefficients(value))
         raise TypeError(f"cannot make a {self} scalar from {value!r}")
 
     # properties
@@ -446,14 +442,8 @@ class Scalar:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        f = self.field
+        return Scalar(f, f.ops.power(self.val, e))
 
     def __eq__(self, other):
         return (isinstance(other, Scalar)
@@ -478,15 +468,11 @@ class Scalar:
         f = self.field
         if f.char == 0:
             raise RationalsNotSupported("rational scalars have no prime-field coordinates")
-        return (self.val,) if f.degree == 1 else self.val
+        return f.ops.coefficients(self.val)
 
     def to_json(self):
         """Canonical JSON form: 'n/d' string for Q, int for F_p, int list else."""
-        if self.field.char == 0:
-            return str(self.val)
-        if self.field.degree == 1:
-            return self.val
-        return list(self.val)
+        return self.field.ops.to_json(self.val)
 
 
 # -- raw row operations ------------------------------------------------------------
@@ -505,6 +491,8 @@ class RawOps:
     values.  Each field kind implements
 
     - from_int(n): the raw image of the int n;
+    - to_json(v): the canonical JSON form of v, which Scalar.to_json and
+      specfile.algebra_to_dict write;
     - mul(u, v), add(u, v) and sub(u, v): the product, the sum and u - v;
     - inverse(v): 1/v for nonzero v;
     - scale(row, c): the new row c * row;
@@ -517,6 +505,10 @@ class RawOps:
       tells whether every int in sums, each the difference of two sums of
       at most terms products image[u] * image[v], stands for zero, that is
       whether the same signed sum of the products u v is zero in the field.
+
+    The finite kinds also implement from_coefficients(coeffs), the raw value
+    with these int coordinates on 1, x, .., x^(n-1) (padded with zeros),
+    and its inverse coefficients(v).  power(v, e) is v^e for e >= 0.
 
     A sparse row is a dict {column: raw value} that holds no zero value.
     sparse_sub_scaled(row, c, other) makes row - c * other in place, for a
@@ -534,16 +526,27 @@ class RawOps:
 
     is_zero = staticmethod(operator.not_)
 
-    def unwrap(self, scalars) -> list:
+    def unwrap(self, scalars, what: str = "scalar") -> list:
+        """The raw values of a sequence of Scalars of this field.  Anything
+        else, a raw value included, raises FieldMismatch naming what."""
         f = self.field
         for x in scalars:
-            if x.field is not f:
-                raise FieldMismatch(f"scalar from {x.field} used in {f}")
+            if not (isinstance(x, Scalar) and x.field is f):
+                raise FieldMismatch(f"{what} {x!r} is not a scalar of {f}")
         return [x.val for x in scalars]
 
     def wrap(self, row) -> tuple:
         f = self.field
         return tuple(Scalar(f, v) for v in row)
+
+    def power(self, v, e: int):
+        result, mul = self.one, self.mul
+        while e:
+            if e & 1:
+                result = mul(result, v)
+            v = mul(v, v)
+            e >>= 1
+        return result
 
     def sparse_scale(self, row, c) -> dict:
         mul = self.mul
@@ -569,6 +572,15 @@ class _PrimeOps(RawOps):
 
     def from_int(self, n):
         return n % self.p
+
+    def from_coefficients(self, coeffs):
+        return coeffs[0] % self.p if coeffs else 0
+
+    @staticmethod
+    def coefficients(v) -> tuple:
+        return (v,)
+
+    to_json = staticmethod(int)
 
     def mul(self, u, v):
         return u * v % self.p
@@ -619,6 +631,8 @@ class _RationalOps(RawOps):
 
     def from_int(self, n):
         return Fraction(n)
+
+    to_json = staticmethod(str)
 
     def mul(self, u, v):
         return u * v
@@ -673,6 +687,16 @@ class _ExtensionOps(RawOps):
     def from_int(self, n):
         f = self.field
         return (n % f.char,) + (0,) * (f.degree - 1)
+
+    def from_coefficients(self, coeffs):
+        f = self.field
+        return tuple(c % f.char for c in coeffs) + (0,) * (f.degree - len(coeffs))
+
+    @staticmethod
+    def coefficients(v) -> tuple:
+        return v
+
+    to_json = staticmethod(list)
 
     def mul(self, u, v):
         return _ext_mul(u, v, self.field)
@@ -804,36 +828,43 @@ def extend_field(field: Field, m: int) -> Field:
     return canonical_extension_field(field.char, field.degree * m)
 
 
-def _poly_value(coeffs, x: Scalar) -> Scalar:
-    """sum_i coeffs[i] x^i for int coefficients (constant first), in x's field."""
-    f = x.field
-    acc = f.zero()
-    power = f.one()
+def _poly_value(ops, coeffs, x):
+    """sum_i coeffs[i] x^i for int coefficients (constant first), on raw values of ops."""
+    acc, power = ops.zero, ops.one
     for c in coeffs:
         if c:
-            acc = acc + power * f.from_int(c)
-        power = power * x
+            acc = ops.add(acc, ops.mul(power, ops.from_int(c)))
+        power = ops.mul(power, x)
     return acc
 
 
 @lru_cache(maxsize=None)
-def _embedding_generator_image(src: Field, target: Field) -> Scalar:
-    """First root of src's modulus inside target, in canonical element order."""
+def _embedding_generator_image(src: Field, target: Field):
+    """First root of src's modulus inside target, in canonical element order,
+    as a raw value."""
+    ops = target.ops
     for cand in target.elements():
-        if _poly_value(src.modulus, cand).is_zero:
-            return cand
+        if ops.is_zero(_poly_value(ops, src.modulus, cand.val)):
+            return cand.val
     raise FieldMismatch(f"{src} does not embed into {target}")
 
 
-def embed_scalar(x: Scalar, target: Field) -> Scalar:
-    """Embed x into an overfield of the same characteristic."""
-    src = x.field
-    if src is target:
-        return x
+def raw_embedding(src: Field, target: Field):
+    """The embedding of src into an overfield target on raw values: sum_i c_i
+    t^i, for t the generator of src, goes to sum_i c_i y^i, for y the first
+    root of src's modulus in target."""
     if src.char != target.char:
         raise FieldMismatch(f"cannot embed {src} into {target}")
     if target.degree % src.degree != 0:
         raise FieldMismatch(f"{src} is not a subfield of {target}")
     if src.degree == 1:
-        return target.from_int(x.coefficients()[0])
-    return _poly_value(x.coefficients(), _embedding_generator_image(src, target))
+        return target.ops.from_int
+    y = _embedding_generator_image(src, target)
+    return lambda v: _poly_value(target.ops, src.ops.coefficients(v), y)
+
+
+def embed_scalar(x: Scalar, target: Field) -> Scalar:
+    """Embed x into an overfield of the same characteristic."""
+    if x.field is target:
+        return x
+    return Scalar(target, raw_embedding(x.field, target)(x.val))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebras import Element, GradedAlgebra, raw_structure
+from .algebras import Element, GradedAlgebra
 from .errors import AmbientMismatch
 from .fields import Scalar
 from .linalg import Matrix, Subspace, lane_width, packed_nonsingular, sparse_kernel, sparse_span
@@ -63,7 +63,7 @@ def centralizer(a: GradedAlgebra, s: Subspace) -> Subspace:
         raise AmbientMismatch("subspace does not match the algebra's coordinates")
     ops = a.field.ops
     zero, add, sub, mul, is_zero = ops.zero, ops.add, ops.sub, ops.mul, ops.is_zero
-    products = raw_structure(a)
+    products = a.table
     rows = []
     for v in s.basis:
         terms = [(i, c) for i, c in enumerate(ops.unwrap(v)) if not is_zero(c)]
@@ -101,14 +101,13 @@ def commutator_rows(a: GradedAlgebra, pairs):
     Products are stored sorted and without zero terms, so [e_i, e_j] = 0
     exactly when e_i e_j and e_j e_i have the same terms.
     """
-    ops = a.field.ops
-    unwrap, one = ops.unwrap, ops.one
+    ops, table = a.field.ops, a.table
     for i, j in pairs:
-        ij, ji = a.basis_product(i, j), a.basis_product(j, i)
+        ij, ji = table[i][j], table[j][i]
         if ij == ji:
             continue
-        row = dict(zip([k for k, _ in ij], unwrap([c for _, c in ij])))
-        ops.sparse_sub_scaled(row, one, dict(zip([k for k, _ in ji], unwrap([c for _, c in ji]))))
+        row = dict(ij)
+        ops.sparse_sub_scaled(row, ops.one, dict(ji))
         yield row
 
 
@@ -152,8 +151,8 @@ def component_has_invertible(a: GradedAlgebra, g: int):
     field = a.field
     # column j of L_x is x e_j, and x = sum_r t_r e_{indices[r]}
     pencil = linear_pencil(field, a.dim, len(indices), (
-        (k, j, r, c) for r, i in enumerate(indices) for j in range(a.dim)
-        for k, c in a.basis_product(i, j)))
+        (k, j, r, c) for r, i in enumerate(indices) for j, terms in enumerate(a.table[i])
+        for k, c in terms))
     result = nonvanishing_point(structured_det(pencil), field)
     if result.status == "identically_zero":
         return False, None, None
@@ -185,18 +184,19 @@ def _identity_component_algebra(a: GradedAlgebra) -> GradedAlgebra:
     """A_e on the basis vectors of degree e, in their order in a.
 
     a is graded, so their products and the unit lie in A_e: this is
-    subspace_algebra of homogeneous_component(a, e), read off a.sc by index.
+    subspace_algebra of homogeneous_component(a, e), read off a.table by
+    index.
     """
     e = a.group.identity
     indices = a.component_indices(e)
     if len(indices) == a.dim:
         return a
     position = {i: r for r, i in enumerate(indices)}
-    sc = {(position[i], position[j]): tuple((position[k], c) for k, c in terms)
-          for (i, j), terms in a.sc.items() if i in position and j in position}
-    return GradedAlgebra(a.field, a.group, [e] * len(indices), sc,
-                         [a.unit[i] for i in indices],
-                         meta={"construction": "subspace_algebra"})
+    sc = {(position[i], position[j]): [(position[k], c) for k, c in a.table[i][j]]
+          for i in indices for j in indices}
+    return GradedAlgebra._from_raw(a.field, a.group, [e] * len(indices), sc,
+                                   [a.unit[i] for i in indices],
+                                   meta={"construction": "subspace_algebra"})
 
 
 def _restricted_left_mults(e_alg: GradedAlgebra, w: int) -> list:
@@ -206,23 +206,24 @@ def _restricted_left_mults(e_alg: GradedAlgebra, w: int) -> list:
     column t holds the coefficients of a x^t, so row r*k + u of the N = n*k
     rows has in lane j*k + t the coefficient u of L_{e_i}[r][j] x^(s + t).
     """
-    field, n, k = e_alg.field, e_alg.dim, e_alg.field.degree
-    powers = [field.one()]
+    n, k, ops = e_alg.dim, e_alg.field.degree, e_alg.field.ops
+    powers, x = [ops.one], ops.from_coefficients((0, 1))
     for _ in range(2 * k - 2):
-        powers.append(powers[-1] * field.generator())
+        powers.append(ops.mul(powers[-1], x))
     multiples = {}
     packed = [[0] * (n * k) for _ in range(n * k)]
     # column j of L_{e_i} is e_i e_j, so a term (r, c) of it is entry (r, j)
-    for (i, j), terms in e_alg.sc.items():
-        for r, c in terms:
-            if c not in multiples:
-                multiples[c] = [(c * x).coefficients() for x in powers]
-            for s in range(k):
-                rows = packed[i * k + s]
-                for t in range(k):
-                    shift = (j * k + t) * w
-                    for u, coeff in enumerate(multiples[c][s + t]):
-                        rows[r * k + u] += coeff << shift
+    for i, row in enumerate(e_alg.table):
+        for j, terms in enumerate(row):
+            for r, c in terms:
+                if c not in multiples:
+                    multiples[c] = [ops.coefficients(ops.mul(c, x)) for x in powers]
+                for s in range(k):
+                    rows = packed[i * k + s]
+                    for t in range(k):
+                        shift = (j * k + t) * w
+                        for u, coeff in enumerate(multiples[c][s + t]):
+                            rows[r * k + u] += coeff << shift
     return packed
 
 
@@ -287,7 +288,7 @@ def _scan_division(e_alg: GradedAlgebra):
 
 def _min_poly(e_alg: GradedAlgebra, el: Element):
     """Minimal polynomial coefficients (monic, low first) of el over the rationals."""
-    rows = [list(e_alg.unit)]
+    rows = [list(e_alg.one().coords)]
     power = e_alg.one()
     for _ in range(e_alg.dim):
         power = power * el
@@ -313,7 +314,7 @@ def _rational_division_check(e_alg: GradedAlgebra):
         return DivisionVerdict("unknown", {"kind": "rationals-uncertified",
                                            "reason": "norm form not definite by sign check"})
     commutative = all(
-        e_alg.basis_product(i, j) == e_alg.basis_product(j, i)
+        e_alg.table[i][j] == e_alg.table[j][i]
         for i in range(e_alg.dim) for j in range(i + 1, e_alg.dim))
     if commutative and e_alg.dim <= 3:
         candidates = [e_alg.basis_element(i) for i in range(e_alg.dim)]

@@ -260,16 +260,18 @@ def _zero_form(field: Field, num_vars: int) -> tuple:
 
 
 def linear_pencil(field: Field, dim: int, num_vars: int, contributions) -> GramPencil:
-    """The pencil whose entry (i, j) sums c t_r over the contributions (i, j, r, c)."""
-    zero_form = _zero_form(field, num_vars)
-    grid = [[zero_form] * dim for _ in range(dim)]
+    """The pencil whose entry (i, j) sums c t_r over the contributions
+    (i, j, r, c), for raw values c of field.ops; each entry that any
+    contribution reaches is summed on raw values and wrapped once."""
+    ops, zero_form = field.ops, _zero_form(field, num_vars)
+    grid = [[None] * dim for _ in range(dim)]
     for i, j, r, c in contributions:
         form = grid[i][j]
-        if form is zero_form:
-            form = grid[i][j] = list(zero_form)
-        form[r] = form[r] + c
+        if form is None:
+            form = grid[i][j] = [ops.zero] * num_vars
+        form[r] = ops.add(form[r], c)
     return GramPencil(field, dim, num_vars, tuple(
-        tuple(form if form is zero_form else tuple(form) for form in row) for row in grid))
+        tuple(zero_form if form is None else ops.wrap(form) for form in row) for row in grid))
 
 
 def pencil_det(pencil: GramPencil) -> MultiPoly:

@@ -27,7 +27,6 @@ from .algebras import (
     group_algebra,
     matrix_algebra,
     quaternion_algebra,
-    raw_structure,
     scalar_extension,
     sparse_combination,
     subspace_algebra,
@@ -147,8 +146,7 @@ def random_graded_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAl
         for pos, i in enumerate(idx):
             change[i] = tuple((j, c) for j, c in zip(idx, block[pos]) if c != zero)
             inverse[i] = tuple((j, c) for j, c in zip(idx, aug[pos][n:]) if c != zero)
-    rows = raw_structure(a)
-    cols = [[rows[k][l] for k in range(d)] for l in range(d)]
+    cols = [[row[l] for row in a.table] for l in range(d)]
 
     def express(v: dict) -> dict:
         return sparse_combination(ops, v.items(), inverse)
@@ -158,13 +156,11 @@ def random_graded_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAl
         # b_i e_l for every l, then b_i b_j = sum_l B_jl b_i e_l
         right = [sparse_combination(ops, change[i], col).items() for col in cols]
         for j in range(d):
-            coords = express(sparse_combination(ops, change[j], right))
-            if coords:
-                sc[(i, j)] = dict(zip(coords, ops.wrap(coords.values())))
-    unit = express({k: c for k, c in enumerate(ops.unwrap(a.unit)) if c != zero})
-    return GradedAlgebra(field, a.group, a.degree, sc,
-                         ops.wrap(unit.get(k, zero) for k in range(d)),
-                         meta={"construction": "basis_change"})
+            sc[(i, j)] = express(sparse_combination(ops, change[j], right))
+    unit = express({k: c for k, c in enumerate(a.unit) if c != zero})
+    return GradedAlgebra._from_raw(field, a.group, a.degree, sc,
+                                   [unit.get(k, zero) for k in range(d)],
+                                   meta={"construction": "basis_change"})
 
 
 def random_small_algebra(field, rng: random.Random) -> GradedAlgebra:

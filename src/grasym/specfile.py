@@ -121,16 +121,16 @@ def group_from_dict(d: dict) -> GroupTable:
 # -- algebra spec files -----------------------------------------------------------------
 
 def algebra_to_dict(a: GradedAlgebra) -> dict:
-    """Raw canonical form; round-trips every constructor output bit-exactly."""
-    sc_rows = []
-    for (i, j) in sorted(a.sc):
-        for k, c in a.sc[(i, j)]:
-            sc_rows.append([i, j, k, c.to_json()])
+    """Raw canonical form; round-trips every constructor output bit-exactly.
+
+    The table is read in row-major order, so the rows come sorted by (i, j, k)."""
+    to_json = a.field.ops.to_json
     block = {
         "dim": a.dim,
         "degrees": list(a.degree),
-        "unit": [c.to_json() for c in a.unit],
-        "sc": sc_rows,
+        "unit": [to_json(c) for c in a.unit],
+        "sc": [[i, j, k, to_json(c)] for i, row in enumerate(a.table)
+               for j, terms in enumerate(row) for k, c in terms],
     }
     if a.labels is not None:
         block["labels"] = list(a.labels)

@@ -113,14 +113,16 @@ def _check_mode(mode: str):
 def _asymmetric_pairs(a: GradedAlgebra, coords):
     """Basis pairs i < j, in order, where the functional with these
     coordinates does not vanish on the commutator [e_i, e_j]."""
+    ops, table = a.field.ops, a.table
+    x = ops.unwrap(coords)
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
-            v = a.field.zero()
-            for k, c in a.basis_product(i, j):
-                v = v + c * coords[k]
-            for k, c in a.basis_product(j, i):
-                v = v - c * coords[k]
-            if not v.is_zero:
+            v = ops.zero
+            for k, c in table[i][j]:
+                v = ops.add(v, ops.mul(c, x[k]))
+            for k, c in table[j][i]:
+                v = ops.sub(v, ops.mul(c, x[k]))
+            if not ops.is_zero(v):
                 yield i, j
 
 
@@ -163,20 +165,21 @@ def _check_owner(a: GradedAlgebra, lam: LinearFunctional):
 
 
 def gram_matrix(a: GradedAlgebra, lam: LinearFunctional) -> Matrix:
-    """The bilinear form (i, j) -> lam(e_i e_j) as an exact matrix."""
+    """The bilinear form (i, j) -> lam(e_i e_j) as an exact matrix, computed
+    on raw values."""
     _check_owner(a, lam)
-    z = a.field.zero()
+    ops = a.field.ops
+    x = ops.unwrap(lam.coords)
     entries = []
-    for i in range(a.dim):
-        row = []
-        for j in range(a.dim):
-            acc = z
-            for k, c in a.basis_product(i, j):
-                lk = lam.coords[k]
-                if not lk.is_zero:
-                    acc = acc + c * lk
-            row.append(acc)
-        entries.append(row)
+    for row in a.table:
+        values = []
+        for terms in row:
+            acc = ops.zero
+            for k, c in terms:
+                if not ops.is_zero(x[k]):
+                    acc = ops.add(acc, ops.mul(c, x[k]))
+            values.append(acc)
+        entries.append(ops.wrap(values))
     return Matrix(a.field, entries)
 
 
@@ -187,12 +190,14 @@ def gram_pencil(a: GradedAlgebra, functionals) -> GramPencil:
         raise EmptyTraceSpace("the trace space is zero")
     for lam in functionals:
         _check_owner(a, lam)
-    # the nonzero values (r, lam_r(e_k)) of each basis vector e_k
-    values = [[(r, lam.coords[k]) for r, lam in enumerate(functionals)
-               if not lam.coords[k].is_zero] for k in range(a.dim)]
+    ops = a.field.ops
+    coords = [ops.unwrap(lam.coords) for lam in functionals]
+    # the nonzero raw values (r, lam_r(e_k)) of each basis vector e_k
+    values = [[(r, x[k]) for r, x in enumerate(coords) if not ops.is_zero(x[k])]
+              for k in range(a.dim)]
     return linear_pencil(a.field, a.dim, len(functionals), (
-        (i, j, r, c * v) for (i, j), terms in a.sc.items()
-        for k, c in terms for r, v in values[k]))
+        (i, j, r, ops.mul(c, v)) for i, row in enumerate(a.table)
+        for j, terms in enumerate(row) for k, c in terms for r, v in values[k]))
 
 
 def verify_certificate(a: GradedAlgebra, lam: LinearFunctional, mode: str):

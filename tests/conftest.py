@@ -59,3 +59,11 @@ def built_groups(monkeypatch):
 
     monkeypatch.setattr(groups.GroupTable, "__init__", counting)
     return built
+
+
+def scalar_table(a) -> dict:
+    """a.table in the form GradedAlgebra takes: {(i, j): ((k, c_ij^k), ..)}
+    over the nonzero products e_i e_j, with each constant a Scalar."""
+    wrap = a.field.ops.wrap
+    return {(i, j): tuple(zip([k for k, _ in terms], wrap([c for _, c in terms])))
+            for i, row in enumerate(a.table) for j, terms in enumerate(row) if terms}

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -67,6 +68,7 @@ from grasym.errors import (
     ZeroParameter,
 )
 
+from conftest import scalar_table
 from test_crossed_oracle import (
     _check_crossed_laws,
     _crossed_product_table,
@@ -84,9 +86,9 @@ def test_group_algebra_valid(f3):
 
 def test_corrupted_constant_names_triple(f3):
     a = group_algebra(f3, cyclic_group(2))
-    sc = dict(a.sc)
+    sc = scalar_table(a)
     sc[(1, 1)] = ((1, f3.one()),)  # g*g should be e; degree law now breaks
-    broken = GradedAlgebra(f3, a.group, a.degree, sc, a.unit)
+    broken = GradedAlgebra(f3, a.group, a.degree, sc, a.one().coords)
     report = validate_algebra(broken)
     assert not report.ok
     assert (1, 1, 1) in report.grading_errors
@@ -94,9 +96,9 @@ def test_corrupted_constant_names_triple(f3):
 
 def test_corrupted_associativity_detected(q):
     h = quaternion_algebra(q, -1, -1)
-    sc = dict(h.sc)
+    sc = scalar_table(h)
     sc[(1, 2)] = ((3, q.from_int(2)),)  # i*j = 2k breaks associativity
-    broken = GradedAlgebra(q, h.group, h.degree, sc, h.unit)
+    broken = GradedAlgebra(q, h.group, h.degree, sc, h.one().coords)
     report = validate_algebra(broken)
     assert not report.ok and report.associativity_errors
 
@@ -128,7 +130,66 @@ def test_unit_vector_entries_must_be_scalars_of_the_field(f3, f5, unit):
     # validate_algebra then died with a bare FieldMismatch or AttributeError
     a = group_algebra(f3, cyclic_group(2))
     with pytest.raises(FieldMismatch, match="unit vector"):
-        GradedAlgebra(f3, a.group, a.degree, a.sc, unit(f3, f5))
+        GradedAlgebra(f3, a.group, a.degree, scalar_table(a), unit(f3, f5))
+
+
+@pytest.mark.parametrize("field, raw", [
+    (make_field(3), 1),
+    (rationals(), Fraction(1, 2)),
+    (make_field(3, [1, 0, 1]), (1, 0)),
+], ids=["int-over-F3", "fraction-over-Q", "coefficient-tuple-over-F9"])
+def test_raw_values_are_refused_by_the_public_constructor(field, raw):
+    # the algebra stores raw values, but the public constructor takes Scalars
+    # only; a raw value must not slip in, nor die with an AttributeError
+    a = group_algebra(field, cyclic_group(2))
+    sc = scalar_table(a)
+    sc[(1, 1)] = ((0, raw),)
+    with pytest.raises(FieldMismatch, match="structure constant"):
+        GradedAlgebra(field, a.group, a.degree, sc, a.one().coords)
+    unit = list(a.one().coords)
+    unit[1] = raw
+    with pytest.raises(FieldMismatch, match="unit vector entry"):
+        GradedAlgebra(field, a.group, a.degree, scalar_table(a), unit)
+
+
+def test_tables_are_built_checked_and_compared_without_scalars(monkeypatch):
+    # the raw table is the only storage: building the pinned char-2 hunt's
+    # candidates, Light's test on F_3 Sweedler^3 and its commutators make no
+    # Scalar once the inputs exist
+    from grasym import fields
+    from grasym.algebras import _frobenius_coefficients, _passes_light_test
+    from grasym.invariants import commutator_pairs, commutator_rows
+    from grasym.specfile import group_from_dict
+    from grasym.fields import scalar_from_json
+
+    candidates = []
+    for _, spec in hunt_candidates(hunt_char2_params()):
+        block = spec["constructor"]
+        base = make_field(block["char"])
+        ext = make_field(2, block["ext_modulus"]) if block["ext_modulus"] else base
+        _frobenius_coefficients(ext)  # D and its Frobenius matrices, once per field
+        candidates.append((ext, group_from_dict(spec["group"]), block["sigma_powers"],
+                           [scalar_from_json(base, c) for c in block["alpha_unit"]]))
+    s = sweedler_algebra(make_field(3))
+    a = tensor_product(tensor_product(s, s), s)
+    made = []
+    init = fields.Scalar.__init__
+
+    def counting(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(fields.Scalar, "__init__", counting)
+    built = 0
+    for args in candidates:
+        try:
+            frobenius_crossed_product(*args)
+            built += 1
+        except (IncompatibleCocycleData, NonInvertibleAlpha):
+            pass
+    assert (len(candidates), built, len(made)) == (57, 13, 0)
+    assert _passes_light_test(a) and not made
+    assert len(list(commutator_rows(a, commutator_pairs(a)))) > 0 and not made
 
 
 def test_repeated_structure_constants_rejected(f3):
@@ -225,7 +286,7 @@ def test_degenerate_crossed_product_is_group_algebra(f2):
     spec = CrossedProductSpec(d, c2, trivial_sigma(d, c2), constant_alpha(d, c2))
     a = crossed_product(spec)
     b = group_algebra(f2, c2)
-    assert a.degree == b.degree and a.sc == b.sc and a.unit == b.unit
+    assert a.degree == b.degree and a.table == b.table and a.unit == b.unit
 
 
 def test_quaternions_as_crossed_product(q):
@@ -488,7 +549,7 @@ def test_normalized_cyclic_spec_lifts(f3):
     spec = normalize_section(cyclic_algebra_spec(3))
     # alpha was already trivial, so normalization must keep it trivial
     d = spec.coeff
-    assert all(spec.alpha[(g, h)] == tuple(d.unit)
+    assert all(spec.alpha[(g, h)] == d.one().coords
                for g in range(3) for h in range(3))
 
 
@@ -563,7 +624,7 @@ def test_crossed_laws_agree_with_the_scan():
     for spec in corpus:
         alpha = _normalized_alpha(spec)
         table = _crossed_product_table(spec, alpha)
-        e, one = spec.group.identity, spec.coeff.unit
+        e, one = spec.group.identity, spec.coeff.one().coords
         normalized = all(alpha[(g, e)].coords == one == alpha[(e, g)].coords
                          for g in range(spec.group.order))
         try:
@@ -749,7 +810,7 @@ def test_tensor_with_unit_line(f3):
     a = group_algebra(f3, cyclic_group(2))
     one_line = field_as_algebra(f3, f3, cyclic_group(2))
     t = tensor_product(a, one_line)
-    assert t.degree == a.degree and t.sc == a.sc
+    assert t.degree == a.degree and t.table == a.table
 
 
 def test_tensor_rejects_nonabelian(f5):
@@ -795,7 +856,7 @@ def test_ungrade(f3):
 def test_subspace_algebra_full_space(q):
     h = quaternion_algebra(q, -1, -1)
     e = subspace_algebra(h, Subspace.full(q, 4))
-    assert e.dim == 4 and e.sc == h.sc
+    assert e.dim == 4 and e.table == h.table
 
 
 def test_subspace_algebra_quaternion_center(q):
@@ -841,7 +902,7 @@ def test_homogeneous_components_partition(q):
 def test_component_of_group_algebra(f2):
     a = group_algebra(f2, cyclic_group(2))
     e = homogeneous_component(a, 0)
-    assert e.dim == 1 and e.contains_vector(list(a.unit))
+    assert e.dim == 1 and e.contains_vector(a.one().coords)
 
 
 def test_subspace_algebra_non_homogeneous_falls_back_to_trivial_grading(q):

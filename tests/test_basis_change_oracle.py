@@ -54,7 +54,7 @@ def scalar_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAlgebra:
             terms = tuple((k, c) for k, c in enumerate(coords) if not c.is_zero)
             if terms:
                 sc[(i, j)] = terms
-    unit = express(a.unit)
+    unit = express(a.one().coords)
     return GradedAlgebra(a.field, a.group, a.degree, sc, unit,
                          meta={"construction": "basis_change"})
 

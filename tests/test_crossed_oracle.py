@@ -16,6 +16,8 @@ from grasym.errors import GrasymError, IncompatibleCocycleData, NonInvertibleAlp
 from grasym.replicate import HuntParams, default_hunt_params, hunt_candidates, hunt_char2_params
 from grasym.specfile import group_from_dict
 
+from conftest import scalar_table
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
@@ -71,7 +73,7 @@ def _check_crossed_laws(spec: CrossedProductSpec, alpha: dict):
     G = spec.group
     e = G.identity
     sigma = spec.sigma
-    one = tuple(d.unit)
+    one = d.one().coords
     basis = [d.basis_element(i).coords for i in range(d.dim)]
     rest = [g for g in range(G.order) if g != e]
     images = {g: [sigma[g].mulvec(b) for b in basis] for g in range(G.order)}
@@ -149,7 +151,7 @@ def _crossed_product_table(spec: CrossedProductSpec, alpha: dict) -> GradedAlgeb
                         sc[(g * dd + i, h * dd + j)] = terms
     degree = [g for g in range(G.order) for _ in range(dd)]
     unit = [field.zero()] * dim
-    for i, c in enumerate(d.unit):
+    for i, c in enumerate(d.one().coords):
         unit[G.identity * dd + i] = c
     labels = None
     if d.labels is not None:
@@ -171,11 +173,11 @@ def _agree(spec) -> bool:
             algebras._compatible_alpha(spec)
         assert str(raised.value) == str(exc)
         return False
-    raw = algebras._RawCoefficients(spec)
+    raw = algebras._RawCoefficients(spec.coeff, [spec.sigma[g] for g in range(spec.group.order)])
     alpha = algebras._normalized_alpha(spec, raw)
     assert ({gh: raw.ops.wrap(v) for gh, v in alpha.items()}
             == {gh: x.coords for gh, x in scalar_alpha.items()})
-    table = algebras._crossed_product_table(spec, raw, alpha)
+    table = algebras._crossed_product_table(raw, spec.group, alpha)
     assert table == _crossed_product_table(spec, scalar_alpha)
     try:
         _check_crossed_laws(spec, scalar_alpha)
@@ -239,8 +241,8 @@ def builder_agrees(ext, group, sigma_powers, alpha_unit=None) -> bool:
         return False
     got = algebras.frobenius_crossed_product(*args)
     assert got == want
-    assert (got.sc, got.unit, got.degree, got.labels, got.meta) == (
-        want.sc, want.unit, want.degree, want.labels, want.meta)
+    assert (scalar_table(got), got.one().coords, got.degree, got.labels, got.meta) == (
+        scalar_table(want), want.one().coords, want.degree, want.labels, want.meta)
     return True
 
 

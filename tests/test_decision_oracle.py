@@ -68,6 +68,7 @@ from grasym.symmetry import (
     gram_pencil,
     graded_trace_space,
 )
+from conftest import scalar_table
 from test_multipoly import pencil as forms_pencil
 
 
@@ -250,12 +251,13 @@ def symbolic_gram_pencil(a, functionals) -> GramPencil:
     (which checks that every entry is linear homogeneous)."""
     m = len(functionals)
     field = a.field
+    sc = scalar_table(a)
     entries = []
     for i in range(a.dim):
         row = []
         for j in range(a.dim):
             terms = {}
-            for k, c in a.basis_product(i, j):
+            for k, c in sc.get((i, j), ()):
                 for r, lam in enumerate(functionals):
                     lk = lam.coords[k]
                     if lk.is_zero:

@@ -84,6 +84,13 @@ def _quaternion_spec(a):
             "constructor": {"name": "quaternion_algebra", "a": a, "b": -1}}
 
 
+def _spec_with_constant(a, value):
+    """The raw spec of a with its first structure constant replaced by value."""
+    spec = algebra_to_dict(a)
+    spec["algebra"]["sc"][0][3] = value
+    return spec
+
+
 def _rational_spec(unit):
     spec = algebra_to_dict(group_algebra(rationals(), cyclic_group(2)))
     spec["algebra"]["unit"] = unit
@@ -191,6 +198,15 @@ MALFORMED = {
         "check", _write(tmp / "s.json", _rational_spec(["1/0", "0"]))],
     "sc-row-repeated": lambda tmp: [
         "check", _write(tmp / "s.json", _f3_c2_spec_with_sc_row([1, 1, 0, 1]))],
+    # raw-value shapes of other field kinds in a raw block
+    "prime-field-constant-as-a-coefficient-pair": lambda tmp: [
+        "check", _write(tmp / "s.json", _spec_with_constant(
+            group_algebra(make_field(3), cyclic_group(2)), [1, 0]))],
+    "rational-unit-as-a-numerator-denominator-pair": lambda tmp: [
+        "check", _write(tmp / "s.json", _rational_spec([[1, 2], "0"]))],
+    "extension-constant-as-a-long-coefficient-tuple": lambda tmp: [
+        "check", _write(tmp / "s.json", _spec_with_constant(
+            field_as_algebra(make_field(2, [1, 1, 1]), make_field(2, [1, 1, 1])), [1, 0, 0]))],
     "matrix-algebra-huge-n": lambda tmp: [
         "emit", "--constructor", "matrix_algebra", "--field", '{"char":2}',
         "--params", '{"n": 4611686018427387904}'],

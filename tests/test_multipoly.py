@@ -399,8 +399,9 @@ def test_pencil_refuses_a_form_of_the_wrong_length_or_field(f3, f5):
 def test_linear_pencil_sums_the_contributions(f5):
     t1, t2 = var(f5, 2, 0), var(f5, 2, 1)
     two, three = f5.from_int(2), f5.from_int(3)
-    p = multipoly.linear_pencil(f5, 2, 2, [(0, 0, 0, two), (0, 0, 0, three), (0, 1, 1, two),
-                                           (1, 0, 0, three), (1, 0, 1, f5.one())])
+    # the contributions are raw values of F_5
+    p = multipoly.linear_pencil(f5, 2, 2, [(0, 0, 0, 2), (0, 0, 0, 3), (0, 1, 1, 2),
+                                           (1, 0, 0, 3), (1, 0, 1, 1)])
     # 2 t1 + 3 t1 cancels to the zero form
     assert p == pencil(f5, 2, [[MultiPoly.zero(f5, 2), t2 * two],
                                [t1 * three + t2, MultiPoly.zero(f5, 2)]])

@@ -30,7 +30,6 @@ from grasym.algebras import (
     _left_word_generators,
     _passes_light_test,
     _scan_algebra,
-    raw_structure,
     sparse_combination,
 )
 from grasym.linalg import Subspace
@@ -40,6 +39,7 @@ from grasym.replicate import (
     random_small_algebra,
 )
 
+from conftest import scalar_table
 from test_specfile import all_constructor_outputs
 
 
@@ -48,15 +48,14 @@ def _corpus():
 
 
 def _generators(a):
-    ops = a.field.ops
-    return _left_word_generators(ops, raw_structure(a), ops.unwrap(a.unit))
+    return _left_word_generators(a.field.ops, a.table, a.unit)
 
 
 def _generators_on_scalars(a):
     """The greedy choice of _left_word_generators on Subspaces of Scalars: e_b
     joins S when it lies outside the span of 1, which is then closed under
     left multiplication by S."""
-    span = Subspace.from_vectors(a.field, a.dim, [a.unit])
+    span = Subspace.from_vectors(a.field, a.dim, [a.one().coords])
     gens = []
     for b in range(a.dim):
         if span.contains_vector(a.basis_element(b).coords):
@@ -87,22 +86,21 @@ def _light_test_per_triple(a) -> bool:
     and basis index i, comparing (e_i s) e_l with e_i (s e_l) for one l at a
     time."""
     ops = a.field.ops
-    d, zero, e = a.dim, ops.zero, a.group.identity
-    unit = ops.unwrap(a.unit)
+    d, zero, e, unit, rows = a.dim, ops.zero, a.group.identity, a.unit, a.table
     unit_terms = [(k, c) for k, c in enumerate(unit) if c != zero]
     if any(a.degree[k] != e for k, _ in unit_terms):
         return False
-    rows = raw_structure(a)
     cols = [[rows[k][l] for k in range(d)] for l in range(d)]
     for i in range(d):
         basis_vector = {i: ops.one}
         if (sparse_combination(ops, unit_terms, cols[i]) != basis_vector
                 or sparse_combination(ops, unit_terms, rows[i]) != basis_vector):
             return False
-    for (i, j), terms in a.sc.items():
-        want = a.group.mul(a.degree[i], a.degree[j])
-        if any(a.degree[k] != want for k, _ in terms):
-            return False
+    for i, row in enumerate(rows):
+        for j, terms in enumerate(row):
+            want = a.group.mul(a.degree[i], a.degree[j])
+            if any(a.degree[k] != want for k, _ in terms):
+                return False
     for s in _left_word_generators(ops, rows, unit):
         for i in range(d):
             for l in range(d):
@@ -139,7 +137,8 @@ def _mutated(a, rng, values=None):
     i, j = rng.randrange(d), rng.randrange(d)
     graded = a.component_indices(a.group.mul(a.degree[i], a.degree[j]))
     k = rng.choice(graded) if rng.random() < 0.8 else rng.randrange(d)
-    old = dict(a.sc.get((i, j), ())).get(k, field.zero())
+    sc = scalar_table(a)
+    old = dict(sc.get((i, j), ())).get(k, field.zero())
     if values is not None:
         new = rng.choice([v for v in values if v != old])
     else:
@@ -150,9 +149,8 @@ def _mutated(a, rng, values=None):
                 new = field.from_int(rng.randint(-3, 3))
             if new != old:
                 break
-    sc = dict(a.sc)
-    sc[(i, j)] = {**dict(a.sc.get((i, j), ())), k: new}
-    return GradedAlgebra(field, a.group, a.degree, sc, a.unit)
+    sc[(i, j)] = {**dict(sc.get((i, j), ())), k: new}
+    return GradedAlgebra(field, a.group, a.degree, sc, a.one().coords)
 
 
 def test_the_validator_agrees_with_the_scan_on_mutated_tables():
@@ -196,9 +194,9 @@ def test_only_one_generator_can_see_the_failure(s):
     # only the generator x_s fails the check, the first one or the last one
     f3 = make_field(3)
     a = _radical_square_zero(f3, 4)
-    sc = dict(a.sc)
+    sc = scalar_table(a)
     sc[(s, s)] = {0: f3.one()}
-    b = GradedAlgebra(f3, a.group, a.degree, sc, a.unit)
+    b = GradedAlgebra(f3, a.group, a.degree, sc, a.one().coords)
     assert _generators(b) == [1, 2, 3, 4]
     report = _agree(b)
     assert not report.ok
@@ -216,16 +214,16 @@ def test_cyclic_algebras_are_generated_by_x_and_the_group_symbol():
 def test_reports_of_invalid_tables_are_pinned():
     f3, q = make_field(3), rationals()
     a = group_algebra(f3, cyclic_group(2))
-    bad_unit = GradedAlgebra(f3, a.group, a.degree, a.sc, [f3.zero(), f3.one()])
+    bad_unit = GradedAlgebra(f3, a.group, a.degree, scalar_table(a), [f3.zero(), f3.one()])
     assert str(_agree(bad_unit)) == "unit law fails at basis indices [1, 0, 1]"
-    sc = dict(a.sc)
+    sc = scalar_table(a)
     sc[(1, 1)] = ((1, f3.one()),)  # g g = g breaks the grading only
-    bad_grading = GradedAlgebra(f3, a.group, a.degree, sc, a.unit)
+    bad_grading = GradedAlgebra(f3, a.group, a.degree, sc, a.one().coords)
     assert str(_agree(bad_grading)) == "grading law fails at (i,j,k) [(1, 1, 1)]"
     h = quaternion_algebra(q, -1, -1)
-    sc = dict(h.sc)
+    sc = scalar_table(h)
     sc[(1, 2)] = ((3, q.from_int(2)),)  # i j = 2k
-    report = _agree(GradedAlgebra(q, h.group, h.degree, sc, h.unit))
+    report = _agree(GradedAlgebra(q, h.group, h.degree, sc, h.one().coords))
     assert str(report) == (
         "associativity fails at (i,j,l) [(1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 2, 2), "
         "(1, 2, 3), (1, 3, 1), (2, 1, 2), (2, 3, 2), (3, 1, 2), (3, 2, 2)]")
@@ -256,7 +254,7 @@ def _q_corpus():
 def test_q_tables_with_fractional_constants():
     # the rationals are compared on ints after scaling by a common denominator
     q = rationals()
-    assert _q_corpus()[0].basis_product(1, 1) == ((0, q.scalar("1/2")),)  # i^2 = 1/2
+    assert scalar_table(_q_corpus()[0])[(1, 1)] == ((0, q.scalar("1/2")),)  # i^2 = 1/2
     for a in _q_corpus():
         assert _agree(a).ok, a
     values = [q.scalar(v) for v in ("2/3", "-5/7", "1/2", "-3/5", "3", "0", "-1")]
@@ -358,3 +356,43 @@ def test_the_nucleus_test_builds_two_maps_per_generator_and_basis_vector(monkeyp
     assert len(maps) == 2 * d * len(gens) + 2
     # the only sparse_combination calls left close the span of the left words
     assert len(combinations) < 2 * d * len(gens)
+
+
+def _rebuilt(a):
+    """a through the public constructor, from its table and unit wrapped
+    into Scalars."""
+    return GradedAlgebra(a.field, a.group, a.degree, scalar_table(a), a.one().coords,
+                         labels=a.labels, meta=a.meta)
+
+
+def test_the_public_constructor_is_the_oracle_of_the_raw_tables():
+    # every builder hands its raw table to GradedAlgebra._from_raw; the
+    # Scalar constructor, fed the same table wrapped, must give the same
+    # algebra and the same spec bytes
+    from grasym import crossed_product
+    from grasym.errors import IncompatibleCocycleData, NonInvertibleAlpha
+    from grasym.replicate import HuntParams, hunt_candidates, hunt_char2_params
+    from grasym.specfile import algebra_from_dict, algebra_to_dict, canonical_json
+
+    from test_algebras import _crossed_law_corpus
+
+    corpus = _corpus()
+    corpus += [random_graded_basis_change(a, random.Random(seed))
+               for a in corpus if a.field.is_finite for seed in range(3)]
+    crossed, frobenius = [], []
+    for spec in _crossed_law_corpus():
+        try:
+            crossed.append(crossed_product(spec))
+        except (IncompatibleCocycleData, NonInvertibleAlpha):
+            pass
+    for params in (hunt_char2_params(), HuntParams(3, (1, 3), (("cyclic", 3),))):
+        for _, spec in hunt_candidates(params):
+            try:
+                frobenius.append(algebra_from_dict(spec))
+            except IncompatibleCocycleData:
+                pass
+    assert (len(crossed), len(frobenius)) == (21, 13 + 4)
+    for a in corpus + crossed + frobenius:
+        b = _rebuilt(a)
+        assert b == a, a
+        assert canonical_json(algebra_to_dict(b)) == canonical_json(algebra_to_dict(a))
