@@ -6,10 +6,11 @@ sparse structure constants e_i e_j = sum_k c_{ij}^k e_k.  It stores them once,
 as raw values of the field (field.ops), in the table a.table[i][j] of sorted
 (k, c_{ij}^k) pairs, and its unit as raw coordinates; every builder, kernel
 and check here reads and writes that table as it is, and Scalars are made
-only for elements, matrices, subspaces and the public constructor's input.
-Each constructor returns a valid algebra from valid inputs, for the reason
-its docstring gives, without scanning it.  validate_algebra checks unit laws, the grading law
-(c_{ij}^k nonzero forces deg k = deg i * deg j), homogeneity of the unit, and
+only for elements, matrices, subspaces and the public constructor's input;
+every inverse is one raw solve of L_x y = 1.  Each constructor returns a
+valid algebra from valid inputs, for the reason its docstring gives, without
+scanning it.  validate_algebra checks unit laws, the grading law (c_{ij}^k
+nonzero forces deg k = deg i * deg j), homogeneity of the unit, and
 associativity; it runs on raw spec-file blocks.  Associativity is decided by
 Light's test: the middle nucleus N = {a : (xa)y = x(ay) for all x, y} is a
 subalgebra, since for a, b in N, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
@@ -24,8 +25,8 @@ Crossed products are built from a coefficient algebra D, an action map sigma
 and a twisting map alpha.  Their compatibility, sigma's automorphism laws
 included, is decided in D by the crossed-product identities before any
 structure constant of the product is built, and incompatible data is reported
-with the law that fails and where.  The laws, the normalization of alpha and
-the product's table all run on raw field values, as validation does.
+with the law that fails and where.  The laws, the normalization of alpha,
+the product's table and normalize_section run on raw values.
 Every crossed product of a finite field by Frobenius powers with a unit twist
 (the cyclic algebras, the replication corpus, spec-file constructor blocks and
 hunt candidates) is built by the one builder frobenius_crossed_product.  It
@@ -203,6 +204,19 @@ def _left_rows(a: GradedAlgebra, x) -> list:
     return rows
 
 
+def _solve_raw(ops, rows, b) -> tuple | None:
+    """One solution y of M y = b, or None, for raw rows M and a raw b, by
+    eliminate_raw on [M | b].  With M = L_x and b = 1 it is x^-1: a right
+    inverse in a finite-dimensional algebra is two-sided."""
+    n = len(rows[0])
+    m = [list(row) + [v] for row, v in zip(rows, b)]
+    pivots = eliminate_raw(ops, m, n + 1)
+    if n in pivots:
+        return None
+    value = dict(zip(pivots, (row[n] for row in m)))
+    return tuple(value.get(c, ops.zero) for c in range(n))
+
+
 class Element:
     """An algebra element: a coordinate vector tied to its owner."""
 
@@ -263,11 +277,9 @@ class Element:
 
     def inverse(self) -> "Element | None":
         """Two-sided inverse, or None; x is invertible iff L_x is nonsingular."""
-        lm = self.owner.left_mult_matrix(self)
-        sol = lm.solve(self.owner.one().coords)
-        if sol is None:
-            return None
-        return Element(self.owner, sol)
+        a, ops = self.owner, self.owner.field.ops
+        y = _solve_raw(ops, _left_rows(a, ops.unwrap(self.coords)), a.unit)
+        return None if y is None else Element(a, ops.wrap(y))
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of the nonzero coordinates, or None if mixed/zero."""
@@ -638,8 +650,8 @@ class _RawCoefficients:
     values (D.field.ops).
 
     An element of D is the tuple of its raw coordinates.  left(x) gives the
-    rows of L_x : y -> x y, built from D's table once per distinct x, so
-    mul(x, y) is ops.forms_at of L_x at y.  act(g, x) applies sigma(g)
+    rows of L_x : y -> x y once per distinct x, so mul(x, y) is ops.forms_at
+    of L_x at y and inverse(x) solves L_x y = 1.  act(g, x) applies sigma(g)
     through its unwrapped rows, and images[g] lists its columns sigma(g)(e_i).
     """
 
@@ -669,17 +681,8 @@ class _RawCoefficients:
         return tuple(self.ops.forms_at(self.sigma[g], x))
 
     def inverse(self, x):
-        """x^-1, or None when x is not invertible: the solution of L_x y = 1
-        that Element.inverse finds, by eliminate_raw on [L_x | 1]."""
-        ops, n = self.ops, len(x)
-        m = [row + [self.one[k]] for k, row in enumerate(self.left(x))]
-        pivots = eliminate_raw(ops, m, n + 1)
-        if n in pivots:
-            return None
-        y = [ops.zero] * n
-        for r, p in enumerate(pivots):
-            y[p] = m[r][n]
-        return tuple(y)
+        """x^-1, or None: Element.inverse's solve, on the cached rows of L_x."""
+        return _solve_raw(self.ops, self.left(x), self.one)
 
 
 def _normalized_alpha(spec: CrossedProductSpec, raw: _RawCoefficients) -> dict:
@@ -917,21 +920,17 @@ def normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
         return spec
     d = spec.coeff
     raw, alpha = _compatible_alpha(spec)
-    alpha = {gh: Element(d, raw.ops.wrap(v)) for gh, v in alpha.items()}
-    sigma = spec.sigma
-
-    def act(g: int, x: Element) -> Element:
-        return Element(d, sigma[g].mulvec(x.coords))
-
-    c = {g: d.one() if g <= G.inv(g) else act(g, alpha[(G.inv(g), g)].inverse())
-         for g in range(G.order)}
-    c_inv = {g: x.inverse() for g, x in c.items()}
+    mul, act, wrap = raw.mul, raw.act, raw.ops.wrap
+    c = [raw.one if g <= G.inv(g) else act(g, raw.inverse(alpha[(G.inv(g), g)]))
+         for g in range(G.order)]
+    c_inv = [raw.inverse(x) for x in c]
     new_sigma = {}
     for g in range(G.order):
-        cols = [(c[g] * act(g, d.basis_element(j)) * c_inv[g]).coords
-                for j in range(d.dim)]
-        new_sigma[g] = Matrix(d.field, cols).transpose()
-    new_alpha = {(g, h): (c[g] * act(g, c[h]) * alpha[(g, h)] * c_inv[G.mul(g, h)]).coords
+        # column j of sigma'(g) is c_g sigma(g)(e_j) c_g^-1
+        cols = [mul(mul(c[g], column), c_inv[g]) for column in raw.images[g]]
+        new_sigma[g] = Matrix(d.field, [wrap(row) for row in zip(*cols)])
+    new_alpha = {(g, h): wrap(mul(mul(mul(c[g], act(g, c[h])), alpha[(g, h)]),
+                                  c_inv[G.mul(g, h)]))
                  for g in range(G.order) for h in range(G.order)}
     return CrossedProductSpec(coeff=d, group=G, sigma=new_sigma, alpha=new_alpha)
 

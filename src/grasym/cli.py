@@ -210,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_invariants)
 
     p = sub.add_parser("replicate", help="run the replication suite")
-    p.add_argument("--all", action="store_true", help="run every criterion (default)")
-    p.add_argument("--name", action="append", help="run only this criterion")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="run every criterion (default)")
+    which.add_argument("--name", action="append", help="run only this criterion")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(fn=_cmd_replicate)
 

@@ -42,10 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebras import Element, GradedAlgebra
+from .algebras import Element, GradedAlgebra, _solve_raw
 from .errors import AmbientMismatch
 from .fields import Scalar
-from .linalg import Matrix, Subspace, lane_width, packed_nonsingular, sparse_kernel, sparse_span
+from .linalg import Subspace, lane_width, packed_nonsingular, sparse_kernel, sparse_span
 from .multipoly import linear_pencil, nonvanishing_point, structured_det
 
 SCAN_BOUND = 10 ** 6
@@ -288,15 +288,15 @@ def _scan_division(e_alg: GradedAlgebra):
 
 def _min_poly(e_alg: GradedAlgebra, el: Element):
     """Minimal polynomial coefficients (monic, low first) of el over the rationals."""
-    rows = [list(e_alg.one().coords)]
-    power = e_alg.one()
+    ops = e_alg.field.ops
+    powers, power = [e_alg.unit], e_alg.one()
     for _ in range(e_alg.dim):
         power = power * el
         # None while the powers so far stay linearly independent
-        deps = Matrix(e_alg.field, rows).transpose().solve(list(power.coords))
+        deps = _solve_raw(ops, list(zip(*powers)), ops.unwrap(power.coords))
         if deps is not None:
-            return [-c for c in deps] + [e_alg.field.one()]
-        rows.append(list(power.coords))
+            return [-c for c in ops.wrap(deps)] + [e_alg.field.one()]
+        powers.append(ops.unwrap(power.coords))
     raise AssertionError("minimal polynomial must exist in a finite-dimensional algebra")
 
 

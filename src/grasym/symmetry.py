@@ -48,7 +48,7 @@ from .errors import (
     OwnerMismatch,
 )
 from .invariants import commutator_pairs, commutator_rows, graded_commutator_space
-from .linalg import Matrix, Subspace, sparse_kernel
+from .linalg import Matrix, Subspace, eliminate_raw, sparse_kernel
 from .multipoly import GramPencil, linear_pencil, nonvanishing_point, structured_det
 
 MODES = ("graded-symmetric", "graded-frobenius", "symmetric", "frobenius")
@@ -110,19 +110,28 @@ def _check_mode(mode: str):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _asymmetric_pairs(a: GradedAlgebra, coords):
-    """Basis pairs i < j, in order, where the functional with these
-    coordinates does not vanish on the commutator [e_i, e_j]."""
-    ops, table = a.field.ops, a.table
-    x = ops.unwrap(coords)
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            v = ops.zero
-            for k, c in table[i][j]:
-                v = ops.add(v, ops.mul(c, x[k]))
-            for k, c in table[j][i]:
-                v = ops.sub(v, ops.mul(c, x[k]))
-            if not ops.is_zero(v):
+def _gram_rows(a: GradedAlgebra, lam: LinearFunctional) -> list:
+    """The rows of the Gram matrix (i, j) -> lam(e_i e_j) on raw values, in one
+    pass over the table: every Gram question of this module reads them."""
+    ops = a.field.ops
+    x = ops.unwrap(lam.coords)
+
+    def value(terms):
+        acc = ops.zero
+        for k, c in terms:
+            if not ops.is_zero(x[k]):
+                acc = ops.add(acc, ops.mul(c, x[k]))
+        return acc
+
+    return [[value(terms) for terms in row] for row in a.table]
+
+
+def _asymmetric_pairs(gram):
+    """Pairs i < j, in order, where lam([e_i, e_j]) = gram[i][j] - gram[j][i]
+    is nonzero, for lam's raw Gram rows: canonical raw values differ there."""
+    for i, row in enumerate(gram):
+        for j in range(i + 1, len(gram)):
+            if row[j] != gram[j][i]:
                 yield i, j
 
 
@@ -165,22 +174,10 @@ def _check_owner(a: GradedAlgebra, lam: LinearFunctional):
 
 
 def gram_matrix(a: GradedAlgebra, lam: LinearFunctional) -> Matrix:
-    """The bilinear form (i, j) -> lam(e_i e_j) as an exact matrix, computed
-    on raw values."""
+    """The bilinear form (i, j) -> lam(e_i e_j) as an exact matrix: the rows
+    of _gram_rows, wrapped once."""
     _check_owner(a, lam)
-    ops = a.field.ops
-    x = ops.unwrap(lam.coords)
-    entries = []
-    for row in a.table:
-        values = []
-        for terms in row:
-            acc = ops.zero
-            for k, c in terms:
-                if not ops.is_zero(x[k]):
-                    acc = ops.add(acc, ops.mul(c, x[k]))
-            values.append(acc)
-        entries.append(ops.wrap(values))
-    return Matrix(a.field, entries)
+    return Matrix(a.field, map(a.field.ops.wrap, _gram_rows(a, lam)))
 
 
 def gram_pencil(a: GradedAlgebra, functionals) -> GramPencil:
@@ -205,10 +202,11 @@ def verify_certificate(a: GradedAlgebra, lam: LinearFunctional, mode: str):
 
     Checks, from scratch: vanishing off the identity component (graded
     modes), lam([e_i, e_j]) = 0 for every basis pair (symmetric modes), and
-    exact full rank of the evaluated Gram matrix.
+    exact full rank of the evaluated Gram matrix, both from one _gram_rows.
     """
     _check_mode(mode)
     _check_owner(a, lam)
+    gram = _gram_rows(a, lam)
     checks = []
     e = a.group.identity
     if mode.startswith("graded-"):
@@ -217,10 +215,10 @@ def verify_certificate(a: GradedAlgebra, lam: LinearFunctional, mode: str):
         checks.append(("vanishing-off-identity-component", not bad,
                        f"nonzero at indices {bad[:5]}" if bad else ""))
     if mode in ("graded-symmetric", "symmetric"):
-        bad_pairs = list(_asymmetric_pairs(a, lam.coords))
+        bad_pairs = list(_asymmetric_pairs(gram))
         checks.append(("symmetry-on-all-pairs", not bad_pairs,
                        f"asymmetric at pairs {bad_pairs[:5]}" if bad_pairs else ""))
-    rank = gram_matrix(a, lam).rank()
+    rank = len(eliminate_raw(a.field.ops, gram, a.dim))
     checks.append(("gram-full-rank", rank == a.dim, f"rank {rank} of {a.dim}"))
     return CertificateReport(all(ok for _, ok, _ in checks), tuple(checks), rank)
 
@@ -279,7 +277,7 @@ def decide_form_existence(a: GradedAlgebra, mode: str, division=None) -> Symmetr
     elif result.found:
         basis = Matrix(a.field, space.basis)
         witness = LinearFunctional(a, basis.transpose().mulvec(result.point))
-        rank = gram_matrix(a, witness).rank()
+        rank = len(eliminate_raw(a.field.ops, _gram_rows(a, witness), a.dim))
         if rank != a.dim:
             raise AssertionError("point search returned a degenerate witness")
         verdict = SymmetryVerdict(mode, "yes", witness=witness, gram_rank=rank,
@@ -319,7 +317,7 @@ def decide_by_enumeration(a: GradedAlgebra, mode: str):
     combine = Matrix(a.field, space.basis).transpose()
     for coeffs in itertools.islice(a.field.vectors(space.dim), 1, None):
         lam = LinearFunctional(a, combine.mulvec(coeffs))
-        if gram_matrix(a, lam).rank() == a.dim:
+        if len(eliminate_raw(a.field.ops, _gram_rows(a, lam), a.dim)) == a.dim:
             return "yes", lam
     return "no", None
 
@@ -342,7 +340,7 @@ def average_functional(spec: CrossedProductSpec, mu: LinearFunctional) -> Linear
             f"characteristic {d.field.char} divides |G| = {g_order}")
     if mu(d.one()).is_zero:
         raise AsymmetricMu("mu(1) must be nonzero")
-    bad = next(_asymmetric_pairs(d, mu.coords), None)
+    bad = next(_asymmetric_pairs(_gram_rows(d, mu)), None)
     if bad is not None:
         raise AsymmetricMu("mu is not symmetric at basis pair ({},{})".format(*bad))
     coords = [d.field.zero()] * d.dim
@@ -378,7 +376,7 @@ def lift_functional(spec: CrossedProductSpec, lam: LinearFunctional) -> LinearFu
             raise NotNormalized(f"alpha({g}, {g}^-1) differs from 1")
     if lam.is_zero:
         raise InvalidCertificate("the zero functional cannot be lifted")
-    if any(_asymmetric_pairs(d, lam.coords)):
+    if any(_asymmetric_pairs(_gram_rows(d, lam))):
         raise AsymmetricMu("functional is not symmetric on the coefficients")
     for g in range(G.order):
         if _pullback(lam, spec.sigma[g]) != lam.coords:

@@ -67,3 +67,13 @@ def scalar_table(a) -> dict:
     wrap = a.field.ops.wrap
     return {(i, j): tuple(zip([k for k, _ in terms], wrap([c for _, c in terms])))
             for i, row in enumerate(a.table) for j, terms in enumerate(row) if terms}
+
+
+def scalar_inverse(x):
+    """The inverse of the Element x on the Scalar path that Element.inverse
+    replaced, the solve of L_x y = 1 by Matrix.solve: an Element, or None."""
+    from grasym import Element
+
+    a = x.owner
+    y = a.left_mult_matrix(x).solve(a.one().coords)
+    return None if y is None else Element(a, y)

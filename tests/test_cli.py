@@ -99,6 +99,14 @@ def test_replicate_unknown_name(capsys):
     assert main(["replicate", "--name", "nonsense"]) == 3
 
 
+def test_replicate_all_and_name_exclude_each_other(capsys):
+    # --all runs every criterion, so it cannot also run only one
+    assert main(["replicate", "--all", "--name", "matrix-commutator-dimension"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_hunt_small(tmp_path, capsys):
     report_path = str(tmp_path / "hunt.json")
     code = main(["hunt", "--char", "2", "--max-group", "2", "--max-ext", "2",

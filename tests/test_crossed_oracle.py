@@ -1,7 +1,9 @@
 """The crossed-product pipeline on raw field values (algebras._compatible_alpha
 and algebras._crossed_product_table) against the Scalar version it replaced,
 kept here as its oracle: the same exception class and message, or the same
-normalized alpha and the same table.  Then algebras.frobenius_crossed_product,
+normalized alpha and the same table.  normalize_section, which computes its
+coboundary on raw values, against the same computation on Elements and
+Matrices.  Then algebras.frobenius_crossed_product,
 which decides the laws on Frobenius exponents, against
 crossed_product(frobenius_crossed_spec(...)), which decides them in D."""
 
@@ -10,13 +12,20 @@ from pathlib import Path
 
 import pytest
 
-from grasym import CrossedProductSpec, Element, GradedAlgebra, cyclic_algebra_spec, make_field
+from grasym import (
+    CrossedProductSpec,
+    Element,
+    GradedAlgebra,
+    Matrix,
+    cyclic_algebra_spec,
+    make_field,
+)
 from grasym import algebras
 from grasym.errors import GrasymError, IncompatibleCocycleData, NonInvertibleAlpha
 from grasym.replicate import HuntParams, default_hunt_params, hunt_candidates, hunt_char2_params
 from grasym.specfile import group_from_dict
 
-from conftest import scalar_table
+from conftest import scalar_inverse, scalar_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -40,7 +49,7 @@ def _normalized_alpha(spec: CrossedProductSpec) -> dict:
                 raise IncompatibleCocycleData(f"alpha missing at pair ({g},{h})")
             el = Element(d, val)
             if el.coords not in inverses:
-                inverses[el.coords] = el.inverse()
+                inverses[el.coords] = scalar_inverse(el)
             if inverses[el.coords] is None:
                 raise NonInvertibleAlpha(f"alpha({g},{h}) is not invertible in D")
             alpha[(g, h)] = el
@@ -278,3 +287,58 @@ def test_cyclic_algebra_is_the_product_of_its_spec(p):
     a = algebras.cyclic_algebra(p)
     b = algebras.crossed_product(cyclic_algebra_spec(p))
     assert a == b and a.meta == {"construction": "cyclic_algebra", "p": p}
+
+
+# -- normalize_section against its computation on Elements -----------------------------
+
+def scalar_normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
+    """normalize_section on Elements and Matrices, as it ran before it moved
+    to raw coefficients, for compatible data: the oracle."""
+    G = spec.group
+    if all(G.element_order(g) <= 2 for g in range(G.order)):
+        return spec
+    d = spec.coeff
+    alpha = _normalized_alpha(spec)
+    sigma = spec.sigma
+
+    def act(g: int, x: Element) -> Element:
+        return Element(d, sigma[g].mulvec(x.coords))
+
+    c = {g: d.one() if g <= G.inv(g) else act(g, scalar_inverse(alpha[(G.inv(g), g)]))
+         for g in range(G.order)}
+    c_inv = {g: scalar_inverse(x) for g, x in c.items()}
+    new_sigma = {}
+    for g in range(G.order):
+        cols = [(c[g] * act(g, d.basis_element(j)) * c_inv[g]).coords
+                for j in range(d.dim)]
+        new_sigma[g] = Matrix(d.field, cols).transpose()
+    new_alpha = {(g, h): (c[g] * act(g, c[h]) * alpha[(g, h)] * c_inv[G.mul(g, h)]).coords
+                 for g in range(G.order) for h in range(G.order)}
+    return CrossedProductSpec(coeff=d, group=G, sigma=new_sigma, alpha=new_alpha)
+
+
+def _normalize_section_corpus() -> list:
+    """Specs over groups with elements of order > 2: the cyclic algebras of
+    degree 3 and 5, the 4 accepted candidates of the pinned char-3 C_3 hunt
+    as Frobenius specs, and the coboundary-twisted quaternions."""
+    from test_algebras import _coboundary_twisted_quaternions
+
+    specs = [cyclic_algebra_spec(3), cyclic_algebra_spec(5)]
+    for _, s in hunt_candidates(HuntParams(3, (1, 3), (("cyclic", 3),))):
+        try:
+            algebras.frobenius_crossed_product(*_candidate_args(s))
+        except IncompatibleCocycleData:
+            continue
+        specs.append(_candidate_spec(s))
+    return specs + [_coboundary_twisted_quaternions()]
+
+
+def test_raw_normalize_section_matches_the_element_computation():
+    specs = _normalize_section_corpus()
+    assert len(specs) == 7
+    for spec in specs:
+        got, want = algebras.normalize_section(spec), scalar_normalize_section(spec)
+        assert got is not spec
+        assert got.sigma == want.sigma and got.alpha == want.alpha
+        assert algebras.crossed_product(got) == _crossed_product_table(
+            want, _normalized_alpha(want))

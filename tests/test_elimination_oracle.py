@@ -1,11 +1,26 @@
-"""Matrix.rref reduces raw field values; the old reduction on Scalars is the oracle."""
+"""Matrix.rref reduces raw field values; the old reduction on Scalars is the oracle.
+Element.inverse solves L_x y = 1 on raw values; Matrix.solve on the Scalar
+matrix L_x is its oracle."""
 
+import itertools
+import random
 from unittest import mock
 
 import pytest
 
-from grasym import Matrix, make_field, rationals
+from grasym import (
+    Matrix,
+    cyclic_group,
+    group_algebra,
+    make_field,
+    quaternion_algebra,
+    rationals,
+    sweedler_algebra,
+)
 from grasym.errors import AmbientMismatch
+from grasym.replicate import dim4_f2_corpus, random_small_algebra
+
+from conftest import scalar_inverse
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -102,3 +117,44 @@ def test_raw_elimination_matches_the_scalar_reduction(case):
     with mock.patch.object(Matrix, "rref", scalar_rref):
         want = _results(mat, rhs)
     assert got == want
+
+
+# -- Element.inverse: one raw solve of L_x y = 1, against Matrix.solve -------------
+
+def _inverse_corpus():
+    """(algebra, elements) pairs: every element of each dim4_f2_corpus algebra
+    and of group algebras over F_4 and F_9, sampled elements of random
+    draws over F_3 and F_5, and small-coordinate elements of quaternion and
+    Sweedler algebras over Q; each but the Q quaternions (-1, -1) has zero
+    divisors."""
+    out = [(a, list(a.field.vectors(a.dim))) for _, a in dim4_f2_corpus()]
+    out += [(a, list(a.field.vectors(a.dim))) for a in (
+        group_algebra(ORACLE_FIELDS["F4"], cyclic_group(3)),
+        group_algebra(ORACLE_FIELDS["F9"], cyclic_group(2)))]
+    for p in (3, 5):
+        field, rng = make_field(p), random.Random(700 + p)
+        for _ in range(8):
+            a = random_small_algebra(field, rng)
+            # each coordinate is zero half the time, so that zero divisors come up
+            out.append((a, [[rng.randrange(p) if rng.random() < 0.5 else 0
+                             for _ in range(a.dim)] for _ in range(40)]))
+    q = rationals()
+    small = [q.from_int(-1), q.zero(), q.one(), q.from_int(2) / q.from_int(3)]
+    for a in (quaternion_algebra(q, -1, -1), quaternion_algebra(q, 1, -1), sweedler_algebra(q)):
+        out.append((a, list(itertools.product(small, repeat=4))))
+    return out
+
+
+def test_raw_inverse_matches_the_scalar_solve():
+    inverses = zero_divisors = 0
+    for a, vectors in _inverse_corpus():
+        for coords in vectors:
+            x = a.element(coords)
+            got = x.inverse()
+            assert got == scalar_inverse(x), (a, x)
+            if got is None:
+                zero_divisors += 1
+            else:
+                inverses += 1
+                assert x * got == a.one() == got * x
+    assert inverses > 1000 and zero_divisors > 500

@@ -12,6 +12,7 @@ from grasym import (
     center,
     crossed_product,
     cyclic_algebra,
+    cyclic_algebra_spec,
     cyclic_group,
     decide_by_enumeration,
     decide_form_existence,
@@ -556,3 +557,35 @@ def test_a_yes_within_the_walk_never_expands_a_block(monkeypatch):
 
     monkeypatch.setattr(multipoly, "pencil_det", refuse)
     _verified_yes(cyclic_algebra(5), "graded-frobenius")
+
+
+def test_decisions_and_normalization_run_no_scalar_elimination(monkeypatch):
+    # inverses, Gram symmetry and Gram ranks reduce raw rows: no Matrix.rref
+    # or Matrix.solve runs on the way to a verdict or a normalized section
+    from grasym.errors import IncompatibleCocycleData
+    from grasym.replicate import hunt_candidates, hunt_char2_params
+    from grasym.specfile import algebra_from_dict
+
+    accepted = []
+    for _, spec in hunt_candidates(hunt_char2_params()):
+        try:
+            accepted.append(algebra_from_dict(spec))
+        except IncompatibleCocycleData:
+            continue
+    assert len(accepted) == 13
+    calls = []
+    for name in ("rref", "solve"):
+        def counted(self, *args, _name=name, _fn=getattr(Matrix, name)):
+            calls.append(_name)
+            return _fn(self, *args)
+        monkeypatch.setattr(Matrix, name, counted)
+    runs = [(a, mode) for a in accepted for mode in ("graded-symmetric", "graded-frobenius")]
+    runs.append((cyclic_algebra(5), "graded-frobenius"))
+    yes = 0
+    for a, mode in runs:
+        verdict = decide_form_existence(a, mode, division=is_graded_division(a))
+        if verdict.is_yes:
+            assert verify_certificate(a, verdict.witness, mode).ok
+            yes += 1
+    normalize_section(cyclic_algebra_spec(5))
+    assert yes > 0 and calls == []
