@@ -79,6 +79,7 @@ from .symmetry import (
     decide_form_existence,
     graded_division_criterion,
     graded_trace_space,
+    graded_trace_witness,
     gram_matrix,
     gram_pencil,
     lift_functional,

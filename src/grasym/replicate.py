@@ -56,9 +56,11 @@ from .symmetry import (
     LinearFunctional,
     _pullback,
     average_functional,
+    check_division_criterion,
     decide_by_enumeration,
     decide_form_existence,
     graded_trace_space,
+    graded_trace_witness,
     lift_functional,
     matrix_trace_functional,
     verify_certificate,
@@ -364,6 +366,18 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     """Search small crossed products for a graded division algebra that is not
     graded symmetric; expected (and so far observed) to come back empty.
 
+    Each graded division candidate is certified, not decided: the hunt
+    builds symmetry.graded_trace_witness, the regular trace of the identity
+    component, and checks it with verify_certificate.  A verified witness
+    means the candidate is graded symmetric, so it is no finding, and the
+    division criterion is cross-checked against that "yes"
+    (symmetry.check_division_criterion).  Over a finite field the identity
+    component of a graded division algebra is a field and the witness its
+    nonzero trace form, so it always verifies; decide_form_existence runs
+    only as the fallback when it does not, and its No verdicts are the
+    findings.  Whether a finding can exist over any field is the open note
+    of symmetry.graded_division_criterion.
+
     Candidates whose data fails the crossed-product laws (so that the product
     would not be an associative unital algebra) are counted separately, never
     treated as errors.  With checkpoint_path set, progress is written every
@@ -421,11 +435,15 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
             verdict = is_graded_division(a)
             if verdict.is_yes:
                 report.division_count += 1
-                decision = decide_form_existence(a, "graded-symmetric", division=verdict)
-                if decision.status == "no":
-                    report.non_symmetric_instances.append(spec)
-                elif decision.status == "no-over-base-field":
-                    report.no_base_field_point_instances.append(spec)
+                lam = graded_trace_witness(a)
+                if verify_certificate(a, lam, "graded-symmetric").ok:
+                    check_division_criterion(a, "yes")
+                else:
+                    decision = decide_form_existence(a, "graded-symmetric", division=verdict)
+                    if decision.status == "no":
+                        report.non_symmetric_instances.append(spec)
+                    elif decision.status == "no-over-base-field":
+                        report.no_base_field_point_instances.append(spec)
         if (index + 1) % CHECKPOINT_EVERY == 0:
             save_checkpoint(index + 1)
     save_checkpoint(report.candidates_enumerated)

@@ -301,6 +301,79 @@ def test_hunt_finding_reverifies():
     assert a.dim == 4 and validate_algebra(a).ok
 
 
+def _accepted(params):
+    """The graded division candidates of a hunt, with their division verdicts."""
+    from grasym.errors import IncompatibleCocycleData
+    from grasym.invariants import is_graded_division
+    for _, spec in hunt_candidates(params):
+        try:
+            a = algebra_from_dict(spec)
+        except IncompatibleCocycleData:
+            continue
+        verdict = is_graded_division(a)
+        if verdict.is_yes:
+            yield a, verdict
+
+
+@pytest.mark.parametrize("params, accepted", [
+    (hunt_char2_params(), 13),
+    (HuntParams(3, (1, 3), (("cyclic", 3),)), 4),
+    (HuntParams(2, (4,), (("cyclic", 2),)), 18),
+    (HuntParams(7, (2,), (("cyclic", 2),)), 54),
+    (HuntParams(11, (2,), (("cyclic", 2),)), 130),
+    (HuntParams(3, (3,), (("cyclic", 2),)), 26),
+], ids=["char2-pinned", "char3-C3", "F16-C2", "F49-C2", "F121-C2", "F27-C2"])
+def test_trace_witness_and_engine_agree_on_every_accepted_candidate(params, accepted):
+    # the engine stays the oracle of the hunt's certificate
+    from grasym import decide_form_existence, graded_trace_witness, verify_certificate
+    count = 0
+    for a, verdict in _accepted(params):
+        assert verify_certificate(a, graded_trace_witness(a), "graded-symmetric").ok
+        assert decide_form_existence(a, "graded-symmetric", division=verdict).is_yes
+        count += 1
+    assert count == accepted
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_hunt_certifies_without_the_engine_and_cross_checks_every_candidate(monkeypatch):
+    from grasym import replicate, symmetry
+    decided = _count_calls(monkeypatch, replicate, "decide_form_existence")
+    checked = _count_calls(monkeypatch, symmetry, "graded_division_criterion")
+    report = hunt_counterexample(hunt_char2_params())
+    assert report.division_count == 13
+    assert decided == [] and len(checked) == 13
+
+
+def test_hunt_falls_back_to_the_engine_when_the_witness_fails(monkeypatch):
+    from grasym import replicate, symmetry
+    from grasym.symmetry import LinearFunctional
+    expected = hunt_counterexample(hunt_char2_params()).to_dict()
+    monkeypatch.setattr(replicate, "graded_trace_witness",
+                        lambda a: LinearFunctional(a, [a.field.zero()] * a.dim))
+    decided = _count_calls(monkeypatch, replicate, "decide_form_existence")
+    checked = _count_calls(monkeypatch, symmetry, "graded_division_criterion")
+    report = hunt_counterexample(hunt_char2_params())
+    assert len(decided) == len(checked) == report.division_count == 13
+    assert report.to_dict() == expected
+
+
+def test_hunt_cross_check_catches_a_disagreeing_criterion(monkeypatch):
+    from grasym import symmetry
+    monkeypatch.setattr(symmetry, "graded_division_criterion", lambda a: False)
+    with pytest.raises(AssertionError, match="disagrees"):
+        hunt_counterexample(hunt_char2_params())
+
+
 def test_hunt_char3_small():
     p = HuntParams(3, (1,), (("cyclic", 2),))
     report = hunt_counterexample(p)

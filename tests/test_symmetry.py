@@ -21,6 +21,7 @@ from grasym import (
     good_matrix_algebra,
     graded_division_criterion,
     graded_trace_space,
+    graded_trace_witness,
     gram_matrix,
     gram_pencil,
     group_algebra,
@@ -294,6 +295,44 @@ def test_certificate_detects_asymmetry(f5):
     assert not rep.ok
     names = {name for name, ok, _ in rep.checks if not ok}
     assert "symmetry-on-all-pairs" in names
+
+
+def _regular_trace(a):
+    """lam(e_k) = tr(L_{e_k} on A_e) by Element products, 0 off A_e."""
+    f = a.field
+    idx = a.component_indices(a.group.identity)
+    coords = [f.zero()] * a.dim
+    for k in idx:
+        for j in idx:
+            coords[k] = coords[k] + (a.basis_element(k) * a.basis_element(j)).coords[j]
+    return coords
+
+
+@pytest.mark.parametrize("build, lam_of_one", [
+    # char 3 and 5 divide dim A_e = 3 and 5: lam(1) = 0, yet lam is the
+    # nonzero trace form of F_27 and F_3125, so it still certifies
+    (lambda: cyclic_algebra(3), 0),
+    (lambda: cyclic_algebra(5), 0),
+    # A_e = Q, so lam(1) = dim A_e = 1
+    (lambda: quaternion_algebra(make_field(0), -1, -1), 1),
+])
+def test_graded_trace_witness_certifies_division_algebras(build, lam_of_one):
+    a = build()
+    lam = graded_trace_witness(a)
+    assert list(lam.coords) == _regular_trace(a)
+    assert lam(a.one()) == a.field.from_int(lam_of_one)
+    assert not lam.is_zero
+    rep = verify_certificate(a, lam, "graded-symmetric")
+    assert rep.ok and rep.gram_rank == a.dim
+
+
+def test_graded_trace_witness_is_zero_on_the_modular_group_algebra(f2):
+    # A = A_e = F_2[C_2]: tr(L_1) = 2 = 0 and L_g swaps the basis, so lam = 0
+    a = ungrade(group_algebra(f2, cyclic_group(2)))
+    lam = graded_trace_witness(a)
+    assert lam.is_zero and list(lam.coords) == _regular_trace(a)
+    rep = verify_certificate(a, lam, "graded-symmetric")
+    assert not rep.ok and rep.gram_rank == 0
 
 
 # -- the three explicit constructions ----------------------------------------------------------
