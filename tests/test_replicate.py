@@ -354,17 +354,18 @@ def test_hunt_certifies_without_the_engine_and_cross_checks_every_candidate(monk
     assert decided == [] and len(checked) == 13
 
 
-def test_hunt_falls_back_to_the_engine_when_the_witness_fails(monkeypatch):
+def test_hunt_raises_when_the_witness_fails(monkeypatch):
+    # over a finite field the witness always verifies, so a failure is a bug
+    # and must stop the hunt, not be decided into a clean report
     from grasym import replicate, symmetry
     from grasym.symmetry import LinearFunctional
-    expected = hunt_counterexample(hunt_char2_params()).to_dict()
     monkeypatch.setattr(replicate, "graded_trace_witness",
                         lambda a: LinearFunctional(a, [a.field.zero()] * a.dim))
     decided = _count_calls(monkeypatch, replicate, "decide_form_existence")
     checked = _count_calls(monkeypatch, symmetry, "graded_division_criterion")
-    report = hunt_counterexample(hunt_char2_params())
-    assert len(decided) == len(checked) == report.division_count == 13
-    assert report.to_dict() == expected
+    with pytest.raises(AssertionError, match="regular-trace witness failed"):
+        hunt_counterexample(hunt_char2_params())
+    assert decided == [] and checked == []
 
 
 def test_hunt_cross_check_catches_a_disagreeing_criterion(monkeypatch):
