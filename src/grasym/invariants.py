@@ -142,8 +142,12 @@ def component_has_invertible(a: GradedAlgebra, g: int):
     The left-multiplication matrix of a generic component element has entries
     linear in its coordinates; an invertible element exists iff the symbolic
     determinant is not identically zero, and a witness over the base field is
-    produced by the deterministic point search.  Returns
-    (exists_over_base_field, witness_or_None, point_search_result).
+    produced by the deterministic point search.  It always finds one, by the
+    descent argument of symmetry.decide_form_existence applied to A = A(g)
+    as graded left modules (x in A_g is a unit iff right multiplication by x
+    is such an isomorphism); a walk of the whole base field that finds none
+    raises AssertionError.  Returns (exists, witness_or_None,
+    point_search_result).
     """
     indices = a.component_indices(g)
     if not indices:
@@ -157,7 +161,8 @@ def component_has_invertible(a: GradedAlgebra, g: int):
     if result.status == "identically_zero":
         return False, None, None
     if not result.found:
-        return False, None, result
+        raise AssertionError("a nonzero unit determinant has no point over the base "
+                             "field, against descent from its extensions; this is a bug")
     coords = [field.zero()] * a.dim
     for r, i in enumerate(indices):
         coords[i] = result.point[r]

@@ -17,8 +17,9 @@ contain a nonzero point of a nonzero polynomial, so the first WITNESS_WALK
 grid points are tried by evaluation alone, and only when none of them is a
 witness does the zero test run (for a determinant, the cofactor expansion
 that proves a No) before the walk goes on.  Small fields are enumerated
-exhaustively, falling back to extension fields of degree 2 and 3 only to
-report where a point would live.
+exhaustively; a nonzero polynomial that vanishes on all of such a field has
+no point there, and the search says so and stops.  A determinant of a
+decision never does: see symmetry.decide_form_existence.
 """
 
 from __future__ import annotations
@@ -27,15 +28,14 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionTooLarge, SearchSpaceTooLarge
-from .fields import Field, Scalar, embed_scalar, extend_field
+from .errors import DimensionTooLarge, FieldMismatch, SearchSpaceTooLarge
+from .fields import Field, Scalar
 from .linalg import eliminate_raw
 
 # bounds the cofactor expansion, which a decision needs only to prove a No
 # (or a Yes whose first witness lies beyond WITNESS_WALK)
 PENCIL_DET_MAX_DIM = 12
 SEARCH_BUDGET = 10 ** 7
-MAX_EXTENSION = 3
 # grid points a search evaluates before it runs the zero test
 WITNESS_WALK = 16
 
@@ -123,10 +123,6 @@ class MultiPoly:
             acc = acc + term
         return acc
 
-    def change_field(self, target: Field) -> "MultiPoly":
-        return MultiPoly(target, self.num_vars,
-                         {e: embed_scalar(c, target) for e, c in self.terms.items()})
-
     def sorted_terms(self):
         """Terms in graded lexicographic order, highest first."""
         return sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
@@ -195,10 +191,6 @@ class FactoredPoly:
                 return v
             acc = acc * v
         return -acc if self.sign < 0 else acc
-
-    def change_field(self, target: Field) -> "FactoredPoly":
-        return FactoredPoly(target, self.num_vars, self.sign,
-                            (f.change_field(target) for f in self.factors))
 
     def expand(self) -> MultiPoly:
         """The product as a MultiPoly, multiplied out on first use."""
@@ -374,14 +366,6 @@ class BlockDet:
     def nonzero_degree(self) -> int:
         return self.pencil.dim
 
-    def change_field(self, target: Field) -> "BlockDet":
-        p = self.pencil
-        out = BlockDet(GramPencil(target, p.dim, p.num_vars, tuple(
-            tuple(tuple(embed_scalar(c, target) for c in form) for form in row)
-            for row in p.entries)))
-        out._nonzero = self._nonzero
-        return out
-
     def __repr__(self):
         return repr(self.expand())
 
@@ -453,8 +437,6 @@ class PointResult:
 
     status: str  # "found" | "identically_zero" | "no_point_over_field"
     point: tuple | None = None
-    extension_degree: int | None = None
-    extension_point: tuple | None = None
 
     @property
     def found(self) -> bool:
@@ -475,25 +457,24 @@ def _first_nonzero(poly, points):
 
 
 def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field) -> PointResult:
-    """Deterministically find a point where poly is nonzero over field.
+    """Deterministically find a point of field^m where poly is nonzero.
 
-    The polynomial may live over field or over a subfield; coefficients are
-    embedded first.  A FactoredPoly is searched through its factors and never
-    multiplied out; it yields the same result as its expand().  Each field is
-    walked on the grid of its first deg + 1 values per variable, all of it
-    when |field| <= deg, where deg is the degree poly has if it is nonzero.
+    field must be poly.field; any other raises FieldMismatch.  A
+    FactoredPoly is searched through its factors and never multiplied out;
+    it yields the same result as its expand().  The walk covers the grid of
+    the first deg + 1 values per variable, all of field^m when
+    |field| <= deg, where deg is the degree poly has if it is nonzero.
     The first WITNESS_WALK grid points are tried before the zero test, which
     for a determinant means a Yes within them never expands a block; a zero
     poly then yields "identically_zero", and otherwise the walk goes on.
-    With |field| > deg the grid bound guarantees the walk succeeds; failing
-    that, extensions of degree 2 to MAX_EXTENSION are probed so the
-    refutation can name the least extension holding a witness.  A whole
-    field of more than SEARCH_BUDGET points is not walked: over field that
+    With |field| > deg the grid bound guarantees the walk succeeds; a nonzero
+    poly vanishing on all of a smaller field yields "no_point_over_field".
+    A whole field of more than SEARCH_BUDGET points is not walked: that
     raises SearchSpaceTooLarge (after the zero test, so a zero poly still
-    yields "identically_zero"), and such an extension is skipped.
+    yields "identically_zero").
     """
     if poly.field != field:
-        poly = poly.change_field(field)
+        raise FieldMismatch(f"polynomial over {poly.field} searched over {field}")
     m = poly.num_vars
     deg = poly.nonzero_degree()
     size = field.size()
@@ -512,13 +493,4 @@ def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field) -> PointRes
     if size is None or size > deg:
         raise AssertionError("grid bound violated; polynomial arithmetic "
                              "or factor evaluation is broken")
-    for r in range(2, MAX_EXTENSION + 1):
-        big = extend_field(field, r)
-        if big.size() <= deg and big.size() ** m > SEARCH_BUDGET:
-            continue
-        ext_point = _first_nonzero(poly.change_field(big), itertools.product(
-            _grid_values(big, deg + 1), repeat=m))
-        if ext_point is not None:
-            return PointResult("no_point_over_field", extension_degree=r,
-                               extension_point=ext_point)
     return PointResult("no_point_over_field")

@@ -386,20 +386,13 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     CHECKPOINT_EVERY candidates to a sibling temp file that then replaces the
     checkpoint, so a hunt killed mid-write leaves the previous checkpoint
     whole.  resume re-verifies the parameter hash and the consistency of the
-    counters; a checkpoint past the end of the candidate stream, or with a
-    finding that is not a distinct candidate spec of this hunt before its
-    next index, raises ParseError.  The findings are matched while the
-    stream is skipped to that index.
+    counters; a checkpoint past the end of the candidate stream, or with any
+    finding (this hunt never records one), raises ParseError.
     """
     report = HuntReport(parameters=params.to_dict())
     start_index = 0
-    unmatched = set()  # the canonical JSON of each restored finding
     if resume is not None:
         start_index = _load_checkpoint(resume, params, report)
-        findings = report.non_symmetric_instances + report.no_base_field_point_instances
-        unmatched = {canonical_json(f) for f in findings}
-        if len(unmatched) < len(findings):
-            raise ParseError("checkpoint lists a finding twice")
 
     def save_checkpoint(next_index: int):
         if checkpoint_path is None:
@@ -415,17 +408,10 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
         os.replace(tmp, checkpoint_path)
 
     candidates = hunt_candidates(params)
-    skipped = 0
-    for _, spec in itertools.islice(candidates, start_index):
-        skipped += 1
-        if unmatched:
-            unmatched.discard(canonical_json(spec))
+    skipped = sum(1 for _ in itertools.islice(candidates, start_index))
     if skipped < start_index:
         raise ParseError(f"checkpoint resumes at candidate {start_index}, "
                          f"but the hunt has only {skipped}")
-    if unmatched:
-        raise ParseError(f"checkpoint lists a finding that is not a candidate "
-                         f"of this hunt before candidate {start_index}")
     for index, spec in candidates:
         report.candidates_enumerated += 1
         try:
@@ -451,8 +437,10 @@ def _load_checkpoint(path: str, params: HuntParams, report: HuntReport) -> int:
     """Restore the report counters from a checkpoint; return the next index.
 
     The counters must be those of a hunt stopped at next_index: every
-    candidate before it enumerated, each either incompatible or tested, at
-    most the tested ones graded division, and a finding only among those.
+    candidate before it enumerated, each either incompatible or tested, and
+    at most the tested ones graded division.  The finding lists must be
+    empty: a failing witness raises instead of being recorded, so a
+    checkpoint that lists a finding was not written by this hunt.
     """
     ck = load_json(path)
     if not isinstance(ck, dict) or "params_sha256" not in ck:
@@ -464,10 +452,11 @@ def _load_checkpoint(path: str, params: HuntParams, report: HuntReport) -> int:
     for key, value in [("next_index", 0), *saved.items()]:
         if type(ck.get(key)) is not type(value):
             raise ParseError(f"checkpoint key {key!r} must hold a {type(value).__name__}")
+    if ck["non_symmetric_instances"] or ck["no_base_field_point_instances"]:
+        raise ParseError("checkpoint lists a finding, which this hunt never records")
     bad, tested, division = ck["incompatible_count"], ck["instances_tested"], ck["division_count"]
-    findings = len(ck["non_symmetric_instances"]) + len(ck["no_base_field_point_instances"])
     if not (ck["next_index"] == ck["candidates_enumerated"] == bad + tested
-            and min(bad, tested) >= 0 and findings <= division <= tested):
+            and min(bad, tested) >= 0 and 0 <= division <= tested):
         raise ParseError("checkpoint counters are inconsistent")
     for key in saved:
         setattr(report, key, ck[key])
@@ -527,7 +516,9 @@ def check_scalar_extension_corpus():
 def check_char0_division_graded_symmetric():
     a = quaternion_algebra(rationals(), -1, -1)
     verdict = is_graded_division(a)
-    decision = decide_form_existence(a, "graded-symmetric", division=verdict)
+    decision = decide_form_existence(a, "graded-symmetric")
+    if verdict.is_yes:
+        check_division_criterion(a, decision.status)
     cert_ok = decision.is_yes and verify_certificate(a, decision.witness,
                                                      "graded-symmetric").ok
     return (verdict.is_yes and cert_ok), \

@@ -255,7 +255,7 @@ def certificate_to_dict(a: GradedAlgebra, verdict: SymmetryVerdict) -> dict:
         "witness": None if verdict.witness is None
         else [c.to_json() for c in verdict.witness.coords],
         "refutation": verdict.refutation,
-        "extension_degree": verdict.extension_degree,
+        "extension_degree": None,  # every verdict is over F; kept for the format's bytes
         "gram_rank": verdict.gram_rank,
         "trace_space_dim": verdict.trace_space_dim,
     }

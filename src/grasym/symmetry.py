@@ -21,7 +21,10 @@ the point search evaluates each block at grid points by exact elimination,
 and a Yes needs only one point where every block is nonsingular.  Polynomials
 appear only in a block's cofactor expansion, which runs to prove a No (a
 vanishing block refutes), or when no witness turns up among the first grid
-points; the blocks are never multiplied together to reach a verdict.
+points; the blocks are never multiplied together to reach a verdict.  Every
+question is settled over the base field: a Gram determinant that is nonzero
+has a point there, however small the field, by descent from any extension
+(see decide_form_existence), so there is no third verdict.
 """
 
 from __future__ import annotations
@@ -93,10 +96,9 @@ class SymmetryVerdict:
     """Decision plus certificate: a witness functional or a refutation tag."""
 
     mode: str
-    status: str  # "yes" | "no" | "no-over-base-field"
+    status: str  # "yes" | "no"
     witness: LinearFunctional | None = None
     refutation: str | None = None  # "trace-space-zero" | "gram-det-identically-zero"
-    extension_degree: int | None = None
     gram_rank: int | None = None
     trace_space_dim: int = 0
 
@@ -302,15 +304,15 @@ def graded_division_criterion(a: GradedAlgebra) -> bool:
 
 def check_division_criterion(a: GradedAlgebra, status: str):
     """Cross-check a graded-symmetric status of a graded division algebra
-    against graded_division_criterion: True goes with "yes" or
-    "no-over-base-field", False with "no".  A disagreement is a bug."""
+    against graded_division_criterion: True goes with "yes", False with
+    "no".  A disagreement is a bug."""
     criterion = graded_division_criterion(a)
-    if criterion != (status in ("yes", "no-over-base-field")):
+    if criterion != (status == "yes"):
         raise AssertionError(
             f"division criterion {criterion} disagrees with status {status!r}; this is a bug")
 
 
-def decide_form_existence(a: GradedAlgebra, mode: str, division=None) -> SymmetryVerdict:
+def decide_form_existence(a: GradedAlgebra, mode: str) -> SymmetryVerdict:
     """Decide existence of a nondegenerate trace functional for the mode.
 
     Pipeline: compute the trace space; empty space refutes outright; then the
@@ -321,10 +323,21 @@ def decide_form_existence(a: GradedAlgebra, mode: str, division=None) -> Symmetr
     Only when the first WITNESS_WALK points hold no witness does the zero
     test expand the blocks: a vanishing block refutes (the Gram determinant
     is identically zero), and otherwise the walk goes on until it yields a
-    witness or proves the base field too small, in which case the least
-    extension degree holding a witness is reported.  When a Yes division
-    verdict is supplied and the mode is graded-symmetric, the commutator-span
-    criterion is cross-checked against the outcome.
+    witness.
+
+    It always does, even over a field no larger than the degree, by descent
+    (Noether-Deuring).  Let T be the trace space over F and K/F finite; then
+    T (x) K is the trace space of A_K.  For lam in T (x) K, a -> a.lam with
+    (a.lam)(x) = lam(xa) is a morphism A_K -> A_K* in the mode's category:
+    graded left modules with (A*)_g = (A_{g^-1})* (graded-frobenius), left
+    modules (frobenius), graded or plain bimodules (the symmetric modes).  It
+    is an isomorphism exactly when the Gram matrix of lam is nonsingular.
+    These are finite-dimensional modules over a finite-dimensional
+    F-algebra, so restricting scalars gives A^n = (A*)^n with n = [K:F], and
+    Krull-Schmidt cancels n: A = A* over F.  For such an isomorphism psi,
+    psi(1) is a nondegenerate functional in T (homogeneous of degree e, and
+    symmetric in the symmetric modes).  So a nonzero determinant has a point
+    over F, and a walk of all of F^m that finds none raises AssertionError.
     """
     _check_mode(mode)
     space = graded_trace_space(a, mode)
@@ -338,24 +351,18 @@ def decide_form_existence(a: GradedAlgebra, mode: str, division=None) -> Symmetr
     pencil = gram_pencil(a, functionals)
     result = nonvanishing_point(structured_det(pencil), a.field)
     if result.status == "identically_zero":
-        verdict = SymmetryVerdict(mode, "no", refutation="gram-det-identically-zero",
-                                  trace_space_dim=space.dim)
-    elif result.found:
-        basis = Matrix(a.field, space.basis)
-        witness = LinearFunctional(a, basis.transpose().mulvec(result.point))
-        rank = len(eliminate_raw(a.field.ops, _gram_rows(a, witness), a.dim))
-        if rank != a.dim:
-            raise AssertionError("point search returned a degenerate witness")
-        verdict = SymmetryVerdict(mode, "yes", witness=witness, gram_rank=rank,
-                                  trace_space_dim=space.dim)
-    else:
-        verdict = SymmetryVerdict(mode, "no-over-base-field",
-                                  refutation="no-point-over-field",
-                                  extension_degree=result.extension_degree,
-                                  trace_space_dim=space.dim)
-    if division is not None and mode == "graded-symmetric" and division.is_yes:
-        check_division_criterion(a, verdict.status)
-    return verdict
+        return SymmetryVerdict(mode, "no", refutation="gram-det-identically-zero",
+                               trace_space_dim=space.dim)
+    if not result.found:
+        raise AssertionError("a nonzero Gram determinant has no point over the base "
+                             "field, against descent from its extensions; this is a bug")
+    basis = Matrix(a.field, space.basis)
+    witness = LinearFunctional(a, basis.transpose().mulvec(result.point))
+    rank = len(eliminate_raw(a.field.ops, _gram_rows(a, witness), a.dim))
+    if rank != a.dim:
+        raise AssertionError("point search returned a degenerate witness")
+    return SymmetryVerdict(mode, "yes", witness=witness, gram_rank=rank,
+                           trace_space_dim=space.dim)
 
 
 def decide_by_enumeration(a: GradedAlgebra, mode: str):

@@ -4,6 +4,7 @@ import pytest
 
 from grasym import (
     center,
+    cyclic_algebra,
     cyclic_group,
     group_algebra,
     make_field,
@@ -135,6 +136,21 @@ def test_emit_and_check(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert main(["check", out_path]) == 0
+
+
+def test_emit_pretty_to_stdout(capsys):
+    assert main(["emit", "--constructor", "cyclic_algebra", "--params", '{"p": 3}',
+                 "--pretty"]) == 0
+    out = capsys.readouterr().out
+    assert "\n  " in out
+    assert json.loads(out) == algebra_to_dict(cyclic_algebra(3))
+
+
+def test_replicate_single_pretty(capsys):
+    assert main(["replicate", "--name", "matrix-commutator-dimension", "--pretty"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS  matrix-commutator-dimension  (")
+    assert lines[-1] == "all passed"
 
 
 def test_emit_unknown_constructor(capsys):

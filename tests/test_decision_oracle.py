@@ -42,7 +42,6 @@ from grasym.errors import (
     IncompatibleCocycleData,
     SearchSpaceTooLarge,
 )
-from grasym.fields import extend_field
 from grasym.groups import symmetric_group_3, trivial_group
 from grasym.linalg import Matrix
 from grasym.multipoly import (
@@ -63,11 +62,13 @@ from grasym.replicate import (
 )
 from grasym.specfile import algebra_from_dict, canonical_json, certificate_to_dict
 from grasym.symmetry import (
+    ENUMERATION_BOUND,
     MAX_TRACE_SPACE_DIM,
     MODES,
     LinearFunctional,
     SymmetryVerdict,
     average_functional,
+    decide_by_enumeration,
     gram_matrix,
     gram_pencil,
     graded_trace_space,
@@ -115,20 +116,11 @@ def _first_nonzero_on_grid(det, field, deg):
 
 
 def eager_point(det: FactoredPoly, field):
-    """(status, point, extension degree) of the search on a nonzero det."""
+    """The first grid point where a nonzero det is nonzero, or None."""
     m, deg, size = det.num_vars, det.total_degree(), field.size()
     if size is not None and size <= deg and size ** m > SEARCH_BUDGET:
         raise SearchSpaceTooLarge(f"{size}^{m} points exceed the exhaustive budget")
-    point = _first_nonzero_on_grid(det, field, deg)
-    if point is not None:
-        return "found", point, None
-    for r in (2, 3):
-        big = extend_field(field, r)
-        if big.size() <= deg and big.size() ** m > SEARCH_BUDGET:
-            continue
-        if _first_nonzero_on_grid(det.change_field(big), big, deg) is not None:
-            return "no_point_over_field", None, r
-    return "no_point_over_field", None, None
+    return _first_nonzero_on_grid(det, field, deg)
 
 
 def eager_decide(a, mode) -> SymmetryVerdict:
@@ -141,10 +133,9 @@ def eager_decide(a, mode) -> SymmetryVerdict:
     if det.is_zero:
         return SymmetryVerdict(mode, "no", refutation="gram-det-identically-zero",
                                trace_space_dim=space.dim)
-    status, point, ext = eager_point(det, a.field)
-    if status != "found":
-        return SymmetryVerdict(mode, "no-over-base-field", refutation="no-point-over-field",
-                               extension_degree=ext, trace_space_dim=space.dim)
+    point = eager_point(det, a.field)
+    if point is None:
+        raise AssertionError("no point over the base field on a nonzero det")
     witness = LinearFunctional(a, Matrix(a.field, space.basis).transpose().mulvec(point))
     return SymmetryVerdict(mode, "yes", witness=witness,
                            gram_rank=gram_matrix(a, witness).rank(),
@@ -200,11 +191,20 @@ def _outcome(decide, a, mode) -> str:
 @pytest.mark.parametrize("mode", MODES)
 def test_walk_first_decisions_match_the_expand_first_reference(mode):
     statuses = set()
+    enumerated = 0
     for name, a in CORPUS:
         got = _outcome(decide_form_existence, a, mode)
         assert got == _outcome(eager_decide, a, mode), (name, mode)
-        statuses.add(json.loads(got)["status"] if got.startswith("{") else got)
-    assert "yes" in statuses
+        status = json.loads(got)["status"] if got.startswith("{") else got
+        statuses.add(status)
+        # descent: a witness over an extension means one over the base field,
+        # so trying every trace functional over it agrees with the engine
+        q = a.field.size()
+        if status in ("yes", "no") and q is not None \
+                and q ** graded_trace_space(a, mode).dim <= ENUMERATION_BOUND:
+            assert decide_by_enumeration(a, mode)[0] == status, (name, mode)
+            enumerated += 1
+    assert "yes" in statuses and enumerated > 0
 
 
 def _m4_f3_c2():

@@ -232,6 +232,17 @@ def test_component_has_invertible_antidiagonal(f2):
     assert witness.homogeneous_degree() == 1
 
 
+def test_component_without_a_base_field_point_is_a_bug(monkeypatch, f2):
+    # by descent a nonzero unit determinant has a point over the base field,
+    # so a search that reports none must stop, not answer "no unit"
+    from grasym import invariants
+    from grasym.multipoly import PointResult
+    monkeypatch.setattr(invariants, "nonvanishing_point",
+                        lambda det, field: PointResult("no_point_over_field"))
+    with pytest.raises(AssertionError, match="descent"):
+        component_has_invertible(group_algebra(f2, cyclic_group(2)), 1)
+
+
 def _graded_dual_numbers(field):
     # field[x]/(x^2) with x placed in the nontrivial degree of C_2
     return GradedAlgebra(field, cyclic_group(2), [0, 1],

@@ -183,6 +183,10 @@ MALFORMED = {
         "emit", "--constructor", "matrix_algebra", "--field", '{"char":2}',
         "--params", '{"n": 2.0}'],
     "emit-without-params": lambda tmp: ["emit", "--constructor", "cyclic_algebra"],
+    "emit-params-not-an-object": lambda tmp: [
+        "emit", "--constructor", "cyclic_algebra", "--params", "[1]"],
+    "hunt-report-in-a-missing-directory": lambda tmp: HUNT_ARGS + [
+        "--report", str(tmp / "missing" / "r.json")],
     "frobenius-block-without-sigma-powers": lambda tmp: [
         "check", _write(tmp / "s.json", {
             "group": {"kind": "cyclic", "n": 2},

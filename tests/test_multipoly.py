@@ -14,7 +14,7 @@ from grasym import (
     structured_det,
     sweedler_algebra,
 )
-from grasym.errors import DimensionTooLarge, SearchSpaceTooLarge
+from grasym.errors import DimensionTooLarge, FieldMismatch, SearchSpaceTooLarge
 from grasym import multipoly
 from grasym.multipoly import WITNESS_WALK, FactoredPoly
 
@@ -183,13 +183,21 @@ def test_nonvanishing_point_zero_poly(f2):
     assert res.status == "identically_zero"
 
 
-def test_nonvanishing_point_needs_extension(f2):
-    # t^2 + t vanishes on all of F_2 but not on F_4
+def test_nonvanishing_point_with_no_point_over_the_field(f2, f4):
+    # nonzero polynomials vanishing on all of a field no larger than their
+    # degree: the whole field is walked and the search stops there
     t = var(f2, 1, 0)
-    res = nonvanishing_point(t * t + t, f2)
-    assert res.status == "no_point_over_field"
-    assert res.extension_degree == 2
-    assert res.extension_point is not None
+    for poly in (t * t + t, t * t * t * t + t * t * t):
+        assert nonvanishing_point(poly, f2) == multipoly.PointResult("no_point_over_field")
+    t = var(f4, 1, 0)
+    res = nonvanishing_point(t * t * t * t + t, f4)
+    assert res.status == "no_point_over_field" and res.point is None
+
+
+def test_nonvanishing_point_refuses_another_field(f2, f4):
+    t = var(f2, 1, 0)
+    with pytest.raises(FieldMismatch):
+        nonvanishing_point(t * t + t, f4)
 
 
 def test_nonvanishing_point_over_rationals(q):
@@ -220,45 +228,16 @@ def test_returned_point_reverified(f3):
             assert not grid_poly.evaluate(res.point).is_zero
 
 
-def test_extension_search_from_extension_field(f4):
-    # t^4 + t vanishes on all of F_4; a witness appears over F_16
-    t = var(f4, 1, 0)
-    poly = t * t * t * t + t
-    res = nonvanishing_point(poly, f4)
-    assert res.status == "no_point_over_field"
-    assert res.extension_degree == 2
-    assert res.extension_point is not None
-
-
 def test_nonvanishing_point_of_a_nonzero_constant(f2, q):
     for field in (f2, q):
         res = nonvanishing_point(const(field, 2, 1), field)
         assert res.found and res.point == (field.zero(), field.zero())
 
 
-def test_extension_walk_covers_a_field_no_larger_than_the_degree(f2):
-    # t^4 + t^3 vanishes on F_2; F_4 has 4 = degree elements, all walked,
-    # and the generator x is the first witness
-    t = var(f2, 1, 0)
-    res = nonvanishing_point(t * t * t * t + t * t * t, f2)
-    assert res.status == "no_point_over_field" and res.extension_degree == 2
-    assert tuple(c.coefficients() for c in res.extension_point) == ((0, 1),)
-
-
 def test_exhaustive_walk_over_budget_raises(f2):
     m = 24
     with pytest.raises(SearchSpaceTooLarge, match=r"2\^24 points exceed the exhaustive budget"):
         nonvanishing_point(var(f2, m, 0) * var(f2, m, 1), f2)
-
-
-def test_extension_over_budget_is_skipped(f2):
-    # t_12^4 + t_12^3 vanishes on F_2^12; F_4^12 has more points than the
-    # budget, so F_4 is skipped and the grid over F_8 gives the witness
-    t = var(f2, 12, 11)
-    res = nonvanishing_point(t * t * t * t + t * t * t, f2)
-    assert res.status == "no_point_over_field" and res.extension_degree == 3
-    assert tuple(c.coefficients() for c in res.extension_point) == (
-        ((0, 0, 0),) * 11 + ((0, 1, 0),))
 
 
 # -- the factored determinant against its expanded product ------------------------
@@ -290,8 +269,7 @@ def test_factored_search_exhaustive_small_field(f2):
     t1, t2 = var(f2, 2, 0), var(f2, 2, 1)
     det = structured_det(_diagonal(f2, 2, [t1, t2, t1 + t2]))
     assert det.total_degree() == 3
-    res = _same_search(det, f2)
-    assert res.status == "no_point_over_field" and res.extension_degree == 2
+    assert _same_search(det, f2).status == "no_point_over_field"
     det = structured_det(_diagonal(f2, 2, [t1, t2]))
     assert _same_search(det, f2).point == (f2.one(), f2.one())
 
@@ -315,12 +293,10 @@ def test_factored_search_sign_of_the_block_permutation(q):
 
 
 def test_factored_search_no_point_over_field(f2):
-    # t (t + 1) vanishes on F_2; the least extension with a point is F_4
+    # t (t + 1) vanishes on all of F_2
     t = var(f2, 1, 0)
     det = FactoredPoly(f2, 1, 1, (t, t + const(f2, 1, 1)))
-    res = _same_search(det, f2)
-    assert res.status == "no_point_over_field"
-    assert res.extension_degree == 2 and res.extension_point is not None
+    assert _same_search(det, f2).status == "no_point_over_field"
 
 
 def test_decisions_never_expand_the_factored_det(monkeypatch, f3):

@@ -30,6 +30,7 @@ from grasym.replicate import (
     scalar_extension_corpus_check,
 )
 from grasym.specfile import algebra_from_dict, canonical_json
+from grasym.symmetry import check_division_criterion
 
 
 # -- scalar extension ------------------------------------------------------------
@@ -264,7 +265,10 @@ def test_hunt_refuses_an_inconsistent_checkpoint(tmp_path, edit):
         hunt_counterexample(p, resume=str(ck))
 
 
-def test_hunt_resume_takes_only_findings_of_candidates_before_next_index(tmp_path):
+def test_hunt_resume_refuses_every_finding(tmp_path):
+    # a failing witness raises instead of being recorded, so a checkpoint
+    # that lists a finding, even a real candidate before next_index, was not
+    # written by this hunt
     p = HuntParams(3, (1,), (("cyclic", 2),))  # two candidates, both graded division
     first, second = [spec for _, spec in hunt_candidates(p)]
     mid = {"params_sha256": p.digest(), "next_index": 1, "candidates_enumerated": 1,
@@ -273,21 +277,17 @@ def test_hunt_resume_takes_only_findings_of_candidates_before_next_index(tmp_pat
     ck = tmp_path / "hunt.ckpt"
     ck.write_text(canonical_json(mid))
     assert hunt_counterexample(p, resume=str(ck)).to_dict() == hunt_counterexample(p).to_dict()
-    # a finding that is a candidate before next_index is restored as it stands
-    ck.write_text(canonical_json({**mid, "non_symmetric_instances": [first]}))
-    assert hunt_counterexample(p, resume=str(ck)).non_symmetric_instances == [first]
     both = {"next_index": 2, "candidates_enumerated": 2, "instances_tested": 2,
             "division_count": 2}
     for edit in [
+        {"non_symmetric_instances": [first]},
+        {"no_base_field_point_instances": [first]},
         {"non_symmetric_instances": [{"bogus": 1}]},
-        {"no_base_field_point_instances": [second]},  # the candidate at next_index
-        {"non_symmetric_instances": [{**first, "constructor": {**first["constructor"],
-                                                                "char": 3.0}}]},
-        {**both, "non_symmetric_instances": [first, first]},
-        {**both, "non_symmetric_instances": [first], "no_base_field_point_instances": [first]},
+        {"no_base_field_point_instances": [second]},
+        {**both, "non_symmetric_instances": [first, second]},
     ]:
         ck.write_text(json.dumps({**mid, **edit}))
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="finding"):
             hunt_counterexample(p, resume=str(ck))
 
 
@@ -329,7 +329,9 @@ def test_trace_witness_and_engine_agree_on_every_accepted_candidate(params, acce
     count = 0
     for a, verdict in _accepted(params):
         assert verify_certificate(a, graded_trace_witness(a), "graded-symmetric").ok
-        assert decide_form_existence(a, "graded-symmetric", division=verdict).is_yes
+        decision = decide_form_existence(a, "graded-symmetric")
+        check_division_criterion(a, decision.status)
+        assert decision.is_yes
         count += 1
     assert count == accepted
 
@@ -465,7 +467,8 @@ def test_corpus_division_instances_confirm_graded_symmetry():
         verdict = is_graded_division(a)
         if not verdict.is_yes:
             continue
-        decision = decide_form_existence(a, "graded-symmetric", division=verdict)
+        decision = decide_form_existence(a, "graded-symmetric")
+        check_division_criterion(a, decision.status)
         assert decision.is_yes, name
         if a.dim % a.field.char == 0:
             beyond_cases += 1
@@ -507,7 +510,9 @@ def test_hunt_char3_includes_skew_group_algebra_point():
     assert a.dim == 9
     verdict = is_graded_division(a)
     assert verdict.is_yes
-    assert decide_form_existence(a, "graded-symmetric", division=verdict).is_yes
+    decision = decide_form_existence(a, "graded-symmetric")
+    check_division_criterion(a, decision.status)
+    assert decision.is_yes
 
 
 def test_full_suite_report_byte_identical():

@@ -51,6 +51,7 @@ from grasym.errors import (
 )
 from grasym.groups import dihedral_group
 from grasym.replicate import dim4_f2_corpus, random_graded_basis_change
+from grasym.symmetry import check_division_criterion
 from grasym.specfile import canonical_json, certificate_to_dict
 
 
@@ -119,7 +120,9 @@ def test_gram_pencil_rejects_empty(f3):
 
 def test_quaternions_graded_symmetric(q):
     h = quaternion_algebra(q, -1, -1)
-    v = decide_form_existence(h, "graded-symmetric", division=is_graded_division(h))
+    assert is_graded_division(h).is_yes
+    v = decide_form_existence(h, "graded-symmetric")
+    check_division_criterion(h, v.status)
     assert v.is_yes and v.gram_rank == 4
     assert verify_certificate(h, v.witness, "graded-symmetric").ok
 
@@ -135,7 +138,9 @@ def test_modular_group_algebras(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_cyclic_algebras_graded_symmetric(p):
     a = cyclic_algebra(p)
-    v = decide_form_existence(a, "graded-symmetric", division=is_graded_division(a))
+    assert is_graded_division(a).is_yes
+    v = decide_form_existence(a, "graded-symmetric")
+    check_division_criterion(a, v.status)
     assert v.is_yes
     assert verify_certificate(a, v.witness, "graded-symmetric").ok
 
@@ -201,8 +206,19 @@ def test_division_criterion_matches_decision():
         verdict = is_graded_division(a)
         assert verdict.is_yes
         criterion = graded_division_criterion(a)
-        decision = decide_form_existence(a, "graded-symmetric", division=verdict)
-        assert criterion == (decision.status in ("yes", "no-over-base-field"))
+        assert criterion == decide_form_existence(a, "graded-symmetric").is_yes
+
+
+@pytest.mark.parametrize("mode", ["graded-symmetric", "frobenius"])
+def test_a_nonzero_det_without_a_base_field_point_is_a_bug(monkeypatch, mode, f2):
+    # by descent a nonzero Gram determinant has a point over the base field,
+    # so a search that reports none must stop, not become a verdict
+    from grasym import symmetry
+    from grasym.multipoly import PointResult
+    monkeypatch.setattr(symmetry, "nonvanishing_point",
+                        lambda det, field: PointResult("no_point_over_field"))
+    with pytest.raises(AssertionError, match="descent"):
+        decide_form_existence(group_algebra(f2, cyclic_group(2)), mode)
 
 
 def test_witness_selection_deterministic(f3):
@@ -622,7 +638,9 @@ def test_decisions_and_normalization_run_no_scalar_elimination(monkeypatch):
     runs.append((cyclic_algebra(5), "graded-frobenius"))
     yes = 0
     for a, mode in runs:
-        verdict = decide_form_existence(a, mode, division=is_graded_division(a))
+        verdict = decide_form_existence(a, mode)
+        if mode == "graded-symmetric" and is_graded_division(a).is_yes:
+            check_division_criterion(a, verdict.status)
         if verdict.is_yes:
             assert verify_certificate(a, verdict.witness, mode).ok
             yes += 1
