@@ -183,15 +183,18 @@ def test_nonvanishing_point_zero_poly(f2):
     assert res.status == "identically_zero"
 
 
-def test_nonvanishing_point_with_no_point_over_the_field(f2, f4):
-    # nonzero polynomials vanishing on all of a field no larger than their
+def _no_point_over(poly, field):
+    # a nonzero polynomial vanishing on all of a field no larger than its
     # degree: the whole field is walked and the search stops there
+    assert not poly.is_zero
+    assert all(poly.evaluate((c,)).is_zero for c in field.elements())
+    assert nonvanishing_point(poly, field) == multipoly.PointResult("no_point_over_field")
+
+
+def test_nonvanishing_point_needs_extension(f2):
+    # t^2 + t vanishes on all of F_2
     t = var(f2, 1, 0)
-    for poly in (t * t + t, t * t * t * t + t * t * t):
-        assert nonvanishing_point(poly, f2) == multipoly.PointResult("no_point_over_field")
-    t = var(f4, 1, 0)
-    res = nonvanishing_point(t * t * t * t + t, f4)
-    assert res.status == "no_point_over_field" and res.point is None
+    _no_point_over(t * t + t, f2)
 
 
 def test_nonvanishing_point_refuses_another_field(f2, f4):
@@ -226,6 +229,18 @@ def test_returned_point_reverified(f3):
         res = nonvanishing_point(grid_poly, f3)
         if res.found:
             assert not grid_poly.evaluate(res.point).is_zero
+
+
+def test_extension_search_from_extension_field(f4):
+    # t^4 + t vanishes on all of F_4
+    t = var(f4, 1, 0)
+    _no_point_over(t * t * t * t + t, f4)
+
+
+def test_extension_walk_covers_a_field_no_larger_than_the_degree(f2):
+    # t^4 + t^3 vanishes on F_2, which has fewer elements than the degree
+    t = var(f2, 1, 0)
+    _no_point_over(t * t * t * t + t * t * t, f2)
 
 
 def test_nonvanishing_point_of_a_nonzero_constant(f2, q):
