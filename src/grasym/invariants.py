@@ -354,36 +354,56 @@ def _rational_division_check(e_alg: GradedAlgebra):
 
 
 def _rational_roots(coeffs):
+    """The rational roots of f = sum_i coeffs[i] x^i, each once, by (|numerator|,
+    denominator, positive first); [0] alone when the constant term is 0.  With
+    integer coefficients c_i and leading one L, g(y) = L^(n-1) f(y / L) is
+    monic in Z[y], so its rational roots y = L x are integers, found by
+    bisection (_integer_brackets) instead of by factoring the constant term."""
     fractions = [c.val for c in coeffs]
     denom = 1
     for f in fractions:
         denom = denom * f.denominator // gcd(denom, f.denominator)
     ints = [int(f * denom) for f in fractions]
-    lead, const = ints[-1], ints[0]
     field = coeffs[0].field
-    roots = []
-    if const == 0:
-        roots.append(field.zero())
-        return roots
-    def divisors(n):
-        n = abs(n)
-        out = []
-        f = 1
-        while f * f <= n:
-            if n % f == 0:
-                out.extend([f, n // f])
-            f += 1
-        return sorted(set(out))
-    for p in divisors(const):
-        for q in divisors(lead):
-            for sign in (1, -1):
-                r = Fraction(sign * p, q)
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * r + c
-                if acc == 0:
-                    roots.append(Scalar(field, r))
-    return roots
+    if ints[0] == 0:
+        return [field.zero()]
+    n, lead = len(ints) - 1, ints[-1]
+    g = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    bound = 1 + max(abs(c) for c in g[:-1])  # Cauchy: every root has |y| < bound
+    roots = {Fraction(y, lead) for y in _integer_brackets(g, -bound, bound)
+             if _poly_at(g, y) == 0}
+    return [Scalar(field, r) for r in sorted(
+        roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))]
+
+
+def _poly_at(poly, y):
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * y + c
+    return acc
+
+
+def _integer_brackets(poly, lo: int, hi: int) -> list:
+    """Sorted integers of [lo, hi], lo and hi among them, holding the floor and
+    ceiling of each real root of poly in [lo, hi].  Between brackets of the
+    derivative 2 or more apart, poly is monotone, so a sign change there is
+    one root, which bisection pins to a unit interval."""
+    if len(poly) <= 1:
+        return [lo, hi]
+    points = _integer_brackets([i * c for i, c in enumerate(poly)][1:], lo, hi)
+    out = set(points)
+    for a, b in zip(points, points[1:]):
+        fa = _poly_at(poly, a)
+        if b - a < 2 or fa * _poly_at(poly, b) >= 0:
+            continue
+        while b - a > 1:  # a root at m stays an end: the other values keep their signs
+            m = (a + b) // 2
+            if (_poly_at(poly, m) < 0) == (fa < 0):
+                a = m
+            else:
+                b = m
+        out.update((a, b))
+    return sorted(out)
 
 
 def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:

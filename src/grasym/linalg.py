@@ -22,8 +22,9 @@ kernel keeps the last one: each pivot row then holds its pivot and free
 columns before it, so the kernel vector of a free column f, 1 at f and
 minus each pivot row's entry at f, has f as its first nonzero column and is
 zero at the other free columns.  Those vectors are the RREF basis of the
-kernel as they stand.  This is what decides trace spaces, commutator spans
-and centralizers, whose constraint rows have a few nonzeros each.
+kernel as they stand; they share one zero Scalar and one unit Scalar, and
+only the pivot entries are wrapped.  This is what decides trace spaces,
+commutator spans and centralizers, whose constraint rows have few nonzeros.
 
 `packed_nonsingular` is the nonsingularity test of the division scan: a
 square matrix over F_p with each row packed into one int, one fixed-width
@@ -33,7 +34,7 @@ lane per column, reduced mod p only where a pivot or multiplier is read.
 from __future__ import annotations
 
 from .errors import AmbientMismatch
-from .fields import Field, embed_scalar
+from .fields import Field, Scalar, embed_scalar
 
 
 def eliminate_raw(ops, m, ncols: int, stop_at_gap: bool = False, pivot_log=None):
@@ -147,21 +148,19 @@ def sparse_kernel(ops, ncols: int, rows, dead=()) -> "Subspace":
     unit rows are reduced against each other, so they go in as pivot rows.
     The rows are reduced in place.
     """
-    one = ops.one
+    field, zero, one, sub = ops.field, ops.zero, ops.one, ops.sub
     echelon = SparseEchelon(ops, ncols, max)
     echelon.rows.update((c, {c: one}) for c in dead)
     echelon.add_all(rows)
-    zero, sub = ops.zero, ops.sub
-    kernel = {f: [zero] * ncols for f in range(ncols) if f not in echelon.rows}
+    zero_s, one_s = ops.wrap((zero, one))
+    kernel = {f: [zero_s] * ncols for f in range(ncols) if f not in echelon.rows}
     for p, row in echelon.rows.items():
         for c, v in row.items():
             if c != p:
-                kernel[c][p] = sub(zero, v)
-    basis = []
-    for f in sorted(kernel):
-        kernel[f][f] = one
-        basis.append(ops.wrap(kernel[f]))
-    return Subspace(ops.field, ncols, basis)
+                kernel[c][p] = Scalar(field, sub(zero, v))
+    for f, vector in kernel.items():
+        vector[f] = one_s
+    return Subspace(field, ncols, [kernel[f] for f in sorted(kernel)])
 
 
 def lane_width(ncols: int, p: int) -> int:

@@ -51,7 +51,7 @@ from .invariants import (
     is_graded_division,
 )
 from .linalg import Subspace, eliminate_raw
-from .specfile import algebra_from_dict, canonical_json, group_to_dict, load_json
+from .specfile import canonical_json, load_json
 from .symmetry import (
     LinearFunctional,
     _pullback,
@@ -302,40 +302,25 @@ def _cyclic_factorizations(max_order: int) -> list:
 
 
 def hunt_candidates(params: HuntParams):
-    """Deterministic candidate stream: (index, spec dict).
+    """Deterministic candidate stream: (index, (ext, group, sigma_powers,
+    alpha_unit)), the arguments of algebras.frobenius_crossed_product.
 
     A candidate is a coefficient field F_{p^m}, a group, one Frobenius power
     per non-identity element, and a single unit u twisting alpha(g,h) = u for
-    g,h both non-identity.  Each comes as the frobenius_crossed_product
-    constructor spec that specfile.algebra_from_dict builds; the hunt tests
-    that algebra and reports a finding as this same spec.  Specs share their
-    inner lists and group block, so treat them as read-only.  Non-cocycle data
-    is not filtered here: algebra_from_dict raises IncompatibleCocycleData for
-    it, from algebras.frobenius_crossed_product's congruences, before any
-    table is built.
+    g,h both non-identity, as its coefficient tuple over F_p.  Non-cocycle
+    data is not filtered here: the builder raises IncompatibleCocycleData for
+    it before any table is built.
     """
     p = params.characteristic
     index = 0
     for m in params.extension_degrees:
         ext = canonical_extension_field(p, m)
-        modulus = None if m == 1 else list(ext.modulus)
-        units = [list(ext.element_at(u).coefficients()) for u in range(1, p ** m)]
+        units = [ext.element_at(u).coefficients() for u in range(1, p ** m)]
         for kind in params.group_kinds:
             group = group_from_kind(kind)
-            group_block = group_to_dict(group)
-            for powers in itertools.product(range(m), repeat=group.order - 1):
-                sigma_powers = list(powers)
+            for sigma_powers in itertools.product(range(m), repeat=group.order - 1):
                 for unit in units:
-                    yield index, {
-                        "group": group_block,
-                        "constructor": {
-                            "name": "frobenius_crossed_product",
-                            "char": p,
-                            "ext_modulus": modulus,
-                            "sigma_powers": sigma_powers,
-                            "alpha_unit": unit,
-                        },
-                    }
+                    yield index, (ext, group, sigma_powers, unit)
                     index += 1
 
 
@@ -380,8 +365,8 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     layout.  Whether a finding can exist over other fields is the open note
     of symmetry.graded_division_criterion.
 
-    Candidates whose data fails the crossed-product laws (so that the product
-    would not be an associative unital algebra) are counted separately, never
+    Candidates whose data fails the crossed-product laws, so that
+    frobenius_crossed_product refuses them, are counted separately, never
     treated as errors.  With checkpoint_path set, progress is written every
     CHECKPOINT_EVERY candidates to a sibling temp file that then replaces the
     checkpoint, so a hunt killed mid-write leaves the previous checkpoint
@@ -412,10 +397,10 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     if skipped < start_index:
         raise ParseError(f"checkpoint resumes at candidate {start_index}, "
                          f"but the hunt has only {skipped}")
-    for index, spec in candidates:
+    for index, args in candidates:
         report.candidates_enumerated += 1
         try:
-            a = algebra_from_dict(spec)
+            a = frobenius_crossed_product(*args)
         except IncompatibleCocycleData:
             report.incompatible_count += 1
         else:

@@ -153,21 +153,15 @@ def graded_trace_space(a: GradedAlgebra, mode: str = "graded-symmetric") -> Subs
 
     The constraints are reduced in one pass (`linalg.sparse_kernel`): the
     off-identity columns go in as unit rows, then the commutators of the
-    pairs i < j, read until the rank is full.  With no nonzero commutator,
-    the space is read off without any reduction.
+    pairs i < j, read until the rank is full.  The Frobenius modes have no
+    commutator rows, so their space is the kernel of the unit rows alone.
     """
     _check_mode(mode)
     e = a.group.identity
     graded = mode.startswith("graded-")
-    ops = a.field.ops
-    rows = iter(())
-    if mode.endswith("symmetric"):
-        rows = commutator_rows(a, commutator_pairs(a, graded))
-    first = next(rows, None)
-    if first is None:
-        return homogeneous_component(a, e) if graded else Subspace.full(a.field, a.dim)
+    rows = commutator_rows(a, commutator_pairs(a, graded)) if mode.endswith("symmetric") else ()
     dead = [i for i in range(a.dim) if a.degree[i] != e] if graded else ()
-    return sparse_kernel(ops, a.dim, itertools.chain([first], rows), dead)
+    return sparse_kernel(a.field.ops, a.dim, rows, dead)
 
 
 def _check_owner(a: GradedAlgebra, lam: LinearFunctional):

@@ -61,6 +61,18 @@ def built_groups(monkeypatch):
     return built
 
 
+def candidate_spec(ext, group, sigma_powers, alpha_unit) -> dict:
+    """The frobenius_crossed_product spec of a hunt candidate, written from
+    its builder arguments as specfile.algebra_from_dict reads it."""
+    from grasym.specfile import group_to_dict
+
+    return {"group": group_to_dict(group),
+            "constructor": {"name": "frobenius_crossed_product", "char": ext.char,
+                            "ext_modulus": None if ext.degree == 1 else list(ext.modulus),
+                            "sigma_powers": list(sigma_powers),
+                            "alpha_unit": list(alpha_unit)}}
+
+
 def scalar_table(a) -> dict:
     """a.table in the form GradedAlgebra takes: {(i, j): ((k, c_ij^k), ..)}
     over the nonzero products e_i e_j, with each constant a Scalar."""

@@ -50,7 +50,7 @@ from grasym.replicate import (
     hunt_char2_params,
     hunt_counterexample,
 )
-from grasym.specfile import algebra_hash, group_from_dict
+from grasym.specfile import algebra_hash
 from grasym.errors import (
     CharacteristicTwo,
     DimensionTooLarge,
@@ -159,17 +159,12 @@ def test_tables_are_built_checked_and_compared_without_scalars(monkeypatch):
     from grasym import fields
     from grasym.algebras import _frobenius_coefficients, _passes_light_test
     from grasym.invariants import commutator_pairs, commutator_rows
-    from grasym.specfile import group_from_dict
-    from grasym.fields import scalar_from_json
 
     candidates = []
-    for _, spec in hunt_candidates(hunt_char2_params()):
-        block = spec["constructor"]
-        base = make_field(block["char"])
-        ext = make_field(2, block["ext_modulus"]) if block["ext_modulus"] else base
+    for _, (ext, group, sigma_powers, unit) in hunt_candidates(hunt_char2_params()):
         _frobenius_coefficients(ext)  # D and its Frobenius matrices, once per field
-        candidates.append((ext, group_from_dict(spec["group"]), block["sigma_powers"],
-                           [scalar_from_json(base, c) for c in block["alpha_unit"]]))
+        base = ext.prime_subfield()
+        candidates.append((ext, group, sigma_powers, [base.scalar(c) for c in unit]))
     s = sweedler_algebra(make_field(3))
     a = tensor_product(tensor_product(s, s), s)
     made = []
@@ -596,12 +591,7 @@ def _crossed_law_corpus():
     specs = []
     for params in (hunt_char2_params(), HuntParams(3, (1, 3), (("cyclic", 3),)),
                    HuntParams(2, (3,), (("cyclic", 3),))):
-        for _, s in hunt_candidates(params):
-            block = s["constructor"]
-            base = make_field(block["char"])
-            ext = make_field(base.char, block["ext_modulus"]) if block["ext_modulus"] else base
-            specs.append(frobenius_crossed_spec(ext, group_from_dict(s["group"]),
-                                                block["sigma_powers"], block["alpha_unit"]))
+        specs += [frobenius_crossed_spec(*args) for _, args in hunt_candidates(params)]
     specs += [_bad_sigma_spec(k, f) for k in ("F9/F3", "H_Q")
               for f in ("identity-moved", "unit-moved", "singular", "non-multiplicative")]
     specs.append(_coboundary_twisted_quaternions())

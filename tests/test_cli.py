@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -90,6 +91,28 @@ def test_invariants_unknown_exit_two(tmp_path, capsys):
     assert main(["invariants", str(path)]) == 2
 
 
+def test_invariants_of_a_quadratic_field_with_a_huge_constant(tmp_path, capsys):
+    # Q[s]/(s^2 - (10^30 + 1)): the rational roots of the minimal polynomial
+    # are found without factoring 10^30 + 1
+    import time
+
+    n = 10 ** 30 + 1
+    path = tmp_path / "quadratic.json"
+    path.write_text(json.dumps({
+        "field": {"char": 0}, "group": {"kind": "cyclic", "n": 1},
+        "algebra": {"dim": 2, "degrees": [0, 0], "unit": ["1", "0"],
+                    "sc": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"],
+                           [1, 1, 0, str(n)]]}}))
+    start = time.perf_counter()
+    assert main(["invariants", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    division = json.loads(capsys.readouterr().out)["division"]
+    assert division["status"] == "yes"
+    assert division["certificate"]["identity_component"] == {
+        "kind": "irreducible-minimal-polynomial", "element": ["0", "1"],
+        "min_poly": [str(-n), "0", "1"]}
+
+
 def test_replicate_single(capsys):
     assert main(["replicate", "--name", "matrix-commutator-dimension"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -117,6 +140,17 @@ def test_hunt_small(tmp_path, capsys):
     assert data["non_symmetric_instances"] == []
     with open(report_path) as fh:
         assert json.load(fh) == data
+
+
+def test_hunt_report_bytes_pinned(tmp_path, capsys):
+    # sha256 of the report file as the hunt wrote it when each candidate was
+    # still decoded from a spec dict
+    report_path = tmp_path / "hunt.json"
+    assert main(["hunt", "--char", "2", "--max-group", "4", "--max-ext", "2",
+                 "--report", str(report_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == \
+        "9ff3682023943a1588500aaab34e0232a8b7db2e5e8e5ed0c8ab072b7392358e"
 
 
 def test_hunt_checkpoint_roundtrip(tmp_path, capsys):

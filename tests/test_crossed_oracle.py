@@ -18,12 +18,10 @@ from grasym import (
     GradedAlgebra,
     Matrix,
     cyclic_algebra_spec,
-    make_field,
 )
 from grasym import algebras
 from grasym.errors import GrasymError, IncompatibleCocycleData, NonInvertibleAlpha
 from grasym.replicate import HuntParams, default_hunt_params, hunt_candidates, hunt_char2_params
-from grasym.specfile import group_from_dict
 
 from conftest import scalar_inverse, scalar_table
 
@@ -199,19 +197,6 @@ def _agree(spec) -> bool:
     return True
 
 
-def _candidate_args(spec: dict) -> tuple:
-    """The builder arguments (ext, group, sigma_powers, alpha_unit) of a hunt
-    candidate's constructor spec."""
-    block = spec["constructor"]
-    base = make_field(block["char"])
-    ext = make_field(base.char, block["ext_modulus"]) if block["ext_modulus"] else base
-    return ext, group_from_dict(spec["group"]), block["sigma_powers"], block["alpha_unit"]
-
-
-def _candidate_spec(spec: dict) -> CrossedProductSpec:
-    return algebras.frobenius_crossed_spec(*_candidate_args(spec))
-
-
 def test_raw_laws_agree_on_the_crossed_law_corpus():
     # imported here: test_algebras imports this module's Scalar oracle
     from test_algebras import CROSSED_LAW_CORPUS_ACCEPTED, _crossed_law_corpus
@@ -224,7 +209,8 @@ def test_raw_laws_agree_on_every_pool_cell_candidate():
     cells = {cell.name: cell for draw in workloads.POOL for cell in draw}
     assert len(cells) == 4
     for cell in cells.values():
-        accepted = [_agree(_candidate_spec(s)) for _, s in hunt_candidates(cell.params())]
+        accepted = [_agree(algebras.frobenius_crossed_spec(*args))
+                    for _, args in hunt_candidates(cell.params())]
         assert (len(accepted), sum(accepted)) == (cell.enumerated, cell.tested), cell.name
 
 
@@ -256,7 +242,7 @@ def builder_agrees(ext, group, sigma_powers, alpha_unit=None) -> bool:
 
 
 def _builder_counts(params: HuntParams) -> tuple:
-    accepted = [builder_agrees(*_candidate_args(s)) for _, s in hunt_candidates(params)]
+    accepted = [builder_agrees(*args) for _, args in hunt_candidates(params)]
     return len(accepted), sum(accepted)
 
 
@@ -324,12 +310,12 @@ def _normalize_section_corpus() -> list:
     from test_algebras import _coboundary_twisted_quaternions
 
     specs = [cyclic_algebra_spec(3), cyclic_algebra_spec(5)]
-    for _, s in hunt_candidates(HuntParams(3, (1, 3), (("cyclic", 3),))):
+    for _, args in hunt_candidates(HuntParams(3, (1, 3), (("cyclic", 3),))):
         try:
-            algebras.frobenius_crossed_product(*_candidate_args(s))
+            algebras.frobenius_crossed_product(*args)
         except IncompatibleCocycleData:
             continue
-        specs.append(_candidate_spec(s))
+        specs.append(algebras.frobenius_crossed_spec(*args))
     return specs + [_coboundary_twisted_quaternions()]
 
 

@@ -34,7 +34,7 @@ from grasym import (
     sweedler_algebra,
     trivial_extension,
 )
-from grasym.algebras import constant_alpha, trivial_sigma
+from grasym.algebras import constant_alpha, frobenius_crossed_product, trivial_sigma
 from grasym.errors import (
     AsymmetricMu,
     DimensionTooLarge,
@@ -60,7 +60,7 @@ from grasym.replicate import (
     hunt_char2_params,
     random_small_algebra,
 )
-from grasym.specfile import algebra_from_dict, canonical_json, certificate_to_dict
+from grasym.specfile import canonical_json, certificate_to_dict
 from grasym.symmetry import (
     ENUMERATION_BOUND,
     MAX_TRACE_SPACE_DIM,
@@ -158,9 +158,10 @@ def _rationals_corpus():
 def _hunt_accepted():
     out = []
     for params in (hunt_char2_params(), HuntParams(3, (1, 3), (("cyclic", 3),))):
-        for index, spec in hunt_candidates(params):
+        for index, args in hunt_candidates(params):
             try:
-                out.append((f"hunt-p{params.characteristic}-{index}", algebra_from_dict(spec)))
+                out.append((f"hunt-p{params.characteristic}-{index}",
+                            frobenius_crossed_product(*args)))
             except IncompatibleCocycleData:
                 continue
     return out

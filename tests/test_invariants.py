@@ -281,8 +281,8 @@ def test_identity_component_witness_lifted_into_the_algebra(f2):
 
 def _oracle_corpus():
     from grasym.errors import IncompatibleCocycleData
+    from grasym.algebras import frobenius_crossed_product
     from grasym.replicate import hunt_candidates, hunt_char2_params, random_graded_basis_change
-    from grasym.specfile import algebra_from_dict
 
     cyc3_f9 = scalar_extension(cyclic_algebra(3), 2)
     yield cyclic_algebra(2)
@@ -292,9 +292,9 @@ def _oracle_corpus():
     yield quaternion_algebra(rationals(), -1, -1)
     yield group_algebra(make_field(5), cyclic_group(4))
     yield _graded_dual_numbers(make_field(5))
-    for _, spec in hunt_candidates(hunt_char2_params()):
+    for _, args in hunt_candidates(hunt_char2_params()):
         try:
-            yield algebra_from_dict(spec)
+            yield frobenius_crossed_product(*args)
         except IncompatibleCocycleData:
             continue
 
@@ -383,16 +383,16 @@ def _te_field(p, n):
 
 def _scan_oracle_corpus():
     from grasym.errors import IncompatibleCocycleData
+    from grasym.algebras import frobenius_crossed_product
     from grasym.replicate import (HuntParams, dim4_f2_corpus, hunt_candidates,
                                   hunt_char2_params, random_graded_basis_change)
-    from grasym.specfile import algebra_from_dict
 
     for name, a in dim4_f2_corpus():
         yield name, a
     for params in (hunt_char2_params(), HuntParams(3, (1, 3), (("cyclic", 3),))):
-        for index, spec in hunt_candidates(params):
+        for index, args in hunt_candidates(params):
             try:
-                yield f"hunt-{params.characteristic}-{index}", algebra_from_dict(spec)
+                yield f"hunt-{params.characteristic}-{index}", frobenius_crossed_product(*args)
             except IncompatibleCocycleData:
                 continue
     yield "cyc3(x)F9", scalar_extension(cyclic_algebra(3), 2)
@@ -675,3 +675,71 @@ def test_split_cubic_not_division(q):
     v = is_graded_division(a)
     assert v.status == "no"
     assert v.witness is not None and v.witness.inverse() is None
+
+
+def _rational_roots_by_divisors(coeffs):
+    """The rational roots as they were found before: every p/q and -p/q with
+    p dividing the constant term and q the leading coefficient, by trial
+    division, in that order and with repeats; [0] when the constant is 0.
+    The oracle of invariants._rational_roots."""
+    from fractions import Fraction
+    from math import gcd, isqrt
+
+    fractions = [c.val for c in coeffs]
+    denom = 1
+    for f in fractions:
+        denom = denom * f.denominator // gcd(denom, f.denominator)
+    ints = [int(f * denom) for f in fractions]
+    if ints[0] == 0:
+        return [Fraction(0)]
+
+    def divisors(n):
+        n = abs(n)
+        return sorted({d for f in range(1, isqrt(n) + 1) if n % f == 0 for d in (f, n // f)})
+
+    n = len(ints) - 1
+    roots = []
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            for sign in (1, -1):
+                # q^n f(sign p / q), in integers
+                if sum(c * (sign * p) ** i * q ** (n - i) for i, c in enumerate(ints)) == 0:
+                    roots.append(Fraction(sign * p, q))
+    return roots
+
+
+def test_rational_roots_match_the_divisor_search(q):
+    # the same roots in the same order of first appearance, so the same
+    # first root and the same zero-divisor witness
+    from fractions import Fraction
+
+    from grasym.invariants import _rational_roots
+
+    rng = random.Random(1504)
+    with_roots = 0
+    for _ in range(2000):
+        degree = rng.choice([2, 3])
+        if rng.random() < 0.5:  # a product of linear factors, so roots exist
+            poly = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 4))]
+            for _ in range(degree):
+                r = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                poly = [a - r * b for a, b in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+        else:
+            poly = [Fraction(rng.randint(-40, 40), rng.randint(1, 3)) for _ in range(degree)]
+            poly.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 6)))
+        coeffs = [q.scalar(c) for c in poly]
+        want = list(dict.fromkeys(_rational_roots_by_divisors(coeffs)))
+        got = _rational_roots(coeffs)
+        assert [r.val for r in got] == want, poly
+        with_roots += bool(want)
+    assert with_roots > 1000
+
+
+def test_rational_roots_of_a_huge_constant_need_no_factoring(q):
+    from grasym.invariants import _rational_roots
+
+    big = 10 ** 30
+    assert _rational_roots([q.from_int(-(big + 1)), q.zero(), q.one()]) == []
+    # (x - 10^15)(x + 10^15/7) = x^2 - (6/7) 10^15 x - 10^30/7
+    roots = _rational_roots([q.scalar(f"-{big}/7"), q.scalar(f"-{6 * 10 ** 15}/7"), q.one()])
+    assert [r.to_json() for r in roots] == [f"{10 ** 15}", f"-{10 ** 15}/7"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -18,6 +19,7 @@ from grasym import (
     ungrade,
     validate_algebra,
 )
+from grasym.algebras import frobenius_crossed_product
 from grasym.errors import NotDivision, ParseError, RationalsNotSupported
 from grasym.replicate import (
     HuntParams,
@@ -31,6 +33,8 @@ from grasym.replicate import (
 )
 from grasym.specfile import algebra_from_dict, canonical_json
 from grasym.symmetry import check_division_criterion
+
+from conftest import candidate_spec
 
 
 # -- scalar extension ------------------------------------------------------------
@@ -196,9 +200,37 @@ def test_the_pinned_char2_hunt_builds_each_group_once(built_groups):
 def test_hunt_includes_group_algebra_and_twisted_points():
     # the F_2 group-algebra candidates and the F_4 Frobenius candidates both
     # appear in the enumeration
-    blocks = [s["constructor"] for _, s in hunt_candidates(hunt_char2_params())]
-    assert any(c["ext_modulus"] is None for c in blocks)
-    assert any(c["ext_modulus"] == [1, 1, 1] and c["sigma_powers"] == [1] for c in blocks)
+    candidates = [args for _, args in hunt_candidates(hunt_char2_params())]
+    assert any(ext.degree == 1 for ext, *_ in candidates)
+    assert any(ext.modulus == (1, 1, 1) and powers == (1,) for ext, _, powers, _ in candidates)
+
+
+def test_the_hunt_decodes_no_spec(monkeypatch):
+    # each candidate goes straight to the builder: no constructor block is
+    # dispatched and no JSON scalar is read
+    from grasym import fields, specfile
+
+    calls = []
+    for module, name in [(specfile, "_build_constructor"), (fields, "scalar_from_json"),
+                         (specfile, "scalar_from_json")]:
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    report = hunt_counterexample(hunt_char2_params())
+    assert (report.candidates_enumerated, report.division_count) == (57, 13)
+    assert calls == []
+
+
+def test_hunt_checkpoint_bytes_pinned(tmp_path, monkeypatch):
+    # sha256 of the final checkpoint as the hunt wrote it when each candidate
+    # was still decoded from a spec dict
+    from grasym import replicate
+    ck = tmp_path / "hunt.ckpt"
+    monkeypatch.setattr(replicate, "CHECKPOINT_EVERY", 10)
+    hunt_counterexample(hunt_char2_params(), checkpoint_path=str(ck))
+    assert hashlib.sha256(ck.read_bytes()).hexdigest() == \
+        "f044e05fbbdeb9fa5d742db32896ad3251ae9723008e934f40435d4e8a6db067"
 
 
 def test_hunt_checkpoint_resume(tmp_path, monkeypatch):
@@ -270,7 +302,7 @@ def test_hunt_resume_refuses_every_finding(tmp_path):
     # that lists a finding, even a real candidate before next_index, was not
     # written by this hunt
     p = HuntParams(3, (1,), (("cyclic", 2),))  # two candidates, both graded division
-    first, second = [spec for _, spec in hunt_candidates(p)]
+    first, second = [candidate_spec(*args) for _, args in hunt_candidates(p)]
     mid = {"params_sha256": p.digest(), "next_index": 1, "candidates_enumerated": 1,
            "incompatible_count": 0, "instances_tested": 1, "division_count": 1,
            "non_symmetric_instances": [], "no_base_field_point_instances": []}
@@ -292,22 +324,24 @@ def test_hunt_resume_refuses_every_finding(tmp_path):
 
 
 def test_hunt_finding_reverifies():
-    # a finding is the candidate spec itself; it round-trips through JSON
-    spec_dict = next(spec for _, spec in hunt_candidates(HuntParams(2, (2,), (("cyclic", 2),)))
-                     if spec["constructor"]["sigma_powers"] == [1]
-                     and spec["constructor"]["alpha_unit"] == [1, 0])
+    # a finding would be the spec written from the candidate's builder
+    # arguments; it round-trips through JSON to the algebra the hunt built
+    args = next(args for _, args in hunt_candidates(HuntParams(2, (2,), (("cyclic", 2),)))
+                if args[2:] == ((1,), (1, 0)))
+    spec_dict = candidate_spec(*args)
     assert spec_dict["constructor"]["ext_modulus"] == [1, 1, 1]
     a = algebra_from_dict(json.loads(canonical_json(spec_dict)))
     assert a.dim == 4 and validate_algebra(a).ok
+    assert a == frobenius_crossed_product(*args)
 
 
 def _accepted(params):
     """The graded division candidates of a hunt, with their division verdicts."""
     from grasym.errors import IncompatibleCocycleData
     from grasym.invariants import is_graded_division
-    for _, spec in hunt_candidates(params):
+    for _, args in hunt_candidates(params):
         try:
-            a = algebra_from_dict(spec)
+            a = frobenius_crossed_product(*args)
         except IncompatibleCocycleData:
             continue
         verdict = is_graded_division(a)
@@ -406,9 +440,9 @@ def test_hunt_division_instances_posterior_scan():
     from grasym.errors import IncompatibleCocycleData
     from grasym.invariants import is_graded_division
     import itertools
-    for _, spec in hunt_candidates(hunt_char2_params()):
+    for _, args in hunt_candidates(hunt_char2_params()):
         try:
-            a = algebra_from_dict(spec)
+            a = frobenius_crossed_product(*args)
         except IncompatibleCocycleData:
             continue
         if not is_graded_division(a).is_yes:
@@ -435,12 +469,12 @@ def test_hunt_resume_mid_stream(tmp_path):
     # 20 candidates, freeze the counters, then resume from there
     counts = {"candidates_enumerated": 0, "incompatible_count": 0,
               "instances_tested": 0, "division_count": 0}
-    for index, spec in hunt_candidates(p):
+    for index, args in hunt_candidates(p):
         if index >= 20:
             break
         counts["candidates_enumerated"] += 1
         try:
-            a = algebra_from_dict(spec)
+            a = frobenius_crossed_product(*args)
         except IncompatibleCocycleData:
             counts["incompatible_count"] += 1
             continue
@@ -492,21 +526,17 @@ def test_hunt_char3_includes_skew_group_algebra_point():
     assert report.no_base_field_point_instances == []
     # (extension degree, Frobenius powers, coefficients of the twisting unit)
     survivors = []
-    for _, spec in hunt_candidates(p):
+    for _, (ext, group, powers, unit) in hunt_candidates(p):
         try:
-            algebra_from_dict(spec)
+            frobenius_crossed_product(ext, group, powers, unit)
         except IncompatibleCocycleData:
             continue
-        c = spec["constructor"]
-        survivors.append((len(c["alpha_unit"]), tuple(c["sigma_powers"]),
-                          tuple(c["alpha_unit"])))
+        survivors.append((ext.degree, powers, unit))
     assert (1, (0, 0), (1,)) in survivors           # the modular group algebra
     assert (3, (1, 2), (1, 0, 0)) in survivors      # the degree-3 skew group algebra
-    skew = next(s for _, s in hunt_candidates(p)
-                if len(s["constructor"]["alpha_unit"]) == 3
-                and s["constructor"]["sigma_powers"] == [1, 2]
-                and s["constructor"]["alpha_unit"] == [1, 0, 0])
-    a = algebra_from_dict(skew)
+    skew = next(args for _, args in hunt_candidates(p)
+                if args[0].degree == 3 and args[2:] == ((1, 2), (1, 0, 0)))
+    a = frobenius_crossed_product(*skew)
     assert a.dim == 9
     verdict = is_graded_division(a)
     assert verdict.is_yes

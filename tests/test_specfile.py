@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,9 @@ from grasym.specfile import (
     parse_algebra_file,
     write_algebra_file,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def all_constructor_outputs():
@@ -285,10 +290,9 @@ def _frobenius_crossed(name):
     if name == "hunt-char3-degree3-skew":
         from grasym.replicate import HuntParams, hunt_candidates
         params = HuntParams(3, (3,), (("cyclic", 3),))
-        return algebra_from_dict(next(
-            s for _, s in hunt_candidates(params)
-            if s["constructor"]["sigma_powers"] == [1, 2]
-            and s["constructor"]["alpha_unit"] == [1, 0, 0]))
+        return frobenius_crossed_product(*next(
+            args for _, args in hunt_candidates(params)
+            if args[2:] == ((1, 2), (1, 0, 0))))
     return frobenius_crossed_product(*dict(_frobenius_actions())[name])
 
 
@@ -312,3 +316,33 @@ FROBENIUS_CROSSED_HASHES = {
 @pytest.mark.parametrize("name", sorted(FROBENIUS_CROSSED_HASHES))
 def test_frobenius_crossed_product_hash_pinned(name):
     assert algebra_hash(_frobenius_crossed(name)) == FROBENIUS_CROSSED_HASHES[name]
+
+
+def test_the_spec_of_every_hunt_candidate_builds_what_the_hunt_builds():
+    # the hunt calls the builder with its arguments; the spec written from
+    # them decodes to the same algebra, or fails with the same error
+    from grasym.errors import IncompatibleCocycleData
+    from grasym.replicate import HuntParams, hunt_candidates, hunt_char2_params
+
+    from conftest import candidate_spec
+
+    cells = {cell.name: cell for draw in workloads.POOL for cell in draw}
+    assert len(cells) == 4
+    hunts = [hunt_char2_params(), HuntParams(3, (1, 3), (("cyclic", 3),))]
+    built = rejected = 0
+    for params in hunts + [cell.params() for cell in cells.values()]:
+        for _, args in hunt_candidates(params):
+            spec = json.loads(canonical_json(candidate_spec(*args)))
+            try:
+                want = frobenius_crossed_product(*args)
+            except IncompatibleCocycleData as exc:
+                with pytest.raises(IncompatibleCocycleData) as raised:
+                    algebra_from_dict(spec)
+                assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+                rejected += 1
+                continue
+            got = algebra_from_dict(spec)
+            assert got == want
+            assert canonical_json(algebra_to_dict(got)) == canonical_json(algebra_to_dict(want))
+            built += 1
+    assert (built, rejected) == (13 + 4 + 18 + 130 + 54 + 26, 44 + 232 + 42 + 110 + 42 + 52)

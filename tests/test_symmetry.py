@@ -38,7 +38,7 @@ from grasym import (
     ungrade,
     verify_certificate,
 )
-from grasym.algebras import constant_alpha, trivial_sigma
+from grasym.algebras import constant_alpha, frobenius_crossed_product, trivial_sigma
 from grasym.errors import (
     AsymmetricMu,
     CharacteristicDividesGroupOrder,
@@ -619,12 +619,11 @@ def test_decisions_and_normalization_run_no_scalar_elimination(monkeypatch):
     # or Matrix.solve runs on the way to a verdict or a normalized section
     from grasym.errors import IncompatibleCocycleData
     from grasym.replicate import hunt_candidates, hunt_char2_params
-    from grasym.specfile import algebra_from_dict
 
     accepted = []
-    for _, spec in hunt_candidates(hunt_char2_params()):
+    for _, args in hunt_candidates(hunt_char2_params()):
         try:
-            accepted.append(algebra_from_dict(spec))
+            accepted.append(frobenius_crossed_product(*args))
         except IncompatibleCocycleData:
             continue
     assert len(accepted) == 13

@@ -370,9 +370,10 @@ def test_the_public_constructor_is_the_oracle_of_the_raw_tables():
     # Scalar constructor, fed the same table wrapped, must give the same
     # algebra and the same spec bytes
     from grasym import crossed_product
+    from grasym.algebras import frobenius_crossed_product
     from grasym.errors import IncompatibleCocycleData, NonInvertibleAlpha
     from grasym.replicate import HuntParams, hunt_candidates, hunt_char2_params
-    from grasym.specfile import algebra_from_dict, algebra_to_dict, canonical_json
+    from grasym.specfile import algebra_to_dict, canonical_json
 
     from test_algebras import _crossed_law_corpus
 
@@ -386,9 +387,9 @@ def test_the_public_constructor_is_the_oracle_of_the_raw_tables():
         except (IncompatibleCocycleData, NonInvertibleAlpha):
             pass
     for params in (hunt_char2_params(), HuntParams(3, (1, 3), (("cyclic", 3),))):
-        for _, spec in hunt_candidates(params):
+        for _, args in hunt_candidates(params):
             try:
-                frobenius.append(algebra_from_dict(spec))
+                frobenius.append(frobenius_crossed_product(*args))
             except IncompatibleCocycleData:
                 pass
     assert (len(crossed), len(frobenius)) == (21, 13 + 4)
