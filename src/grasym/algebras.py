@@ -82,24 +82,24 @@ class GradedAlgebra:
     One built by hand from structure constants should pass validate_algebra.
     """
 
-    __slots__ = ("field", "group", "dim", "degree", "table", "unit", "labels", "meta")
+    __slots__ = ("field", "group", "dim", "degree", "table", "unit", "labels")
 
     def __init__(self, field: Field, group: GroupTable, degree, sc, unit,
-                 labels=None, meta=None):
+                 labels=None):
         """sc gives the terms (k, c_ij^k) of each e_i e_j by (i, j); each
         constant and each unit entry must be a Scalar of field."""
-        self._store(field, group, degree, sc, unit, labels, meta, field.ops.unwrap)
+        self._store(field, group, degree, sc, unit, labels, field.ops.unwrap)
 
     @classmethod
     def _from_raw(cls, field: Field, group: GroupTable, degree, sc, unit,
-                  labels=None, meta=None) -> "GradedAlgebra":
+                  labels=None) -> "GradedAlgebra":
         """The algebra of structure constants and unit coordinates given as
         raw values, with sc shaped as __init__ takes it."""
         a = cls.__new__(cls)
-        a._store(field, group, degree, sc, unit, labels, meta)
+        a._store(field, group, degree, sc, unit, labels)
         return a
 
-    def _store(self, field, group, degree, sc, unit, labels, meta, unwrap=None):
+    def _store(self, field, group, degree, sc, unit, labels, unwrap=None):
         self.field = field
         self.group = group
         self.degree = tuple(degree)
@@ -139,7 +139,6 @@ class GradedAlgebra:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != d:
             raise ValueError("label list has wrong length")
-        self.meta = dict(meta) if meta else {}
 
     # -- elements ---------------------------------------------------------------
 
@@ -187,8 +186,7 @@ class GradedAlgebra:
                 and self.labels == other.labels)
 
     def __repr__(self):
-        name = self.meta.get("construction", "algebra")
-        return f"GradedAlgebra({name}, dim={self.dim}, field={self.field})"
+        return f"GradedAlgebra(dim={self.dim}, field={self.field}, group={self.group})"
 
 
 def _left_rows(a: GradedAlgebra, x) -> list:
@@ -519,8 +517,7 @@ def group_algebra(field: Field, group: GroupTable) -> GradedAlgebra:
     unit = [field.ops.zero] * group.order
     unit[group.identity] = one
     labels = [group.label(g) for g in range(group.order)]
-    return GradedAlgebra._from_raw(field, group, range(group.order), sc, unit, labels=labels,
-                                   meta={"construction": "group_algebra"})
+    return GradedAlgebra._from_raw(field, group, range(group.order), sc, unit, labels=labels)
 
 
 def field_as_algebra(ext: Field, base: Field, group: GroupTable | None = None) -> GradedAlgebra:
@@ -534,9 +531,7 @@ def field_as_algebra(ext: Field, base: Field, group: GroupTable | None = None) -
     ops = base.ops
     if ext == base:
         return GradedAlgebra._from_raw(base, group, [group.identity], {(0, 0): ((0, ops.one),)},
-                                       [ops.one], labels=["1"],
-                                       meta={"construction": "field_algebra",
-                                             "extension_degree": 1})
+                                       [ops.one], labels=["1"])
     if base != ext.prime_subfield():
         raise FieldMismatch("coefficient field must be the prime subfield")
     n = ext.degree
@@ -545,10 +540,7 @@ def field_as_algebra(ext: Field, base: Field, group: GroupTable | None = None) -
           for i in range(n) for j in range(n)}
     unit = [ops.one] + [ops.zero] * (n - 1)
     labels = ["1"] + [f"x{i if i > 1 else ''}" for i in range(1, n)]
-    return GradedAlgebra._from_raw(base, group, [group.identity] * n, sc, unit,
-                                   labels=labels,
-                                   meta={"construction": "field_algebra", "extension_degree": n,
-                                         "modulus": list(ext.modulus)})
+    return GradedAlgebra._from_raw(base, group, [group.identity] * n, sc, unit, labels=labels)
 
 
 def frobenius_matrix(ext: Field, power: int) -> Matrix:
@@ -589,8 +581,7 @@ def quaternion_algebra(field: Field, a, b) -> GradedAlgebra:
         (3, 1): {2: -a}, (3, 2): {1: b}, (3, 3): {0: -(a * b)},
     }
     unit = [one, field.zero(), field.zero(), field.zero()]
-    return GradedAlgebra(field, g, [0, 1, 2, 3], sc, unit, labels=["1", "i", "j", "k"],
-                         meta={"construction": "quaternion_algebra", "a": a, "b": b})
+    return GradedAlgebra(field, g, [0, 1, 2, 3], sc, unit, labels=["1", "i", "j", "k"])
 
 
 def sweedler_algebra(field: Field) -> GradedAlgebra:
@@ -609,8 +600,7 @@ def sweedler_algebra(field: Field) -> GradedAlgebra:
         (2, 1): {3: -one}, (3, 1): {2: -one},
     }
     unit = [one, zero, zero, zero]
-    return GradedAlgebra(field, g, [0, 0, 0, 0], sc, unit, labels=["1", "c", "x", "cx"],
-                         meta={"construction": "sweedler_algebra"})
+    return GradedAlgebra(field, g, [0, 0, 0, 0], sc, unit, labels=["1", "c", "x", "cx"])
 
 
 # -- crossed products ----------------------------------------------------------------
@@ -874,8 +864,7 @@ def _crossed_product_table(raw: _RawCoefficients, G: GroupTable, alpha: dict) ->
     if d.labels is not None:
         labels = [f"{d.label(i)}*{G.label(g)}" if g != G.identity else d.label(i)
                   for g in range(G.order) for i in range(dd)]
-    return GradedAlgebra._from_raw(d.field, G, degree, sc, unit, labels=labels,
-                                   meta={"construction": "crossed_product"})
+    return GradedAlgebra._from_raw(d.field, G, degree, sc, unit, labels=labels)
 
 
 def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
@@ -957,8 +946,7 @@ def _frobenius_coefficients(ext: Field) -> tuple:
 
     Built once per field: fields are shared instances, so the cache keys by
     identity.  Every spec of frobenius_crossed_spec shares the result, which
-    no caller mutates; field_as_algebra stays uncached for callers that
-    change meta.
+    no caller mutates.
     """
     base = ext.prime_subfield()
     d = field_as_algebra(ext, base)
@@ -971,7 +959,8 @@ def _frobenius_data(ext: Field, group: GroupTable, sigma_powers, alpha_unit) -> 
     """The checked arguments of a Frobenius crossed product: D, the exponent
     k_g in [0, dim D) of each group element in index order (k_e = 0), the
     matrix of sigma(g) = Frob^(k_g) on D for each, and the twist u as the
-    dim D raw values of its coordinates over F_p."""
+    dim D raw values of its coordinates over F_p (ints read directly, the
+    rest through Field.scalar)."""
     base = ext.prime_subfield()
     d, frobenius = _frobenius_coefficients(ext)
     sigma_powers = list(sigma_powers)
@@ -981,7 +970,8 @@ def _frobenius_data(ext: Field, group: GroupTable, sigma_powers, alpha_unit) -> 
     sigma = [frobenius[k] for k in powers]
     if alpha_unit is None:
         return d, powers, sigma, d.unit
-    u = tuple(base.ops.unwrap([base.scalar(c) for c in alpha_unit]))
+    u = tuple(base.ops.from_int(c) if type(c) is int else base.scalar(c).val
+              for c in alpha_unit)
     if len(u) > d.dim:
         raise ValueError(f"alpha_unit has more than {d.dim} coefficients")
     return d, powers, sigma, u + (base.ops.zero,) * (d.dim - len(u))
@@ -1048,7 +1038,7 @@ def frobenius_crossed_product(ext: Field, group: GroupTable, sigma_powers,
 
     Failures are reported at the first (g, h) or (g, h, k) in the order of
     _check_crossed_laws, and the dimension bound is checked before any law.
-    Everything runs on raw values: with alpha_unit None or given as
+    Everything runs on raw values: with alpha_unit None or given as ints or
     Scalars, no Scalar is made.
     """
     d, powers, sigma, u = _frobenius_data(ext, group, sigma_powers, alpha_unit)
@@ -1105,9 +1095,7 @@ def cyclic_algebra_spec(p: int) -> CrossedProductSpec:
 def cyclic_algebra(p: int) -> GradedAlgebra:
     """The C_p-graded skew group algebra of F_{p^p} over F_p, dimension p^2:
     the product of cyclic_algebra_spec(p)."""
-    a = frobenius_crossed_product(*_cyclic_algebra_data(p))
-    a.meta.update({"construction": "cyclic_algebra", "p": p})
-    return a
+    return frobenius_crossed_product(*_cyclic_algebra_data(p))
 
 
 # -- good gradings on matrix algebras ---------------------------------------------------
@@ -1153,9 +1141,7 @@ def good_matrix_algebra(n: int, sigmas, delta: GradedAlgebra) -> GradedAlgebra:
         unit[index(i, i, 0):index(i, i, dd)] = delta.unit
     labels = [f"E{i + 1}{j + 1}" + (f"*{delta.label(t)}" if dd > 1 else "")
               for i in range(n) for j in range(n) for t in range(dd)]
-    return GradedAlgebra._from_raw(field, g, degree, sc, unit, labels=labels,
-                                   meta={"construction": "good_matrix_algebra", "n": n,
-                                         "sigmas": sigmas, "delta_dim": dd})
+    return GradedAlgebra._from_raw(field, g, degree, sc, unit, labels=labels)
 
 
 def matrix_algebra(field: Field, n: int) -> GradedAlgebra:
@@ -1189,8 +1175,7 @@ def trivial_extension(a: GradedAlgebra) -> GradedAlgebra:
     labels = None
     if a.labels is not None:
         labels = list(a.labels) + [f"f({lbl})" for lbl in a.labels]
-    return GradedAlgebra._from_raw(a.field, a.group, degree, sc, unit, labels=labels,
-                                   meta={"construction": "trivial_extension"})
+    return GradedAlgebra._from_raw(a.field, a.group, degree, sc, unit, labels=labels)
 
 
 def direct_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
@@ -1206,8 +1191,7 @@ def direct_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
             sc[(da + i, da + j)] = [(da + k, c) for k, c in terms]
     degree = list(a.degree) + list(b.degree)
     unit = list(a.unit) + list(b.unit)
-    return GradedAlgebra._from_raw(a.field, a.group, degree, sc, unit,
-                                   meta={"construction": "direct_product"})
+    return GradedAlgebra._from_raw(a.field, a.group, degree, sc, unit)
 
 
 def tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
@@ -1233,8 +1217,7 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
                         (k * db + l, mul(ca, cb)) for k, ca in terms_a for l, cb in terms_b]
     degree = [a.group.mul(ga, gb) for ga in a.degree for gb in b.degree]
     unit = [mul(ca, cb) for ca in a.unit for cb in b.unit]
-    return GradedAlgebra._from_raw(a.field, a.group, degree, sc, unit,
-                                   meta={"construction": "tensor_product"})
+    return GradedAlgebra._from_raw(a.field, a.group, degree, sc, unit)
 
 
 def scalar_extension(a: GradedAlgebra, m: int) -> GradedAlgebra:
@@ -1251,7 +1234,7 @@ def scalar_extension(a: GradedAlgebra, m: int) -> GradedAlgebra:
     sc = {(i, j): [(k, embed(c)) for k, c in terms]
           for i, row in enumerate(a.table) for j, terms in enumerate(row)}
     return GradedAlgebra._from_raw(target, a.group, a.degree, sc, map(embed, a.unit),
-                                   labels=a.labels, meta=dict(a.meta))
+                                   labels=a.labels)
 
 
 def ungrade(a: GradedAlgebra) -> GradedAlgebra:
@@ -1260,8 +1243,7 @@ def ungrade(a: GradedAlgebra) -> GradedAlgebra:
         return a
     g = trivial_group()
     sc = {(i, j): terms for i, row in enumerate(a.table) for j, terms in enumerate(row)}
-    return GradedAlgebra._from_raw(a.field, g, [0] * a.dim, sc, a.unit, labels=a.labels,
-                                   meta=dict(a.meta))
+    return GradedAlgebra._from_raw(a.field, g, [0] * a.dim, sc, a.unit, labels=a.labels)
 
 
 def subspace_algebra(a: GradedAlgebra, s: Subspace) -> GradedAlgebra:
@@ -1301,8 +1283,7 @@ def subspace_algebra(a: GradedAlgebra, s: Subspace) -> GradedAlgebra:
     else:
         group = trivial_group()
         degrees = [0] * r
-    return GradedAlgebra(a.field, group, degrees, sc, unit,
-                         meta={"construction": "subspace_algebra"})
+    return GradedAlgebra(a.field, group, degrees, sc, unit)
 
 
 def homogeneous_component(a: GradedAlgebra, g: int) -> Subspace:

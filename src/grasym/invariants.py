@@ -29,11 +29,11 @@ elements the scan covers, and a No the witness's index in `Field.vectors`
 order: the certificate says what was proved, not how many matrices were
 eliminated.
 
-Over the rationals only two certificates are accepted: quaternion parameters
-making the norm form positive definite, and commutative identity components
-of dimension <= 3 with an element whose minimal polynomial has full degree
-and no rational root (degree <= 3, so that means irreducible).  Anything else
-is reported Unknown rather than guessed.
+Over the rationals only two certificates are accepted: quaternion parameters,
+read off the table, making the norm form positive definite, and commutative
+identity components of dimension <= 3 with an element whose minimal
+polynomial has full degree and no rational root (degree <= 3, so that means
+irreducible).  Anything else is reported Unknown rather than guessed.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebras import Element, GradedAlgebra, _solve_raw
+from .algebras import Element, GradedAlgebra, _solve_raw, quaternion_algebra
 from .errors import AmbientMismatch
 from .fields import Scalar
 from .linalg import Subspace, lane_width, packed_nonsingular, sparse_kernel, sparse_span
@@ -200,8 +200,7 @@ def _identity_component_algebra(a: GradedAlgebra) -> GradedAlgebra:
     sc = {(position[i], position[j]): [(position[k], c) for k, c in a.table[i][j]]
           for i in indices for j in indices}
     return GradedAlgebra._from_raw(a.field, a.group, [e] * len(indices), sc,
-                                   [a.unit[i] for i in indices],
-                                   meta={"construction": "subspace_algebra"})
+                                   [a.unit[i] for i in indices])
 
 
 def _restricted_left_mults(e_alg: GradedAlgebra, w: int) -> list:
@@ -309,9 +308,10 @@ def _rational_division_check(e_alg: GradedAlgebra):
     """Certificate-based division test over Q; Unknown when no criterion applies."""
     if e_alg.dim == 1:
         return DivisionVerdict("yes", {"kind": "scalar-field"})
-    meta = e_alg.meta
-    if meta.get("construction") == "quaternion_algebra":
-        a_val, b_val = meta["a"].val, meta["b"].val
+    # the quaternion parameters are the coefficients of e_0 in e_1^2 and e_2^2
+    a_val, b_val = (dict(e_alg.table[i][i]).get(0) for i in (1, 2)) if e_alg.dim == 4 else (0, 0)
+    h = quaternion_algebra(e_alg.field, a_val, b_val) if a_val and b_val else None
+    if h is not None and (h.table, h.unit) == (e_alg.table, e_alg.unit):
         if a_val < 0 and b_val < 0:
             return DivisionVerdict("yes", {
                 "kind": "positive-definite-norm-form",

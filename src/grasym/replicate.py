@@ -161,8 +161,7 @@ def random_graded_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAl
             sc[(i, j)] = express(sparse_combination(ops, change[j], right))
     unit = express({k: c for k, c in enumerate(a.unit) if c != zero})
     return GradedAlgebra._from_raw(field, a.group, a.degree, sc,
-                                   [unit.get(k, zero) for k in range(d)],
-                                   meta={"construction": "basis_change"})
+                                   [unit.get(k, zero) for k in range(d)])
 
 
 def random_small_algebra(field, rng: random.Random) -> GradedAlgebra:

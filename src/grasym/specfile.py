@@ -20,7 +20,7 @@ from .algebras import GradedAlgebra
 from .errors import ParseError, ValidationError
 from .fields import Field, make_field, scalar_from_json
 from .groups import GroupTable, group_from_kind, group_from_table
-from .symmetry import LinearFunctional, SymmetryVerdict
+from .symmetry import MODES, REFUTATIONS, LinearFunctional, SymmetryVerdict
 
 
 def canonical_json(obj) -> str:
@@ -267,9 +267,22 @@ def write_certificate_file(a: GradedAlgebra, verdict: SymmetryVerdict, path: str
 
 
 def load_certificate_file(path: str) -> dict:
+    """The certificate at path, checked to hold a string algebra_sha256, a
+    mode of MODES, and a status of yes with a witness list or of no with one
+    of the REFUTATIONS."""
     cert = load_json(path)
     if not isinstance(cert, dict):
         raise ParseError("certificate must be a JSON object")
+    with _decoding("certificate"):
+        if cert["status"] == "yes":
+            last = ("witness", lambda v: isinstance(v, list))
+        else:
+            last = ("refutation", lambda v: v in REFUTATIONS)
+        for key, good in (("algebra_sha256", lambda v: isinstance(v, str)),
+                          ("mode", lambda v: v in MODES),
+                          ("status", lambda v: v in ("yes", "no")), last):
+            if not good(cert[key]):
+                raise ParseError(f"certificate has a bad {key}: {cert[key]!r}")
     return cert
 
 

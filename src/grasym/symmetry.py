@@ -30,6 +30,7 @@ has a point there, however small the field, by descent from any extension
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .algebras import (
@@ -37,6 +38,7 @@ from .algebras import (
     Element,
     GradedAlgebra,
     crossed_product,
+    good_matrix_algebra,
     homogeneous_component,
 )
 from .errors import (
@@ -55,6 +57,7 @@ from .linalg import Matrix, Subspace, eliminate_raw, sparse_kernel
 from .multipoly import GramPencil, linear_pencil, nonvanishing_point, structured_det
 
 MODES = ("graded-symmetric", "graded-frobenius", "symmetric", "frobenius")
+REFUTATIONS = ("trace-space-zero", "gram-det-identically-zero")
 MAX_TRACE_SPACE_DIM = 8
 ENUMERATION_BOUND = 3 ** 8
 
@@ -98,7 +101,7 @@ class SymmetryVerdict:
     mode: str
     status: str  # "yes" | "no"
     witness: LinearFunctional | None = None
-    refutation: str | None = None  # "trace-space-zero" | "gram-det-identically-zero"
+    refutation: str | None = None  # one of REFUTATIONS
     gram_rank: int | None = None
     trace_space_dim: int = 0
 
@@ -451,15 +454,17 @@ def lift_functional(spec: CrossedProductSpec, lam: LinearFunctional) -> LinearFu
 
 
 def matrix_trace_functional(m: GradedAlgebra, lam: LinearFunctional) -> LinearFunctional:
-    """Compose a graded-symmetric certificate of the coefficient algebra with
-    the usual matrix trace of a good-graded matrix algebra."""
-    meta = m.meta
-    if meta.get("construction") != "good_matrix_algebra":
-        raise NotAGoodMatrixAlgebra("algebra was not built by good_matrix_algebra")
-    n, dd = meta["n"], meta["delta_dim"]
-    if lam.owner.dim != dd:
-        raise NotAGoodMatrixAlgebra("functional does not match the coefficient algebra")
-    report = verify_certificate(lam.owner, lam, "graded-symmetric")
+    """Compose a graded-symmetric certificate lam on Delta = lam.owner with the
+    usual matrix trace of m, which must have the field, group, table and unit
+    of good_matrix_algebra(n, sigmas, Delta) for dim m = n^2 dim Delta; the
+    table does not depend on the sigmas, so m is compared with sigmas = e."""
+    delta = lam.owner
+    dd = delta.dim
+    n = max(1, math.isqrt(m.dim // dd))
+    plain = good_matrix_algebra(n, (delta.group.identity,) * n, delta)
+    if (m.field, m.group, m.table, m.unit) != (delta.field, delta.group, plain.table, plain.unit):
+        raise NotAGoodMatrixAlgebra("algebra is not M_n of the functional's algebra")
+    report = verify_certificate(delta, lam, "graded-symmetric")
     if not report.ok:
         raise InvalidCertificate(f"coefficient functional fails: {report}")
     z = m.field.zero()

@@ -154,8 +154,9 @@ def test_raw_values_are_refused_by_the_public_constructor(field, raw):
 
 def test_tables_are_built_checked_and_compared_without_scalars(monkeypatch):
     # the raw table is the only storage: building the pinned char-2 hunt's
-    # candidates, Light's test on F_3 Sweedler^3 and its commutators make no
-    # Scalar once the inputs exist
+    # candidates, with the twist as the hunt's ints or as Scalars, Light's
+    # test on F_3 Sweedler^3 and its commutators make no Scalar once the
+    # inputs exist
     from grasym import fields
     from grasym.algebras import _frobenius_coefficients, _passes_light_test
     from grasym.invariants import commutator_pairs, commutator_rows
@@ -164,6 +165,7 @@ def test_tables_are_built_checked_and_compared_without_scalars(monkeypatch):
     for _, (ext, group, sigma_powers, unit) in hunt_candidates(hunt_char2_params()):
         _frobenius_coefficients(ext)  # D and its Frobenius matrices, once per field
         base = ext.prime_subfield()
+        candidates.append((ext, group, sigma_powers, unit))
         candidates.append((ext, group, sigma_powers, [base.scalar(c) for c in unit]))
     s = sweedler_algebra(make_field(3))
     a = tensor_product(tensor_product(s, s), s)
@@ -182,9 +184,21 @@ def test_tables_are_built_checked_and_compared_without_scalars(monkeypatch):
             built += 1
         except (IncompatibleCocycleData, NonInvertibleAlpha):
             pass
-    assert (len(candidates), built, len(made)) == (57, 13, 0)
+    assert (len(candidates), built, len(made)) == (2 * 57, 2 * 13, 0)
     assert _passes_light_test(a) and not made
     assert len(list(commutator_rows(a, commutator_pairs(a)))) > 0 and not made
+
+
+@pytest.mark.parametrize("twist", [[True, 1], [0, 1.0], [0, "1"]])
+def test_frobenius_twist_takes_no_bool_float_or_string(f4, twist):
+    with pytest.raises(TypeError):
+        frobenius_crossed_product(f4, cyclic_group(2), [0], twist)
+
+
+def test_frobenius_twist_of_ints_is_reduced_mod_p(f4):
+    c2 = cyclic_group(2)
+    assert frobenius_crossed_product(f4, c2, [0], [2, -1]) == \
+        frobenius_crossed_product(f4, c2, [0], [make_field(2).zero(), make_field(2).one()])
 
 
 def test_repeated_structure_constants_rejected(f3):
@@ -498,8 +512,6 @@ def test_frobenius_builder_takes_the_identity_exponent_as_zero():
 def test_field_as_algebra_builds_a_fresh_algebra_per_call(f2, f4):
     a, b = field_as_algebra(f4, f2), field_as_algebra(f4, f2)
     assert a is not b and a == b
-    a.meta["note"] = "changed by its caller"
-    assert "note" not in b.meta
     c2 = cyclic_group(2)
     assert frobenius_crossed_spec(f4, c2, [0]).coeff is frobenius_crossed_spec(f4, c2, [1]).coeff
 

@@ -55,8 +55,7 @@ def scalar_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAlgebra:
             if terms:
                 sc[(i, j)] = terms
     unit = express(a.one().coords)
-    return GradedAlgebra(a.field, a.group, a.degree, sc, unit,
-                         meta={"construction": "basis_change"})
+    return GradedAlgebra(a.field, a.group, a.degree, sc, unit)
 
 
 def _inputs():

@@ -164,8 +164,7 @@ def _crossed_product_table(spec: CrossedProductSpec, alpha: dict) -> GradedAlgeb
     if d.labels is not None:
         labels = [f"{d.label(i)}*{G.label(g)}" if g != G.identity else d.label(i)
                   for g in range(G.order) for i in range(dd)]
-    return GradedAlgebra(field, G, degree, sc, unit, labels=labels,
-                         meta={"construction": "crossed_product"})
+    return GradedAlgebra(field, G, degree, sc, unit, labels=labels)
 
 
 def _agree(spec) -> bool:
@@ -225,7 +224,7 @@ def builder_agrees(ext, group, sigma_powers, alpha_unit=None) -> bool:
     """Whether frobenius_crossed_product accepts the data, after checking
     that it gives the exception class and message of
     crossed_product(frobenius_crossed_spec(...)), or the same algebra with
-    the same labels and meta."""
+    the same labels."""
     args = (ext, group, sigma_powers, alpha_unit)
     try:
         want = algebras.crossed_product(algebras.frobenius_crossed_spec(*args))
@@ -236,8 +235,8 @@ def builder_agrees(ext, group, sigma_powers, alpha_unit=None) -> bool:
         return False
     got = algebras.frobenius_crossed_product(*args)
     assert got == want
-    assert (scalar_table(got), got.one().coords, got.degree, got.labels, got.meta) == (
-        scalar_table(want), want.one().coords, want.degree, want.labels, want.meta)
+    assert (scalar_table(got), got.one().coords, got.degree, got.labels) == (
+        scalar_table(want), want.one().coords, want.degree, want.labels)
     return True
 
 
@@ -272,7 +271,7 @@ def test_builder_agrees_on_a_default_hunt_slice(params, counts):
 def test_cyclic_algebra_is_the_product_of_its_spec(p):
     a = algebras.cyclic_algebra(p)
     b = algebras.crossed_product(cyclic_algebra_spec(p))
-    assert a == b and a.meta == {"construction": "cyclic_algebra", "p": p}
+    assert a == b
 
 
 # -- normalize_section against its computation on Elements -----------------------------

@@ -220,6 +220,19 @@ MALFORMED = {
     "certificate-without-witness": lambda tmp: [
         "verify", _write(tmp / "s.json", _spec()),
         _write(tmp / "c.json", {k: v for k, v in _certificate().items() if k != "witness"})],
+    "certificate-without-status": lambda tmp: [
+        "verify", _write(tmp / "s.json", _spec()),
+        _write(tmp / "c.json", {k: v for k, v in _certificate().items() if k != "status"})],
+    "certificate-with-status-maybe": lambda tmp: [
+        "verify", _write(tmp / "s.json", _spec()),
+        _write(tmp / "c.json", {**_certificate(), "status": "maybe"})],
+    "certificate-with-status-null": lambda tmp: [
+        "verify", _write(tmp / "s.json", _spec()),
+        _write(tmp / "c.json", {**_certificate(), "status": None})],
+    "no-certificate-with-an-unknown-refutation": lambda tmp: [
+        "verify", _write(tmp / "s.json", _spec()),
+        _write(tmp / "c.json", {**_certificate(), "status": "no", "witness": None,
+                                "refutation": "gram-det-nonzero"})],
     "resume-from-a-spec-file": lambda tmp: HUNT_ARGS + [
         "--resume", _write(tmp / "s.json", _spec())],
     "spec-with-huge-int": lambda tmp: [

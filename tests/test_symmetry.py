@@ -26,6 +26,7 @@ from grasym import (
     gram_pencil,
     group_algebra,
     is_graded_division,
+    klein_group,
     lift_functional,
     make_field,
     matrix_algebra,
@@ -467,11 +468,22 @@ def test_matrix_trace_composite(f3, f9):
     assert v.is_yes
 
 
-def test_matrix_trace_rejects_other_algebras(q):
+def test_matrix_trace_rejects_other_algebras(q, f2):
+    # the structure constants decide: H and F_2[V_4] have dimension 2^2 * 1
+    # but neither is M_2 of its field, and F_2[C_3] has no square dimension
+    for m in (quaternion_algebra(q, -1, -1), group_algebra(f2, klein_group()),
+              group_algebra(f2, cyclic_group(3))):
+        f = m.field
+        lam = LinearFunctional(field_as_algebra(f, f, m.group), [f.one()])
+        with pytest.raises(NotAGoodMatrixAlgebra):
+            matrix_trace_functional(m, lam)
+
+
+def test_matrix_trace_of_one_by_one_matrices(q):
+    # M_1(H) = H is a good matrix algebra, whose trace is the functional itself
     h = quaternion_algebra(q, -1, -1)
     lam = LinearFunctional(h, [q.one(), q.zero(), q.zero(), q.zero()])
-    with pytest.raises(NotAGoodMatrixAlgebra):
-        matrix_trace_functional(h, lam)
+    assert matrix_trace_functional(h, lam) == lam
 
 
 def test_matrix_trace_rejects_bad_certificate(f2):

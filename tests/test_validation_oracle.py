@@ -362,7 +362,7 @@ def _rebuilt(a):
     """a through the public constructor, from its table and unit wrapped
     into Scalars."""
     return GradedAlgebra(a.field, a.group, a.degree, scalar_table(a), a.one().coords,
-                         labels=a.labels, meta=a.meta)
+                         labels=a.labels)
 
 
 def test_the_public_constructor_is_the_oracle_of_the_raw_tables():
