@@ -399,22 +399,6 @@ class Subspace:
         return Subspace.from_vectors(self.field, self.ambient_dim,
                                      list(self.basis) + list(other.basis))
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: reduce [U|U; W|0], read the intersection off the right half."""
-        self._check_ambient(other)
-        n = self.ambient_dim
-        z = self.field.zero()
-        rows = [list(u) + list(u) for u in self.basis]
-        rows += [list(w) + [z] * n for w in other.basis]
-        if not rows:
-            return Subspace.zero(self.field, n)
-        red, rank, _ = Matrix(self.field, rows).rref()
-        inter = []
-        for row in red.entries[:rank]:
-            if all(x.is_zero for x in row[:n]):
-                inter.append(row[n:])
-        return Subspace.from_vectors(self.field, n, inter)
-
     def quotient_basis(self, sub: "Subspace") -> list:
         """Vectors from this basis completing sub's basis to a basis of self."""
         self._check_ambient(sub)

@@ -20,6 +20,14 @@ that proves a No) before the walk goes on.  Small fields are enumerated
 exhaustively; a nonzero polynomial that vanishes on all of such a field has
 no point there, and the search says so and stops.  A determinant of a
 decision never does: see symmetry.decide_form_existence.
+
+A product whose factors fall into groups sharing no unknown is searched one
+group at a time, each on the grid of its own unknowns and its own degree,
+and the groups' first points are put together.  That is the point the walk
+of the whole grid finds: the nonzero set is the product of the groups'
+nonzero sets, so its lexicographically first point is made of theirs, and a
+group's smaller grid already holds its first point, because a nonzero
+polynomial of degree <= d has a nonzero point on every S^k with |S| > d.
 """
 
 from __future__ import annotations
@@ -370,10 +378,10 @@ class BlockDet:
         return repr(self.expand())
 
 
-def _support_components(pencil: GramPencil):
-    """Connected components of the nonzero pattern (rows and cols as nodes)."""
-    d, zero = pencil.dim, _zero_form(pencil.field, pencil.num_vars)
-    parent = list(range(2 * d))
+def _roots(n: int, links) -> list:
+    """The root of each of the nodes 0..n-1 once every pair in links is
+    joined: a union-find."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -381,20 +389,23 @@ def _support_components(pencil: GramPencil):
             x = parent[x]
         return x
 
-    def union(a, b):
+    for a, b in links:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
+    return [find(x) for x in range(n)]
 
-    for i, row in enumerate(pencil.entries):
-        for j, form in enumerate(row):
-            if form != zero:
-                union(i, d + j)
+
+def _support_components(pencil: GramPencil):
+    """Connected components of the nonzero pattern (rows and cols as nodes)."""
+    d, zero = pencil.dim, _zero_form(pencil.field, pencil.num_vars)
+    roots = _roots(2 * d, ((i, d + j) for i, row in enumerate(pencil.entries)
+                           for j, form in enumerate(row) if form != zero))
     groups: dict = {}
     for i in range(d):
-        groups.setdefault(find(i), [[], []])[0].append(i)
+        groups.setdefault(roots[i], [[], []])[0].append(i)
     for j in range(d):
-        groups.setdefault(find(d + j), [[], []])[1].append(j)
+        groups.setdefault(roots[d + j], [[], []])[1].append(j)
     return [(tuple(rows), tuple(cols)) for rows, cols in groups.values()]
 
 
@@ -456,41 +467,126 @@ def _first_nonzero(poly, points):
     return None
 
 
+def _factor_unknowns(factor) -> list:
+    """The unknowns a factor uses, in ascending order: those with a nonzero
+    coefficient in some form of a BlockDet, or a positive exponent in some
+    term of a MultiPoly."""
+    if isinstance(factor, BlockDet):
+        zero = factor._ops.zero
+        forms = [form for row in factor._forms for form in row]
+        return [k for k in range(factor.num_vars) if any(form[k] != zero for form in forms)]
+    return [k for k in range(factor.num_vars) if any(exps[k] for exps in factor.terms)]
+
+
+def _unknown_groups(poly) -> list:
+    """poly's factors in groups that share no unknown, as pairs (unknowns in
+    ascending order, the group's product), in the order of their first
+    factors; factors that use no unknown form a group of their own.  A
+    MultiPoly, or a product with a factor on all m unknowns or that forms
+    one group, is one group on all m unknowns."""
+    m = poly.num_vars
+    whole = [(tuple(range(m)), poly)]
+    if not isinstance(poly, FactoredPoly) or len(poly.factors) < 2:
+        return whole
+    uses = []
+    for f in poly.factors:
+        uses.append(_factor_unknowns(f))
+        if len(uses[-1]) == m:
+            return whole
+    roots = _roots(m, ((ks[0], k) for ks in uses for k in ks[1:]))
+    groups: dict = {}
+    for f, ks in zip(poly.factors, uses):
+        groups.setdefault(roots[ks[0]] if ks else None, []).append(f)
+    if len(groups) == 1:
+        return whole
+    return [(tuple(k for k in range(m) if root is not None and roots[k] == root),
+             FactoredPoly(poly.field, m, 1, factors))
+            for root, factors in groups.items()]
+
+
+def _grid_points(field: Field, deg: int, unknowns: tuple, m: int):
+    """The grid of the first deg + 1 values of field (all of it when it has
+    no more) on the given unknowns, in lexicographic order, with every other
+    coordinate at the first value."""
+    values = _grid_values(field, deg + 1)
+    grid = itertools.product(values, repeat=len(unknowns))
+    if len(unknowns) == m:
+        return grid
+
+    def spread(coords):
+        point = [values[0]] * m
+        for k, v in zip(unknowns, coords):
+            point[k] = v
+        return tuple(point)
+
+    return map(spread, grid)
+
+
 def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field) -> PointResult:
     """Deterministically find a point of field^m where poly is nonzero.
 
     field must be poly.field; any other raises FieldMismatch.  A
     FactoredPoly is searched through its factors and never multiplied out;
-    it yields the same result as its expand().  The walk covers the grid of
-    the first deg + 1 values per variable, all of field^m when
-    |field| <= deg, where deg is the degree poly has if it is nonzero.
-    The first WITNESS_WALK grid points are tried before the zero test, which
-    for a determinant means a Yes within them never expands a block; a zero
-    poly then yields "identically_zero", and otherwise the walk goes on.
-    With |field| > deg the grid bound guarantees the walk succeeds; a nonzero
-    poly vanishing on all of a smaller field yields "no_point_over_field".
-    A whole field of more than SEARCH_BUDGET points is not walked: that
-    raises SearchSpaceTooLarge (after the zero test, so a zero poly still
-    yields "identically_zero").
+    it yields the same result as its expand().
+
+    The factors are split into groups that share no unknown (a union-find
+    over the unknowns each factor uses); a MultiPoly, or a product that
+    forms one group, is searched as one group on all m unknowns.  Group G is
+    walked on the grid of the first d_G + 1 values per unknown of G, all of
+    field when |field| <= d_G, where d_G is the degree G's product has if it
+    is nonzero.  The result puts the groups' first points together, with
+    every unknown that no factor uses at the first grid value, and equals
+    the first point of the whole grid:
+    - the nonzero set is the product of the groups' nonzero sets, so its
+      lexicographically first point is theirs put together, even when the
+      groups' unknowns interleave;
+    - with the first i coordinates of that point fixed, G's product is still
+      nonzero of degree <= d_G, so if coordinate i lay outside G's grid, a
+      point of G's grid would come earlier.
+
+    Each group's first WITNESS_WALK grid points are tried before the zero
+    test, so for a determinant a Yes within them never expands a block.
+    The zero test then runs on the whole product and expands only blocks
+    that no evaluation showed nonzero: a zero poly yields "identically_zero",
+    and otherwise the walks go on.  With |field| > d_G the grid bound
+    guarantees G's walk succeeds; a nonzero group vanishing on all of a
+    smaller field yields "no_point_over_field".  A group whose unknowns span
+    more than SEARCH_BUDGET points of a field no larger than d_G is not
+    walked: that raises SearchSpaceTooLarge (after the zero test, so a zero
+    poly still yields "identically_zero").
     """
     if poly.field != field:
         raise FieldMismatch(f"polynomial over {poly.field} searched over {field}")
-    m = poly.num_vars
-    deg = poly.nonzero_degree()
-    size = field.size()
-    if size is not None and size <= deg and size ** m > SEARCH_BUDGET:
-        if poly.is_zero:
-            return PointResult("identically_zero")
-        raise SearchSpaceTooLarge(f"{size}^{m} points exceed the exhaustive budget")
-    points = itertools.product(_grid_values(field, deg + 1), repeat=m)
-    point = _first_nonzero(poly, itertools.islice(points, WITNESS_WALK))
-    if point is None:
-        if poly.is_zero:
-            return PointResult("identically_zero")
-        point = _first_nonzero(poly, points)
-    if point is not None:
-        return PointResult("found", point=point)
-    if size is None or size > deg:
-        raise AssertionError("grid bound violated; polynomial arithmetic "
-                             "or factor evaluation is broken")
-    return PointResult("no_point_over_field")
+    m, size = poly.num_vars, field.size()
+    point = list(_grid_values(field, 1)) * m
+    pending = []
+    for unknowns, part in _unknown_groups(poly):
+        deg = part.nonzero_degree()
+        if size is not None and size <= deg and size ** len(unknowns) > SEARCH_BUDGET:
+            pending.append((unknowns, part, deg, None))
+            continue
+        points = _grid_points(field, deg, unknowns, m)
+        found = _first_nonzero(part, itertools.islice(points, WITNESS_WALK))
+        if found is None:
+            pending.append((unknowns, part, deg, points))
+        else:
+            for k in unknowns:
+                point[k] = found[k]
+    if not pending:
+        return PointResult("found", point=tuple(point))
+    if poly.is_zero:
+        return PointResult("identically_zero")
+    for unknowns, _, _, points in pending:
+        if points is None:
+            raise SearchSpaceTooLarge(
+                f"{size}^{len(unknowns)} points exceed the exhaustive budget")
+    for unknowns, part, deg, points in pending:
+        found = _first_nonzero(part, points)
+        if found is None:
+            if size is None or size > deg:
+                raise AssertionError("grid bound violated; polynomial arithmetic "
+                                     "or factor evaluation is broken")
+            return PointResult("no_point_over_field")
+        for k in unknowns:
+            point[k] = found[k]
+    return PointResult("found", point=tuple(point))

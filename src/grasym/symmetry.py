@@ -281,16 +281,29 @@ def graded_division_criterion(a: GradedAlgebra) -> bool:
 
     graded_trace_witness vanishes on that span, so wherever it is nonzero,
     for instance when the characteristic does not divide dim A_e, the
-    criterion holds.  Open note, a sketch not verified here: over any field
-    every finite-dimensional graded division algebra would be graded
-    symmetric.  Let D = A_e and Z = Z(D); conjugation by homogeneous units
-    gives a finite group Gamma <= Aut(Z/F).  Take
+    criterion holds.  Over any field it holds too: every finite-dimensional
+    graded division algebra is graded symmetric.  Let D = A_e, a division
+    algebra, and Z = Z(D).  Conjugation by a homogeneous unit is an
+    automorphism of D, so it maps Z to Z; these restrictions form a finite
+    group Gamma <= Aut(Z/F) (finite since Z/F is finite).  Take
     lam = mu o Tr_{Z/Z^Gamma} o Trd_{D/Z} o pi_e for any nonzero F-linear
-    mu : Z^Gamma -> F.  Z/Z^Gamma is Galois (Artin), so its trace is nonzero
-    and Gamma-invariant; Trd is onto Z, and Trd o phi = phi|_Z o Trd.  If
-    this holds, the criterion is always True, the hunt cannot find a
-    non-symmetric graded division algebra, and the char-does-not-divide-dim
-    hypothesis is only what the regular trace needs.
+    mu : Z^Gamma -> F.  Step by step:
+    - Trd_{D/Z} is Z-linear and nonzero on the central simple Z-algebra D,
+      so it is onto Z; it is symmetric, Trd(xy) = Trd(yx), and it commutes
+      with automorphisms: Trd o phi = phi|_Z o Trd.
+    - Z/Z^Gamma is Galois with group Gamma (Artin), so Tr_{Z/Z^Gamma} is
+      onto Z^Gamma and Gamma-invariant.  Hence t = Tr o Trd : D -> Z^Gamma
+      is onto, symmetric on D, and invariant under conjugation by
+      homogeneous units, and lam = mu o t is nonzero on D.
+    - lam vanishes off A_e, so lam(xy) = lam(yx) needs checking only for x of
+      degree g and y of degree g^-1 with x != 0: then yx = x^-1 (xy) x, and
+      lam(yx) = lam(xy) by the invariance.  So lam is graded symmetric.
+    - A nonzero functional on A_e gives a nondegenerate form on A: pick z in
+      D with lam(z) != 0; any nonzero x has a nonzero homogeneous part x_g,
+      and y = x_g^-1 z has lam(xy) = lam(z) != 0.
+    So the criterion is always True, the hunt cannot find a non-symmetric
+    graded division algebra, and the char-does-not-divide-dim hypothesis is
+    only what the regular trace needs.
     """
     c = graded_commutator_space(a)
     ae = homogeneous_component(a, a.group.identity)
@@ -320,7 +333,14 @@ def decide_form_existence(a: GradedAlgebra, mode: str) -> SymmetryVerdict:
     Only when the first WITNESS_WALK points hold no witness does the zero
     test expand the blocks: a vanishing block refutes (the Gram determinant
     is identically zero), and otherwise the walk goes on until it yields a
-    witness.
+    witness.  Blocks that share no unknown are walked apart, in groups, each
+    on the grid of its own unknowns and degree, and the groups' first points
+    are put together: the nonzero set is the product of the groups', so its
+    lexicographically first point is theirs combined, and a group's grid
+    holds its first point because a nonzero polynomial of degree <= d has a
+    nonzero point on every S^k with |S| > d.  The witness is the one a walk
+    of the whole grid would give; a group with its witness among its own
+    first WITNESS_WALK points is never expanded.
 
     It always does, even over a field no larger than the degree, by descent
     (Noether-Deuring).  Let T be the trace space over F and K/F finite; then
@@ -457,7 +477,14 @@ def matrix_trace_functional(m: GradedAlgebra, lam: LinearFunctional) -> LinearFu
     """Compose a graded-symmetric certificate lam on Delta = lam.owner with the
     usual matrix trace of m, which must have the field, group, table and unit
     of good_matrix_algebra(n, sigmas, Delta) for dim m = n^2 dim Delta; the
-    table does not depend on the sigmas, so m is compared with sigmas = e."""
+    table does not depend on the sigmas, so m is compared with sigmas = e.
+
+    Symmetry and a nonsingular Gram matrix then carry over from lam, so the
+    composite is a certificate exactly when it vanishes off m's identity
+    component.  Under every good grading it does: E_ii (x) d_t has degree
+    sigma_i^-1 deg(d_t) sigma_i, which is e wherever lam(d_t) != 0.  Any
+    other grading of the same table that puts the composite off e raises
+    NotAGoodMatrixAlgebra."""
     delta = lam.owner
     dd = delta.dim
     n = max(1, math.isqrt(m.dim // dd))
@@ -467,9 +494,13 @@ def matrix_trace_functional(m: GradedAlgebra, lam: LinearFunctional) -> LinearFu
     report = verify_certificate(delta, lam, "graded-symmetric")
     if not report.ok:
         raise InvalidCertificate(f"coefficient functional fails: {report}")
-    z = m.field.zero()
+    z, e = m.field.zero(), m.group.identity
     coords = [z] * m.dim
     for i in range(n):
         for t in range(dd):
-            coords[(i * n + i) * dd + t] = lam.coords[t]
+            k = (i * n + i) * dd + t
+            if not lam.coords[t].is_zero and m.degree[k] != e:
+                raise NotAGoodMatrixAlgebra(
+                    f"the trace is nonzero at basis vector {k}, of degree {m.degree[k]}")
+            coords[k] = lam.coords[t]
     return LinearFunctional(m, coords)

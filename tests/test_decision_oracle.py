@@ -20,6 +20,7 @@ import pytest
 from grasym import (
     CrossedProductSpec,
     center,
+    component_has_invertible,
     cyclic_algebra,
     cyclic_group,
     decide_form_existence,
@@ -43,6 +44,7 @@ from grasym.errors import (
     SearchSpaceTooLarge,
 )
 from grasym.groups import symmetric_group_3, trivial_group
+from grasym import invariants, multipoly, symmetry
 from grasym.linalg import Matrix
 from grasym.multipoly import (
     SEARCH_BUDGET,
@@ -76,7 +78,7 @@ from grasym.symmetry import (
     verify_certificate,
 )
 from conftest import scalar_table
-from test_multipoly import pencil as forms_pencil
+from test_multipoly import _grid, pencil as forms_pencil, unsplit_point
 
 
 # -- the reference: expand every block, test zero, then walk ----------------------
@@ -100,12 +102,6 @@ def eager_structured_det(pencil: GramPencil) -> FactoredPoly:
     inversions = sum(1 for a in range(d) for b in range(a + 1, d)
                      if col_of_row[a] > col_of_row[b])
     return FactoredPoly(field, m, -1 if inversions % 2 else 1, factors)
-
-
-def _grid(field, count):
-    if field.char == 0:
-        return [field.from_int(k) for k in range(count)]
-    return [field.element_at(k) for k in range(min(count, field.size()))]
 
 
 def _first_nonzero_on_grid(det, field, deg):
@@ -214,8 +210,13 @@ def _m4_f3_c2():
 
 
 @pytest.mark.parametrize("build,mode,status", [
-    # the first witness lies beyond the walk, so the blocks are expanded first
+    # two groups of four 2x2 blocks on t_1..t_4 and t_5..t_8: each group
+    # finds its first witness within the walk, so no block is expanded
     (_m4_f3_c2, "graded-frobenius", "yes"),
+    # one group, two 2x2 blocks on all four unknowns, whose first witness is
+    # grid point 30: the walk fails, the zero test expands both blocks, and
+    # the walk goes on
+    (lambda: matrix_algebra(rationals(), 2), "frobenius", "yes"),
     # a square block whose determinant vanishes: the No is proved by expansion
     (lambda: sweedler_algebra(make_field(3)), "symmetric", "no"),
     (lambda: sweedler_algebra(rationals()), "symmetric", "no"),
@@ -225,6 +226,47 @@ def test_both_fallbacks_of_the_walk_match_the_reference(build, mode, status):
     got = _outcome(decide_form_existence, a, mode)
     assert got == _outcome(eager_decide, a, mode)
     assert f'"status":"{status}"' in got
+
+
+@pytest.mark.parametrize("build,mode,expanded", [
+    (_m4_f3_c2, "graded-frobenius", 0),
+    (lambda: matrix_algebra(rationals(), 2), "frobenius", 2),
+])
+def test_only_a_group_without_a_witness_in_the_walk_is_expanded(monkeypatch, build, mode,
+                                                                 expanded):
+    a = build()
+    calls = []
+    monkeypatch.setattr(multipoly, "pencil_det",
+                        lambda pencil: calls.append(pencil) or pencil_det(pencil))
+    assert decide_form_existence(a, mode).is_yes
+    assert len(calls) == expanded
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_split_search_decides_as_the_unsplit_walk(monkeypatch, mode):
+    algebras = [a for _, a in CORPUS] + [_m4_f3_c2()]
+    split = 0
+    for a in algebras:
+        space = graded_trace_space(a, mode)
+        if 0 < space.dim <= MAX_TRACE_SPACE_DIM:
+            det = structured_det(gram_pencil(a, [LinearFunctional(a, r) for r in space.basis]))
+            split += len(multipoly._unknown_groups(det)) > 1
+    decisions = [_outcome(decide_form_existence, a, mode) for a in algebras]
+    units = [_units(a) for a in algebras]
+    monkeypatch.setattr(symmetry, "nonvanishing_point", unsplit_point)
+    monkeypatch.setattr(invariants, "nonvanishing_point", unsplit_point)
+    assert [_outcome(decide_form_existence, a, mode) for a in algebras] == decisions
+    assert [_units(a) for a in algebras] == units
+    assert split >= 4
+
+
+def _units(a) -> list:
+    """The unit found in each homogeneous component, or None."""
+    out = []
+    for g in sorted(set(a.degree)):
+        ok, witness, _ = component_has_invertible(a, g)
+        out.append(witness.coords if ok else None)
+    return out
 
 
 def test_lazy_block_values_match_the_expanded_blocks():

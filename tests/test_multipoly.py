@@ -16,7 +16,7 @@ from grasym import (
 )
 from grasym.errors import DimensionTooLarge, FieldMismatch, SearchSpaceTooLarge
 from grasym import multipoly
-from grasym.multipoly import WITNESS_WALK, FactoredPoly
+from grasym.multipoly import SEARCH_BUDGET, WITNESS_WALK, BlockDet, FactoredPoly, PointResult
 
 
 def var(field, m, i):
@@ -188,7 +188,7 @@ def _no_point_over(poly, field):
     # degree: the whole field is walked and the search stops there
     assert not poly.is_zero
     assert all(poly.evaluate((c,)).is_zero for c in field.elements())
-    assert nonvanishing_point(poly, field) == multipoly.PointResult("no_point_over_field")
+    assert nonvanishing_point(poly, field) == PointResult("no_point_over_field")
 
 
 def test_nonvanishing_point_needs_extension(f2):
@@ -397,3 +397,191 @@ def test_linear_pencil_sums_the_contributions(f5):
     assert p == pencil(f5, 2, [[MultiPoly.zero(f5, 2), t2 * two],
                                [t1 * three + t2, MultiPoly.zero(f5, 2)]])
     assert pencil_det(p) == -(t2 * two) * (t1 * three + t2)
+
+
+# -- the split search against the unsplit walk it replaced ---------------------------
+
+def _grid(field, count):
+    if field.char == 0:
+        return [field.from_int(k) for k in range(count)]
+    return [field.element_at(k) for k in range(min(count, field.size()))]
+
+
+def unsplit_point(poly, field):
+    """The search before the split: one walk of the grid of all m unknowns,
+    with deg + 1 values each for the degree deg of the whole product."""
+    if poly.field != field:
+        raise FieldMismatch(f"polynomial over {poly.field} searched over {field}")
+    m, deg, size = poly.num_vars, poly.nonzero_degree(), field.size()
+    if size is not None and size <= deg and size ** m > SEARCH_BUDGET:
+        if poly.is_zero:
+            return PointResult("identically_zero")
+        raise SearchSpaceTooLarge(f"{size}^{m} points exceed the exhaustive budget")
+    points = itertools.product(_grid(field, deg + 1), repeat=m)
+
+    def first(candidates):
+        return next((p for p in candidates if not poly.evaluate(p).is_zero), None)
+
+    point = first(itertools.islice(points, WITNESS_WALK))
+    if point is None:
+        if poly.is_zero:
+            return PointResult("identically_zero")
+        point = first(points)
+    if point is not None:
+        return PointResult("found", point=point)
+    if size is None or size > deg:
+        raise AssertionError("grid bound violated")
+    return PointResult("no_point_over_field")
+
+
+def _search(search, poly, field):
+    try:
+        return search(poly, field)
+    except (SearchSpaceTooLarge, AssertionError) as exc:
+        return type(exc).__name__
+
+
+def _random_value(field, rng):
+    if field.char == 0:
+        return field.from_int(rng.randrange(-2, 3))
+    return field.element_at(rng.randrange(field.size()))
+
+
+def _random_factor(field, m, unknowns, rng):
+    """A block determinant or a polynomial in some of the given unknowns."""
+    zero = field.zero()
+    if rng.random() < 0.5:
+        d = rng.randrange(1, 4)
+        used = rng.sample(unknowns, rng.randrange(1, len(unknowns) + 1))
+        forms = tuple(tuple(tuple(_random_value(field, rng) if k in used and rng.random() < 0.7
+                                  else zero for k in range(m)) for _ in range(d))
+                      for _ in range(d))
+        return BlockDet(GramPencil(field, d, m, forms))
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        exps = [0] * m
+        for _ in range(rng.randrange(1, 4)):
+            exps[rng.choice(unknowns)] += 1
+        terms[tuple(exps)] = _random_value(field, rng)
+    return MultiPoly(field, m, terms)
+
+
+def _random_product(field, rng) -> FactoredPoly:
+    """A product of factors on two or three groups of unknowns, in random
+    (so often interleaved) positions, with some unknowns used by no factor,
+    and now and then a constant factor."""
+    m = rng.randrange(2, 5 if field.char == 0 else 6)
+    labels = [rng.randrange(3) for _ in range(m)]
+    factors = []
+    for label in set(labels):
+        unknowns = [k for k in range(m) if labels[k] == label]
+        if label or len(set(labels)) == 1:  # label 0 marks unused unknowns
+            factors += [_random_factor(field, m, unknowns, rng)
+                        for _ in range(rng.randrange(1, 3))]
+    if rng.random() < 0.1:
+        factors.append(MultiPoly.constant(field, m, _random_value(field, rng)))
+    rng.shuffle(factors)
+    return FactoredPoly(field, m, rng.choice((1, -1)), factors)
+
+
+def test_split_search_matches_the_unsplit_walk(f2, f3, f5, q):
+    seen = {"split": 0, "interleaved": 0, "small-field group": 0, "unused unknown": 0}
+    statuses = set()
+    for field in (f2, f3, f5, q):
+        rng = random.Random(f"split-{field}")
+        for _ in range(150):
+            det = _random_product(field, rng)
+            groups = multipoly._unknown_groups(det)
+            got = _search(nonvanishing_point, det, field)
+            assert got == _search(unsplit_point, det, field), (field, det)
+            if isinstance(got, PointResult):
+                statuses.add(got.status)
+                if got.found:
+                    assert not det.evaluate(got.point).is_zero
+            if len(groups) > 1:
+                seen["split"] += 1
+                spans = [(min(u), max(u)) for u, _ in groups if u]
+                seen["interleaved"] += any(lo < hi2 and lo2 < hi for lo, hi in spans
+                                           for lo2, hi2 in spans if (lo, hi) != (lo2, hi2))
+                seen["small-field group"] += any(
+                    field.size() is not None and field.size() <= part.nonzero_degree()
+                    for _, part in groups)
+                seen["unused unknown"] += sum(len(u) for u, _ in groups) < det.num_vars
+    assert statuses == {"found", "identically_zero", "no_point_over_field"}
+    assert min(seen.values()) >= 20, seen
+
+
+def _far_product(field, m, count):
+    """t_1 t_2 ... t_count in m unknowns, one factor per unknown."""
+    return FactoredPoly(field, m, 1, [var(field, m, k) for k in range(count)])
+
+
+def _over_budget(field, m):
+    """t_1 t_2 + t_3 t_4 + ... + t_23 t_24: 24 unknowns of F_2 in one factor of
+    degree 2, so its own grid is the whole of F_2^24, above the budget."""
+    return MultiPoly(field, m, {tuple(int(k // 2 == i) for k in range(m)): field.one()
+                                for i in range(12)})
+
+
+def test_a_zero_group_refutes_before_another_group_runs_over_budget(f2):
+    m = 26
+    t24, t25 = var(f2, m, 24), var(f2, m, 25)
+    vanishing = structured_det(pencil(f2, m, [[t24, t25], [t24, t25]]))
+    det = FactoredPoly(f2, m, 1, (_over_budget(f2, m),) + vanishing.factors)
+    assert nonvanishing_point(det, f2).status == "identically_zero"
+    det = FactoredPoly(f2, m, 1, (_over_budget(f2, m), t24 * t25))
+    with pytest.raises(SearchSpaceTooLarge, match=r"2\^24 points exceed"):
+        nonvanishing_point(det, f2)
+
+
+def test_the_budget_is_decided_per_group(f2):
+    # 24 groups of one unknown and degree 1: each walks {0, 1}, while the
+    # whole product has degree 24 and would need all of F_2^24
+    det = _far_product(f2, 24, 24)
+    with pytest.raises(SearchSpaceTooLarge):
+        unsplit_point(det, f2)
+    assert nonvanishing_point(det, f2).point == (f2.one(),) * 24
+
+
+def test_a_group_without_a_point_over_a_small_field(f2):
+    # t_2 (t_2 + 1) vanishes on all of F_2; t_1 does not
+    t1, t2 = var(f2, 2, 0), var(f2, 2, 1)
+    det = FactoredPoly(f2, 2, 1, (t1, t2 * (t2 + const(f2, 2, 1))))
+    assert len(multipoly._unknown_groups(det)) == 2
+    assert nonvanishing_point(det, f2) == unsplit_point(det, f2) \
+        == PointResult("no_point_over_field")
+
+
+class _VanishingPoly(MultiPoly):
+    """A nonzero polynomial whose evaluation is broken: always zero."""
+
+    __slots__ = ()
+
+    def evaluate(self, point):
+        return self.field.zero()
+
+
+def test_a_group_without_a_point_above_the_grid_bound_is_a_bug(q):
+    t1, t2 = var(q, 2, 0), var(q, 2, 1)
+    broken = _VanishingPoly(q, 2, t1.terms)
+    for det in (broken, FactoredPoly(q, 2, 1, (t2, broken))):
+        with pytest.raises(AssertionError, match="grid bound violated"):
+            nonvanishing_point(det, q)
+
+
+def test_one_group_runs_the_unsplit_walk(monkeypatch, f2):
+    # t_1 (t_1 + 1) leaves t_2..t_24 unused, yet one group keeps the walk of
+    # all of F_2^24 and its budget, as before the split
+    m = 24
+    t = var(f2, m, 0)
+    det = FactoredPoly(f2, m, 1, (t, t + const(f2, m, 1)))
+    with pytest.raises(SearchSpaceTooLarge, match=r"2\^24 points exceed"):
+        nonvanishing_point(det, f2)
+
+    def refuse(factor):
+        raise AssertionError("the unknowns of a lone factor were read")
+
+    monkeypatch.setattr(multipoly, "_factor_unknowns", refuse)
+    t1, t2 = var(f2, 2, 0), var(f2, 2, 1)
+    for poly in (t1 * t2, structured_det(pencil(f2, 2, [[t1, t2], [t2, t1]]))):
+        assert nonvanishing_point(poly, f2) == unsplit_point(poly, f2)

@@ -39,7 +39,12 @@ from grasym import (
     ungrade,
     verify_certificate,
 )
-from grasym.algebras import constant_alpha, frobenius_crossed_product, trivial_sigma
+from grasym.algebras import (
+    GradedAlgebra,
+    constant_alpha,
+    frobenius_crossed_product,
+    trivial_sigma,
+)
 from grasym.errors import (
     AsymmetricMu,
     CharacteristicDividesGroupOrder,
@@ -54,6 +59,7 @@ from grasym.groups import dihedral_group
 from grasym.replicate import dim4_f2_corpus, random_graded_basis_change
 from grasym.symmetry import check_division_criterion
 from grasym.specfile import canonical_json, certificate_to_dict
+from conftest import scalar_table
 
 
 # -- trace spaces -------------------------------------------------------------------
@@ -477,6 +483,19 @@ def test_matrix_trace_rejects_other_algebras(q, f2):
         lam = LinearFunctional(field_as_algebra(f, f, m.group), [f.one()])
         with pytest.raises(NotAGoodMatrixAlgebra):
             matrix_trace_functional(m, lam)
+
+
+def test_matrix_trace_rejects_a_grading_that_is_not_good(f2):
+    # Delta is F_2[C_2] with both basis vectors in degree e, where lam = (0, 1)
+    # is a graded-symmetric certificate; m has the table of M_2(Delta) but the
+    # group grading of F_2[C_2] on each entry, so the trace of lam is off e
+    f2c2 = group_algebra(f2, cyclic_group(2))
+    delta = GradedAlgebra(f2, f2c2.group, [0, 0], scalar_table(f2c2), f2c2.one().coords)
+    lam = LinearFunctional(delta, [f2.zero(), f2.one()])
+    assert verify_certificate(delta, lam, "graded-symmetric").ok
+    m = good_matrix_algebra(2, (0, 0), f2c2)
+    with pytest.raises(NotAGoodMatrixAlgebra, match="degree 1"):
+        matrix_trace_functional(m, lam)
 
 
 def test_matrix_trace_of_one_by_one_matrices(q):
