@@ -924,21 +924,6 @@ def normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
     return CrossedProductSpec(coeff=d, group=G, sigma=new_sigma, alpha=new_alpha)
 
 
-def trivial_sigma(d: GradedAlgebra, group: GroupTable) -> dict:
-    ident = Matrix.identity(d.field, d.dim)
-    return {g: ident for g in range(group.order)}
-
-
-def constant_alpha(d: GradedAlgebra, group: GroupTable, value=None) -> dict:
-    if value is None:
-        v = d.one().coords
-    elif isinstance(value, Element):
-        v = tuple(value.coords)
-    else:
-        v = tuple(d.field.scalar(c) for c in value)
-    return {(g, h): v for g in range(group.order) for h in range(group.order)}
-
-
 @lru_cache(maxsize=None)
 def _frobenius_coefficients(ext: Field) -> tuple:
     """ext as an algebra D over its prime field F_p, and the matrices of

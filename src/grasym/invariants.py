@@ -8,12 +8,21 @@ invertible (a = (a u^-1) u with a u^-1 invertible in the identity component).
 So once the identity component is division, each other component is decided
 by inverting any one of its nonzero elements.
 
-Over finite fields the identity component is decided exhaustively: every
-nonzero element is covered, in `Field.vectors` order, and the first singular
-one is the No witness.  Since L_{cx} = c L_x, one element decides its whole
-line F_q^* x, so the scan tests L_x only for the line representatives, the
-x whose last nonzero coordinate is 1; each is the first member of its line
-in that order.  A_e over F_q = F_{p^k} is taken over F_p by restriction of
+Over finite fields a commutative local A_e with a nonzero radical J is
+refuted without a scan, unless it is small enough to scan at once
+(SCAN_FIRST_BOUND).  Its non-units are exactly J = ker Φ^K, for the
+Frobenius map Φ(x) = x^q and q^K >= dim A_e, and the least nonzero vector
+of a subspace in `Field.vectors` order is its RREF row with the lowest pivot,
+each row's pivot taken at its highest coordinate.  So that row is the first
+zero divisor the scan would meet, and it is the No witness
+(`_local_zero_divisor`), at any size.
+
+Every other finite A_e is decided exhaustively: every nonzero element is
+covered, in `Field.vectors` order, and the first singular one is the No
+witness.  Since L_{cx} = c L_x, one element decides its whole line F_q^* x,
+so the scan tests L_x only for the line representatives, the x whose last
+nonzero coordinate is 1; each is the first member of its line in that
+order.  A_e over F_q = F_{p^k} is taken over F_p by restriction of
 scalars: an n x n matrix over F_q becomes the N x N matrix over F_p, N = n k,
 whose k x k blocks multiply by its entries, and its determinant is the norm
 of the one over F_q, so one is nonsingular exactly when the other is.  Each
@@ -42,13 +51,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebras import Element, GradedAlgebra, _solve_raw, quaternion_algebra
+from .algebras import (Element, GradedAlgebra, _left_rows, _solve_raw, quaternion_algebra,
+                       sparse_combination)
 from .errors import AmbientMismatch
 from .fields import Scalar
-from .linalg import Subspace, lane_width, packed_nonsingular, sparse_kernel, sparse_span
+from .linalg import (SparseEchelon, Subspace, eliminate_raw, lane_width, packed_nonsingular,
+                     sparse_kernel, sparse_span)
 from .multipoly import linear_pencil, nonvanishing_point, structured_det
 
 SCAN_BOUND = 10 ** 6
+# A_e with at most this many elements is scanned without trying its radical
+# first: the scan then takes a few milliseconds at most, and when A_e is a
+# field, as in every accepted hunt candidate, the trace-form pretest of
+# _local_zero_divisor would add 15-25% to it below about 200 elements.
+SCAN_FIRST_BOUND = 2 ** 8
 
 
 def center(a: GradedAlgebra) -> Subspace:
@@ -129,6 +145,40 @@ def graded_commutator_space(a: GradedAlgebra) -> Subspace:
     the pairs i < j are enough.
     """
     return _commutator_span(a, commutator_pairs(a, graded=True))
+
+
+def regular_trace(a: GradedAlgebra, indices) -> list:
+    """The raw values of the regular trace of the span of the basis vectors
+    at indices: entry k, for k in indices, is the trace of L_{e_k} there,
+    the sum over j in indices of the coefficient of e_j in e_k e_j; the
+    other entries are 0.  The span must be a subalgebra."""
+    ops = a.field.ops
+    values = [ops.zero] * a.dim
+    for k in indices:
+        row = a.table[k]
+        acc = ops.zero
+        for j in indices:
+            for l, c in row[j]:
+                if l == j:
+                    acc = ops.add(acc, c)
+        values[k] = acc
+    return values
+
+
+def form_rows(a: GradedAlgebra, x) -> list:
+    """The rows of the bilinear form (i, j) -> x(e_i e_j) on raw values, for
+    a functional given by its raw values x on the basis, in one pass over the
+    table."""
+    ops = a.field.ops
+
+    def value(terms):
+        acc = ops.zero
+        for k, c in terms:
+            if not ops.is_zero(x[k]):
+                acc = ops.add(acc, ops.mul(c, x[k]))
+        return acc
+
+    return [[value(terms) for terms in row] for row in a.table]
 
 
 def support(a: GradedAlgebra) -> tuple:
@@ -290,6 +340,95 @@ def _scan_division(e_alg: GradedAlgebra):
     return True, None, field.size() ** n - 1
 
 
+def _is_commutative(a: GradedAlgebra) -> bool:
+    """Whether e_i e_j = e_j e_i for all i < j: the tables are canonical, so
+    equal products have equal terms."""
+    table = a.table
+    return all(table[i][j] == table[j][i] for i in range(a.dim) for j in range(i + 1, a.dim))
+
+
+def _local_zero_divisor(e_alg: GradedAlgebra):
+    """The first zero divisor of _scan_division, found without scanning when
+    the finite algebra e_alg is commutative and local with a nonzero radical;
+    None when any of these fails.
+
+    In a commutative finite algebra C over F_q the non-units are the union of
+    the maximal ideals, and when C is local they are its radical J.
+    Φ(x) = x^q is F_q-linear on C, and J = ker Φ^K for q^K >= dim C, since
+    J^dim C = 0.  C is local exactly when the fixed space of Φ is F_q·1, of
+    dim 1 (Berlekamp 1970), and J = 0 exactly when the trace form
+    Tr(L_{e_i e_j}) is nonsingular: J lies in its radical, and a reduced C is
+    a product of finite fields, whose trace forms are nonsingular.  That
+    form is read off the table first, so fields cost no power of Φ.
+
+    The scan's order compares coordinate n - 1 first, so the least nonzero
+    vector of a subspace is the row with the lowest pivot of its RREF with
+    each row's pivot at its highest nonzero coordinate, scaled to 1 there.
+    Reducing the rows of Φ^K with pivots at their lowest columns gives it:
+    the kernel vector of the least free column f, 1 at f and minus each
+    pivot row's entry at f, is zero past f and at every other free column.
+    """
+    field, n, table = e_alg.field, e_alg.dim, e_alg.table
+    ops = field.ops
+    zero, one = ops.zero, ops.one
+    if not _is_commutative(e_alg):
+        return None
+    trace_form = form_rows(e_alg, regular_trace(e_alg, range(n)))
+    if eliminate_raw(ops, trace_form, n, stop_at_gap=True) is not None:
+        return None
+
+    def product(x, y):
+        # x y = sum_i x_i (e_i y), and e_i y = sum_j y_j e_i e_j
+        return sparse_combination(ops, x.items(), {
+            i: sparse_combination(ops, y.items(), table[i]).items() for i in x})
+
+    def frobenius(x):
+        # x^q by square-and-multiply
+        power, e = None, field.size()
+        while True:
+            if e & 1:
+                power = x if power is None else product(power, x)
+            e >>= 1
+            if not e:
+                return power
+            x = product(x, x)
+
+    # column j of Φ is e_j^q; the rank of Φ - 1 is that of its columns
+    phi = [frobenius({j: one}) for j in range(n)]
+    fixed = SparseEchelon(ops, n)
+    for j, image in enumerate(phi):
+        column = dict(image)
+        ops.sparse_sub_scaled(column, one, {j: one})
+        fixed.add(column)
+    if len(fixed.rows) != n - 1:
+        return None
+    # the columns of Φ^K, for the least K with q^K >= n
+    images = [image.items() for image in phi]
+    columns, reach = phi, field.size()
+    while reach < n:
+        columns = [sparse_combination(ops, v.items(), images) for v in columns]
+        reach *= field.size()
+    radical = SparseEchelon(ops, n)
+    rows = [{} for _ in range(n)]
+    for j, column in enumerate(columns):
+        for k, v in column.items():
+            rows[k][j] = v
+    radical.add_all(rows)
+    free = [f for f in range(n) if f not in radical.rows]
+    if not free:
+        raise AssertionError("a singular trace form on a commutative algebra with no "
+                             "radical, against its decomposition into fields; this is a bug")
+    f = free[0]
+    witness = [zero] * n
+    witness[f] = one
+    for p, row in radical.rows.items():
+        if f in row:
+            witness[p] = ops.sub(zero, row[f])
+    if eliminate_raw(ops, _left_rows(e_alg, witness), n, stop_at_gap=True) is not None:
+        raise AssertionError("the least vector of the radical is invertible; this is a bug")
+    return Element(e_alg, ops.wrap(witness))
+
+
 def _min_poly(e_alg: GradedAlgebra, el: Element):
     """Minimal polynomial coefficients (monic, low first) of el over the rationals."""
     ops = e_alg.field.ops
@@ -318,10 +457,7 @@ def _rational_division_check(e_alg: GradedAlgebra):
                 "a": str(a_val), "b": str(b_val)})
         return DivisionVerdict("unknown", {"kind": "rationals-uncertified",
                                            "reason": "norm form not definite by sign check"})
-    commutative = all(
-        e_alg.table[i][j] == e_alg.table[j][i]
-        for i in range(e_alg.dim) for j in range(i + 1, e_alg.dim))
-    if commutative and e_alg.dim <= 3:
+    if _is_commutative(e_alg) and e_alg.dim <= 3:
         candidates = [e_alg.basis_element(i) for i in range(e_alg.dim)]
         for i in range(e_alg.dim):
             for j in range(i + 1, e_alg.dim):
@@ -415,11 +551,22 @@ def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
     so one inverse per component decides the second; the last basis vector
     is tested and recorded as the witness.  A No verdict carries a
     homogeneous witness whose left multiplication is singular.
+
+    Over a finite field, an A_e with more than SCAN_FIRST_BOUND elements
+    that is commutative and local with a nonzero radical J is refuted first,
+    however large: its non-units are J = ker Φ^K for Φ(x) = x^q, and the
+    least vector of J in scan order, its lowest-pivot RREF row, is the
+    witness the scan would return.  Any other finite A_e is scanned when it
+    has at most SCAN_BOUND elements, and is Unknown otherwise.
     """
     e = a.group.identity
     e_alg = _identity_component_algebra(a)
     if a.field.is_finite:
-        if a.field.size() ** e_alg.dim > SCAN_BOUND:
+        size = a.field.size() ** e_alg.dim
+        zero_divisor = None if size <= SCAN_FIRST_BOUND else _local_zero_divisor(e_alg)
+        if zero_divisor is not None:
+            id_verdict = DivisionVerdict("no", {"kind": "zero-divisor"}, zero_divisor)
+        elif size > SCAN_BOUND:
             id_verdict = DivisionVerdict("unknown", {
                 "kind": "scan-bound-exceeded", "bound": SCAN_BOUND})
         else:

@@ -304,9 +304,6 @@ class Matrix:
             x[p] = red.entries[r_i][self.cols]
         return tuple(x)
 
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise AmbientMismatch("only square matrices invert")
@@ -398,21 +395,6 @@ class Subspace:
         self._check_ambient(other)
         return Subspace.from_vectors(self.field, self.ambient_dim,
                                      list(self.basis) + list(other.basis))
-
-    def quotient_basis(self, sub: "Subspace") -> list:
-        """Vectors from this basis completing sub's basis to a basis of self."""
-        self._check_ambient(sub)
-        if not self.contains(sub):
-            raise AmbientMismatch("quotient basis needs sub contained in self")
-        chosen = []
-        span = list(sub.basis)
-        current = Subspace.from_vectors(self.field, self.ambient_dim, span)
-        for row in self.basis:
-            if not current.contains_vector(row):
-                chosen.append(row)
-                span.append(row)
-                current = Subspace.from_vectors(self.field, self.ambient_dim, span)
-        return chosen
 
     def change_field(self, target: Field) -> "Subspace":
         """Reinterpret the basis over an overfield; RREF shape is preserved."""

@@ -52,7 +52,8 @@ from .errors import (
     NotNormalized,
     OwnerMismatch,
 )
-from .invariants import commutator_pairs, commutator_rows, graded_commutator_space
+from .invariants import (commutator_pairs, commutator_rows, form_rows, graded_commutator_space,
+                         regular_trace)
 from .linalg import Matrix, Subspace, eliminate_raw, sparse_kernel
 from .multipoly import GramPencil, linear_pencil, nonvanishing_point, structured_det
 
@@ -118,17 +119,7 @@ def _check_mode(mode: str):
 def _gram_rows(a: GradedAlgebra, lam: LinearFunctional) -> list:
     """The rows of the Gram matrix (i, j) -> lam(e_i e_j) on raw values, in one
     pass over the table: every Gram question of this module reads them."""
-    ops = a.field.ops
-    x = ops.unwrap(lam.coords)
-
-    def value(terms):
-        acc = ops.zero
-        for k, c in terms:
-            if not ops.is_zero(x[k]):
-                acc = ops.add(acc, ops.mul(c, x[k]))
-        return acc
-
-    return [[value(terms) for terms in row] for row in a.table]
+    return form_rows(a, a.field.ops.unwrap(lam.coords))
 
 
 def _asymmetric_pairs(gram):
@@ -261,18 +252,8 @@ def graded_trace_witness(a: GradedAlgebra) -> LinearFunctional:
     Off graded division algebras nothing is promised (lam is zero on
     ungrade(F_2[C_2]), for instance): check lam with verify_certificate.
     """
-    ops = a.field.ops
-    idx = a.component_indices(a.group.identity)
-    values = [ops.zero] * a.dim
-    for k in idx:
-        row = a.table[k]
-        acc = ops.zero
-        for j in idx:
-            for l, c in row[j]:
-                if l == j:
-                    acc = ops.add(acc, c)
-        values[k] = acc
-    return LinearFunctional(a, ops.wrap(values))
+    values = regular_trace(a, a.component_indices(a.group.identity))
+    return LinearFunctional(a, a.field.ops.wrap(values))
 
 
 def graded_division_criterion(a: GradedAlgebra) -> bool:

@@ -73,6 +73,28 @@ def candidate_spec(ext, group, sigma_powers, alpha_unit) -> dict:
                             "alpha_unit": list(alpha_unit)}}
 
 
+def trivial_sigma(d, group) -> dict:
+    """The crossed-product action of a group acting trivially on d."""
+    from grasym import Matrix
+
+    ident = Matrix.identity(d.field, d.dim)
+    return {g: ident for g in range(group.order)}
+
+
+def constant_alpha(d, group, value=None) -> dict:
+    """The constant crossed-product cocycle at value (an Element or
+    coordinates of d), 1 by default."""
+    from grasym import Element
+
+    if value is None:
+        v = d.one().coords
+    elif isinstance(value, Element):
+        v = tuple(value.coords)
+    else:
+        v = tuple(d.field.scalar(c) for c in value)
+    return {(g, h): v for g in range(group.order) for h in range(group.order)}
+
+
 def scalar_table(a) -> dict:
     """a.table in the form GradedAlgebra takes: {(i, j): ((k, c_ij^k), ..)}
     over the nonzero products e_i e_j, with each constant a Scalar."""

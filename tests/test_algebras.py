@@ -36,12 +36,7 @@ from grasym import (
     ungrade,
     validate_algebra,
 )
-from grasym.algebras import (
-    constant_alpha,
-    frobenius_crossed_product,
-    frobenius_crossed_spec,
-    trivial_sigma,
-)
+from grasym.algebras import frobenius_crossed_product, frobenius_crossed_spec
 from grasym.fields import canonical_extension_field
 from grasym.replicate import (
     HuntParams,
@@ -68,7 +63,7 @@ from grasym.errors import (
     ZeroParameter,
 )
 
-from conftest import scalar_table
+from conftest import constant_alpha, scalar_table, trivial_sigma
 from test_crossed_oracle import (
     _check_crossed_laws,
     _crossed_product_table,
@@ -924,7 +919,6 @@ def test_tensor_of_coefficients_matches_good_grading_components(f3, f9):
     # homogeneous components of equal dimension in every degree, and both are
     # graded symmetric
     from grasym import decide_form_existence
-    from grasym.algebras import constant_alpha
     c2 = cyclic_group(2)
     d = field_as_algebra(f9, f3)
     delta = crossed_product(CrossedProductSpec(

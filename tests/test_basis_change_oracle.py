@@ -33,7 +33,7 @@ def scalar_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAlgebra:
             rows = [[a.field.element_at(rng.randrange(q)) for _ in range(n)]
                     for _ in range(n)]
             m = Matrix(a.field, rows)
-            if m.is_invertible():
+            if m.rank() == n:
                 blocks[g] = (idx, m)
                 break
     z = a.field.zero()

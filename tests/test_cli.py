@@ -91,6 +91,20 @@ def test_invariants_unknown_exit_two(tmp_path, capsys):
     assert main(["invariants", str(path)]) == 2
 
 
+def test_invariants_refutes_division_above_the_scan_bound(tmp_path, capsys):
+    # TE(F_{2^10}) has 2^20 elements in A_e, too many to scan; its radical
+    # gives the zero divisor, so the report is a decided No (it was exit 2)
+    from grasym import canonical_extension_field, field_as_algebra
+    a = trivial_extension(field_as_algebra(canonical_extension_field(2, 10), make_field(2)))
+    path = tmp_path / "te.json"
+    write_algebra_file(a, str(path))
+    assert main(["invariants", str(path)]) == 0
+    division = json.loads(capsys.readouterr().out)["division"]
+    assert division["status"] == "no"
+    assert division["certificate"] == {"identity_component": {"kind": "zero-divisor"}}
+    assert division["witness"] == [0] * 10 + [1] + [0] * 9
+
+
 def test_invariants_of_a_quadratic_field_with_a_huge_constant(tmp_path, capsys):
     # Q[s]/(s^2 - (10^30 + 1)): the rational roots of the minimal polynomial
     # are found without factoring 10^30 + 1

@@ -35,7 +35,7 @@ from grasym import (
     sweedler_algebra,
     trivial_extension,
 )
-from grasym.algebras import constant_alpha, frobenius_crossed_product, trivial_sigma
+from grasym.algebras import frobenius_crossed_product
 from grasym.errors import (
     AsymmetricMu,
     DimensionTooLarge,
@@ -77,7 +77,7 @@ from grasym.symmetry import (
     lift_functional,
     verify_certificate,
 )
-from conftest import scalar_table
+from conftest import constant_alpha, scalar_table, trivial_sigma
 from test_multipoly import _grid, pencil as forms_pencil, unsplit_point
 
 

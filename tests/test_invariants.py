@@ -489,6 +489,98 @@ def test_line_scan_eliminates_one_matrix_per_line(monkeypatch):
     assert seen == 13 + 21
 
 
+def test_local_radical_witness_is_the_first_zero_divisor_of_the_scan():
+    # wherever A_e is commutative and local with a nonzero radical, the least
+    # vector of the radical is the element inverse scan's first zero divisor
+    from grasym.invariants import _identity_component_algebra, _local_zero_divisor
+    applied = 0
+    for name, a in itertools.chain(_scan_oracle_corpus(), _large_q_scan_corpus()):
+        e_alg = _identity_component_algebra(a)
+        witness = _local_zero_divisor(e_alg)
+        if witness is not None:
+            ok, want, _ = scalar_scan_division(e_alg)
+            assert not ok and witness == want, name
+            applied += 1
+    assert applied == 18
+
+
+@pytest.mark.parametrize("build", [
+    lambda: scalar_extension(_te_field(2, 3), 2),
+    lambda: scalar_extension(_te_field(3, 3), 2),
+    lambda: ungrade(group_algebra(make_field(3), cyclic_group(3))),
+    lambda: ungrade(group_algebra(make_field(2), cyclic_group(4))),
+], ids=["TE(F8)(x)F4", "TE(F27)(x)F9", "F3[C3]", "F2[C4]"])
+def test_local_radical_witness_over_the_base_field_and_extensions(build):
+    # in F_2[C_4] the radical squares to (1 + g)^2 = 1 + g^2 != 0, so J is
+    # ker Φ^2, larger than ker Φ, and its least vector 1 + g is not in ker Φ
+    from grasym.invariants import _identity_component_algebra, _local_zero_divisor
+    e_alg = _identity_component_algebra(build())
+    witness = _local_zero_divisor(e_alg)
+    ok, want, _ = scalar_scan_division(e_alg)
+    assert witness is not None and not ok and witness == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: matrix_algebra(make_field(2), 2),
+    lambda: ungrade(group_algebra(make_field(2), cyclic_group(6))),
+    lambda: scalar_extension(_te_field(2, 2), 2),
+    lambda: field_as_algebra(canonical_extension_field(5, 3), make_field(5)),
+], ids=["M2(F2)", "F2[C6]", "TE(F4)(x)F4", "F5^3"])
+def test_non_local_or_reduced_identity_components_keep_the_scan(build):
+    # non-commutative, non-local and reduced A_e get no radical witness, and the
+    # verdict is still the scan's
+    from grasym.invariants import _identity_component_algebra, _local_zero_divisor
+    a = build()
+    e_alg = _identity_component_algebra(a)
+    assert e_alg is a
+    assert _local_zero_divisor(e_alg) is None
+    ok, want, _ = scalar_scan_division(e_alg)
+    v = is_graded_division(a)
+    assert v.status == ("yes" if ok else "no")
+    assert v.witness == want
+
+
+def test_refute_division_nos_skip_the_scan(monkeypatch):
+    # F_{5^4} is a field above SCAN_FIRST_BOUND: the pretest passes it on to
+    # the scan; F_{5^3} and the local F_2[C_4] are scanned at once
+    from grasym import invariants
+
+    calls = []
+    scan = invariants._scan_division
+
+    def counting(e_alg):
+        calls.append(e_alg.dim)
+        return scan(e_alg)
+
+    monkeypatch.setattr(invariants, "_scan_division", counting)
+    for p, n in ((2, 8), (3, 6), (5, 4), (7, 3)):
+        assert is_graded_division(_te_field(p, n)).status == "no"
+    assert calls == []
+    for n in (3, 4):
+        assert is_graded_division(field_as_algebra(canonical_extension_field(5, n), make_field(5))).is_yes
+    assert calls == [3, 4]
+    f2_c4 = ungrade(group_algebra(make_field(2), cyclic_group(4)))
+    assert invariants._local_zero_divisor(f2_c4) is not None
+    assert is_graded_division(f2_c4).status == "no"
+    assert calls == [3, 4, 4]
+
+
+def test_division_above_the_scan_bound_is_refuted_by_the_radical():
+    # 2^20 elements exceed SCAN_BOUND; the dual half of the trivial extension
+    # is the radical, and its least vector is f_0
+    from grasym.invariants import SCAN_BOUND
+    from conftest import scalar_inverse
+
+    a = _te_field(2, 10)
+    assert a.field.size() ** a.dim > SCAN_BOUND
+    v = is_graded_division(a)
+    assert v.status == "no"
+    assert v.certificate == {"identity_component": {"kind": "zero-divisor"}}
+    assert [c.to_json() for c in v.witness.coords] == [0] * 10 + [1] + [0] * 9
+    assert v.witness.homogeneous_degree() == a.group.identity
+    assert scalar_inverse(v.witness) is None
+
+
 # sha256 of the canonical division verdict (status, certificate, witness
 # coordinates), taken when every nonzero element of A_e was eliminated
 @pytest.mark.parametrize("build, digest", [

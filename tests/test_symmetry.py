@@ -39,12 +39,7 @@ from grasym import (
     ungrade,
     verify_certificate,
 )
-from grasym.algebras import (
-    GradedAlgebra,
-    constant_alpha,
-    frobenius_crossed_product,
-    trivial_sigma,
-)
+from grasym.algebras import GradedAlgebra, frobenius_crossed_product
 from grasym.errors import (
     AsymmetricMu,
     CharacteristicDividesGroupOrder,
@@ -59,7 +54,7 @@ from grasym.groups import dihedral_group
 from grasym.replicate import dim4_f2_corpus, random_graded_basis_change
 from grasym.symmetry import check_division_criterion
 from grasym.specfile import canonical_json, certificate_to_dict
-from conftest import scalar_table
+from conftest import constant_alpha, scalar_table, trivial_sigma
 
 
 # -- trace spaces -------------------------------------------------------------------
