@@ -3,11 +3,11 @@
 A GradedAlgebra is a finite-dimensional associative unital algebra over an
 exact field, with a basis whose vectors carry degrees in a finite group and
 sparse structure constants e_i e_j = sum_k c_{ij}^k e_k.  It stores them once,
-as raw values of the field (field.ops), in the table a.table[i][j] of sorted
-(k, c_{ij}^k) pairs, and its unit as raw coordinates; every builder, kernel
-and check here reads and writes that table as it is, and Scalars are made
-only for elements, matrices, subspaces and the public constructor's input;
-every inverse is one raw solve of L_x y = 1.  Each constructor returns a
+as raw values of the field (field.ops), in the stored form: a.table[i][j] is
+the tuple of the (k, c_{ij}^k) pairs, sorted by k and without zeros, and the
+unit its raw coordinates.  Builders write that form and kernels read it as it
+is; only the public constructor (input from outside) sorts, filters and
+unwraps.  An inverse is one raw solve of L_x y = 1.  Each constructor returns a
 valid algebra from valid inputs, for the reason its docstring gives, without
 scanning it.  validate_algebra checks unit laws, the grading law (c_{ij}^k
 nonzero forces deg k = deg i * deg j), homogeneity of the unit, and
@@ -71,11 +71,11 @@ MAX_ALGEBRA_DIM = 64
 class GradedAlgebra:
     """A finite-dimensional graded algebra held by structure constants.
 
-    The structure constants are stored once, as raw values of the field:
+    They are stored once, as raw values of the field, in the stored form:
     table[i][j] is the tuple of the (k, c_ij^k) pairs of e_i e_j, sorted by
-    k and without zeros, and unit the tuple of the raw coordinates of 1.
-    The constructor takes Scalars and unwraps each once; the builders of
-    this package hand raw tables to _from_raw, which shares its checks.
+    k, with k < dim and no zero c, and unit the tuple of the raw coordinates
+    of 1.  Builders write their rows in it and hand them to _from_raw; only
+    the public constructor, where constants enter from outside, converts.
 
     An instance is taken to be valid (associative, unital, graded), and
     nothing downstream checks it again; the constructor checks shapes only.
@@ -86,40 +86,17 @@ class GradedAlgebra:
 
     def __init__(self, field: Field, group: GroupTable, degree, sc, unit,
                  labels=None):
-        """sc gives the terms (k, c_ij^k) of each e_i e_j by (i, j); each
-        constant and each unit entry must be a Scalar of field."""
-        self._store(field, group, degree, sc, unit, labels, field.ops.unwrap)
-
-    @classmethod
-    def _from_raw(cls, field: Field, group: GroupTable, degree, sc, unit,
-                  labels=None) -> "GradedAlgebra":
-        """The algebra of structure constants and unit coordinates given as
-        raw values, with sc shaped as __init__ takes it."""
-        a = cls.__new__(cls)
-        a._store(field, group, degree, sc, unit, labels)
-        return a
-
-    def _store(self, field, group, degree, sc, unit, labels, unwrap=None):
-        self.field = field
-        self.group = group
-        self.degree = tuple(degree)
-        d = self.dim = len(self.degree)
-        if d == 0:
-            raise ValueError("zero-dimensional algebras are not allowed")
-        if d > MAX_ALGEBRA_DIM:
-            raise DimensionTooLarge(f"dimension {d} exceeds {MAX_ALGEBRA_DIM}")
-        for g in self.degree:
-            group._check(g)
-        is_zero = field.ops.is_zero
+        """sc gives the terms (k, c_ij^k) of each e_i e_j by (i, j), in any order and zeros
+        allowed; constants and unit entries are Scalars of field.  The degrees are checked
+        before any constant, so an oversized dim allocates no table."""
+        degree = _checked_degrees(group, degree)
+        d, is_zero = len(degree), field.ops.is_zero
         table = [[None] * d for _ in range(d)]
         for (i, j), terms in (sc.items() if isinstance(sc, dict) else sc):
             if not (0 <= i < d and 0 <= j < d):
                 raise IndexOutOfRange(f"structure constant at ({i},{j}) out of range 0..{d - 1}")
             if table[i][j] is not None:
                 raise ValueError(f"structure constants at ({i},{j}) given twice")
-            if not terms:
-                table[i][j] = ()
-                continue
             out = {}
             for k, c in (terms.items() if isinstance(terms, dict) else terms):
                 if not 0 <= k < d:
@@ -128,14 +105,29 @@ class GradedAlgebra:
                 if k in out:
                     raise ValueError(f"structure constant ({i},{j},{k}) given twice")
                 out[k] = c
-            values = out.values() if unwrap is None else unwrap(out.values(), "structure constant")
+            values = field.ops.unwrap(out.values(), "structure constant")
             table[i][j] = tuple([(k, c) for k, c in sorted(zip(out, values)) if not is_zero(c)])
-        self.table = tuple(tuple(terms or () for terms in row) for row in table)
+        self._store(field, group, degree, [[t or () for t in row] for row in table], unit, labels)
+        self.unit = tuple(field.ops.unwrap(self.unit, "unit vector entry"))
+
+    @classmethod
+    def _from_raw(cls, field: Field, group: GroupTable, degree, table, unit,
+                  labels=None) -> "GradedAlgebra":
+        """The algebra of a table in the stored form, whose rows may be lists,
+        and the raw coordinates of its unit; only shapes are checked."""
+        a = cls.__new__(cls)
+        a._store(field, group, _checked_degrees(group, degree), table, unit, labels)
+        return a
+
+    def _store(self, field, group, degree, table, unit, labels):
+        self.field = field
+        self.group = group
+        self.degree = degree
+        d = self.dim = len(degree)
+        self.table = tuple(map(tuple, table))
         self.unit = tuple(unit)
         if len(self.unit) != d:
             raise ValueError("unit vector has wrong length")
-        if unwrap is not None:
-            self.unit = tuple(unwrap(self.unit, "unit vector entry"))
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != d:
             raise ValueError("label list has wrong length")
@@ -187,6 +179,18 @@ class GradedAlgebra:
 
     def __repr__(self):
         return f"GradedAlgebra(dim={self.dim}, field={self.field}, group={self.group})"
+
+
+def _checked_degrees(group: GroupTable, degree) -> tuple:
+    """The degrees as a tuple, once there are 1..MAX_ALGEBRA_DIM of them, each in group."""
+    degree = tuple(degree)
+    if not degree:
+        raise ValueError("zero-dimensional algebras are not allowed")
+    if len(degree) > MAX_ALGEBRA_DIM:
+        raise DimensionTooLarge(f"dimension {len(degree)} exceeds {MAX_ALGEBRA_DIM}")
+    for g in degree:
+        group._check(g)
+    return degree
 
 
 def _left_rows(a: GradedAlgebra, x) -> list:
@@ -512,12 +516,11 @@ def group_algebra(field: Field, group: GroupTable) -> GradedAlgebra:
     Associativity comes from the group table, which GroupTable validated.
     """
     one = field.ops.one
-    sc = {(i, j): ((group.table[i][j], one),)
-          for i in range(group.order) for j in range(group.order)}
+    table = [[((gh, one),) for gh in row] for row in group.table]
     unit = [field.ops.zero] * group.order
     unit[group.identity] = one
     labels = [group.label(g) for g in range(group.order)]
-    return GradedAlgebra._from_raw(field, group, range(group.order), sc, unit, labels=labels)
+    return GradedAlgebra._from_raw(field, group, range(group.order), table, unit, labels=labels)
 
 
 def field_as_algebra(ext: Field, base: Field, group: GroupTable | None = None) -> GradedAlgebra:
@@ -530,17 +533,18 @@ def field_as_algebra(ext: Field, base: Field, group: GroupTable | None = None) -
         group = trivial_group()
     ops = base.ops
     if ext == base:
-        return GradedAlgebra._from_raw(base, group, [group.identity], {(0, 0): ((0, ops.one),)},
+        return GradedAlgebra._from_raw(base, group, [group.identity], [[((0, ops.one),)]],
                                        [ops.one], labels=["1"])
     if base != ext.prime_subfield():
         raise FieldMismatch("coefficient field must be the prime subfield")
     n = ext.degree
     powers = [ext.generator() ** t for t in range(2 * n - 1)]
-    sc = {(i, j): [(k, ops.from_int(c)) for k, c in enumerate(powers[i + j].coefficients())]
-          for i in range(n) for j in range(n)}
+    # the coefficients are raw values of F_p, and the zeros are left out
+    table = [[tuple([(k, c) for k, c in enumerate(powers[i + j].coefficients()) if c])
+              for j in range(n)] for i in range(n)]
     unit = [ops.one] + [ops.zero] * (n - 1)
     labels = ["1"] + [f"x{i if i > 1 else ''}" for i in range(1, n)]
-    return GradedAlgebra._from_raw(base, group, [group.identity] * n, sc, unit, labels=labels)
+    return GradedAlgebra._from_raw(base, group, [group.identity] * n, table, unit, labels=labels)
 
 
 def frobenius_matrix(ext: Field, power: int) -> Matrix:
@@ -848,15 +852,17 @@ def _crossed_product_table(raw: _RawCoefficients, G: GroupTable, alpha: dict) ->
     d = raw.coeff
     dd = d.dim
     dim = dd * G.order
-    sc = {}
+    is_zero = raw.ops.is_zero
+    table = [[None] * dim for _ in range(dim)]
     for g in range(G.order):
         for h in range(G.order):
             gh = G.mul(g, h)
             for j, column in enumerate(raw.images[g]):
                 right = raw.mul(column, alpha[(g, h)])
                 for i, e_i in enumerate(raw.basis):
-                    sc[(g * dd + i, h * dd + j)] = [
-                        (gh * dd + k, v) for k, v in enumerate(raw.mul(e_i, right))]
+                    table[g * dd + i][h * dd + j] = tuple([
+                        (gh * dd + k, v) for k, v in enumerate(raw.mul(e_i, right))
+                        if not is_zero(v)])
     degree = [g for g in range(G.order) for _ in range(dd)]
     unit = [raw.ops.zero] * dim
     unit[G.identity * dd:(G.identity + 1) * dd] = d.unit
@@ -864,7 +870,7 @@ def _crossed_product_table(raw: _RawCoefficients, G: GroupTable, alpha: dict) ->
     if d.labels is not None:
         labels = [f"{d.label(i)}*{G.label(g)}" if g != G.identity else d.label(i)
                   for g in range(G.order) for i in range(dd)]
-    return GradedAlgebra._from_raw(d.field, G, degree, sc, unit, labels=labels)
+    return GradedAlgebra._from_raw(d.field, G, degree, table, unit, labels=labels)
 
 
 def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
@@ -1113,20 +1119,20 @@ def good_matrix_algebra(n: int, sigmas, delta: GradedAlgebra) -> GradedAlgebra:
         for j in range(n):
             for t in range(dd):
                 degree.append(g.mul(g.mul(g.inv(sigmas[i]), delta.degree[t]), sigmas[j]))
-    sc = {}
+    table = [[()] * dim for _ in range(dim)]
     for i in range(n):
         for j in range(n):
             for t in range(dd):
                 for l in range(n):
                     for s in range(dd):
-                        sc[(index(i, j, t), index(j, l, s))] = [
-                            (index(i, l, r), c) for r, c in delta.table[t][s]]
+                        table[index(i, j, t)][index(j, l, s)] = tuple(
+                            [(index(i, l, r), c) for r, c in delta.table[t][s]])
     unit = [field.ops.zero] * dim
     for i in range(n):
         unit[index(i, i, 0):index(i, i, dd)] = delta.unit
     labels = [f"E{i + 1}{j + 1}" + (f"*{delta.label(t)}" if dd > 1 else "")
               for i in range(n) for j in range(n) for t in range(dd)]
-    return GradedAlgebra._from_raw(field, g, degree, sc, unit, labels=labels)
+    return GradedAlgebra._from_raw(field, g, degree, table, unit, labels=labels)
 
 
 def matrix_algebra(field: Field, n: int) -> GradedAlgebra:
@@ -1148,19 +1154,20 @@ def trivial_extension(a: GradedAlgebra) -> GradedAlgebra:
     graded A-bimodule, so A + A* is valid when A is.
     """
     d = a.dim
-    sc = {}
+    table = ([list(row) + [[] for _ in range(d)] for row in a.table]
+             + [[[] for _ in range(d)] + [()] * d for _ in range(d)])
     for l, row in enumerate(a.table):
         for m, terms in enumerate(row):
-            sc[(l, m)] = terms
-            for j, c in terms:
-                sc.setdefault((m, d + j), []).append((d + l, c))
-                sc.setdefault((d + j, l), []).append((d + m, c))
+            for j, c in terms:  # appended in increasing l, or m: sorted
+                table[m][d + j].append((d + l, c))
+                table[d + j][l].append((d + m, c))
+    table = [[tuple(terms) for terms in row] for row in table]
     degree = list(a.degree) + [a.group.inv(g) for g in a.degree]
     unit = list(a.unit) + [a.field.ops.zero] * d
     labels = None
     if a.labels is not None:
         labels = list(a.labels) + [f"f({lbl})" for lbl in a.labels]
-    return GradedAlgebra._from_raw(a.field, a.group, degree, sc, unit, labels=labels)
+    return GradedAlgebra._from_raw(a.field, a.group, degree, table, unit, labels=labels)
 
 
 def direct_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
@@ -1170,13 +1177,12 @@ def direct_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
     if a.group != b.group:
         raise GroupMismatch("direct product needs a common grading group")
     da = a.dim
-    sc = {(i, j): terms for i, row in enumerate(a.table) for j, terms in enumerate(row)}
-    for i, row in enumerate(b.table):
-        for j, terms in enumerate(row):
-            sc[(da + i, da + j)] = [(da + k, c) for k, c in terms]
+    table = [row + ((),) * b.dim for row in a.table]
+    table += [((),) * da + tuple(tuple([(da + k, c) for k, c in terms]) for terms in row)
+              for row in b.table]
     degree = list(a.degree) + list(b.degree)
     unit = list(a.unit) + list(b.unit)
-    return GradedAlgebra._from_raw(a.field, a.group, degree, sc, unit)
+    return GradedAlgebra._from_raw(a.field, a.group, degree, table, unit)
 
 
 def tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
@@ -1193,16 +1199,13 @@ def tensor_product(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
     if dim > MAX_ALGEBRA_DIM:
         raise DimensionTooLarge(f"dimension {dim} exceeds {MAX_ALGEBRA_DIM}")
     mul = a.field.ops.mul
-    sc = {}
-    for i1, row_a in enumerate(a.table):
-        for i2, terms_a in enumerate(row_a):
-            for j1, row_b in enumerate(b.table):
-                for j2, terms_b in enumerate(row_b):
-                    sc[(i1 * db + j1, i2 * db + j2)] = [
-                        (k * db + l, mul(ca, cb)) for k, ca in terms_a for l, cb in terms_b]
+    # e_(i1,j1) e_(i2,j2) = e_i1 e_i2 (x) e_j1 e_j2 at row i1 db + j1, column i2 db + j2
+    table = [[tuple([(k * db + l, mul(ca, cb)) for k, ca in terms_a for l, cb in terms_b])
+              for terms_a in row_a for terms_b in row_b]
+             for row_a in a.table for row_b in b.table]
     degree = [a.group.mul(ga, gb) for ga in a.degree for gb in b.degree]
     unit = [mul(ca, cb) for ca in a.unit for cb in b.unit]
-    return GradedAlgebra._from_raw(a.field, a.group, degree, sc, unit)
+    return GradedAlgebra._from_raw(a.field, a.group, degree, table, unit)
 
 
 def scalar_extension(a: GradedAlgebra, m: int) -> GradedAlgebra:
@@ -1216,9 +1219,8 @@ def scalar_extension(a: GradedAlgebra, m: int) -> GradedAlgebra:
         raise DimensionTooLarge("extension degree beyond 6 is out of scope")
     target = extend_field(a.field, m)
     embed = raw_embedding(a.field, target)
-    sc = {(i, j): [(k, embed(c)) for k, c in terms]
-          for i, row in enumerate(a.table) for j, terms in enumerate(row)}
-    return GradedAlgebra._from_raw(target, a.group, a.degree, sc, map(embed, a.unit),
+    table = [[tuple([(k, embed(c)) for k, c in terms]) for terms in row] for row in a.table]
+    return GradedAlgebra._from_raw(target, a.group, a.degree, table, map(embed, a.unit),
                                    labels=a.labels)
 
 
@@ -1226,9 +1228,8 @@ def ungrade(a: GradedAlgebra) -> GradedAlgebra:
     """Forget the grading: the same algebra over the trivial group, valid as A is."""
     if a.group.order == 1:
         return a
-    g = trivial_group()
-    sc = {(i, j): terms for i, row in enumerate(a.table) for j, terms in enumerate(row)}
-    return GradedAlgebra._from_raw(a.field, g, [0] * a.dim, sc, a.unit, labels=a.labels)
+    return GradedAlgebra._from_raw(a.field, trivial_group(), [0] * a.dim, a.table, a.unit,
+                                   labels=a.labels)
 
 
 def subspace_algebra(a: GradedAlgebra, s: Subspace) -> GradedAlgebra:

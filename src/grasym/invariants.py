@@ -247,9 +247,9 @@ def _identity_component_algebra(a: GradedAlgebra) -> GradedAlgebra:
     if len(indices) == a.dim:
         return a
     position = {i: r for r, i in enumerate(indices)}
-    sc = {(position[i], position[j]): [(position[k], c) for k, c in a.table[i][j]]
-          for i in indices for j in indices}
-    return GradedAlgebra._from_raw(a.field, a.group, [e] * len(indices), sc,
+    table = [[tuple([(position[k], c) for k, c in a.table[i][j]]) for j in indices]
+             for i in indices]
+    return GradedAlgebra._from_raw(a.field, a.group, [e] * len(indices), table,
                                    [a.unit[i] for i in indices])
 
 

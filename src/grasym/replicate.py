@@ -153,14 +153,14 @@ def random_graded_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAl
     def express(v: dict) -> dict:
         return sparse_combination(ops, v.items(), inverse)
 
-    sc = {}
+    table = []
     for i in range(d):
         # b_i e_l for every l, then b_i b_j = sum_l B_jl b_i e_l
         right = [sparse_combination(ops, change[i], col).items() for col in cols]
-        for j in range(d):
-            sc[(i, j)] = express(sparse_combination(ops, change[j], right))
+        table.append([tuple(sorted(express(sparse_combination(ops, change[j], right)).items()))
+                      for j in range(d)])
     unit = express({k: c for k, c in enumerate(a.unit) if c != zero})
-    return GradedAlgebra._from_raw(field, a.group, a.degree, sc,
+    return GradedAlgebra._from_raw(field, a.group, a.degree, table,
                                    [unit.get(k, zero) for k in range(d)])
 
 

@@ -111,3 +111,31 @@ def scalar_inverse(x):
     a = x.owner
     y = a.left_mult_matrix(x).solve(a.one().coords)
     return None if y is None else Element(a, y)
+
+
+def stored_form_errors(a) -> list:
+    """Every entry of a that breaks the stored form of GradedAlgebra (see its
+    docstring), one message each: a table that is not dim x dim, a product
+    that is not a tuple, a k out of range or not increasing, a zero value,
+    and a unit of the wrong length."""
+    d, is_zero = a.dim, a.field.ops.is_zero
+    errors = []
+    if len(a.table) != d or any(len(row) != d for row in a.table):
+        errors.append(f"table is {len(a.table)} rows of {[len(row) for row in a.table]}, "
+                      f"not {d}x{d}")
+    for i, row in enumerate(a.table):
+        for j, terms in enumerate(row):
+            if type(terms) is not tuple:
+                errors.append(f"({i},{j}): terms are a {type(terms).__name__}, not a tuple")
+            previous = -1
+            for k, c in terms:
+                if not 0 <= k < d:
+                    errors.append(f"({i},{j},{k}): k out of range 0..{d - 1}")
+                elif k <= previous:
+                    errors.append(f"({i},{j},{k}): k not increasing after {previous}")
+                if is_zero(c):
+                    errors.append(f"({i},{j},{k}): zero value")
+                previous = k
+    if len(a.unit) != d:
+        errors.append(f"unit has length {len(a.unit)}, not {d}")
+    return errors

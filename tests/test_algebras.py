@@ -116,6 +116,18 @@ def test_out_of_range_indices_rejected(f2):
             GradedAlgebra(f2, cyclic_group(2), [0, 1], {key: {k: one}}, [one, f2.zero()])
 
 
+def test_dimension_is_refused_before_any_structure_constant(f2):
+    one, zero = f2.one(), f2.zero()
+    with pytest.raises(DimensionTooLarge):
+        GradedAlgebra(f2, trivial_group(), [0] * 65, {(70, 0): {0: one}}, [one] + [zero] * 64)
+
+
+def test_degrees_are_checked_before_any_structure_constant(f2):
+    one = f2.one()
+    with pytest.raises(IndexOutOfRange, match="element index 2"):
+        GradedAlgebra(f2, cyclic_group(2), [0, 2], {(0, 5): {0: one}}, [one, f2.zero()])
+
+
 @pytest.mark.parametrize("unit", [lambda f3, f5: [f5.one(), f5.zero()],
                                   lambda f3, f5: [1, 0],
                                   lambda f3, f5: [f3.one(), 0]],

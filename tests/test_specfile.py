@@ -45,6 +45,8 @@ from grasym.specfile import (
     write_algebra_file,
 )
 
+from conftest import stored_form_errors
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
@@ -81,6 +83,7 @@ def all_constructor_outputs():
 def test_round_trip_bit_exact(idx):
     # constructors return valid algebras without a scan; the scan is the oracle
     a = all_constructor_outputs()[idx]
+    assert stored_form_errors(a) == []
     assert validate_algebra(a).ok
     d = algebra_to_dict(a)
     b = algebra_from_dict(json.loads(canonical_json(d)))

@@ -25,6 +25,7 @@ from grasym import (
     gram_matrix,
     gram_pencil,
     group_algebra,
+    homogeneous_component,
     is_graded_division,
     klein_group,
     lift_functional,
@@ -209,6 +210,52 @@ def test_division_criterion_matches_decision():
         assert verdict.is_yes
         criterion = graded_division_criterion(a)
         assert criterion == decide_form_existence(a, "graded-symmetric").is_yes
+
+
+def test_division_criterion_refuses_a_commutator_off_the_identity_component(monkeypatch):
+    from grasym import symmetry
+    a = cyclic_algebra(2)
+    off = a.basis_element(a.component_indices(1)[0]).coords
+    monkeypatch.setattr(symmetry, "graded_commutator_space",
+                        lambda b: Subspace.from_vectors(b.field, b.dim, [off]))
+    with pytest.raises(AssertionError, match="identity component"):
+        graded_division_criterion(a)
+
+
+def _criterion_corpus() -> list:
+    """The decision corpus, hunt candidates of two cells included, and the
+    accepted candidates of the F_16 and F_49 over C_2 hunt cells."""
+    from grasym.replicate import HuntParams
+
+    from test_decision_oracle import CORPUS
+    from test_replicate import _accepted
+
+    out = [a for _, a in CORPUS]
+    for params in (HuntParams(2, (4,), (("cyclic", 2),)), HuntParams(7, (2,), (("cyclic", 2),))):
+        out += [a for a, _ in _accepted(params)]
+    return out
+
+
+def test_division_criterion_reads_containment_off_the_degrees(monkeypatch):
+    # A_e is the coordinate subspace on the indices of degree e, so the
+    # criterion checks containment there by degrees; the Subspace test of
+    # homogeneous_component stays its oracle, on each commutator span and on
+    # that span with a basis vector of each degree added
+    from grasym import symmetry
+    from grasym.invariants import graded_commutator_space
+
+    for a in _criterion_corpus():
+        ae = homogeneous_component(a, a.group.identity)
+        c = graded_commutator_space(a)
+        spans = [c] + [Subspace.from_vectors(a.field, a.dim, [*c.basis, a.basis_element(i).coords])
+                       for i in sorted({a.degree.index(g) for g in a.degree})]
+        for span in spans:
+            monkeypatch.setattr(symmetry, "graded_commutator_space", lambda b, span=span: span)
+            if ae.contains(span):
+                assert graded_division_criterion(a) == (span.dim < ae.dim), a
+            else:
+                with pytest.raises(AssertionError, match="identity component"):
+                    graded_division_criterion(a)
 
 
 @pytest.mark.parametrize("mode", ["graded-symmetric", "frobenius"])

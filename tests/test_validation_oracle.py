@@ -11,12 +11,14 @@ from grasym import (
     canonical_extension_field,
     cyclic_algebra,
     cyclic_group,
+    field_as_algebra,
     group_algebra,
     klein_group,
     make_field,
     matrix_algebra,
     quaternion_algebra,
     rationals,
+    scalar_extension,
     sweedler_algebra,
     tensor_product,
     trivial_extension,
@@ -39,7 +41,7 @@ from grasym.replicate import (
     random_small_algebra,
 )
 
-from conftest import scalar_table
+from conftest import scalar_table, stored_form_errors
 from test_specfile import all_constructor_outputs
 
 
@@ -366,12 +368,13 @@ def _rebuilt(a):
 
 
 def test_the_public_constructor_is_the_oracle_of_the_raw_tables():
-    # every builder hands its raw table to GradedAlgebra._from_raw; the
-    # Scalar constructor, fed the same table wrapped, must give the same
-    # algebra and the same spec bytes
+    # every builder hands its table in the stored form to
+    # GradedAlgebra._from_raw; the Scalar constructor, fed the same table
+    # wrapped, must give the same algebra and the same spec bytes
     from grasym import crossed_product
     from grasym.algebras import frobenius_crossed_product
     from grasym.errors import IncompatibleCocycleData, NonInvertibleAlpha
+    from grasym.invariants import _identity_component_algebra, is_graded_division
     from grasym.replicate import HuntParams, hunt_candidates, hunt_char2_params
     from grasym.specfile import algebra_to_dict, canonical_json
 
@@ -380,7 +383,13 @@ def test_the_public_constructor_is_the_oracle_of_the_raw_tables():
     corpus = _corpus()
     corpus += [random_graded_basis_change(a, random.Random(seed))
                for a in corpus if a.field.is_finite for seed in range(3)]
-    crossed, frobenius = [], []
+    f3 = make_field(3)
+    corpus += [trivial_extension(field_as_algebra(ext, ext.prime_subfield()))
+               for ext in (canonical_extension_field(2, 3), canonical_extension_field(3, 2))]
+    corpus += [tensor_product(sweedler_algebra(f3), matrix_algebra(f3, 2)),
+               tensor_product(sweedler_algebra(f3), ungrade(group_algebra(f3, cyclic_group(3)))),
+               scalar_extension(cyclic_algebra(3), 2)]
+    crossed, frobenius, accepted = [], [], []
     for spec in _crossed_law_corpus():
         try:
             crossed.append(crossed_product(spec))
@@ -392,8 +401,19 @@ def test_the_public_constructor_is_the_oracle_of_the_raw_tables():
                 frobenius.append(frobenius_crossed_product(*args))
             except IncompatibleCocycleData:
                 pass
-    assert (len(crossed), len(frobenius)) == (21, 13 + 4)
-    for a in corpus + crossed + frobenius:
+    # the accepted candidates of the F_49 over C_2 hunt cell
+    for _, args in hunt_candidates(HuntParams(7, (2,), (("cyclic", 2),))):
+        try:
+            a = frobenius_crossed_product(*args)
+        except IncompatibleCocycleData:
+            continue
+        if is_graded_division(a).is_yes:
+            accepted.append(a)
+    assert (len(crossed), len(frobenius), len(accepted)) == (21, 13 + 4, 54)
+    algebras = corpus + crossed + frobenius + accepted
+    components = [_identity_component_algebra(a) for a in algebras if a.group.order > 1]
+    for a in algebras + components:
+        assert stored_form_errors(a) == [], a
         b = _rebuilt(a)
         assert b == a, a
         assert canonical_json(algebra_to_dict(b)) == canonical_json(algebra_to_dict(a))
