@@ -31,8 +31,9 @@ Every crossed product of a finite field by Frobenius powers with a unit twist
 (the cyclic algebras, the replication corpus, spec-file constructor blocks and
 hunt candidates) is built by the one builder frobenius_crossed_product.  It
 decides the laws as congruences on the Frobenius exponents and a few products
-in the field, and builds the table only for data that passes; the coefficient
-field as an algebra, and its Frobenius matrices, are built once per field.
+in the field, and builds the table only for data that passes.  The coefficient
+field as an algebra, its Frobenius matrices and the products x^i Frob^k(x^j)
+are built once per field, and each table is put together from those products.
 frobenius_crossed_spec gives the same data as a CrossedProductSpec, for the
 general path.
 """
@@ -849,11 +850,9 @@ def _crossed_product_table(raw: _RawCoefficients, G: GroupTable, alpha: dict) ->
     """The product with (e_i u_g)(e_j u_h) = e_i sigma(g)(e_j) alpha(g,h) u_gh,
     built without validation on raw values, for D and sigma in raw and the
     raw alpha."""
-    d = raw.coeff
-    dd = d.dim
-    dim = dd * G.order
+    dd = raw.coeff.dim
     is_zero = raw.ops.is_zero
-    table = [[None] * dim for _ in range(dim)]
+    table = [[None] * (dd * G.order) for _ in range(dd * G.order)]
     for g in range(G.order):
         for h in range(G.order):
             gh = G.mul(g, h)
@@ -863,8 +862,16 @@ def _crossed_product_table(raw: _RawCoefficients, G: GroupTable, alpha: dict) ->
                     table[g * dd + i][h * dd + j] = tuple([
                         (gh * dd + k, v) for k, v in enumerate(raw.mul(e_i, right))
                         if not is_zero(v)])
+    return _crossed_product_algebra(raw.coeff, G, table)
+
+
+def _crossed_product_algebra(d: GradedAlgebra, G: GroupTable, table) -> GradedAlgebra:
+    """The crossed product over D with this table in the stored form: block
+    g of dim(D) basis vectors has degree g, the unit is D's in block e, and
+    the labels are D's, tagged with the group element outside block e."""
+    dd = d.dim
     degree = [g for g in range(G.order) for _ in range(dd)]
-    unit = [raw.ops.zero] * dim
+    unit = [d.field.ops.zero] * (dd * G.order)
     unit[G.identity * dd:(G.identity + 1) * dd] = d.unit
     labels = None
     if d.labels is not None:
@@ -930,42 +937,83 @@ def normalize_section(spec: CrossedProductSpec) -> CrossedProductSpec:
     return CrossedProductSpec(coeff=d, group=G, sigma=new_sigma, alpha=new_alpha)
 
 
+@dataclass(frozen=True)
+class _FrobeniusField:
+    """What every Frobenius crossed product over one finite field F_q = F_p(x)
+    shares, m = dim D:
+
+    - d: F_q as an algebra D over F_p, on the basis 1, x, .., x^(m-1);
+    - matrices[k]: the matrix of Frob^k : y -> y^(p^k) on D, k < m (the
+      identity alone over F_p), and rows[k] its rows on raw values of F_p;
+    - coordinates[k][i][j]: the raw coordinates over F_p of
+      P_k[i][j] = x^i Frob^k(x^j), and products[k][i][j] the same in the
+      stored form of D, the (t, c) pairs with c != 0, sorted by t.
+
+    In a crossed product with sigma(g) = Frob^(k_g), (x^i u_g)(x^j u_h) is
+    P_(k_g)[i][j] alpha(g,h) u_gh, so its table is made of these blocks.
+    """
+
+    d: GradedAlgebra
+    matrices: tuple
+    rows: tuple
+    coordinates: tuple
+    products: tuple
+
+
+def _coordinate_pairs(coordinates) -> tuple:
+    """The stored form, the (t, c) pairs with c != 0, of raw coordinates over F_p."""
+    return tuple([(t, c) for t, c in enumerate(coordinates) if c])
+
+
 @lru_cache(maxsize=None)
-def _frobenius_coefficients(ext: Field) -> tuple:
-    """ext as an algebra D over its prime field F_p, and the matrices of
-    y -> y^(p^k) on D for k = 0, .., dim D - 1 (the identity alone over F_p).
+def _frobenius_coefficients(ext: Field) -> _FrobeniusField:
+    """The _FrobeniusField of ext.
 
     Built once per field: fields are shared instances, so the cache keys by
-    identity.  Every spec of frobenius_crossed_spec shares the result, which
-    no caller mutates.
+    identity.  Every Frobenius crossed product and spec over ext shares the
+    result, which no caller mutates.
     """
     base = ext.prime_subfield()
     d = field_as_algebra(ext, base)
     if ext == base:
-        return d, (Matrix.identity(base, 1),)
-    return d, tuple(frobenius_matrix(ext, k) for k in range(d.dim))
+        matrices = (Matrix.identity(base, 1),)
+    else:
+        matrices = tuple(frobenius_matrix(ext, k) for k in range(d.dim))
+    ops = ext.ops
+    # x^i is the basis vector i of D; over F_p, x^0 = 1 is the only one
+    powers = [ops.from_coefficients((0,) * i + (1,)) for i in range(d.dim)]
+    rows = tuple(tuple(tuple(base.ops.unwrap(row)) for row in f.entries) for f in matrices)
+    coordinates = []
+    for frobenius_rows in rows:
+        # column j of the matrix of Frob^k holds the coordinates of Frob^k(x^j)
+        images = [ops.from_coefficients(column) for column in zip(*frobenius_rows)]
+        coordinates.append(tuple(tuple(ops.coefficients(ops.mul(x_i, y)) for y in images)
+                                 for x_i in powers))
+    products = tuple(tuple(tuple(_coordinate_pairs(v) for v in row) for row in block)
+                     for block in coordinates)
+    return _FrobeniusField(d, matrices, rows, tuple(coordinates), products)
 
 
 def _frobenius_data(ext: Field, group: GroupTable, sigma_powers, alpha_unit) -> tuple:
-    """The checked arguments of a Frobenius crossed product: D, the exponent
-    k_g in [0, dim D) of each group element in index order (k_e = 0), the
-    matrix of sigma(g) = Frob^(k_g) on D for each, and the twist u as the
-    dim D raw values of its coordinates over F_p (ints read directly, the
-    rest through Field.scalar)."""
-    base = ext.prime_subfield()
-    d, frobenius = _frobenius_coefficients(ext)
+    """The checked arguments of a Frobenius crossed product: the
+    _FrobeniusField of ext, the exponent k_g in [0, dim D) of each group
+    element in index order (k_e = 0), so that sigma(g) = Frob^(k_g), and the
+    twist u as the dim D raw values of its coordinates over F_p (ints read
+    directly, the rest through Field.scalar)."""
+    fd = _frobenius_coefficients(ext)
+    d = fd.d
     sigma_powers = list(sigma_powers)
     if len(sigma_powers) != group.order - 1:
         raise ValueError("need one Frobenius power per non-identity element")
     powers = [0] + [power % d.dim for power in sigma_powers]
-    sigma = [frobenius[k] for k in powers]
     if alpha_unit is None:
-        return d, powers, sigma, d.unit
-    u = tuple(base.ops.from_int(c) if type(c) is int else base.scalar(c).val
+        return fd, powers, d.unit
+    ops = d.field.ops
+    u = tuple(ops.from_int(c) if type(c) is int else d.field.scalar(c).val
               for c in alpha_unit)
     if len(u) > d.dim:
         raise ValueError(f"alpha_unit has more than {d.dim} coefficients")
-    return d, powers, sigma, u + (base.ops.zero,) * (d.dim - len(u))
+    return fd, powers, u + (ops.zero,) * (d.dim - len(u))
 
 
 def _frobenius_alpha(group: GroupTable, one, u) -> dict:
@@ -987,10 +1035,11 @@ def frobenius_crossed_spec(ext: Field, group: GroupTable, sigma_powers,
     crossed_product, from the crossed-product laws in D; the builder
     frobenius_crossed_product decides it on exponents instead.
     """
-    d, _, sigma, u = _frobenius_data(ext, group, sigma_powers, alpha_unit)
-    wrap = d.field.ops.wrap
-    return CrossedProductSpec(coeff=d, group=group, sigma=dict(enumerate(sigma)),
-                              alpha=_frobenius_alpha(group, wrap(d.unit), wrap(u)))
+    fd, powers, u = _frobenius_data(ext, group, sigma_powers, alpha_unit)
+    wrap = fd.d.field.ops.wrap
+    return CrossedProductSpec(coeff=fd.d, group=group,
+                              sigma={g: fd.matrices[k] for g, k in enumerate(powers)},
+                              alpha=_frobenius_alpha(group, wrap(fd.d.unit), wrap(u)))
 
 
 def frobenius_crossed_product(ext: Field, group: GroupTable, sigma_powers,
@@ -1029,41 +1078,65 @@ def frobenius_crossed_product(ext: Field, group: GroupTable, sigma_powers,
 
     Failures are reported at the first (g, h) or (g, h, k) in the order of
     _check_crossed_laws, and the dimension bound is checked before any law.
-    Everything runs on raw values: with alpha_unit None or given as ints or
-    Scalars, no Scalar is made.
+
+    The table of data that passes is put together from the per-field blocks
+    P_k of _FrobeniusField: (x^i u_g)(x^j u_h) is P_(k_g)[i][j] u_gh when g
+    or h is e, and P_(k_g)[i][j] u u_gh otherwise.  The twisted blocks
+    P_k u are formed once for each distinct exponent k, by the matrix of
+    y -> u y over F_p, and each entry is the block's pairs with the offset
+    (gh) dim D added to every index.  Everything runs on raw values: with
+    alpha_unit None or given as ints or Scalars, no Scalar is made.
     """
-    d, powers, sigma, u = _frobenius_data(ext, group, sigma_powers, alpha_unit)
-    _require_crossed_dim(d, group)
-    _check_frobenius_laws(ext, group, powers, u)
-    return _crossed_product_table(_RawCoefficients(d, sigma), group,
-                                  _frobenius_alpha(group, d.unit, u))
+    fd, powers, u = _frobenius_data(ext, group, sigma_powers, alpha_unit)
+    _require_crossed_dim(fd.d, group)
+    _check_frobenius_laws(ext, fd, group, powers, u)
+    d, m = fd.d, fd.d.dim
+    forms, forms_at = _left_rows(d, u), d.field.ops.forms_at
+    twisted = {k: [[_coordinate_pairs(forms_at(forms, v)) for v in row]
+                   for row in fd.coordinates[k]] for k in set(powers[1:])}
+    table = []
+    for g, k in enumerate(powers):
+        blocks = [(gh * m, twisted[k] if g and h else fd.products[k])
+                  for h, gh in enumerate(group.table[g])]
+        for i in range(m):
+            table.append([tuple([(offset + t, c) for t, c in block[i][j]])
+                          for offset, block in blocks for j in range(m)])
+    return _crossed_product_algebra(d, group, table)
 
 
-def _check_frobenius_laws(ext: Field, group: GroupTable, powers, u):
+def _check_frobenius_laws(ext: Field, fd: _FrobeniusField, group: GroupTable, powers, u):
     """Raise the error of _check_crossed_laws, or of _normalized_alpha, for
     Frobenius data with the raw coordinates u of the twist; see
-    frobenius_crossed_product for the derivation."""
-    e, m, ops = group.identity, ext.degree, ext.ops
+    frobenius_crossed_product for the derivation.  Frob^k(u) is read off the
+    rows of the matrix of Frob^k, and u^2 and Frob^k(u) u are formed only
+    when a comparison of (Z) needs them."""
+    e, m, ops, table = group.identity, ext.degree, ext.ops, group.table
+    forms_at = fd.d.field.ops.forms_at
     rest = range(1, group.order)
     x = ops.from_coefficients(u)
     if rest and ops.is_zero(x):
         raise NonInvertibleAlpha("alpha(1,1) is not invertible in D")
     for g in rest:
         for h in rest:
-            if (powers[g] + powers[h] - powers[group.mul(g, h)]) % m:
+            if (powers[g] + powers[h] - powers[table[g][h]]) % m:
                 raise IncompatibleCocycleData(
                     f"{_CONJUGATION_LAW} fails at g={g}, h={h}, D-basis vector 1")
-    left = (x, ops.mul(x, x))  # u^(1 + [gh != e]), by [gh != e]
-    rights = {}  # exponent k -> (u^(p^k), u^(p^k) u), by [hk != e]
+    left = [x, None]  # u^(1 + [gh != e]), by [gh != e]
+    rights = {}  # exponent k -> [u^(p^k), u^(p^k) u], by [hk != e]
     for g in rest:
         right = rights.get(powers[g])
         if right is None:
-            y = ops.power(x, ext.char ** powers[g])
-            right = rights[powers[g]] = (y, ops.mul(y, x))
+            image = ops.from_coefficients(forms_at(fd.rows[powers[g]], u))
+            right = rights[powers[g]] = [image, None]
         for h in rest:
-            lhs = left[group.mul(g, h) != e]
+            twice = table[g][h] != e
+            if left[twice] is None:
+                left[1] = ops.mul(x, x)
             for k in rest:
-                if lhs != right[group.mul(h, k) != e]:
+                once_more = table[h][k] != e
+                if right[once_more] is None:
+                    right[1] = ops.mul(right[0], x)
+                if left[twice] != right[once_more]:
                     raise IncompatibleCocycleData(f"{_COCYCLE_LAW} fails at g={g}, h={h}, k={k}")
 
 

@@ -542,7 +542,24 @@ def _integer_brackets(poly, lo: int, hi: int) -> list:
     return sorted(out)
 
 
-def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
+def _identity_verdict(e_alg: GradedAlgebra) -> DivisionVerdict:
+    """Whether the identity component e_alg is a division algebra; see
+    is_graded_division."""
+    if not e_alg.field.is_finite:
+        return _rational_division_check(e_alg)
+    size = e_alg.field.size() ** e_alg.dim
+    zero_divisor = None if size <= SCAN_FIRST_BOUND else _local_zero_divisor(e_alg)
+    if zero_divisor is not None:
+        return DivisionVerdict("no", {"kind": "zero-divisor"}, zero_divisor)
+    if size > SCAN_BOUND:
+        return DivisionVerdict("unknown", {"kind": "scan-bound-exceeded", "bound": SCAN_BOUND})
+    ok, bad, count = _scan_division(e_alg)
+    if ok:
+        return DivisionVerdict("yes", {"kind": "exhaustive", "scan_size": count})
+    return DivisionVerdict("no", {"kind": "zero-divisor"}, bad)
+
+
+def is_graded_division(a: GradedAlgebra, identity_verdicts: dict | None = None) -> DivisionVerdict:
     """Decide whether every nonzero homogeneous element is invertible.
 
     Splits into: the identity component is a division algebra, and every
@@ -558,26 +575,24 @@ def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
     least vector of J in scan order, its lowest-pivot RREF row, is the
     witness the scan would return.  Any other finite A_e is scanned when it
     has at most SCAN_BOUND elements, and is Unknown otherwise.
+
+    identity_verdicts, when given, is a dict the caller owns that maps A_e,
+    as its field and stored form (field, table, unit), to A_e's verdict.
+    A_e is decided once per key and its verdict read back for every later
+    algebra with the same A_e, so a run over many algebras with one
+    coefficient field (hunt_counterexample) scans that field once.  A_e's
+    verdict depends on the key alone; a No witness is re-tied to the
+    algebra asked about, and the components other than A_e are decided for
+    each algebra as without the dict.
     """
     e = a.group.identity
     e_alg = _identity_component_algebra(a)
-    if a.field.is_finite:
-        size = a.field.size() ** e_alg.dim
-        zero_divisor = None if size <= SCAN_FIRST_BOUND else _local_zero_divisor(e_alg)
-        if zero_divisor is not None:
-            id_verdict = DivisionVerdict("no", {"kind": "zero-divisor"}, zero_divisor)
-        elif size > SCAN_BOUND:
-            id_verdict = DivisionVerdict("unknown", {
-                "kind": "scan-bound-exceeded", "bound": SCAN_BOUND})
-        else:
-            ok, bad, count = _scan_division(e_alg)
-            if ok:
-                id_verdict = DivisionVerdict("yes", {"kind": "exhaustive",
-                                                     "scan_size": count})
-            else:
-                id_verdict = DivisionVerdict("no", {"kind": "zero-divisor"}, bad)
-    else:
-        id_verdict = _rational_division_check(e_alg)
+    key = (a.field, e_alg.table, e_alg.unit)
+    id_verdict = None if identity_verdicts is None else identity_verdicts.get(key)
+    if id_verdict is None:
+        id_verdict = _identity_verdict(e_alg)
+        if identity_verdicts is not None:
+            identity_verdicts[key] = id_verdict
     if id_verdict.status != "yes":
         witness = id_verdict.witness
         if witness is not None and e_alg is not a:
@@ -586,6 +601,9 @@ def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
             for i, c in zip(a.component_indices(e), witness.coords):
                 coords[i] = c
             witness = Element(a, tuple(coords))
+        elif witness is not None and witness.owner is not a:
+            # a shared verdict: its witness belongs to the algebra first decided
+            witness = Element(a, witness.coords)
         return DivisionVerdict(id_verdict.status,
                                {"identity_component": id_verdict.certificate},
                                witness)

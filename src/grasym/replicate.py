@@ -350,6 +350,12 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     """Search small crossed products for a graded division algebra that is not
     graded symmetric; expected (and so far observed) to come back empty.
 
+    Every candidate of a call has the coefficient field D = F_{p^m} of its
+    extension degree as its identity component, so the call hands
+    is_graded_division one dict of identity-component verdicts, made afresh
+    for the call: D is decided once per extension degree, and each
+    candidate still gets its own component witnesses.
+
     Each graded division candidate is certified, not decided: the hunt
     builds symmetry.graded_trace_witness, the regular trace of the identity
     component, and checks it with verify_certificate.  A verified witness
@@ -396,6 +402,7 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     if skipped < start_index:
         raise ParseError(f"checkpoint resumes at candidate {start_index}, "
                          f"but the hunt has only {skipped}")
+    identity_verdicts = {}  # A_e -> its division verdict, for this call only
     for index, args in candidates:
         report.candidates_enumerated += 1
         try:
@@ -404,7 +411,7 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
             report.incompatible_count += 1
         else:
             report.instances_tested += 1
-            if is_graded_division(a).is_yes:
+            if is_graded_division(a, identity_verdicts).is_yes:
                 report.division_count += 1
                 check = verify_certificate(a, graded_trace_witness(a), "graded-symmetric")
                 if not check.ok:

@@ -262,6 +262,9 @@ def test_builder_agrees_on_every_pool_cell_candidate():
     (default_hunt_params(2, max_group=4), (532, 27)),
     # char 3 over groups of order <= 6, extension degrees 1 and 2
     (default_hunt_params(3, max_group=6, max_ext=2), (1088, 33)),
+    # char 2 over groups of order <= 8 (C5-C8, C2xC4, C2^3, D3, D4 included),
+    # extension degrees 1 and 2
+    (default_hunt_params(2, max_group=8, max_ext=2), (2143, 50)),
 ])
 def test_builder_agrees_on_a_default_hunt_slice(params, counts):
     assert _builder_counts(params) == counts

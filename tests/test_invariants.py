@@ -581,6 +581,65 @@ def test_division_above_the_scan_bound_is_refuted_by_the_radical():
     assert scalar_inverse(v.witness) is None
 
 
+_LOCAL_NOS = [
+    lambda: scalar_extension(_te_field(2, 3), 2),
+    lambda: scalar_extension(_te_field(3, 3), 2),
+    lambda: ungrade(group_algebra(make_field(3), cyclic_group(3))),
+    lambda: ungrade(group_algebra(make_field(2), cyclic_group(4))),
+]
+
+
+def _relabelled(a, group=None, labels=None):
+    # the same stored table and unit, over another grading group or labels
+    group = a.group if group is None else group
+    return GradedAlgebra._from_raw(a.field, group, [group.identity] * a.dim, a.table, a.unit,
+                                   labels=labels)
+
+
+def _shared_verdict_corpus():
+    # _scan_oracle_corpus opens with dim4_f2_corpus
+    yield from _scan_oracle_corpus()
+    yield from _large_q_scan_corpus()
+    for i, build in enumerate(_LOCAL_NOS):
+        yield f"local-no-{i}", build()
+    for p, n in ((2, 8), (3, 6), (5, 4), (7, 3)):
+        yield f"TE(F{p}^{n})", _te_field(p, n)
+    # equal A_e tables under other labels and gradings: a No whose A_e is the
+    # whole algebra, and a Yes
+    f2_c4 = ungrade(group_algebra(make_field(2), cyclic_group(4)))
+    yield "F2[C4]-unlabelled", _relabelled(f2_c4)
+    yield "F2[C4]-klein", _relabelled(f2_c4, group=klein_group(), labels=f2_c4.labels)
+    f4 = field_as_algebra(canonical_extension_field(2, 2), make_field(2))
+    yield "F4", f4
+    yield "F4-relabelled", _relabelled(f4, labels=["one", "x"])
+
+
+def _verdict_record(a, v):
+    from grasym.specfile import canonical_json
+
+    if v.witness is not None:
+        assert v.witness.owner is a
+    witness = None if v.witness is None else [c.to_json() for c in v.witness.coords]
+    return v.status, canonical_json(v.certificate), witness
+
+
+def test_shared_identity_verdicts_give_every_verdict_of_a_fresh_decision():
+    # the first pass fills the dict and the second reads every A_e from it;
+    # both must give the fresh verdict, with the witness tied to the algebra
+    # asked about even when an earlier algebra had the same A_e table.  The
+    # field is part of the key: F_2 and F_3 as A_e have the same stored form,
+    # ((0, 1),) and unit (1,), but scan sizes 1 and 2
+    shared = {}
+    corpus = list(_shared_verdict_corpus())
+    for _ in range(2):
+        for name, a in corpus:
+            assert (_verdict_record(a, is_graded_division(a, shared))
+                    == _verdict_record(a, is_graded_division(a))), name
+    statuses = [is_graded_division(a, shared).status for _, a in corpus]
+    assert (len(corpus), len(shared), statuses.count("yes"), statuses.count("no")) == (
+        90, 58, 46, 44)
+
+
 # sha256 of the canonical division verdict (status, certificate, witness
 # coordinates), taken when every nonzero element of A_e was eliminated
 @pytest.mark.parametrize("build, digest", [

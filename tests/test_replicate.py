@@ -390,6 +390,31 @@ def test_hunt_certifies_without_the_engine_and_cross_checks_every_candidate(monk
     assert decided == [] and len(checked) == 13
 
 
+def test_a_hunt_scans_each_identity_component_once_per_call(monkeypatch):
+    # every candidate of the F_121 cell has D = F_121 as A_e: one scan for its
+    # 130 tested candidates, and a second call scans again, so no verdict
+    # outlives the call that made it
+    from grasym import invariants
+    scans = _count_calls(monkeypatch, invariants, "_scan_division")
+    params = HuntParams(11, (2,), (("cyclic", 2),))
+    report = hunt_counterexample(params)
+    assert (report.instances_tested, report.division_count, len(scans)) == (130, 130, 1)
+    assert hunt_counterexample(params) == report
+    assert len(scans) == 2
+
+
+def test_the_frobenius_builder_makes_no_generic_table(monkeypatch):
+    # the hunt's builder puts its tables together from the per-field
+    # products; the generic crossed_product path still builds its own
+    from grasym import algebras
+    from grasym.algebras import crossed_product, cyclic_algebra_spec
+    tables = _count_calls(monkeypatch, algebras, "_crossed_product_table")
+    report = hunt_counterexample(hunt_char2_params())
+    assert (report.instances_tested, len(tables)) == (13, 0)
+    crossed_product(cyclic_algebra_spec(2))
+    assert len(tables) == 1
+
+
 def test_hunt_raises_when_the_witness_fails(monkeypatch):
     # over a finite field the witness always verifies, so a failure is a bug
     # and must stop the hunt, not be decided into a clean report
