@@ -8,14 +8,20 @@ invertible (a = (a u^-1) u with a u^-1 invertible in the identity component).
 So once the identity component is division, each other component is decided
 by inverting any one of its nonzero elements.
 
-Over finite fields a commutative local A_e with a nonzero radical J is
-refuted without a scan, unless it is small enough to scan at once
-(SCAN_FIRST_BOUND).  Its non-units are exactly J = ker Φ^K, for the
-Frobenius map Φ(x) = x^q and q^K >= dim A_e, and the least nonzero vector
-of a subspace in `Field.vectors` order is its RREF row with the lowest pivot,
-each row's pivot taken at its highest coordinate.  So that row is the first
-zero divisor the scan would meet, and it is the No witness
-(`_local_zero_divisor`), at any size.
+Over finite fields an A_e too large to scan at once (SCAN_FIRST_BOUND) is
+first sorted by its trace form (`_commutative_shape`).  A commutative local
+A_e with a nonzero radical J is refuted without a scan: its non-units are
+exactly J = ker Φ^K, for the Frobenius map Φ(x) = x^q and q^K >= dim A_e,
+and the least nonzero vector of a subspace in `Field.vectors` order is its
+RREF row with the lowest pivot, each row's pivot taken at its highest
+coordinate.  So that row is the first zero divisor the scan would meet, and
+it is the No witness (`_local_zero_divisor`), at any size.  A commutative
+A_e with a nonsingular trace form is a product of fields, and a field is
+proved division by the powers of one element (`_power_walk`): when g^i
+first lands in F_q 1 at i = M, the number of lines F_q^* x, the lines of
+g, g^2, .., g^M are distinct and so are all the lines, and every nonzero
+element is a unit.  The walk visits each line once, as the scan does, and
+its Yes is the scan's certificate.
 
 Every other finite A_e is decided exhaustively: every nonzero element is
 covered, in `Field.vectors` order, and the first singular one is the No
@@ -47,9 +53,11 @@ irreducible).  Anything else is reported Unknown rather than guessed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .algebras import (Element, GradedAlgebra, _left_rows, _solve_raw, quaternion_algebra,
                        sparse_combination)
@@ -253,12 +261,13 @@ def _identity_component_algebra(a: GradedAlgebra) -> GradedAlgebra:
                                    [a.unit[i] for i in indices])
 
 
-def _restricted_left_mults(e_alg: GradedAlgebra, w: int) -> list:
+def _restricted_left_mults(e_alg: GradedAlgebra, w: int, by_column: bool = False) -> list:
     """M[i*k + s]: the packed F_p-matrix of x^s L_{e_i}, for F_q = F_p(x) of degree k.
 
     An F_q entry a of an n x n matrix becomes its k x k block over F_p, whose
     column t holds the coefficients of a x^t, so row r*k + u of the N = n*k
     rows has in lane j*k + t the coefficient u of L_{e_i}[r][j] x^(s + t).
+    by_column packs the transpose: one int per column, one lane per row.
     """
     n, k, ops = e_alg.dim, e_alg.field.degree, e_alg.field.ops
     powers, x = [ops.one], ops.from_coefficients((0, 1))
@@ -273,11 +282,14 @@ def _restricted_left_mults(e_alg: GradedAlgebra, w: int) -> list:
                 if c not in multiples:
                     multiples[c] = [ops.coefficients(ops.mul(c, x)) for x in powers]
                 for s in range(k):
-                    rows = packed[i * k + s]
+                    lines = packed[i * k + s]
                     for t in range(k):
-                        shift = (j * k + t) * w
+                        col = j * k + t
                         for u, coeff in enumerate(multiples[c][s + t]):
-                            rows[r * k + u] += coeff << shift
+                            if by_column:
+                                lines[col] += coeff << (r * k + u) * w
+                            else:
+                                lines[r * k + u] += coeff << col * w
     return packed
 
 
@@ -347,19 +359,34 @@ def _is_commutative(a: GradedAlgebra) -> bool:
     return all(table[i][j] == table[j][i] for i in range(a.dim) for j in range(i + 1, a.dim))
 
 
+def _commutative_shape(e_alg: GradedAlgebra) -> str:
+    """"non-commutative"; else "reduced" when the trace form Tr(L_{e_i e_j})
+    of the finite algebra e_alg is nonsingular, and "radical" when not.
+
+    A commutative finite algebra C over F_q is reduced, a product of finite
+    fields, exactly when that form is nonsingular: its radical J lies in the
+    form's radical, and the trace form of a finite field is nonsingular.
+    The form is read off the table, so this costs no power of Φ.
+    """
+    if not _is_commutative(e_alg):
+        return "non-commutative"
+    n = e_alg.dim
+    trace_form = form_rows(e_alg, regular_trace(e_alg, range(n)))
+    if eliminate_raw(e_alg.field.ops, trace_form, n, stop_at_gap=True) is None:
+        return "radical"
+    return "reduced"
+
+
 def _local_zero_divisor(e_alg: GradedAlgebra):
     """The first zero divisor of _scan_division, found without scanning when
-    the finite algebra e_alg is commutative and local with a nonzero radical;
-    None when any of these fails.
+    the commutative finite algebra e_alg, whose radical J is nonzero
+    (_commutative_shape "radical"), is local; None when it is not.
 
     In a commutative finite algebra C over F_q the non-units are the union of
     the maximal ideals, and when C is local they are its radical J.
     Φ(x) = x^q is F_q-linear on C, and J = ker Φ^K for q^K >= dim C, since
     J^dim C = 0.  C is local exactly when the fixed space of Φ is F_q·1, of
-    dim 1 (Berlekamp 1970), and J = 0 exactly when the trace form
-    Tr(L_{e_i e_j}) is nonsingular: J lies in its radical, and a reduced C is
-    a product of finite fields, whose trace forms are nonsingular.  That
-    form is read off the table first, so fields cost no power of Φ.
+    dim 1 (Berlekamp 1970).
 
     The scan's order compares coordinate n - 1 first, so the least nonzero
     vector of a subspace is the row with the lowest pivot of its RREF with
@@ -371,11 +398,6 @@ def _local_zero_divisor(e_alg: GradedAlgebra):
     field, n, table = e_alg.field, e_alg.dim, e_alg.table
     ops = field.ops
     zero, one = ops.zero, ops.one
-    if not _is_commutative(e_alg):
-        return None
-    trace_form = form_rows(e_alg, regular_trace(e_alg, range(n)))
-    if eliminate_raw(ops, trace_form, n, stop_at_gap=True) is not None:
-        return None
 
     def product(x, y):
         # x y = sum_i x_i (e_i y), and e_i y = sum_j y_j e_i e_j
@@ -427,6 +449,79 @@ def _local_zero_divisor(e_alg: GradedAlgebra):
     if eliminate_raw(ops, _left_rows(e_alg, witness), n, stop_at_gap=True) is not None:
         raise AssertionError("the least vector of the radical is invertible; this is a bug")
     return Element(e_alg, ops.wrap(witness))
+
+
+def _power_walk(e_alg: GradedAlgebra) -> bool:
+    """Whether the powers of one element prove the finite algebra e_alg a
+    division algebra; False when no candidate does so within the walk's
+    budget, and the scan must decide.
+
+    F_q^n has M = (q^n - 1)/(q - 1) lines F_q^* x.  Suppose g^M is in F_q^* 1
+    and g^i is not in F_q 1 for 0 < i < M.  Then g is a unit, and
+    g^i = c g^j with 0 <= j < i < M would make g^(i - j) = c a scalar, so the
+    M lines F_q^* g^i are distinct: they are all the lines, and every nonzero
+    element, a scalar times a power of g, is a unit.  The walk so covers each
+    line once, as the scan does, and its Yes is the scan's, scan_size
+    q^n - 1.
+
+    The candidates are the line representatives in Field.vectors order, the
+    unit's line left out.  In a field the lines form a cyclic group of order
+    M, so the first scalar power of g comes at the order i of its line, a
+    divisor of M, and a generator of that group ends the walk.  A candidate
+    whose first scalar power comes at a divisor i < M is dropped.  A first
+    scalar power at an i that does not divide M or none by step M returns
+    False, and so does a candidate due once M steps are spent in all.  So a
+    No costs fewer than 2M steps more than the scan, which still finds its
+    witness.
+
+    Powers are taken over F_p, as in _scan_division: g^(i+1) = L_g g^i with
+    L_g restricted to its N x N matrix over F_p, N = n k, held as N columns,
+    each one int of w-bit lanes reduced mod p.  One step is the integer
+    combination of the columns by the F_p coordinates of g^i, whose lanes
+    stay at most N (p - 1)^2 < 2^w, read back mod p.  That is about 2N int
+    operations a line, against the O(N^2) of eliminating L_x.
+    """
+    field, n = e_alg.field, e_alg.dim
+    q, p, k = field.size(), field.char, field.degree
+    lines = (q ** n - 1) // (q - 1)
+    if lines == 1:
+        return True
+    nk = n * k
+    w = (nk * (p - 1) ** 2).bit_length()
+    mask, shifts = (1 << w) - 1, [r * w for r in range(nk)]
+    packed = _restricted_left_mults(e_alg, w, by_column=True)
+    ops = field.ops
+    # the F_p coordinates of c 1 for c in F_q^*; element_at(0) is zero
+    scalars = {tuple(d for u in e_alg.unit for d in ops.coefficients(ops.mul(c, u)))
+               for c in ops.unwrap(list(field.elements()))[1:]}
+    steps = 0
+    for j in range(n):
+        # the representatives with last nonzero coordinate j, x_j = 1 being
+        # the single digit c_j0 = 1, lower digits varying fastest
+        for low in itertools.product(range(p), repeat=j * k):
+            g = low[::-1] + (1,) + (0,) * (nk - j * k - 1)
+            if g in scalars:
+                continue
+            if steps >= lines:
+                return False
+            columns = [0] * nk
+            for c, m in zip(g, packed):
+                if c:
+                    columns = [col + c * m_col for col, m_col in zip(columns, m)]
+            columns = [sum(((col >> s & mask) % p) << s for s in shifts) for col in columns]
+            power, i = g, 1
+            while power not in scalars:
+                if i == lines:
+                    return False
+                acc = sum(map(mul, power, columns))
+                power = tuple([(acc >> s & mask) % p for s in shifts])
+                i += 1
+                steps += 1
+            if i == lines:
+                return True
+            if lines % i:
+                return False
+    return False
 
 
 def _min_poly(e_alg: GradedAlgebra, el: Element):
@@ -544,15 +639,27 @@ def _integer_brackets(poly, lo: int, hi: int) -> list:
 
 def _identity_verdict(e_alg: GradedAlgebra) -> DivisionVerdict:
     """Whether the identity component e_alg is a division algebra; see
-    is_graded_division."""
+    is_graded_division.
+
+    A finite e_alg with at most SCAN_FIRST_BOUND elements is scanned.  A
+    larger one is sorted once by _commutative_shape: a commutative one with
+    a nonzero radical is refuted by _local_zero_divisor when it is local, a
+    reduced one with at most SCAN_BOUND elements gets its Yes from
+    _power_walk when the walk proves it, and whatever is left with at most
+    SCAN_BOUND elements is scanned.
+    """
     if not e_alg.field.is_finite:
         return _rational_division_check(e_alg)
     size = e_alg.field.size() ** e_alg.dim
-    zero_divisor = None if size <= SCAN_FIRST_BOUND else _local_zero_divisor(e_alg)
-    if zero_divisor is not None:
-        return DivisionVerdict("no", {"kind": "zero-divisor"}, zero_divisor)
+    shape = None if size <= SCAN_FIRST_BOUND else _commutative_shape(e_alg)
+    if shape == "radical":
+        zero_divisor = _local_zero_divisor(e_alg)
+        if zero_divisor is not None:
+            return DivisionVerdict("no", {"kind": "zero-divisor"}, zero_divisor)
     if size > SCAN_BOUND:
         return DivisionVerdict("unknown", {"kind": "scan-bound-exceeded", "bound": SCAN_BOUND})
+    if shape == "reduced" and _power_walk(e_alg):
+        return DivisionVerdict("yes", {"kind": "exhaustive", "scan_size": size - 1})
     ok, bad, count = _scan_division(e_alg)
     if ok:
         return DivisionVerdict("yes", {"kind": "exhaustive", "scan_size": count})
@@ -573,8 +680,12 @@ def is_graded_division(a: GradedAlgebra, identity_verdicts: dict | None = None) 
     that is commutative and local with a nonzero radical J is refuted first,
     however large: its non-units are J = ker Φ^K for Φ(x) = x^q, and the
     least vector of J in scan order, its lowest-pivot RREF row, is the
-    witness the scan would return.  Any other finite A_e is scanned when it
-    has at most SCAN_BOUND elements, and is Unknown otherwise.
+    witness the scan would return.  Any other finite A_e is decided when it
+    has at most SCAN_BOUND elements, and is Unknown otherwise.  A product of
+    fields among them is first walked by the powers of one element, which
+    proves a field division with the scan's certificate, q^n - 1 elements
+    covered; what the walk does not prove is scanned, so every No witness is
+    the scan's.
 
     identity_verdicts, when given, is a dict the caller owns that maps A_e,
     as its field and stored form (field, table, unit), to A_e's verdict.

@@ -489,14 +489,21 @@ def test_line_scan_eliminates_one_matrix_per_line(monkeypatch):
     assert seen == 13 + 21
 
 
+def _radical_witness(e_alg):
+    """_local_zero_divisor on an A_e of any shape: None unless A_e is
+    commutative with a nonzero radical, the one shape it is asked about."""
+    from grasym.invariants import _commutative_shape, _local_zero_divisor
+    return _local_zero_divisor(e_alg) if _commutative_shape(e_alg) == "radical" else None
+
+
 def test_local_radical_witness_is_the_first_zero_divisor_of_the_scan():
     # wherever A_e is commutative and local with a nonzero radical, the least
     # vector of the radical is the element inverse scan's first zero divisor
-    from grasym.invariants import _identity_component_algebra, _local_zero_divisor
+    from grasym.invariants import _identity_component_algebra
     applied = 0
     for name, a in itertools.chain(_scan_oracle_corpus(), _large_q_scan_corpus()):
         e_alg = _identity_component_algebra(a)
-        witness = _local_zero_divisor(e_alg)
+        witness = _radical_witness(e_alg)
         if witness is not None:
             ok, want, _ = scalar_scan_division(e_alg)
             assert not ok and witness == want, name
@@ -513,56 +520,187 @@ def test_local_radical_witness_is_the_first_zero_divisor_of_the_scan():
 def test_local_radical_witness_over_the_base_field_and_extensions(build):
     # in F_2[C_4] the radical squares to (1 + g)^2 = 1 + g^2 != 0, so J is
     # ker Φ^2, larger than ker Φ, and its least vector 1 + g is not in ker Φ
-    from grasym.invariants import _identity_component_algebra, _local_zero_divisor
+    from grasym.invariants import (_commutative_shape, _identity_component_algebra,
+                                   _local_zero_divisor)
     e_alg = _identity_component_algebra(build())
+    assert _commutative_shape(e_alg) == "radical"
     witness = _local_zero_divisor(e_alg)
     ok, want, _ = scalar_scan_division(e_alg)
     assert witness is not None and not ok and witness == want
 
 
-@pytest.mark.parametrize("build", [
-    lambda: matrix_algebra(make_field(2), 2),
-    lambda: ungrade(group_algebra(make_field(2), cyclic_group(6))),
-    lambda: scalar_extension(_te_field(2, 2), 2),
-    lambda: field_as_algebra(canonical_extension_field(5, 3), make_field(5)),
+@pytest.mark.parametrize("build, shape", [
+    (lambda: matrix_algebra(make_field(2), 2), "non-commutative"),
+    (lambda: ungrade(group_algebra(make_field(2), cyclic_group(6))), "radical"),
+    (lambda: scalar_extension(_te_field(2, 2), 2), "radical"),
+    (lambda: field_as_algebra(canonical_extension_field(5, 3), make_field(5)), "reduced"),
 ], ids=["M2(F2)", "F2[C6]", "TE(F4)(x)F4", "F5^3"])
-def test_non_local_or_reduced_identity_components_keep_the_scan(build):
+def test_non_local_or_reduced_identity_components_keep_the_scan(build, shape):
     # non-commutative, non-local and reduced A_e get no radical witness, and the
     # verdict is still the scan's
-    from grasym.invariants import _identity_component_algebra, _local_zero_divisor
+    from grasym.invariants import _commutative_shape, _identity_component_algebra
     a = build()
     e_alg = _identity_component_algebra(a)
     assert e_alg is a
-    assert _local_zero_divisor(e_alg) is None
+    assert _commutative_shape(e_alg) == shape
+    assert _radical_witness(e_alg) is None
     ok, want, _ = scalar_scan_division(e_alg)
     v = is_graded_division(a)
     assert v.status == ("yes" if ok else "no")
     assert v.witness == want
 
 
-def test_refute_division_nos_skip_the_scan(monkeypatch):
-    # F_{5^4} is a field above SCAN_FIRST_BOUND: the pretest passes it on to
-    # the scan; F_{5^3} and the local F_2[C_4] are scanned at once
+def _field_algebra(p, n):
+    return field_as_algebra(canonical_extension_field(p, n), make_field(p))
+
+
+def _counted_walks(monkeypatch):
+    """Patch _power_walk and _scan_division to record (dim A_e, result) of
+    every walk and every scan."""
     from grasym import invariants
 
-    calls = []
-    scan = invariants._scan_division
+    walks, scans = [], []
+    walk, scan = invariants._power_walk, invariants._scan_division
 
-    def counting(e_alg):
-        calls.append(e_alg.dim)
-        return scan(e_alg)
+    def counting_walk(e_alg):
+        walks.append((e_alg.dim, walk(e_alg)))
+        return walks[-1][1]
 
-    monkeypatch.setattr(invariants, "_scan_division", counting)
+    def counting_scan(e_alg):
+        scans.append((e_alg.dim, scan(e_alg)))
+        return scans[-1][1]
+
+    monkeypatch.setattr(invariants, "_power_walk", counting_walk)
+    monkeypatch.setattr(invariants, "_scan_division", counting_scan)
+    return walks, scans
+
+
+def test_refute_division_nos_skip_the_scan(monkeypatch):
+    # F_{5^4} is a field above SCAN_FIRST_BOUND: the pretest passes it on to
+    # the power walk, which decides it; F_{5^3} and the local F_2[C_4] are
+    # scanned at once
+    walks, scans = _counted_walks(monkeypatch)
     for p, n in ((2, 8), (3, 6), (5, 4), (7, 3)):
         assert is_graded_division(_te_field(p, n)).status == "no"
-    assert calls == []
+    assert scans == [] and walks == []
     for n in (3, 4):
-        assert is_graded_division(field_as_algebra(canonical_extension_field(5, n), make_field(5))).is_yes
-    assert calls == [3, 4]
+        assert is_graded_division(_field_algebra(5, n)).is_yes
+    assert [dim for dim, _ in scans] == [3]
+    assert walks == [(4, True)]
     f2_c4 = ungrade(group_algebra(make_field(2), cyclic_group(4)))
-    assert invariants._local_zero_divisor(f2_c4) is not None
+    assert _radical_witness(f2_c4) is not None
     assert is_graded_division(f2_c4).status == "no"
-    assert calls == [3, 4, 4]
+    assert [dim for dim, _ in scans] == [3, 4]
+    assert walks == [(4, True)]
+
+
+def _scan_verdict_record(e_alg):
+    """What _identity_verdict gave before the power walk: the scan's verdict
+    as (status, canonical certificate, witness coordinates)."""
+    from grasym.invariants import _scan_division
+    from grasym.specfile import canonical_json
+
+    ok, bad, count = _scan_division(e_alg)
+    if ok:
+        return "yes", canonical_json({"kind": "exhaustive", "scan_size": count}), None
+    return "no", canonical_json({"kind": "zero-divisor"}), [c.to_json() for c in bad.coords]
+
+
+def _power_walk_corpus():
+    from grasym.replicate import random_graded_basis_change
+
+    yield from _scan_oracle_corpus()
+    yield from _large_q_scan_corpus()
+    # the division inputs of the benchmark's decide workload
+    decide = [(f"F{p}^{n}", _field_algebra(p, n)) for p, n in ((2, 9), (3, 6), (5, 5), (7, 4))]
+    decide.append(("cyc3(x)F9", scalar_extension(cyclic_algebra(3), 2)))
+    for seed in (1, 2, 3):
+        for name, a in decide:
+            yield f"{name}-{seed}", random_graded_basis_change(a, random.Random(seed))
+    yield "cyc5", cyclic_algebra(5)
+
+
+def test_power_walk_gives_the_scan_verdict(monkeypatch):
+    # on every A_e above SCAN_FIRST_BOUND, the verdict with the walk is the
+    # scan's verdict, certificate and witness byte for byte
+    from grasym.invariants import SCAN_FIRST_BOUND, _identity_component_algebra, _identity_verdict
+    from grasym.specfile import canonical_json
+
+    walks, _ = _counted_walks(monkeypatch)
+    compared = 0
+    for name, a in _power_walk_corpus():
+        e_alg = _identity_component_algebra(a)
+        if e_alg.field.size() ** e_alg.dim <= SCAN_FIRST_BOUND:
+            continue
+        v = _identity_verdict(e_alg)
+        witness = None if v.witness is None else [c.to_json() for c in v.witness.coords]
+        assert (v.status, canonical_json(v.certificate), witness) == _scan_verdict_record(e_alg), name
+        compared += 1
+    # 10 corpus inputs, 5 of them fields (the rest local with a radical), 15
+    # decide inputs and cyclic_algebra(5): the walk decides every field
+    assert compared == 26
+    assert [ok for _, ok in walks] == [True] * 21
+
+
+def test_power_walk_proves_only_division_algebras():
+    # the walk's proof needs no shape: on every A_e of both scan corpora, of
+    # any size and shape, a walk that returns True meets a scan that says Yes
+    from grasym.invariants import _identity_component_algebra, _power_walk, _scan_division
+
+    walked, scanned_yes = 0, 0
+    for name, a in itertools.chain(_scan_oracle_corpus(), _large_q_scan_corpus()):
+        e_alg = _identity_component_algebra(a)
+        ok = _scan_division(e_alg)[0]
+        if _power_walk(e_alg):
+            assert ok, name
+            walked += 1
+        scanned_yes += ok
+    assert (walked, scanned_yes) == (44, 44)
+
+
+def test_power_walk_hands_a_product_of_fields_to_the_scan(monkeypatch):
+    # F_32 x F_16 is reduced and not local, so not division: the scan finds the
+    # witness, at the index of the element inverse scan
+    from grasym import direct_product
+
+    walks, scans = _counted_walks(monkeypatch)
+    a = direct_product(_field_algebra(2, 5), _field_algebra(2, 4))
+    v = is_graded_division(a)
+    ok, want, index = scalar_scan_division(a)
+    assert not ok and v.status == "no" and v.witness == want
+    assert walks == [(9, False)]
+    assert scans == [(9, (False, want, index))]
+
+
+def test_power_walk_passes_over_a_representative_that_is_no_generator(monkeypatch):
+    # in F_{5^4} = F_5[x]/(x^4 + 2) the first line representative after the
+    # unit's is x, and x^4 = 3 is a scalar: its line has order 4, not 156
+    walks, scans = _counted_walks(monkeypatch)
+    a = _field_algebra(5, 4)
+    x = a.basis_element(1)
+    assert (x * x * x * x).coords == (3 * a.one()).coords
+    v = is_graded_division(a)
+    assert v.certificate["identity_component"] == {"kind": "exhaustive", "scan_size": 624}
+    assert walks == [(4, True)] and scans == []
+
+
+def test_one_dimensional_identity_component_over_a_large_field_is_division(monkeypatch):
+    # M = 1 line: the walk says Yes at once, with the scan's certificate
+    walks, scans = _counted_walks(monkeypatch)
+    f = make_field(257)
+    v = is_graded_division(field_as_algebra(f, f))
+    assert v.certificate["identity_component"] == {"kind": "exhaustive", "scan_size": 256}
+    assert walks == [(1, True)] and scans == []
+
+
+def test_cyclic_algebra_7_is_division_by_the_power_walk(monkeypatch):
+    # A_e = F_{7^7}: 823,542 nonzero elements on M = 137,257 lines, one
+    # elimination each for the scan, one step each for the walk
+    walks, scans = _counted_walks(monkeypatch)
+    v = is_graded_division(cyclic_algebra(7))
+    assert v.is_yes
+    assert v.certificate["identity_component"] == {"kind": "exhaustive", "scan_size": 823542}
+    assert walks == [(7, True)] and scans == []
 
 
 def test_division_above_the_scan_bound_is_refuted_by_the_radical():
