@@ -998,8 +998,8 @@ def _frobenius_data(ext: Field, group: GroupTable, sigma_powers, alpha_unit) -> 
     """The checked arguments of a Frobenius crossed product: the
     _FrobeniusField of ext, the exponent k_g in [0, dim D) of each group
     element in index order (k_e = 0), so that sigma(g) = Frob^(k_g), and the
-    twist u as the dim D raw values of its coordinates over F_p (an all-int
-    twist reduced mod p in one pass, any other through Field.scalar)."""
+    twist u as the dim D raw values of its coordinates over F_p (each int
+    coordinate reduced mod p, any other through Field.scalar)."""
     fd = _frobenius_coefficients(ext)
     d = fd.d
     sigma_powers = list(sigma_powers)
@@ -1009,9 +1009,7 @@ def _frobenius_data(ext: Field, group: GroupTable, sigma_powers, alpha_unit) -> 
     if alpha_unit is None:
         return fd, powers, d.unit
     ops, p = d.field.ops, d.field.char
-    u = tuple([c % p if type(c) is int else None for c in alpha_unit])
-    if None in u:
-        u = tuple(d.field.scalar(c).val for c in alpha_unit)
+    u = tuple([c % p if type(c) is int else d.field.scalar(c).val for c in alpha_unit])
     if len(u) > d.dim:
         raise ValueError(f"alpha_unit has more than {d.dim} coefficients")
     return fd, powers, u + (ops.zero,) * (d.dim - len(u))

@@ -470,9 +470,13 @@ def _power_walk(e_alg: GradedAlgebra) -> bool:
     divisor of M, and a generator of that group ends the walk.  A candidate
     whose first scalar power comes at a divisor i < M is dropped.  A first
     scalar power at an i that does not divide M or none by step M returns
-    False, and so does a candidate due once M steps are spent in all.  So a
-    No costs fewer than 2M steps more than the scan, which still finds its
-    witness.
+    False, and so does a candidate due once M steps are spent in all.  So
+    does a power g^i = g met before any scalar one: in a field it would make
+    g^(i-1) = 1, a scalar met before, so A_e is no field, and g^(i-1) is an
+    idempotent other than 1, a zero divisor.  In a product of fields the
+    powers of every element come back to it, so a candidate costs at most
+    its period: (1, 0) ends at its first step.  A No costs fewer than 2M
+    steps more than the scan, which still finds its witness.
 
     Powers are taken over F_p, as in _scan_division: g^(i+1) = L_g g^i with
     L_g restricted to its N x N matrix over F_p, N = n k, held as N columns,
@@ -515,6 +519,8 @@ def _power_walk(e_alg: GradedAlgebra) -> bool:
                     return False
                 acc = sum(map(mul, power, columns))
                 power = tuple([(acc >> s & mask) % p for s in shifts])
+                if power == g:
+                    return False
                 i += 1
                 steps += 1
             if i == lines:

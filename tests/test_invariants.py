@@ -659,17 +659,29 @@ def test_power_walk_proves_only_division_algebras():
 
 
 def test_power_walk_hands_a_product_of_fields_to_the_scan(monkeypatch):
-    # F_32 x F_16 is reduced and not local, so not division: the scan finds the
-    # witness, at the index of the element inverse scan
-    from grasym import direct_product
+    # F_32 x F_16 and F_{2^10} x F_{2^9} (M = 524,287 lines) are reduced and
+    # not local, so not division.  The first candidate (1, 0) is an
+    # idempotent: one step gives g^2 = g, and the walk hands the algebra to
+    # the scan, whose witness is that idempotent at index 1
+    from grasym import direct_product, invariants
 
+    multiplications = []
+
+    def counting_mul(a, b):
+        multiplications.append(None)
+        return a * b
+
+    monkeypatch.setattr(invariants, "mul", counting_mul)
     walks, scans = _counted_walks(monkeypatch)
-    a = direct_product(_field_algebra(2, 5), _field_algebra(2, 4))
-    v = is_graded_division(a)
-    ok, want, index = scalar_scan_division(a)
-    assert not ok and v.status == "no" and v.witness == want
-    assert walks == [(9, False)]
-    assert scans == [(9, (False, want, index))]
+    for m, n in ((5, 4), (10, 9)):
+        walks.clear(), scans.clear(), multiplications.clear()
+        a = direct_product(_field_algebra(2, m), _field_algebra(2, n))
+        v = is_graded_division(a)
+        ok, want, index = scalar_scan_division(a)
+        assert not ok and v.status == "no" and v.witness == want and index == 1
+        assert walks == [(m + n, False)] and scans == [(m + n, (False, want, index))]
+        # one step: one product per F_2 coordinate
+        assert len(multiplications) == m + n
 
 
 def test_power_walk_passes_over_a_representative_that_is_no_generator(monkeypatch):
