@@ -3,10 +3,13 @@
 A Field is one of three kinds, told apart by (characteristic, degree): the
 rationals (characteristic 0), a prime field (prime characteristic, degree 1),
 or an extension field cut out by a monic irreducible modulus polynomial over
-the prime field.  Scalar representations are canonical: `fractions.Fraction`
-for the rationals, a single int in [0, p) for prime fields, and a coefficient
-tuple of length `degree` (constant coefficient first) for extensions.  Scalar
-equality is representation equality, so scalars key dicts and sets directly.
+the prime field.  Scalar representations are canonical: for the rationals an
+int when the value is integral and otherwise a `fractions.Fraction`, whose
+denominator is then above 1; a single int in [0, p) for prime fields; and a
+coefficient tuple of length `degree` (constant coefficient first) for
+extensions.  Scalar equality is representation equality, so scalars key dicts
+and sets directly; an int and a Fraction of equal value also compare and hash
+equal, and print alike.
 
 Polynomials over F_p appear internally as trimmed int tuples, constant
 coefficient first, with () for zero.  No floating point is used anywhere.
@@ -228,7 +231,7 @@ class Field:
         if _is_int(value):
             return self.from_int(value)
         if self.char == 0 and isinstance(value, (Fraction, str)):
-            return Scalar(self, Fraction(value))
+            return Scalar(self, self.ops.canonical(Fraction(value)))
         if self.char != 0 and isinstance(value, (list, tuple)):
             if len(value) > self.degree:
                 raise ValueError(f"coefficient list longer than degree {self.degree}")
@@ -482,13 +485,14 @@ class RawOps:
     elimination both compute here.
 
     Each field holds exactly one, as field.ops, built with the field.  A raw
-    value is what a Scalar of the field holds: an int in [0, p) over F_p, a
-    Fraction over Q, a padded coefficient tuple over F_{p^n}.  Raw values
-    are canonical, so v is zero iff v == self.zero; self.one is the raw 1.
-    is_zero(v) is each kind's fast form of that test: an int or a Fraction
-    is zero iff it is falsy, whereas v == Fraction(0) takes the slow
-    numbers.Rational branch of Fraction.__eq__.  A row is a list of raw
-    values.  Each field kind implements
+    value is what a Scalar of the field holds: an int in [0, p) over F_p; an
+    int over Q when integral, else a Fraction; a padded coefficient tuple
+    over F_{p^n}.  Raw values are canonical, so v is zero iff v ==
+    self.zero; self.one is the raw 1.  is_zero(v) is each kind's fast form
+    of that test: an int or a Fraction is zero iff it is falsy.  Over Q,
+    canonical(r) is the raw value of an int or a Fraction r; Field.scalar,
+    scalar_from_json and the rational roots of the division check build
+    through it.  A row is a list of raw values.  Each field kind implements
 
     - from_int(n): the raw image of the int n;
     - to_json(v): the canonical JSON form of v, which Scalar.to_json and
@@ -626,46 +630,57 @@ class _PrimeOps(RawOps):
         return {v: v for v in values}, lambda sums: not any(map(p.__rmod__, sums))
 
 
+def _q(r):
+    """The canonical raw rational of an int or a Fraction r: an int when r is
+    integral, else the Fraction, whose denominator is then above 1."""
+    return r if type(r) is int else r.numerator if r.denominator == 1 else r
+
+
 class _RationalOps(RawOps):
+    """Q on canonical raw values: an int when integral, else a Fraction.
+    Every result passes through `_q`, since a product, a quotient or a sum
+    of Fractions may be integral."""
+
     __slots__ = ()
 
-    def from_int(self, n):
-        return Fraction(n)
-
+    canonical = staticmethod(_q)
+    from_int = staticmethod(operator.index)
     to_json = staticmethod(str)
 
     def mul(self, u, v):
-        return u * v
+        return _q(u * v)
 
     def add(self, u, v):
-        return u + v
+        return _q(u + v)
 
     def sub(self, u, v):
-        return u - v
+        return _q(u - v)
 
     def inverse(self, v):
-        return 1 / v
+        return _q(Fraction(v.denominator, v.numerator))
+
+    def power(self, v, e: int):
+        return _q(v ** e)
 
     def scale(self, row, c) -> list:
-        return [x * c if x else x for x in row]
+        return [_q(x * c) if x else x for x in row]
 
     def sub_scaled(self, row, c, other) -> list:
-        return [a - c * b if b else a for a, b in zip(row, other)]
+        return [_q(a - c * b) if b else a for a, b in zip(row, other)]
 
     def sparse_scale(self, row, c) -> dict:
-        return {k: v * c for k, v in row.items()}
+        return {k: _q(v * c) for k, v in row.items()}
 
     def sparse_sub_scaled(self, row, c, other):
         for k, b in other.items():
             v = row.get(k, 0) - c * b
             if v:
-                row[k] = v
+                row[k] = _q(v)
             else:
                 del row[k]
 
     def forms_at(self, forms, x) -> list:
-        zero = self.zero
-        return [sum((a * b for a, b in zip(f, x) if a and b), zero) for f in forms]
+        return [_q(sum([a * b for a, b in zip(f, x) if a and b])) for f in forms]
 
     def integer_image(self, values, terms):
         """Each value times the common denominator D of values.  A product
@@ -785,7 +800,7 @@ def scalar_from_json(field: Field, value) -> Scalar:
             text = str(value) if type(value) is int else value
             if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text)):
                 raise ValueError("not an integer or an 'n/d' string")
-            return Scalar(field, Fraction(text))
+            return Scalar(field, field.ops.canonical(Fraction(text)))
         if not all(type(c) is int for c in (value if isinstance(value, list) else [value])):
             raise ValueError("not an integer or a list of integers")
         return field.scalar(value)

@@ -123,13 +123,20 @@ def commutator_rows(a: GradedAlgebra, pairs):
     rows {k: raw value} of a.field.ops.
 
     Products are stored sorted and without zero terms, so [e_i, e_j] = 0
-    exactly when e_i e_j and e_j e_i have the same terms.
+    exactly when e_i e_j and e_j e_i have the same terms.  A pair whose two
+    products were met before, in either order, gives a row already yielded
+    or its negative, which spans nothing new, so it is skipped.  Tensor
+    products repeat many: the 258 nonzero commutators of the basis of
+    Sweedler (x) M_3 come from 66 such pairs of products.
     """
     ops, table = a.field.ops, a.table
+    seen = set()
     for i, j in pairs:
         ij, ji = table[i][j], table[j][i]
-        if ij == ji:
+        if ij == ji or (ij, ji) in seen:
             continue
+        seen.add((ij, ji))
+        seen.add((ji, ij))
         row = dict(ij)
         ops.sparse_sub_scaled(row, ops.one, dict(ji))
         yield row
@@ -607,7 +614,8 @@ def _rational_roots(coeffs):
     n, lead = len(ints) - 1, ints[-1]
     g = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
     bound = 1 + max(abs(c) for c in g[:-1])  # Cauchy: every root has |y| < bound
-    roots = {Fraction(y, lead) for y in _integer_brackets(g, -bound, bound)
+    canonical = field.ops.canonical
+    roots = {canonical(Fraction(y, lead)) for y in _integer_brackets(g, -bound, bound)
              if _poly_at(g, y) == 0}
     return [Scalar(field, r) for r in sorted(
         roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))]

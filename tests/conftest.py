@@ -139,3 +139,11 @@ def stored_form_errors(a) -> list:
     if len(a.unit) != d:
         errors.append(f"unit has length {len(a.unit)}, not {d}")
     return errors
+
+
+def is_canonical_rational(v) -> bool:
+    """Whether v is a raw rational in canonical form: an int (not a bool)
+    when integral, else a Fraction, whose denominator is then above 1."""
+    from fractions import Fraction
+
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)

@@ -26,6 +26,8 @@ from grasym.fields import (
     scalar_from_json,
 )
 
+from conftest import is_canonical_rational
+
 
 def test_prime_field_construction(f2):
     assert f2.char == 2 and f2.degree == 1 and f2.size() == 2
@@ -448,7 +450,8 @@ def _raw_sample(f, rng, count=40) -> list:
     """Raw values of f: zero, one, -1 and random ones, and every element of a
     small finite field."""
     if f.char == 0:
-        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(count)]
+        values = [f.ops.canonical(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                  for _ in range(count)]
     elif f.size() <= 27:
         values = [x.val for x in f.elements()]
     else:
@@ -468,7 +471,10 @@ def test_each_kind_tests_zero_on_its_raw_values(kind):
     # the fast zero test keeps every raw value's type
     assert type(ops.zero) is type(ops.one) is type(f.from_int(5).val)
     if f.char == 0:
-        assert type(ops.zero) is Fraction
+        # an integral rational is an int, any other a Fraction
+        assert type(ops.zero) is int
+        for v in _raw_sample(f, random.Random(3)):
+            assert is_canonical_rational(v), repr(v)
 
 
 def _field_sum(ops, plus, minus):
