@@ -17,8 +17,6 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
-import pytest
-
 from grasym import (
     GradedAlgebra,
     cyclic_group,
@@ -189,9 +187,8 @@ def test_values_built_from_outside_the_kernel_are_canonical(q):
     assert type(q.scalar("4/2").val) is int
     assert type(q.scalar(-7).val) is int
     for text in ("4/2", "-0", "12", 12, "-5/6", "10/4"):
-        x = scalar_from_json(q, text)
-        assert is_canonical_rational(x.val), text
-    assert scalar_from_json(q, "4/2").val == 2 and type(scalar_from_json(q, "4/2").val) is int
+        assert is_canonical_rational(scalar_from_json(q, text).val), text
+    assert type(scalar_from_json(q, "4/2").val) is int
     assert scalar_from_json(q, "10/4").val == Fraction(5, 2)
     assert q.scalar(Fraction(4, 2)).to_json() == "2"
     assert q.scalar(Fraction(-5, 6)).to_json() == "-5/6"
@@ -206,11 +203,12 @@ def test_values_built_from_outside_the_kernel_are_canonical(q):
     roots = _rational_roots([q.scalar(c) for c in ("-2/3", "-7/3", "-2/3", "1")])
     assert [r.to_json() for r in roots] == ["-1", "-1/3", "2"]
     assert all(is_canonical_rational(r.val) for r in roots)
-    assert [type(r.val) for r in _rational_roots([q.from_int(-4), q.zero(), q.one()])] == [int, int]
+    square_roots = _rational_roots([q.from_int(-4), q.zero(), q.one()])
+    assert [type(r.val) for r in square_roots] == [int, int]
 
 
 def _split_quadratic():
-    # Q[s]/(s^2 - 1) = Q x Q; its zero divisor is s - r for a rational root r
+    # Q[s]/(s^2 - 9/4) = Q x Q; its zero divisor is s - r for a rational root r
     one = Q.one()
     return GradedAlgebra(Q, trivial_group(), [0, 0],
                          {(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),),
