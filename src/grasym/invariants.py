@@ -8,20 +8,15 @@ invertible (a = (a u^-1) u with a u^-1 invertible in the identity component).
 So once the identity component is division, each other component is decided
 by inverting any one of its nonzero elements.
 
-Over finite fields an A_e too large to scan at once (SCAN_FIRST_BOUND) is
-first sorted by its trace form (`_commutative_shape`).  A commutative local
-A_e with a nonzero radical J is refuted without a scan: its non-units are
-exactly J = ker Φ^K, for the Frobenius map Φ(x) = x^q and q^K >= dim A_e,
-and the least nonzero vector of a subspace in `Field.vectors` order is its
-RREF row with the lowest pivot, each row's pivot taken at its highest
-coordinate.  So that row is the first zero divisor the scan would meet, and
-it is the No witness (`_local_zero_divisor`), at any size.  A commutative
-A_e with a nonsingular trace form is a product of fields, and a field is
-proved division by the powers of one element (`_power_walk`): when g^i
-first lands in F_q 1 at i = M, the number of lines F_q^* x, the lines of
-g, g^2, .., g^M are distinct and so are all the lines, and every nonzero
-element is a unit.  The walk visits each line once, as the scan does, and
-its Yes is the scan's certificate.
+Over finite fields a commutative A_e is first given to its Frobenius map
+Φ(x) = x^q (`_frobenius_verdict`; Berlekamp 1970), which decides it when
+A_e is local, that is when the fixed space of Φ is F_q·1.  The non-units
+are then the radical J = ker Φ^K, for q^K >= dim A_e.  J = 0 makes A_e a
+field: every nonzero element is a unit, and the Yes is the scan's
+certificate, q^n - 1 elements covered.  Otherwise the least nonzero vector
+of J in `Field.vectors` order is its RREF row with the lowest pivot, each
+row's pivot taken at its highest coordinate.  So that row is the first zero
+divisor the scan would meet, and it is the No witness, at any size.
 
 Every other finite A_e is decided exhaustively: every nonzero element is
 covered, in `Field.vectors` order, and the first singular one is the No
@@ -53,11 +48,9 @@ irreducible).  Anything else is reported Unknown rather than guessed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from .algebras import (Element, GradedAlgebra, _left_rows, _solve_raw, quaternion_algebra,
                        sparse_combination)
@@ -68,11 +61,6 @@ from .linalg import (SparseEchelon, Subspace, eliminate_raw, lane_width, packed_
 from .multipoly import linear_pencil, nonvanishing_point, structured_det
 
 SCAN_BOUND = 10 ** 6
-# A_e with at most this many elements is scanned without trying its radical
-# first: the scan then takes a few milliseconds at most, and when A_e is a
-# field, as in every accepted hunt candidate, the trace-form pretest of
-# _local_zero_divisor would add 15-25% to it below about 200 elements.
-SCAN_FIRST_BOUND = 2 ** 8
 
 
 def center(a: GradedAlgebra) -> Subspace:
@@ -268,13 +256,12 @@ def _identity_component_algebra(a: GradedAlgebra) -> GradedAlgebra:
                                    [a.unit[i] for i in indices])
 
 
-def _restricted_left_mults(e_alg: GradedAlgebra, w: int, by_column: bool = False) -> list:
+def _restricted_left_mults(e_alg: GradedAlgebra, w: int) -> list:
     """M[i*k + s]: the packed F_p-matrix of x^s L_{e_i}, for F_q = F_p(x) of degree k.
 
     An F_q entry a of an n x n matrix becomes its k x k block over F_p, whose
     column t holds the coefficients of a x^t, so row r*k + u of the N = n*k
     rows has in lane j*k + t the coefficient u of L_{e_i}[r][j] x^(s + t).
-    by_column packs the transpose: one int per column, one lane per row.
     """
     n, k, ops = e_alg.dim, e_alg.field.degree, e_alg.field.ops
     powers, x = [ops.one], ops.from_coefficients((0, 1))
@@ -289,14 +276,11 @@ def _restricted_left_mults(e_alg: GradedAlgebra, w: int, by_column: bool = False
                 if c not in multiples:
                     multiples[c] = [ops.coefficients(ops.mul(c, x)) for x in powers]
                 for s in range(k):
-                    lines = packed[i * k + s]
+                    rows = packed[i * k + s]
                     for t in range(k):
-                        col = j * k + t
+                        shift = (j * k + t) * w
                         for u, coeff in enumerate(multiples[c][s + t]):
-                            if by_column:
-                                lines[col] += coeff << (r * k + u) * w
-                            else:
-                                lines[r * k + u] += coeff << col * w
+                            rows[r * k + u] += coeff << shift
     return packed
 
 
@@ -366,34 +350,17 @@ def _is_commutative(a: GradedAlgebra) -> bool:
     return all(table[i][j] == table[j][i] for i in range(a.dim) for j in range(i + 1, a.dim))
 
 
-def _commutative_shape(e_alg: GradedAlgebra) -> str:
-    """"non-commutative"; else "reduced" when the trace form Tr(L_{e_i e_j})
-    of the finite algebra e_alg is nonsingular, and "radical" when not.
-
-    A commutative finite algebra C over F_q is reduced, a product of finite
-    fields, exactly when that form is nonsingular: its radical J lies in the
-    form's radical, and the trace form of a finite field is nonsingular.
-    The form is read off the table, so this costs no power of Φ.
-    """
-    if not _is_commutative(e_alg):
-        return "non-commutative"
-    n = e_alg.dim
-    trace_form = form_rows(e_alg, regular_trace(e_alg, range(n)))
-    if eliminate_raw(e_alg.field.ops, trace_form, n, stop_at_gap=True) is None:
-        return "radical"
-    return "reduced"
-
-
-def _local_zero_divisor(e_alg: GradedAlgebra):
-    """The first zero divisor of _scan_division, found without scanning when
-    the commutative finite algebra e_alg, whose radical J is nonzero
-    (_commutative_shape "radical"), is local; None when it is not.
+def _frobenius_verdict(e_alg: GradedAlgebra) -> DivisionVerdict | None:
+    """The verdict of _scan_division on the commutative finite algebra e_alg,
+    found without scanning when e_alg is local; None when it is not.
 
     In a commutative finite algebra C over F_q the non-units are the union of
     the maximal ideals, and when C is local they are its radical J.
     Φ(x) = x^q is F_q-linear on C, and J = ker Φ^K for q^K >= dim C, since
     J^dim C = 0.  C is local exactly when the fixed space of Φ is F_q·1, of
-    dim 1 (Berlekamp 1970).
+    dim 1 (Berlekamp 1970).  A local C with J = 0 is a field: every nonzero
+    element is a unit, and the Yes is the scan's, q^n - 1 elements covered.
+    Otherwise the No witness is the least nonzero vector of J.
 
     The scan's order compares coordinate n - 1 first, so the least nonzero
     vector of a subspace is the row with the lowest pivot of its RREF with
@@ -445,8 +412,7 @@ def _local_zero_divisor(e_alg: GradedAlgebra):
     radical.add_all(rows)
     free = [f for f in range(n) if f not in radical.rows]
     if not free:
-        raise AssertionError("a singular trace form on a commutative algebra with no "
-                             "radical, against its decomposition into fields; this is a bug")
+        return DivisionVerdict("yes", {"kind": "exhaustive", "scan_size": field.size() ** n - 1})
     f = free[0]
     witness = [zero] * n
     witness[f] = one
@@ -455,86 +421,7 @@ def _local_zero_divisor(e_alg: GradedAlgebra):
             witness[p] = ops.sub(zero, row[f])
     if eliminate_raw(ops, _left_rows(e_alg, witness), n, stop_at_gap=True) is not None:
         raise AssertionError("the least vector of the radical is invertible; this is a bug")
-    return Element(e_alg, ops.wrap(witness))
-
-
-def _power_walk(e_alg: GradedAlgebra) -> bool:
-    """Whether the powers of one element prove the finite algebra e_alg a
-    division algebra; False when no candidate does so within the walk's
-    budget, and the scan must decide.
-
-    F_q^n has M = (q^n - 1)/(q - 1) lines F_q^* x.  Suppose g^M is in F_q^* 1
-    and g^i is not in F_q 1 for 0 < i < M.  Then g is a unit, and
-    g^i = c g^j with 0 <= j < i < M would make g^(i - j) = c a scalar, so the
-    M lines F_q^* g^i are distinct: they are all the lines, and every nonzero
-    element, a scalar times a power of g, is a unit.  The walk so covers each
-    line once, as the scan does, and its Yes is the scan's, scan_size
-    q^n - 1.
-
-    The candidates are the line representatives in Field.vectors order, the
-    unit's line left out.  In a field the lines form a cyclic group of order
-    M, so the first scalar power of g comes at the order i of its line, a
-    divisor of M, and a generator of that group ends the walk.  A candidate
-    whose first scalar power comes at a divisor i < M is dropped.  A first
-    scalar power at an i that does not divide M or none by step M returns
-    False, and so does a candidate due once M steps are spent in all.  So
-    does a power g^i = g met before any scalar one: in a field it would make
-    g^(i-1) = 1, a scalar met before, so A_e is no field, and g^(i-1) is an
-    idempotent other than 1, a zero divisor.  In a product of fields the
-    powers of every element come back to it, so a candidate costs at most
-    its period: (1, 0) ends at its first step.  A No costs fewer than 2M
-    steps more than the scan, which still finds its witness.
-
-    Powers are taken over F_p, as in _scan_division: g^(i+1) = L_g g^i with
-    L_g restricted to its N x N matrix over F_p, N = n k, held as N columns,
-    each one int of w-bit lanes reduced mod p.  One step is the integer
-    combination of the columns by the F_p coordinates of g^i, whose lanes
-    stay at most N (p - 1)^2 < 2^w, read back mod p.  That is about 2N int
-    operations a line, against the O(N^2) of eliminating L_x.
-    """
-    field, n = e_alg.field, e_alg.dim
-    q, p, k = field.size(), field.char, field.degree
-    lines = (q ** n - 1) // (q - 1)
-    if lines == 1:
-        return True
-    nk = n * k
-    w = (nk * (p - 1) ** 2).bit_length()
-    mask, shifts = (1 << w) - 1, [r * w for r in range(nk)]
-    packed = _restricted_left_mults(e_alg, w, by_column=True)
-    ops = field.ops
-    # the F_p coordinates of c 1 for c in F_q^*; element_at(0) is zero
-    scalars = {tuple(d for u in e_alg.unit for d in ops.coefficients(ops.mul(c, u)))
-               for c in ops.unwrap(list(field.elements()))[1:]}
-    steps = 0
-    for j in range(n):
-        # the representatives with last nonzero coordinate j, x_j = 1 being
-        # the single digit c_j0 = 1, lower digits varying fastest
-        for low in itertools.product(range(p), repeat=j * k):
-            g = low[::-1] + (1,) + (0,) * (nk - j * k - 1)
-            if g in scalars:
-                continue
-            if steps >= lines:
-                return False
-            columns = [0] * nk
-            for c, m in zip(g, packed):
-                if c:
-                    columns = [col + c * m_col for col, m_col in zip(columns, m)]
-            columns = [sum(((col >> s & mask) % p) << s for s in shifts) for col in columns]
-            power, i = g, 1
-            while power not in scalars:
-                if i == lines:
-                    return False
-                acc = sum(map(mul, power, columns))
-                power = tuple([(acc >> s & mask) % p for s in shifts])
-                if power == g:
-                    return False
-                i += 1
-                steps += 1
-            if i == lines:
-                return True
-            if lines % i:
-                return False
-    return False
+    return DivisionVerdict("no", {"kind": "zero-divisor"}, Element(e_alg, ops.wrap(witness)))
 
 
 def _min_poly(e_alg: GradedAlgebra, el: Element):
@@ -655,25 +542,21 @@ def _identity_verdict(e_alg: GradedAlgebra) -> DivisionVerdict:
     """Whether the identity component e_alg is a division algebra; see
     is_graded_division.
 
-    A finite e_alg with at most SCAN_FIRST_BOUND elements is scanned.  A
-    larger one is sorted once by _commutative_shape: a commutative one with
-    a nonzero radical is refuted by _local_zero_divisor when it is local, a
-    reduced one with at most SCAN_BOUND elements gets its Yes from
-    _power_walk when the walk proves it, and whatever is left with at most
-    SCAN_BOUND elements is scanned.
+    Over Q this is the certificate check.  A commutative finite e_alg goes
+    to _frobenius_verdict, whose No holds at any size and whose Yes is kept
+    up to SCAN_BOUND: the Yes states that every nonzero element was covered,
+    which only a scan re-checks, so past the bound it waits for a
+    certificate of its own.  Whatever is left is Unknown past SCAN_BOUND and
+    scanned below it.
     """
     if not e_alg.field.is_finite:
         return _rational_division_check(e_alg)
     size = e_alg.field.size() ** e_alg.dim
-    shape = None if size <= SCAN_FIRST_BOUND else _commutative_shape(e_alg)
-    if shape == "radical":
-        zero_divisor = _local_zero_divisor(e_alg)
-        if zero_divisor is not None:
-            return DivisionVerdict("no", {"kind": "zero-divisor"}, zero_divisor)
+    verdict = _frobenius_verdict(e_alg) if _is_commutative(e_alg) else None
+    if verdict is not None and (not verdict.is_yes or size <= SCAN_BOUND):
+        return verdict
     if size > SCAN_BOUND:
         return DivisionVerdict("unknown", {"kind": "scan-bound-exceeded", "bound": SCAN_BOUND})
-    if shape == "reduced" and _power_walk(e_alg):
-        return DivisionVerdict("yes", {"kind": "exhaustive", "scan_size": size - 1})
     ok, bad, count = _scan_division(e_alg)
     if ok:
         return DivisionVerdict("yes", {"kind": "exhaustive", "scan_size": count})
@@ -690,16 +573,15 @@ def is_graded_division(a: GradedAlgebra, identity_verdicts: dict | None = None) 
     is tested and recorded as the witness.  A No verdict carries a
     homogeneous witness whose left multiplication is singular.
 
-    Over a finite field, an A_e with more than SCAN_FIRST_BOUND elements
-    that is commutative and local with a nonzero radical J is refuted first,
-    however large: its non-units are J = ker Φ^K for Φ(x) = x^q, and the
-    least vector of J in scan order, its lowest-pivot RREF row, is the
-    witness the scan would return.  Any other finite A_e is decided when it
-    has at most SCAN_BOUND elements, and is Unknown otherwise.  A product of
-    fields among them is first walked by the powers of one element, which
-    proves a field division with the scan's certificate, q^n - 1 elements
-    covered; what the walk does not prove is scanned, so every No witness is
-    the scan's.
+    Over a finite field, a commutative A_e is first given to its Frobenius
+    map Φ(x) = x^q, which decides it when A_e is local: the non-units are
+    then its radical J = ker Φ^K.  J = 0 makes A_e a field, a Yes with the
+    scan's certificate, q^n - 1 elements covered; otherwise the least vector
+    of J in scan order, its lowest-pivot RREF row, is the witness the scan
+    would return, and that No holds however large A_e is.  A field with
+    more than SCAN_BOUND elements is Unknown, and so is any other finite A_e
+    of that size; below it, what Φ does not decide is scanned, so every
+    verdict is the scan's.
 
     identity_verdicts, when given, is a dict the caller owns that maps A_e,
     as its field and stored form (field, table, unit), to A_e's verdict.

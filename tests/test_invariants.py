@@ -462,7 +462,7 @@ def test_line_scan_matches_the_element_inverse_scan_for_q_at_least_3():
 
 def test_line_scan_eliminates_one_matrix_per_line(monkeypatch):
     from grasym import invariants
-    from grasym.invariants import _identity_component_algebra
+    from grasym.invariants import _identity_component_algebra, _scan_division
 
     calls = []
     nonsingular = invariants.packed_nonsingular
@@ -472,8 +472,7 @@ def test_line_scan_eliminates_one_matrix_per_line(monkeypatch):
         return nonsingular(*args, **kwargs)
 
     monkeypatch.setattr(invariants, "packed_nonsingular", counting)
-    v = is_graded_division(field_as_algebra(canonical_extension_field(5, 3), make_field(5)))
-    assert v.certificate["identity_component"] == {"kind": "exhaustive", "scan_size": 124}
+    assert _scan_division(_field_algebra(5, 3)) == (True, None, 124)
     assert len(calls) == (5 ** 3 - 1) // 4 == 31
     monkeypatch.undo()
     # the line scan tests only vectors whose last nonzero coordinate is 1, so
@@ -489,24 +488,27 @@ def test_line_scan_eliminates_one_matrix_per_line(monkeypatch):
     assert seen == 13 + 21
 
 
-def _radical_witness(e_alg):
-    """_local_zero_divisor on an A_e of any shape: None unless A_e is
-    commutative with a nonzero radical, the one shape it is asked about."""
-    from grasym.invariants import _commutative_shape, _local_zero_divisor
-    return _local_zero_divisor(e_alg) if _commutative_shape(e_alg) == "radical" else None
+def _frobenius_status(e_alg):
+    """What the Frobenius map says of A_e: "yes" for a field, "no" for a local
+    A_e with a nonzero radical, None for a non-local or non-commutative one."""
+    from grasym.invariants import _frobenius_verdict, _is_commutative
+
+    if not _is_commutative(e_alg):
+        return None
+    verdict = _frobenius_verdict(e_alg)
+    return None if verdict is None else verdict.status
 
 
 def test_local_radical_witness_is_the_first_zero_divisor_of_the_scan():
     # wherever A_e is commutative and local with a nonzero radical, the least
     # vector of the radical is the element inverse scan's first zero divisor
-    from grasym.invariants import _identity_component_algebra
+    from grasym.invariants import _frobenius_verdict, _identity_component_algebra
     applied = 0
     for name, a in itertools.chain(_scan_oracle_corpus(), _large_q_scan_corpus()):
         e_alg = _identity_component_algebra(a)
-        witness = _radical_witness(e_alg)
-        if witness is not None:
+        if _frobenius_status(e_alg) == "no":
             ok, want, _ = scalar_scan_division(e_alg)
-            assert not ok and witness == want, name
+            assert not ok and _frobenius_verdict(e_alg).witness == want, name
             applied += 1
     assert applied == 18
 
@@ -520,30 +522,27 @@ def test_local_radical_witness_is_the_first_zero_divisor_of_the_scan():
 def test_local_radical_witness_over_the_base_field_and_extensions(build):
     # in F_2[C_4] the radical squares to (1 + g)^2 = 1 + g^2 != 0, so J is
     # ker Φ^2, larger than ker Φ, and its least vector 1 + g is not in ker Φ
-    from grasym.invariants import (_commutative_shape, _identity_component_algebra,
-                                   _local_zero_divisor)
+    from grasym.invariants import _frobenius_verdict, _identity_component_algebra
     e_alg = _identity_component_algebra(build())
-    assert _commutative_shape(e_alg) == "radical"
-    witness = _local_zero_divisor(e_alg)
+    v = _frobenius_verdict(e_alg)
     ok, want, _ = scalar_scan_division(e_alg)
-    assert witness is not None and not ok and witness == want
+    assert v.status == "no" and not ok and v.witness == want
 
 
-@pytest.mark.parametrize("build, shape", [
-    (lambda: matrix_algebra(make_field(2), 2), "non-commutative"),
-    (lambda: ungrade(group_algebra(make_field(2), cyclic_group(6))), "radical"),
-    (lambda: scalar_extension(_te_field(2, 2), 2), "radical"),
-    (lambda: field_as_algebra(canonical_extension_field(5, 3), make_field(5)), "reduced"),
+@pytest.mark.parametrize("build, frobenius", [
+    (lambda: matrix_algebra(make_field(2), 2), None),
+    (lambda: ungrade(group_algebra(make_field(2), cyclic_group(6))), None),
+    (lambda: scalar_extension(_te_field(2, 2), 2), None),
+    (lambda: field_as_algebra(canonical_extension_field(5, 3), make_field(5)), "yes"),
 ], ids=["M2(F2)", "F2[C6]", "TE(F4)(x)F4", "F5^3"])
-def test_non_local_or_reduced_identity_components_keep_the_scan(build, shape):
-    # non-commutative, non-local and reduced A_e get no radical witness, and the
-    # verdict is still the scan's
-    from grasym.invariants import _commutative_shape, _identity_component_algebra
+def test_non_local_or_reduced_identity_components_keep_the_scan(build, frobenius):
+    # non-commutative and non-local A_e get no verdict from Φ, and the reduced
+    # local F_{5^3} a Yes; either way the verdict is still the scan's
+    from grasym.invariants import _identity_component_algebra
     a = build()
     e_alg = _identity_component_algebra(a)
     assert e_alg is a
-    assert _commutative_shape(e_alg) == shape
-    assert _radical_witness(e_alg) is None
+    assert _frobenius_status(e_alg) == frobenius
     ok, want, _ = scalar_scan_division(e_alg)
     v = is_graded_division(a)
     assert v.status == ("yes" if ok else "no")
@@ -554,49 +553,40 @@ def _field_algebra(p, n):
     return field_as_algebra(canonical_extension_field(p, n), make_field(p))
 
 
-def _counted_walks(monkeypatch):
-    """Patch _power_walk and _scan_division to record (dim A_e, result) of
-    every walk and every scan."""
+def _counted_scans(monkeypatch):
+    """Patch _scan_division to record (dim A_e, result) of every scan."""
     from grasym import invariants
 
-    walks, scans = [], []
-    walk, scan = invariants._power_walk, invariants._scan_division
-
-    def counting_walk(e_alg):
-        walks.append((e_alg.dim, walk(e_alg)))
-        return walks[-1][1]
+    scans = []
+    scan = invariants._scan_division
 
     def counting_scan(e_alg):
         scans.append((e_alg.dim, scan(e_alg)))
         return scans[-1][1]
 
-    monkeypatch.setattr(invariants, "_power_walk", counting_walk)
     monkeypatch.setattr(invariants, "_scan_division", counting_scan)
-    return walks, scans
+    return scans
 
 
 def test_refute_division_nos_skip_the_scan(monkeypatch):
-    # F_{5^4} is a field above SCAN_FIRST_BOUND: the pretest passes it on to
-    # the power walk, which decides it; F_{5^3} and the local F_2[C_4] are
-    # scanned at once
-    walks, scans = _counted_walks(monkeypatch)
+    # Φ decides the local trivial extensions, the fields F_{5^3} and F_{5^4}
+    # and the local F_2[C_4] at every size, so none of them is scanned
+    scans = _counted_scans(monkeypatch)
     for p, n in ((2, 8), (3, 6), (5, 4), (7, 3)):
         assert is_graded_division(_te_field(p, n)).status == "no"
-    assert scans == [] and walks == []
     for n in (3, 4):
-        assert is_graded_division(_field_algebra(5, n)).is_yes
-    assert [dim for dim, _ in scans] == [3]
-    assert walks == [(4, True)]
+        v = is_graded_division(_field_algebra(5, n))
+        assert v.certificate["identity_component"] == {"kind": "exhaustive",
+                                                       "scan_size": 5 ** n - 1}
     f2_c4 = ungrade(group_algebra(make_field(2), cyclic_group(4)))
-    assert _radical_witness(f2_c4) is not None
+    assert _frobenius_status(f2_c4) == "no"
     assert is_graded_division(f2_c4).status == "no"
-    assert [dim for dim, _ in scans] == [3, 4]
-    assert walks == [(4, True)]
+    assert scans == []
 
 
 def _scan_verdict_record(e_alg):
-    """What _identity_verdict gave before the power walk: the scan's verdict
-    as (status, canonical certificate, witness coordinates)."""
+    """The scan's verdict as (status, canonical certificate, witness
+    coordinates): the oracle of _identity_verdict."""
     from grasym.invariants import _scan_division
     from grasym.specfile import canonical_json
 
@@ -606,7 +596,16 @@ def _scan_verdict_record(e_alg):
     return "no", canonical_json({"kind": "zero-divisor"}), [c.to_json() for c in bad.coords]
 
 
-def _power_walk_corpus():
+def _identity_verdict_record(e_alg):
+    from grasym.invariants import _identity_verdict
+    from grasym.specfile import canonical_json
+
+    v = _identity_verdict(e_alg)
+    witness = None if v.witness is None else [c.to_json() for c in v.witness.coords]
+    return v.status, canonical_json(v.certificate), witness
+
+
+def _division_corpus():
     from grasym.replicate import random_graded_basis_change
 
     yield from _scan_oracle_corpus()
@@ -620,99 +619,109 @@ def _power_walk_corpus():
     yield "cyc5", cyclic_algebra(5)
 
 
-def test_power_walk_gives_the_scan_verdict(monkeypatch):
-    # on every A_e above SCAN_FIRST_BOUND, the verdict with the walk is the
-    # scan's verdict, certificate and witness byte for byte
-    from grasym.invariants import SCAN_FIRST_BOUND, _identity_component_algebra, _identity_verdict
-    from grasym.specfile import canonical_json
+def test_identity_verdict_is_the_scan_verdict():
+    # on every A_e of the corpus, of any size and shape, the verdict is the
+    # scan's verdict, certificate and witness byte for byte, whether Φ or the
+    # scan decided it
+    from grasym.invariants import _identity_component_algebra
 
-    walks, _ = _counted_walks(monkeypatch)
-    compared = 0
-    for name, a in _power_walk_corpus():
+    decided_by = {"frobenius": 0, "scan": 0}
+    for name, a in _division_corpus():
         e_alg = _identity_component_algebra(a)
-        if e_alg.field.size() ** e_alg.dim <= SCAN_FIRST_BOUND:
+        assert _identity_verdict_record(e_alg) == _scan_verdict_record(e_alg), name
+        decided_by["scan" if _frobenius_status(e_alg) is None else "frobenius"] += 1
+    # 42 + 36 scan corpus inputs, 15 decide inputs and cyclic_algebra(5)
+    assert decided_by == {"frobenius": 78, "scan": 16}
+
+
+def test_frobenius_says_field_exactly_when_the_scan_says_yes():
+    # on every commutative A_e of the corpus, Φ proves a field exactly where
+    # the scan finds every nonzero element a unit
+    from grasym.invariants import _identity_component_algebra, _is_commutative, _scan_division
+
+    fields, commutative = 0, 0
+    for name, a in _division_corpus():
+        e_alg = _identity_component_algebra(a)
+        if not _is_commutative(e_alg):
             continue
-        v = _identity_verdict(e_alg)
-        witness = None if v.witness is None else [c.to_json() for c in v.witness.coords]
-        assert (v.status, canonical_json(v.certificate), witness) == _scan_verdict_record(e_alg), name
-        compared += 1
-    # 10 corpus inputs, 5 of them fields (the rest local with a radical), 15
-    # decide inputs and cyclic_algebra(5): the walk decides every field
-    assert compared == 26
-    assert [ok for _, ok in walks] == [True] * 21
-
-
-def test_power_walk_proves_only_division_algebras():
-    # the walk's proof needs no shape: on every A_e of both scan corpora, of
-    # any size and shape, a walk that returns True meets a scan that says Yes
-    from grasym.invariants import _identity_component_algebra, _power_walk, _scan_division
-
-    walked, scanned_yes = 0, 0
-    for name, a in itertools.chain(_scan_oracle_corpus(), _large_q_scan_corpus()):
-        e_alg = _identity_component_algebra(a)
         ok = _scan_division(e_alg)[0]
-        if _power_walk(e_alg):
-            assert ok, name
-            walked += 1
-        scanned_yes += ok
-    assert (walked, scanned_yes) == (44, 44)
+        assert (_frobenius_status(e_alg) == "yes") == ok, name
+        fields += ok
+        commutative += 1
+    assert (fields, commutative) == (60, 92)
 
 
-def test_power_walk_hands_a_product_of_fields_to_the_scan(monkeypatch):
-    # F_32 x F_16 and F_{2^10} x F_{2^9} (M = 524,287 lines) are reduced and
-    # not local, so not division.  The first candidate (1, 0) is an
-    # idempotent: one step gives g^2 = g, and the walk hands the algebra to
-    # the scan, whose witness is that idempotent at index 1
-    from grasym import direct_product, invariants
+def _commutative_group_algebra_corpus():
+    """ungrade(F_p[G]) for every abelian G of order at most 10, p in
+    {2, 3, 5, 7} and p^|G| at most 10^5, each as built and after a seeded
+    basis change.  F_p[G] is local when G is a p-group, reduced and not
+    local when p does not divide |G|, and neither otherwise."""
+    from grasym import cyclic_product_group
+    from grasym.replicate import random_graded_basis_change
 
-    multiplications = []
+    groups = [(1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (4, 2), (2, 2, 2),
+              (9,), (3, 3), (10,)]
+    for p in (2, 3, 5, 7):
+        for seed, orders in enumerate(groups):
+            g = cyclic_product_group(orders)
+            if p ** g.order > 10 ** 5:
+                continue
+            a = ungrade(group_algebra(make_field(p), g))
+            name = f"F{p}[C{'xC'.join(map(str, orders))}]"
+            yield name, a
+            yield f"{name}-basis-change", random_graded_basis_change(a, random.Random(seed))
 
-    def counting_mul(a, b):
-        multiplications.append(None)
-        return a * b
 
-    monkeypatch.setattr(invariants, "mul", counting_mul)
-    walks, scans = _counted_walks(monkeypatch)
+def test_commutative_group_algebras_get_the_scan_verdict():
+    # local, reduced and mixed commutative A_e: Φ decides the local ones and
+    # hands the others to the scan, and every verdict is the scan's
+    shapes = {"local": 0, "reduced": 0, "mixed": 0}
+    for name, a in _commutative_group_algebra_corpus():
+        assert _identity_verdict_record(a) == _scan_verdict_record(a), name
+        p, order = a.field.char, a.dim
+        while order % p == 0:
+            order //= p
+        shape = "local" if order == 1 else "reduced" if order == a.dim else "mixed"
+        assert (_frobenius_status(a) is not None) == (shape == "local"), name
+        shapes[shape] += 1
+    # 14 groups over F_2 and F_3, 8 over F_5 and 6 over F_7, twice each
+    assert shapes == {"local": 28, "reduced": 50, "mixed": 6}
+
+
+def test_a_product_of_fields_goes_to_the_scan(monkeypatch):
+    # F_32 x F_16 and F_{2^10} x F_{2^9} are reduced and not local, so not
+    # division: Φ has a fixed space of dim 2 and leaves them to the scan,
+    # whose witness is the idempotent (1, 0) at index 1
+    from grasym import direct_product
+
+    scans = _counted_scans(monkeypatch)
     for m, n in ((5, 4), (10, 9)):
-        walks.clear(), scans.clear(), multiplications.clear()
+        scans.clear()
         a = direct_product(_field_algebra(2, m), _field_algebra(2, n))
+        assert _frobenius_status(a) is None
         v = is_graded_division(a)
         ok, want, index = scalar_scan_division(a)
         assert not ok and v.status == "no" and v.witness == want and index == 1
-        assert walks == [(m + n, False)] and scans == [(m + n, (False, want, index))]
-        # one step: one product per F_2 coordinate
-        assert len(multiplications) == m + n
-
-
-def test_power_walk_passes_over_a_representative_that_is_no_generator(monkeypatch):
-    # in F_{5^4} = F_5[x]/(x^4 + 2) the first line representative after the
-    # unit's is x, and x^4 = 3 is a scalar: its line has order 4, not 156
-    walks, scans = _counted_walks(monkeypatch)
-    a = _field_algebra(5, 4)
-    x = a.basis_element(1)
-    assert (x * x * x * x).coords == (3 * a.one()).coords
-    v = is_graded_division(a)
-    assert v.certificate["identity_component"] == {"kind": "exhaustive", "scan_size": 624}
-    assert walks == [(4, True)] and scans == []
+        assert scans == [(m + n, (False, want, index))]
 
 
 def test_one_dimensional_identity_component_over_a_large_field_is_division(monkeypatch):
-    # M = 1 line: the walk says Yes at once, with the scan's certificate
-    walks, scans = _counted_walks(monkeypatch)
+    # Φ is the identity on F_257 itself: a field, with the scan's certificate
+    scans = _counted_scans(monkeypatch)
     f = make_field(257)
     v = is_graded_division(field_as_algebra(f, f))
     assert v.certificate["identity_component"] == {"kind": "exhaustive", "scan_size": 256}
-    assert walks == [(1, True)] and scans == []
+    assert scans == []
 
 
-def test_cyclic_algebra_7_is_division_by_the_power_walk(monkeypatch):
-    # A_e = F_{7^7}: 823,542 nonzero elements on M = 137,257 lines, one
-    # elimination each for the scan, one step each for the walk
-    walks, scans = _counted_walks(monkeypatch)
+def test_cyclic_algebra_7_is_division_by_the_frobenius_map(monkeypatch):
+    # A_e = F_{7^7}: 823,542 nonzero elements on 137,257 lines, one
+    # elimination each for the scan; Φ proves the field without any
+    scans = _counted_scans(monkeypatch)
     v = is_graded_division(cyclic_algebra(7))
     assert v.is_yes
     assert v.certificate["identity_component"] == {"kind": "exhaustive", "scan_size": 823542}
-    assert walks == [(7, True)] and scans == []
+    assert scans == []
 
 
 def test_division_above_the_scan_bound_is_refuted_by_the_radical():
@@ -729,6 +738,24 @@ def test_division_above_the_scan_bound_is_refuted_by_the_radical():
     assert [c.to_json() for c in v.witness.coords] == [0] * 10 + [1] + [0] * 9
     assert v.witness.homogeneous_degree() == a.group.identity
     assert scalar_inverse(v.witness) is None
+
+
+def test_a_field_above_the_scan_bound_stays_unknown(monkeypatch):
+    # Φ proves F_{2^20} a field, but its Yes would claim 2^20 - 1 elements
+    # covered; past SCAN_BOUND it stays unknown, as F_{2^10} x F_{2^10}
+    # does, which is not local, and neither is scanned
+    from grasym import direct_product
+    from grasym.invariants import SCAN_BOUND
+
+    scans = _counted_scans(monkeypatch)
+    for a in (_field_algebra(2, 20), direct_product(_field_algebra(2, 10), _field_algebra(2, 10))):
+        assert a.field.size() ** a.dim > SCAN_BOUND
+        v = is_graded_division(a)
+        assert (v.status, v.certificate, v.witness) == (
+            "unknown", {"identity_component": {"kind": "scan-bound-exceeded", "bound": SCAN_BOUND}},
+            None)
+    assert _frobenius_status(_field_algebra(2, 20)) == "yes"
+    assert scans == []
 
 
 _LOCAL_NOS = [

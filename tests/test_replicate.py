@@ -391,16 +391,16 @@ def test_hunt_certifies_without_the_engine_and_cross_checks_every_candidate(monk
 
 
 def test_a_hunt_scans_each_identity_component_once_per_call(monkeypatch):
-    # every candidate of the F_121 cell has D = F_121 as A_e: one scan for its
-    # 130 tested candidates, and a second call scans again, so no verdict
-    # outlives the call that made it
+    # every candidate of the F_121 cell has D = F_121 as A_e: one decision for
+    # its 130 tested candidates, and a second call decides again, so no
+    # verdict outlives the call that made it
     from grasym import invariants
-    scans = _count_calls(monkeypatch, invariants, "_scan_division")
+    decisions = _count_calls(monkeypatch, invariants, "_identity_verdict")
     params = HuntParams(11, (2,), (("cyclic", 2),))
     report = hunt_counterexample(params)
-    assert (report.instances_tested, report.division_count, len(scans)) == (130, 130, 1)
+    assert (report.instances_tested, report.division_count, len(decisions)) == (130, 130, 1)
     assert hunt_counterexample(params) == report
-    assert len(scans) == 2
+    assert len(decisions) == 2
 
 
 def test_the_frobenius_builder_makes_no_generic_table(monkeypatch):
