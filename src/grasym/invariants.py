@@ -18,26 +18,29 @@ of J in `Field.vectors` order is its RREF row with the lowest pivot, each
 row's pivot taken at its highest coordinate.  So that row is the first zero
 divisor the scan would meet, and it is the No witness, at any size.
 
-Every other finite A_e is decided exhaustively: every nonzero element is
-covered, in `Field.vectors` order, and the first singular one is the No
-witness.  Since L_{cx} = c L_x, one element decides its whole line F_q^* x,
-so the scan tests L_x only for the line representatives, the x whose last
-nonzero coordinate is 1; each is the first member of its line in that
-order.  A_e over F_q = F_{p^k} is taken over F_p by restriction of
-scalars: an n x n matrix over F_q becomes the N x N matrix over F_p, N = n k,
-whose k x k blocks multiply by its entries, and its determinant is the norm
-of the one over F_q, so one is nonsingular exactly when the other is.  Each
-row of that matrix is one Python int, one lane of w bits per column
-(`linalg.packed_nonsingular`).  The scan walks the representatives with L_x
-updated by integer multiples of precomputed packed matrices, so each lane
-is an exact, never reduced sum of at most N (p - 1)^2; the elimination
-reduces only its pivots and multipliers mod p.  w covers that bound times
-p^N, and p^N = q^n is at most SCAN_BOUND, so w is at most 60 bits.  No
-Element, Matrix or Scalar is built per element, and no F_q product or
-inverse is taken.  A Yes still reports `scan_size` = q^n - 1, the nonzero
-elements the scan covers, and a No the witness's index in `Field.vectors`
-order: the certificate says what was proved, not how many matrices were
-eliminated.
+Every other finite A_e, non-commutative or commutative and not local, is
+scanned: every nonzero element is covered, in `Field.vectors` order, and
+the first singular one is the No witness.  Since L_{cx} = c L_x, one
+element decides its whole line F_q^* x, so the scan eliminates L_x only for
+the line representatives, the x whose last nonzero coordinate is 1; each
+is the first member of its line in that order.  A Yes reports `scan_size` =
+q^n - 1, the nonzero elements covered, and a No the witness's index in
+that order: the certificate says what was proved, not how many matrices
+were eliminated.
+
+Nothing that reaches the scan is division: a finite division algebra is a
+field (Wedderburn 1905), and a commutative algebra that is not local is
+not one.  So the scan stops early.  The non-units of A_e are the union of
+its maximal left ideals, and a maximal left ideal M has codimension s, the
+dimension over F_q of the simple module A_e/M; so span(e_0, .., e_s) meets
+M, and the first zero divisor has index below q^(s+1).  With
+A_e/J = prod M_k(F_{q^r}), the simple modules have dims k r, and when A_e
+is not division one of them has s <= n/2: with two or more factors, the
+least k r is at most half of sum k^2 r <= n; one factor with k >= 2 has
+k r <= k^2 r / 2; one field F_{q^r} with J != 0 has dim J >= r, since J/J^2
+is a nonzero F_{q^r}-space.  So the first zero divisor lies below
+q^(floor(n/2) + 1), and the scan eliminates fewer than 2 q^(n/2), at most
+2 sqrt(SCAN_BOUND) = 2000 matrices.
 
 Over the rationals only two certificates are accepted: quaternion parameters,
 read off the table, making the norm form positive definite, and commutative
@@ -56,8 +59,7 @@ from .algebras import (Element, GradedAlgebra, _left_rows, _solve_raw, quaternio
                        sparse_combination)
 from .errors import AmbientMismatch
 from .fields import Scalar
-from .linalg import (SparseEchelon, Subspace, eliminate_raw, lane_width, packed_nonsingular,
-                     sparse_kernel, sparse_span)
+from .linalg import SparseEchelon, Subspace, eliminate_raw, sparse_kernel, sparse_span
 from .multipoly import linear_pencil, nonvanishing_point, structured_det
 
 SCAN_BOUND = 10 ** 6
@@ -256,34 +258,6 @@ def _identity_component_algebra(a: GradedAlgebra) -> GradedAlgebra:
                                    [a.unit[i] for i in indices])
 
 
-def _restricted_left_mults(e_alg: GradedAlgebra, w: int) -> list:
-    """M[i*k + s]: the packed F_p-matrix of x^s L_{e_i}, for F_q = F_p(x) of degree k.
-
-    An F_q entry a of an n x n matrix becomes its k x k block over F_p, whose
-    column t holds the coefficients of a x^t, so row r*k + u of the N = n*k
-    rows has in lane j*k + t the coefficient u of L_{e_i}[r][j] x^(s + t).
-    """
-    n, k, ops = e_alg.dim, e_alg.field.degree, e_alg.field.ops
-    powers, x = [ops.one], ops.from_coefficients((0, 1))
-    for _ in range(2 * k - 2):
-        powers.append(ops.mul(powers[-1], x))
-    multiples = {}
-    packed = [[0] * (n * k) for _ in range(n * k)]
-    # column j of L_{e_i} is e_i e_j, so a term (r, c) of it is entry (r, j)
-    for i, row in enumerate(e_alg.table):
-        for j, terms in enumerate(row):
-            for r, c in terms:
-                if c not in multiples:
-                    multiples[c] = [ops.coefficients(ops.mul(c, x)) for x in powers]
-                for s in range(k):
-                    rows = packed[i * k + s]
-                    for t in range(k):
-                        shift = (j * k + t) * w
-                        for u, coeff in enumerate(multiples[c][s + t]):
-                            rows[r * k + u] += coeff << shift
-    return packed
-
-
 def _scan_division(e_alg: GradedAlgebra):
     """Decide whether every nonzero element of a finite algebra is invertible.
 
@@ -292,55 +266,26 @@ def _scan_division(e_alg: GradedAlgebra):
     decides its whole line F_q^* x.  Only the line representatives, the x
     whose last nonzero coordinate is 1, are tested.  Each is the first
     member of its line in Field.vectors order, so the first singular one is
-    the first zero divisor of the full scan.
-
-    Over F_q = F_p(x) of degree k, L_x is tested as the N x N matrix over
-    F_p that it is by restriction of scalars, N = n k: each entry becomes
-    its k x k multiplication block, and the determinant over F_p is the
-    norm of the one over F_q, so one is nonsingular exactly when the other
-    is.  With x_i = sum_s c_is x^s, the restriction of L_x is the integer
-    combination sum_is c_is M[i*k + s] of the restrictions of x^s L_{e_i},
-    held with each row packed into one int, one w-bit lane per column
-    (linalg.packed_nonsingular).  Since x_i = element_at(d_i) has the base-p
-    digits of d_i as its coefficients, the index of x in Field.vectors order
-    has the digits c_is, i*k + s from least significant up.  So the
-    representatives with last nonzero coordinate j are walked by an
-    odometer over the j k digits before x_j = 1, and a digit stepping from
-    c to c' adds (c' - c) M[i*k + s]: every lane stays the exact sum, at most
-    N (p - 1)^2, and nothing is reduced mod p.  Elimination multiplies that
-    bound by at most p per column, so w = lane_width(N, p) covers
-    N (p - 1)^2 p^N; since p^N = q^n is at most SCAN_BOUND, that is 60 bits
-    at most (N = 1 over the largest prime below 10^6), 41 for F_997 with
-    N = 2 and 24 for F_2 with N = 19.
+    the first zero divisor of the full scan.  The representatives whose last
+    nonzero coordinate is j are the indices q^j + k, k < q^j, in that order,
+    and coordinate i of index d is element_at(d // q^i % q).
 
     Returns (all invertible, first singular element or None, count).  The
     count is the number of elements covered: q^n - 1 on a Yes, and on a No
     the witness's index in Field.vectors order, as when every nonzero
-    element was eliminated in turn.
+    element was eliminated in turn.  Whatever _identity_verdict hands it is
+    never division, so it returns a No below index q^(floor(n/2) + 1) (see
+    the module docstring); only a direct call on a field walks every line.
     """
-    field, n = e_alg.field, e_alg.dim
-    p, k = field.char, field.degree
-    w = lane_width(n * k, p)
-    packed = _restricted_left_mults(e_alg, w)
+    field, n, ops = e_alg.field, e_alg.dim, e_alg.field.ops
+    q = field.size()
     for j in range(n):
-        # x_j = 1 is the single digit c_j0 = 1
-        lx = packed[j * k]
-        digits = [0] * (j * k)
-        while True:
-            if not packed_nonsingular(lx, p, w):
-                coords = ([field.scalar(digits[i:i + k]) for i in range(0, j * k, k)]
-                          + [field.one()] + [field.zero()] * (n - j - 1))
-                index = p ** (j * k) + sum(c * p ** t for t, c in enumerate(digits))
-                return False, Element(e_alg, tuple(coords)), index
-            for t in range(j * k):
-                c = digits[t] = (digits[t] + 1) % p
-                delta = 1 if c else 1 - p
-                lx = [row + delta * m for row, m in zip(lx, packed[t])]
-                if c:
-                    break
-            else:
-                break
-    return True, None, field.size() ** n - 1
+        for index in range(q ** j, 2 * q ** j):
+            coords = tuple(field.element_at(index // q ** i % q) for i in range(n))
+            lx = _left_rows(e_alg, ops.unwrap(coords))
+            if eliminate_raw(ops, lx, n, stop_at_gap=True) is None:
+                return False, Element(e_alg, coords), index
+    return True, None, q ** n - 1
 
 
 def _is_commutative(a: GradedAlgebra) -> bool:
@@ -546,8 +491,10 @@ def _identity_verdict(e_alg: GradedAlgebra) -> DivisionVerdict:
     to _frobenius_verdict, whose No holds at any size and whose Yes is kept
     up to SCAN_BOUND: the Yes states that every nonzero element was covered,
     which only a scan re-checks, so past the bound it waits for a
-    certificate of its own.  Whatever is left is Unknown past SCAN_BOUND and
-    scanned below it.
+    certificate of its own.  Whatever is left, a non-commutative or a
+    non-local e_alg, is never division: it is Unknown past SCAN_BOUND, and
+    below it the scan finds its first zero divisor within its first
+    2 sqrt(SCAN_BOUND) lines.
     """
     if not e_alg.field.is_finite:
         return _rational_division_check(e_alg)
@@ -581,7 +528,9 @@ def is_graded_division(a: GradedAlgebra, identity_verdicts: dict | None = None) 
     would return, and that No holds however large A_e is.  A field with
     more than SCAN_BOUND elements is Unknown, and so is any other finite A_e
     of that size; below it, what Φ does not decide is scanned, so every
-    verdict is the scan's.
+    verdict is the scan's.  What reaches the scan is never division, a
+    non-commutative A_e (Wedderburn) or a non-local one, so the scan always
+    ends at an early zero divisor.
 
     identity_verdicts, when given, is a dict the caller owns that maps A_e,
     as its field and stored form (field, table, unit), to A_e's verdict.

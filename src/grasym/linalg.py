@@ -25,10 +25,6 @@ zero at the other free columns.  Those vectors are the RREF basis of the
 kernel as they stand; they share one zero Scalar and one unit Scalar, and
 only the pivot entries are wrapped.  This is what decides trace spaces,
 commutator spans and centralizers, whose constraint rows have few nonzeros.
-
-`packed_nonsingular` is the nonsingularity test of the division scan: a
-square matrix over F_p with each row packed into one int, one fixed-width
-lane per column, reduced mod p only where a pivot or multiplier is read.
 """
 
 from __future__ import annotations
@@ -161,51 +157,6 @@ def sparse_kernel(ops, ncols: int, rows, dead=()) -> "Subspace":
     for f, vector in kernel.items():
         vector[f] = one_s
     return Subspace(field, ncols, [kernel[f] for f in sorted(kernel)])
-
-
-def lane_width(ncols: int, p: int) -> int:
-    """Bits per lane that packed_nonsingular needs on ncols x ncols matrices
-    over F_p whose lanes start at most ncols (p - 1)^2.
-
-    Clearing below a pivot adds at most (p - 1) times the pivot row to a row,
-    so each column at most multiplies the largest lane by p.
-    """
-    return (ncols * (p - 1) ** 2 * p ** ncols).bit_length()
-
-
-def packed_nonsingular(rows, p: int, w: int) -> bool:
-    """Whether the square matrix over F_p held in rows is nonsingular.
-
-    Each row is one int with lane c, bits c*w up to (c + 1)*w, holding a
-    nonnegative integer that stands for its residue mod p; lanes must start
-    small enough for lane_width(len(rows), p) to hold them.  Rows are never
-    reduced mod p: the pivot of column c is the first row at or below the
-    current one whose lane c is nonzero mod p, say v, and each lower row
-    whose lane c is u mod p gets (-u / v mod p) times the pivot row added.
-    That leaves its lane c divisible by p and every lane nonnegative.  Only
-    the lanes read as pivots and multipliers are reduced.  rows is not
-    changed.
-    """
-    m = list(rows)
-    n = len(m)
-    mask = (1 << w) - 1
-    for c in range(n):
-        shift = c * w
-        for r in range(c, n):
-            v = (m[r] >> shift & mask) % p
-            if v:
-                break
-        else:
-            return False
-        # rows c..r-1 are zero in lane c, so only the rows below r need clearing;
-        # row c moves to slot r and the pivot row is not read again
-        prow, m[r] = m[r], m[c]
-        minus_inv = p - pow(v, -1, p)
-        for i in range(r + 1, n):
-            u = (m[i] >> shift & mask) % p
-            if u:
-                m[i] += u * minus_inv % p * prow
-    return True
 
 
 class Matrix:

@@ -343,10 +343,11 @@ def scalar_scan_division(e_alg):
 
 
 def raw_line_scan(e_alg):
-    """The line scan on raw F_q values that _scan_division replaced: the oracle.
+    """The line scan on raw F_q values, with L_x carried from one line to the next: the oracle.
 
-    It walks the same line representatives in the same order, with L_x kept
-    as rows of raw values, updated by sub_scaled and tested by eliminate_raw.
+    It walks the same line representatives in the same order as
+    _scan_division, which builds each L_x afresh; here L_x is kept as rows
+    of raw values, updated by sub_scaled and tested by eliminate_raw.
     """
     from grasym.linalg import eliminate_raw
 
@@ -465,13 +466,13 @@ def test_line_scan_eliminates_one_matrix_per_line(monkeypatch):
     from grasym.invariants import _identity_component_algebra, _scan_division
 
     calls = []
-    nonsingular = invariants.packed_nonsingular
+    eliminate = invariants.eliminate_raw
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return nonsingular(*args, **kwargs)
+        return eliminate(*args, **kwargs)
 
-    monkeypatch.setattr(invariants, "packed_nonsingular", counting)
+    monkeypatch.setattr(invariants, "eliminate_raw", counting)
     assert _scan_division(_field_algebra(5, 3)) == (True, None, 124)
     assert len(calls) == (5 ** 3 - 1) // 4 == 31
     monkeypatch.undo()
@@ -686,6 +687,44 @@ def test_commutative_group_algebras_get_the_scan_verdict():
         shapes[shape] += 1
     # 14 groups over F_2 and F_3, 8 over F_5 and 6 over F_7, twice each
     assert shapes == {"local": 28, "reduced": 50, "mixed": 6}
+
+
+def _matrix_algebra_corpus():
+    """M_3(F_3), M_2(F_4) and M_2(F_7), each as built and after three seeded
+    basis changes: simple, never commutative, and never division."""
+    from grasym.replicate import random_graded_basis_change
+
+    for field, k in ((make_field(3), 3), (canonical_extension_field(2, 2), 2), (make_field(7), 2)):
+        a = matrix_algebra(field, k)
+        yield f"M{k}({field})", a
+        for seed in range(3):
+            yield f"M{k}({field})-{seed}", random_graded_basis_change(a, random.Random(seed))
+
+
+def test_what_reaches_the_scan_is_a_no_below_the_half_dimension_bound(monkeypatch):
+    # whatever _identity_verdict hands to the scan is not division, so some
+    # maximal left ideal has codimension s <= n/2, and the first zero divisor
+    # lies in the span of e_0, .., e_s, below index q^(floor(n/2) + 1)
+    from grasym.invariants import _identity_component_algebra, _identity_verdict
+
+    scans = _counted_scans(monkeypatch)
+
+    def scanned_indices(corpus):
+        indices = []
+        for name, a in corpus:
+            e_alg = _identity_component_algebra(a)
+            scans.clear()
+            _identity_verdict(e_alg)
+            for n, (ok, _, index) in scans:
+                assert not ok and index < e_alg.field.size() ** (n // 2 + 1), name
+                indices.append(index)
+        return indices
+
+    # 16 scanned A_e of the division corpus and the 56 non-local group algebras
+    corpora = itertools.chain(_division_corpus(), _commutative_group_algebra_corpus())
+    assert len(scanned_indices(corpora)) == 16 + 56
+    matrix = scanned_indices(_matrix_algebra_corpus())
+    assert len(matrix) == 12 and (min(matrix), max(matrix)) == (1, 9)
 
 
 def test_a_product_of_fields_goes_to_the_scan(monkeypatch):
