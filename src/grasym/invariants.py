@@ -39,8 +39,11 @@ is not division one of them has s <= n/2: with two or more factors, the
 least k r is at most half of sum k^2 r <= n; one factor with k >= 2 has
 k r <= k^2 r / 2; one field F_{q^r} with J != 0 has dim J >= r, since J/J^2
 is a nonzero F_{q^r}-space.  So the first zero divisor lies below
-q^(floor(n/2) + 1), and the scan eliminates fewer than 2 q^(n/2), at most
-2 sqrt(SCAN_BOUND) = 2000 matrices.
+q^(floor(n/2) + 1), and the scan eliminates fewer than 2 q^(n/2) matrices.
+The scan stops at index SCAN_BOUND, at any size of A_e: when
+q^(floor(n/2) + 1) is within that cap it always finds its zero divisor,
+and otherwise a zero divisor below the cap is still a No, and a walk that
+reaches the cap is Unknown.
 
 Over the rationals only two certificates are accepted: quaternion parameters,
 read off the table, making the norm form positive definite, and commutative
@@ -273,14 +276,18 @@ def _scan_division(e_alg: GradedAlgebra):
     Returns (all invertible, first singular element or None, count).  The
     count is the number of elements covered: q^n - 1 on a Yes, and on a No
     the witness's index in Field.vectors order, as when every nonzero
-    element was eliminated in turn.  Whatever _identity_verdict hands it is
-    never division, so it returns a No below index q^(floor(n/2) + 1) (see
-    the module docstring); only a direct call on a field walks every line.
+    element was eliminated in turn.  The walk stops at index SCAN_BOUND and
+    returns None when no index below it is a zero divisor.  Whatever
+    _identity_verdict hands it is never division, so it returns a No below
+    index q^(floor(n/2) + 1) (see the module docstring); only a direct call
+    on a field walks every line.
     """
     field, n, ops = e_alg.field, e_alg.dim, e_alg.field.ops
     q = field.size()
     for j in range(n):
         for index in range(q ** j, 2 * q ** j):
+            if index >= SCAN_BOUND:
+                return None
             coords = tuple(field.element_at(index // q ** i % q) for i in range(n))
             lx = _left_rows(e_alg, ops.unwrap(coords))
             if eliminate_raw(ops, lx, n, stop_at_gap=True) is None:
@@ -491,23 +498,27 @@ def _identity_verdict(e_alg: GradedAlgebra) -> DivisionVerdict:
     to _frobenius_verdict, whose No holds at any size and whose Yes is kept
     up to SCAN_BOUND: the Yes states that every nonzero element was covered,
     which only a scan re-checks, so past the bound it waits for a
-    certificate of its own.  Whatever is left, a non-commutative or a
-    non-local e_alg, is never division: it is Unknown past SCAN_BOUND, and
-    below it the scan finds its first zero divisor within its first
-    2 sqrt(SCAN_BOUND) lines.
+    certificate of its own and is Unknown.  Whatever is left, a
+    non-commutative or a non-local e_alg, is never division, at any size:
+    the scan, capped at SCAN_BOUND indices, answers No when the first zero
+    divisor lies below the cap, and Unknown otherwise.  The first zero
+    divisor lies below q^(floor(n/2) + 1), so when that is within the cap,
+    a scan that finds none is a bug and raises AssertionError.
     """
     if not e_alg.field.is_finite:
         return _rational_division_check(e_alg)
-    size = e_alg.field.size() ** e_alg.dim
+    q, n = e_alg.field.size(), e_alg.dim
+    unknown = DivisionVerdict("unknown", {"kind": "scan-bound-exceeded", "bound": SCAN_BOUND})
     verdict = _frobenius_verdict(e_alg) if _is_commutative(e_alg) else None
-    if verdict is not None and (not verdict.is_yes or size <= SCAN_BOUND):
-        return verdict
-    if size > SCAN_BOUND:
-        return DivisionVerdict("unknown", {"kind": "scan-bound-exceeded", "bound": SCAN_BOUND})
-    ok, bad, count = _scan_division(e_alg)
-    if ok:
-        return DivisionVerdict("yes", {"kind": "exhaustive", "scan_size": count})
-    return DivisionVerdict("no", {"kind": "zero-divisor"}, bad)
+    if verdict is not None:
+        return unknown if verdict.is_yes and q ** n > SCAN_BOUND else verdict
+    scanned = _scan_division(e_alg)
+    if scanned is not None and not scanned[0]:
+        return DivisionVerdict("no", {"kind": "zero-divisor"}, scanned[1])
+    if scanned is not None or q ** (n // 2 + 1) <= SCAN_BOUND:
+        raise AssertionError("a non-commutative or non-local algebra has no zero divisor "
+                             "below q^(n/2 + 1); this is a bug")
+    return unknown
 
 
 def is_graded_division(a: GradedAlgebra, identity_verdicts: dict | None = None) -> DivisionVerdict:
@@ -526,11 +537,12 @@ def is_graded_division(a: GradedAlgebra, identity_verdicts: dict | None = None) 
     scan's certificate, q^n - 1 elements covered; otherwise the least vector
     of J in scan order, its lowest-pivot RREF row, is the witness the scan
     would return, and that No holds however large A_e is.  A field with
-    more than SCAN_BOUND elements is Unknown, and so is any other finite A_e
-    of that size; below it, what Φ does not decide is scanned, so every
-    verdict is the scan's.  What reaches the scan is never division, a
-    non-commutative A_e (Wedderburn) or a non-local one, so the scan always
-    ends at an early zero divisor.
+    more than SCAN_BOUND elements is Unknown.  What Φ does not decide is
+    scanned up to index SCAN_BOUND, so every verdict is the scan's.  What
+    reaches the scan is never division, a non-commutative A_e (Wedderburn)
+    or a non-local one, so the scan ends at an early zero divisor, below
+    q^(floor(n/2) + 1); only when that lies past the cap can the walk reach
+    the cap first, and A_e is then Unknown.
 
     identity_verdicts, when given, is a dict the caller owns that maps A_e,
     as its field and stored form (field, table, unit), to A_e's verdict.

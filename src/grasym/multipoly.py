@@ -1,15 +1,18 @@
 """Linear pencils, their determinants, and deterministic point searches.
 
-A pencil is a square grid of linear forms in unknowns t_1..t_m, each entry
-the tuple of its m coefficients (all zero for a zero entry); linear_pencil
-builds one from sparse contributions.  Its determinant splits over the
-independent row/column blocks of the nonzero pattern into a signed product
-(FactoredPoly) of block determinants (BlockDet), none expanded up front: the
-value of a block at a point is an exact elimination of the evaluated block.
-A nonzero d x d determinant is homogeneous of degree d, so the degree that
-sets the search grid is known without expanding anything.  Polynomials
-(MultiPoly: exponent tuples to nonzero Scalars) appear only in pencil_det,
-the cofactor expansion that a zero test runs to prove a No.
+A pencil is a square grid of linear forms in unknowns t_1..t_m, stored
+sparse: a map from each nonzero entry (i, j) to the tuple of its m raw
+coefficients (values of field.ops); a cell that is not in the map is zero.
+linear_pencil builds one from sparse contributions, on raw values.  Its
+determinant splits over the independent row/column blocks of the nonzero
+pattern, read off the map's keys, into a signed product (FactoredPoly) of
+block determinants (BlockDet), none expanded up front: the value of a block
+at a point is an exact elimination of the evaluated block.  A nonzero d x d
+determinant is homogeneous of degree d, so the degree that sets the search
+grid is known without expanding anything.  Scalars are made only at the
+edge: for a pencil's Scalar grid, built on first read, and for polynomials
+(MultiPoly: exponent tuples to nonzero Scalars), which appear only in
+pencil_det, the cofactor expansion that a zero test runs to prove a No.
 
 Witness searches are deterministic and walk before they prove: over a field
 larger than the total degree a grid with degree+1 values per variable must
@@ -230,27 +233,74 @@ class FactoredPoly:
         return f"-{body}" if self.sign < 0 else body
 
 
-@dataclass(frozen=True)
 class GramPencil:
-    """A dim x dim grid of linear forms, each the tuple of its num_vars coefficients."""
+    """A dim x dim pencil of linear forms in num_vars unknowns, stored sparse.
 
-    field: Field
-    dim: int
-    num_vars: int
-    entries: tuple
+    forms maps each nonzero entry (i, j) to the tuple of the raw coefficients
+    of t_1..t_m in it; every other entry is zero.  The constructor takes the
+    grid of Scalar forms, checks it and unwraps it once.  entries is that
+    grid, wrapped on first read, with the shared zero form (_zero_form) in
+    every zero cell.  Two pencils are equal when their fields, sizes and
+    forms are, that is when their grids are equal.
+    """
 
-    def __post_init__(self):
-        field, m, zero = self.field, self.num_vars, _zero_form(self.field, self.num_vars)
-        if len(self.entries) != self.dim or any(len(row) != self.dim for row in self.entries):
-            raise ValueError(f"pencil grid must be {self.dim} x {self.dim}")
-        for form in itertools.chain.from_iterable(self.entries):
-            if form is not zero and not (isinstance(form, tuple) and len(form) == m and all(
-                    isinstance(c, Scalar) and c.field is field for c in form)):
-                raise ValueError(f"pencil entries must be {m} scalars of {field}")
+    __slots__ = ("field", "dim", "num_vars", "forms", "_entries")
+
+    def __init__(self, field: Field, dim: int, num_vars: int, entries):
+        if len(entries) != dim or any(len(row) != dim for row in entries):
+            raise ValueError(f"pencil grid must be {dim} x {dim}")
+        ops, zero = field.ops, _zero_form(field, num_vars)
+        forms = {}
+        for i, row in enumerate(entries):
+            for j, form in enumerate(row):
+                if form is zero:
+                    continue
+                if not (isinstance(form, tuple) and len(form) == num_vars and all(
+                        isinstance(c, Scalar) and c.field is field for c in form)):
+                    raise ValueError(f"pencil entries must be {num_vars} scalars of {field}")
+                raw = ops.unwrap(form)
+                if not all(map(ops.is_zero, raw)):
+                    forms[i, j] = tuple(raw)
+        self._store(field, dim, num_vars, forms)
+
+    @classmethod
+    def _from_raw(cls, field: Field, dim: int, num_vars: int, forms: dict) -> "GramPencil":
+        """The pencil of a sparse map of raw forms, none of them zero; nothing
+        is checked."""
+        pencil = cls.__new__(cls)
+        pencil._store(field, dim, num_vars, forms)
+        return pencil
+
+    def _store(self, field, dim, num_vars, forms):
+        self.field = field
+        self.dim = dim
+        self.num_vars = num_vars
+        self.forms = forms
+        self._entries = None
+
+    @property
+    def entries(self) -> tuple:
+        """The grid of forms as tuples of Scalars, wrapped on first read."""
+        if self._entries is None:
+            d, forms, wrap = self.dim, self.forms, self.field.ops.wrap
+            zero = _zero_form(self.field, self.num_vars)
+            self._entries = tuple(
+                tuple(wrap(forms[i, j]) if (i, j) in forms else zero for j in range(d))
+                for i in range(d))
+        return self._entries
 
     def evaluate(self, point) -> list:
         return [[sum((c * v for c, v in zip(form, point)), self.field.zero()) for form in row]
                 for row in self.entries]
+
+    def __eq__(self, other):
+        if not isinstance(other, GramPencil):
+            return NotImplemented
+        return ((self.field, self.dim, self.num_vars, self.forms)
+                == (other.field, other.dim, other.num_vars, other.forms))
+
+    def __hash__(self):
+        return hash((self.field, self.dim, self.num_vars, frozenset(self.forms.items())))
 
 
 @lru_cache(maxsize=None)
@@ -261,17 +311,19 @@ def _zero_form(field: Field, num_vars: int) -> tuple:
 
 def linear_pencil(field: Field, dim: int, num_vars: int, contributions) -> GramPencil:
     """The pencil whose entry (i, j) sums c t_r over the contributions
-    (i, j, r, c), for raw values c of field.ops; each entry that any
-    contribution reaches is summed on raw values and wrapped once."""
-    ops, zero_form = field.ops, _zero_form(field, num_vars)
-    grid = [[None] * dim for _ in range(dim)]
+    (i, j, r, c), for raw values c of field.ops.  The sums are formed on raw
+    values, straight into the sparse store; an entry whose contributions
+    cancel to the zero form is left out, as if none had reached it."""
+    ops = field.ops
+    add, is_zero, zero = ops.add, ops.is_zero, ops.zero
+    sums: dict = {}
     for i, j, r, c in contributions:
-        form = grid[i][j]
+        form = sums.get((i, j))
         if form is None:
-            form = grid[i][j] = [ops.zero] * num_vars
-        form[r] = ops.add(form[r], c)
-    return GramPencil(field, dim, num_vars, tuple(
-        tuple(zero_form if form is None else ops.wrap(form) for form in row) for row in grid))
+            form = sums[i, j] = [zero] * num_vars
+        form[r] = add(form[r], c)
+    return GramPencil._from_raw(field, dim, num_vars, {
+        key: tuple(form) for key, form in sums.items() if not all(map(is_zero, form))})
 
 
 def pencil_det(pencil: GramPencil) -> MultiPoly:
@@ -284,7 +336,10 @@ def pencil_det(pencil: GramPencil) -> MultiPoly:
     if d == 0:
         return one
     units = [tuple(int(t == r) for t in range(m)) for r in range(m)]
-    entries = [[MultiPoly(field, m, zip(units, form)) for form in row] for row in pencil.entries]
+    wrap = field.ops.wrap
+    # the nonzero entries only, each wrapped once
+    entries = {key: MultiPoly(field, m, zip(units, wrap(form)))
+               for key, form in pencil.forms.items()}
     memo: dict = {}
 
     def minor(cols: frozenset) -> MultiPoly:
@@ -296,8 +351,8 @@ def pencil_det(pencil: GramPencil) -> MultiPoly:
         row = d - len(cols)
         acc = MultiPoly.zero(field, m)
         for pos, c in enumerate(sorted(cols)):
-            entry = entries[row][c]
-            if entry.is_zero:
+            entry = entries.get((row, c))
+            if entry is None:
                 continue
             sub = minor(cols - {c})
             term = entry * sub
@@ -313,11 +368,13 @@ def pencil_det(pencil: GramPencil) -> MultiPoly:
 class BlockDet:
     """The determinant of one square block of a pencil, expanded only on demand.
 
-    evaluate(point) eliminates the evaluated block on raw field values; a
-    nonsingular block proves the determinant nonzero, and a block that was
-    nonsingular at any point is never expanded.  The zero test otherwise, and
-    the terms, run pencil_det once and keep its result.  A nonzero d x d
-    determinant of a linear homogeneous pencil is homogeneous of degree d.
+    The block's raw rows are read from the pencil's sparse forms, with no
+    Scalar made.  evaluate(point) eliminates the evaluated block on raw
+    field values; a nonsingular block
+    proves the determinant nonzero, and a block that was nonsingular at any
+    point is never expanded.  The zero test otherwise, and the terms, run
+    pencil_det once and keep its result.  A nonzero d x d determinant of a
+    linear homogeneous pencil is homogeneous of degree d.
     """
 
     __slots__ = ("pencil", "_ops", "_forms", "_nonzero", "_expanded")
@@ -325,8 +382,11 @@ class BlockDet:
     def __init__(self, pencil: GramPencil):
         self.pencil = pencil
         self._ops = pencil.field.ops
-        # _forms[r][c][k] is the raw coefficient of t_k in entry (r, c)
-        self._forms = [[self._ops.unwrap(form) for form in row] for row in pencil.entries]
+        # _forms[r][c] is the raw form of entry (r, c), all zeros off the support
+        d, zero = pencil.dim, (self._ops.zero,) * pencil.num_vars
+        self._forms = [[zero] * d for _ in range(d)]
+        for (r, c), form in pencil.forms.items():
+            self._forms[r][c] = form
         self._nonzero = False
         self._expanded = None
 
@@ -397,10 +457,11 @@ def _roots(n: int, links) -> list:
 
 
 def _support_components(pencil: GramPencil):
-    """Connected components of the nonzero pattern (rows and cols as nodes)."""
-    d, zero = pencil.dim, _zero_form(pencil.field, pencil.num_vars)
-    roots = _roots(2 * d, ((i, d + j) for i, row in enumerate(pencil.entries)
-                           for j, form in enumerate(row) if form != zero))
+    """Connected components of the nonzero pattern (rows and cols as nodes),
+    each as its rows and its columns in ascending order, in the order of
+    their least rows (row-less components last)."""
+    d = pencil.dim
+    roots = _roots(2 * d, ((i, d + j) for i, j in pencil.forms))
     groups: dict = {}
     for i in range(d):
         groups.setdefault(roots[i], [[], []])[0].append(i)
@@ -419,6 +480,8 @@ def structured_det(pencil: GramPencil) -> FactoredPoly:
     evaluates them, and only a zero test that no evaluation settled runs
     their cofactor expansions, in block order, stopping at the first
     vanishing block.  A non-square block makes the determinant zero outright.
+    Each block is the sparse map of its forms, re-indexed from the pencil's
+    raw forms without a Scalar.
     """
     d = pencil.dim
     field, m = pencil.field, pencil.num_vars
@@ -429,14 +492,16 @@ def structured_det(pencil: GramPencil) -> FactoredPoly:
             return zero
     # base permutation: i-th smallest row of a component pairs with its i-th
     # smallest column; the block determinants then multiply with this sign
-    col_of_row = [0] * d
-    factors = []
-    for rows, cols in components:
-        for r, c in zip(rows, cols):
-            col_of_row[r] = c
-        factors.append(BlockDet(GramPencil(
-            field, len(rows), m,
-            tuple(tuple(pencil.entries[i][j] for j in cols) for i in rows))))
+    col_of_row, block_of_row, row_pos, col_pos = [0] * d, [0] * d, [0] * d, [0] * d
+    for b, (rows, cols) in enumerate(components):
+        for pos, (r, c) in enumerate(zip(rows, cols)):
+            col_of_row[r], block_of_row[r], row_pos[r], col_pos[c] = c, b, pos, pos
+    # a nonzero entry (i, j) joins row i and column j, so both lie in i's block
+    blocks: list = [{} for _ in components]
+    for (i, j), form in pencil.forms.items():
+        blocks[block_of_row[i]][row_pos[i], col_pos[j]] = form
+    factors = [BlockDet(GramPencil._from_raw(field, len(rows), m, block))
+               for (rows, _), block in zip(components, blocks)]
     inversions = sum(1 for a in range(d) for b in range(a + 1, d)
                      if col_of_row[a] > col_of_row[b])
     return FactoredPoly(field, m, -1 if inversions % 2 else 1, factors)
@@ -472,9 +537,9 @@ def _factor_unknowns(factor) -> list:
     coefficient in some form of a BlockDet, or a positive exponent in some
     term of a MultiPoly."""
     if isinstance(factor, BlockDet):
-        zero = factor._ops.zero
-        forms = [form for row in factor._forms for form in row]
-        return [k for k in range(factor.num_vars) if any(form[k] != zero for form in forms)]
+        is_zero, forms = factor._ops.is_zero, factor.pencil.forms.values()
+        return [k for k in range(factor.num_vars)
+                if not all(is_zero(form[k]) for form in forms)]
     return [k for k in range(factor.num_vars) if any(exps[k] for exps in factor.terms)]
 
 

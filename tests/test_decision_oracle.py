@@ -52,6 +52,7 @@ from grasym.multipoly import (
     GramPencil,
     MultiPoly,
     _support_components,
+    nonvanishing_point,
     pencil_det,
     structured_det,
 )
@@ -345,6 +346,56 @@ def test_forms_pencil_matches_the_symbolic_pencil(mode):
         assert structured_det(new).expand() == pencil_det(old), (name, mode)
         checked += 1
     assert checked == len(dim4_f2_corpus()) + 4
+
+
+# -- the sparse raw pencil against its Scalar grid ---------------------------------
+
+# (pencils checked, blocks of at most 8 rows expanded) per mode
+_RAW_PENCIL_COUNTS = {"graded-symmetric": (128, 373), "graded-frobenius": (128, 329),
+                      "symmetric": (127, 253), "frobenius": (124, 140)}
+
+
+def _blocks(det):
+    """The block pencils of a structured det, or its factors when it is zero."""
+    return [getattr(f, "pencil", f) for f in det.factors]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_raw_pencil_matches_its_rebuilt_scalar_grid(mode):
+    # a pencil rebuilt through the public constructor from its Scalar grid
+    # equals the one built raw, and everything read from either agrees: the
+    # blocks, their values, the point found, and each block's expansion
+    # along the route of perfbench/micro.py (a block cut from entries)
+    checked = expanded = 0
+    for name, a in CORPUS + _pencil_corpus():
+        space = graded_trace_space(a, mode)
+        if not 0 < space.dim <= MAX_TRACE_SPACE_DIM:
+            continue
+        raw = gram_pencil(a, [LinearFunctional(a, r) for r in space.basis])
+        rebuilt = GramPencil(raw.field, raw.dim, raw.num_vars, raw.entries)
+        assert rebuilt == raw, (name, mode)
+        det, again = structured_det(raw), structured_det(rebuilt)
+        assert det.sign == again.sign and _blocks(det) == _blocks(again), (name, mode)
+        rng = random.Random(f"{name}-{mode}")
+        for _ in range(3):
+            point = tuple(_grid(a.field, 5)[rng.randrange(min(5, a.field.size() or 5))]
+                          for _ in range(space.dim))
+            assert [f.evaluate(point) for f in det.factors] \
+                == [f.evaluate(point) for f in again.factors], (name, mode)
+        assert nonvanishing_point(det, a.field) == nonvanishing_point(again, a.field), \
+            (name, mode)
+        checked += 1
+        if not isinstance(det.factors[0], multipoly.BlockDet):
+            continue  # a non-square block: the zero det has no blocks
+        for (rows, cols), factor in zip(_support_components(raw), det.factors):
+            if len(rows) > 8:
+                continue
+            block = GramPencil(raw.field, len(rows), raw.num_vars,
+                               tuple(tuple(raw.entries[i][j] for j in cols) for i in rows))
+            assert block == factor.pencil, (name, mode)
+            assert pencil_det(block) == factor.expand(), (name, mode)
+            expanded += 1
+    assert (checked, expanded) == _RAW_PENCIL_COUNTS[mode]
 
 
 # -- the Gram pass against the table walk it replaced -----------------------------

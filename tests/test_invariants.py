@@ -781,20 +781,74 @@ def test_division_above_the_scan_bound_is_refuted_by_the_radical():
 
 def test_a_field_above_the_scan_bound_stays_unknown(monkeypatch):
     # Φ proves F_{2^20} a field, but its Yes would claim 2^20 - 1 elements
-    # covered; past SCAN_BOUND it stays unknown, as F_{2^10} x F_{2^10}
-    # does, which is not local, and neither is scanned
+    # covered; past SCAN_BOUND it stays unknown and is not scanned.
+    # F_{2^10} x F_{2^10} is not local, so never division: the scan finds
+    # its idempotent (1, 0) at index 1, far below the cap
     from grasym import direct_product
     from grasym.invariants import SCAN_BOUND
 
     scans = _counted_scans(monkeypatch)
-    for a in (_field_algebra(2, 20), direct_product(_field_algebra(2, 10), _field_algebra(2, 10))):
-        assert a.field.size() ** a.dim > SCAN_BOUND
-        v = is_graded_division(a)
-        assert (v.status, v.certificate, v.witness) == (
-            "unknown", {"identity_component": {"kind": "scan-bound-exceeded", "bound": SCAN_BOUND}},
-            None)
-    assert _frobenius_status(_field_algebra(2, 20)) == "yes"
+    a = _field_algebra(2, 20)
+    assert a.field.size() ** a.dim > SCAN_BOUND
+    v = is_graded_division(a)
+    assert (v.status, v.certificate, v.witness) == (
+        "unknown", {"identity_component": {"kind": "scan-bound-exceeded", "bound": SCAN_BOUND}},
+        None)
+    assert _frobenius_status(a) == "yes"
     assert scans == []
+    a = direct_product(_field_algebra(2, 10), _field_algebra(2, 10))
+    assert a.field.size() ** a.dim > SCAN_BOUND and _frobenius_status(a) is None
+    v = is_graded_division(a)
+    assert (v.status, v.certificate) == ("no", {"identity_component": {"kind": "zero-divisor"}})
+    assert [c.to_json() for c in v.witness.coords] == [1] + [0] * 19
+    assert scans == [(20, (False, v.witness, 1))]
+
+
+def test_a_matrix_algebra_above_the_scan_bound_is_refuted_by_the_scan(monkeypatch):
+    # M_2(F_1009) has about 10^12 elements; E_00 is its first zero divisor
+    from grasym.invariants import SCAN_BOUND
+
+    scans = _counted_scans(monkeypatch)
+    a = matrix_algebra(make_field(1009), 2)
+    assert a.field.size() ** a.dim > SCAN_BOUND
+    v = is_graded_division(a)
+    assert (v.status, v.certificate) == ("no", {"identity_component": {"kind": "zero-divisor"}})
+    assert [c.to_json() for c in v.witness.coords] == [1, 0, 0, 0]
+    assert scans == [(4, (False, v.witness, 1))]
+
+
+def test_the_scan_stops_at_the_bound(monkeypatch):
+    # with the cap lowered to 5, M_3(F_3) after a basis change keeps its
+    # first zero divisor at index 9 out of reach: q^(n/2 + 1) = 243 lies past
+    # the cap, so it is unknown; under a cap of 10 the scan finds it
+    from grasym import invariants
+    from grasym.invariants import _identity_verdict
+
+    a = dict(_matrix_algebra_corpus())["M3(F_3)-0"]
+    assert scalar_scan_division(a)[2] == 9
+    monkeypatch.setattr(invariants, "SCAN_BOUND", 10)
+    assert _identity_verdict(a).status == "no"
+    monkeypatch.setattr(invariants, "SCAN_BOUND", 5)
+    v = _identity_verdict(a)
+    assert (v.status, v.certificate) == ("unknown", {"kind": "scan-bound-exceeded", "bound": 5})
+
+
+def test_a_scan_without_a_zero_divisor_below_the_half_dimension_bound_is_a_bug(monkeypatch):
+    # a capped scan that finds nothing proves nothing; where the cap covers
+    # q^(n/2 + 1) the module docstring says it cannot happen
+    from grasym import invariants
+    from grasym.invariants import SCAN_BOUND, _identity_verdict
+
+    monkeypatch.setattr(invariants, "_scan_division", lambda e_alg: None)
+    with pytest.raises(AssertionError, match="no zero divisor"):
+        _identity_verdict(matrix_algebra(make_field(3), 3))
+    v = _identity_verdict(matrix_algebra(make_field(1009), 2))
+    assert (v.status, v.certificate) == ("unknown",
+                                         {"kind": "scan-bound-exceeded", "bound": SCAN_BOUND})
+    monkeypatch.setattr(invariants, "_scan_division",
+                        lambda e_alg: (True, None, e_alg.field.size() ** e_alg.dim - 1))
+    with pytest.raises(AssertionError, match="no zero divisor"):
+        _identity_verdict(matrix_algebra(make_field(3), 3))
 
 
 _LOCAL_NOS = [

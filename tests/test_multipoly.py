@@ -399,6 +399,29 @@ def test_linear_pencil_sums_the_contributions(f5):
     assert pencil_det(p) == -(t2 * two) * (t1 * three + t2)
 
 
+@pytest.mark.parametrize("fixture", ["f5", "q"])
+def test_contributions_that_cancel_leave_the_entry_out(request, fixture):
+    # (0, 1, 0, c) and (0, 1, 0, -c) sum to the zero form: (0, 1) is not in
+    # the support, its cell is the shared zero form, and the pencil splits as
+    # if neither contribution had been made
+    field = request.getfixturevalue(fixture)
+    ops, m = field.ops, 2
+    c = ops.inverse(ops.from_int(2))
+    kept = [(0, 0, 0, ops.one), (1, 1, 1, ops.one)]
+    made = multipoly.linear_pencil(field, 2, m, [kept[0], (0, 1, 0, c), kept[1],
+                                                 (0, 1, 0, ops.sub(ops.zero, c))])
+    never = multipoly.linear_pencil(field, 2, m, kept)
+    assert (0, 1) not in made.forms and made == never
+    assert made.entries[0][1] is multipoly._zero_form(field, m)
+    assert multipoly._support_components(made) == [((0,), (0,)), ((1,), (1,))]
+    det, want = structured_det(made), structured_det(never)
+    assert det.sign == want.sign == 1
+    assert [f.pencil for f in det.factors] == [f.pencil for f in want.factors]
+    assert [f.pencil.dim for f in det.factors] == [1, 1]
+    t1, t2 = var(field, m, 0), var(field, m, 1)
+    assert det.expand() == t1 * t2
+
+
 # -- the split search against the unsplit walk it replaced ---------------------------
 
 def _grid(field, count):
