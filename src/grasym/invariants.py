@@ -280,7 +280,7 @@ def _scan_division(e_alg: GradedAlgebra):
     returns None when no index below it is a zero divisor.  Whatever
     _identity_verdict hands it is never division, so it returns a No below
     index q^(floor(n/2) + 1) (see the module docstring); only a direct call
-    on a field walks every line.
+    on a field of at most SCAN_BOUND elements walks every line.
     """
     field, n, ops = e_alg.field, e_alg.dim, e_alg.field.ops
     q = field.size()
