@@ -368,13 +368,13 @@ def pencil_det(pencil: GramPencil) -> MultiPoly:
 class BlockDet:
     """The determinant of one square block of a pencil, expanded only on demand.
 
-    The block's raw rows are read from the pencil's sparse forms, with no
-    Scalar made.  evaluate(point) eliminates the evaluated block on raw
-    field values; a nonsingular block
-    proves the determinant nonzero, and a block that was nonsingular at any
-    point is never expanded.  The zero test otherwise, and the terms, run
-    pencil_det once and keep its result.  A nonzero d x d determinant of a
-    linear homogeneous pencil is homogeneous of degree d.
+    The block's raw rows are laid out once from the pencil's sparse forms,
+    with no Scalar made.  evaluate(point) eliminates the evaluated block on
+    raw field values; a nonsingular block proves the determinant nonzero,
+    and a block that was nonsingular at any point is never expanded.  The
+    zero test otherwise, and the terms, run pencil_det once and keep its
+    result.  A nonzero d x d determinant of a linear homogeneous pencil is
+    homogeneous of degree d.
     """
 
     __slots__ = ("pencil", "_ops", "_forms", "_nonzero", "_expanded")
