@@ -521,7 +521,27 @@ def _identity_verdict(e_alg: GradedAlgebra) -> DivisionVerdict:
     return unknown
 
 
-def is_graded_division(a: GradedAlgebra, identity_verdicts: dict | None = None) -> DivisionVerdict:
+def identity_component_verdict(a: GradedAlgebra, verdicts: dict) -> DivisionVerdict:
+    """Whether A_e is a division algebra, read from verdicts or decided there.
+
+    verdicts is a dict the caller owns that maps A_e, as its field and
+    stored form (field, table, unit), to A_e's verdict (_identity_verdict).
+    A_e is decided once per key and its verdict read back for every later
+    algebra with the same A_e, so a run over many algebras with one
+    coefficient field (hunt_counterexample) decides that field once; an
+    empty dict decides A_e afresh.  The verdict depends on the key alone.
+    A No witness is an element of the A_e first decided under its key:
+    its coordinate r is the coordinate a.component_indices(e)[r] of a.
+    """
+    e_alg = _identity_component_algebra(a)
+    key = (a.field, e_alg.table, e_alg.unit)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = _identity_verdict(e_alg)
+    return verdict
+
+
+def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
     """Decide whether every nonzero homogeneous element is invertible.
 
     Splits into: the identity component is a division algebra, and every
@@ -529,8 +549,9 @@ def is_graded_division(a: GradedAlgebra, identity_verdicts: dict | None = None) 
     invertible u in A_g makes every nonzero a = (a u^-1) u in A_g invertible,
     so one inverse per component decides the second; the last basis vector
     is tested and recorded as the witness.  A No verdict carries a
-    homogeneous witness whose left multiplication is singular.
+    homogeneous witness of a whose left multiplication is singular.
 
+    A_e is decided afresh (identity_component_verdict with an empty dict).
     Over a finite field, a commutative A_e is first given to its Frobenius
     map Φ(x) = x^q, which decides it when A_e is local: the non-units are
     then its radical J = ker Φ^K.  J = 0 makes A_e a field, a Yes with the
@@ -544,34 +565,20 @@ def is_graded_division(a: GradedAlgebra, identity_verdicts: dict | None = None) 
     q^(floor(n/2) + 1); only when that lies past the cap can the walk reach
     the cap first, and A_e is then Unknown.
 
-    identity_verdicts, when given, is a dict the caller owns that maps A_e,
-    as its field and stored form (field, table, unit), to A_e's verdict.
-    A_e is decided once per key and its verdict read back for every later
-    algebra with the same A_e, so a run over many algebras with one
-    coefficient field (hunt_counterexample) scans that field once.  A_e's
-    verdict depends on the key alone; a No witness is re-tied to the
-    algebra asked about, and the components other than A_e are decided for
-    each algebra as without the dict.
+    Once A_e is division, a functional vanishing off A_e whose form is
+    nondegenerate proves the same with no inverse per component: see
+    symmetry.graded_trace_witness, which the hunt uses that way.
     """
     e = a.group.identity
-    e_alg = _identity_component_algebra(a)
-    key = (a.field, e_alg.table, e_alg.unit)
-    id_verdict = None if identity_verdicts is None else identity_verdicts.get(key)
-    if id_verdict is None:
-        id_verdict = _identity_verdict(e_alg)
-        if identity_verdicts is not None:
-            identity_verdicts[key] = id_verdict
+    id_verdict = identity_component_verdict(a, {})
     if id_verdict.status != "yes":
         witness = id_verdict.witness
-        if witness is not None and e_alg is not a:
-            # coordinate r of e_alg is coordinate indices[r] of a
+        if witness is not None and witness.owner is not a:
+            # coordinate r of A_e is coordinate indices[r] of a
             coords = [a.field.zero()] * a.dim
             for i, c in zip(a.component_indices(e), witness.coords):
                 coords[i] = c
             witness = Element(a, tuple(coords))
-        elif witness is not None and witness.owner is not a:
-            # a shared verdict: its witness belongs to the algebra first decided
-            witness = Element(a, witness.coords)
         return DivisionVerdict(id_verdict.status,
                                {"identity_component": id_verdict.certificate},
                                witness)

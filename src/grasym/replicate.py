@@ -48,6 +48,7 @@ from .invariants import (
     center,
     commutator_subspace,
     graded_commutator_space,
+    identity_component_verdict,
     is_graded_division,
 )
 from .linalg import Subspace, eliminate_raw
@@ -351,24 +352,27 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     graded symmetric; expected (and so far observed) to come back empty.
 
     Every candidate of a call has the coefficient field D = F_{p^m} of its
-    extension degree as its identity component, so the call hands
-    is_graded_division one dict of identity-component verdicts, made afresh
-    for the call: D is decided once per extension degree, and each
-    candidate still gets its own component witnesses.
+    extension degree as its identity component A_e, so the call keeps one
+    dict of A_e verdicts (invariants.identity_component_verdict), made
+    afresh for the call: D is decided once per extension degree.
 
-    Each graded division candidate is certified, not decided: the hunt
-    builds symmetry.graded_trace_witness, the regular trace of the identity
-    component, and checks it with verify_certificate.  A verified witness
-    means the candidate is graded symmetric, so it is no finding, and the
-    division criterion is cross-checked against that "yes"
-    (symmetry.check_division_criterion).  A hunt runs over a finite field,
-    where the identity component of a graded division algebra is a field and
-    the witness its nonzero trace form, so the witness always verifies; a
-    failure raises AssertionError as a bug rather than being decided, and
-    decide_form_existence is not run.  The report's finding lists therefore
-    stay empty over finite fields; they remain in the report and checkpoint
-    layout.  Whether a finding can exist over other fields is the open note
-    of symmetry.graded_division_criterion.
+    A candidate whose A_e is division is proved graded division by its
+    certificate alone: the hunt builds symmetry.graded_trace_witness, the
+    regular trace of A_e composed with the projection onto it, and checks
+    it with verify_certificate.  A verified witness vanishes off A_e and has
+    a nondegenerate form, which with a division A_e makes the candidate
+    graded division (the lemma in graded_trace_witness), and it proves the
+    candidate graded symmetric, so it is no finding; the division criterion
+    is cross-checked against that "yes" (symmetry.check_division_criterion).
+    Only a failed witness sends the candidate to is_graded_division.  Over
+    a finite field the witness of a graded division algebra always
+    verifies: A_e is a field and the witness its nonzero trace form.  So a
+    Yes there raises AssertionError as a bug rather than being decided, and
+    a No leaves the candidate out of division_count; decide_form_existence
+    is not run.  The report's finding lists therefore stay empty over
+    finite fields; they remain in the report and checkpoint layout.
+    Whether a finding can exist over other fields is the open note of
+    symmetry.graded_division_criterion.
 
     Candidates whose data fails the crossed-product laws, so that
     frobenius_crossed_product refuses them, are counted separately, never
@@ -411,13 +415,14 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
             report.incompatible_count += 1
         else:
             report.instances_tested += 1
-            if is_graded_division(a, identity_verdicts).is_yes:
-                report.division_count += 1
+            if identity_component_verdict(a, identity_verdicts).is_yes:
                 check = verify_certificate(a, graded_trace_witness(a), "graded-symmetric")
-                if not check.ok:
+                if check.ok:
+                    report.division_count += 1
+                    check_division_criterion(a, "yes")
+                elif is_graded_division(a).is_yes:
                     raise AssertionError(f"regular-trace witness failed on a graded "
                                          f"division candidate: {check}; this is a bug")
-                check_division_criterion(a, "yes")
         if (index + 1) % CHECKPOINT_EVERY == 0:
             save_checkpoint(index + 1)
     save_checkpoint(report.candidates_enumerated)

@@ -250,6 +250,18 @@ def graded_trace_witness(a: GradedAlgebra) -> LinearFunctional:
 
     Off graded division algebras nothing is promised (lam is zero on
     ungrade(F_2[C_2]), for instance): check lam with verify_certificate.
+
+    Conversely, a verified lam proves graded division once A_e is division.
+    Take any lam vanishing off A_e with (x, y) -> lam(xy) nondegenerate,
+    and a nonzero x in A_g.  Some y has lam(xy) != 0, and only y's part y'
+    of degree g^-1 contributes, since x y'' lies off A_e for y'' of any
+    other degree.  So z = x y' is a nonzero element of the division algebra
+    A_e, and x (y' z^-1) = 1.  A right inverse in a finite-dimensional
+    algebra is two-sided (L_x is onto, so one-to-one), so x is a unit.
+    verify_certificate in the graded modes checks exactly these hypotheses:
+    vanishing off A_e and a Gram matrix of full rank.  hunt_counterexample
+    proves its candidates graded division this way, with no inverse per
+    component.
     """
     values = regular_trace(a, a.component_indices(a.group.identity))
     return LinearFunctional(a, a.field.ops.wrap(values))

@@ -884,28 +884,32 @@ def _shared_verdict_corpus():
     yield "F4-relabelled", _relabelled(f4, labels=["one", "x"])
 
 
-def _verdict_record(a, v):
-    from grasym.specfile import canonical_json
-
-    if v.witness is not None:
-        assert v.witness.owner is a
-    witness = None if v.witness is None else [c.to_json() for c in v.witness.coords]
-    return v.status, canonical_json(v.certificate), witness
-
-
 def test_shared_identity_verdicts_give_every_verdict_of_a_fresh_decision():
     # the first pass fills the dict and the second reads every A_e from it;
-    # both must give the fresh verdict, with the witness tied to the algebra
-    # asked about even when an earlier algebra had the same A_e table.  The
-    # field is part of the key: F_2 and F_3 as A_e have the same stored form,
-    # ((0, 1),) and unit (1,), but scan sizes 1 and 2
+    # both must give A_e's verdict in a fresh decision, with a No witness
+    # whose coordinates are those of the fresh witness on A_e, even when an
+    # earlier algebra had the same A_e table.  The field is part of the key:
+    # F_2 and F_3 as A_e have the same stored form, ((0, 1),) and unit (1,),
+    # but scan sizes 1 and 2
+    from grasym.invariants import identity_component_verdict
+
     shared = {}
     corpus = list(_shared_verdict_corpus())
     for _ in range(2):
         for name, a in corpus:
-            assert (_verdict_record(a, is_graded_division(a, shared))
-                    == _verdict_record(a, is_graded_division(a))), name
-    statuses = [is_graded_division(a, shared).status for _, a in corpus]
+            v, fresh = identity_component_verdict(a, shared), is_graded_division(a)
+            assert v.certificate == fresh.certificate["identity_component"], name
+            # a Yes for A_e leaves the other components to decide
+            assert v.status == fresh.status or (
+                v.is_yes and "component_without_invertible" in fresh.certificate), name
+            if v.is_yes:
+                continue
+            assert (v.witness is None) == (fresh.witness is None), name
+            if v.witness is not None:
+                assert fresh.witness.owner is a
+                indices = a.component_indices(a.group.identity)
+                assert v.witness.coords == tuple(fresh.witness.coords[i] for i in indices), name
+    statuses = [is_graded_division(a).status for _, a in corpus]
     assert (len(corpus), len(shared), statuses.count("yes"), statuses.count("no")) == (
         90, 58, 46, 44)
 

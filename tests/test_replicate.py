@@ -370,6 +370,24 @@ def test_trace_witness_and_engine_agree_on_every_accepted_candidate(params, acce
     assert count == accepted
 
 
+def test_the_hunt_proof_of_graded_division_agrees_with_the_engine():
+    # the hunt proves graded division by a division A_e and a verified
+    # regular-trace witness; is_graded_division, which inverts one element
+    # per component, stays the reference
+    from grasym import graded_trace_witness, is_graded_division, verify_certificate
+    from grasym.invariants import identity_component_verdict
+    from test_invariants import _shared_verdict_corpus
+
+    statuses = []
+    for name, a in [*_shared_verdict_corpus(), *dim4_f2_corpus()]:
+        proof = (identity_component_verdict(a, {}).is_yes and verify_certificate(
+            a, graded_trace_witness(a), "graded-symmetric").ok)
+        verdict = is_graded_division(a)
+        assert proof == verdict.is_yes, name
+        statuses.append(verdict.status)
+    assert (len(statuses), statuses.count("yes"), statuses.count("no")) == (110, 56, 54)
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
@@ -427,6 +445,26 @@ def test_hunt_raises_when_the_witness_fails(monkeypatch):
     with pytest.raises(AssertionError, match="regular-trace witness failed"):
         hunt_counterexample(hunt_char2_params())
     assert decided == [] and checked == []
+
+
+def test_a_failed_witness_over_a_division_identity_component_falls_back_to_the_engine(
+        monkeypatch):
+    # F_2 + F_2 v with v^2 = 0 and v of degree g in C_2: A_e = F_2 is
+    # division, but the witness has Gram rank 1 of 2 and v is no unit, so
+    # is_graded_division says No and the candidate is tested, not division
+    from grasym import GradedAlgebra, make_field, replicate, symmetry
+    f2 = make_field(2)
+    one = f2.one()
+    a = GradedAlgebra(f2, cyclic_group(2), [0, 1], {
+        (0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {}}, [one, f2.zero()])
+    assert validate_algebra(a).ok
+    monkeypatch.setattr(replicate, "frobenius_crossed_product", lambda *args: a)
+    decided = _count_calls(monkeypatch, replicate, "is_graded_division")
+    checked = _count_calls(monkeypatch, symmetry, "graded_division_criterion")
+    report = hunt_counterexample(hunt_char2_params())
+    assert (report.candidates_enumerated, report.instances_tested,
+            report.incompatible_count, report.division_count) == (57, 57, 0, 0)
+    assert len(decided) == 57 and checked == []
 
 
 def test_hunt_cross_check_catches_a_disagreeing_criterion(monkeypatch):
