@@ -496,7 +496,8 @@ class RawOps:
 
     - from_int(n): the raw image of the int n;
     - to_json(v): the canonical JSON form of v, which Scalar.to_json and
-      specfile.algebra_to_dict write;
+      specfile.algebra_to_dict write; specfile.algebra_text writes the same
+      form as text, formatted by field kind, so a new kind changes both;
     - mul(u, v), add(u, v) and sub(u, v): the product, the sum and u - v;
     - inverse(v): 1/v for nonzero v;
     - scale(row, c): the new row c * row;

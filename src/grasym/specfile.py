@@ -2,7 +2,11 @@
 
 Serialization is canonical JSON (sorted keys, no whitespace variance, scalars
 in canonical form, structure constants sorted by (i,j,k)), so equal algebras
-produce byte-identical files and a content hash identifies an algebra.  A spec
+produce byte-identical files and a content hash identifies an algebra.  One
+writer, algebra_text, makes the canonical text of an algebra: the spec file,
+the algebra_hash digest that names it in a certificate, and the stdout of
+`grasym emit` are all its bytes.  algebra_to_dict is the same form as a dict,
+for --pretty output and for tests to check the writer against.  A spec
 file carries a field block, a group block, and either a raw structure-constant
 block or a named constructor block that re-runs the corresponding builder.
 Every malformed file raises a GrasymError (ParseError for a missing key or a
@@ -23,8 +27,11 @@ from .groups import GroupTable, group_from_kind, group_from_table
 from .symmetry import MODES, REFUTATIONS, LinearFunctional, SymmetryVerdict
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def load_json(path: str, text: str | None = None):
@@ -122,6 +129,7 @@ def group_from_dict(d: dict) -> GroupTable:
 
 def algebra_to_dict(a: GradedAlgebra) -> dict:
     """Raw canonical form; round-trips every constructor output bit-exactly.
+    canonical_json of it is algebra_text(a).
 
     The table is read in row-major order, so the rows come sorted by (i, j, k)."""
     to_json = a.field.ops.to_json
@@ -236,13 +244,61 @@ def parse_algebra_file(path: str) -> GradedAlgebra:
     return algebra_from_dict(load_json(path))
 
 
+class _ValueTexts(dict):
+    """The text of each raw value met, made by `form` on its first lookup."""
+
+    __slots__ = ("form",)
+
+    def __init__(self, form):
+        super().__init__()
+        self.form = form
+
+    def __missing__(self, value):
+        text = self[value] = self.form(value)
+        return text
+
+
+def _sc_text(a: GradedAlgebra) -> str:
+    """The items of the "sc" array, each [i, j, k, c] as canonical_json writes
+    it, in one pass over the table.
+
+    The form of c is the one RawOps.to_json gives, picked once by field kind.
+    A table holds few distinct indices and coefficients, so each one's text
+    (with the separator after it) is made once and looked up per term."""
+    field = a.field
+    if field.char == 0:  # Q: the str of an int or a Fraction, as a JSON string
+        value = _ValueTexts(lambda c: f'"{c!s}"]')
+    elif field.degree == 1:  # F_p: an int
+        value = _ValueTexts(lambda c: f"{c}]")
+    else:  # F_{p^n}: the coefficient tuple as an int list
+        value = _ValueTexts(lambda c: f"[{','.join(map(str, c))}]]")
+    index = [f"{i}," for i in range(a.dim)]
+    return ",".join([f"[{i}{j}{index[k]}{value[c]}" for i, row in zip(index, a.table)
+                     for j, terms in zip(index, row) for k, c in terms])
+
+
+def algebra_text(a: GradedAlgebra) -> str:
+    """The canonical spec text of a, canonical_json(algebra_to_dict(a)),
+    written with its keys in sorted order.  The "sc" array is formatted
+    straight from the table.  The other keys are small and go through
+    canonical_json, which also escapes the labels, as they may be any JSON
+    values."""
+    to_json = a.field.ops.to_json
+    labels = "" if a.labels is None else f',"labels":{canonical_json(a.labels)}'
+    return (f'{{"algebra":{{"degrees":{canonical_json(a.degree)},"dim":{a.dim}{labels},'
+            f'"sc":[{_sc_text(a)}],"unit":{canonical_json([to_json(c) for c in a.unit])}}},'
+            f'"field":{canonical_json(a.field.to_dict())},'
+            f'"group":{canonical_json(group_to_dict(a.group))}}}')
+
+
 def write_algebra_file(a: GradedAlgebra, path: str):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(algebra_to_dict(a)) + "\n")
+        fh.write(algebra_text(a) + "\n")
 
 
 def algebra_hash(a: GradedAlgebra) -> str:
-    return hashlib.sha256(canonical_json(algebra_to_dict(a)).encode()).hexdigest()
+    """The sha256 of a's canonical spec text, which names a in a certificate."""
+    return hashlib.sha256(algebra_text(a).encode()).hexdigest()
 
 
 # -- certificates -----------------------------------------------------------------------
@@ -261,9 +317,10 @@ def certificate_to_dict(a: GradedAlgebra, verdict: SymmetryVerdict) -> dict:
     }
 
 
-def write_certificate_file(a: GradedAlgebra, verdict: SymmetryVerdict, path: str):
+def write_certificate_file(cert: dict, path: str):
+    """Write a certificate built by certificate_to_dict, as load_certificate_file reads it."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(certificate_to_dict(a, verdict)) + "\n")
+        fh.write(canonical_json(cert) + "\n")
 
 
 def load_certificate_file(path: str) -> dict:

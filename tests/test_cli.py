@@ -194,6 +194,57 @@ def test_emit_pretty_to_stdout(capsys):
     assert json.loads(out) == algebra_to_dict(cyclic_algebra(3))
 
 
+def test_check_hashes_the_algebra_once_and_writes_the_certificate_it_prints(
+        cyc3_spec, tmp_path, capsys, monkeypatch):
+    from grasym import decide_form_existence, specfile
+    a = parse_algebra_file(cyc3_spec)
+    want = canonical_json(specfile.certificate_to_dict(
+        a, decide_form_existence(a, "graded-symmetric"))) + "\n"
+    calls = []
+    real = specfile.algebra_hash
+
+    def counted(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(specfile, "algebra_hash", counted)
+    cert = tmp_path / "cert.json"
+    assert main(["check", cyc3_spec, "--cert", str(cert)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == want
+    assert cert.read_text() == want
+
+
+def test_a_replaced_algebra_hash_is_the_one_certificates_and_verify_use(
+        cyc3_spec, tmp_path, capsys, monkeypatch):
+    # perfbench traces the digest by replacing specfile.algebra_hash, so every
+    # caller must look it up there
+    from grasym import decide_form_existence, specfile
+    a = parse_algebra_file(cyc3_spec)
+    verdict = decide_form_existence(a, "graded-symmetric")
+    real_cert = tmp_path / "real.json"
+    assert main(["check", cyc3_spec, "--cert", str(real_cert)]) == 0
+    monkeypatch.setattr(specfile, "algebra_hash", lambda b: "0" * 64)
+    assert specfile.certificate_to_dict(a, verdict)["algebra_sha256"] == "0" * 64
+    capsys.readouterr()
+    assert main(["verify", cyc3_spec, str(real_cert)]) == 1
+    assert capsys.readouterr().err.startswith("hash mismatch")
+    fake_cert = tmp_path / "fake.json"
+    assert main(["check", cyc3_spec, "--cert", str(fake_cert)]) == 0
+    assert main(["verify", cyc3_spec, str(fake_cert)]) == 0
+
+
+def test_emit_stdout_is_the_spec_file(tmp_path, capsys):
+    args = ["emit", "--constructor", "quaternion_algebra", "--field", '{"char": 0}',
+            "--params", '{"a": "-1/2", "b": -3}']
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    path = tmp_path / "q.json"
+    assert main(args + ["-o", str(path)]) == 0
+    assert out.encode() == path.read_bytes()
+    assert out == canonical_json(algebra_to_dict(parse_algebra_file(str(path)))) + "\n"
+
+
 def test_replicate_single_pretty(capsys):
     assert main(["replicate", "--name", "matrix-commutator-dimension", "--pretty"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -38,6 +38,7 @@ from grasym.errors import GroupMismatch, ParseError, ValidationError
 from grasym.specfile import (
     algebra_from_dict,
     algebra_hash,
+    algebra_text,
     algebra_to_dict,
     canonical_json,
     field_from_dict,
@@ -137,6 +138,61 @@ def test_file_round_trip(tmp_path):
     write_algebra_file(a, str(path))
     b = parse_algebra_file(str(path))
     assert b == a
+
+
+def _labelled(a, labels):
+    """a with these labels, loaded from its spec dict as a file would be."""
+    spec = algebra_to_dict(a)
+    spec["algebra"]["labels"] = labels
+    return algebra_from_dict(json.loads(json.dumps(spec)))
+
+
+def _text_oracle_corpus():
+    """Algebras of every field kind, dense and sparse, with and without
+    labels, before and after basis changes."""
+    from grasym.errors import IncompatibleCocycleData
+    from grasym.replicate import HuntParams, hunt_candidates, hunt_char2_params
+
+    q, f2 = rationals(), make_field(2)
+    corpus = [a for _, a in dim4_f2_corpus()]
+    cells = {cell.name: cell for draw in workloads.POOL for cell in draw}
+    hunts = [hunt_char2_params(), HuntParams(3, (1, 3), (("cyclic", 3),))]
+    for params in hunts + [cell.params() for cell in cells.values()]:
+        for _, args in hunt_candidates(params):
+            try:
+                corpus.append(frobenius_crossed_product(*args))
+            except IncompatibleCocycleData:
+                pass
+    corpus += [asked.algebra for asked in workloads.question_setup(
+        workloads.DECIDE + workloads.REFUTE, workloads.DEFAULT_SEED)]
+    corpus += [cyclic_algebra(5), cyclic_algebra(7), scalar_extension(cyclic_algebra(3), 2)]
+    # negative and non-integral rationals, next to integral ones
+    quat = quaternion_algebra(q, q.scalar("-1/2"), q.scalar("-3/7"))
+    corpus += [quat, trivial_extension(quat),
+               tensor_product(quat, group_algebra(q, quat.group))]
+    # labels that need escaping, and labels that are not strings
+    corpus += [_labelled(group_algebra(f2, klein_group()),
+                         ['say "hi"', "back\\slash", "\u00e9\u2202\U0001f600", "\u0000\n"]),
+               _labelled(quat, [1, None, 2.5, [0, {"b": [True, False], "a": "x"}]]),
+               _labelled(scalar_extension(group_algebra(f2, cyclic_group(3)), 2),
+                         [{"\u00e9": "\"\\", "a": {}}, -7, []])]
+    return corpus
+
+
+def test_algebra_text_is_the_canonical_json_of_the_spec_dict(tmp_path):
+    # algebra_text writes the sc array itself; the spec dict through json is its oracle
+    corpus = _text_oracle_corpus()
+    assert len(corpus) == 20 + 245 + 46 + 3 + 3 + 3
+    kinds = set()
+    for a in corpus:
+        assert algebra_text(a) == canonical_json(algebra_to_dict(a))
+        kinds.add((a.field.char == 0, a.field.degree > 1, a.labels is not None))
+    assert kinds >= {(c, e, l) for c, e in ((True, False), (False, False), (False, True))
+                     for l in (False, True)}
+    path = tmp_path / "a.json"
+    for a in corpus[-3:] + [cyclic_algebra(5)]:
+        write_algebra_file(a, str(path))
+        assert path.read_bytes() == (algebra_text(a) + "\n").encode()
 
 
 def test_constructor_block_cyclic():
@@ -270,6 +326,7 @@ def test_rational_scalars_serialize():
 def test_certificate_round_trip(tmp_path):
     from grasym import decide_form_existence, verify_certificate
     from grasym.specfile import (
+        certificate_to_dict,
         functional_from_certificate,
         load_certificate_file,
         write_certificate_file,
@@ -277,7 +334,7 @@ def test_certificate_round_trip(tmp_path):
     a = cyclic_algebra(2)
     v = decide_form_existence(a, "graded-symmetric")
     path = tmp_path / "cert.json"
-    write_certificate_file(a, v, str(path))
+    write_certificate_file(certificate_to_dict(a, v), str(path))
     cert = load_certificate_file(str(path))
     assert cert["algebra_sha256"] == algebra_hash(a)
     lam = functional_from_certificate(a, cert)
