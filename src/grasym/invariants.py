@@ -521,26 +521,6 @@ def _identity_verdict(e_alg: GradedAlgebra) -> DivisionVerdict:
     return unknown
 
 
-def identity_component_verdict(a: GradedAlgebra, verdicts: dict) -> DivisionVerdict:
-    """Whether A_e is a division algebra, read from verdicts or decided there.
-
-    verdicts is a dict the caller owns that maps A_e, as its field and
-    stored form (field, table, unit), to A_e's verdict (_identity_verdict).
-    A_e is decided once per key and its verdict read back for every later
-    algebra with the same A_e, so a run over many algebras with one
-    coefficient field (hunt_counterexample) decides that field once; an
-    empty dict decides A_e afresh.  The verdict depends on the key alone.
-    A No witness is an element of the A_e first decided under its key:
-    its coordinate r is the coordinate a.component_indices(e)[r] of a.
-    """
-    e_alg = _identity_component_algebra(a)
-    key = (a.field, e_alg.table, e_alg.unit)
-    verdict = verdicts.get(key)
-    if verdict is None:
-        verdict = verdicts[key] = _identity_verdict(e_alg)
-    return verdict
-
-
 def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
     """Decide whether every nonzero homogeneous element is invertible.
 
@@ -551,13 +531,14 @@ def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
     is tested and recorded as the witness.  A No verdict carries a
     homogeneous witness of a whose left multiplication is singular.
 
-    A_e is decided afresh (identity_component_verdict with an empty dict).
-    Over a finite field, a commutative A_e is first given to its Frobenius
-    map Φ(x) = x^q, which decides it when A_e is local: the non-units are
-    then its radical J = ker Φ^K.  J = 0 makes A_e a field, a Yes with the
-    scan's certificate, q^n - 1 elements covered; otherwise the least vector
-    of J in scan order, its lowest-pivot RREF row, is the witness the scan
-    would return, and that No holds however large A_e is.  A field with
+    A_e is decided by _identity_verdict on A_e re-indexed as an algebra of
+    its own, and a No witness is lifted into a.  Over a finite field, a
+    commutative A_e is first given to its Frobenius map Φ(x) = x^q, which
+    decides it when A_e is local: the non-units are then its radical
+    J = ker Φ^K.  J = 0 makes A_e a field, a Yes with the scan's
+    certificate, q^n - 1 elements covered; otherwise the least vector of J
+    in scan order, its lowest-pivot RREF row, is the witness the scan would
+    return, and that No holds however large A_e is.  A field with
     more than SCAN_BOUND elements is Unknown.  What Φ does not decide is
     scanned up to index SCAN_BOUND, so every verdict is the scan's.  What
     reaches the scan is never division, a non-commutative A_e (Wedderburn)
@@ -567,10 +548,12 @@ def is_graded_division(a: GradedAlgebra) -> DivisionVerdict:
 
     Once A_e is division, a functional vanishing off A_e whose form is
     nondegenerate proves the same with no inverse per component: see
-    symmetry.graded_trace_witness, which the hunt uses that way.
+    symmetry.graded_trace_witness, which the hunt uses that way.  The hunt
+    decides each coefficient field here once, on the builder's D, the A_e of
+    every candidate over that field.
     """
     e = a.group.identity
-    id_verdict = identity_component_verdict(a, {})
+    id_verdict = _identity_verdict(_identity_component_algebra(a))
     if id_verdict.status != "yes":
         witness = id_verdict.witness
         if witness is not None and witness.owner is not a:

@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 
+from . import algebras
 from .algebras import (
     GradedAlgebra,
     cyclic_algebra,
@@ -43,12 +44,11 @@ from .errors import (
     RationalsNotSupported,
 )
 from .fields import canonical_extension_field, make_field, rationals
-from .groups import cyclic_group, group_from_kind, klein_group
+from .groups import _check_order, cyclic_group, group_from_kind, klein_group
 from .invariants import (
     center,
     commutator_subspace,
     graded_commutator_space,
-    identity_component_verdict,
     is_graded_division,
 )
 from .linalg import Subspace, eliminate_raw
@@ -281,6 +281,7 @@ class HuntParams:
 
 def default_hunt_params(characteristic: int, max_group: int = 8,
                         max_ext: int = 3) -> HuntParams:
+    _check_order(max_group)  # C_max_group is in the stream: refuse it before any kind
     kinds = [("cyclic", n) for n in range(2, max_group + 1)]
     kinds += [("product", tuple(f)) for f in _cyclic_factorizations(max_group)]
     kinds += [("dihedral", n) for n in range(3, max_group // 2 + 1)]
@@ -351,10 +352,12 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     """Search small crossed products for a graded division algebra that is not
     graded symmetric; expected (and so far observed) to come back empty.
 
-    Every candidate of a call has the coefficient field D = F_{p^m} of its
-    extension degree as its identity component A_e, so the call keeps one
-    dict of A_e verdicts (invariants.identity_component_verdict), made
-    afresh for the call: D is decided once per extension degree.
+    A candidate's identity component A_e is its coefficient field D =
+    F_{p^m}: the builder lays D out as block e, from the D that
+    algebras._frobenius_coefficients caches per field.  So the call decides
+    is_graded_division of that D on the first tested candidate of each
+    field, and every later candidate over the field reads the answer from a
+    dict made afresh for the call; no candidate's A_e is built.
 
     A candidate whose A_e is division is proved graded division by its
     certificate alone: the hunt builds symmetry.graded_trace_witness, the
@@ -406,7 +409,7 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     if skipped < start_index:
         raise ParseError(f"checkpoint resumes at candidate {start_index}, "
                          f"but the hunt has only {skipped}")
-    identity_verdicts = {}  # A_e -> its division verdict, for this call only
+    division_fields = {}  # ext -> whether D = ext is division, for this call only
     for index, args in candidates:
         report.candidates_enumerated += 1
         try:
@@ -415,7 +418,12 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
             report.incompatible_count += 1
         else:
             report.instances_tested += 1
-            if identity_component_verdict(a, identity_verdicts).is_yes:
+            ext = args[0]
+            if ext not in division_fields:
+                # looked up on algebras, as the builder does, so that both read one D
+                d = algebras._frobenius_coefficients(ext).d
+                division_fields[ext] = is_graded_division(d).is_yes
+            if division_fields[ext]:
                 check = verify_certificate(a, graded_trace_witness(a), "graded-symmetric")
                 if check.ok:
                     report.division_count += 1

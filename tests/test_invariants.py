@@ -885,33 +885,37 @@ def _shared_verdict_corpus():
 
 
 def test_shared_identity_verdicts_give_every_verdict_of_a_fresh_decision():
-    # the first pass fills the dict and the second reads every A_e from it;
-    # both must give A_e's verdict in a fresh decision, with a No witness
-    # whose coordinates are those of the fresh witness on A_e, even when an
-    # earlier algebra had the same A_e table.  The field is part of the key:
-    # F_2 and F_3 as A_e have the same stored form, ((0, 1),) and unit (1,),
-    # but scan sizes 1 and 2
-    from grasym.invariants import identity_component_verdict
+    # A_e decided as an algebra of its own gives A_e's verdict in a fresh
+    # decision of the whole algebra, with a No witness whose coordinates are
+    # those of the fresh witness on A_e.  The verdict depends on A_e's field,
+    # table and unit alone, even when an earlier algebra had the same A_e
+    # table under other labels or another grading; that is what lets the
+    # hunt decide one D per field for every candidate over it.  The field is
+    # part of it: F_2 and F_3 as A_e have the same stored form, ((0, 1),)
+    # and unit (1,), but scan sizes 1 and 2
+    from grasym.invariants import _identity_component_algebra, _identity_verdict
 
-    shared = {}
+    first = {}
     corpus = list(_shared_verdict_corpus())
-    for _ in range(2):
-        for name, a in corpus:
-            v, fresh = identity_component_verdict(a, shared), is_graded_division(a)
-            assert v.certificate == fresh.certificate["identity_component"], name
-            # a Yes for A_e leaves the other components to decide
-            assert v.status == fresh.status or (
-                v.is_yes and "component_without_invertible" in fresh.certificate), name
-            if v.is_yes:
-                continue
-            assert (v.witness is None) == (fresh.witness is None), name
-            if v.witness is not None:
-                assert fresh.witness.owner is a
-                indices = a.component_indices(a.group.identity)
-                assert v.witness.coords == tuple(fresh.witness.coords[i] for i in indices), name
+    for name, a in corpus:
+        e_alg = _identity_component_algebra(a)
+        v, fresh = _identity_verdict(e_alg), is_graded_division(a)
+        assert v.certificate == fresh.certificate["identity_component"], name
+        # a Yes for A_e leaves the other components to decide
+        assert v.status == fresh.status or (
+            v.is_yes and "component_without_invertible" in fresh.certificate), name
+        same = first.setdefault((a.field, e_alg.table, e_alg.unit), v)
+        assert (same.status, same.certificate) == (v.status, v.certificate), name
+        if v.is_yes:
+            continue
+        assert (v.witness is None) == (fresh.witness is None), name
+        if v.witness is not None:
+            assert fresh.witness.owner is a
+            assert same.witness.coords == v.witness.coords, name
+            indices = a.component_indices(a.group.identity)
+            assert v.witness.coords == tuple(fresh.witness.coords[i] for i in indices), name
     statuses = [is_graded_division(a).status for _, a in corpus]
-    assert (len(corpus), len(shared), statuses.count("yes"), statuses.count("no")) == (
-        90, 58, 46, 44)
+    assert (len(corpus), statuses.count("yes"), statuses.count("no")) == (90, 46, 44)
 
 
 # sha256 of the canonical division verdict (status, certificate, witness

@@ -272,6 +272,22 @@ def test_malformed_input_exits_3(case, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("max_group", ["65", "100000000"])
+def test_hunt_over_groups_beyond_the_order_cap_exits_3_before_listing_them(
+        max_group, capsys, monkeypatch):
+    # above groups.MAX_GROUP_ORDER the stream would reach a group it cannot
+    # build; 10^8 used to list 10^8 cyclic kinds and every factorisation
+    # first, and ran out of memory
+    from grasym import replicate
+
+    listed = []
+    monkeypatch.setattr(replicate, "_cyclic_factorizations", listed.append)
+    assert main(["hunt", "--char", "2", "--max-group", max_group, "--max-ext", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: InvalidTable: order {max_group} exceeds the cap 64\n"
+    assert listed == []
+
+
 @pytest.mark.parametrize("a", ["1e1000000", "0.5", " 3/4", "3/4 ", "+3", "3/-4",
                                0.1, True, None, [1]])
 def test_noncanonical_rational_exits_3(a, tmp_path, capsys):

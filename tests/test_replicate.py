@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,9 @@ from grasym.specfile import algebra_from_dict, canonical_json
 from grasym.symmetry import check_division_criterion
 
 from conftest import candidate_spec
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 # -- scalar extension ------------------------------------------------------------
@@ -375,12 +380,13 @@ def test_the_hunt_proof_of_graded_division_agrees_with_the_engine():
     # regular-trace witness; is_graded_division, which inverts one element
     # per component, stays the reference
     from grasym import graded_trace_witness, is_graded_division, verify_certificate
-    from grasym.invariants import identity_component_verdict
+    from grasym.invariants import _identity_component_algebra, _identity_verdict
     from test_invariants import _shared_verdict_corpus
 
     statuses = []
     for name, a in [*_shared_verdict_corpus(), *dim4_f2_corpus()]:
-        proof = (identity_component_verdict(a, {}).is_yes and verify_certificate(
+        e_alg = _identity_component_algebra(a)
+        proof = (_identity_verdict(e_alg).is_yes and verify_certificate(
             a, graded_trace_witness(a), "graded-symmetric").ok)
         verdict = is_graded_division(a)
         assert proof == verdict.is_yes, name
@@ -421,6 +427,86 @@ def test_a_hunt_scans_each_identity_component_once_per_call(monkeypatch):
     assert len(decisions) == 2
 
 
+def _tested_candidates(params):
+    """(index, ext, algebra) for each candidate of a hunt that the builder
+    accepts."""
+    from grasym.errors import IncompatibleCocycleData
+    for index, args in hunt_candidates(params):
+        try:
+            yield index, args[0], frobenius_crossed_product(*args)
+        except IncompatibleCocycleData:
+            pass
+
+
+def test_every_tested_candidate_has_the_builders_field_as_identity_component():
+    # the hunt decides the builder's D once per field in place of each
+    # candidate's A_e, and adds no check that they agree: this pins that
+    # they do, on the benchmark's fixed and pool cells and the default hunt
+    from grasym.algebras import _frobenius_coefficients
+    from grasym.invariants import _identity_component_algebra
+
+    pool = [cell for draw in workloads.POOL for cell in draw]
+    cells = {cell.name: cell for cell in [*workloads.FIXED_CELLS, *pool]}
+    params = [cell.params() for cell in cells.values()] + [default_hunt_params(2)]
+    tested = 0
+    for _, ext, a in (c for p in params for c in _tested_candidates(p)):
+        e_alg, d = _identity_component_algebra(a), _frobenius_coefficients(ext).d
+        assert (e_alg.field, e_alg.table, e_alg.unit) == (d.field, d.table, d.unit)
+        tested += 1
+    assert (len(cells), tested) == (12, 320)
+
+
+def _char2_hunt_fields():
+    """The builder's D of each field of hunt_char2_params: F_2, then F_4."""
+    from grasym.algebras import _frobenius_coefficients
+    return [_frobenius_coefficients(canonical_extension_field(2, m)).d for m in (1, 2)]
+
+
+def test_the_hunt_builds_no_candidates_identity_component(monkeypatch):
+    # the only A_e the pinned hunt re-indexes are its two fields' D, inside
+    # their is_graded_division decisions: none is a candidate's
+    from grasym import invariants
+    built = _count_calls(monkeypatch, invariants, "_identity_component_algebra")
+    report = hunt_counterexample(hunt_char2_params())
+    assert report.instances_tested == 13
+    assert len(built) == 2 and all(x is d for x, d in zip(built, _char2_hunt_fields()))
+
+
+def test_every_resume_decides_each_field_it_reaches_once(tmp_path, monkeypatch):
+    # the per-call field verdicts start empty on a resume: from every
+    # checkpoint the hunt writes, across the F_2 -> F_4 boundary at index 3
+    # too, the report equals the uninterrupted one and each field with a
+    # tested candidate at or after the resume index is decided once
+    from grasym import invariants, replicate
+    p = hunt_char2_params()
+    full = hunt_counterexample(p).to_dict()
+    ck = tmp_path / "hunt.ckpt"
+    written, replace = [], replicate.os.replace
+
+    def kept(src, dst):
+        replace(src, dst)
+        written.append(ck.read_bytes())
+    monkeypatch.setattr(replicate, "CHECKPOINT_EVERY", 1)
+    monkeypatch.setattr(replicate.os, "replace", kept)
+    hunt_counterexample(p, checkpoint_path=str(ck))
+    monkeypatch.undo()
+    tested = {index: ext for index, ext, _ in _tested_candidates(p)}
+    decisions = _count_calls(monkeypatch, invariants, "_identity_verdict")
+    starts, counts = [], []
+    for saved in written:
+        ck.write_bytes(saved)
+        start = json.loads(saved)["next_index"]
+        decisions.clear()
+        assert hunt_counterexample(p, resume=str(ck)).to_dict() == full, start
+        reached = {ext for index, ext in tested.items() if index >= start}
+        assert len(decisions) == len(reached), start
+        starts.append(start)
+        counts.append(len(decisions))
+    # one checkpoint per candidate, and the final one again
+    assert starts == [*range(1, 58), 57]
+    assert counts[:4] == [2, 2, 1, 1] and counts[-2:] == [0, 0]
+
+
 def test_the_frobenius_builder_makes_no_generic_table(monkeypatch):
     # the hunt's builder puts its tables together from the per-field
     # products; the generic crossed_product path still builds its own
@@ -451,7 +537,9 @@ def test_a_failed_witness_over_a_division_identity_component_falls_back_to_the_e
         monkeypatch):
     # F_2 + F_2 v with v^2 = 0 and v of degree g in C_2: A_e = F_2 is
     # division, but the witness has Gram rank 1 of 2 and v is no unit, so
-    # is_graded_division says No and the candidate is tested, not division
+    # is_graded_division says No and the candidate is tested, not division.
+    # The hunt decides its two fields, F_2 and F_4, once each, on the D of
+    # the builder
     from grasym import GradedAlgebra, make_field, replicate, symmetry
     f2 = make_field(2)
     one = f2.one()
@@ -464,7 +552,9 @@ def test_a_failed_witness_over_a_division_identity_component_falls_back_to_the_e
     report = hunt_counterexample(hunt_char2_params())
     assert (report.candidates_enumerated, report.instances_tested,
             report.incompatible_count, report.division_count) == (57, 57, 0, 0)
-    assert len(decided) == 57 and checked == []
+    on_d = [x for x in decided if x is not a]
+    assert len(on_d) == 2 and all(x is d for x, d in zip(on_d, _char2_hunt_fields()))
+    assert sum(1 for x in decided if x is a) == 57 and checked == []
 
 
 def test_hunt_cross_check_catches_a_disagreeing_criterion(monkeypatch):
