@@ -866,18 +866,26 @@ def _crossed_product_table(raw: _RawCoefficients, G: GroupTable, alpha: dict) ->
 
 
 def _crossed_product_algebra(d: GradedAlgebra, G: GroupTable, table) -> GradedAlgebra:
-    """The crossed product over D with this table in the stored form: block
-    g of dim(D) basis vectors has degree g, the unit is D's in block e, and
-    the labels are D's, tagged with the group element outside block e."""
+    """The crossed product over D with this table in the stored form, laid
+    out by _crossed_product_layout."""
+    degree, unit, labels = _crossed_product_layout(d, G)
+    return GradedAlgebra._from_raw(d.field, G, degree, table, unit, labels=labels)
+
+
+def _crossed_product_layout(d: GradedAlgebra, G: GroupTable) -> tuple:
+    """The degrees, the raw unit and the labels of a crossed product over D:
+    block g of dim(D) basis vectors has degree g, the unit is D's in block
+    e, and the labels are D's, tagged with the group element outside block
+    e."""
     dd = d.dim
-    degree = [g for g in range(G.order) for _ in range(dd)]
+    degree = tuple([g for g in range(G.order) for _ in range(dd)])
     unit = [d.field.ops.zero] * (dd * G.order)
     unit[G.identity * dd:(G.identity + 1) * dd] = d.unit
     labels = None
     if d.labels is not None:
-        labels = [f"{d.label(i)}*{G.label(g)}" if g != G.identity else d.label(i)
-                  for g in range(G.order) for i in range(dd)]
-    return GradedAlgebra._from_raw(d.field, G, degree, table, unit, labels=labels)
+        labels = tuple([f"{d.label(i)}*{G.label(g)}" if g != G.identity else d.label(i)
+                        for g in range(G.order) for i in range(dd)])
+    return degree, tuple(unit), labels
 
 
 def crossed_product(spec: CrossedProductSpec) -> GradedAlgebra:
@@ -994,25 +1002,28 @@ def _frobenius_coefficients(ext: Field) -> _FrobeniusField:
     return _FrobeniusField(d, matrices, rows, tuple(coordinates), products)
 
 
-def _frobenius_data(ext: Field, group: GroupTable, sigma_powers, alpha_unit) -> tuple:
-    """The checked arguments of a Frobenius crossed product: the
-    _FrobeniusField of ext, the exponent k_g in [0, dim D) of each group
-    element in index order (k_e = 0), so that sigma(g) = Frob^(k_g), and the
-    twist u as the dim D raw values of its coordinates over F_p (each int
-    coordinate reduced mod p, any other through Field.scalar)."""
-    fd = _frobenius_coefficients(ext)
-    d = fd.d
+def _frobenius_powers(fd: _FrobeniusField, group: GroupTable, sigma_powers) -> list:
+    """The exponent k_g in [0, dim D) of each group element in index order
+    (k_e = 0), so that sigma(g) = Frob^(k_g), from the given powers of the
+    non-identity elements."""
     sigma_powers = list(sigma_powers)
     if len(sigma_powers) != group.order - 1:
         raise ValueError("need one Frobenius power per non-identity element")
-    powers = [0] + [power % d.dim for power in sigma_powers]
+    return [0] + [power % fd.d.dim for power in sigma_powers]
+
+
+def _frobenius_twist(fd: _FrobeniusField, alpha_unit) -> tuple:
+    """The twist u as the dim D raw values of its coordinates over F_p (each
+    int coordinate reduced mod p, any other through Field.scalar); D's unit
+    when alpha_unit is None."""
+    d = fd.d
     if alpha_unit is None:
-        return fd, powers, d.unit
+        return d.unit
     ops, p = d.field.ops, d.field.char
     u = tuple([c % p if type(c) is int else d.field.scalar(c).val for c in alpha_unit])
     if len(u) > d.dim:
         raise ValueError(f"alpha_unit has more than {d.dim} coefficients")
-    return fd, powers, u + (ops.zero,) * (d.dim - len(u))
+    return u + (ops.zero,) * (d.dim - len(u))
 
 
 def _frobenius_alpha(group: GroupTable, one, u) -> dict:
@@ -1034,7 +1045,9 @@ def frobenius_crossed_spec(ext: Field, group: GroupTable, sigma_powers,
     crossed_product, from the crossed-product laws in D; the builder
     frobenius_crossed_product decides it on exponents instead.
     """
-    fd, powers, u = _frobenius_data(ext, group, sigma_powers, alpha_unit)
+    fd = _frobenius_coefficients(ext)
+    powers = _frobenius_powers(fd, group, sigma_powers)
+    u = _frobenius_twist(fd, alpha_unit)
     wrap = fd.d.field.ops.wrap
     return CrossedProductSpec(coeff=fd.d, group=group,
                               sigma={g: fd.matrices[k] for g, k in enumerate(powers)},
@@ -1045,7 +1058,9 @@ def frobenius_crossed_product(ext: Field, group: GroupTable, sigma_powers,
                               alpha_unit=None) -> GradedAlgebra:
     """crossed_product(frobenius_crossed_spec(ext, group, sigma_powers,
     alpha_unit)), with the crossed-product laws decided as congruences on the
-    Frobenius exponents, so that incompatible data builds nothing in D.
+    Frobenius exponents, so that incompatible data builds nothing in D: the
+    product of FrobeniusCrossedProducts(ext, group, sigma_powers) at the
+    twist alpha_unit.
 
     The product, and the exception class and message of incompatible data,
     are those of crossed_product.  Write q = p^m for the size of ext, x for
@@ -1068,7 +1083,8 @@ def frobenius_crossed_product(ext: Field, group: GroupTable, sigma_powers,
         generates D, so Frob^a(x) = Frob^b(x) exactly when Frob^(a-b) fixes
         D, that is when a = b (mod m).  So (C) holds at (g, h) exactly when
         k_g + k_h = k_gh (mod m), and where it fails it fails first at
-        D-basis vector 1.  k_e = 0 is used where gh = e.
+        D-basis vector 1.  k_e = 0 is used where gh = e.  It depends on
+        the exponents alone, not on u.
     (Z) For g, h, k non-identity, alpha(g,h) = alpha(h,k) = u and
         alpha(gh,k), alpha(g,hk) are u or 1 as gh, hk are non-identity or
         not, so the law is u^(1 + [gh != e]) = u^(p^(k_g)) u^[hk != e].
@@ -1080,63 +1096,180 @@ def frobenius_crossed_product(ext: Field, group: GroupTable, sigma_powers,
 
     The table of data that passes is put together from the per-field blocks
     P_k of _FrobeniusField: (x^i u_g)(x^j u_h) is P_(k_g)[i][j] u_gh when g
-    or h is e, and P_(k_g)[i][j] u u_gh otherwise.  The twisted blocks
-    P_k u are formed once for each distinct exponent k, by the matrix of
-    y -> u y over F_p, and each entry is the block's pairs with the offset
-    (gh) dim D added to every index.  Everything runs on raw values: with
-    alpha_unit None or given as ints or Scalars, no Scalar is made.
+    or h is e, and P_(k_g)[i][j] u u_gh otherwise, each entry the block's
+    pairs with the offset (gh) dim D added to every index.  The twisted
+    blocks P_k u are formed once for each distinct exponent k, by the matrix
+    of y -> u y over F_p; the rest of the table depends on the exponents
+    alone, so FrobeniusCrossedProducts builds it once for all twists.
+    Everything runs on raw values: with alpha_unit None or given as ints or
+    Scalars, no Scalar is made.
     """
-    fd, powers, u = _frobenius_data(ext, group, sigma_powers, alpha_unit)
-    _require_crossed_dim(fd.d, group)
-    _check_frobenius_laws(ext, fd, group, powers, u)
-    d, m = fd.d, fd.d.dim
-    forms, forms_at = _left_rows(d, u), d.field.ops.forms_at
-    twisted = {k: [[_coordinate_pairs(forms_at(forms, v)) for v in row]
-                   for row in fd.coordinates[k]] for k in set(powers[1:])}
-    table = []
-    for g, k in enumerate(powers):
-        blocks = [(gh * m, twisted[k] if g and h else fd.products[k])
-                  for h, gh in enumerate(group.table[g])]
-        for i in range(m):
-            table.append([tuple([(offset + t, c) for t, c in block[i][j]])
-                          for offset, block in blocks for j in range(m)])
-    return _crossed_product_algebra(d, group, table)
+    return FrobeniusCrossedProducts(ext, group, sigma_powers).product(alpha_unit)
 
 
-def _check_frobenius_laws(ext: Field, fd: _FrobeniusField, group: GroupTable, powers, u):
-    """Raise the error of _check_crossed_laws, or of _normalized_alpha, for
-    Frobenius data with the raw coordinates u of the twist; see
-    frobenius_crossed_product for the derivation.  Frob^k(u) is read off the
-    rows of the matrix of Frob^k, and u^2 and Frob^k(u) u are formed only
-    when a comparison of (Z) needs them."""
-    e, m, ops, table = group.identity, ext.degree, ext.ops, group.table
-    forms_at = fd.d.field.ops.forms_at
-    rest = range(1, group.order)
-    x = ops.from_coefficients(u)
-    if rest and ops.is_zero(x):
-        raise NonInvertibleAlpha("alpha(1,1) is not invertible in D")
+class FrobeniusCrossedProducts:
+    """The Frobenius crossed products of one action sigma(g) = Frob^(k_g) of
+    a group on a finite field: product(u) is frobenius_crossed_product(ext,
+    group, sigma_powers, u) for each twist u, with the work that depends on
+    the exponents alone done once.
+
+    Made from (ext, group, sigma_powers), it decides the exponents, the
+    dimension bound and the conjugation law (C) once, and lists the
+    comparisons of the cocycle law (Z) that the exponents call for.  Each
+    twist then parses u and decides (Z) on those comparisons; see
+    frobenius_crossed_product for the laws.  product raises the error of the
+    first failure; product_if_compatible returns None where the laws refuse
+    u, and builds and formats nothing for it.
+
+    The part of the table that no twist enters (the rows of block e, and
+    the products against e in every other row), the degrees, the unit and
+    the labels are built at the first accepted twist and kept, so an action
+    that no twist passes builds none of them.  Each accepted twist forms
+    only its blocks P_k u, once for each distinct exponent k, splices them
+    into the kept rows and goes through GradedAlgebra._from_raw, whose
+    shape checks stay.  The hunt keeps one of these per action, as its
+    candidate stream runs through the twists of one action at a time.
+    """
+
+    __slots__ = ("fd", "group", "powers", "_ops", "_too_large", "_conjugation",
+                 "_cocycle", "_untwisted")
+
+    def __init__(self, ext: Field, group: GroupTable, sigma_powers):
+        self.fd = fd = _frobenius_coefficients(ext)
+        self.group = group
+        self.powers = powers = _frobenius_powers(fd, group, sigma_powers)
+        self._ops = ext.ops
+        self._too_large = fd.d.dim * group.order > MAX_ALGEBRA_DIM
+        self._conjugation = self._cocycle = self._untwisted = None
+        if not self._too_large:
+            self._conjugation = _conjugation_failure(group, powers, fd.d.dim)
+            if self._conjugation is None:
+                self._cocycle = _cocycle_comparisons(group, powers)
+
+    def product(self, alpha_unit=None) -> GradedAlgebra:
+        """The crossed product twisted by alpha_unit; incompatible data
+        raises IncompatibleCocycleData naming the first law that fails."""
+        u, x = self._twist(alpha_unit)
+        where = self._conjugation or self._cocycle_failure(u, x)
+        if where is not None:
+            raise IncompatibleCocycleData(_law_failure(where))
+        return self._product(u)
+
+    def product_if_compatible(self, alpha_unit) -> GradedAlgebra | None:
+        """product(alpha_unit), or None where it would raise
+        IncompatibleCocycleData; every other error is raised as there."""
+        u, x = self._twist(alpha_unit)
+        if self._conjugation or self._cocycle_failure(u, x) is not None:
+            return None
+        return self._product(u)
+
+    def _twist(self, alpha_unit) -> tuple:
+        """The raw coordinates of the twist and its value in ext, once the
+        dimension bound holds and the twist is invertible, the checks that
+        precede the laws."""
+        u = _frobenius_twist(self.fd, alpha_unit)
+        if self._too_large:
+            _require_crossed_dim(self.fd.d, self.group)
+        x = self._ops.from_coefficients(u)
+        if self.group.order > 1 and self._ops.is_zero(x):
+            raise NonInvertibleAlpha("alpha(1,1) is not invertible in D")
+        return u, x
+
+    def _cocycle_failure(self, u, x) -> tuple | None:
+        """The first (g, h, k) where (Z) fails for the twist u, with value x
+        in ext, or None.  Frob^k(u) is read off the rows of the matrix of
+        Frob^k, and u^2 and Frob^k(u) u are formed only when a comparison
+        needs them."""
+        ops, forms_at, rows = self._ops, self.fd.d.field.ops.forms_at, self.fd.rows
+        left = [x, None]  # u^(1 + twice)
+        rights = {}  # exponent k -> [u^(p^k), u^(p^k) u], by once_more
+        for (twice, k, once_more), where in self._cocycle:
+            if left[twice] is None:
+                left[1] = ops.mul(x, x)
+            right = rights.get(k)
+            if right is None:
+                right = rights[k] = [ops.from_coefficients(forms_at(rows[k], u)), None]
+            if right[once_more] is None:
+                right[1] = ops.mul(right[0], x)
+            if left[twice] != right[once_more]:
+                return where
+        return None
+
+    def _product(self, u) -> GradedAlgebra:
+        """The product of the accepted twist u: the kept untwisted part,
+        with the twisted blocks spliced into every row of a non-identity
+        block (the identity is index 0).  An entry at offset 0 is the
+        block's own tuple, which is immutable."""
+        if self._untwisted is None:
+            self._untwisted = self._untwisted_part()
+        heads, degree, unit, labels = self._untwisted
+        fd, group, powers = self.fd, self.group, self.powers
+        d, m = fd.d, fd.d.dim
+        forms, forms_at = _left_rows(d, u), d.field.ops.forms_at
+        twisted = {}  # exponent k -> the block P_k u in the stored form
+        table = heads[:m]
+        for g in range(1, group.order):
+            block = twisted.get(powers[g])
+            if block is None:
+                block = twisted[powers[g]] = [[_coordinate_pairs(forms_at(forms, v)) for v in row]
+                                              for row in fd.coordinates[powers[g]]]
+            offsets = [gh * m for gh in group.table[g][1:]]
+            for head, row in zip(heads[g * m:(g + 1) * m], block):
+                table.append(head + tuple([
+                    tuple([(offset + t, c) for t, c in row[j]]) if offset else row[j]
+                    for offset in offsets for j in range(m)]))
+        return GradedAlgebra._from_raw(d.field, group, degree, table, unit, labels)
+
+    def _untwisted_part(self) -> tuple:
+        """What every accepted twist shares: the rows of block e whole and,
+        for each other row, its products against block e, in the stored
+        form; then the degrees, unit and labels of the layout."""
+        fd, group = self.fd, self.group
+        m = fd.d.dim
+        heads = []
+        for g, k in enumerate(self.powers):
+            offsets = [gh * m for gh in group.table[g]] if g == 0 else [g * m]
+            block = fd.products[k]
+            for i in range(m):
+                heads.append(tuple([
+                    tuple([(offset + t, c) for t, c in block[i][j]]) if offset else block[i][j]
+                    for offset in offsets for j in range(m)]))
+        return (heads, *_crossed_product_layout(fd.d, group))
+
+
+def _conjugation_failure(group: GroupTable, powers, m: int) -> tuple | None:
+    """The first (g, h) of non-identity elements with k_g + k_h != k_gh
+    (mod m), where (C) fails, or None."""
+    table, rest = group.table, range(1, group.order)
     for g in rest:
         for h in rest:
             if (powers[g] + powers[h] - powers[table[g][h]]) % m:
-                raise IncompatibleCocycleData(
-                    f"{_CONJUGATION_LAW} fails at g={g}, h={h}, D-basis vector 1")
-    left = [x, None]  # u^(1 + [gh != e]), by [gh != e]
-    rights = {}  # exponent k -> [u^(p^k), u^(p^k) u], by [hk != e]
+                return g, h
+    return None
+
+
+def _cocycle_comparisons(group: GroupTable, powers) -> list:
+    """The comparisons u^(1 + twice) = Frob^k(u) u^once_more that (Z) makes,
+    each once, as ((twice, k, once_more), (g, h, k')) with the first
+    (g, h, k') of the loop over non-identity triples that makes it, in the
+    order of those triples.  So the first comparison that fails for a twist
+    names the first triple where (Z) fails."""
+    e, table, rest = group.identity, group.table, range(1, group.order)
+    first = {}
     for g in rest:
-        right = rights.get(powers[g])
-        if right is None:
-            image = ops.from_coefficients(forms_at(fd.rows[powers[g]], u))
-            right = rights[powers[g]] = [image, None]
         for h in rest:
             twice = table[g][h] != e
-            if left[twice] is None:
-                left[1] = ops.mul(x, x)
             for k in rest:
-                once_more = table[h][k] != e
-                if right[once_more] is None:
-                    right[1] = ops.mul(right[0], x)
-                if left[twice] != right[once_more]:
-                    raise IncompatibleCocycleData(f"{_COCYCLE_LAW} fails at g={g}, h={h}, k={k}")
+                first.setdefault((twice, powers[g], table[h][k] != e), (g, h, k))
+    return list(first.items())
+
+
+def _law_failure(where: tuple) -> str:
+    """The message of the first failure: (C) at a pair (g, h), or (Z) at a
+    triple (g, h, k)."""
+    if len(where) == 2:
+        return f"{_CONJUGATION_LAW} fails at g={where[0]}, h={where[1]}, D-basis vector 1"
+    return f"{_COCYCLE_LAW} fails at g={where[0]}, h={where[1]}, k={where[2]}"
 
 
 def _cyclic_algebra_data(p: int) -> tuple:

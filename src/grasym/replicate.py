@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import algebras
 from .algebras import (
+    FrobeniusCrossedProducts,
     GradedAlgebra,
     cyclic_algebra,
     direct_product,
@@ -38,14 +39,15 @@ from .algebras import (
 )
 from .errors import (
     EmptySearch,
-    IncompatibleCocycleData,
     NotDivision,
     ParseError,
     RationalsNotSupported,
+    SearchSpaceTooLarge,
 )
 from .fields import canonical_extension_field, make_field, rationals
 from .groups import _check_order, cyclic_group, group_from_kind, klein_group
 from .invariants import (
+    SCAN_BOUND,
     center,
     commutator_subspace,
     graded_commutator_space,
@@ -266,6 +268,7 @@ class HuntParams:
             raise RationalsNotSupported("a hunt enumerates finite fields F_{p^m}")
         if not self.extension_degrees or not self.group_kinds:
             raise EmptySearch("a hunt needs at least one extension degree and one group")
+        _check_field_sizes(self.characteristic, max(self.extension_degrees))
 
     def to_dict(self) -> dict:
         return {
@@ -279,9 +282,24 @@ class HuntParams:
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
 
 
+def _check_field_sizes(p: int, max_degree: int):
+    """Refuse a hunt whose largest field F_{p^max_degree} has more than
+    SCAN_BOUND elements: is_graded_division of its D would be unknown, and
+    the hunt would count its candidates as tested but not division.  The
+    power is built one factor at a time, so a huge degree stops at the
+    bound."""
+    size = 1
+    for _ in range(max_degree if p >= 2 else 0):
+        size *= p
+        if size > SCAN_BOUND:
+            raise SearchSpaceTooLarge(f"F_{{{p}^{max_degree}}} has more than {SCAN_BOUND} "
+                                      f"elements, beyond the division scan")
+
+
 def default_hunt_params(characteristic: int, max_group: int = 8,
                         max_ext: int = 3) -> HuntParams:
     _check_order(max_group)  # C_max_group is in the stream: refuse it before any kind
+    _check_field_sizes(characteristic, max_ext)  # and F_{p^max_ext} before any degree
     kinds = [("cyclic", n) for n in range(2, max_group + 1)]
     kinds += [("product", tuple(f)) for f in _cyclic_factorizations(max_group)]
     kinds += [("dihedral", n) for n in range(3, max_group // 2 + 1)]
@@ -308,9 +326,11 @@ def hunt_candidates(params: HuntParams):
 
     A candidate is a coefficient field F_{p^m}, a group, one Frobenius power
     per non-identity element, and a single unit u twisting alpha(g,h) = u for
-    g,h both non-identity, as its coefficient tuple over F_p.  Non-cocycle
-    data is not filtered here: the builder raises IncompatibleCocycleData for
-    it before any table is built.
+    g,h both non-identity, as its coefficient tuple over F_p.  The stream
+    runs through every unit of one action (field, group, powers) before the
+    next action, which hunt_counterexample relies on to keep one
+    algebras.FrobeniusCrossedProducts at a time.  Non-cocycle data is not
+    filtered here: the builder refuses it before any table is built.
     """
     p = params.characteristic
     index = 0
@@ -377,14 +397,20 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
     Whether a finding can exist over other fields is the open note of
     symmetry.graded_division_criterion.
 
+    Each candidate is built by the algebras.FrobeniusCrossedProducts of its
+    action, made at the first candidate of the action and kept until the
+    stream moves on: the exponents and the conjugation law are decided once
+    per action, its untwisted rows built once at its first accepted twist,
+    and each candidate adds only its cocycle law and twisted blocks.
     Candidates whose data fails the crossed-product laws, so that
-    frobenius_crossed_product refuses them, are counted separately, never
-    treated as errors.  With checkpoint_path set, progress is written every
-    CHECKPOINT_EVERY candidates to a sibling temp file that then replaces the
-    checkpoint, so a hunt killed mid-write leaves the previous checkpoint
-    whole.  resume re-verifies the parameter hash and the consistency of the
-    counters; a checkpoint past the end of the candidate stream, or with any
-    finding (this hunt never records one), raises ParseError.
+    frobenius_crossed_product would refuse them, are counted separately,
+    never treated as errors, and nothing is raised or formatted for them.
+    With checkpoint_path set, progress is written every CHECKPOINT_EVERY
+    candidates to a sibling temp file that then replaces the checkpoint, so
+    a hunt killed mid-write leaves the previous checkpoint whole.  resume
+    re-verifies the parameter hash and the consistency of the counters; a
+    checkpoint past the end of the candidate stream, or with any finding
+    (this hunt never records one), raises ParseError.
     """
     report = HuntReport(parameters=params.to_dict())
     start_index = 0
@@ -410,15 +436,17 @@ def hunt_counterexample(params: HuntParams, checkpoint_path: str | None = None,
         raise ParseError(f"checkpoint resumes at candidate {start_index}, "
                          f"but the hunt has only {skipped}")
     division_fields = {}  # ext -> whether D = ext is division, for this call only
-    for index, args in candidates:
+    sigma = products = None  # the current action (ext, group, sigma_powers) and its builder
+    for index, (ext, group, sigma_powers, unit) in candidates:
         report.candidates_enumerated += 1
-        try:
-            a = frobenius_crossed_product(*args)
-        except IncompatibleCocycleData:
+        if (ext, group, sigma_powers) != sigma:
+            sigma = (ext, group, sigma_powers)
+            products = FrobeniusCrossedProducts(*sigma)
+        a = products.product_if_compatible(unit)
+        if a is None:
             report.incompatible_count += 1
         else:
             report.instances_tested += 1
-            ext = args[0]
             if ext not in division_fields:
                 # looked up on algebras, as the builder does, so that both read one D
                 d = algebras._frobenius_coefficients(ext).d

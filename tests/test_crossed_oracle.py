@@ -5,7 +5,9 @@ normalized alpha and the same table.  normalize_section, which computes its
 coboundary on raw values, against the same computation on Elements and
 Matrices.  Then algebras.frobenius_crossed_product,
 which decides the laws on Frobenius exponents, against
-crossed_product(frobenius_crossed_spec(...)), which decides them in D."""
+crossed_product(frobenius_crossed_spec(...)), which decides them in D, and
+algebras.FrobeniusCrossedProducts, which does the work of one action once
+for all its twists, against the per-candidate builder it replaced."""
 
 import sys
 from pathlib import Path
@@ -275,6 +277,151 @@ def test_cyclic_algebra_is_the_product_of_its_spec(p):
     a = algebras.cyclic_algebra(p)
     b = algebras.crossed_product(cyclic_algebra_spec(p))
     assert a == b
+
+
+# -- the per-action builder against the per-candidate builder it replaced ---------------
+
+def per_candidate_frobenius_crossed_product(ext, group, sigma_powers, alpha_unit=None):
+    """frobenius_crossed_product as it ran before algebras.FrobeniusCrossedProducts,
+    one candidate at a time: the arguments read, every check made and the
+    whole table put together on each call.  The oracle of the per-action
+    builder."""
+    fd = algebras._frobenius_coefficients(ext)
+    d = fd.d
+    sigma_powers = list(sigma_powers)
+    if len(sigma_powers) != group.order - 1:
+        raise ValueError("need one Frobenius power per non-identity element")
+    powers = [0] + [power % d.dim for power in sigma_powers]
+    u = d.unit
+    if alpha_unit is not None:
+        p = d.field.char
+        u = tuple([c % p if type(c) is int else d.field.scalar(c).val for c in alpha_unit])
+        if len(u) > d.dim:
+            raise ValueError(f"alpha_unit has more than {d.dim} coefficients")
+        u += (d.field.ops.zero,) * (d.dim - len(u))
+    algebras._require_crossed_dim(d, group)
+    _per_candidate_laws(ext, fd, group, powers, u)
+    m = d.dim
+    forms, forms_at = algebras._left_rows(d, u), d.field.ops.forms_at
+    twisted = {k: [[algebras._coordinate_pairs(forms_at(forms, v)) for v in row]
+                   for row in fd.coordinates[k]] for k in set(powers[1:])}
+    table = []
+    for g, k in enumerate(powers):
+        blocks = [(gh * m, twisted[k] if g and h else fd.products[k])
+                  for h, gh in enumerate(group.table[g])]
+        for i in range(m):
+            table.append([tuple([(offset + t, c) for t, c in block[i][j]])
+                          for offset, block in blocks for j in range(m)])
+    return algebras._crossed_product_algebra(d, group, table)
+
+
+def _per_candidate_laws(ext, fd, group, powers, u):
+    """The laws of one candidate, in the order and words of
+    algebras._check_crossed_laws: the twist invertible, then (C) at every
+    pair, then (Z) at every triple."""
+    e, m, ops, table = group.identity, ext.degree, ext.ops, group.table
+    rest = range(1, group.order)
+    x = ops.from_coefficients(u)
+    if rest and ops.is_zero(x):
+        raise NonInvertibleAlpha("alpha(1,1) is not invertible in D")
+    for g in rest:
+        for h in rest:
+            if (powers[g] + powers[h] - powers[table[g][h]]) % m:
+                raise IncompatibleCocycleData(
+                    f"{algebras._CONJUGATION_LAW} fails at g={g}, h={h}, D-basis vector 1")
+    for g in rest:
+        image = ops.from_coefficients(fd.d.field.ops.forms_at(fd.rows[powers[g]], u))
+        for h in rest:
+            left = ops.mul(x, x) if table[g][h] != e else x
+            for k in rest:
+                right = ops.mul(image, x) if table[h][k] != e else image
+                if left != right:
+                    raise IncompatibleCocycleData(
+                        f"{algebras._COCYCLE_LAW} fails at g={g}, h={h}, k={k}")
+
+
+def _agrees_with_the_reference(build, args) -> bool:
+    """Whether build(*args) accepts, after checking that it raises the
+    exception class and message of per_candidate_frobenius_crossed_product,
+    or gives an equal algebra: the same table, degrees, unit and labels."""
+    errors = (GrasymError, ValueError, TypeError)
+    try:
+        want = per_candidate_frobenius_crossed_product(*args)
+    except errors as exc:
+        with pytest.raises(errors) as raised:
+            build(*args)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc)), args
+        return False
+    got = build(*args)
+    assert got == want, args
+    assert (got.table, got.degree, got.unit, got.labels) == (
+        want.table, want.degree, want.unit, want.labels)
+    return True
+
+
+def _per_action_counts(params: HuntParams) -> tuple:
+    """(candidates, accepted) of a hunt, with every candidate built as the
+    hunt builds it, by one FrobeniusCrossedProducts kept across the twists
+    of its action (product_if_compatible, then product on the same object),
+    and by frobenius_crossed_product, each checked against the reference."""
+    sigma = products = None
+    count = accepted = 0
+    for _, (ext, group, powers, unit) in hunt_candidates(params):
+        if (ext, group, powers) != sigma:
+            sigma = (ext, group, powers)
+            products = algebras.FrobeniusCrossedProducts(*sigma)
+        args = (ext, group, powers, unit)
+        got = products.product_if_compatible(unit)
+        ok = _agrees_with_the_reference(lambda *a: products.product(a[3]), args)
+        assert _agrees_with_the_reference(algebras.frobenius_crossed_product, args) == ok
+        if ok:
+            assert got == per_candidate_frobenius_crossed_product(*args)
+        else:
+            assert got is None
+        count += 1
+        accepted += ok
+    return count, accepted
+
+
+def test_per_action_builder_agrees_on_every_benchmark_cell():
+    pool = [cell for draw in workloads.POOL for cell in draw]
+    cells = {cell.name: cell for cell in [*workloads.FIXED_CELLS, *pool]}
+    assert len(cells) == 12
+    for cell in cells.values():
+        assert _per_action_counts(cell.params()) == (cell.enumerated, cell.tested), cell.name
+
+
+@pytest.mark.parametrize("params, counts", [
+    (default_hunt_params(2), (74614, 75)),
+    (HuntParams(3, (1, 3), (("cyclic", 3),)), (236, 4)),
+], ids=["default-char2", "char3-C3"])
+def test_per_action_builder_agrees_on_the_pinned_hunts(params, counts):
+    assert _per_action_counts(params) == counts
+
+
+def test_per_action_builder_keeps_the_order_of_the_checks():
+    # one object per action answers twists that fail at every stage, in any
+    # order, as the reference does: the twist is read first, then the
+    # dimension bound, then invertibility, then (C) and (Z)
+    from grasym import canonical_extension_field, cyclic_group
+
+    f4, f8 = canonical_extension_field(2, 2), canonical_extension_field(2, 3)
+    actions = [
+        # 66-dimensional, and (C) fails
+        ((f8, cyclic_group(22), (1,) * 21), [[0, 0, 0], [0, 0, 0, 0], [1], None]),
+        # (C) fails at (1, 1)
+        ((f8, cyclic_group(2), (1,)), [[0, 1], [0, 0], [0, 0, 0, 1], None, [1, 1, 1]]),
+        # (C) holds; (Z) refuses some twists
+        ((f4, cyclic_group(4), (1, 0, 1)), [[0, 1], [0, 0], [1], [1, 1], [1, 0, 1], None]),
+        ((f4, cyclic_group(2), (1,)), [[1, 1], [0, 0], [True, 1], [0, 1], None]),
+    ]
+    for (ext, group, powers), twists in actions:
+        products = algebras.FrobeniusCrossedProducts(ext, group, powers)
+        for twist in twists:
+            _agrees_with_the_reference(lambda *a: products.product(a[3]),
+                                       (ext, group, powers, twist))
+    with pytest.raises(ValueError, match="one Frobenius power"):
+        algebras.FrobeniusCrossedProducts(f4, cyclic_group(2), (0, 1))
 
 
 # -- normalize_section against its computation on Elements -----------------------------

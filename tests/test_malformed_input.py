@@ -133,6 +133,12 @@ MALFORMED = {
         "hunt", "--char", "2", "--max-group", "1", "--max-ext", "1"],
     "hunt-over-no-extension-degrees": lambda tmp: [
         "hunt", "--char", "2", "--max-group", "2", "--max-ext", "0"],
+    # fields above the division scan's bound, whose candidates the hunt would
+    # count as tested and not division; the second ran until killed
+    "hunt-over-a-prime-field-above-the-scan-bound": lambda tmp: [
+        "hunt", "--char", "1000003", "--max-group", "2", "--max-ext", "1"],
+    "hunt-over-an-extension-above-the-scan-bound": lambda tmp: [
+        "hunt", "--char", "2", "--max-group", "2", "--max-ext", "40"],
     "float-dim": lambda tmp: [
         "check", _write(tmp / "s.json", _f2_field_spec(algebra__dim=1.9))],
     "float-degree": lambda tmp: [

@@ -507,6 +507,79 @@ def test_every_resume_decides_each_field_it_reaches_once(tmp_path, monkeypatch):
     assert counts[:4] == [2, 2, 1, 1] and counts[-2:] == [0, 0]
 
 
+def test_every_resume_inside_an_action_gives_the_uninterrupted_bytes(tmp_path, monkeypatch):
+    # F_27 over C_3: 9 actions of 26 twists each, and a checkpoint every 7
+    # candidates, so most checkpoints fall inside an action.  From every one
+    # the resumed hunt writes the uninterrupted hunt's later checkpoints and
+    # report, byte for byte.  Each call builds an action's shared rows at
+    # most once, at its first accepted twist: never for an action with no
+    # accepted twist from the resume on, so never for one that fails (C),
+    # and once for an action with many
+    from grasym import algebras, replicate
+
+    p = HuntParams(3, (3,), (("cyclic", 3),))
+    written, replace = [], replicate.os.replace
+
+    def kept(src, dst):
+        replace(src, dst)
+        written.append(Path(dst).read_bytes())
+    built, untwisted = [], algebras.FrobeniusCrossedProducts._untwisted_part
+
+    def counted(self):
+        built.append(tuple(self.powers[1:]))
+        return untwisted(self)
+    monkeypatch.setattr(replicate, "CHECKPOINT_EVERY", 7)
+    monkeypatch.setattr(replicate.os, "replace", kept)
+    monkeypatch.setattr(algebras.FrobeniusCrossedProducts, "_untwisted_part", counted)
+    ck, start_file = tmp_path / "hunt.ckpt", tmp_path / "start.ckpt"
+    full = hunt_counterexample(p, checkpoint_path=str(ck)).to_dict()
+    uninterrupted = list(written)
+    assert len(uninterrupted) == 234 // 7 + 1
+    tested = {index for index, _, _ in _tested_candidates(p)}
+    accepted = {index: tuple(args[2]) for index, args in hunt_candidates(p) if index in tested}
+    # k_1 + k_1 = k_2, k_1 + k_2 = 0, k_2 + k_2 = k_1 (mod 3)
+    conjugate = {(0, 0), (1, 2), (2, 1)}
+    assert set(accepted.values()) <= conjugate and len(accepted) == 3
+    for n, saved in enumerate([b"", *uninterrupted]):
+        start = json.loads(saved)["next_index"] if saved else 0
+        start_file.write_bytes(saved)
+        written.clear()
+        built.clear()
+        report = hunt_counterexample(p, checkpoint_path=str(ck),
+                                     resume=str(start_file) if saved else None)
+        assert report.to_dict() == full, start
+        # the final checkpoint is written again by a resume from itself
+        assert written == (uninterrupted[n:] or uninterrupted[-1:]), start
+        reached = [sigma for index, sigma in sorted(accepted.items()) if index >= start]
+        assert built == list(dict.fromkeys(reached)), start
+        assert set(built) <= conjugate
+    # F_121 over C_2: 130 accepted twists, over both actions
+    built.clear()
+    assert hunt_counterexample(HuntParams(11, (2,), (("cyclic", 2),))).instances_tested == 130
+    assert built == [(0,), (1,)]
+
+
+def test_hunt_refuses_a_field_above_the_scan_bound_before_building_it(monkeypatch):
+    # is_graded_division of a field above SCAN_BOUND is unknown, and the hunt
+    # would count every candidate over it as tested and not division
+    from grasym import replicate
+    from grasym.errors import SearchSpaceTooLarge
+    from grasym.invariants import SCAN_BOUND
+
+    fields_built = _count_calls(monkeypatch, replicate, "canonical_extension_field")
+    for p, degrees in [(1000003, (1,)), (2, (1, 20)), (2, (40,)), (3, (10 ** 100,)),
+                       (1009, (2,))]:
+        assert p ** min(max(degrees), 64) > SCAN_BOUND
+        with pytest.raises(SearchSpaceTooLarge):
+            HuntParams(p, degrees, (("cyclic", 2),))
+    with pytest.raises(SearchSpaceTooLarge):
+        default_hunt_params(2, 2, 10 ** 100)
+    assert fields_built == []
+    # at the bound and below, the hunt runs
+    for p, degrees in [(999983, (1,)), (2, (19,)), (1000, (2,))]:
+        HuntParams(p, degrees, (("cyclic", 2),))
+
+
 def test_the_frobenius_builder_makes_no_generic_table(monkeypatch):
     # the hunt's builder puts its tables together from the per-field
     # products; the generic crossed_product path still builds its own
@@ -539,14 +612,22 @@ def test_a_failed_witness_over_a_division_identity_component_falls_back_to_the_e
     # division, but the witness has Gram rank 1 of 2 and v is no unit, so
     # is_graded_division says No and the candidate is tested, not division.
     # The hunt decides its two fields, F_2 and F_4, once each, on the D of
-    # the builder
+    # the builder.  The algebra goes in through the hunt's per-action
+    # builder, which then accepts every unit of every action as a
     from grasym import GradedAlgebra, make_field, replicate, symmetry
     f2 = make_field(2)
     one = f2.one()
     a = GradedAlgebra(f2, cyclic_group(2), [0, 1], {
         (0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {}}, [one, f2.zero()])
     assert validate_algebra(a).ok
-    monkeypatch.setattr(replicate, "frobenius_crossed_product", lambda *args: a)
+
+    class EveryUnitGivesA:
+        def __init__(self, ext, group, sigma_powers):
+            pass
+
+        def product_if_compatible(self, alpha_unit):
+            return a
+    monkeypatch.setattr(replicate, "FrobeniusCrossedProducts", EveryUnitGivesA)
     decided = _count_calls(monkeypatch, replicate, "is_graded_division")
     checked = _count_calls(monkeypatch, symmetry, "graded_division_criterion")
     report = hunt_counterexample(hunt_char2_params())
