@@ -9,17 +9,24 @@ pattern, read off the map's keys, into a signed product (FactoredPoly) of
 block determinants (BlockDet), none expanded up front: the value of a block
 at a point is an exact elimination of the evaluated block.  A nonzero d x d
 determinant is homogeneous of degree d, so the degree that sets the search
-grid is known without expanding anything.  Scalars are made only at the
-edge: for a pencil's Scalar grid, built on first read, and for polynomials
-(MultiPoly: exponent tuples to nonzero Scalars), which appear only in
-pencil_det, the cofactor expansion that a zero test runs to prove a No.
+grid is known without expanding anything.  A block whose determinant
+vanishes identically is proved so without polynomials, by a shrunk subspace:
+a U with dim(sum_r G_r U) < dim U for the pencil sum_r t_r G_r, found by the
+second Wong sequence at a singular value of the block (_shrunk_subspace) and
+re-checked by two ranks (_shrinks).  Scalars are made only at the edge: for
+a pencil's Scalar grid, built on first read, and for polynomials (MultiPoly:
+exponent tuples to nonzero Scalars), which appear only in pencil_det, the
+cofactor expansion that a zero test falls back to when no shrunk subspace
+turns up.
 
 Witness searches are deterministic and walk before they prove: over a field
 larger than the total degree a grid with degree+1 values per variable must
 contain a nonzero point of a nonzero polynomial, so the first WITNESS_WALK
-grid points are tried by evaluation alone, and only when none of them is a
-witness does the zero test run (for a determinant, the cofactor expansion
-that proves a No) before the walk goes on.  Small fields are enumerated
+grid points are tried by evaluation alone.  A block that a shrunk subspace
+proves zero on the way ends its group's walk with "identically_zero"; when
+none of the points is a witness and nothing was proved, the zero test runs
+(for a determinant, one more sequence per block and then the cofactor
+expansion) before the walk goes on.  Small fields are enumerated
 exhaustively; a nonzero polynomial that vanishes on all of such a field has
 no point there, and the search says so and stops.  A determinant of a
 decision never does: see symmetry.decide_form_existence.
@@ -41,10 +48,10 @@ from functools import lru_cache
 
 from .errors import DimensionTooLarge, FieldMismatch, SearchSpaceTooLarge
 from .fields import Field, Scalar
-from .linalg import eliminate_raw
+from .linalg import SparseEchelon, eliminate_raw
 
-# bounds the cofactor expansion, which a decision needs only to prove a No
-# (or a Yes whose first witness lies beyond WITNESS_WALK)
+# bounds the cofactor expansion, which a decision needs only for a No that no
+# shrunk subspace proves (or a Yes whose first witness lies beyond WITNESS_WALK)
 PENCIL_DET_MAX_DIM = 12
 SEARCH_BUDGET = 10 ** 7
 # grid points a search evaluates before it runs the zero test
@@ -77,6 +84,8 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    known_zero = is_zero
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -180,8 +189,13 @@ class FactoredPoly:
         self._expanded = None
 
     @property
+    def known_zero(self) -> bool:
+        """Whether a factor is known to be zero without a zero test."""
+        return any(f.known_zero for f in self.factors)
+
+    @property
     def is_zero(self) -> bool:
-        return any(f.is_zero for f in self.factors)
+        return self.known_zero or any(f.is_zero for f in self.factors)
 
     def total_degree(self) -> int:
         if self.is_zero:
@@ -371,13 +385,25 @@ class BlockDet:
     The block's raw rows are laid out once from the pencil's sparse forms,
     with no Scalar made.  evaluate(point) eliminates the evaluated block on
     raw field values; a nonsingular block proves the determinant nonzero,
-    and a block that was nonsingular at any point is never expanded.  The
-    zero test otherwise, and the terms, run pencil_det once and keep its
-    result.  A nonzero d x d determinant of a linear homogeneous pencil is
-    homogeneous of degree d.
+    and a block that was nonsingular at any point is never expanded.
+
+    A vanishing determinant is proved by a shrunk subspace (_shrunk_subspace,
+    the second Wong sequence): at its first singular walk point where the
+    block is not the zero matrix, and once more at its walked point of
+    largest rank when the zero test comes.  A subspace U with
+    dim(sum_r G_r U) < dim U, re-checked by two ranks (_shrinks), makes the
+    block singular at every point over every extension, so the determinant
+    is identically zero; the block then evaluates to zero without an
+    elimination and known_zero is True.  The sequence finds no U when the
+    pencil's non-commutative rank is full (the generic 3 x 3 skew-symmetric
+    pencil has det 0 and none) or when the walk never met a point of the
+    right rank; the zero test then falls back to pencil_det, the cofactor
+    expansion, and keeps its result, as the terms do (a block proved zero
+    expands to the zero polynomial without it).  A nonzero d x d
+    determinant of a linear homogeneous pencil is homogeneous of degree d.
     """
 
-    __slots__ = ("pencil", "_ops", "_forms", "_nonzero", "_expanded")
+    __slots__ = ("pencil", "_ops", "_forms", "_nonzero", "_shrunk", "_singular", "_expanded")
 
     def __init__(self, pencil: GramPencil):
         self.pencil = pencil
@@ -388,6 +414,10 @@ class BlockDet:
         for (r, c), form in pencil.forms.items():
             self._forms[r][c] = form
         self._nonzero = False
+        self._shrunk = None  # the basis of a shrunk subspace, once one is proved
+        # the raw points where the block was singular, from the first where it
+        # was not the zero matrix, at which the sequence first ran
+        self._singular = []
         self._expanded = None
 
     @property
@@ -403,11 +433,19 @@ class BlockDet:
         negated once per row swap; zero at the first column with no pivot."""
         if len(point) != self.num_vars:
             raise ValueError("point has wrong arity")
-        ops = self._ops
+        ops, d = self._ops, self.pencil.dim
         x = ops.unwrap(point)
+        if self._shrunk is not None:
+            return self.field.zero()
         rows = [ops.forms_at(row, x) for row in self._forms]
         log: list = []
-        if eliminate_raw(ops, rows, self.pencil.dim, stop_at_gap=True, pivot_log=log) is None:
+        if eliminate_raw(ops, list(rows), d, stop_at_gap=True, pivot_log=log) is None:
+            singular = self._singular
+            # from the first point where the block is not the zero matrix
+            if not self._nonzero and (singular or rows.count([ops.zero] * d) < d):
+                singular.append(x)
+                if len(singular) == 1:
+                    self._prove_zero(rows)
             return self.field.zero()
         self._nonzero = True
         value = self.field.one()
@@ -415,14 +453,48 @@ class BlockDet:
             value = value * pivot
         return -value if sum(swapped for swapped, _ in log) % 2 else value
 
+    def _prove_zero(self, rows):
+        """Run the sequence at the evaluated block rows, and keep a U that
+        passes the two-rank re-check."""
+        gram = _gram_matrices(self)
+        basis = _shrunk_subspace(self._ops, gram, rows)
+        if basis is not None:
+            if not _shrinks(self._ops, gram, basis):
+                raise AssertionError("a converged Wong sequence gave no shrunk subspace; "
+                                     "this is a bug")
+            self._shrunk = basis
+
+    def _retry_at_best_rank(self):
+        """Run the sequence once more at the first walked singular point of
+        largest rank, unless that is the point of the first run."""
+        ops, d, points = self._ops, self.pencil.dim, self._singular
+        self._singular = []
+        values = [[ops.forms_at(row, x) for row in self._forms] for x in points]
+        ranks = [len(eliminate_raw(ops, list(rows), d)) for rows in values]
+        best = ranks.index(max(ranks))
+        if best:
+            self._prove_zero(values[best])
+
     def expand(self) -> MultiPoly:
         if self._expanded is None:
-            self._expanded = pencil_det(self.pencil)
+            self._expanded = (MultiPoly.zero(self.field, self.num_vars)
+                              if self._shrunk is not None else pencil_det(self.pencil))
         return self._expanded
 
     @property
+    def known_zero(self) -> bool:
+        """Whether a shrunk subspace has proved the determinant zero."""
+        return self._shrunk is not None
+
+    @property
     def is_zero(self) -> bool:
-        return not self._nonzero and self.expand().is_zero
+        if not self._nonzero and self._shrunk is None:
+            if self._singular:
+                self._retry_at_best_rank()
+            # a nonzero expansion ends the proofs at later walk points
+            if self._shrunk is None and not self.expand().is_zero:
+                self._nonzero = True
+        return not self._nonzero
 
     @property
     def terms(self) -> dict:
@@ -436,6 +508,86 @@ class BlockDet:
 
     def __repr__(self):
         return repr(self.expand())
+
+
+def _gram_matrices(block: BlockDet) -> list:
+    """The nonzero coefficient matrices G_r of the block's pencil
+    sum_r t_r G_r, as raw row grids (tuples of tuples)."""
+    d = block.pencil.dim
+    zero_row = (block._ops.zero,) * d
+    # row i of G_r is the r-th coordinate of each form of row i
+    return [g for g in zip(*(zip(*row) for row in block._forms)) if g.count(zero_row) < d]
+
+
+def _sparse(ops, row) -> dict:
+    is_zero = ops.is_zero
+    return {c: v for c, v in enumerate(row) if not is_zero(v)}
+
+
+def _shrunk_subspace(ops, gram, block):
+    """A subspace that the pencil sum_r t_r G_r shrinks, found by the second
+    Wong sequence at one of its singular values, or None.
+
+    gram holds the G_r and block the value A of the pencil at some point,
+    all as raw row grids.  The sequence W_0 = 0, W_{i+1} = sum_r G_r
+    A^-1(W_i), with A^-1(W) = {v : Av in W}, grows to a limit W; while every
+    W_i lies in im A, U = A^-1(W) has dim U = dim W + dim ker A and
+    sum_r G_r U = W, so a singular A gives dim(sum_r G_r U) < dim U
+    (Ivanyos, Karpinski and Saxena, SIAM J. Comput. 39, 2010; Fortin and
+    Reutenauer, Sem. Lothar. Combin. 52, 2004).  Such a U makes every value
+    of the pencil, over every extension, map U into a smaller space, so the
+    determinant vanishes identically.
+
+    One elimination of [A | I] gives the pivots of A, the rows E that solve
+    Av = w for w in im A (v at the pivots is E w, and zero elsewhere), and
+    the left kernel Y of A, so w lies in im A iff Y w = 0.  U starts as
+    ker A and W as 0; each new u of U is sent through every G_r, and each
+    image w independent of W is tested, then joins W with its preimage v
+    joining U; v is independent of U, since A maps U into W and v to w.
+    Returns the basis of U so built, ker A first, as raw rows, or None as
+    soon as an image leaves im A.
+    """
+    d = len(block)
+    zero, one, is_zero = ops.zero, ops.one, ops.is_zero
+    aug = [list(row) + [one if j == i else zero for j in range(d)]
+           for i, row in enumerate(block)]
+    pivots = eliminate_raw(ops, aug, d)
+    rank = len(pivots)
+    solve, left = [row[d:] for row in aug[:rank]], [row[d:] for row in aug[rank:]]
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(d):
+        if f not in pivot_set:
+            v = [zero] * d
+            v[f] = one
+            for p, row in zip(pivots, aug):
+                v[p] = ops.sub(zero, row[f])
+            basis.append(v)
+    span_w = SparseEchelon(ops, d)
+    queue = list(basis)
+    while queue:
+        u = queue.pop()
+        for g in gram:
+            w = ops.forms_at(g, u)
+            # an image in W lies in im A already
+            if span_w.add(_sparse(ops, w)):
+                if not all(map(is_zero, ops.forms_at(left, w))):
+                    return None
+                v = [zero] * d
+                for p, c in zip(pivots, ops.forms_at(solve, w)):
+                    v[p] = c
+                basis.append(v)
+                queue.append(v)
+    return basis
+
+
+def _shrinks(ops, gram, basis) -> bool:
+    """The re-check of a shrunk subspace by two ranks: the span U of the raw
+    rows of basis has dim(sum_r G_r U) < dim U."""
+    d = len(gram[0])
+    rank_u = len(eliminate_raw(ops, [list(u) for u in basis], d))
+    images = [ops.forms_at(g, u) for u in basis for g in gram]
+    return len(eliminate_raw(ops, images, d)) < rank_u
 
 
 def _roots(n: int, links) -> list:
@@ -477,9 +629,10 @@ def structured_det(pencil: GramPencil) -> FactoredPoly:
     whenever the nonzero pattern decomposes into blocks, as Gram matrices of
     degree-homogeneous functionals always do.  The result is the sign times
     one BlockDet per block, none of them expanded here: a point search
-    evaluates them, and only a zero test that no evaluation settled runs
-    their cofactor expansions, in block order, stopping at the first
-    vanishing block.  A non-square block makes the determinant zero outright.
+    evaluates them, which may prove a block zero by a shrunk subspace, and
+    only a zero test that no evaluation settled runs their cofactor
+    expansions, in block order, stopping at the first vanishing block.  A
+    non-square block makes the determinant zero outright.
     Each block is the sparse map of its forms, re-indexed from the pencil's
     raw forms without a Scalar.
     """
@@ -526,9 +679,13 @@ def _grid_values(field: Field, count: int):
 
 
 def _first_nonzero(poly, points):
+    """The first point where poly is nonzero, or None once the points run
+    out or poly is known to be zero."""
     for point in points:
         if not poly.evaluate(point).is_zero:
             return point
+        if poly.known_zero:
+            return None
     return None
 
 
@@ -610,15 +767,19 @@ def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field) -> PointRes
       point of G's grid would come earlier.
 
     Each group's first WITNESS_WALK grid points are tried before the zero
-    test, so for a determinant a Yes within them never expands a block.
-    The zero test then runs on the whole product and expands only blocks
-    that no evaluation showed nonzero: a zero poly yields "identically_zero",
-    and otherwise the walks go on.  With |field| > d_G the grid bound
-    guarantees G's walk succeeds; a nonzero group vanishing on all of a
-    smaller field yields "no_point_over_field".  A group whose unknowns span
-    more than SEARCH_BUDGET points of a field no larger than d_G is not
-    walked: that raises SearchSpaceTooLarge (after the zero test, so a zero
-    poly still yields "identically_zero").
+    test, so for a determinant a Yes within them never expands a block.  A
+    group whose product becomes known_zero on the way, a block proved zero
+    by a shrunk subspace at a walked point, stops its walk, and the search
+    yields "identically_zero" at once.  The zero test otherwise runs on the
+    whole product and expands only blocks that neither an evaluation showed
+    nonzero nor a sequence at their walked point of largest rank proved
+    zero: a zero poly yields "identically_zero", and otherwise the walks go
+    on.  With |field| > d_G the grid bound guarantees G's walk succeeds; a
+    nonzero group vanishing on all of a smaller field yields
+    "no_point_over_field".  A group whose unknowns span more than
+    SEARCH_BUDGET points of a field no larger than d_G is not walked: that
+    raises SearchSpaceTooLarge (after the zero test, so a zero poly still
+    yields "identically_zero").
     """
     if poly.field != field:
         raise FieldMismatch(f"polynomial over {poly.field} searched over {field}")
@@ -633,6 +794,8 @@ def nonvanishing_point(poly: MultiPoly | FactoredPoly, field: Field) -> PointRes
         points = _grid_points(field, deg, unknowns, m)
         found = _first_nonzero(part, itertools.islice(points, WITNESS_WALK))
         if found is None:
+            if part.known_zero:
+                return PointResult("identically_zero")
             pending.append((unknowns, part, deg, points))
         else:
             for k in unknowns:

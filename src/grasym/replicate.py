@@ -264,8 +264,7 @@ class HuntParams:
     group_kinds: tuple  # GroupTable.kind tuples, built by groups.group_from_kind
 
     def __post_init__(self):
-        if self.characteristic == 0:
-            raise RationalsNotSupported("a hunt enumerates finite fields F_{p^m}")
+        _check_characteristic(self.characteristic)
         if not self.extension_degrees or not self.group_kinds:
             raise EmptySearch("a hunt needs at least one extension degree and one group")
         _check_field_sizes(self.characteristic, max(self.extension_degrees))
@@ -280,6 +279,11 @@ class HuntParams:
 
     def digest(self) -> str:
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
+
+
+def _check_characteristic(p: int):
+    if p == 0:
+        raise RationalsNotSupported("a hunt enumerates finite fields F_{p^m}")
 
 
 def _check_field_sizes(p: int, max_degree: int):
@@ -298,6 +302,9 @@ def _check_field_sizes(p: int, max_degree: int):
 
 def default_hunt_params(characteristic: int, max_group: int = 8,
                         max_ext: int = 3) -> HuntParams:
+    # the characteristic before anything is sized: make_field refuses 1, 4, ...
+    make_field(characteristic)
+    _check_characteristic(characteristic)
     _check_order(max_group)  # C_max_group is in the stream: refuse it before any kind
     _check_field_sizes(characteristic, max_ext)  # and F_{p^max_ext} before any degree
     kinds = [("cyclic", n) for n in range(2, max_group + 1)]

@@ -18,13 +18,16 @@ Gram pencil block-structured (rows of degree g pair only with columns of
 degree g^-1); the determinant is taken blockwise so large algebras with small
 homogeneous components stay tractable.  The decision walks before it proves:
 the point search evaluates each block at grid points by exact elimination,
-and a Yes needs only one point where every block is nonsingular.  Polynomials
-appear only in a block's cofactor expansion, which runs to prove a No (a
-vanishing block refutes), or when no witness turns up among the first grid
-points; the blocks are never multiplied together to reach a verdict.  Every
-question is settled over the base field: a Gram determinant that is nonzero
-has a point there, however small the field, by descent from any extension
-(see decide_form_existence), so there is no third verdict.
+and a Yes needs only one point where every block is nonsingular.  A No is a
+vanishing block, proved by a shrunk subspace: a U with dim(sum_r G_r U) <
+dim U for the block's Gram matrices G_r, found by the second Wong sequence at
+a singular walk point and re-checked by two ranks.  Polynomials appear only in
+a block's cofactor expansion, the fallback that runs when no such U turns up
+or when no witness turns up among the first grid points; the blocks are
+never multiplied together to reach a verdict.  Every question is settled
+over the base field: a Gram determinant that is nonzero has a point there,
+however small the field, by descent from any extension (see
+decide_form_existence), so there is no third verdict.
 """
 
 from __future__ import annotations
@@ -322,17 +325,23 @@ def decide_form_existence(a: GradedAlgebra, mode: str) -> SymmetryVerdict:
     the deterministic point search over the base field.  The search walks the
     grid first, testing each point by exact elimination of the evaluated
     blocks, so a Yes found there (re-verified by exact rank) expands nothing.
-    Only when the first WITNESS_WALK points hold no witness does the zero
-    test expand the blocks: a vanishing block refutes (the Gram determinant
-    is identically zero), and otherwise the walk goes on until it yields a
-    witness.  Blocks that share no unknown are walked apart, in groups, each
-    on the grid of its own unknowns and degree, and the groups' first points
-    are put together: the nonzero set is the product of the groups', so its
-    lexicographically first point is theirs combined, and a group's grid
-    holds its first point because a nonzero polynomial of degree <= d has a
-    nonzero point on every S^k with |S| > d.  The witness is the one a walk
-    of the whole grid would give; a group with its witness among its own
-    first WITNESS_WALK points is never expanded.
+    A vanishing block refutes (the Gram determinant is identically zero).
+    It is proved by a shrunk subspace U, with dim(sum_r G_r U) < dim U for
+    the block's Gram matrices G_r: each block runs the second Wong sequence
+    at its first singular walk point, and the zero test runs it once more at
+    its walked point of largest rank.  A U that passes its two-rank re-check
+    makes the block singular at every point over every extension, and ends
+    the walk with the No.  Only when the first WITNESS_WALK points hold no
+    witness and no U does the zero test expand the blocks, by cofactors
+    (capped at PENCIL_DET_MAX_DIM), and otherwise the walk goes on until it
+    yields a witness.  Blocks that share no unknown are walked apart, in
+    groups, each on the grid of its own unknowns and degree, and the groups'
+    first points are put together: the nonzero set is the product of the
+    groups', so its lexicographically first point is theirs combined, and a
+    group's grid holds its first point because a nonzero polynomial of
+    degree <= d has a nonzero point on every S^k with |S| > d.  The witness
+    is the one a walk of the whole grid would give; a group with its witness
+    among its own first WITNESS_WALK points is never expanded.
 
     It always does, even over a field no larger than the degree, by descent
     (Noether-Deuring).  Let T be the trace space over F and K/F finite; then

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grasym
 from grasym import (
     center,
     cyclic_algebra,
@@ -373,3 +378,18 @@ def test_incompatible_frobenius_crossed_spec_exits_three(constructor, stderr, tm
     path.write_text(json.dumps(spec))
     assert main(["check", str(path)]) == 3
     assert capsys.readouterr().err == stderr
+
+
+def test_check_runs_with_the_test_only_packages_blocked(cyc3_spec):
+    # the runtime is stdlib-only: sympy and hypothesis are test dependencies,
+    # and a module set to None in sys.modules makes importing it fail
+    code = ("import sys\n"
+            "sys.modules['sympy'] = sys.modules['hypothesis'] = None\n"
+            "import grasym\n"
+            "from grasym.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(grasym.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, "check", cyc3_spec],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["status"] == "yes"

@@ -2,9 +2,10 @@
 
 The reference keeps the older path: structured_det multiplied out every
 block determinant with pencil_det, a vanishing block refuted, and only then
-was the grid walked on the factored product.  The decision now walks first
-and expands a block only to prove a No, so both must give the same
-certificate bytes (or raise the same exception type) on every input.
+was the grid walked on the factored product.  The decision now walks first,
+proves a vanishing block by a shrunk subspace, and expands a block only when
+none turns up, so both must give the same certificate bytes (or raise the
+same exception type) on every input.
 
 The Gram pencil is a grid of linear forms; the symbolic pencil it replaced,
 a grid of MultiPoly entries built term by term, is kept here as the oracle
@@ -218,7 +219,7 @@ def _m4_f3_c2():
     # grid point 30: the walk fails, the zero test expands both blocks, and
     # the walk goes on
     (lambda: matrix_algebra(rationals(), 2), "frobenius", "yes"),
-    # a square block whose determinant vanishes: the No is proved by expansion
+    # a pencil with a non-square block: the determinant is zero outright
     (lambda: sweedler_algebra(make_field(3)), "symmetric", "no"),
     (lambda: sweedler_algebra(rationals()), "symmetric", "no"),
 ])

@@ -294,6 +294,21 @@ def test_hunt_over_groups_beyond_the_order_cap_exits_3_before_listing_them(
     assert listed == []
 
 
+@pytest.mark.parametrize("char,message", [
+    ("0", "RationalsNotSupported: a hunt enumerates finite fields F_{p^m}"),
+    ("1", "NonPrimeCharacteristic: 1 is not 0 or prime"),
+    ("4", "NonPrimeCharacteristic: 4 is not 0 or prime"),
+])
+def test_hunt_over_no_prime_field_exits_3_before_sizing_the_degrees(char, message, capsys):
+    # the characteristic is refused before the field sizes and the degree
+    # tuple: characteristics 0 and 1 used to build range(1, 10^30 + 1) and
+    # end in an OverflowError, and 4 was refused as SearchSpaceTooLarge
+    argv = ["hunt", "--char", char, "--max-group", "2",
+            "--max-ext", "1000000000000000000000000000000"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("a", ["1e1000000", "0.5", " 3/4", "3/4 ", "+3", "3/-4",
                                0.1, True, None, [1]])
 def test_noncanonical_rational_exits_3(a, tmp_path, capsys):
