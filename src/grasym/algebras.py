@@ -6,9 +6,10 @@ sparse structure constants e_i e_j = sum_k c_{ij}^k e_k.  It stores them once,
 as raw values of the field (field.ops), in the stored form: a.table[i][j] is
 the tuple of the (k, c_{ij}^k) pairs, sorted by k and without zeros, and the
 unit its raw coordinates.  Builders write that form and kernels read it as it
-is; only the public constructor (input from outside) sorts, filters and
-unwraps.  An inverse is one raw solve of L_x y = 1.  Each constructor returns a
-valid algebra from valid inputs, for the reason its docstring gives, without
+is; only input from outside is sorted and filtered, by one routine that the
+public constructor (Scalars, unwrapped first) and a raw spec block share.  An
+inverse is one raw solve of L_x y = 1.  Each constructor returns a valid
+algebra from valid inputs, for the reason its docstring gives, without
 scanning it.  validate_algebra checks unit laws, the grading law (c_{ij}^k
 nonzero forces deg k = deg i * deg j), homogeneity of the unit, and
 associativity; it runs on raw spec-file blocks.  Associativity is decided by
@@ -62,7 +63,7 @@ from .errors import (
     UnsupportedPrime,
     ZeroParameter,
 )
-from .fields import Field, Scalar, extend_field, make_field, raw_embedding
+from .fields import IDENTITY_IMAGE, Field, Scalar, extend_field, make_field, raw_embedding
 from .groups import GroupTable, cyclic_group, klein_group, trivial_group
 from .linalg import Matrix, SparseEchelon, Subspace, eliminate_raw
 
@@ -75,8 +76,11 @@ class GradedAlgebra:
     They are stored once, as raw values of the field, in the stored form:
     table[i][j] is the tuple of the (k, c_ij^k) pairs of e_i e_j, sorted by
     k, with k < dim and no zero c, and unit the tuple of the raw coordinates
-    of 1.  Builders write their rows in it and hand them to _from_raw; only
-    the public constructor, where constants enter from outside, converts.
+    of 1.  Builders write their rows in it and hand them to _from_raw.
+    Where constants enter from outside, _fill checks indices and repeats,
+    sorts and drops zeros: the public constructor unwraps its Scalars and
+    calls it, and specfile._raw_algebra_from_dict hands it the raw values
+    it decoded, through _from_terms.
 
     An instance is taken to be valid (associative, unital, graded), and
     nothing downstream checks it again; the constructor checks shapes only.
@@ -88,28 +92,52 @@ class GradedAlgebra:
     def __init__(self, field: Field, group: GroupTable, degree, sc, unit,
                  labels=None):
         """sc gives the terms (k, c_ij^k) of each e_i e_j by (i, j), in any order and zeros
-        allowed; constants and unit entries are Scalars of field.  The degrees are checked
-        before any constant, so an oversized dim allocates no table."""
+        allowed; constants and unit entries are Scalars of field.  They are unwrapped to
+        raw values, and _fill checks and stores the table."""
+        unwrap, cells = field.ops.unwrap, []
+        for ij, terms in (sc.items() if isinstance(sc, dict) else sc):
+            terms = list(terms.items() if isinstance(terms, dict) else terms)
+            values = unwrap([c for _, c in terms], "structure constant")
+            cells.append((ij, [(k, v) for (k, _), v in zip(terms, values)]))
+        self._fill(field, group, degree, cells, unwrap(unit, "unit vector entry"), labels)
+
+    @classmethod
+    def _from_terms(cls, field: Field, group: GroupTable, degree, cells, unit,
+                    labels=None) -> "GradedAlgebra":
+        """The algebra of the raw terms (k, c_ij^k) of each e_i e_j, as _fill
+        takes them, and the raw coordinates of its unit."""
+        a = cls.__new__(cls)
+        a._fill(field, group, degree, cells, unit, labels)
+        return a
+
+    def _fill(self, field, group, degree, cells, unit, labels):
+        """Store the table of cells, a dict or a sequence of ((i, j), terms)
+        pairs whose terms are (k, raw c_ij^k) pairs, in any order and zeros
+        allowed: each index is checked to lie in range and each cell and each
+        k of a cell to be given once, and each cell is sorted by k and drops
+        its zeros.  The degrees are checked before any constant, so an
+        oversized dim allocates no table."""
         degree = _checked_degrees(group, degree)
         d, is_zero = len(degree), field.ops.is_zero
         table = [[None] * d for _ in range(d)]
-        for (i, j), terms in (sc.items() if isinstance(sc, dict) else sc):
+        for (i, j), terms in (cells.items() if isinstance(cells, dict) else cells):
             if not (0 <= i < d and 0 <= j < d):
                 raise IndexOutOfRange(f"structure constant at ({i},{j}) out of range 0..{d - 1}")
             if table[i][j] is not None:
                 raise ValueError(f"structure constants at ({i},{j}) given twice")
-            out = {}
-            for k, c in (terms.items() if isinstance(terms, dict) else terms):
+            if len(terms) == 1:  # most cells: no repeat to look for, nothing to sort
+                (k, c), = terms
                 if not 0 <= k < d:
-                    raise IndexOutOfRange(
-                        f"structure constant ({i},{j},{k}) out of range 0..{d - 1}")
-                if k in out:
-                    raise ValueError(f"structure constant ({i},{j},{k}) given twice")
-                out[k] = c
-            values = field.ops.unwrap(out.values(), "structure constant")
-            table[i][j] = tuple([(k, c) for k, c in sorted(zip(out, values)) if not is_zero(c)])
-        self._store(field, group, degree, [[t or () for t in row] for row in table], unit, labels)
-        self.unit = tuple(field.ops.unwrap(self.unit, "unit vector entry"))
+                    _refuse_terms(i, j, [k], d)
+                table[i][j] = () if is_zero(c) else ((k, c),)
+                continue
+            ks = [k for k, _ in terms]
+            if ks and not (0 <= min(ks) and max(ks) < d and len(set(ks)) == len(ks)):
+                _refuse_terms(i, j, ks, d)
+            # the k are distinct, so sorting the pairs compares no constant
+            table[i][j] = tuple([t for t in sorted(terms) if not is_zero(t[1])])
+        self._store(field, group, degree, [[t or () for t in row] for row in table], unit,
+                    labels)
 
     @classmethod
     def _from_raw(cls, field: Field, group: GroupTable, degree, table, unit,
@@ -180,6 +208,18 @@ class GradedAlgebra:
 
     def __repr__(self):
         return f"GradedAlgebra(dim={self.dim}, field={self.field}, group={self.group})"
+
+
+def _refuse_terms(i: int, j: int, ks, d: int):
+    """Raise for the first k of the cell (i, j) that is out of range or
+    given twice."""
+    seen = set()
+    for k in ks:
+        if not 0 <= k < d:
+            raise IndexOutOfRange(f"structure constant ({i},{j},{k}) out of range 0..{d - 1}")
+        if k in seen:
+            raise ValueError(f"structure constant ({i},{j},{k}) given twice")
+        seen.add(k)
 
 
 def _checked_degrees(group: GroupTable, degree) -> tuple:
@@ -348,15 +388,17 @@ def validate_algebra(a: GradedAlgebra) -> ValidationReport:
     For each s and i the check compares both sides for every l at once, as
     two sums of table rows, so it builds 2 dim |S| maps, not 2 dim^2 |S|
     products.  The unit laws are two such maps.  The sums are formed on the
-    plain Python ints of a.field.ops.integer_image: raw values over F_p,
-    reduced mod p only when an entry is tested; every constant times a
-    common denominator over Q; coefficient tuples packed into lanes of one
-    int over F_{p^n}.
+    plain Python ints of a.field.ops.integer_image: over F_p the stored
+    table itself, with no copy, reduced mod p only when an entry is tested;
+    every constant times a common denominator over Q; coefficient tuples
+    packed into lanes of one int over F_{p^n}.  The grading law is checked
+    first, one group product per nonzero cell.
 
     A table that fails any check, unit, grading or nucleus, gets its report
     from the full scan _scan_algebra, so the report lists every violating
     triple.  The program validates only where structure constants enter from
-    outside, in specfile._raw_algebra_from_dict.
+    outside, in specfile._raw_algebra_from_dict, which decodes the table
+    straight to raw values, so validation makes no Scalar.
     """
     if _passes_light_test(a):
         return ValidationReport(ok=True)
@@ -426,9 +468,10 @@ def _passes_light_test(a: GradedAlgebra) -> bool:
     structure constant respects the grading, and the generators of
     _left_word_generators lie in the middle nucleus.
 
-    The unit laws and the nucleus check run on the ints of
-    ops.integer_image, and each compares whole maps keyed by l d + m, the
-    coefficient of e_m in a product with e_l: the unit laws compare
+    The grading law reads the group table once per nonzero cell.  The unit
+    laws and the nucleus check run on the ints of ops.integer_image, and
+    each compares whole maps keyed by l d + m, the coefficient of e_m in a
+    product with e_l: the unit laws compare
     sum_k u_k (row k of the table) and sum_k u_k (column k) with the
     identity, and the check for a generator s and a basis index i compares
     (e_i s) e_l = sum_k c_is^k (row k)_l with
@@ -437,19 +480,30 @@ def _passes_light_test(a: GradedAlgebra) -> bool:
     agree.
     """
     ops = a.field.ops
-    d, e, rows = a.dim, a.group.identity, a.table
+    d, e, rows, degree = a.dim, a.group.identity, a.table, a.degree
     unit_terms = [(k, c) for k, c in enumerate(a.unit) if not ops.is_zero(c)]
-    if any(a.degree[k] != e for k, _ in unit_terms):
+    if any(degree[k] != e for k, _ in unit_terms):
         return False
+    for i, row in enumerate(rows):
+        row_degrees = a.group.table[degree[i]]
+        for j, terms in enumerate(row):
+            if terms:
+                want = row_degrees[degree[j]]
+                for k, _ in terms:
+                    if degree[k] != want:
+                        return False
     # every sum below has at most d products on each side
-    image, vanishes = ops.integer_image(
-        [ops.one, *a.unit, *(c for row in rows for terms in row for _, c in terms)], d)
-    table = [[tuple((k, image[c]) for k, c in terms) for terms in row] for row in rows]
+    image, vanishes = ops.integer_image(itertools.chain(
+        (ops.one,), a.unit, (c for row in rows for terms in row for _, c in terms)), d)
+    if image is IDENTITY_IMAGE:  # F_p: the table holds the ints
+        table = rows
+    else:
+        table = [[tuple((k, image[c]) for k, c in terms) for terms in row] for row in rows]
+    unit_coeffs = [(k, image[c]) for k, c in unit_terms]
+    one = image[ops.one] ** 2
     by_row = [[(l * d + m, v) for l, terms in enumerate(row) for m, v in terms]
               for row in table]
     products = [terms for row in table for terms in row]  # e_i e_k at i d + k
-    unit_coeffs = [(k, image[c]) for k, c in unit_terms]
-    one = image[ops.one] ** 2
     for coeffs, vectors in (([(k, u, 0) for k, u in unit_coeffs], by_row),  # 1 e_l = e_l
                             ([(i * d + k, u, i * d) for i in range(d)  # e_i 1 = e_i
                               for k, u in unit_coeffs], products)):
@@ -457,11 +511,6 @@ def _passes_light_test(a: GradedAlgebra) -> bool:
         _accumulate(acc, coeffs, vectors)
         if not vanishes(acc.values()):
             return False
-    for i, row in enumerate(rows):
-        for j, terms in enumerate(row):
-            if terms and any(a.degree[k] != a.group.mul(a.degree[i], a.degree[j])
-                             for k, _ in terms):
-                return False
     for s in _left_word_generators(ops, rows, a.unit):
         minus_s_row = [(m, -v, l * d) for l, terms in enumerate(table[s]) for m, v in terms]
         for i in range(d):

@@ -228,16 +228,21 @@ class Field:
             if value.field is not self:
                 raise FieldMismatch(f"scalar from {value.field} used in {self}")
             return value
+        return Scalar(self, self.raw_value(value))
+
+    def raw_value(self, value):
+        """The raw value of an int, a Fraction or string over Q, or a
+        coefficient sequence of ints over F_q, coerced as scalar does."""
         if _is_int(value):
-            return self.from_int(value)
+            return self.ops.from_int(value)
         if self.char == 0 and isinstance(value, (Fraction, str)):
-            return Scalar(self, self.ops.canonical(Fraction(value)))
+            return self.ops.canonical(Fraction(value))
         if self.char != 0 and isinstance(value, (list, tuple)):
             if len(value) > self.degree:
                 raise ValueError(f"coefficient list longer than degree {self.degree}")
             if not all(_is_int(c) for c in value):
                 raise TypeError(f"{self} coefficients must be ints, not {value!r}")
-            return Scalar(self, self.ops.from_coefficients(value))
+            return self.ops.from_coefficients(value)
         raise TypeError(f"cannot make a {self} scalar from {value!r}")
 
     # properties
@@ -480,6 +485,18 @@ class Scalar:
 
 # -- raw row operations ------------------------------------------------------------
 
+class _IdentityImage:
+    """The integer image of a field whose raw values are ints: each is its own."""
+
+    __slots__ = ()
+
+    def __getitem__(self, v):
+        return v
+
+
+IDENTITY_IMAGE = _IdentityImage()
+
+
 class RawOps:
     """The arithmetic of one field on raw values: its Scalars and its exact
     elimination both compute here.
@@ -490,8 +507,8 @@ class RawOps:
     over F_{p^n}.  Raw values are canonical, so v is zero iff v ==
     self.zero; self.one is the raw 1.  is_zero(v) is each kind's fast form
     of that test: an int or a Fraction is zero iff it is falsy.  Over Q,
-    canonical(r) is the raw value of an int or a Fraction r; Field.scalar,
-    scalar_from_json and the rational roots of the division check build
+    canonical(r) is the raw value of an int or a Fraction r; Field.raw_value,
+    raw_from_json and the rational roots of the division check build
     through it.  A row is a list of raw values.  Each field kind implements
 
     - from_int(n): the raw image of the int n;
@@ -506,10 +523,12 @@ class RawOps:
       of a row of linear forms given by their coefficient vectors;
     - integer_image(values, terms): the pair (image, vanishes) that lets
       sums of products of the raw values be formed on plain Python ints.
-      image maps each raw value in values to an int, and vanishes(sums)
-      tells whether every int in sums, each the difference of two sums of
-      at most terms products image[u] * image[v], stands for zero, that is
-      whether the same signed sum of the products u v is zero in the field.
+      image maps each raw value in the iterable values to an int; it is
+      IDENTITY_IMAGE when every raw value is an int and its own image (F_p),
+      and then values is not read.  vanishes(sums) tells whether every int
+      in sums, each the difference of two sums of at most terms products
+      image[u] * image[v], stands for zero, that is whether the same signed
+      sum of the products u v is zero in the field.
 
     The finite kinds also implement from_coefficients(coeffs), the raw value
     with these int coordinates on 1, x, .., x^(n-1) (padded with zeros),
@@ -625,10 +644,10 @@ class _PrimeOps(RawOps):
         return [sum(map(mul, f, x)) % p for f in forms]
 
     def integer_image(self, values, terms):
-        """Raw values are ints already; a sum is reduced mod p only when it
-        is tested."""
+        """Raw values are ints already, their own images, so values is not
+        read; a sum is reduced mod p only when it is tested."""
         p = self.p
-        return {v: v for v in values}, lambda sums: not any(map(p.__rmod__, sums))
+        return IDENTITY_IMAGE, lambda sums: not any(map(p.__rmod__, sums))
 
 
 def _q(r):
@@ -788,8 +807,10 @@ class _ExtensionOps(RawOps):
         return {v: sum(c << (w * t) for t, c in enumerate(v)) for v in values}, vanishes
 
 
-def scalar_from_json(field: Field, value) -> Scalar:
-    """Decode the JSON form of a scalar; a malformed value raises ParseError.
+def raw_from_json(field: Field, value):
+    """The raw value of the JSON form of a scalar of field; a malformed value
+    raises ParseError.  The one decoder of JSON scalars: scalar_from_json
+    wraps it, and a raw spec block decodes each distinct constant through it.
 
     A rational must be a JSON integer or an "n" or "n/d" string, the form
     to_json writes, so a short input never decodes to a huge numerator.  A
@@ -801,12 +822,17 @@ def scalar_from_json(field: Field, value) -> Scalar:
             text = str(value) if type(value) is int else value
             if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text)):
                 raise ValueError("not an integer or an 'n/d' string")
-            return Scalar(field, field.ops.canonical(Fraction(text)))
+            return field.ops.canonical(Fraction(text))
         if not all(type(c) is int for c in (value if isinstance(value, list) else [value])):
             raise ValueError("not an integer or a list of integers")
-        return field.scalar(value)
+        return field.raw_value(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad {field} scalar {value!r}: {exc}") from exc
+
+
+def scalar_from_json(field: Field, value) -> Scalar:
+    """The Scalar of the JSON form of a scalar, decoded by raw_from_json."""
+    return Scalar(field, raw_from_json(field, value))
 
 
 def frobenius(x: Scalar) -> Scalar:

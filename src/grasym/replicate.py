@@ -282,6 +282,9 @@ class HuntParams:
 
 
 def _check_characteristic(p: int):
+    """Refuse a characteristic that is not prime before anything is sized:
+    make_field refuses 1, 4, ..., and 0 is refused as the rationals."""
+    make_field(p)
     if p == 0:
         raise RationalsNotSupported("a hunt enumerates finite fields F_{p^m}")
 
@@ -302,8 +305,6 @@ def _check_field_sizes(p: int, max_degree: int):
 
 def default_hunt_params(characteristic: int, max_group: int = 8,
                         max_ext: int = 3) -> HuntParams:
-    # the characteristic before anything is sized: make_field refuses 1, 4, ...
-    make_field(characteristic)
     _check_characteristic(characteristic)
     _check_order(max_group)  # C_max_group is in the stream: refuse it before any kind
     _check_field_sizes(characteristic, max_ext)  # and F_{p^max_ext} before any degree

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from . import algebras
 from .algebras import GradedAlgebra
 from .errors import ParseError, ValidationError
-from .fields import Field, make_field, scalar_from_json
+from .fields import Field, make_field, raw_from_json, scalar_from_json
 from .groups import GroupTable, group_from_kind, group_from_table
 from .symmetry import MODES, REFUTATIONS, LinearFunctional, SymmetryVerdict
 
@@ -146,9 +146,43 @@ def algebra_to_dict(a: GradedAlgebra) -> dict:
             "algebra": block}
 
 
+def _raw_decoder(field: Field):
+    """raw_from_json for field, run once per distinct constant.
+
+    A table holds few distinct constants, so each decoded value is kept,
+    keyed by the JSON value itself.  Only exactly typed values are keyed: a
+    plain int, a string, or a list of plain ints.  A key must not be met
+    again in another form that compares equal: 1.0 and True equal 1, and
+    [1.0, 0.0] and [1, True] equal [1, 0] as tuples, but each must raise as
+    it would alone.  Any other value is decoded each time it is met, which
+    for a malformed one means at once."""
+    memo = {}
+
+    def decode(value):
+        kind = type(value)
+        if kind is int or kind is str:
+            key = value
+        elif kind is list and all(type(c) is int for c in value):
+            key = tuple(value)
+        else:
+            return raw_from_json(field, value)
+        raw = memo.get(key, memo)
+        if raw is memo:
+            raw = memo[key] = raw_from_json(field, value)
+        return raw
+    return decode
+
+
 def _raw_algebra_from_dict(d: dict) -> GradedAlgebra:
     """Decode and validate a raw block, where structure constants enter from
-    outside; constructor blocks build valid algebras and are not scanned."""
+    outside; constructor blocks build valid algebras and are not scanned.
+
+    The block is decoded straight to raw values, with each distinct constant
+    decoded once (_raw_decoder), and GradedAlgebra._from_terms checks and
+    stores the table the public constructor would.  Each row is read as
+    i, j, k, c in that order, so a malformed row raises what a Scalar-built
+    table would; every message is the one raw_from_json or the constructor
+    gives."""
     with _decoding("spec"):
         field = field_from_dict(d["field"])
         group = group_from_dict(d["group"])
@@ -156,15 +190,17 @@ def _raw_algebra_from_dict(d: dict) -> GradedAlgebra:
     with _decoding("algebra block"):
         dim = _int(block["dim"])
         degrees = _ints(block["degrees"])
-        unit = [scalar_from_json(field, v) for v in block["unit"]]
-        sc: dict = {}
+        decode = _raw_decoder(field)
+        unit = [decode(v) for v in block["unit"]]
+        cells: dict = {}
         for row in block["sc"]:
             i, j, k, c = row
-            sc.setdefault((_int(i), _int(j)), []).append(
-                (_int(k), scalar_from_json(field, c)))
+            if not (type(i) is int and type(j) is int and type(k) is int):
+                _ints((i, j, k))  # raises for the first index that is no JSON integer
+            cells.setdefault((i, j), []).append((k, decode(c)))
         if len(degrees) != dim:
             raise ParseError("degree list length does not match dim")
-        a = GradedAlgebra(field, group, degrees, sc, unit, labels=_labels(block))
+        a = GradedAlgebra._from_terms(field, group, degrees, cells, unit, labels=_labels(block))
     report = algebras.validate_algebra(a)
     if not report.ok:
         raise ValidationError(report)

@@ -324,8 +324,9 @@ def decide_form_existence(a: GradedAlgebra, mode: str) -> SymmetryVerdict:
     blockwise Gram determinant, one unexpanded determinant per block, goes to
     the deterministic point search over the base field.  The search walks the
     grid first, testing each point by exact elimination of the evaluated
-    blocks, so a Yes found there (re-verified by exact rank) expands nothing.
-    A vanishing block refutes (the Gram determinant is identically zero).
+    blocks, so a Yes found there (re-verified nonsingular by exact
+    elimination) expands nothing.  A vanishing block refutes (the Gram
+    determinant is identically zero).
     It is proved by a shrunk subspace U, with dim(sum_r G_r U) < dim U for
     the block's Gram matrices G_r: each block runs the second Wong sequence
     at its first singular walk point, and the zero test runs it once more at
@@ -376,10 +377,10 @@ def decide_form_existence(a: GradedAlgebra, mode: str) -> SymmetryVerdict:
                              "field, against descent from its extensions; this is a bug")
     basis = Matrix(a.field, space.basis)
     witness = LinearFunctional(a, basis.transpose().mulvec(result.point))
-    rank = len(eliminate_raw(a.field.ops, _gram_rows(a, witness), a.dim))
-    if rank != a.dim:
+    # nonsingularity is all the re-check needs: elimination stops at the first gap
+    if eliminate_raw(a.field.ops, _gram_rows(a, witness), a.dim, stop_at_gap=True) is None:
         raise AssertionError("point search returned a degenerate witness")
-    return SymmetryVerdict(mode, "yes", witness=witness, gram_rank=rank,
+    return SymmetryVerdict(mode, "yes", witness=witness, gram_rank=a.dim,
                            trace_space_dim=space.dim)
 
 

@@ -309,6 +309,40 @@ def test_hunt_over_no_prime_field_exits_3_before_sizing_the_degrees(char, messag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _spec_with_first_and_last_constants(a, first, last):
+    """The raw spec of a with its first and last structure constants replaced."""
+    spec = algebra_to_dict(a)
+    spec["algebra"]["sc"][0][3] = first
+    spec["algebra"]["sc"][-1][3] = last
+    return spec
+
+
+F9 = make_field(3, [1, 0, 1])
+
+
+# A raw block decodes each distinct constant once.  A constant met again in a
+# form that compares equal to one already decoded (1.0 == 1, True == 1,
+# (1.0, 0.0) == (1, 0)) must still be refused, with the message it gets alone.
+@pytest.mark.parametrize("a, first, last, message", [
+    (group_algebra(F9, cyclic_group(2)), [1, 0], [1.0, 0.0],
+     "bad F_3^2 scalar [1.0, 0.0]: not an integer or a list of integers"),
+    (group_algebra(F9, cyclic_group(2)), [1, 1], [1, True],
+     "bad F_3^2 scalar [1, True]: not an integer or a list of integers"),
+    (group_algebra(make_field(3), cyclic_group(2)), 1, True,
+     "bad F_3 scalar True: not an integer or a list of integers"),
+    (group_algebra(rationals(), cyclic_group(2)), 1, 1.0,
+     "bad Q scalar 1.0: not an integer or an 'n/d' string"),
+    (group_algebra(F9, cyclic_group(2)), [1, 0], [[1]],
+     "bad F_3^2 scalar [[1]]: not an integer or a list of integers"),
+], ids=["float-list-after-int-list", "bool-in-a-list-after-int-list",
+        "bool-after-int-over-F3", "float-after-int-over-Q", "nested-list-over-F9"])
+def test_a_constant_equal_to_one_decoded_before_is_still_refused(
+        a, first, last, message, tmp_path, capsys):
+    spec = _write(tmp_path / "s.json", _spec_with_first_and_last_constants(a, first, last))
+    assert main(["check", spec]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("a", ["1e1000000", "0.5", " 3/4", "3/4 ", "+3", "3/-4",
                                0.1, True, None, [1]])
 def test_noncanonical_rational_exits_3(a, tmp_path, capsys):

@@ -575,9 +575,30 @@ def test_hunt_refuses_a_field_above_the_scan_bound_before_building_it(monkeypatc
     with pytest.raises(SearchSpaceTooLarge):
         default_hunt_params(2, 2, 10 ** 100)
     assert fields_built == []
-    # at the bound and below, the hunt runs
-    for p, degrees in [(999983, (1,)), (2, (19,)), (1000, (2,))]:
+    # at the bound and below, the hunt runs; no prime power equals SCAN_BOUND
+    # = 10^6, so F_{997^2} (994,009 elements) stands in for the field at it
+    for p, degrees in [(999983, (1,)), (2, (19,)), (997, (2,))]:
         HuntParams(p, degrees, (("cyclic", 2),))
+
+
+@pytest.mark.parametrize("p, degrees", [(1000, (2,)), (1, (10 ** 30,))])
+def test_hunt_params_refuse_a_characteristic_that_is_not_prime(p, degrees, monkeypatch):
+    # as default_hunt_params does: these used to construct, and the hunt
+    # refused them only when it built its first field
+    from grasym import fields
+    from grasym.errors import NonPrimeCharacteristic
+
+    built = []
+    init = fields.Field.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(fields.Field, "__init__", counting)
+    with pytest.raises(NonPrimeCharacteristic, match=f"{p} is not 0 or prime"):
+        HuntParams(p, degrees, (("cyclic", 2),))
+    assert built == []
 
 
 def test_the_frobenius_builder_makes_no_generic_table(monkeypatch):
