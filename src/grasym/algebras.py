@@ -92,8 +92,11 @@ class GradedAlgebra:
     def __init__(self, field: Field, group: GroupTable, degree, sc, unit,
                  labels=None):
         """sc gives the terms (k, c_ij^k) of each e_i e_j by (i, j), in any order and zeros
-        allowed; constants and unit entries are Scalars of field.  They are unwrapped to
-        raw values, and _fill checks and stores the table."""
+        allowed; constants and unit entries are Scalars of field.  The degrees are checked
+        before any constant, so an oversized dim allocates no table.  Then every constant
+        and the unit are unwrapped to raw values, so a FieldMismatch comes before any index,
+        repeat or unit-length error, and _fill checks and stores the table."""
+        degree = _checked_degrees(group, degree)
         unwrap, cells = field.ops.unwrap, []
         for ij, terms in (sc.items() if isinstance(sc, dict) else sc):
             terms = list(terms.items() if isinstance(terms, dict) else terms)
@@ -107,17 +110,15 @@ class GradedAlgebra:
         """The algebra of the raw terms (k, c_ij^k) of each e_i e_j, as _fill
         takes them, and the raw coordinates of its unit."""
         a = cls.__new__(cls)
-        a._fill(field, group, degree, cells, unit, labels)
+        a._fill(field, group, _checked_degrees(group, degree), cells, unit, labels)
         return a
 
     def _fill(self, field, group, degree, cells, unit, labels):
         """Store the table of cells, a dict or a sequence of ((i, j), terms)
         pairs whose terms are (k, raw c_ij^k) pairs, in any order and zeros
-        allowed: each index is checked to lie in range and each cell and each
-        k of a cell to be given once, and each cell is sorted by k and drops
-        its zeros.  The degrees are checked before any constant, so an
-        oversized dim allocates no table."""
-        degree = _checked_degrees(group, degree)
+        allowed, for degrees that _checked_degrees passed: each index is
+        checked to lie in range and each cell and each k of a cell to be
+        given once, and each cell is sorted by k and drops its zeros."""
         d, is_zero = len(degree), field.ops.is_zero
         table = [[None] * d for _ in range(d)]
         for (i, j), terms in (cells.items() if isinstance(cells, dict) else cells):
@@ -125,15 +126,14 @@ class GradedAlgebra:
                 raise IndexOutOfRange(f"structure constant at ({i},{j}) out of range 0..{d - 1}")
             if table[i][j] is not None:
                 raise ValueError(f"structure constants at ({i},{j}) given twice")
-            if len(terms) == 1:  # most cells: no repeat to look for, nothing to sort
-                (k, c), = terms
+            seen = set()
+            for k, _ in terms:
                 if not 0 <= k < d:
-                    _refuse_terms(i, j, [k], d)
-                table[i][j] = () if is_zero(c) else ((k, c),)
-                continue
-            ks = [k for k, _ in terms]
-            if ks and not (0 <= min(ks) and max(ks) < d and len(set(ks)) == len(ks)):
-                _refuse_terms(i, j, ks, d)
+                    raise IndexOutOfRange(
+                        f"structure constant ({i},{j},{k}) out of range 0..{d - 1}")
+                if k in seen:
+                    raise ValueError(f"structure constant ({i},{j},{k}) given twice")
+                seen.add(k)
             # the k are distinct, so sorting the pairs compares no constant
             table[i][j] = tuple([t for t in sorted(terms) if not is_zero(t[1])])
         self._store(field, group, degree, [[t or () for t in row] for row in table], unit,
@@ -208,18 +208,6 @@ class GradedAlgebra:
 
     def __repr__(self):
         return f"GradedAlgebra(dim={self.dim}, field={self.field}, group={self.group})"
-
-
-def _refuse_terms(i: int, j: int, ks, d: int):
-    """Raise for the first k of the cell (i, j) that is out of range or
-    given twice."""
-    seen = set()
-    for k in ks:
-        if not 0 <= k < d:
-            raise IndexOutOfRange(f"structure constant ({i},{j},{k}) out of range 0..{d - 1}")
-        if k in seen:
-            raise ValueError(f"structure constant ({i},{j},{k}) given twice")
-        seen.add(k)
 
 
 def _checked_degrees(group: GroupTable, degree) -> tuple:

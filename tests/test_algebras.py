@@ -128,6 +128,16 @@ def test_degrees_are_checked_before_any_structure_constant(f2):
         GradedAlgebra(f2, cyclic_group(2), [0, 2], {(0, 5): {0: one}}, [one, f2.zero()])
 
 
+def test_degrees_are_checked_before_any_constant_is_unwrapped(f2, q):
+    # a constant and a unit entry over Q would raise FieldMismatch once unwrapped
+    one, zero = f2.one(), f2.zero()
+    with pytest.raises(DimensionTooLarge):
+        GradedAlgebra(f2, trivial_group(), [0] * 65, {(0, 0): {0: q.one()}},
+                      [q.one()] + [zero] * 64)
+    with pytest.raises(IndexOutOfRange, match="element index 2"):
+        GradedAlgebra(f2, cyclic_group(2), [0, 2], {(0, 0): {0: q.one()}}, [one, zero])
+
+
 @pytest.mark.parametrize("unit", [lambda f3, f5: [f5.one(), f5.zero()],
                                   lambda f3, f5: [1, 0],
                                   lambda f3, f5: [f3.one(), 0]],

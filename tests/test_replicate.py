@@ -217,7 +217,8 @@ def test_the_hunt_decodes_no_spec(monkeypatch):
 
     calls = []
     for module, name in [(specfile, "_build_constructor"), (fields, "scalar_from_json"),
-                         (specfile, "scalar_from_json")]:
+                         (specfile, "scalar_from_json"), (fields, "raw_from_json"),
+                         (specfile, "raw_from_json")]:
         def counted(*args, _name=name, _fn=getattr(module, name)):
             calls.append(_name)
             return _fn(*args)
