@@ -277,15 +277,21 @@ class Field:
             yield v[::-1]
 
     def element_at(self, k: int) -> "Scalar":
+        return Scalar(self, self.raw_at(k))
+
+    def raw_at(self, k: int):
+        """The raw value of element k of a finite field: k mod p over F_p, and
+        over F_{p^n} the coefficients of the base-p digits of k, least
+        significant first."""
         if self.char == 0:
             raise RationalsNotSupported("the rationals cannot be enumerated")
         if self.degree == 1:
-            return Scalar(self, k % self.char)
+            return k % self.char
         digits = []
         for _ in range(self.degree):
             digits.append(k % self.char)
             k //= self.char
-        return Scalar(self, tuple(digits))
+        return tuple(digits)
 
     def generator(self) -> "Scalar":
         """The residue of x in F_p[x]/(modulus); only for extension fields."""

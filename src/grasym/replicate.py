@@ -9,8 +9,10 @@ checkpoint/resume by candidate index, re-verifying a parameter hash.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
+import operator
 import os
 import random
 import time
@@ -30,7 +32,6 @@ from .algebras import (
     matrix_algebra,
     quaternion_algebra,
     scalar_extension,
-    sparse_combination,
     subspace_algebra,
     sweedler_algebra,
     tensor_product,
@@ -39,12 +40,13 @@ from .algebras import (
 )
 from .errors import (
     EmptySearch,
+    InvalidTable,
     NotDivision,
     ParseError,
     RationalsNotSupported,
     SearchSpaceTooLarge,
 )
-from .fields import canonical_extension_field, make_field, rationals
+from .fields import _ext_reduce, canonical_extension_field, make_field, rationals
 from .groups import _check_order, cyclic_group, group_from_kind, klein_group
 from .invariants import (
     SCAN_BOUND,
@@ -119,52 +121,142 @@ def replicate_center_symmetry(a: GradedAlgebra):
 
 # -- deterministic pseudo-random corpus ------------------------------------------------
 
+def _lane_packing(field, bound: int):
+    """(pack, stride, decode) for ints Kronecker-packed in lanes of w bits,
+    w the bit length of bound, which bounds every lane that is decoded.
+
+    pack(v) is the int sum_t v_t 2^(wt) of the coefficients v_t in [0, p)
+    of a raw value v, v itself over F_p.  An entry of a packed vector takes
+    4n - 3 lanes, stride bits, for n the degree of the field over F_p: room
+    for a product of four packed values.  decode(x, indices) reads the
+    entries of x, whose lanes must lie in [0, bound], reduces each once, mod
+    p over F_p and by _ext_reduce over F_{p^n}, and returns the (index, raw
+    value) pairs of its nonzero entries, entry s at indices[s]."""
+    p, n, zero = field.char, field.degree, field.ops.zero
+    w = bound.bit_length()
+    lanes, mask = 4 * n - 3, (1 << w) - 1
+    if n == 1:
+        def pack(v):
+            return v
+
+        def decode(x, indices):
+            cell = []
+            for s in indices:
+                c = (x & mask) % p
+                if c:
+                    cell.append((s, c))
+                x >>= w
+            return tuple(cell)
+    else:
+        def pack(v):
+            return sum(c << (w * t) for t, c in enumerate(v))
+
+        def decode(x, indices):
+            cell = []
+            for s in indices:
+                acc = []
+                for _ in range(lanes):
+                    acc.append(x & mask)
+                    x >>= w
+                v = _ext_reduce(acc, field)
+                if v != zero:
+                    cell.append((s, v))
+            return tuple(cell)
+    return pack, lanes * w, decode
+
+
 def random_graded_basis_change(a: GradedAlgebra, rng: random.Random) -> GradedAlgebra:
     """Conjugate by a random block-diagonal invertible matrix (grading kept);
     a basis change is an isomorphism, so the result is valid when a is.
 
-    Entries are drawn by element index, so the field must be finite.  The
-    new basis vector b_i is row i of the matrix B, and a vector v has the
-    coordinates B^-T v on the new basis.  B is block-diagonal over the graded
-    components, so B^-1 is too, and each coordinate of a product b_i b_j
-    comes from the inverse block of its own component.  Everything runs on
-    raw field values.
+    Entries are drawn by element index (Field.raw_at), so the field must be
+    finite; each component A_g draws its block B_g row by row, in the order
+    of set(a.degree), until the block is invertible.  The new basis vector
+    b_i is row i of B, so for i in A_g and j in A_h
+
+        b_i b_j = sum_{l, m, k} B_il B_jm c_lm^k e_k,  e_k = sum_s (B^-1)_ks b_s,
+
+    with l in A_g, m in A_h and k, s in A_gh.  Each pair (g, h) of
+    components is one dense block: its terms c_lm^k are contracted with
+    B_gh^-1 first, then with B_h, then with B_g, all on unreduced ints, and
+    each coefficient of the result is reduced once.  A term c_lm^k with
+    deg k != gh breaks the grading and raises InvalidTable.
+
+    The ints are Kronecker-packed (_lane_packing): a raw value is one int,
+    a row of B_gh^-1 is one int with 4n - 3 lanes per entry, for n the
+    degree of the field over F_p, and a sum of products value * row is one
+    int operation per product.  An output coefficient is a sum of at most
+    n_g n_h n_gh products of four polynomials of degree < n, and each
+    coefficient of such a product is a sum of at most n^3 products of four
+    coefficients in [0, p).  So every lane holds a nonnegative int of at
+    most n_g n_h n_gh n^3 (p - 1)^4 <= N^3 n^3 (p - 1)^4, for N the largest
+    component dim, and lanes as wide as that last bound never carry into
+    each other.  The 4n - 3 lanes of an entry are its unreduced product
+    polynomial, which is reduced once.  No Scalar is built.
     """
     if not a.field.is_finite:
         raise RationalsNotSupported("random basis changes draw from a finite field")
-    field, d = a.field, a.dim
-    q, ops = field.size(), field.ops
+    field, d, degree = a.field, a.dim, a.degree
+    q, ops, raw_at = field.size(), field.ops, field.raw_at
     zero, one = ops.zero, ops.one
-    change = [()] * d  # row i of B, as (index, raw value) pairs
-    inverse = [()] * d  # row i of B^-1
-    for g in set(a.degree):
+    big = max(collections.Counter(degree).values())
+    pack, stride, decode = _lane_packing(
+        field, big ** 3 * field.degree ** 3 * (field.char - 1) ** 4)
+    blocks = {}  # g -> (indices of A_g, their positions, packed B_g, packed rows of B_g^-1)
+    unit = [zero] * d
+    for g in set(degree):
         idx = a.component_indices(g)
         n = len(idx)
         while True:
-            block = [ops.unwrap([field.element_at(rng.randrange(q)) for _ in range(n)])
-                     for _ in range(n)]
+            block = [[raw_at(rng.randrange(q)) for _ in range(n)] for _ in range(n)]
             # [block | I] reduces to [I | block^-1] when block is invertible
             aug = [row + [one if c == r else zero for c in range(n)]
                    for r, row in enumerate(block)]
             if eliminate_raw(ops, aug, 2 * n)[:n] == list(range(n)):
                 break
-        for pos, i in enumerate(idx):
-            change[i] = tuple((j, c) for j, c in zip(idx, block[pos]) if c != zero)
-            inverse[i] = tuple((j, c) for j, c in zip(idx, aug[pos][n:]) if c != zero)
-    cols = [[row[l] for row in a.table] for l in range(d)]
+        inverse = [row[n:] for row in aug]
+        for s, c in zip(idx, ops.forms_at(list(zip(*inverse)), [a.unit[k] for k in idx])):
+            unit[s] = c
+        blocks[g] = (idx, {k: s for s, k in enumerate(idx)},
+                     [[pack(c) for c in row] for row in block],
+                     [sum(pack(c) << (stride * s) for s, c in enumerate(row))
+                      for row in inverse])
 
-    def express(v: dict) -> dict:
-        return sparse_combination(ops, v.items(), inverse)
-
-    table = []
-    for i in range(d):
-        # b_i e_l for every l, then b_i b_j = sum_l B_jl b_i e_l
-        right = [sparse_combination(ops, change[i], col).items() for col in cols]
-        table.append([tuple(sorted(express(sparse_combination(ops, change[j], right)).items()))
-                      for j in range(d)])
-    unit = express({k: c for k, c in enumerate(a.unit) if c != zero})
-    return GradedAlgebra._from_raw(field, a.group, a.degree, table,
-                                   [unit.get(k, zero) for k in range(d)])
+    image = {}
+    mul, gtab, old = operator.mul, a.group.table, a.table
+    table = [[()] * d for _ in range(d)]
+    for g, (gi, _, gb, _) in blocks.items():
+        for h, (hi, _, hb, _) in blocks.items():
+            out, pos, _, inv = blocks.get(gtab[g][h], ((), {}, (), ()))
+            # the packed rows c_lm B_gh^-1, l in A_g, m in A_h
+            u = []
+            for l in gi:
+                row, ul = old[l], []
+                for m in hi:
+                    x = 0
+                    for k, c in row[m]:
+                        s = pos.get(k)
+                        if s is None:
+                            raise InvalidTable(
+                                f"structure constant ({l},{m},{k}) breaks the grading")
+                        y = image.get(c)
+                        if y is None:
+                            y = image[c] = pack(c)
+                        x += y * inv[s]
+                    ul.append(x)
+                u.append(ul)
+            if not out:
+                continue
+            # v[l][j] = sum_m B_jm u[l][m], then sum_l B_il v[l][j]
+            v = [[sum(map(mul, bj, ul)) for bj in hb] for ul in u]
+            cols = list(zip(*v))
+            for i, bi in zip(gi, gb):
+                row = table[i]
+                for j, col in zip(hi, cols):
+                    x = sum(map(mul, bi, col))
+                    if x:
+                        row[j] = decode(x, out)
+    return GradedAlgebra._from_raw(field, a.group, degree, table, unit)
 
 
 def random_small_algebra(field, rng: random.Random) -> GradedAlgebra:

@@ -255,6 +255,19 @@ def test_vectors_vary_coordinate_zero_fastest(f3, f4, n):
             assert v == tuple(field.element_at(k // q ** i % q) for i in range(n))
 
 
+def test_element_at_wraps_the_raw_value_at_the_same_index(f5, f9, q):
+    # element k has the base-p digits of k as its coefficients, least significant first
+    assert [f5.raw_at(k) for k in (0, 4, 7)] == [0, 4, 2]
+    assert [f9.raw_at(k) for k in (0, 1, 3, 5, 8)] == [(0, 0), (1, 0), (0, 1), (2, 1), (2, 2)]
+    for field in (f5, f9):
+        for k in range(field.size()):
+            x = field.element_at(k)
+            assert x.field is field and x.val == field.raw_at(k)
+    for enumerate_q in (q.raw_at, q.element_at):
+        with pytest.raises(RationalsNotSupported):
+            enumerate_q(0)
+
+
 def test_coefficients(f5, f9, f27, q):
     assert f5.from_int(3).coefficients() == (3,)
     assert f5.zero().coefficients() == (0,)

@@ -141,6 +141,25 @@ def test_random_basis_change_over_the_rationals_is_refused(q):
     assert rng.getstate() == state
 
 
+def test_a_basis_change_builds_no_scalar(monkeypatch):
+    # entries are drawn as raw values and the blocks are contracted on ints,
+    # over F_p and over F_{p^n} alike: no Scalar is made, not even per draw
+    from grasym import fields
+    questions = {q.name: q for q in workloads.DECIDE}
+    inputs = [questions[name].build() for name in
+              ("cyc5-graded-frobenius", "F3[D4]-symmetric", "cyc3(x)F9-division")]
+    calls = []
+    init = fields.Scalar.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+    monkeypatch.setattr(fields.Scalar, "__init__", counted)
+    changed = [random_graded_basis_change(a, random.Random(3)) for a in inputs]
+    assert calls == []
+    assert [b.degree for b in changed] == [a.degree for a in inputs]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_random_small_algebra_over_the_rationals_is_refused(q, seed):
     # some menu entries need F_{p^n}, so the refusal comes first, on every draw
